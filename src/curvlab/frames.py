@@ -15,10 +15,22 @@ and this projection form is what the batched evaluator and the descent use.
 independent slow route; the two are tested against each other and are never
 merged.
 
+Stacks of frames have shape (B, n, m).  One kernel evaluates a stack: a
+batched matmul builds the projections, and one GEMM against the (n^2, n^2)
+flattening F_{(q,s),(a,b)} = Rm_{aqbs} gives B_ab = Rm_{aqbs} P_qs, from
+which follow both the values tr(Ric P) - 1/2 <B, P> and the Euclidean
+gradient 2 (Ric - B) Q.  One orthonormalization kernel, classical
+Gram-Schmidt applied twice and vectorized over the stack, gives the
+positive-diagonal QR factor for sampling and for the retraction.
+
 `cm_min` runs three phases: coordinate-subset enumeration, chunked random
 sampling with a fresh generator per chunk, and projected gradient descent on
-the Stiefel manifold from the most promising starts.  Results are bitwise
-reproducible for a fixed seed and budget.
+the Stiefel manifold from the most promising starts.  The descent runs in
+lockstep over the stack of starts: every frame keeps its own step size and
+Armijo test, frames still backtracking stay pending, and a frame leaves the
+stack when it stops, so each start follows the path it would follow alone
+(up to rounding).  Results are bitwise reproducible for a fixed seed and
+budget.
 """
 from __future__ import annotations
 
@@ -49,6 +61,10 @@ __all__ = [
 
 SAMPLE_CHUNK = 4096
 ORTHONORMAL_TOL = 1e-10
+RANK_TOL = 1e-12
+ARMIJO = 1e-4
+STEP_TOL = 1e-10
+HALVINGS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -85,38 +101,55 @@ def cm_of_frame(riemann: RiemannData, q: np.ndarray, check: bool = True) -> floa
     return float(np.einsum("ab,ab->", riemann.ricci, p) - 0.5 * quad)
 
 
+def _flattening(riemann: RiemannData) -> tuple[np.ndarray, np.ndarray]:
+    """F[(q, s), (a, b)] = Rm_{aqbs} as an (n^2, n^2) matrix, and Ric flattened."""
+    n = riemann.dim
+    return (riemann.components.transpose(1, 3, 0, 2).reshape(n * n, n * n),
+            riemann.ricci.reshape(n * n))
+
+
+def _evaluate(qs: np.ndarray, flat: np.ndarray,
+              ricci_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and B_ab = Rm_{aqbs} P_qs for a stack of frames (B, n, m)."""
+    b, n = qs.shape[:2]
+    pf = (qs @ np.swapaxes(qs, 1, 2)).reshape(b, n * n)
+    bf = pf @ flat
+    vals = pf @ ricci_flat - 0.5 * np.einsum("bk,bk->b", bf, pf)
+    return vals, bf.reshape(b, n, n)
+
+
 def cm_batch(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
     """Projection-form values for a stack of frames, shape (B, n, m).
 
     The quadratic part is a single GEMM against the (n^2, n^2) matrix
     flattening of the curvature tensor.
     """
-    qs = np.asarray(qs, dtype=float)
-    n = riemann.dim
-    b = qs.shape[0]
-    p = np.einsum("bia,bja->bij", qs, qs)
-    pf = p.reshape(b, n * n)
-    rmat = riemann.components.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    quad = np.einsum("bk,bk->b", pf @ rmat, pf)
-    return pf @ riemann.ricci.reshape(n * n) - 0.5 * quad
+    return _evaluate(np.asarray(qs, dtype=float), *_flattening(riemann))[0]
 
 
 def complete_frame(q: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
     """Extend an m-frame to a full orthonormal basis (columns).
 
-    The first m columns reproduce q.  `extra` overrides the identity block
-    used to seed the remaining directions, which lets tests confirm that
+    The first m columns reproduce q.  The others orthonormalize the columns
+    of a seed block, in order, skipping those already in the span.  `extra`
+    overrides the identity seed block, which lets tests confirm that
     downstream quantities do not depend on the completion.
     """
     q = np.asarray(q, dtype=float)
-    n, m = q.shape
+    n = q.shape[0]
     seed_block = np.eye(n) if extra is None else np.asarray(extra, dtype=float)
-    full, r = np.linalg.qr(np.concatenate([q, seed_block], axis=1))
-    signs = np.sign(np.diag(r)[:n])
-    signs[signs == 0] = 1.0
-    full = full[:, :n] * signs
-    if np.max(np.abs(full[:, :m] - q)) > 1e-9:
+    full = stiefel_retract(q)
+    if np.max(np.abs(full - q)) > 1e-9:
         raise ValueError("completion failed to preserve the input frame")
+    for col in seed_block.T:
+        if full.shape[1] == n:
+            break
+        try:
+            full = stiefel_retract(np.column_stack([full, col]))
+        except ValueError:
+            continue
+    if full.shape[1] < n:
+        raise ValueError("the seed block does not span the complement of the frame")
     return full
 
 
@@ -152,17 +185,23 @@ def cm_gradient(riemann: RiemannData, q: np.ndarray) -> np.ndarray:
 
 
 def tangent_project(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Project an ambient direction onto the Stiefel tangent space at Q."""
-    qtg = q.T @ g
-    return g - q @ (0.5 * (qtg + qtg.T))
+    """Project an ambient direction onto the Stiefel tangent space at Q.
+
+    Takes one frame or a stack of frames with matching directions.
+    """
+    qtg = np.swapaxes(q, -1, -2) @ g
+    return g - q @ (0.5 * (qtg + np.swapaxes(qtg, -1, -2)))
 
 
 def stiefel_retract(y: np.ndarray) -> np.ndarray:
-    """Nearest-frame retraction by QR with a positive-diagonal sign fix."""
-    qmat, r = np.linalg.qr(y)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return qmat * signs
+    """Nearest-frame retraction: the positive-diagonal QR factor.
+
+    Takes one (n, m) matrix or a stack of them, shape (B, n, m).
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 2:
+        return orthonormalize_frames(y[None])[0]
+    return orthonormalize_frames(y)
 
 
 @dataclass(frozen=True)
@@ -174,74 +213,114 @@ class DescentResult:
     converged: bool
 
 
+def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int, armijo: float,
+             step_tol: float):
+    """Projected gradient descent in lockstep from a stack of starts (k, n, m).
+
+    Each round retracts and evaluates every pending frame at its own step
+    in one call each.  A frame whose Armijo test fails halves its step and
+    stays pending; one that passes moves, takes a fresh gradient from the
+    B the evaluation gave, and stays in the stack until its gradient or its
+    move falls below step_tol, a move leaves its value unchanged, HALVINGS
+    halvings all fail, max_iter iterations are spent, or its gradient is
+    not finite (an overflow, reported as not converged).  Returns per-start
+    frames, values, iterations, evaluations and converged flags.
+    """
+    flat, ricci_flat = _flattening(riemann)
+    q = stiefel_retract(q0)
+    val, bmat = _evaluate(q, flat, ricci_flat)
+    k = len(q)
+    iters = np.zeros(k, dtype=int)
+    evals = np.ones(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    grad = np.zeros_like(q)
+    gnorm2 = np.zeros(k)
+    step = np.zeros(k)
+    halvings = np.zeros(k, dtype=int)
+    fresh = np.full(k, max_iter > 0)       # moved: needs a new gradient
+    pending = np.zeros(k, dtype=bool)      # backtracking along its gradient
+    while True:
+        idx = np.flatnonzero(fresh)
+        if idx.size:
+            fresh[idx] = False
+            iters[idx] += 1
+            g = tangent_project(q[idx], 2.0 * (riemann.ricci - bmat[idx]) @ q[idx])
+            with np.errstate(over="ignore", invalid="ignore"):
+                g2 = np.einsum("kia,kia->k", g, g)
+            finite = np.isfinite(g2)
+            gnorm = np.sqrt(np.where(finite, g2, 0.0))
+            small = finite & (gnorm < step_tol)
+            converged[idx[small]] = True
+            go = finite & ~small
+            moving = idx[go]
+            grad[moving] = g[go]
+            gnorm2[moving] = g2[go]
+            step[moving] = 1.0 / (1.0 + gnorm[go])
+            halvings[moving] = 0
+            pending[moving] = True
+        idx = np.flatnonzero(pending)
+        if not idx.size:
+            break
+        cand = stiefel_retract(q[idx] - step[idx, None, None] * grad[idx])
+        cand_val, cand_b = _evaluate(cand, flat, ricci_flat)
+        evals[idx] += 1
+        ok = cand_val <= val[idx] - armijo * step[idx] * gnorm2[idx]
+        acc = idx[ok]
+        # a step that leaves the value unchanged passed Armijo only because the
+        # required decrease is below the value's rounding: nothing more to gain
+        stalled = ((np.max(np.abs(cand[ok] - q[acc]), axis=(1, 2)) < step_tol)
+                   | (cand_val[ok] == val[acc]))
+        q[acc], val[acc], bmat[acc] = cand[ok], cand_val[ok], cand_b[ok]
+        pending[acc] = False
+        converged[acc[stalled]] = True
+        fresh[acc[~stalled & (iters[acc] < max_iter)]] = True
+        rej = idx[~ok]
+        step[rej] *= 0.5
+        halvings[rej] += 1
+        spent = rej[halvings[rej] == HALVINGS]
+        pending[spent] = False
+        converged[spent] = True
+    return q, val, iters, evals, converged
+
+
 def stiefel_descent(riemann: RiemannData, q0: np.ndarray, max_iter: int = 500,
-                    armijo: float = 1e-4, step_tol: float = 1e-10) -> DescentResult:
+                    armijo: float = ARMIJO, step_tol: float = STEP_TOL) -> DescentResult:
     """Projected gradient descent with Armijo backtracking and QR retraction."""
-    q = stiefel_retract(np.asarray(q0, dtype=float))
-    val = cm_of_frame(riemann, q, check=False)
-    evals = 1
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = tangent_project(q, cm_gradient(riemann, q))
-        gnorm2 = float(np.sum(grad * grad))
-        if np.sqrt(gnorm2) < step_tol:
-            converged = True
-            break
-        step = 1.0 / (1.0 + np.sqrt(gnorm2))
-        accepted = False
-        for _ in range(60):
-            cand = stiefel_retract(q - step * grad)
-            cand_val = cm_of_frame(riemann, cand, check=False)
-            evals += 1
-            if cand_val <= val - armijo * step * gnorm2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True
-            break
-        if float(np.max(np.abs(cand - q))) < step_tol:
-            q, val = cand, cand_val
-            converged = True
-            break
-        q, val = cand, cand_val
-    return DescentResult(q, val, it, evals, converged)
+    q, val, iters, evals, converged = _descend(
+        riemann, np.asarray(q0, dtype=float)[None], max_iter, armijo, step_tol)
+    return DescentResult(q[0], float(val[0]), int(iters[0]), int(evals[0]),
+                         bool(converged[0]))
 
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
-def orthonormalize_frames(a: np.ndarray, method: str = "qr") -> np.ndarray:
-    """Column-orthonormalize a stack of (n, m) matrices.
+def orthonormalize_frames(a: np.ndarray) -> np.ndarray:
+    """Positive-diagonal QR factor of a stack of (n, m) matrices, shape (B, n, m).
 
-    Both methods compute the positive-diagonal QR factor, so they agree to
-    rounding.  Batched LAPACK QR wins slightly at these sizes and is the
-    default; the Cholesky route (Q = A (L^T)^{-1} with A^T A = L L^T)
-    stays available and falls back to QR on the same input if a Gram
-    matrix is numerically rank deficient.
+    Classical Gram-Schmidt applied twice, one column at a time and
+    vectorized over the stack, which is held stack-last so that every
+    operation runs over contiguous rows of length B.  A column whose
+    residual after both passes is not above RANK_TOL times its own norm
+    (zero and non-finite columns included) makes the input rank deficient.
     """
-    a = np.asarray(a, dtype=float)
-    if method == "qr":
-        qmat, r = np.linalg.qr(a)
-        signs = np.sign(np.einsum("bii->bi", r))
-        signs[signs == 0] = 1.0
-        return qmat * signs[:, None, :]
-    if method == "cholesky":
-        gram = np.einsum("bia,bic->bac", a, a)
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            return orthonormalize_frames(a, "qr")
-        return a @ np.linalg.inv(np.transpose(chol, (0, 2, 1)))
-    raise ValueError(f"unknown orthonormalization method {method!r}")
+    cols = np.ascontiguousarray(np.asarray(a, dtype=float).transpose(2, 1, 0))
+    floor = RANK_TOL * np.sqrt(np.einsum("jib,jib->jb", cols, cols))
+    q = np.empty_like(cols)
+    for j, v in enumerate(cols):
+        for _ in range(2 if j else 0):
+            v = v - np.einsum("jib,jb->ib", q[:j], np.einsum("jib,ib->jb", q[:j], v))
+        norm = np.sqrt(np.einsum("ib,ib->b", v, v))
+        if not (norm > floor[j]).all():
+            raise ValueError("frames are rank deficient or not finite")
+        np.divide(v, norm, out=q[j])
+    return q.transpose(2, 1, 0)
 
 
-def random_frames(n: int, m: int, count: int, rng: np.random.Generator,
-                  method: str = "qr") -> np.ndarray:
+def random_frames(n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random m-frames, shape (count, n, m)."""
-    return orthonormalize_frames(rng.standard_normal((count, n, m)), method)
+    return orthonormalize_frames(rng.standard_normal((count, n, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +351,9 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
 
     The random phase draws `budget` Haar frames in chunks, seeding a fresh
     PCG64 generator with seed + chunk_index so the stream is independent of
-    chunk size bookkeeping.  Descent starts from the best coordinate frame
-    and the `descent_starts` best samples.  When a coordinate subset comes
+    chunk size bookkeeping.  Descent runs in lockstep from the best
+    coordinate frame and the `descent_starts` best samples; `max_iter` = 0
+    skips it.  When a coordinate subset comes
     within `tie_tol` of the best value found, the lexicographically first
     such subset is reported as the argmin.
     """
@@ -313,19 +393,21 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
         remaining -= count
         chunk_index += 1
 
-    # phase 3: descent from the best coordinate frame and best samples
+    # phase 3: lockstep descent from the best coordinate frame and best samples
     desc_best_val = np.inf
     desc_best_frame = None
-    starts = [coord_qs[coord_best]]
-    if top_frames:
-        order = np.argsort(np.asarray(top_vals), kind="stable")[:descent_starts]
-        starts.extend(top_frames[i] for i in order)
-    for q0 in starts if max_iter > 0 else []:
-        res = stiefel_descent(riemann, q0, max_iter=max_iter)
-        evaluations += res.evaluations
-        if res.value < desc_best_val:
-            desc_best_val = res.value
-            desc_best_frame = res.frame
+    if max_iter > 0:
+        starts = [coord_qs[coord_best]]
+        if top_frames:
+            order = np.argsort(np.asarray(top_vals), kind="stable")[:descent_starts]
+            starts.extend(top_frames[i] for i in order)
+        q, vals, _, evals, _ = _descend(riemann, np.stack(starts), max_iter,
+                                        ARMIJO, STEP_TOL)
+        evaluations += int(evals.sum())
+        best = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+        if vals[best] < desc_best_val:
+            desc_best_val = float(vals[best])
+            desc_best_frame = q[best]
 
     best_value = float(min(coord_vals[coord_best], rand_best_val, desc_best_val))
 

@@ -1,15 +1,20 @@
 """Tests for the partial curvature sum minimizer."""
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from curvlab.constructions import build_counterexample
 from curvlab.curvature import (
     RiemannData,
     constant_curvature_riemann,
     product_sphere_flat_riemann,
     random_curvature_tensor,
+    riemann_exact,
 )
 from curvlab.frames import (
+    _descend,
     cm_batch,
     cm_double_sum,
     cm_gradient,
@@ -26,8 +31,63 @@ from curvlab.frames import (
 )
 
 
+DENSE_SHAPES = [(4, 2), (5, 3), (6, 2), (7, 5), (8, 4)]
+
+
 def haar_frame(n, m, seed):
     return random_frames(n, m, 1, np.random.default_rng(seed))[0]
+
+
+def qr_reference(a):
+    """Positive-diagonal QR factor of a stack by sign-fixed LAPACK QR."""
+    qmat, r = np.linalg.qr(a)
+    signs = np.sign(np.einsum("bii->bi", r))
+    signs[signs == 0] = 1.0
+    return qmat * signs[:, None, :]
+
+
+def reference_descent(riemann, q0, max_iter=500, armijo=1e-4, step_tol=1e-10):
+    """The per-frame descent loop: one start, LAPACK QR retraction, einsum gradient.
+
+    Returns (frame, value, iterations, evaluations, converged).
+    """
+    def retract(y):
+        return qr_reference(y[None])[0]
+
+    q = retract(np.asarray(q0, dtype=float))
+    val = cm_of_frame(riemann, q, check=False)
+    evals = 1
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        grad = tangent_project(q, cm_gradient(riemann, q))
+        gnorm2 = float(np.sum(grad * grad))
+        if np.sqrt(gnorm2) < step_tol:
+            converged = True
+            break
+        step = 1.0 / (1.0 + np.sqrt(gnorm2))
+        accepted = False
+        for _ in range(60):
+            cand = retract(q - step * grad)
+            cand_val = cm_of_frame(riemann, cand, check=False)
+            evals += 1
+            if cand_val <= val - armijo * step * gnorm2:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            converged = True
+            break
+        if float(np.max(np.abs(cand - q))) < step_tol:
+            q, val = cand, cand_val
+            converged = True
+            break
+        q, val = cand, cand_val
+    return q, val, it, evals, converged
+
+
+def projection(q):
+    return q @ q.T
 
 
 class TestEvaluation:
@@ -87,6 +147,10 @@ class TestEvaluation:
         assert_allclose(full[:, :2], q, atol=1e-10)
         assert_allclose(full.T @ full, np.eye(6), atol=1e-10)
 
+    def test_completion_skips_seed_columns_in_the_span(self):
+        full = complete_frame(coordinate_frame(5, (0, 2)))
+        assert_allclose(full, np.eye(5)[:, [0, 2, 1, 3, 4]], atol=1e-15)
+
 
 class TestGradient:
     @pytest.mark.parametrize("seed", range(4))
@@ -139,22 +203,123 @@ class TestDescent:
         assert res.iterations == 1
         assert res.value == pytest.approx(2.0 * (3 * 5 - 6), rel=1e-12)
 
+    def test_overflowing_gradient_stops_unconverged(self):
+        # (6, 3) at lambda 4, eps 1/2, r = 10: f = exp(-2 r^2) puts K near 2e174,
+        # so the squared gradient norm overflows
+        rd = riemann_exact(build_counterexample(6, 3, 4.0, 0.5), 10.0)
+        q0 = haar_frame(6, 3, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = stiefel_descent(rd, q0)
+            full = cm_min(rd, 3, budget=5000, seed=1)
+        assert not res.converged
+        assert (res.iterations, res.evaluations) == (1, 1)
+        assert_allclose(res.frame, q0, atol=1e-14)
+        assert res.value == pytest.approx(cm_of_frame(rd, q0), rel=1e-14)
+        assert full.value == cm_min(rd, 3, budget=5000, seed=1, max_iter=0).value
+
+    def test_max_iter_zero_skips_descent(self):
+        rd = random_curvature_tensor(5, np.random.default_rng(6))
+        q0 = haar_frame(5, 2, 7)
+        res = stiefel_descent(rd, q0, max_iter=0)
+        assert (res.iterations, res.evaluations, res.converged) == (0, 1, False)
+        assert_allclose(res.frame, q0, atol=1e-14)
+        full = cm_min(rd, 2, budget=1000, seed=0, max_iter=0)
+        assert full.evaluations == 10 + 1000
+        assert full.method != "projected-descent"
+
+
+class TestLockstepDescent:
+    """The lockstep core against the per-frame loop it replaces.
+
+    Frames are compared through their projections, and loosely: near a
+    minimum the step_tol stopping rule pins the span down only to about
+    1e-7, so rounding moves the stopping point along flat directions.
+    """
+
+    @pytest.mark.parametrize("n,m", DENSE_SHAPES)
+    def test_every_start_matches_reference_loop(self, n, m):
+        rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m))
+        starts = random_frames(n, m, 9, np.random.default_rng(n * 10 + m + 1))
+        q, vals, _, _, converged = _descend(rd, starts, 500, 1e-4, 1e-10)
+        for i, q0 in enumerate(starts):
+            ref_q, ref_val, _, _, ref_converged = reference_descent(rd, q0)
+            assert vals[i] == pytest.approx(ref_val, rel=1e-9, abs=1e-9)
+            assert converged[i] == ref_converged
+            assert_allclose(projection(q[i]), projection(ref_q), atol=1e-5)
+
+    @pytest.mark.parametrize("n,m", DENSE_SHAPES)
+    def test_start_in_a_stack_matches_start_alone(self, n, m):
+        rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 2))
+        starts = random_frames(n, m, 9, np.random.default_rng(n * 10 + m + 3))
+        q, vals, _, _, converged = _descend(rd, starts, 500, 1e-4, 1e-10)
+        for i, q0 in enumerate(starts):
+            alone = stiefel_descent(rd, q0)
+            assert alone.value == pytest.approx(vals[i], rel=1e-12, abs=1e-12)
+            assert alone.converged == converged[i]
+            assert_allclose(projection(alone.frame), projection(q[i]), atol=1e-5)
+
+    def test_stops_at_a_degenerate_minimum(self):
+        # (7, 4) at lambda 1, eps 1, r = 3: the minimum lambda is attained on a
+        # continuum of spans, so near it accepted steps stop changing the value;
+        # without a stop there the starts cycle until max_iter
+        rd = riemann_exact(build_counterexample(7, 4, 1.0, 1.0), 3.0)
+        starts = random_frames(7, 4, 8, np.random.default_rng(5))
+        _, vals, iters, _, converged = _descend(rd, starts, 500, 1e-4, 1e-10)
+        assert np.all(converged)
+        assert np.max(iters) < 100
+        assert_allclose(vals, 1.0, rtol=0, atol=1e-12)
+
+    def test_iteration_limit_is_per_frame(self):
+        rd = random_curvature_tensor(6, np.random.default_rng(8))
+        starts = random_frames(6, 3, 4, np.random.default_rng(9))
+        _, _, iters, _, converged = _descend(rd, starts, 3, 1e-4, 1e-10)
+        assert np.all(iters == 3)
+        assert not np.any(converged)
+
 
 class TestSampling:
-    def test_methods_agree(self):
-        a = np.random.default_rng(0).standard_normal((64, 7, 4))
-        qa = orthonormalize_frames(a, "qr")
-        qb = orthonormalize_frames(a, "cholesky")
-        assert_allclose(qa, qb, atol=1e-8)
+    def test_kernel_matches_sign_fixed_qr(self):
+        rng = np.random.default_rng(0)
+        for n, m in DENSE_SHAPES + [(6, 3), (7, 2), (7, 3), (7, 4), (8, 8)]:
+            a = rng.standard_normal((4096, n, m))
+            assert_allclose(orthonormalize_frames(a), qr_reference(a), rtol=0,
+                            atol=1e-12, err_msg=f"shape ({n}, {m})")
 
     def test_frames_orthonormal(self):
         qs = random_frames(7, 5, 100, np.random.default_rng(1))
         grams = np.einsum("bia,bic->bac", qs, qs)
         assert np.max(np.abs(grams - np.eye(5))) < 1e-10
 
-    def test_unknown_method_rejected(self):
+    def test_orthonormality_defect_on_200k_frames(self):
+        defect = 0.0
+        for chunk in range(49):
+            qs = random_frames(7, 5, 4096, np.random.default_rng(chunk))
+            grams = np.einsum("bia,bic->bac", qs, qs)
+            defect = max(defect, float(np.max(np.abs(grams - np.eye(5)))))
+        assert defect <= 1e-13
+
+    def test_same_stream_as_sign_fixed_qr(self):
+        # the normal draws are unchanged, so sampled frames match the LAPACK route
+        qs = random_frames(7, 3, 4096, np.random.default_rng(12))
+        ref = qr_reference(np.random.default_rng(12).standard_normal((4096, 7, 3)))
+        assert_allclose(qs, ref, rtol=0, atol=1e-12)
+
+    def test_rank_deficient_rejected(self):
+        a = np.random.default_rng(2).standard_normal((8, 5, 3))
+        a[3, :, 2] = 2.0 * a[3, :, 0] - a[3, :, 1]
+        for bad in (np.zeros((1, 3, 2)), a, np.full((2, 4, 2), np.nan)):
+            with pytest.raises(ValueError):
+                orthonormalize_frames(bad)
         with pytest.raises(ValueError):
-            orthonormalize_frames(np.zeros((1, 3, 2)), "gram-schmidt")
+            stiefel_retract(np.zeros((4, 2)))
+
+    def test_retraction_of_a_stack_is_framewise(self):
+        y = np.random.default_rng(3).standard_normal((6, 7, 4))
+        stacked = stiefel_retract(y)
+        assert stacked.shape == y.shape
+        for i in range(len(y)):
+            assert_allclose(stacked[i], stiefel_retract(y[i]), rtol=0, atol=1e-14)
 
 
 class TestMinimizer:
