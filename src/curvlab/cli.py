@@ -152,7 +152,7 @@ def cmd_verify_examples(cfg: RunConfig, n: int, m: int, lam: float,
             witnesses["epsilon"] = epsilon
             witnesses["metric"] = counterexample_json(n, m, lam, epsilon,
                                                       r_max=cfg.r_max)
-    except UnsupportedParameters as exc:
+    except ValueError as exc:  # out-of-range parameters or an r-range too wide
         return _usage_error(str(exc))
 
     witnesses["positivity"] = positivity.to_json_dict()

@@ -341,7 +341,9 @@ def verify_uniform_positivity(metric, lam: float, r_grid=None,
 
     Passes iff the grid minimum is at least lambda * (1 - 1e-6).  Also
     records the range of C_m at the distinguished coordinate frame, which
-    the construction pins to lambda exactly.
+    the construction pins to lambda exactly.  A radius whose curvature
+    cannot be evaluated (non-finite components) raises ValueError naming
+    that radius, so a sweep never passes on values it did not compute.
 
     Grid points are processed in order of increasing |r| (violations
     cluster near the origin); with fail_fast=True the sweep stops at the
@@ -373,7 +375,10 @@ def verify_uniform_positivity(metric, lam: float, r_grid=None,
         cmin, cmax = np.inf, -np.inf
         evals = 0
         for count, i in enumerate(order, 1):
-            rd = source(float(radii[i]))
+            try:
+                rd = source(float(radii[i]))
+            except ValueError as exc:
+                raise ValueError(f"curvature at r = {float(radii[i])!r}: {exc}") from exc
             if coord_q is None:
                 coord_q = coordinate_frame(rd.dim, coord_idx)
             res = cm_min(rd, m, budget=frame_budget,

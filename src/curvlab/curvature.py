@@ -253,6 +253,8 @@ class RiemannData:
         dim = components.shape[0]
         if components.shape != (dim,) * 4:
             raise ValueError("components must be a 4-index table over one dimension")
+        if not np.isfinite(components).all():
+            raise ValueError("curvature components are not finite")
         ricci = np.einsum("cacb->ab", components)
         return cls(dim, components, ricci, float(np.trace(ricci)))
 

@@ -31,6 +31,16 @@ Armijo test, frames still backtracking stay pending, and a frame leaves the
 stack when it stops, so each start follows the path it would follow alone
 (up to rounding).  Results are bitwise reproducible for a fixed seed and
 budget.
+
+Step rule (Barzilai-Borwein steps on the Stiefel manifold, as in Wen and
+Yin 2013): the first trial step is 1/(1 + |G|) for the tangent gradient G.
+From the second iteration on it is the BB1 step <s, s>/<s, y>, with
+s = Q_k - Q_{k-1} and y = G_k - G_{k-1} the last move and gradient change
+of that frame, capped at 1/|G_k| so that a trial move Q - tG has at most
+unit Frobenius length; when <s, y> <= 0 the step is the cap itself.  The
+trial step is halved until the monotone Armijo test passes.  The cap is
+needed: on the construction tensors an uncapped BB step can ask for a move
+of nearly 3.
 """
 from __future__ import annotations
 
@@ -218,10 +228,12 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int, armijo: float,
     """Projected gradient descent in lockstep from a stack of starts (k, n, m).
 
     Each round retracts and evaluates every pending frame at its own step
-    in one call each.  A frame whose Armijo test fails halves its step and
-    stays pending; one that passes moves, takes a fresh gradient from the
-    B the evaluation gave, and stays in the stack until its gradient or its
-    move falls below step_tol, a move leaves its value unchanged, HALVINGS
+    in one call each.  A frame's first trial step is 1/(1 + |g|), later
+    ones the capped BB1 step from its own last move and gradient change.
+    A frame whose Armijo test fails halves its step and stays pending; one
+    that passes moves, takes a fresh gradient from the B the evaluation
+    gave, and stays in the stack until its gradient or its move falls
+    below step_tol, a move leaves its value unchanged, HALVINGS
     halvings all fail, max_iter iterations are spent, or its gradient is
     not finite (an overflow, reported as not converged).  Returns per-start
     frames, values, iterations, evaluations and converged flags.
@@ -234,6 +246,7 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int, armijo: float,
     evals = np.ones(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     grad = np.zeros_like(q)
+    qprev = np.zeros_like(q)
     gnorm2 = np.zeros(k)
     step = np.zeros(k)
     halvings = np.zeros(k, dtype=int)
@@ -253,9 +266,22 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int, armijo: float,
             converged[idx[small]] = True
             go = finite & ~small
             moving = idx[go]
-            grad[moving] = g[go]
+            g, gnorm = g[go], gnorm[go]
+            step[moving] = 1.0 / (1.0 + gnorm)
+            later = iters[moving] > 1
+            if later.any():
+                # <s, y> <= 0 leaves bb infinite, so the cap 1/|g| applies
+                prev = moving[later]
+                s = q[prev] - qprev[prev]
+                y = g[later] - grad[prev]
+                sy = np.einsum("kia,kia->k", s, y)
+                bb = np.full(prev.size, np.inf)
+                with np.errstate(over="ignore"):
+                    np.divide(np.einsum("kia,kia->k", s, s), sy, out=bb, where=sy > 0)
+                step[prev] = np.minimum(bb, 1.0 / gnorm[later])
+            qprev[moving] = q[moving]
+            grad[moving] = g
             gnorm2[moving] = g2[go]
-            step[moving] = 1.0 / (1.0 + gnorm[go])
             halvings[moving] = 0
             pending[moving] = True
         idx = np.flatnonzero(pending)
@@ -285,7 +311,12 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int, armijo: float,
 
 def stiefel_descent(riemann: RiemannData, q0: np.ndarray, max_iter: int = 500,
                     armijo: float = ARMIJO, step_tol: float = STEP_TOL) -> DescentResult:
-    """Projected gradient descent with Armijo backtracking and QR retraction."""
+    """Projected gradient descent from one frame.
+
+    Capped Barzilai-Borwein trial steps with monotone Armijo backtracking
+    (see the module docstring), retracted by the positive-diagonal QR
+    factor computed by Gram-Schmidt.
+    """
     q, val, iters, evals, converged = _descend(
         riemann, np.asarray(q0, dtype=float)[None], max_iter, armijo, step_tol)
     return DescentResult(q[0], float(val[0]), int(iters[0]), int(evals[0]),
@@ -386,10 +417,11 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
         keep = min(max(descent_starts, 1), count)
         order = np.argsort(vals, kind="stable")[:keep]
         top_vals.extend(float(vals[i]) for i in order)
-        top_frames.extend(frames[i] for i in order)
+        # copies, not views, so that each chunk is freed after its turn
+        top_frames.extend(frames[i].copy() for i in order)
         if vals[order[0]] < rand_best_val:
             rand_best_val = float(vals[order[0]])
-            rand_best_frame = frames[order[0]]
+            rand_best_frame = frames[order[0]].copy()
         remaining -= count
         chunk_index += 1
 

@@ -7,6 +7,7 @@ stdout-is-only-paths rule are asserted throughout.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from curvlab.cli import main
@@ -71,6 +72,17 @@ class TestVerifyExamples:
             ["verify-examples", "--n", "8", "--m", "2", "--out", str(tmp_path),
              *FAST], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("epsilon", [["--epsilon", "1"], []])
+    def test_non_finite_curvature_is_usage_error(self, tmp_path, capsys, epsilon):
+        with np.errstate(all="ignore"):
+            code, paths, err = run_cli(
+                ["verify-examples", "--n", "6", "--m", "2", *epsilon,
+                 "--r-max", "40", "--grid-points", "3", "--frame-budget", "500",
+                 "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert paths == []
+        assert "r = -40.0" in err and "not finite" in err
 
     def test_failing_epsilon_exits_one_with_witness(self, tmp_path, capsys):
         code, paths, _ = run_cli(

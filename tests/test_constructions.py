@@ -331,6 +331,17 @@ class TestVerify:
         with pytest.raises(TypeError):
             verify_uniform_positivity("not a metric", 0.1, m=2)
 
+    @pytest.mark.parametrize("grid,first_bad", [([-40.0, -39.0, 39.0, 40.0], -39.0),
+                                                ([-40.0, 0.0, 40.0], -40.0)])
+    def test_non_finite_curvature_never_passes(self, grid, first_bad):
+        # the Gaussian f of (6, 2) underflows beyond r of about 37.6; the sweep
+        # used to pass on the first grid (worst value inf at r = nan) and to
+        # skip the NaN radii of the second
+        metric = build_counterexample(6, 2, 1.0, 1.0, r_max=40.0)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=f"r = {first_bad}"):
+            verify_uniform_positivity(metric, 1.0, grid, frame_budget=500)
+
 
 class TestSearchEpsilon:
     def test_finds_passing_scale(self):

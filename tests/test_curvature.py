@@ -202,6 +202,13 @@ class TestRiemannData:
         with pytest.raises(ValueError):
             RiemannData.from_components(np.zeros((3, 3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_components_rejected(self, bad):
+        comp = constant_curvature_riemann(4, 1.0).components.copy()
+        comp[0, 1, 0, 1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            RiemannData.from_components(comp)
+
     def test_validate_catches_broken_symmetry(self):
         rd = constant_curvature_riemann(4, 1.0)
         bad = rd.components.copy()

@@ -1,11 +1,14 @@
 """Tests for the partial curvature sum minimizer."""
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curvlab.constructions import build_counterexample
+from curvlab import frames
+from curvlab.constructions import CONSTRUCTION_PAIRS, build_counterexample
 from curvlab.curvature import (
     RiemannData,
     constant_curvature_riemann,
@@ -49,7 +52,10 @@ def qr_reference(a):
 def reference_descent(riemann, q0, max_iter=500, armijo=1e-4, step_tol=1e-10):
     """The per-frame descent loop: one start, LAPACK QR retraction, einsum gradient.
 
-    Returns (frame, value, iterations, evaluations, converged).
+    The first step is 1/(1 + |g|); later ones are the BB1 step <s, s>/<s, y>
+    from the last move s and gradient change y, capped at 1/|g| and equal to
+    it when <s, y> <= 0.  Returns (frame, value, iterations, evaluations,
+    converged).
     """
     def retract(y):
         return qr_reference(y[None])[0]
@@ -59,13 +65,23 @@ def reference_descent(riemann, q0, max_iter=500, armijo=1e-4, step_tol=1e-10):
     evals = 1
     converged = False
     it = 0
+    q_prev = g_prev = None
     for it in range(1, max_iter + 1):
         grad = tangent_project(q, cm_gradient(riemann, q))
         gnorm2 = float(np.sum(grad * grad))
-        if np.sqrt(gnorm2) < step_tol:
+        gnorm = np.sqrt(gnorm2)
+        if gnorm < step_tol:
             converged = True
             break
-        step = 1.0 / (1.0 + np.sqrt(gnorm2))
+        if q_prev is None:
+            step = 1.0 / (1.0 + gnorm)
+        else:
+            s, y = q - q_prev, grad - g_prev
+            sy = float(np.sum(s * y))
+            step = 1.0 / gnorm
+            if sy > 0:
+                step = min(float(np.sum(s * s)) / sy, step)
+        q_prev, g_prev = q, grad
         accepted = False
         for _ in range(60):
             cand = retract(q - step * grad)
@@ -78,11 +94,11 @@ def reference_descent(riemann, q0, max_iter=500, armijo=1e-4, step_tol=1e-10):
         if not accepted:
             converged = True
             break
-        if float(np.max(np.abs(cand - q))) < step_tol:
-            q, val = cand, cand_val
+        stalled = float(np.max(np.abs(cand - q))) < step_tol or cand_val == val
+        q, val = cand, cand_val
+        if stalled:
             converged = True
             break
-        q, val = cand, cand_val
     return q, val, it, evals, converged
 
 
@@ -230,22 +246,29 @@ class TestDescent:
 
 
 class TestLockstepDescent:
-    """The lockstep core against the per-frame loop it replaces.
+    """The lockstep core against an independent per-frame loop.
 
-    Frames are compared through their projections, and loosely: near a
-    minimum the step_tol stopping rule pins the span down only to about
-    1e-7, so rounding moves the stopping point along flat directions.
+    `reference_descent` runs the same step rule (1/(1 + |g|), then capped
+    Barzilai-Borwein steps) one start at a time with LAPACK QR and einsum
+    contractions.  Frames are compared through their projections, and
+    loosely: near a minimum the step_tol stopping rule pins the span down
+    only to about 1e-7, so rounding moves the stopping point along flat
+    directions.
     """
 
     @pytest.mark.parametrize("n,m", DENSE_SHAPES)
     def test_every_start_matches_reference_loop(self, n, m):
         rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m))
         starts = random_frames(n, m, 9, np.random.default_rng(n * 10 + m + 1))
-        q, vals, _, _, converged = _descend(rd, starts, 500, 1e-4, 1e-10)
+        q, vals, iters, _, converged = _descend(rd, starts, 500, 1e-4, 1e-10)
         for i, q0 in enumerate(starts):
-            ref_q, ref_val, _, _, ref_converged = reference_descent(rd, q0)
+            ref_q, ref_val, ref_iters, _, ref_converged = reference_descent(rd, q0)
             assert vals[i] == pytest.approx(ref_val, rel=1e-9, abs=1e-9)
             assert converged[i] == ref_converged
+            # rounding moves the stop by a few iterations; another step rule
+            # moves it by far more (a step restarted at 1/(1 + |g|) every
+            # iteration took 1.2 to 21 times as many here)
+            assert abs(iters[i] - ref_iters) <= 0.25 * ref_iters + 2
             assert_allclose(projection(q[i]), projection(ref_q), atol=1e-5)
 
     @pytest.mark.parametrize("n,m", DENSE_SHAPES)
@@ -276,6 +299,68 @@ class TestLockstepDescent:
         _, _, iters, _, converged = _descend(rd, starts, 3, 1e-4, 1e-10)
         assert np.all(iters == 3)
         assert not np.any(converged)
+
+    def test_no_crawl_in_a_flat_valley(self, monkeypatch):
+        # (7, 4) at lambda 1, eps 1, r = 0, seed 3: with a step restarted at
+        # 1/(1 + |g|) every iteration, two of the nine starts ran all 500
+        # iterations and stopped about 3e-3 above the minimum
+        rd = riemann_exact(build_counterexample(7, 4, 1.0, 1.0), 0.0)
+        runs = []
+
+        def recording(*args):
+            runs.append(_descend(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(frames, "_descend", recording)
+        cm_min(rd, 4, budget=100_000, seed=3)
+        (_, vals, iters, _, converged), = runs
+        assert len(vals) == 9
+        assert np.all(converged)
+        assert np.max(iters) < 500
+        assert_allclose(vals, 1.0, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n,m,lam,eps,r", [(6, 3, 4.0, 0.5, -3.0),
+                                               (7, 3, 4.0, 1.0, 1.0)])
+    def test_trial_moves_at_most_unit_length(self, monkeypatch, n, m, lam, eps, r):
+        # a retraction input is Q - t G with Q^T G skew, so its squared norm
+        # is m + |t G|^2.  The cap binds in both cases: on the first through
+        # <s, y> <= 0, on the second through a Barzilai-Borwein step that
+        # would move 2.87 uncapped
+        rd = riemann_exact(build_counterexample(n, m, lam, eps), r)
+        moves = []
+
+        def recording(y):
+            moves.extend(np.sqrt(np.maximum(np.einsum("kia,kia->k", y, y) - m, 0)))
+            return stiefel_retract(y)
+
+        monkeypatch.setattr(frames, "stiefel_retract", recording)
+        cm_min(rd, m, budget=5000, seed=1)
+        assert 1.0 - 1e-12 <= max(moves) <= 1.0 + 1e-12
+
+
+class TestDescentWork:
+    def test_descent_evaluations_on_construction_tensors(self):
+        # the 15 tensors of the construction pairs at lambda 1, eps 1 and
+        # r in {0, -3, 10}; a step rule that crawls spent 64,676 here
+        spent = 0
+        for n, m in CONSTRUCTION_PAIRS:
+            metric = build_counterexample(n, m, 1.0, 1.0)
+            for r in (0.0, -3.0, 10.0):
+                res = cm_min(riemann_exact(metric, r), m, budget=100_000, seed=5)
+                spent += res.evaluations - 100_000 - math.comb(n, m)
+        assert spent <= 5000
+
+    def test_sampling_chunks_are_freed(self):
+        # kept samples are copies, so each 4096-frame chunk is released after
+        # its turn; views into the chunks held about 25 MB
+        rd = riemann_exact(build_counterexample(7, 4, 1.0, 1.0), 0.0)
+        tracemalloc.start()
+        try:
+            cm_min(rd, 4, budget=100_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestSampling:
