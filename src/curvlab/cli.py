@@ -31,7 +31,7 @@ from .constructions import (
     solve_profile,
     verify_uniform_positivity,
 )
-from .curvature import ricci_scalar, riemann_exact
+from .curvature import riemann_exact
 from .diameter import (
     BoundInput,
     antonelli_xu_bound,
@@ -44,11 +44,11 @@ from .diameter import (
 from .inequalities import (
     admissibility_sweep_rows,
     admissible,
-    brendle_min,
+    brendle_min_exact,
     check_d_third_expression,
     check_gamma_equivalence,
     check_recursion,
-    chen_min_ratio,
+    chen_min_exact,
     d_of,
     d_table_rows,
 )
@@ -217,22 +217,20 @@ def cmd_matrix_inequalities(cfg: RunConfig, n: int, m: int) -> int:
         return _usage_error(f"(n, m) = ({n}, {m}) is not admissible")
 
     threshold = d_of(n, m).value
-    chen = chen_min_ratio(n, m, budget=64, seed=cfg.seed)
-    chen_ok = chen.ratio >= float(threshold) - 1e-9
-
-    brendle = brendle_min(n, m, budget=64, seed=cfg.seed)
-    brendle_ok = brendle.ratio >= 0.0
-    if rec.ineq1 > 0:
-        brendle_ok = brendle_ok and brendle.ratio > 1e-3
+    chen = chen_min_exact(n, m)
+    chen_ok = chen.ratio == threshold and min(chen.pivots) > 0
+    brendle = brendle_min_exact(n, m)
+    brendle_ok = min(brendle.pivots) > 0
 
     passed = chen_ok and brendle_ok
     witnesses = {
         "n": n, "m": m,
         "threshold_D": threshold,
-        "chen": {"ratio": chen.ratio, "gap": chen.ratio - float(threshold),
-                 "matrix": chen.matrix, "pass": chen_ok},
-        "brendle": {"ratio": brendle.ratio, "matrix": brendle.matrix,
-                    "pass": brendle_ok},
+        "chen": {"ratio": float(chen.ratio), "ratio_exact": chen.ratio,
+                 "gap": float(chen.ratio - threshold),
+                 "matrix": chen.matrix.astype(float), "pass": chen_ok},
+        "brendle": {"ratio": brendle.ratio, "min_pivot": min(brendle.pivots),
+                    "matrix": brendle.matrix, "pass": brendle_ok},
     }
     report = VerificationReport("matrix-inequalities", passed, witnesses, cfg)
     return _finish(report, [_emit_report(cfg, f"matrix_inequalities_n{n}_m{m}",
@@ -303,14 +301,13 @@ def cmd_curvature_report(cfg: RunConfig, n: int, m: int, lam: float,
     for r in r_grid:
         data = riemann_exact(metric, float(r))
         data.validate(1e-8, relative=True)
-        ricci, scalar = ricci_scalar(data)
-        eigs = np.linalg.eigvalsh(ricci)
+        eigs = np.linalg.eigvalsh(data.ricci)
         rows.append({
             "r": float(r),
-            "scalar": scalar,
+            "scalar": data.scalar,
             "ricci_min": float(eigs[0]),
             "ricci_max": float(eigs[-1]),
-            "ricci_radial": float(ricci[metric.sphere_dim, metric.sphere_dim]),
+            "ricci_radial": float(data.ricci[metric.sphere_dim, metric.sphere_dim]),
         })
     path = _emit_table(cfg, f"curvature_report_n{n}_m{m}",
                        ["r", "scalar", "ricci_min", "ricci_max", "ricci_radial"],
@@ -357,7 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exact rational sweeps of the index inequalities")
 
     p = sub.add_parser("matrix-inequalities", parents=[common],
-                       help="minimize the algebraic curvature forms")
+                       help="exact minima of the algebraic curvature forms "
+                            "with an LDL^T certificate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 

@@ -39,7 +39,6 @@ __all__ = [
     "christoffel_exact",
     "riemann_exact",
     "riemann_fd",
-    "ricci_scalar",
     "laplacian_fd",
     "to_subchart",
     "compare_exact_vs_fd",
@@ -200,22 +199,6 @@ class ChristoffelTable:
     r_torus: float           # Gamma^r_{i j} = -(2u'/(m u)) u^(4/m) delta
     r_sphere_coeff: float    # Gamma^r_{alpha beta} = coeff * h_{alpha beta}
     sphere_internal: str = "round-chart symbols of S^(n-m)"
-    zeros: tuple[str, ...] = (
-        "Gamma^i_{alpha r}", "Gamma^r_{alpha r}", "Gamma^beta_{alpha i}",
-        "Gamma^j_{alpha i}", "Gamma^r_{alpha i}", "Gamma^alpha_{r r}",
-        "Gamma^r_{r r}", "Gamma^i_{r r}", "Gamma^alpha_{r i}",
-        "Gamma^r_{r i}", "Gamma^alpha_{i j}", "Gamma^k_{i j}",
-    )
-
-    def as_dict(self) -> dict:
-        out = {
-            "Gamma^beta_{alpha r}": self.sphere_r,
-            "Gamma^j_{i r}": self.torus_r,
-            "Gamma^r_{i j}": self.r_torus,
-            "Gamma^r_{alpha beta} / h_{alpha beta}": self.r_sphere_coeff,
-        }
-        out.update({name: 0.0 for name in self.zeros})
-        return out
 
 
 def christoffel_exact(metric: WarpedTorusMetric, r: float) -> ChristoffelTable:
@@ -285,12 +268,6 @@ class RiemannData:
         if bad:
             raise ValueError(f"curvature symmetry residuals exceed {bound:g}: {bad}")
         return res
-
-
-def ricci_scalar(riemann: RiemannData) -> tuple[np.ndarray, float]:
-    """Recompute the contractions; idempotent with the stored fields."""
-    ricci = np.einsum("cacb->ab", riemann.components)
-    return ricci, float(np.trace(ricci))
 
 
 def riemann_exact(metric: WarpedTorusMetric, r: float) -> RiemannData:

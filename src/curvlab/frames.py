@@ -393,6 +393,8 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
         raise ValueError(f"require 1 <= m <= {n}, got m = {m}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if not np.isfinite(riemann.components).all():
+        raise ValueError("curvature components are not finite")
 
     # phase 1: coordinate subsets, in lexicographic order
     subsets = list(itertools.combinations(range(n), m))

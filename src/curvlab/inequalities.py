@@ -2,7 +2,10 @@
 
 All (n, m)-indexed constants are computed with `fractions.Fraction`, so the
 case checks below are genuine equalities and strict inequalities, not
-tolerance tests.  Floating point enters only inside the matrix optimizers.
+tolerance tests.  The matrix functionals are rational quadratic forms:
+their minima are exact, with a rational LDL^T certificate of positive
+definiteness.  Floating point enters only in `chen_numerator` and
+`chen_functional` and in the float value and witness of the minimal case.
 
 The second-fundamental-form functional uses hypersurface index labels
 2..n, stored at 0-based positions 0..n-2 of a symmetric (n-1) x (n-1)
@@ -28,12 +31,9 @@ __all__ = [
     "stability_coefficients",
     "chen_weight_mask",
     "chen_numerator",
-    "chen_numerator_gradient",
     "chen_functional",
     "chen_min_exact",
-    "chen_min_ratio",
     "brendle_min_exact",
-    "brendle_min",
     "admissibility_sweep_rows",
     "d_table_rows",
 ]
@@ -198,14 +198,17 @@ class MatrixWitness:
 
     `ratio` is the functional divided by H^2 on the trace slice (Chen case),
     or the numerator value on the traceless norm-1 slice (minimal case,
-    where H = 0).
+    where H = 0).  `pivots` are the LDL^T pivots of the numerator on
+    traceless matrices: all of them are positive exactly when the form is
+    positive definite there.
     """
 
     n: int
     m: int
     matrix: np.ndarray
-    ratio: float
-    H: float
+    ratio: Fraction | float
+    H: Fraction | float
+    pivots: tuple[Fraction, ...] = ()
 
 
 def chen_weight_mask(n: int, m: int) -> np.ndarray:
@@ -230,21 +233,6 @@ def chen_numerator(a: np.ndarray, mask: np.ndarray) -> float:
     return float(np.sum(a * a)) + pair_term
 
 
-def chen_numerator_gradient(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Gradient of chen_numerator along symmetric directions.
-
-    Returns the symmetric matrix G with d/dt N(A + t H) = <G, H>_F for every
-    symmetric H.  Validated against central differences in the tests.
-    """
-    g = 2.0 * a.copy()
-    diag = np.diag(a)
-    w = (mask | mask.T).astype(float)
-    # every masked pair containing p contributes the opposite diagonal entry
-    g[np.diag_indices_from(g)] += w @ diag
-    g -= w * a
-    return g
-
-
 def chen_functional(a: np.ndarray, n: int, m: int) -> float:
     """The ratio (numerator)/H^2; homogeneous of degree zero."""
     h = float(np.trace(a))
@@ -253,224 +241,143 @@ def chen_functional(a: np.ndarray, n: int, m: int) -> float:
     return chen_numerator(a, chen_weight_mask(n, m)) / (h * h)
 
 
-# -- symmetric-matrix bases -------------------------------------------------
+# -- the numerator as an exact quadratic form --------------------------------
+#
+# A symmetric p x p matrix A has upper-triangle coordinates x = (a_ij), i <= j.
 
-def _symmetric_basis(p: int) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of symmetric p x p matrices."""
-    basis = []
-    for i in range(p):
-        e = np.zeros((p, p))
-        e[i, i] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(p):
-        for j in range(i + 1, p):
-            e = np.zeros((p, p))
-            e[i, j] = e[j, i] = inv_sqrt2
-            basis.append(e)
-    return basis
+def _coordinates(p: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(p) for j in range(i, p)]
 
 
-def _traceless_basis(p: int) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of traceless symmetric p x p matrices."""
-    basis = []
-    # Helmert vectors span the diagonal trace-zero subspace
-    for k in range(1, p):
-        v = np.zeros(p)
-        v[:k] = 1.0
-        v[k] = -k
-        v /= np.sqrt(k * (k + 1))
-        basis.append(np.diag(v))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(p):
-        for j in range(i + 1, p):
-            e = np.zeros((p, p))
-            e[i, j] = e[j, i] = inv_sqrt2
-            basis.append(e)
-    return basis
-
-
-def _quadratic_in_basis(n: int, m: int, basis: list[np.ndarray],
-                        shift: np.ndarray | None = None):
-    """Represent the numerator as c^T Q c + 2 b^T c + const over a matrix basis.
-
-    The numerator is a homogeneous quadratic form in the matrix, so on the
-    affine family shift + sum_k c_k basis_k it is exactly quadratic in c.
-    """
+def _numerator_hessian(n: int, m: int) -> np.ndarray:
+    """Integer matrix M with chen_numerator(A) = x^T M x / 2."""
+    p = n - 1
+    coords = _coordinates(p)
+    index = {c: k for k, c in enumerate(coords)}
     mask = chen_weight_mask(n, m)
-    d = len(basis)
-    if shift is None:
-        shift = np.zeros_like(basis[0])
+    # |A|_F^2 counts a_ij^2 twice off the diagonal; a masked pair removes one
+    hess = np.diag([2 if i == j else 4 - 2 * int(mask[i, j]) for i, j in coords])
+    for i, j in zip(*np.nonzero(mask)):
+        hess[index[i, i], index[j, j]] = hess[index[j, j], index[i, i]] = 1
+    return hess
 
-    def q(mat):
-        return chen_numerator(mat, mask)
 
-    const = q(shift)
-    qe = np.array([q(e) for e in basis])
-    b = np.empty(d)
-    for k, e in enumerate(basis):
-        b[k] = 0.5 * (q(shift + e) - const - qe[k])
-    qmat = np.empty((d, d))
+def _traceless_basis(p: int) -> np.ndarray:
+    """Coordinates (columns) of E_kk - E_(p-1)(p-1), k < p-1, then E_ij + E_ji, i < j."""
+    coords = _coordinates(p)
+    index = {c: k for k, c in enumerate(coords)}
+    basis = np.zeros((len(coords), len(coords) - 1), dtype=np.int64)
+    for k in range(p - 1):
+        basis[index[k, k], k] = 1
+        basis[index[p - 1, p - 1], k] = -1
+    off_diagonal = [c for c in coords if c[0] < c[1]]
+    for col, c in enumerate(off_diagonal, start=p - 1):
+        basis[index[c], col] = 1
+    return basis
+
+
+def _symmetric_matrix(x, p: int) -> np.ndarray:
+    """The symmetric matrix with upper-triangle coordinates x (any dtype)."""
+    mat = np.empty((p, p), dtype=np.asarray(x).dtype)
+    for (i, j), v in zip(_coordinates(p), x):
+        mat[i, j] = mat[j, i] = v
+    return mat
+
+
+def _traceless_form(n: int, m: int):
+    """The numerator on the H = 1 slice as exact (Q, b, const).
+
+    On A = I/p + sum_k c_k B_k over the traceless basis B the numerator is
+    const + 2 b^T c + c^T Q c; Q is the numerator's own form on traceless
+    matrices.  Every entry is a Fraction.
+    """
+    p = n - 1
+    hess = _numerator_hessian(n, m)
+    basis = _traceless_basis(p)
+    eye = np.array([int(i == j) for i, j in _coordinates(p)])  # p times I/p
+    q = (basis.T @ hess @ basis).astype(object) * Fraction(1, 2)
+    b = (basis.T @ hess @ eye).astype(object) * Fraction(1, 2 * p)
+    const = int(eye @ hess @ eye) * Fraction(1, 2 * p * p)
+    return q, b, const
+
+
+def _ldl(q: np.ndarray) -> tuple[np.ndarray, tuple[Fraction, ...]]:
+    """Rational LDL^T of a symmetric Fraction matrix: (unit lower L, pivots).
+
+    Raises ValueError unless q is positive semidefinite: a negative pivot,
+    or a zero pivot with a nonzero entry below it, certifies a direction of
+    negative value.  A zero pivot over a zero column leaves that column of
+    L zero.
+    """
+    d = len(q)
+    low = np.eye(d, dtype=np.int64).astype(object) * Fraction(1)
+    piv = np.zeros(d, dtype=object)
+    for j in range(d):
+        col = q[j:, j] - (low[j:, :j] * piv[:j]) @ low[j, :j]
+        piv[j] = col[0]
+        if piv[j] < 0 or (piv[j] == 0 and col[1:].any()):
+            raise ValueError(f"matrix is not positive semidefinite (pivot {j})")
+        if piv[j]:
+            low[j + 1:, j] = col[1:] / piv[j]
+    return low, tuple(piv)
+
+
+def _ldl_solve(low: np.ndarray, piv: tuple[Fraction, ...], rhs: np.ndarray) -> np.ndarray:
+    """Solve L D L^T c = rhs for positive pivots."""
+    d = len(piv)
+    y = rhs.copy()
     for i in range(d):
-        qmat[i, i] = qe[i]
-        for j in range(i + 1, d):
-            cross = 0.5 * (q(basis[i] + basis[j]) - qe[i] - qe[j])
-            qmat[i, j] = qmat[j, i] = cross
-    return qmat, b, const
+        y[i] = rhs[i] - low[i, :i] @ y[:i]
+    c = y / np.array(piv, dtype=object)
+    for i in reversed(range(d)):
+        c[i] -= low[i + 1:, i] @ c[i + 1:]
+    return c
 
 
 def chen_min_exact(n: int, m: int) -> MatrixWitness:
-    """Exact minimum of the ratio on the H = 1 slice via the stationarity system.
+    """Exact minimum of the ratio, a Fraction, with its exact witness on H = 1.
 
-    Serves as the independent oracle for the descent-based minimizer.  The
-    slice restriction of the numerator is a quadratic bounded below (the
-    ratio is bounded below by a positive constant), hence its Hessian is
-    positive semidefinite and the least-squares stationary point is a global
-    minimizer.
+    The LDL^T pivots of Q prove the numerator positive definite on
+    traceless matrices, so the slice quadratic const + 2 b^T c + c^T Q c is
+    strictly convex and its stationary point Q c = -b is the unique global
+    minimizer; the minimum is const + b^T c.
     """
     rec = admissible(n, m)
     if not rec.admissible:
         raise ValueError(f"(n, m) = ({n}, {m}) is not admissible")
     p = n - 1
-    shift = np.eye(p) / p
-    basis = _traceless_basis(p)
-    qmat, b, const = _quadratic_in_basis(n, m, basis, shift)
-    c, *_ = np.linalg.lstsq(qmat, -b, rcond=None)
-    value = float(const + 2.0 * b @ c + c @ qmat @ c)
-    mat = shift + sum(ck * e for ck, e in zip(c, basis))
-    return MatrixWitness(n, m, mat, value, float(np.trace(mat)))
-
-
-def chen_min_ratio(n: int, m: int, budget: int = 64, seed: int = 0) -> MatrixWitness:
-    """Multi-start projected gradient descent for the ratio on the H = 1 slice.
-
-    `budget` counts random starts.  Coordinates live in a Frobenius-orthonormal
-    traceless basis, so the trace constraint is built into the parameterization
-    and plain descent with backtracking applies.
-    """
-    rec = admissible(n, m)
-    if not rec.admissible:
-        raise ValueError(f"(n, m) = ({n}, {m}) is not admissible")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    p = n - 1
-    shift = np.eye(p) / p
-    basis = _traceless_basis(p)
-    qmat, b, const = _quadratic_in_basis(n, m, basis, shift)
-
-    def value(c):
-        return const + 2.0 * b @ c + c @ qmat @ c
-
-    def grad(c):
-        return 2.0 * (b + qmat @ c)
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    d = len(basis)
-    starts = [np.zeros(d)] + [rng.standard_normal(d) for _ in range(budget - 1)]
-    best_c, best_v = None, np.inf
-    for c in starts:
-        c = c.copy()
-        v = value(c)
-        for _ in range(500):
-            g = grad(c)
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-14:
-                break
-            step = 1.0 / (1.0 + gn)
-            moved = False
-            for _ in range(60):
-                cand = c - step * g
-                vc = value(cand)
-                if vc < v - 1e-4 * step * gn * gn:
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-            if float(np.linalg.norm(cand - c)) < 1e-12:
-                c, v = cand, vc
-                break
-            c, v = cand, vc
-        if v < best_v:
-            best_v, best_c = v, c
-    mat = shift + sum(ck * e for ck, e in zip(best_c, basis))
-    return MatrixWitness(n, m, mat, float(best_v), float(np.trace(mat)))
+    q, b, const = _traceless_form(n, m)
+    low, piv = _ldl(q)
+    if min(piv) <= 0:
+        raise ValueError(f"the ({n}, {m}) numerator is singular on traceless matrices")
+    c = _ldl_solve(low, piv, -b)
+    x = _traceless_basis(p) @ c + np.array([Fraction(int(i == j), p)
+                                            for i, j in _coordinates(p)], dtype=object)
+    return MatrixWitness(n, m, _symmetric_matrix(x, p), const + b @ c, Fraction(1), piv)
 
 
 # ---------------------------------------------------------------------------
 # the minimal-case functional on traceless norm-1 matrices
 # ---------------------------------------------------------------------------
 
-def _brendle_form_matrix(n: int, m: int) -> np.ndarray:
-    """Matrix of the numerator quadratic form on the traceless orthonormal basis."""
-    basis = _traceless_basis(n - 1)
-    qmat, b, const = _quadratic_in_basis(n, m, basis)
-    assert abs(const) < 1e-15 and float(np.linalg.norm(b)) < 1e-15
-    return qmat
-
-
 def brendle_min_exact(n: int, m: int) -> MatrixWitness:
-    """Smallest eigenvalue of the numerator on {tr A = 0, |A|_F = 1}.
+    """Minimum of the numerator on {tr A = 0, |A|_F = 1}, certified exactly.
 
-    Eigen-decomposition oracle: the restriction is a quadratic form, so its
-    minimum on the unit sphere of the subspace is the bottom eigenvalue.
+    The minimum is positive exactly when the traceless form Q of
+    `chen_min_exact` is positive definite, which its LDL^T pivots decide
+    in rational arithmetic.  The float value is the smallest eigenvalue of
+    the pencil (Q, G), G the Frobenius Gram matrix of the basis, and the
+    witness its eigenvector.
     """
     rec = admissible(n, m)
     if rec.ineq1 <= 0:
         raise ValueError(f"requires m^2 - mn + 2n - 2 > 0, got {rec.ineq1}")
-    qmat = _brendle_form_matrix(n, m)
-    w, vecs = np.linalg.eigh(qmat)
-    basis = _traceless_basis(n - 1)
-    mat = sum(ck * e for ck, e in zip(vecs[:, 0], basis))
-    return MatrixWitness(n, m, mat, float(w[0]), float(np.trace(mat)))
-
-
-def brendle_min(n: int, m: int, budget: int = 64, seed: int = 0) -> MatrixWitness:
-    """Multi-start projected descent on the traceless norm-1 slice.
-
-    Rayleigh-quotient minimization with renormalization after every step;
-    validated against `brendle_min_exact` in tests.
-    """
-    rec = admissible(n, m)
-    if rec.ineq1 <= 0:
-        raise ValueError(f"requires m^2 - mn + 2n - 2 > 0, got {rec.ineq1}")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    qmat = _brendle_form_matrix(n, m)
-    d = qmat.shape[0]
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    def value(c):
-        return float(c @ qmat @ c)
-
-    best_c, best_v = None, np.inf
-    for s in range(budget):
-        c = rng.standard_normal(d)
-        c /= np.linalg.norm(c)
-        v = value(c)
-        for _ in range(500):
-            g = 2.0 * (qmat @ c) - 2.0 * v * c  # sphere-tangent gradient
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-13:
-                break
-            step = 1.0 / (1.0 + gn)
-            moved = False
-            for _ in range(60):
-                cand = c - step * g
-                cand /= np.linalg.norm(cand)
-                vc = value(cand)
-                if vc < v - 1e-6 * step * gn * gn:
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-            delta = float(np.linalg.norm(cand - c))
-            c, v = cand, vc
-            if delta < 1e-12:
-                break
-        if v < best_v:
-            best_v, best_c = v, c
-    basis = _traceless_basis(n - 1)
-    mat = sum(ck * e for ck, e in zip(best_c, basis))
-    return MatrixWitness(n, m, mat, float(best_v), float(np.trace(mat)))
+    p = n - 1
+    q = _traceless_form(n, m)[0]
+    _, piv = _ldl(q)
+    # with m = 1 the numerator is |A|_F^2, so its form is the Gram matrix
+    gram = _traceless_form(n, 1)[0]
+    inv = np.linalg.inv(np.linalg.cholesky(gram.astype(float)))
+    w, vecs = np.linalg.eigh(inv @ q.astype(float) @ inv.T)
+    mat = _symmetric_matrix(_traceless_basis(p) @ (inv.T @ vecs[:, 0]), p)
+    return MatrixWitness(n, m, mat, float(w[0]), float(np.trace(mat)), piv)

@@ -185,17 +185,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """A suite outcome plus the configuration that produced it.
-
-    `timing_seconds` is carried for diagnostics but deliberately left out
-    of the serialized payload so identical runs produce identical bytes.
-    """
+    """A suite outcome plus the configuration that produced it."""
 
     suite: str
     passed: bool
     witnesses: dict
     config: RunConfig
-    timing_seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ dominates the runtime (a few minutes per pair at the pinned budget).
 """
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from curvlab.constructions import (
 from curvlab.curvature import (
     compare_exact_vs_fd,
     random_curvature_tensor,
-    ricci_scalar,
     riemann_exact,
     product_sphere_flat_riemann,
 )
@@ -29,15 +29,14 @@ from curvlab.diameter import c0_identity_sweep, rotational_diameter
 from curvlab.frames import cm_min, cm_of_frame, coordinate_frame, random_frames
 from curvlab.inequalities import (
     admissible,
-    brendle_min,
     brendle_min_exact,
     check_d_third_expression,
     check_gamma_equivalence,
     check_recursion,
     chen_min_exact,
-    chen_min_ratio,
     d_of,
 )
+from float_minimizers import brendle_min, chen_min_ratio
 
 EXPECTED_ADMISSIBLE = {3: {1, 2}, 4: {1, 2, 3}, 5: {1, 2, 3, 4},
                        6: {1, 4, 5}, 7: {1, 5, 6}}
@@ -121,36 +120,36 @@ def test_criterion_05_epsilon_search_all_pairs():
 
 def test_criterion_06_chen_minimum():
     ok = True
-    gaps = []
     for n, m in _all_admissible_pairs():
-        threshold = float(d_of(n, m).value)
+        threshold = d_of(n, m).value
+        exact = chen_min_exact(n, m)
+        ok = ok and exact.ratio == threshold and min(exact.pivots) > 0
         witness = chen_min_ratio(n, m, budget=64, seed=0)
-        ok = ok and witness.ratio >= threshold - 1e-9
-        gaps.append((n, m, witness.ratio - threshold))
+        ok = ok and witness.ratio >= float(threshold) - 1e-9
     w32 = chen_min_exact(3, 2)
     w42 = chen_min_exact(4, 2)
-    ok = ok and abs(w32.ratio - 0.75) < 1e-6
-    ok = ok and abs(w42.ratio - 0.5) < 1e-6
-    ok = ok and np.allclose(w32.matrix, np.diag([0.5, 0.5]), atol=1e-6)
-    ok = ok and np.allclose(w42.matrix, np.diag([0.0, 0.5, 0.5]), atol=1e-6)
-    worst_gap = max(g for _, _, g in gaps)
-    soft = "" if worst_gap <= 1e-2 else " (soft gap criterion exceeded)"
-    _line(6, ok, f"15 pairs >= D - 1e-9; (3,2)={w32.ratio:.9f}, "
-                 f"(4,2)={w42.ratio:.9f}; worst gap {worst_gap:.2e}{soft}")
+    half = Fraction(1, 2)
+    ok = ok and w32.ratio == Fraction(3, 4) and w42.ratio == half
+    ok = ok and (w32.matrix == np.diag([half, half])).all()
+    ok = ok and (w42.matrix == np.diag([Fraction(0), half, half])).all()
+    _line(6, ok, f"15 pairs: exact minimum == D with positive LDL^T pivots, "
+                 f"descent >= D - 1e-9; (3,2)={w32.ratio}, (4,2)={w42.ratio}")
 
 
 def test_criterion_07_minimal_case_positivity():
     ok = True
-    lows = []
+    lows, pivots = [], []
     for n, m in _all_admissible_pairs():
         exact = brendle_min_exact(n, m)
         descent = brendle_min(n, m, budget=64, seed=0)
         ok = ok and exact.ratio >= 0.0 and descent.ratio >= -1e-12
         if admissible(n, m).ineq1 > 0:
-            ok = ok and exact.ratio > 1e-3
+            ok = ok and min(exact.pivots) > 0
         lows.append(exact.ratio)
+        pivots.append(min(exact.pivots))
     _line(7, ok, f"traceless norm-1 minima in "
-                 f"[{min(lows):.6f}, {max(lows):.6f}] over 15 pairs")
+                 f"[{min(lows):.6f}, {max(lows):.6f}] over 15 pairs; "
+                 f"smallest LDL^T pivot {min(pivots)}")
 
 
 def test_criterion_08_c0_identity():
@@ -175,7 +174,7 @@ def test_criterion_09_curvature_engines():
         dim = 4 + i % 4
         data = random_curvature_tensor(dim, rng)
         data.validate(1e-8, relative=True)
-        ricci, scalar = ricci_scalar(data)
+        ricci, scalar = data.ricci, data.scalar
 
         m = 2 + i % (dim - 2)
         q = random_frames(dim, m, 1, rng)[0]

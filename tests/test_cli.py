@@ -145,6 +145,32 @@ class TestMatrixInequalities:
         assert report["witnesses"]["chen"]["ratio"] >= 0.5 - 1e-9
         assert "gap" in report["witnesses"]["chen"]
 
+    def test_exact_fields(self, tmp_path, capsys):
+        code, paths, _ = run_cli(
+            ["matrix-inequalities", "--n", "7", "--m", "5",
+             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        wit = load_json(paths[0])["witnesses"]
+        assert wit["threshold_D"] == wit["chen"]["ratio_exact"] == "1/2"
+        assert wit["chen"]["ratio"] == 0.5 and wit["chen"]["gap"] == 0.0
+        assert wit["brendle"]["min_pivot"] == "2/5"
+        assert wit["brendle"]["ratio"] == pytest.approx(1 / 6, abs=1e-12)
+        assert all(isinstance(v, float) and math.isfinite(v)
+                   for key in ("chen", "brendle")
+                   for row in wit[key]["matrix"] for v in row)
+
+    def test_seed_does_not_change_report(self, tmp_path, capsys):
+        blobs = []
+        for seed in ("1", "2", "2"):
+            _, paths, _ = run_cli(
+                ["matrix-inequalities", "--n", "6", "--m", "4", "--seed", seed,
+                 "--out", str(tmp_path)], capsys)
+            blobs.append(open(paths[0], "rb").read())
+        assert blobs[1] == blobs[2]
+        # the echoed configuration is the only place the seed appears
+        assert blobs[0].count(b'"seed": 1\n') == 1
+        assert blobs[0].replace(b'"seed": 1\n', b'"seed": 2\n') == blobs[1]
+
     def test_inadmissible_pair(self, tmp_path, capsys):
         code, paths, _ = run_cli(
             ["matrix-inequalities", "--n", "6", "--m", "2",

@@ -17,7 +17,6 @@ from curvlab.curvature import (
     laplacian_fd,
     product_sphere_flat_riemann,
     random_curvature_tensor,
-    ricci_scalar,
     riemann_exact,
     riemann_fd,
     to_subchart,
@@ -133,12 +132,6 @@ class TestChristoffel:
         tab = christoffel_exact(g, 1.3)
         assert tab.sphere_r == tab.torus_r == tab.r_torus == tab.r_sphere_coeff == 0.0
 
-    def test_vanishing_classes_enumerated(self):
-        tab = christoffel_exact(equality_case_metric(6, 2), 1.0)
-        d = tab.as_dict()
-        assert len(tab.zeros) == 12
-        assert all(d[name] == 0.0 for name in tab.zeros)
-
 
 # ---------------------------------------------------------------------------
 # exact curvature
@@ -215,12 +208,6 @@ class TestRiemannData:
         bad[0, 1, 0, 1] += 1e-3
         with pytest.raises(ValueError):
             RiemannData.from_components(bad).validate(1e-9)
-
-    def test_contraction_helper_idempotent(self):
-        rd = random_curvature_tensor(5, np.random.default_rng(7))
-        ric, scal = ricci_scalar(rd)
-        assert_allclose(ric, rd.ricci)
-        assert scal == pytest.approx(rd.scalar)
 
     def test_constant_curvature_contractions(self):
         rd = constant_curvature_riemann(5, 1.0)

@@ -490,6 +490,15 @@ class TestMinimizer:
         with pytest.raises(ValueError):
             cm_min(rd, 2, budget=0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_components(self, bad):
+        # the constructor, unlike from_components, does not check the table
+        rd = constant_curvature_riemann(4, 1.0)
+        comps = rd.components.copy()
+        comps[0, 1, 0, 1] = comps[1, 0, 1, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            cm_min(RiemannData(4, comps, rd.ricci, rd.scalar), 2, budget=100)
+
 
 class TestOracle:
     def test_constant_on_round_sphere(self):

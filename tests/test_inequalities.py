@@ -1,4 +1,8 @@
-"""Exact-rational sweeps and the matrix-inequality minimizers."""
+"""Exact-rational sweeps and the exact matrix-inequality minima.
+
+The float descents in `float_minimizers` are the cross-checks of the exact
+minima; they read the numerator only through the float `chen_numerator`.
+"""
 from fractions import Fraction
 
 import numpy as np
@@ -7,15 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvlab.inequalities import (
+    _coordinates,
+    _ldl,
+    _ldl_solve,
+    _numerator_hessian,
+    _traceless_form,
     admissible,
     admissibility_sweep_rows,
-    brendle_min,
     brendle_min_exact,
     chen_functional,
     chen_min_exact,
-    chen_min_ratio,
     chen_numerator,
-    chen_numerator_gradient,
     chen_weight_mask,
     check_d_third_expression,
     check_gamma_equivalence,
@@ -23,9 +29,12 @@ from curvlab.inequalities import (
     d_of,
     stability_coefficients,
 )
+from float_minimizers import brendle_min, chen_min_ratio
 
 # admissible m-sets for n = 3..7
 EXPECTED_ADMISSIBLE = {3: {1, 2}, 4: {1, 2, 3}, 5: {1, 2, 3, 4}, 6: {1, 4, 5}, 7: {1, 5, 6}}
+
+ADMISSIBLE_PAIRS = [(n, m) for n, ms in EXPECTED_ADMISSIBLE.items() for m in sorted(ms)]
 
 # hand-derived D values on admissible pairs
 EXPECTED_D = {
@@ -148,24 +157,6 @@ class TestChenFunctional:
         # x^2 + y^2 + xy + h^2 with x = y = 1/2, h = 0.1
         assert chen_functional(a, 3, 2) == pytest.approx(0.75 + 0.01, abs=1e-14)
 
-    def test_gradient_matches_central_differences(self):
-        rng = np.random.default_rng(5)
-        for n, m in [(3, 2), (4, 2), (5, 3), (7, 5)]:
-            p = n - 1
-            a = rng.standard_normal((p, p))
-            a = 0.5 * (a + a.T)
-            mask = chen_weight_mask(n, m)
-            g = chen_numerator_gradient(a, mask)
-            h = 1e-6
-            for i in range(p):
-                for j in range(i, p):
-                    e = np.zeros((p, p))
-                    e[i, j] = e[j, i] = 1.0
-                    fd = (chen_numerator(a + h * e, mask)
-                          - chen_numerator(a - h * e, mask)) / (2 * h)
-                    expected = float(np.sum(g * e))
-                    assert fd == pytest.approx(expected, rel=1e-6, abs=1e-8)
-
     @given(st.floats(min_value=0.1, max_value=3.0), st.booleans())
     @settings(deadline=None, max_examples=60)
     def test_degree_zero_homogeneity(self, c, flip):
@@ -201,41 +192,43 @@ class TestChenFunctional:
 class TestChenMinimum:
     def test_3_2_value_and_witness(self):
         w = chen_min_exact(3, 2)
-        assert w.ratio == pytest.approx(0.75, abs=1e-12)
-        npt.assert_allclose(w.matrix, np.diag([0.5, 0.5]), atol=1e-9)
+        assert w.ratio == Fraction(3, 4)
+        assert (w.matrix == np.diag([Fraction(1, 2)] * 2)).all()
 
     def test_4_2_value_and_witness(self):
         w = chen_min_exact(4, 2)
-        assert w.ratio == pytest.approx(0.5, abs=1e-12)
-        npt.assert_allclose(w.matrix, np.diag([0.0, 0.5, 0.5]), atol=1e-9)
+        assert w.ratio == Fraction(1, 2)
+        assert (w.matrix == np.diag([Fraction(0), Fraction(1, 2), Fraction(1, 2)])).all()
 
     def test_m1_reduces_to_trace_normalized_identity(self):
         for n in (3, 5, 7):
             w = chen_min_exact(n, 1)
-            assert w.ratio == pytest.approx(1.0 / (n - 1), abs=1e-12)
-            npt.assert_allclose(w.matrix, np.eye(n - 1) / (n - 1), atol=1e-9)
+            assert w.ratio == Fraction(1, n - 1)
+            assert (w.matrix == np.eye(n - 1, dtype=int) * Fraction(1, n - 1)).all()
 
     def test_descent_matches_exact_oracle(self):
-        for n in range(3, 8):
-            for m in range(1, n):
-                if not admissible(n, m).admissible:
-                    continue
-                exact = chen_min_exact(n, m)
-                desc = chen_min_ratio(n, m, budget=16, seed=3)
-                assert desc.ratio == pytest.approx(exact.ratio, abs=5e-8), (n, m)
+        for n, m in ADMISSIBLE_PAIRS:
+            exact = chen_min_exact(n, m)
+            desc = chen_min_ratio(n, m, budget=16, seed=3)
+            assert desc.ratio == pytest.approx(float(exact.ratio), abs=5e-8), (n, m)
 
     def test_minimum_dominates_d(self):
-        for n in range(3, 8):
-            for m in range(1, n):
-                if not admissible(n, m).admissible:
-                    continue
-                ratio = chen_min_exact(n, m).ratio
-                assert ratio >= float(d_of(n, m).value) - 1e-9, (n, m)
+        # the exact minimum attains D: D is the sharp constant
+        for n, m in ADMISSIBLE_PAIRS:
+            assert chen_min_exact(n, m).ratio == d_of(n, m).value, (n, m)
 
     def test_witness_ratio_recomputes(self):
         w = chen_min_ratio(5, 3, budget=8, seed=1)
         assert chen_functional(w.matrix, 5, 3) == pytest.approx(w.ratio, abs=1e-10)
         assert w.H == pytest.approx(1.0, abs=1e-9)
+        exact = chen_min_exact(5, 3)
+        assert np.trace(exact.matrix) == exact.H == 1
+        assert chen_functional(exact.matrix.astype(float), 5, 3) == pytest.approx(
+            float(exact.ratio), abs=1e-14)
+
+    def test_inadmissible_rejected(self):
+        with pytest.raises(ValueError, match="not admissible"):
+            chen_min_exact(6, 2)
 
 
 class TestBrendleMinimum:
@@ -268,7 +261,9 @@ class TestBrendleMinimum:
             for m in range(1, n):
                 if admissible(n, m).ineq1 <= 0:
                     continue
-                assert brendle_min_exact(n, m).ratio > 1e-3, (n, m)
+                w = brendle_min_exact(n, m)
+                assert min(w.pivots) > 0, (n, m)
+                assert w.ratio > 1e-3, (n, m)
 
     def test_boundary_pairs_rejected(self):
         for pair in [(7, 3), (7, 4)]:
@@ -276,6 +271,65 @@ class TestBrendleMinimum:
                 brendle_min_exact(*pair)
 
     def test_witness_is_traceless_unit_norm(self):
-        w = brendle_min(6, 4, budget=8, seed=0)
-        assert abs(w.H) < 1e-9
-        assert np.linalg.norm(w.matrix) == pytest.approx(1.0, abs=1e-9)
+        for w in (brendle_min(6, 4, budget=8, seed=0), brendle_min_exact(6, 4)):
+            assert abs(w.H) < 1e-9
+            assert np.linalg.norm(w.matrix) == pytest.approx(1.0, abs=1e-9)
+        w = brendle_min_exact(6, 4)
+        assert chen_numerator(w.matrix, chen_weight_mask(6, 4)) == pytest.approx(
+            w.ratio, abs=1e-12)
+
+
+class TestExactForms:
+    @pytest.mark.parametrize("pair", ADMISSIBLE_PAIRS)
+    def test_hessian_matches_float_numerator(self, pair):
+        n, m = pair
+        hess, mask = _numerator_hessian(n, m), chen_weight_mask(n, m)
+        rng = np.random.default_rng(n * 10 + m)
+        for _ in range(20):
+            a = rng.standard_normal((n - 1, n - 1))
+            a = a + a.T
+            x = np.array([a[i, j] for i, j in _coordinates(n - 1)])
+            assert 0.5 * x @ hess @ x == pytest.approx(chen_numerator(a, mask),
+                                                       rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", ADMISSIBLE_PAIRS)
+    def test_ldl_certifies_and_solves(self, pair):
+        q, b, _ = _traceless_form(*pair)
+        low, piv = _ldl(q)
+        assert min(piv) > 0
+        assert ((low * np.array(piv, dtype=object)) @ low.T == q).all()
+        c = _ldl_solve(low, piv, -b)
+        assert (q @ c == -b).all()
+
+    def test_smallest_pivot(self):
+        pivots = {pair: min(chen_min_exact(*pair).pivots) for pair in ADMISSIBLE_PAIRS}
+        assert min(pivots.values()) == Fraction(2, 5)
+        assert pivots[(7, 5)] == Fraction(2, 5)
+
+    def test_ldl_rejects_indefinite(self):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            _ldl(_fractions([[1, 2], [2, 1]]))
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            _ldl(_fractions([[1, 0, 0], [0, 2, 0], [0, 0, -1]]))
+
+    def test_ldl_zero_pivot(self):
+        # a zero pivot over a nonzero column: [0, 1; 1, 1] has determinant -1
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            _ldl(_fractions([[0, 1], [1, 1]]))
+        # a zero pivot over a zero column is positive semidefinite and singular
+        _, piv = _ldl(_fractions([[1, 1, 0], [1, 1, 0], [0, 0, 3]]))
+        assert piv == (1, 0, 3)
+
+    @pytest.mark.parametrize("pair", ADMISSIBLE_PAIRS)
+    def test_minimal_case_minimum_pinned(self, pair):
+        n, m = pair
+        t = Fraction(1) if m == 1 else Fraction(1, 2) if m == n - 1 else Fraction(1, n - 1)
+        q, gram = _traceless_form(n, m)[0], _traceless_form(n, 1)[0]
+        # N(A) >= t |A|_F^2 on traceless A, with equality for some A != 0
+        _, piv = _ldl(q - t * gram)
+        assert min(piv) == 0
+        assert brendle_min_exact(n, m).ratio == pytest.approx(float(t), abs=1e-12)
+
+
+def _fractions(rows):
+    return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)

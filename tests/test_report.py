@@ -1,5 +1,6 @@
 """Unit tests for serialization, config resolution, and seed derivation."""
 import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,8 +151,10 @@ class TestRunConfig:
 
 class TestVerificationReport:
     def test_serialization_excludes_timing(self):
-        report = VerificationReport("demo", True, {"worst": 0.5},
-                                    RunConfig(), timing_seconds=12.5)
+        # a report carries no wall-clock field at all
+        assert [f.name for f in fields(VerificationReport)] == \
+            ["suite", "passed", "witnesses", "config"]
+        report = VerificationReport("demo", True, {"worst": 0.5}, RunConfig())
         payload = report.to_json_dict()
         assert set(payload) == {"suite", "pass", "witnesses", "config"}
         assert payload["pass"] is True
@@ -159,7 +162,6 @@ class TestVerificationReport:
 
     def test_identical_runs_identical_bytes(self):
         make = lambda: VerificationReport(
-            "demo", False, {"vals": np.arange(3.0)}, RunConfig(seed=4),
-            timing_seconds=np.random.random())
+            "demo", False, {"vals": np.arange(3.0)}, RunConfig(seed=4))
         assert canonical_json(make().to_json_dict()) == \
             canonical_json(make().to_json_dict())
