@@ -148,7 +148,7 @@ def cmd_verify_examples(cfg: RunConfig, n: int, m: int, lam: float,
             metric = build_counterexample(n, m, lam, epsilon, r_max=cfg.r_max)
             positivity = verify_uniform_positivity(
                 metric, lam, r_grid=r_grid, frame_budget=cfg.frame_budget,
-                seed=cfg.seed, m=m)
+                seed=cfg.seed)
             witnesses["epsilon"] = epsilon
             witnesses["metric"] = counterexample_json(n, m, lam, epsilon,
                                                       r_max=cfg.r_max)

@@ -19,13 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
 from .curvature import (
     RadialProfile,
-    RiemannData,
     WarpedTorusMetric,
     cosh_power_profile,
     gaussian_profile,
@@ -139,10 +137,9 @@ def solve_profile(n: int, m: int, lam: float) -> ProfileSolution:
 def ode_residual(n: int, m: int, lam: float, sol: ProfileSolution, r) -> np.ndarray:
     """Defect of the profile equation at r (zero for both closed branches)."""
     r = np.asarray(r, dtype=float)
-    u, u1, u2 = sol.u(r), sol.u.d1(r), sol.u.d2(r)
-    f, f1, f2 = sol.f(r), sol.f.d1(r), sol.f.d2(r)
-    lhs = (2.0 * m - 2.0) / m * (u2 / u + (n - m) * (f1 / f) * (u1 / u))
-    return lhs + (n - m) * f2 / f + lam
+    lhs = (2.0 * m - 2.0) / m * (sol.u.d2_ratio(r)
+                                 + (n - m) * sol.f.dlog(r) * sol.u.dlog(r))
+    return lhs + (n - m) * sol.f.d2_ratio(r) + lam
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +256,9 @@ def radial_laplacian(metric: WarpedTorusMetric, r) -> np.ndarray:
     """Laplacian of the torus profile u as a function of r on the full metric."""
     r = np.asarray(r, dtype=float)
     n, m = metric.n, metric.m
-    u1, u2 = metric.u_profile.d1(r), metric.u_profile.d2(r)
-    lf1 = metric.f_profile.d1(r) / metric.f_profile(r)
-    lu1 = u1 / metric.u_profile(r)
-    return u2 + ((n - m) * lf1 + 2.0 * (m - 1) / m * lu1) * u1
+    u, lf1 = metric.u_profile, metric.f_profile.dlog(r)
+    lu1 = u.dlog(r)
+    return u(r) * (u.d2_ratio(r) + ((n - m) * lf1 + 2.0 * (m - 1) / m * lu1) * lu1)
 
 
 def lift_laplacian_split(metric: WarpedTorusMetric, r) -> tuple[np.ndarray, np.ndarray]:
@@ -274,11 +270,10 @@ def lift_laplacian_split(metric: WarpedTorusMetric, r) -> tuple[np.ndarray, np.n
     """
     r = np.asarray(r, dtype=float)
     n, m = metric.n, metric.m
-    u1, u2 = metric.u_profile.d1(r), metric.u_profile.d2(r)
-    lf1 = metric.f_profile.d1(r) / metric.f_profile(r)
-    lu1 = u1 / metric.u_profile(r)
-    base = u2 + ((n - m) * lf1 + 2.0 * (m - 2) / m * lu1) * u1
-    coupling = 2.0 / m * lu1 * u1
+    u, lf1 = metric.u_profile, metric.f_profile.dlog(r)
+    uv, lu1 = u(r), u.dlog(r)
+    base = uv * (u.d2_ratio(r) + ((n - m) * lf1 + 2.0 * (m - 2) / m * lu1) * lu1)
+    coupling = uv * (2.0 / m * lu1 * lu1)
     return base, coupling
 
 
@@ -319,24 +314,9 @@ class PositivityReport:
         }
 
 
-def _riemann_source(metric) -> tuple[Callable[[float], RiemannData], int,
-                                     tuple[int, ...], float | None]:
-    """Adapt a WarpedTorusMetric or a callable r -> RiemannData."""
-    if isinstance(metric, WarpedTorusMetric):
-        return (lambda r: riemann_exact(metric, r), metric.m,
-                metric.coordinate_frame_indices(), metric.epsilon)
-    if callable(metric):
-        probe = metric(0.0)
-        if not isinstance(probe, RiemannData):
-            raise TypeError("metric callable must return RiemannData")
-        return metric, -1, (), None
-    raise TypeError("metric must be a WarpedTorusMetric or a callable")
-
-
-def verify_uniform_positivity(metric, lam: float, r_grid=None,
+def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid=None,
                               frame_budget: int = 100_000, seed: int = 0,
-                              m: int | None = None, fail_fast: bool = False,
-                              refine_depth: int = 0) -> PositivityReport:
+                              fail_fast: bool = False) -> PositivityReport:
     """Minimize C_m at every grid radius and compare against lambda.
 
     Passes iff the grid minimum is at least lambda * (1 - 1e-6).  Also
@@ -349,77 +329,42 @@ def verify_uniform_positivity(metric, lam: float, r_grid=None,
     cluster near the origin); with fail_fast=True the sweep stops at the
     first violation and the report is marked incomplete.  Every grid index
     seeds its own minimizer via task_seed(seed, index), so results do not
-    depend on evaluation order.  refine_depth > 0 doubles the grid density
-    (new midpoints only) until the minimum moves by less than 1e-4.
+    depend on evaluation order.
     """
-    source, metric_m, coord_idx, epsilon = _riemann_source(metric)
-    if metric_m > 0:
-        m = metric_m if m is None else m
-    if m is None or m < 1:
-        raise ValueError("m must be given for a callable metric source")
-    if not coord_idx:
-        probe_dim = source(0.0).dim
-        coord_idx = tuple(range(probe_dim - m, probe_dim))
-
     if r_grid is None:
         r_grid = np.linspace(-10.0, 10.0, 121)
     r_grid = np.asarray(r_grid, dtype=float)
     threshold = lam * (1.0 - PASS_SLACK)
-    coord_q = None
+    coord_q = coordinate_frame(metric.n, metric.coordinate_frame_indices())
+    order = sorted(range(len(r_grid)), key=lambda i: (abs(r_grid[i]), r_grid[i]))
 
-    def sweep(radii, indices):
-        """Evaluate the given grid points; returns (state, stopped_early)."""
-        nonlocal coord_q
-        order = sorted(range(len(radii)), key=lambda i: (abs(radii[i]), radii[i]))
-        worst = (np.inf, np.nan, None)
-        cmin, cmax = np.inf, -np.inf
-        evals = 0
-        for count, i in enumerate(order, 1):
-            try:
-                rd = source(float(radii[i]))
-            except ValueError as exc:
-                raise ValueError(f"curvature at r = {float(radii[i])!r}: {exc}") from exc
-            if coord_q is None:
-                coord_q = coordinate_frame(rd.dim, coord_idx)
-            res = cm_min(rd, m, budget=frame_budget,
-                         seed=task_seed(seed, indices[i]))
-            evals += res.evaluations
-            cv = cm_of_frame(rd, coord_q)
-            cmin, cmax = min(cmin, cv), max(cmax, cv)
-            if res.value < worst[0]:
-                worst = (res.value, float(radii[i]), res.argmin)
-            if fail_fast and res.value < threshold:
-                return worst, cmin, cmax, evals, count < len(order)
-        return worst, cmin, cmax, evals, False
-
-    worst, cmin, cmax, evals, stopped = sweep(r_grid, list(range(len(r_grid))))
-    points = len(r_grid)
-    passed = worst[0] >= threshold
-
-    depth = 0
-    while passed and not stopped and depth < refine_depth:
-        depth += 1
-        prev_min = worst[0]
-        mids = 0.5 * (r_grid[:-1] + r_grid[1:])
-        mid_indices = [depth * 1_000_003 + i for i in range(len(mids))]
-        w2, c2min, c2max, e2, stopped = sweep(mids, mid_indices)
-        evals += e2
-        cmin, cmax = min(cmin, c2min), max(cmax, c2max)
-        if w2[0] < worst[0]:
-            worst = w2
-        r_grid = np.sort(np.concatenate([r_grid, mids]))
-        points = len(r_grid)
-        passed = worst[0] >= threshold
-        if abs(worst[0] - prev_min) < 1e-4:
+    worst_value, worst_r, worst_frame = np.inf, np.nan, None
+    cmin, cmax = np.inf, -np.inf
+    evals = 0
+    stopped = False
+    for count, i in enumerate(order, 1):
+        r = float(r_grid[i])
+        try:
+            rd = riemann_exact(metric, r)
+        except ValueError as exc:
+            raise ValueError(f"curvature at r = {r!r}: {exc}") from exc
+        res = cm_min(rd, metric.m, budget=frame_budget, seed=task_seed(seed, i))
+        evals += res.evaluations
+        cv = cm_of_frame(rd, coord_q)
+        cmin, cmax = min(cmin, cv), max(cmax, cv)
+        if res.value < worst_value:
+            worst_value, worst_r, worst_frame = res.value, r, res.argmin
+        if fail_fast and res.value < threshold:
+            stopped = count < len(order)
             break
 
     return PositivityReport(
-        passed=bool(passed), lam=float(lam), epsilon=epsilon,
-        r_max=float(np.max(np.abs(r_grid))), grid_points=points,
-        worst_r=worst[1], worst_value=float(worst[0]),
-        worst_frame=worst[2], coord_value_min=float(cmin),
-        coord_value_max=float(cmax), evaluations=evals,
-        complete=not stopped)
+        passed=bool(worst_value >= threshold), lam=float(lam),
+        epsilon=metric.epsilon, r_max=float(np.max(np.abs(r_grid))),
+        grid_points=len(r_grid), worst_r=worst_r,
+        worst_value=float(worst_value), worst_frame=worst_frame,
+        coord_value_min=float(cmin), coord_value_max=float(cmax),
+        evaluations=evals, complete=not stopped)
 
 
 @dataclass(frozen=True)
@@ -431,7 +376,7 @@ class EpsilonSearchResult:
     tightness_report: PositivityReport
 
 
-def search_epsilon(n: int, m: int, lam: float, r_grid=None,
+def search_epsilon(n: int, m: int, lam: float,
                    frame_budget: int = 100_000, seed: int = 0,
                    r_max: float = 10.0, grid_points: int = 121,
                    max_halvings: int = 20) -> EpsilonSearchResult:
@@ -439,23 +384,22 @@ def search_epsilon(n: int, m: int, lam: float, r_grid=None,
 
     Tries epsilon = 2^-t for t = 0..max_halvings and returns the first
     (largest) passing scale together with a sweep at twice that scale as
-    tightness evidence.  Candidate sweeps run fail-fast; the grid seeds of
+    tightness evidence.  Every sweep runs fail-fast on the grid of
+    `grid_points` radii spanning [-r_max, r_max]; the grid seeds of
     candidate t derive from task_seed(seed, t).
     """
     _check_construction_range(n, m)
-    if r_grid is None:
-        r_grid = np.linspace(-r_max, r_max, grid_points)
+    r_grid = np.linspace(-r_max, r_max, grid_points)
     best_report = None
     for t in range(max_halvings + 1):
         eps = 2.0 ** (-t)
-        metric = build_counterexample(n, m, lam, eps, r_max=float(np.max(np.abs(r_grid))))
+        metric = build_counterexample(n, m, lam, eps, r_max=r_max)
         rep = verify_uniform_positivity(metric, lam, r_grid,
                                         frame_budget=frame_budget,
                                         seed=task_seed(seed, t),
                                         fail_fast=True)
         if rep.passed:
-            double = build_counterexample(n, m, lam, 2.0 * eps,
-                                          r_max=float(np.max(np.abs(r_grid))))
+            double = build_counterexample(n, m, lam, 2.0 * eps, r_max=r_max)
             tight = verify_uniform_positivity(double, lam, r_grid,
                                               frame_budget=frame_budget,
                                               seed=task_seed(seed, 1000 + t),

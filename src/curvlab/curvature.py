@@ -22,6 +22,7 @@ directions first, then r, then the m-1 torus directions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,64 +56,67 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A smooth function of r carrying its analytic first two derivatives."""
+    """A positive smooth function v(r) given by log v and its two derivatives.
+
+    Curvature needs v only through the ratios v'/v = (log v)' and
+    v''/v = (log v)'' + (log v)'^2, so each profile carries those three
+    closed forms; they stay finite where v itself overflows or underflows.
+    """
 
     name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
+    log: Callable[[np.ndarray], np.ndarray]
+    dlog: Callable[[np.ndarray], np.ndarray]
+    d2log: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, r):
-        return self.value(r)
+        return np.exp(self.log(r))
+
+    def d2_ratio(self, r):
+        """v''/v."""
+        return self.d2log(r) + self.dlog(r) ** 2
 
 
 def gaussian_profile(a: float, name: str | None = None) -> RadialProfile:
-    """exp(a r^2) with exact derivatives."""
+    """exp(a r^2): log-derivatives 2 a r and 2 a."""
     a = float(a)
+    return RadialProfile(
+        name or f"exp({a}*r^2)",
+        lambda r: a * np.asarray(r, dtype=float) ** 2,
+        lambda r: 2.0 * a * np.asarray(r, dtype=float),
+        lambda r: np.full_like(np.asarray(r, dtype=float), 2.0 * a),
+    )
 
-    def v(r):
-        return np.exp(a * np.asarray(r, dtype=float) ** 2)
 
-    def v1(r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * a * r * np.exp(a * r ** 2)
+def _log_cosh(x):
+    """log cosh x = |x| + log1p(exp(-2|x|)) - log 2, finite for every finite x."""
+    ax = np.abs(x)
+    return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
 
-    def v2(r):
-        r = np.asarray(r, dtype=float)
-        return (2.0 * a + 4.0 * a * a * r * r) * np.exp(a * r ** 2)
 
-    return RadialProfile(name or f"exp({a}*r^2)", v, v1, v2)
+def _sech2(x):
+    """sech^2 x = 4 e^(-2|x|) / (1 + e^(-2|x|))^2, without overflowing cosh."""
+    e = np.exp(-2.0 * np.abs(x))
+    return 4.0 * e / (1.0 + e) ** 2
 
 
 def cosh_power_profile(omega: float, power: float, name: str | None = None) -> RadialProfile:
-    """cosh(omega r)^power with exact derivatives.
-
-    Log-derivative form keeps the expressions stable for negative powers:
-    (log v)' = p w tanh(w r), (log v)'' = p w^2 sech^2(w r).
-    """
+    """cosh(omega r)^power: log-derivatives p w tanh(w r) and p w^2 sech^2(w r)."""
     w, p = float(omega), float(power)
-
-    def v(r):
-        return np.cosh(w * np.asarray(r, dtype=float)) ** p
-
-    def v1(r):
-        r = np.asarray(r, dtype=float)
-        return p * w * np.tanh(w * r) * np.cosh(w * r) ** p
-
-    def v2(r):
-        r = np.asarray(r, dtype=float)
-        t = np.tanh(w * r)
-        sech2 = 1.0 / np.cosh(w * r) ** 2
-        return ((p * w * t) ** 2 + p * w * w * sech2) * np.cosh(w * r) ** p
-
-    return RadialProfile(name or f"cosh({w}*r)^{p}", v, v1, v2)
+    return RadialProfile(
+        name or f"cosh({w}*r)^{p}",
+        lambda r: p * _log_cosh(w * np.asarray(r, dtype=float)),
+        lambda r: p * w * np.tanh(w * np.asarray(r, dtype=float)),
+        lambda r: p * w * w * _sech2(w * np.asarray(r, dtype=float)),
+    )
 
 
 def constant_profile(c: float = 1.0, name: str | None = None) -> RadialProfile:
+    """The constant c > 0: log c with vanishing log-derivatives."""
     c = float(c)
+    log_c = math.log(c)
     return RadialProfile(
         name or f"const({c})",
-        lambda r: np.full_like(np.asarray(r, dtype=float), c),
+        lambda r: np.full_like(np.asarray(r, dtype=float), log_c),
         lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         lambda r: np.zeros_like(np.asarray(r, dtype=float)),
     )
@@ -190,7 +194,7 @@ class ChristoffelTable:
     Block indices: alpha/beta for sphere directions, r, and i/j for torus
     directions.  Symbols proportional to a Kronecker delta are stored by
     their scalar coefficient; the sphere-internal symbols equal those of the
-    round chart on S^(n-m) and are delegated to it.
+    round chart on S^(n-m) and are not stored.
     """
 
     r: float
@@ -198,22 +202,21 @@ class ChristoffelTable:
     torus_r: float           # Gamma^j_{i r} = (2u'/(m u)) delta
     r_torus: float           # Gamma^r_{i j} = -(2u'/(m u)) u^(4/m) delta
     r_sphere_coeff: float    # Gamma^r_{alpha beta} = coeff * h_{alpha beta}
-    sphere_internal: str = "round-chart symbols of S^(n-m)"
 
 
 def christoffel_exact(metric: WarpedTorusMetric, r: float) -> ChristoffelTable:
     """Closed-form Christoffel symbols at radius r."""
     metric.require_in_domain(r)
-    f, f1 = metric.f_profile(r), metric.f_profile.d1(r)
-    u, u1 = metric.u_profile(r), metric.u_profile.d1(r)
+    f, u = metric.f_profile, metric.u_profile
     m = metric.m
-    tors = 2.0 * u1 / (m * u)
+    lf1 = f.dlog(r)
+    tors = 2.0 / m * u.dlog(r)
     return ChristoffelTable(
         r=float(r),
-        sphere_r=float(f1 / f),
+        sphere_r=float(lf1),
         torus_r=float(tors),
-        r_torus=float(-tors * u ** (4.0 / m)),
-        r_sphere_coeff=float(-metric.epsilon ** 2 * f * f1),
+        r_torus=float(-tors * np.exp(4.0 / m * u.log(r))),
+        r_sphere_coeff=float(-metric.epsilon ** 2 * np.exp(2.0 * f.log(r)) * lf1),
     )
 
 
@@ -238,8 +241,12 @@ class RiemannData:
             raise ValueError("components must be a 4-index table over one dimension")
         if not np.isfinite(components).all():
             raise ValueError("curvature components are not finite")
-        ricci = np.einsum("cacb->ab", components)
-        return cls(dim, components, ricci, float(np.trace(ricci)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ricci = np.einsum("cacb->ab", components)
+            scalar = float(np.trace(ricci))
+        if not (np.isfinite(ricci).all() and math.isfinite(scalar)):
+            raise ValueError("curvature contractions are not finite")
+        return cls(dim, components, ricci, scalar)
 
     def symmetry_residuals(self) -> dict[str, float]:
         r = self.components
@@ -270,51 +277,62 @@ class RiemannData:
         return res
 
 
+# index of each frame label in the sectional class table
+_CLASS = {"sphere": 0, "r": 1, "torus": 2}
+
+
+def _sectional_table(metric: WarpedTorusMetric, r: float) -> np.ndarray:
+    """The five sectional class values at r as a symmetric 3x3 table.
+
+    Rows and columns follow `_CLASS` (sphere, r, torus); the (r, r) entry
+    never pairs two distinct directions and is 0.  Every value comes from
+    the profiles' log-derivatives and 1/(eps^2 f^2), so the table stays
+    finite until 1/(eps^2 f^2) itself overflows.  An overflow raises no
+    warning; it leaves inf or NaN in the table, which
+    `RiemannData.from_components` rejects.
+    """
+    metric.require_in_domain(r)
+    f, u = metric.f_profile, metric.u_profile
+    a = 2.0 / metric.m
+    with np.errstate(all="ignore"):
+        lf1, lu1 = f.dlog(r), u.dlog(r)
+        k_ss = np.exp(-2.0 * f.log(r)) / metric.epsilon ** 2 - lf1 * lf1
+        k_st = -a * lf1 * lu1
+        k_sr = -f.d2_ratio(r)
+        k_rt = -a * u.d2_ratio(r) - a * (a - 1.0) * lu1 * lu1
+        k_tt = -(a * lu1) ** 2
+    return np.array([[k_ss, k_sr, k_st],
+                     [k_sr, 0.0, k_rt],
+                     [k_st, k_rt, k_tt]], dtype=float)
+
+
+def _sectional_components(metric: WarpedTorusMetric, r: float,
+                          labels: Sequence[str]) -> np.ndarray:
+    """Components on a frame whose directions carry the given class labels.
+
+    Rm_abcd = K_ab (delta_ac delta_bd - delta_ad delta_bc) for a != b, where
+    K_ab is the table value of the labels of e_a and e_b.
+    """
+    classes = [_CLASS[label] for label in labels]
+    sectional = _sectional_table(metric, r)[np.ix_(classes, classes)]
+    n = len(labels)
+    a, b = np.nonzero(~np.eye(n, dtype=bool))
+    comp = np.zeros((n,) * 4)
+    comp[a, b, a, b] = sectional[a, b]
+    comp[a, b, b, a] = -sectional[a, b]
+    return comp
+
+
 def riemann_exact(metric: WarpedTorusMetric, r: float) -> RiemannData:
     """Closed-form orthonormal curvature components of the warped torus family.
 
     Frame order: sphere block, then e_r, then the torus block.  Only the
-    sectional pattern R[a,b,a,b] (and its symmetry images) is nonzero.
+    sectional pattern R[a,b,a,b] (and its symmetry images) is nonzero, with
+    the class value of the labels of e_a and e_b.  Raises ValueError when
+    the components or their contractions are not finite.
     """
-    metric.require_in_domain(r)
-    n, m = metric.n, metric.m
-    ns, nt = metric.sphere_dim, metric.torus_dim
-    f, f1, f2 = (metric.f_profile(r), metric.f_profile.d1(r), metric.f_profile.d2(r))
-    u, u1, u2 = (metric.u_profile(r), metric.u_profile.d1(r), metric.u_profile.d2(r))
-    lf1, lu1 = f1 / f, u1 / u
-    a = 2.0 / m
-
-    k_ss = 1.0 / (metric.epsilon ** 2 * f * f) - lf1 * lf1
-    k_st = -a * lf1 * lu1
-    k_sr = -f2 / f
-    k_rt = -a * (u2 / u) - a * (a - 1.0) * lu1 * lu1
-    k_tt = -(a * lu1) ** 2
-
-    labels = metric.frame_labels()
-
-    def pair_value(la: str, lb: str) -> float:
-        key = frozenset((la, lb))
-        if key == {"sphere"}:
-            return k_ss
-        if key == {"sphere", "torus"}:
-            return k_st
-        if key == {"sphere", "r"}:
-            return k_sr
-        if key == {"r", "torus"}:
-            return k_rt
-        if key == {"torus"}:
-            return k_tt
-        raise AssertionError(key)
-
-    comp = np.zeros((n, n, n, n))
-    for a_idx in range(n):
-        for b_idx in range(a_idx + 1, n):
-            k = float(pair_value(labels[a_idx], labels[b_idx]))
-            comp[a_idx, b_idx, a_idx, b_idx] = k
-            comp[b_idx, a_idx, b_idx, a_idx] = k
-            comp[a_idx, b_idx, b_idx, a_idx] = -k
-            comp[b_idx, a_idx, a_idx, b_idx] = -k
-    return RiemannData.from_components(comp)
+    return RiemannData.from_components(
+        _sectional_components(metric, r, metric.frame_labels()))
 
 
 # ---------------------------------------------------------------------------
@@ -466,25 +484,10 @@ def compare_exact_vs_fd(metric: WarpedTorusMetric, r: float, step: float = 1e-3,
     each difference by max(1, |expected entry|).
     """
     chart, labels = to_subchart(metric)
-    exact = riemann_exact(metric, r)
+    expected = RiemannData.from_components(
+        _sectional_components(metric, r, labels)).components
 
-    # exact class values via representative ambient indices
-    rep = {"sphere": 0, "r": metric.sphere_dim, "torus": metric.sphere_dim + 1}
-    second_rep = {"sphere": 1, "r": metric.sphere_dim,
-                  "torus": metric.sphere_dim + 2 if metric.torus_dim >= 2 else None}
-
-    dim = chart.dim
-    expected = np.zeros((dim,) * 4)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            la, lb = labels[a], labels[b]
-            ia = rep[la]
-            ib = rep[lb] if la != lb else second_rep[lb]
-            k = exact.components[ia, ib, ia, ib]
-            expected[a, b, a, b] = expected[b, a, b, a] = k
-            expected[a, b, b, a] = expected[b, a, a, b] = -k
-
-    x = np.zeros(dim)
+    x = np.zeros(chart.dim)
     x[0], x[2] = theta, r
     fd = riemann_fd(chart, x, step=step)
     denom = np.maximum(1.0, np.abs(expected))

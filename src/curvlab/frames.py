@@ -75,6 +75,8 @@ RANK_TOL = 1e-12
 ARMIJO = 1e-4
 STEP_TOL = 1e-10
 HALVINGS = 60
+DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
+TIE_TOL = 1e-9      # a coordinate subset this close to the best value is reported
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +378,16 @@ class CmResult:
 
 
 def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
-           descent_starts: int = 8, max_iter: int = 500,
-           tie_tol: float = 1e-9) -> CmResult:
+           max_iter: int = 500) -> CmResult:
     """Minimize C_m over m-frames: enumeration, sampling, then descent.
 
     The random phase draws `budget` Haar frames in chunks, seeding a fresh
     PCG64 generator with seed + chunk_index so the stream is independent of
     chunk size bookkeeping.  Descent runs in lockstep from the best
-    coordinate frame and the `descent_starts` best samples; `max_iter` = 0
-    skips it.  When a coordinate subset comes
-    within `tie_tol` of the best value found, the lexicographically first
-    such subset is reported as the argmin.
+    coordinate frame and the DESCENT_STARTS best samples; `max_iter` = 0
+    skips it.  When a coordinate subset comes within TIE_TOL of the best
+    value found, the lexicographically first such subset is reported as the
+    argmin.
     """
     n = riemann.dim
     if not 1 <= m <= n:
@@ -416,7 +417,7 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
         frames = random_frames(n, m, count, rng)
         vals = cm_batch(riemann, frames)
         evaluations += count
-        keep = min(max(descent_starts, 1), count)
+        keep = min(DESCENT_STARTS, count)
         order = np.argsort(vals, kind="stable")[:keep]
         top_vals.extend(float(vals[i]) for i in order)
         # copies, not views, so that each chunk is freed after its turn
@@ -433,7 +434,7 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
     if max_iter > 0:
         starts = [coord_qs[coord_best]]
         if top_frames:
-            order = np.argsort(np.asarray(top_vals), kind="stable")[:descent_starts]
+            order = np.argsort(np.asarray(top_vals), kind="stable")[:DESCENT_STARTS]
             starts.extend(top_frames[i] for i in order)
         q, vals, _, evals, _ = _descend(riemann, np.stack(starts), max_iter,
                                         ARMIJO, STEP_TOL)
@@ -446,7 +447,7 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
     best_value = float(min(coord_vals[coord_best], rand_best_val, desc_best_val))
 
     for idx, s in enumerate(subsets):
-        if coord_vals[idx] <= best_value + tie_tol:
+        if coord_vals[idx] <= best_value + TIE_TOL:
             return CmResult(best_value, coord_qs[idx], evaluations,
                             "coordinate-enumeration", s)
     if rand_best_frame is not None and rand_best_val <= best_value:

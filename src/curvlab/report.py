@@ -126,7 +126,12 @@ _CONFIG_TYPES = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every subcommand, echoed verbatim into reports."""
+    """Knobs shared by every subcommand.
+
+    Reports echo every field except `output_dir`: where a report is written
+    is not part of what it says, so identical invocations with different
+    `--out` directories write identical bytes.
+    """
 
     seed: int = 0
     r_max: float = 10.0
@@ -180,7 +185,8 @@ class RunConfig:
         return replace(cfg, **clean).validate()
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "output_dir"}
 
 
 @dataclass(frozen=True)

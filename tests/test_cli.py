@@ -6,8 +6,8 @@ stdout-is-only-paths rule are asserted throughout.
 """
 import json
 import math
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from curvlab.cli import main
@@ -75,11 +75,11 @@ class TestVerifyExamples:
 
     @pytest.mark.parametrize("epsilon", [["--epsilon", "1"], []])
     def test_non_finite_curvature_is_usage_error(self, tmp_path, capsys, epsilon):
-        with np.errstate(all="ignore"):
-            code, paths, err = run_cli(
-                ["verify-examples", "--n", "6", "--m", "2", *epsilon,
-                 "--r-max", "40", "--grid-points", "3", "--frame-budget", "500",
-                 "--out", str(tmp_path)], capsys)
+        # no errstate guard: the suite turns any RuntimeWarning into an error
+        code, paths, err = run_cli(
+            ["verify-examples", "--n", "6", "--m", "2", *epsilon,
+             "--r-max", "40", "--grid-points", "3", "--frame-budget", "500",
+             "--out", str(tmp_path)], capsys)
         assert code == 2
         assert paths == []
         assert "r = -40.0" in err and "not finite" in err
@@ -165,7 +165,7 @@ class TestMatrixInequalities:
             _, paths, _ = run_cli(
                 ["matrix-inequalities", "--n", "6", "--m", "4", "--seed", seed,
                  "--out", str(tmp_path)], capsys)
-            blobs.append(open(paths[0], "rb").read())
+            blobs.append(Path(paths[0]).read_bytes())
         assert blobs[1] == blobs[2]
         # the echoed configuration is the only place the seed appears
         assert blobs[0].count(b'"seed": 1\n') == 1
@@ -248,7 +248,7 @@ class TestReproducibility:
         outputs = []
         for _ in range(2):
             _, paths, _ = run_cli(argv, capsys)
-            outputs.append(open(paths[0], "rb").read())
+            outputs.append(Path(paths[0]).read_bytes())
         assert outputs[0] == outputs[1]
 
     def test_scan_algebra_byte_identical(self, tmp_path, capsys):
@@ -256,8 +256,19 @@ class TestReproducibility:
         for _ in range(2):
             _, paths, _ = run_cli(["scan-algebra", "--out", str(tmp_path)],
                                   capsys)
-            blobs.append(b"".join(open(p, "rb").read() for p in sorted(paths)))
+            blobs.append(b"".join(Path(p).read_bytes() for p in sorted(paths)))
         assert blobs[0] == blobs[1]
+
+    def test_output_directory_not_in_report(self, tmp_path, capsys):
+        blobs = []
+        for out in ("a", "b"):
+            _, paths, _ = run_cli(
+                ["matrix-inequalities", "--n", "7", "--m", "5",
+                 "--out", str(tmp_path / out)], capsys)
+            assert Path(paths[0]).parent == tmp_path / out
+            blobs.append(Path(paths[0]).read_bytes())
+        assert blobs[0] == blobs[1]
+        assert b"output_dir" not in blobs[0]
 
     def test_env_seed_and_flag_precedence(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CURVLAB_SEED", "7")

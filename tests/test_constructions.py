@@ -24,7 +24,8 @@ from curvlab.constructions import (
 from curvlab.curvature import (
     CoordinateMetric,
     RadialProfile,
-    RiemannData,
+    WarpedTorusMetric,
+    constant_profile,
     laplacian_fd,
     riemann_exact,
     riemann_fd,
@@ -99,23 +100,23 @@ class TestOdeResidual:
         assert np.max(np.abs(res)) < 1e-9
 
     def test_perturbed_profile_detected(self):
+        # u * (1 + 0.01 r^2), in log form
         sol = solve_profile(6, 2, 1.0)
         u = sol.u
 
-        def pv(r):
-            return u(r) * (1.0 + 0.01 * np.asarray(r, float) ** 2)
+        def plog(r):
+            return u.log(r) + np.log1p(0.01 * np.asarray(r, float) ** 2)
 
-        def pd1(r):
+        def pdlog(r):
             r = np.asarray(r, float)
-            return u.d1(r) * (1.0 + 0.01 * r * r) + u(r) * 0.02 * r
+            return u.dlog(r) + 0.02 * r / (1.0 + 0.01 * r * r)
 
-        def pd2(r):
+        def pd2log(r):
             r = np.asarray(r, float)
-            return (u.d2(r) * (1.0 + 0.01 * r * r) + 2.0 * u.d1(r) * 0.02 * r
-                    + 0.02 * u(r))
+            return u.d2log(r) + 0.02 * (1.0 - 0.01 * r * r) / (1.0 + 0.01 * r * r) ** 2
 
         bent = type(sol)(sol.n, sol.m, sol.lam, sol.case, sol.c3, sol.c4,
-                         u=RadialProfile("perturbed", pv, pd1, pd2),
+                         u=RadialProfile("perturbed", plog, pdlog, pd2log),
                          f=sol.f, params=sol.params)
         assert abs(float(ode_residual(6, 2, 1.0, bent, 1.0))) > 1e-3
 
@@ -228,9 +229,9 @@ class TestLaplacian:
         x = np.zeros(chart.dim)
         x[0], x[2] = 1.0, r0
         fd = laplacian_fd(chart, lambda y: float(u(y[2])), x)
-        lf1 = metric.f_profile.d1(r0) / metric.f_profile(r0)
-        lu1 = u.d1(r0) / u(r0)
-        expected = u.d2(r0) + (2.0 * lf1 + t * (2.0 / metric.m) * lu1) * u.d1(r0)
+        lf1, lu1 = metric.f_profile.dlog(r0), u.dlog(r0)
+        expected = u(r0) * (u.d2_ratio(r0)
+                            + (2.0 * lf1 + t * (2.0 / metric.m) * lu1) * lu1)
         assert fd == pytest.approx(expected, rel=1e-5)
 
     def test_circle_lift_ricci_two_dim(self):
@@ -240,7 +241,7 @@ class TestLaplacian:
             2, lambda x: np.diag([1.0, float(sol.u(x[0])) ** 2]),
             ((-3.0, 3.0), (-4.0, 4.0)))
         rd = riemann_fd(chart, [0.8, 0.1])
-        expected = -sol.u.d2(0.8) / sol.u(0.8)
+        expected = -sol.u.d2_ratio(0.8)
         assert rd.ricci[1, 1] == pytest.approx(expected, rel=1e-5)
 
     def test_circle_lift_ricci_three_dim(self):
@@ -256,7 +257,8 @@ class TestLaplacian:
         chart = CoordinateMetric(3, g, ((-3.0, 3.0), (-4.0, 4.0), (-4.0, 4.0)))
         rd = riemann_fd(chart, [0.7, 0.0, 0.0])
         r0 = 0.7
-        uv, u1, u2 = u(r0), u.d1(r0), u.d2(r0)
+        uv = u(r0)
+        u1, u2 = uv * u.dlog(r0), uv * u.d2_ratio(r0)
         w = uv ** (2.0 / 3.0)
         w1 = (2.0 / 3.0) * uv ** (-1.0 / 3.0) * u1
         w2 = ((2.0 / 3.0) * uv ** (-1.0 / 3.0) * u2
@@ -267,12 +269,14 @@ class TestLaplacian:
 
 class TestVerify:
     def test_flat_control_fails(self):
-        flat = lambda r: RiemannData.from_components(np.zeros((4,) * 4))
+        # constant profiles: S^2 x R x S^1, flat on the (r, torus) 2-plane
+        flat = WarpedTorusMetric(4, 2, 1.0, constant_profile(), constant_profile(),
+                                 (-1.0, 1.0))
         rep = verify_uniform_positivity(flat, 0.1, np.linspace(-1, 1, 5),
-                                        frame_budget=200, seed=0, m=2)
+                                        frame_budget=200, seed=0)
         assert not rep.passed
         assert rep.worst_value == 0.0
-        assert rep.epsilon is None
+        assert rep.epsilon == 1.0
 
     def test_large_epsilon_fails_at_origin(self):
         metric = build_counterexample(6, 2, 1.0, 10.0)
@@ -314,38 +318,20 @@ class TestVerify:
         assert set(d["worst"]) == {"r", "value", "frame"}
         assert isinstance(d["worst"]["frame"], list)
 
-    def test_refinement_grows_grid(self):
-        metric = build_counterexample(6, 2, 1.0, 0.1, r_max=2.0)
-        rep = verify_uniform_positivity(metric, 1.0, np.linspace(-2, 2, 5),
-                                        frame_budget=500, seed=1,
-                                        refine_depth=1)
-        assert rep.grid_points == 9
-        assert rep.passed
-
-    def test_callable_needs_m(self):
-        flat = lambda r: RiemannData.from_components(np.zeros((4,) * 4))
-        with pytest.raises(ValueError):
-            verify_uniform_positivity(flat, 0.1, np.linspace(-1, 1, 3))
-        with pytest.raises(TypeError):
-            verify_uniform_positivity(lambda r: 3.0, 0.1, m=2)
-        with pytest.raises(TypeError):
-            verify_uniform_positivity("not a metric", 0.1, m=2)
-
     @pytest.mark.parametrize("grid,first_bad", [([-40.0, -39.0, 39.0, 40.0], -39.0),
                                                 ([-40.0, 0.0, 40.0], -40.0)])
     def test_non_finite_curvature_never_passes(self, grid, first_bad):
-        # the Gaussian f of (6, 2) underflows beyond r of about 37.6; the sweep
-        # used to pass on the first grid (worst value inf at r = nan) and to
-        # skip the NaN radii of the second
+        # 1/f^2 for the Gaussian f of (6, 2) overflows beyond r of about 37.6;
+        # the sweep used to pass on the first grid (worst value inf at
+        # r = nan) and to skip the NaN radii of the second
         metric = build_counterexample(6, 2, 1.0, 1.0, r_max=40.0)
-        with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match=f"r = {first_bad}"):
+        with pytest.raises(ValueError, match=f"r = {first_bad}"):
             verify_uniform_positivity(metric, 1.0, grid, frame_budget=500)
 
 
 class TestSearchEpsilon:
     def test_finds_passing_scale(self):
-        res = search_epsilon(6, 2, 1.0, r_grid=np.linspace(-3, 3, 7),
+        res = search_epsilon(6, 2, 1.0, r_max=3.0, grid_points=7,
                              frame_budget=1500, seed=6)
         assert 0.0 < res.epsilon <= 1.0
         assert res.report.passed
@@ -360,13 +346,13 @@ class TestSearchEpsilon:
         # lambda = 4 at scale 1 behaves like lambda = 1 at scale 2, which
         # fails, so a zero-halving search has no passing candidate
         with pytest.raises(EpsilonSearchError) as exc:
-            search_epsilon(6, 2, 4.0, r_grid=np.linspace(-2, 2, 5),
+            search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5,
                            frame_budget=1500, seed=7, max_halvings=0)
         assert exc.value.best_report is not None
         assert not exc.value.best_report.passed
 
     def test_search_recovers_after_failure(self):
-        res = search_epsilon(6, 2, 4.0, r_grid=np.linspace(-2, 2, 5),
+        res = search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5,
                              frame_budget=1500, seed=8, max_halvings=3)
         assert res.epsilon < 1.0
         assert res.report.passed

@@ -1,8 +1,13 @@
 """Tests for exact and finite-difference curvature engines."""
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from curvlab.constructions import CONSTRUCTION_PAIRS, build_counterexample, solve_profile
 from curvlab.curvature import (
     CoordinateMetric,
     RiemannData,
@@ -53,17 +58,33 @@ class TestProfiles:
     def test_derivatives_match_finite_differences(self, profile):
         r = np.linspace(-2.0, 2.0, 9)
         h = 1e-5
-        d1_fd = (profile(r + h) - profile(r - h)) / (2 * h)
-        d2_fd = (profile(r + h) - 2 * profile(r) + profile(r - h)) / h ** 2
-        assert_allclose(profile.d1(r), d1_fd, rtol=1e-8, atol=1e-8)
-        assert_allclose(profile.d2(r), d2_fd, rtol=1e-5, atol=1e-5)
+        log = profile.log
+        d1_fd = (log(r + h) - log(r - h)) / (2 * h)
+        d2_fd = (log(r + h) - 2 * log(r) + log(r - h)) / h ** 2
+        assert_allclose(profile.dlog(r), d1_fd, rtol=1e-8, atol=1e-8)
+        assert_allclose(profile.d2log(r), d2_fd, rtol=1e-5, atol=1e-5)
+        # v''/v against second differences of the value v = exp(log v)
+        v2_fd = (profile(r + h) - 2 * profile(r) + profile(r - h)) / h ** 2
+        assert_allclose(profile.d2_ratio(r) * profile(r), v2_fd, rtol=1e-5, atol=1e-5)
+
+    def test_log_forms_finite_far_out(self):
+        # cosh(500)^3 and exp(-0.25 r^2) at r = 1000 are out of float range;
+        # their log-derivatives are not
+        r = np.array([-1000.0, 1000.0])
+        p = cosh_power_profile(0.5, 3.0)
+        assert_allclose(p.log(r), 3.0 * (500.0 - np.log(2.0)), rtol=1e-15)
+        assert_allclose(p.dlog(r), [-1.5, 1.5], rtol=1e-15)
+        assert_allclose(p.d2log(r), 0.0, atol=1e-300)
+        g = gaussian_profile(-0.25)
+        assert_allclose(g.dlog(r), [500.0, -500.0])
+        assert_allclose(g.d2_ratio(r), -0.5 + 500.0 ** 2)
 
     def test_constant_profile(self):
         p = constant_profile(3.0)
         r = np.array([0.0, 1.0])
         assert_allclose(p(r), [3.0, 3.0])
-        assert_allclose(p.d1(r), 0.0)
-        assert_allclose(p.d2(r), 0.0)
+        assert_allclose(p.dlog(r), 0.0)
+        assert_allclose(p.d2log(r), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +206,107 @@ class TestRiemannExact:
         oracle = product_sphere_flat_riemann(2, np.sqrt(2.0), 4)
         assert_allclose(rd.components, oracle.components, atol=1e-14)
 
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
+    def test_matches_direct_profile_route(self, n, m):
+        radii = np.linspace(-10.0, 10.0, 121)
+        worst = 0.0
+        for lam in (1.0, 4.0):
+            f, u = direct_profiles(n, m, lam)
+            for eps in (1.0, 0.5):
+                metric = build_counterexample(n, m, lam, eps)
+                labels = metric.frame_labels()
+                values = direct_class_values(m, eps, f, u, radii)
+                for i, r in enumerate(radii):
+                    ref = direct_tensor(labels, {k: v[i] for k, v in values.items()})
+                    got = riemann_exact(metric, float(r)).components
+                    worst = max(worst, float(np.max(np.abs(got - ref)
+                                                    / np.maximum(1.0, np.abs(ref)))))
+        assert worst <= 1e-13
+
+    def test_finite_until_sphere_term_overflows(self):
+        # (6, 2), lambda = eps = 1: 1/(eps f)^2 = exp(r^2/2) overflows at
+        # r of about 37.68, and the scalar curvature (12 times it) a little
+        # earlier; the value-based route already failed at r = 37.5
+        metric = build_counterexample(6, 2, 1.0, 1.0, r_max=40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rd = riemann_exact(metric, 37.6)
+            assert np.isfinite(rd.components).all() and np.isfinite(rd.scalar)
+            rd.validate(1e-8, relative=True)
+            with pytest.raises(ValueError, match="not finite"):
+                riemann_exact(metric, 38.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=st.sampled_from(CONSTRUCTION_PAIRS),
+           lam=st.floats(0.05, 16.0),
+           eps=st.floats(2.0 ** -20, 4.0),
+           r=st.floats(-40.0, 40.0))
+    def test_finite_or_rejected(self, pair, lam, eps, r):
+        metric = build_counterexample(*pair, lam, eps, r_max=40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rd = riemann_exact(metric, r)
+            except ValueError:
+                return
+            rd.validate(1e-8, relative=True)
+        assert np.isfinite(rd.components).all()
+        assert np.isfinite(rd.ricci).all() and np.isfinite(rd.scalar)
+
+
+# the five class values from the profiles' values f, f', f'' (not their
+# log-derivatives), assembled pair by pair: the reference for riemann_exact
+
+def direct_profiles(n, m, lam):
+    """(f, f', f'') and (u, u', u'') of the construction for (n, m, lambda)."""
+    sol = solve_profile(n, m, lam)
+
+    def gaussian(a):
+        return (lambda r: np.exp(a * r ** 2),
+                lambda r: 2.0 * a * r * np.exp(a * r ** 2),
+                lambda r: (2.0 * a + 4.0 * a * a * r * r) * np.exp(a * r ** 2))
+
+    def cosh_power(w, p):
+        def d2(r):
+            t = np.tanh(w * r)
+            sech2 = 1.0 / np.cosh(w * r) ** 2
+            return ((p * w * t) ** 2 + p * w * w * sech2) * np.cosh(w * r) ** p
+        return (lambda r: np.cosh(w * r) ** p,
+                lambda r: p * w * np.tanh(w * r) * np.cosh(w * r) ** p,
+                d2)
+
+    if sol.case == "equality":
+        return (gaussian(-float(Fraction(sol.params["c_f"])) * lam),
+                gaussian(float(Fraction(sol.params["c_u"])) * lam))
+    w = np.sqrt(float(sol.c4) * lam)
+    return (cosh_power(w, float(Fraction(sol.params["p_f"]))),
+            cosh_power(w, float(Fraction(sol.params["p_u"]))))
+
+
+def direct_class_values(m, eps, f_funcs, u_funcs, r):
+    f, f1, f2 = (fn(r) for fn in f_funcs)
+    u, u1, u2 = (fn(r) for fn in u_funcs)
+    lf1, lu1 = f1 / f, u1 / u
+    a = 2.0 / m
+    return {
+        frozenset({"sphere"}): 1.0 / (eps ** 2 * f * f) - lf1 * lf1,
+        frozenset({"sphere", "torus"}): -a * lf1 * lu1,
+        frozenset({"sphere", "r"}): -f2 / f,
+        frozenset({"r", "torus"}): -a * (u2 / u) - a * (a - 1.0) * lu1 * lu1,
+        frozenset({"torus"}): -(a * lu1) ** 2,
+    }
+
+
+def direct_tensor(labels, values):
+    n = len(labels)
+    comp = np.zeros((n,) * 4)
+    for a in range(n):
+        for b in range(a + 1, n):
+            k = values[frozenset((labels[a], labels[b]))]
+            comp[a, b, a, b] = comp[b, a, b, a] = k
+            comp[a, b, b, a] = comp[b, a, a, b] = -k
+    return comp
+
 
 # ---------------------------------------------------------------------------
 # curvature containers and algebra
@@ -201,6 +323,11 @@ class TestRiemannData:
         comp[0, 1, 0, 1] = bad
         with pytest.raises(ValueError, match="not finite"):
             RiemannData.from_components(comp)
+
+    def test_overflowing_contractions_rejected(self):
+        # finite components whose Ricci sums (3e308) are not
+        with pytest.raises(ValueError, match="contractions are not finite"):
+            constant_curvature_riemann(4, 1e308)
 
     def test_validate_catches_broken_symmetry(self):
         rd = constant_curvature_riemann(4, 1.0)

@@ -91,7 +91,7 @@ class TestWriters:
     def test_csv_writer_format(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a", "b"],
                          [[0.1, {"k": 1}], [2, [3, 4]]])
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert b"\r\n" in raw
         lines = raw.decode().splitlines()
         assert lines[0] == "a,b"
@@ -159,6 +159,9 @@ class TestVerificationReport:
         assert set(payload) == {"suite", "pass", "witnesses", "config"}
         assert payload["pass"] is True
         assert payload["config"]["seed"] == 0
+        # where a report is written is not part of its contents
+        assert set(payload["config"]) == (
+            {f.name for f in fields(RunConfig)} - {"output_dir"})
 
     def test_identical_runs_identical_bytes(self):
         make = lambda: VerificationReport(
