@@ -30,6 +30,7 @@ from .curvature import (
     riemann_exact,
 )
 from .frames import cm_min, cm_of_frame, coordinate_frame
+from .inequalities import admissible
 from .report import task_seed
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
 CONSTRUCTION_PAIRS = ((6, 2), (6, 3), (7, 2), (7, 3), (7, 4))
 
 PASS_SLACK = 1e-6
+MAX_HALVINGS = 20  # search_epsilon tries eps = 2^-t for t = 0..MAX_HALVINGS
 
 
 class UnsupportedParameters(ValueError):
@@ -94,22 +96,22 @@ class ProfileSolution:
     f: RadialProfile
     params: dict
 
-    def residual_on(self, r) -> np.ndarray:
-        return ode_residual(self.n, self.m, self.lam, self, r)
-
 
 def solve_profile(n: int, m: int, lam: float) -> ProfileSolution:
-    """Select and instantiate the closed profile branch for (n, m, lambda)."""
-    if m < 2:
-        raise UnsupportedParameters(f"need m >= 2, got m = {m}")
-    if n - m < 3:
-        raise UnsupportedParameters(f"need n - m >= 3, got n - m = {n - m}")
-    if not lam > 0:
-        raise UnsupportedParameters(f"need lambda > 0, got lambda = {lam}")
-    if Fraction(4, n - m) > Fraction(2 * m - 2, m):
+    """Select and instantiate the closed profile branch for (n, m, lambda).
+
+    For 1 <= m < n the construction range 4/(n-m) <= (2m-2)/m is exactly
+    m^2 - mn + m + n <= 0, the failure of the second admissibility
+    inequality; it forces m >= 2 and n - m >= 3.
+    """
+    if not 1 <= m < n:
+        raise UnsupportedParameters(f"need 1 <= m < n, got (n, m) = ({n}, {m})")
+    if admissible(n, m).ineq2 > 0:
         raise UnsupportedParameters(
             f"need 4/(n-m) <= (2m-2)/m, got {Fraction(4, n - m)} > "
             f"{Fraction(2 * m - 2, m)} at (n, m) = ({n}, {m})")
+    if not lam > 0:
+        raise UnsupportedParameters(f"need lambda > 0, got lambda = {lam}")
 
     c3 = Fraction(-2, n - m - 2)
     c4 = (Fraction(n - m) - Fraction(2 * m, m - 1)) / Fraction(n - m - 2) ** 2
@@ -200,10 +202,9 @@ def build_chain(n: int, m: int) -> LiftChain:
 # ---------------------------------------------------------------------------
 
 def _check_construction_range(n: int, m: int) -> None:
+    """The paper's scope, 6 <= n <= 7; `solve_profile` checks the range of m."""
     if not 6 <= n <= 7:
         raise UnsupportedParameters(f"need 6 <= n <= 7, got n = {n}")
-    if not 2 <= m <= n - 3:
-        raise UnsupportedParameters(f"need 2 <= m <= n-3, got m = {m} at n = {n}")
 
 
 def build_counterexample(n: int, m: int, lam: float, epsilon: float,
@@ -222,7 +223,13 @@ def counterexample_json(n: int, m: int, lam: float, epsilon: float,
     """The portable chart description of a constructed metric."""
     metric = build_counterexample(n, m, lam, epsilon, r_max)
     sol = solve_profile(n, m, lam)
-    return metric.to_json_dict(profile_case=sol.case, lam=lam, params=sol.params)
+    return {
+        "n": metric.n,
+        "m": metric.m,
+        "epsilon": metric.epsilon,
+        "profile": {"case": sol.case, "lambda": lam, "params": sol.params},
+        "r_domain": list(metric.r_domain),
+    }
 
 
 def metric_from_json(data: dict) -> WarpedTorusMetric:
@@ -314,7 +321,7 @@ class PositivityReport:
         }
 
 
-def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid=None,
+def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
                               frame_budget: int = 100_000, seed: int = 0,
                               fail_fast: bool = False) -> PositivityReport:
     """Minimize C_m at every grid radius and compare against lambda.
@@ -331,8 +338,6 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid=None
     seeds its own minimizer via task_seed(seed, index), so results do not
     depend on evaluation order.
     """
-    if r_grid is None:
-        r_grid = np.linspace(-10.0, 10.0, 121)
     r_grid = np.asarray(r_grid, dtype=float)
     threshold = lam * (1.0 - PASS_SLACK)
     coord_q = coordinate_frame(metric.n, metric.coordinate_frame_indices())
@@ -378,11 +383,10 @@ class EpsilonSearchResult:
 
 def search_epsilon(n: int, m: int, lam: float,
                    frame_budget: int = 100_000, seed: int = 0,
-                   r_max: float = 10.0, grid_points: int = 121,
-                   max_halvings: int = 20) -> EpsilonSearchResult:
+                   r_max: float = 10.0, grid_points: int = 121) -> EpsilonSearchResult:
     """Halving search for a sphere scale with a passing positivity sweep.
 
-    Tries epsilon = 2^-t for t = 0..max_halvings and returns the first
+    Tries epsilon = 2^-t for t = 0..MAX_HALVINGS and returns the first
     (largest) passing scale together with a sweep at twice that scale as
     tightness evidence.  Every sweep runs fail-fast on the grid of
     `grid_points` radii spanning [-r_max, r_max]; the grid seeds of
@@ -391,7 +395,7 @@ def search_epsilon(n: int, m: int, lam: float,
     _check_construction_range(n, m)
     r_grid = np.linspace(-r_max, r_max, grid_points)
     best_report = None
-    for t in range(max_halvings + 1):
+    for t in range(MAX_HALVINGS + 1):
         eps = 2.0 ** (-t)
         metric = build_counterexample(n, m, lam, eps, r_max=r_max)
         rep = verify_uniform_positivity(metric, lam, r_grid,
@@ -408,5 +412,5 @@ def search_epsilon(n: int, m: int, lam: float,
         if best_report is None or rep.worst_value > best_report.worst_value:
             best_report = rep
     raise EpsilonSearchError(
-        f"no epsilon in 2^-t, t <= {max_halvings}, passed for "
+        f"no epsilon in 2^-t, t <= {MAX_HALVINGS}, passed for "
         f"(n, m, lambda) = ({n}, {m}, {lam})", best_report)

@@ -34,10 +34,8 @@ __all__ = [
     "cosh_power_profile",
     "constant_profile",
     "WarpedTorusMetric",
-    "ChristoffelTable",
     "RiemannData",
     "CoordinateMetric",
-    "christoffel_exact",
     "riemann_exact",
     "riemann_fd",
     "laplacian_fd",
@@ -48,6 +46,8 @@ __all__ = [
     "constant_curvature_riemann",
     "product_sphere_flat_riemann",
 ]
+
+FD_STEP = 1e-3  # step of every central difference in the finite-difference engine
 
 
 # ---------------------------------------------------------------------------
@@ -170,54 +170,6 @@ class WarpedTorusMetric:
     def coordinate_frame_indices(self) -> tuple[int, ...]:
         """Indices of (e_r, e_x1, ..., e_x(m-1)) in the orthonormal frame order."""
         return tuple(range(self.sphere_dim, self.n))
-
-    def to_json_dict(self, profile_case: str | None = None,
-                     lam: float | None = None,
-                     params: dict | None = None) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "epsilon": self.epsilon,
-            "profile": {
-                "case": profile_case or "custom",
-                "lambda": lam,
-                "params": params or {"f": self.f_profile.name, "u": self.u_profile.name},
-            },
-            "r_domain": list(self.r_domain),
-        }
-
-
-@dataclass(frozen=True)
-class ChristoffelTable:
-    """Nonzero Christoffel symbols of the warped torus family at a point.
-
-    Block indices: alpha/beta for sphere directions, r, and i/j for torus
-    directions.  Symbols proportional to a Kronecker delta are stored by
-    their scalar coefficient; the sphere-internal symbols equal those of the
-    round chart on S^(n-m) and are not stored.
-    """
-
-    r: float
-    sphere_r: float          # Gamma^beta_{alpha r} = (f'/f) delta
-    torus_r: float           # Gamma^j_{i r} = (2u'/(m u)) delta
-    r_torus: float           # Gamma^r_{i j} = -(2u'/(m u)) u^(4/m) delta
-    r_sphere_coeff: float    # Gamma^r_{alpha beta} = coeff * h_{alpha beta}
-
-
-def christoffel_exact(metric: WarpedTorusMetric, r: float) -> ChristoffelTable:
-    """Closed-form Christoffel symbols at radius r."""
-    metric.require_in_domain(r)
-    f, u = metric.f_profile, metric.u_profile
-    m = metric.m
-    lf1 = f.dlog(r)
-    tors = 2.0 / m * u.dlog(r)
-    return ChristoffelTable(
-        r=float(r),
-        sphere_r=float(lf1),
-        torus_r=float(tors),
-        r_torus=float(-tors * np.exp(4.0 / m * u.log(r))),
-        r_sphere_coeff=float(-metric.epsilon ** 2 * np.exp(2.0 * f.log(r)) * lf1),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +326,16 @@ def _christoffel_at(metric: CoordinateMetric, x: np.ndarray, h: float) -> np.nda
     return 0.5 * np.einsum("kl,ijl->kij", ginv, sym)
 
 
-def riemann_fd(metric: CoordinateMetric, x: Sequence[float], step: float = 1e-3) -> RiemannData:
+def riemann_fd(metric: CoordinateMetric, x: Sequence[float]) -> RiemannData:
     """Riemann tensor of a chart metric by nested central differences.
 
     Christoffel symbols come from fourth-order differences of g; their
     derivatives from fourth-order differences of the symbols, so g is
-    sampled up to 4*step away from x.  Components are returned in the
+    sampled up to 4 * FD_STEP away from x.  Components are returned in the
     orthonormal frame obtained from the Cholesky factor of g(x).
     """
     x = np.asarray(x, dtype=float)
-    metric.require_inside(x, margin=4.5 * step)
+    metric.require_inside(x, margin=4.5 * FD_STEP)
     gmat = metric.g(x)
     try:
         chol = np.linalg.cholesky(gmat)
@@ -391,9 +343,9 @@ def riemann_fd(metric: CoordinateMetric, x: Sequence[float], step: float = 1e-3)
         raise ValueError("metric is not positive definite at the base point") from exc
 
     dim = metric.dim
-    gamma = _christoffel_at(metric, x, step)
+    gamma = _christoffel_at(metric, x, FD_STEP)
     dgamma = np.stack([
-        _d1_stencil(lambda y: _christoffel_at(metric, y, step), x, a, step)
+        _d1_stencil(lambda y: _christoffel_at(metric, y, FD_STEP), x, a, FD_STEP)
         for a in range(dim)
     ])  # dgamma[a, e, b, d] = d_a Gamma^e_{bd}
 
@@ -409,27 +361,27 @@ def riemann_fd(metric: CoordinateMetric, x: Sequence[float], step: float = 1e-3)
 
 
 def laplacian_fd(metric: CoordinateMetric, fn: Callable[[np.ndarray], float],
-                 x: Sequence[float], step: float = 1e-3) -> float:
+                 x: Sequence[float]) -> float:
     """Laplace-Beltrami of a scalar chart function by central differences.
 
     Delta f = g^{ab} (d_a d_b f - Gamma^c_{ab} d_c f).
     """
     x = np.asarray(x, dtype=float)
-    metric.require_inside(x, margin=4.5 * step)
+    metric.require_inside(x, margin=4.5 * FD_STEP)
     dim = metric.dim
     ginv = np.linalg.inv(metric.g(x))
-    gamma = _christoffel_at(metric, x, step)
+    gamma = _christoffel_at(metric, x, FD_STEP)
 
-    grad = np.array([_d1_stencil(fn, x, a, step) for a in range(dim)])
+    grad = np.array([_d1_stencil(fn, x, a, FD_STEP) for a in range(dim)])
     hess = np.empty((dim, dim))
     for a in range(dim):
         e = np.zeros(dim)
-        e[a] = step
+        e[a] = FD_STEP
         hess[a, a] = (-fn(x + 2 * e) + 16.0 * fn(x + e) - 30.0 * fn(x)
-                      + 16.0 * fn(x - e) - fn(x - 2 * e)) / (12.0 * step ** 2)
+                      + 16.0 * fn(x - e) - fn(x - 2 * e)) / (12.0 * FD_STEP ** 2)
         for b in range(a + 1, dim):
             hess[a, b] = hess[b, a] = _d1_stencil(
-                lambda y: _d1_stencil(fn, y, b, step), x, a, step)
+                lambda y: _d1_stencil(fn, y, b, FD_STEP), x, a, FD_STEP)
     return float(np.einsum("ab,ab->", ginv, hess)
                  - np.einsum("ab,cab,c->", ginv, gamma, grad))
 
@@ -438,10 +390,10 @@ def laplacian_fd(metric: CoordinateMetric, fn: Callable[[np.ndarray], float],
 # chart export for cross-checks
 # ---------------------------------------------------------------------------
 
-def to_subchart(metric: WarpedTorusMetric, max_torus: int = 2):
+def to_subchart(metric: WarpedTorusMetric):
     """Explicit chart through a great 2-sphere of the sphere factor.
 
-    Coordinates (theta, phi, r, x_1, ..., x_t) with t = min(m-1, max_torus):
+    Coordinates (theta, phi, r, x_1, ..., x_t) with t = min(m-1, 2):
 
         g = diag(eps^2 f^2, eps^2 f^2 sin^2 theta, 1, u^(4/m), ...).
 
@@ -455,7 +407,7 @@ def to_subchart(metric: WarpedTorusMetric, max_torus: int = 2):
     """
     if metric.sphere_dim < 2:
         raise ValueError("need a sphere factor of dimension >= 2 for the chart")
-    t = min(metric.torus_dim, max_torus)
+    t = min(metric.torus_dim, 2)
     eps2 = metric.epsilon ** 2
     four_over_m = 4.0 / metric.m
     f, u = metric.f_profile, metric.u_profile
@@ -475,21 +427,20 @@ def to_subchart(metric: WarpedTorusMetric, max_torus: int = 2):
     return CoordinateMetric(3 + t, g, box), labels
 
 
-def compare_exact_vs_fd(metric: WarpedTorusMetric, r: float, step: float = 1e-3,
-                        theta: float = 1.0) -> float:
+def compare_exact_vs_fd(metric: WarpedTorusMetric, r: float) -> float:
     """Max componentwise discrepancy between the two engines at radius r.
 
     Builds the expected chart-frame tensor from the exact class values and
-    compares against the finite-difference result entry by entry, scaling
-    each difference by max(1, |expected entry|).
+    compares against the finite-difference result at theta = 1 entry by
+    entry, scaling each difference by max(1, |expected entry|).
     """
     chart, labels = to_subchart(metric)
     expected = RiemannData.from_components(
         _sectional_components(metric, r, labels)).components
 
     x = np.zeros(chart.dim)
-    x[0], x[2] = theta, r
-    fd = riemann_fd(chart, x, step=step)
+    x[0], x[2] = 1.0, r
+    fd = riemann_fd(chart, x)
     denom = np.maximum(1.0, np.abs(expected))
     return float(np.max(np.abs(fd.components - expected) / denom))
 

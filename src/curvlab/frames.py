@@ -11,9 +11,8 @@ onto that span,
     C_m(F) = tr(Ric P) - 1/2 Rm_{pqrs} P_{pr} P_{qs},
 
 and this projection form is what the batched evaluator and the descent use.
-`cm_double_sum` keeps the literal completed-basis double sum alive as an
-independent slow route; the two are tested against each other and are never
-merged.
+The literal completed-basis double sum lives in the tests as an independent
+slow route that this form is checked against.
 
 Stacks of frames have shape (B, n, m).  One kernel evaluates a stack: a
 batched matmul builds the projections, and one GEMM against the (n^2, n^2)
@@ -53,16 +52,11 @@ from .curvature import RiemannData
 
 __all__ = [
     "CmResult",
-    "DescentResult",
     "coordinate_frame",
-    "complete_frame",
     "cm_of_frame",
     "cm_batch",
-    "cm_double_sum",
-    "cm_gradient",
     "tangent_project",
     "stiefel_retract",
-    "stiefel_descent",
     "orthonormalize_frames",
     "random_frames",
     "cm_min",
@@ -75,6 +69,7 @@ RANK_TOL = 1e-12
 ARMIJO = 1e-4
 STEP_TOL = 1e-10
 HALVINGS = 60
+MAX_ITER = 500      # descent iterations per start
 DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
 TIE_TOL = 1e-9      # a coordinate subset this close to the best value is reported
 
@@ -105,9 +100,9 @@ def _check_frame(riemann: RiemannData, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def cm_of_frame(riemann: RiemannData, q: np.ndarray, check: bool = True) -> float:
-    """C_m of a single frame through the projection form."""
-    q = _check_frame(riemann, q) if check else np.asarray(q, dtype=float)
+def cm_of_frame(riemann: RiemannData, q: np.ndarray) -> float:
+    """C_m of a single orthonormal frame through the projection form."""
+    q = _check_frame(riemann, q)
     p = q @ q.T
     quad = np.einsum("pqrs,pr,qs->", riemann.components, p, p)
     return float(np.einsum("ab,ab->", riemann.ricci, p) - 0.5 * quad)
@@ -139,62 +134,9 @@ def cm_batch(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
     return _evaluate(np.asarray(qs, dtype=float), *_flattening(riemann))[0]
 
 
-def complete_frame(q: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
-    """Extend an m-frame to a full orthonormal basis (columns).
-
-    The first m columns reproduce q.  The others orthonormalize the columns
-    of a seed block, in order, skipping those already in the span.  `extra`
-    overrides the identity seed block, which lets tests confirm that
-    downstream quantities do not depend on the completion.
-    """
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    seed_block = np.eye(n) if extra is None else np.asarray(extra, dtype=float)
-    full = stiefel_retract(q)
-    if np.max(np.abs(full - q)) > 1e-9:
-        raise ValueError("completion failed to preserve the input frame")
-    for col in seed_block.T:
-        if full.shape[1] == n:
-            break
-        try:
-            full = stiefel_retract(np.column_stack([full, col]))
-        except ValueError:
-            continue
-    if full.shape[1] < n:
-        raise ValueError("the seed block does not span the complement of the frame")
-    return full
-
-
-def cm_double_sum(riemann: RiemannData, full_basis: np.ndarray, m: int) -> float:
-    """Literal double sum over a completed basis; slow independent route."""
-    full_basis = np.asarray(full_basis, dtype=float)
-    n = riemann.dim
-    if full_basis.shape != (n, n):
-        raise ValueError("need a full orthonormal basis, one vector per column")
-    total = 0.0
-    for p_idx in range(m):
-        for q_idx in range(p_idx + 1, n):
-            ep, eq = full_basis[:, p_idx], full_basis[:, q_idx]
-            total += float(np.einsum("pqrs,p,q,r,s->", riemann.components,
-                                     ep, eq, ep, eq))
-    return total
-
-
 # ---------------------------------------------------------------------------
-# gradient and descent on the Stiefel manifold
+# descent on the Stiefel manifold
 # ---------------------------------------------------------------------------
-
-def cm_gradient(riemann: RiemannData, q: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the projection form at Q (no manifold projection).
-
-    d/dQ [tr(Ric QQ^T) - 1/2 Rm(QQ^T, QQ^T)] = 2 (Ric - B) Q with
-    B_ab = Rm_{aqbs} P_{qs}; B is symmetric by the pair symmetry of Rm.
-    """
-    q = np.asarray(q, dtype=float)
-    p = q @ q.T
-    b = np.einsum("aqbs,qs->ab", riemann.components, p)
-    return 2.0 * (riemann.ricci - b) @ q
-
 
 def tangent_project(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Project an ambient direction onto the Stiefel tangent space at Q.
@@ -216,17 +158,7 @@ def stiefel_retract(y: np.ndarray) -> np.ndarray:
     return orthonormalize_frames(y)
 
 
-@dataclass(frozen=True)
-class DescentResult:
-    frame: np.ndarray
-    value: float
-    iterations: int
-    evaluations: int
-    converged: bool
-
-
-def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int, armijo: float,
-             step_tol: float):
+def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
     """Projected gradient descent in lockstep from a stack of starts (k, n, m).
 
     Each round retracts and evaluates every pending frame at its own step
@@ -235,7 +167,7 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int, armijo: float,
     A frame whose Armijo test fails halves its step and stays pending; one
     that passes moves, takes a fresh gradient from the B the evaluation
     gave, and stays in the stack until its gradient or its move falls
-    below step_tol, a move leaves its value unchanged, HALVINGS
+    below STEP_TOL, a move leaves its value unchanged, HALVINGS
     halvings all fail, max_iter iterations are spent, or its gradient is
     not finite (an overflow, reported as not converged).  Returns per-start
     frames, values, iterations, evaluations and converged flags.
@@ -264,7 +196,7 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int, armijo: float,
                 g2 = np.einsum("kia,kia->k", g, g)
             finite = np.isfinite(g2)
             gnorm = np.sqrt(np.where(finite, g2, 0.0))
-            small = finite & (gnorm < step_tol)
+            small = finite & (gnorm < STEP_TOL)
             converged[idx[small]] = True
             go = finite & ~small
             moving = idx[go]
@@ -292,11 +224,11 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int, armijo: float,
         cand = stiefel_retract(q[idx] - step[idx, None, None] * grad[idx])
         cand_val, cand_b = _evaluate(cand, flat, ricci_flat)
         evals[idx] += 1
-        ok = cand_val <= val[idx] - armijo * step[idx] * gnorm2[idx]
+        ok = cand_val <= val[idx] - ARMIJO * step[idx] * gnorm2[idx]
         acc = idx[ok]
         # a step that leaves the value unchanged passed Armijo only because the
         # required decrease is below the value's rounding: nothing more to gain
-        stalled = ((np.max(np.abs(cand[ok] - q[acc]), axis=(1, 2)) < step_tol)
+        stalled = ((np.max(np.abs(cand[ok] - q[acc]), axis=(1, 2)) < STEP_TOL)
                    | (cand_val[ok] == val[acc]))
         q[acc], val[acc], bmat[acc] = cand[ok], cand_val[ok], cand_b[ok]
         pending[acc] = False
@@ -309,20 +241,6 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int, armijo: float,
         pending[spent] = False
         converged[spent] = True
     return q, val, iters, evals, converged
-
-
-def stiefel_descent(riemann: RiemannData, q0: np.ndarray, max_iter: int = 500,
-                    armijo: float = ARMIJO, step_tol: float = STEP_TOL) -> DescentResult:
-    """Projected gradient descent from one frame.
-
-    Capped Barzilai-Borwein trial steps with monotone Armijo backtracking
-    (see the module docstring), retracted by the positive-diagonal QR
-    factor computed by Gram-Schmidt.
-    """
-    q, val, iters, evals, converged = _descend(
-        riemann, np.asarray(q0, dtype=float)[None], max_iter, armijo, step_tol)
-    return DescentResult(q[0], float(val[0]), int(iters[0]), int(evals[0]),
-                         bool(converged[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +295,15 @@ class CmResult:
     coordinate_subset: tuple[int, ...] | None = None
 
 
-def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
-           max_iter: int = 500) -> CmResult:
+def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -> CmResult:
     """Minimize C_m over m-frames: enumeration, sampling, then descent.
 
     The random phase draws `budget` Haar frames in chunks, seeding a fresh
     PCG64 generator with seed + chunk_index so the stream is independent of
     chunk size bookkeeping.  Descent runs in lockstep from the best
-    coordinate frame and the DESCENT_STARTS best samples; `max_iter` = 0
-    skips it.  When a coordinate subset comes within TIE_TOL of the best
-    value found, the lexicographically first such subset is reported as the
-    argmin.
+    coordinate frame and the DESCENT_STARTS best samples.  When a
+    coordinate subset comes within TIE_TOL of the best value found, the
+    lexicographically first such subset is reported as the argmin.
     """
     n = riemann.dim
     if not 1 <= m <= n:
@@ -404,11 +320,8 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
     evaluations = len(subsets)
     coord_best = int(np.argmin(coord_vals))
 
-    # phase 2: chunked random sampling
-    top_vals: list[float] = []
-    top_frames: list[np.ndarray] = []
-    rand_best_val = np.inf
-    rand_best_frame = None
+    # phase 2: chunked random sampling, keeping each chunk's best frames
+    kept_vals, kept_frames = [], []
     remaining = int(budget)
     chunk_index = 0
     while remaining > 0:
@@ -417,44 +330,34 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0,
         frames = random_frames(n, m, count, rng)
         vals = cm_batch(riemann, frames)
         evaluations += count
-        keep = min(DESCENT_STARTS, count)
-        order = np.argsort(vals, kind="stable")[:keep]
-        top_vals.extend(float(vals[i]) for i in order)
-        # copies, not views, so that each chunk is freed after its turn
-        top_frames.extend(frames[i].copy() for i in order)
-        if vals[order[0]] < rand_best_val:
-            rand_best_val = float(vals[order[0]])
-            rand_best_frame = frames[order[0]].copy()
+        order = np.argsort(vals, kind="stable")[:DESCENT_STARTS]
+        # fancy indexing copies, so that each chunk is freed after its turn
+        kept_vals.append(vals[order])
+        kept_frames.append(frames[order])
         remaining -= count
         chunk_index += 1
+    sample_vals = np.concatenate(kept_vals)
+    sample_frames = np.concatenate(kept_frames)
+    order = np.argsort(sample_vals, kind="stable")[:DESCENT_STARTS]
+    sample_best = order[0]
 
     # phase 3: lockstep descent from the best coordinate frame and best samples
-    desc_best_val = np.inf
-    desc_best_frame = None
-    if max_iter > 0:
-        starts = [coord_qs[coord_best]]
-        if top_frames:
-            order = np.argsort(np.asarray(top_vals), kind="stable")[:DESCENT_STARTS]
-            starts.extend(top_frames[i] for i in order)
-        q, vals, _, evals, _ = _descend(riemann, np.stack(starts), max_iter,
-                                        ARMIJO, STEP_TOL)
-        evaluations += int(evals.sum())
-        best = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
-        if vals[best] < desc_best_val:
-            desc_best_val = float(vals[best])
-            desc_best_frame = q[best]
+    starts = np.concatenate([coord_qs[coord_best][None], sample_frames[order]])
+    desc_qs, desc_vals, _, evals, _ = _descend(riemann, starts, MAX_ITER)
+    evaluations += int(evals.sum())
+    desc_best = int(np.argmin(np.where(np.isnan(desc_vals), np.inf, desc_vals)))
 
-    best_value = float(min(coord_vals[coord_best], rand_best_val, desc_best_val))
+    best_value = float(min(coord_vals[coord_best], sample_vals[sample_best],
+                           desc_vals[desc_best]))
 
     for idx, s in enumerate(subsets):
         if coord_vals[idx] <= best_value + TIE_TOL:
             return CmResult(best_value, coord_qs[idx], evaluations,
                             "coordinate-enumeration", s)
-    if rand_best_frame is not None and rand_best_val <= best_value:
-        return CmResult(best_value, rand_best_frame, evaluations,
+    if sample_vals[sample_best] <= best_value:
+        return CmResult(best_value, sample_frames[sample_best], evaluations,
                         "random-sampling")
-    return CmResult(best_value, desc_best_frame, evaluations,
-                    "projected-descent")
+    return CmResult(best_value, desc_qs[desc_best], evaluations, "projected-descent")
 
 
 def cm_min_oracle(riemann: RiemannData, m: int, samples: int = 20_000,

@@ -1,0 +1,67 @@
+"""Slow independent routes that the tests check `curvlab.frames` against.
+
+`cm_double_sum` is the literal definition of C_m as a double sum over a
+completed orthonormal basis, `complete_frame` builds that basis, and
+`cm_gradient` is the einsum form of the Euclidean gradient of the
+projection form.  None of them shares arithmetic with the library's
+evaluation kernel.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from curvlab.curvature import RiemannData
+from curvlab.frames import stiefel_retract
+
+
+def complete_frame(q: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
+    """Extend an m-frame to a full orthonormal basis (columns).
+
+    The first m columns reproduce q.  The others orthonormalize the columns
+    of a seed block, in order, skipping those already in the span.  `extra`
+    overrides the identity seed block, which lets tests confirm that
+    downstream quantities do not depend on the completion.
+    """
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    seed_block = np.eye(n) if extra is None else np.asarray(extra, dtype=float)
+    full = stiefel_retract(q)
+    if np.max(np.abs(full - q)) > 1e-9:
+        raise ValueError("completion failed to preserve the input frame")
+    for col in seed_block.T:
+        if full.shape[1] == n:
+            break
+        try:
+            full = stiefel_retract(np.column_stack([full, col]))
+        except ValueError:
+            continue
+    if full.shape[1] < n:
+        raise ValueError("the seed block does not span the complement of the frame")
+    return full
+
+
+def cm_double_sum(riemann: RiemannData, full_basis: np.ndarray, m: int) -> float:
+    """Literal double sum over a completed basis; slow independent route."""
+    full_basis = np.asarray(full_basis, dtype=float)
+    n = riemann.dim
+    if full_basis.shape != (n, n):
+        raise ValueError("need a full orthonormal basis, one vector per column")
+    total = 0.0
+    for p_idx in range(m):
+        for q_idx in range(p_idx + 1, n):
+            ep, eq = full_basis[:, p_idx], full_basis[:, q_idx]
+            total += float(np.einsum("pqrs,p,q,r,s->", riemann.components,
+                                     ep, eq, ep, eq))
+    return total
+
+
+def cm_gradient(riemann: RiemannData, q: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of the projection form at Q (no manifold projection).
+
+    d/dQ [tr(Ric QQ^T) - 1/2 Rm(QQ^T, QQ^T)] = 2 (Ric - B) Q with
+    B_ab = Rm_{aqbs} P_{qs}; B is symmetric by the pair symmetry of Rm.
+    """
+    q = np.asarray(q, dtype=float)
+    p = q @ q.T
+    b = np.einsum("aqbs,qs->ab", riemann.components, p)
+    return 2.0 * (riemann.ricci - b) @ q

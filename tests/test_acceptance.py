@@ -4,7 +4,7 @@ Each test finishes by printing a single `ACCEPTANCE k: PASS/FAIL` line
 (visible with `pytest tests/test_acceptance.py -s`) and asserting the same
 condition, so the suite is both human-readable and a hard gate.  Criterion 5
 re-runs the full uniform-positivity search per construction pair and
-dominates the runtime (a few minutes per pair at the pinned budget).
+dominates the runtime (13-19 s per pair at the pinned budget on a 2-vCPU VM).
 """
 import math
 import time

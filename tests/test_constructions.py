@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from curvlab import constructions
 from curvlab.constructions import (
     CONSTRUCTION_PAIRS,
     EpsilonSearchError,
@@ -31,6 +32,7 @@ from curvlab.curvature import (
     riemann_fd,
     to_subchart,
 )
+from curvlab.inequalities import admissible
 
 LAMBDAS = (0.5, 1.0, 2.0)
 
@@ -77,6 +79,8 @@ class TestSolveProfile:
         (6, 4, 1.0),    # sphere factor too thin
         (5, 2, 1.0),    # 4/(n-m) exceeds (2m-2)/m
         (6, 2, 0.0),    # lambda not positive
+        (6, 0, 1.0),    # no torus factor
+        (6, 6, 1.0),    # no sphere factor
     ])
     def test_rejected_parameters(self, n, m, lam):
         with pytest.raises(UnsupportedParameters):
@@ -85,6 +89,23 @@ class TestSolveProfile:
     def test_rejection_names_inequality(self):
         with pytest.raises(UnsupportedParameters, match="4/\\(n-m\\)"):
             solve_profile(5, 2, 1.0)
+
+    def test_range_is_the_failure_of_ineq2(self):
+        # for 1 <= m < n, 4/(n-m) <= (2m-2)/m holds exactly when
+        # m^2 - mn + m + n <= 0, and that forces m >= 2 and n - m >= 3
+        for n in range(3, 16):
+            for m in range(1, n):
+                inside = Fraction(4, n - m) <= Fraction(2 * m - 2, m)
+                assert inside == (admissible(n, m).ineq2 <= 0), (n, m)
+                if inside:
+                    assert m >= 2 and n - m >= 3, (n, m)
+                    solve_profile(n, m, 1.0)
+                else:
+                    with pytest.raises(UnsupportedParameters, match="4/\\(n-m\\)"):
+                        solve_profile(n, m, 1.0)
+        in_scope = tuple((n, m) for n in (6, 7) for m in range(1, n)
+                         if admissible(n, m).ineq2 <= 0)
+        assert in_scope == CONSTRUCTION_PAIRS
 
 
 class TestOdeResidual:
@@ -96,7 +117,7 @@ class TestOdeResidual:
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_grid_residual_both_branches(self, n, m, lam):
         sol = solve_profile(n, m, lam)
-        res = sol.residual_on(np.linspace(-5.0, 5.0, 101))
+        res = ode_residual(n, m, lam, sol, np.linspace(-5.0, 5.0, 101))
         assert np.max(np.abs(res)) < 1e-9
 
     def test_perturbed_profile_detected(self):
@@ -342,17 +363,19 @@ class TestSearchEpsilon:
         with pytest.raises(UnsupportedParameters):
             search_epsilon(6, 4, 1.0)
 
-    def test_search_failure_carries_best_report(self):
+    def test_search_failure_carries_best_report(self, monkeypatch):
         # lambda = 4 at scale 1 behaves like lambda = 1 at scale 2, which
         # fails, so a zero-halving search has no passing candidate
+        monkeypatch.setattr(constructions, "MAX_HALVINGS", 0)
         with pytest.raises(EpsilonSearchError) as exc:
             search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5,
-                           frame_budget=1500, seed=7, max_halvings=0)
+                           frame_budget=1500, seed=7)
         assert exc.value.best_report is not None
         assert not exc.value.best_report.passed
 
-    def test_search_recovers_after_failure(self):
+    def test_search_recovers_after_failure(self, monkeypatch):
+        monkeypatch.setattr(constructions, "MAX_HALVINGS", 3)
         res = search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5,
-                             frame_budget=1500, seed=8, max_halvings=3)
+                             frame_budget=1500, seed=8)
         assert res.epsilon < 1.0
         assert res.report.passed

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from curvlab.constructions import CONSTRUCTION_PAIRS, build_counterexample, solve_profile
+from curvlab.constructions import (
+    CONSTRUCTION_PAIRS,
+    build_counterexample,
+    counterexample_json,
+    solve_profile,
+)
 from curvlab.curvature import (
     CoordinateMetric,
     RiemannData,
     WarpedTorusMetric,
-    christoffel_exact,
     compare_exact_vs_fd,
     constant_curvature_riemann,
     constant_profile,
@@ -112,46 +116,16 @@ class TestWarpedTorusMetric:
 
     def test_domain_enforced(self):
         g = equality_case_metric(6, 2)
-        with pytest.raises(ValueError):
-            christoffel_exact(g, 11.0)
+        with pytest.raises(ValueError, match="outside domain"):
+            riemann_exact(g, 11.0)
 
     def test_json_dict_fields(self):
-        g = equality_case_metric(6, 2)
-        d = g.to_json_dict(profile_case="gaussian", lam=1.0)
+        d = counterexample_json(6, 2, 1.0, 0.5)
         assert set(d) == {"n", "m", "epsilon", "profile", "r_domain"}
-        assert d["profile"]["case"] == "gaussian"
+        assert (d["n"], d["m"], d["epsilon"]) == (6, 2, 0.5)
+        assert d["profile"] == {"case": "equality", "lambda": 1.0,
+                                "params": {"c_u": "1/2", "c_f": "1/4"}}
         assert d["r_domain"] == [-10.0, 10.0]
-
-
-# ---------------------------------------------------------------------------
-# Christoffel symbols
-# ---------------------------------------------------------------------------
-
-class TestChristoffel:
-    def test_example_values(self):
-        # u = exp(r^2/2), f = exp(-r^2/4): u'/u = r, f'/f = -r/2
-        g = equality_case_metric(6, 2, lam=1.0)
-        tab = christoffel_exact(g, 0.5)
-        assert tab.torus_r == pytest.approx(0.5, abs=1e-12)
-        assert tab.sphere_r == pytest.approx(-0.25, abs=1e-12)
-        u = np.exp(0.125)
-        assert tab.r_torus == pytest.approx(-0.5 * u ** 2, rel=1e-12)
-        f = np.exp(-0.0625)
-        assert tab.r_sphere_coeff == pytest.approx(-f * (-0.25 * f), rel=1e-12)
-
-    def test_radial_symmetry_at_origin(self):
-        g = equality_case_metric(6, 3, lam=2.0)
-        tab = christoffel_exact(g, 0.0)
-        assert tab.sphere_r == 0.0
-        assert tab.torus_r == 0.0
-        assert tab.r_torus == 0.0
-        assert tab.r_sphere_coeff == 0.0
-
-    def test_constant_profiles_flat_table(self):
-        g = WarpedTorusMetric(6, 3, 1.0, constant_profile(), constant_profile(),
-                              R_DOMAIN)
-        tab = christoffel_exact(g, 1.3)
-        assert tab.sphere_r == tab.torus_r == tab.r_torus == tab.r_sphere_coeff == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,21 +17,19 @@ from curvlab.curvature import (
     riemann_exact,
 )
 from curvlab.frames import (
+    MAX_ITER,
     _descend,
     cm_batch,
-    cm_double_sum,
-    cm_gradient,
     cm_min,
     cm_min_oracle,
     cm_of_frame,
-    complete_frame,
     coordinate_frame,
     orthonormalize_frames,
     random_frames,
-    stiefel_descent,
     stiefel_retract,
     tangent_project,
 )
+from frame_references import cm_double_sum, cm_gradient, complete_frame
 
 
 DENSE_SHAPES = [(4, 2), (5, 3), (6, 2), (7, 5), (8, 4)]
@@ -61,7 +59,7 @@ def reference_descent(riemann, q0, max_iter=500, armijo=1e-4, step_tol=1e-10):
         return qr_reference(y[None])[0]
 
     q = retract(np.asarray(q0, dtype=float))
-    val = cm_of_frame(riemann, q, check=False)
+    val = cm_of_frame(riemann, q)
     evals = 1
     converged = False
     it = 0
@@ -85,7 +83,7 @@ def reference_descent(riemann, q0, max_iter=500, armijo=1e-4, step_tol=1e-10):
         accepted = False
         for _ in range(60):
             cand = retract(q - step * grad)
-            cand_val = cm_of_frame(riemann, cand, check=False)
+            cand_val = cm_of_frame(riemann, cand)
             evals += 1
             if cand_val <= val - armijo * step * gnorm2:
                 accepted = True
@@ -179,7 +177,7 @@ class TestGradient:
         t = 1e-6
 
         def f(mat):
-            return cm_of_frame(rd, mat, check=False)
+            return cm_batch(rd, mat[None])[0]
 
         fd = (f(q + t * h) - f(q - t * h)) / (2 * t)
         assert fd == pytest.approx(float(np.sum(g * h)), rel=1e-5, abs=1e-8)
@@ -207,17 +205,17 @@ class TestDescent:
         rd = random_curvature_tensor(6, np.random.default_rng(14))
         q0 = haar_frame(6, 3, 15)
         start = cm_of_frame(rd, q0)
-        res = stiefel_descent(rd, q0)
-        assert res.value <= start + 1e-12
-        assert res.converged
-        gt = tangent_project(res.frame, cm_gradient(rd, res.frame))
+        q, vals, _, _, converged = _descend(rd, q0[None], MAX_ITER)
+        assert vals[0] <= start + 1e-12
+        assert converged[0]
+        gt = tangent_project(q[0], cm_gradient(rd, q[0]))
         assert np.linalg.norm(gt) < 1e-6
 
     def test_immediate_convergence_on_space_form(self):
         rd = constant_curvature_riemann(5, 2.0)
-        res = stiefel_descent(rd, haar_frame(5, 3, 3))
-        assert res.iterations == 1
-        assert res.value == pytest.approx(2.0 * (3 * 5 - 6), rel=1e-12)
+        _, vals, iters, _, _ = _descend(rd, haar_frame(5, 3, 3)[None], MAX_ITER)
+        assert iters[0] == 1
+        assert vals[0] == pytest.approx(2.0 * (3 * 5 - 6), rel=1e-12)
 
     def test_overflowing_gradient_stops_unconverged(self):
         # (6, 3) at lambda 4, eps 1/2, r = 10: f = exp(-2 r^2) puts K near 2e174,
@@ -226,23 +224,20 @@ class TestDescent:
         q0 = haar_frame(6, 3, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            res = stiefel_descent(rd, q0)
+            q, vals, iters, evals, converged = _descend(rd, q0[None], MAX_ITER)
             full = cm_min(rd, 3, budget=5000, seed=1)
-        assert not res.converged
-        assert (res.iterations, res.evaluations) == (1, 1)
-        assert_allclose(res.frame, q0, atol=1e-14)
-        assert res.value == pytest.approx(cm_of_frame(rd, q0), rel=1e-14)
-        assert full.value == cm_min(rd, 3, budget=5000, seed=1, max_iter=0).value
+        assert not converged[0]
+        assert (iters[0], evals[0]) == (1, 1)
+        assert_allclose(q[0], q0, atol=1e-14)
+        assert vals[0] == pytest.approx(cm_of_frame(rd, q0), rel=1e-14)
+        assert full.method != "projected-descent"
 
     def test_max_iter_zero_skips_descent(self):
         rd = random_curvature_tensor(5, np.random.default_rng(6))
         q0 = haar_frame(5, 2, 7)
-        res = stiefel_descent(rd, q0, max_iter=0)
-        assert (res.iterations, res.evaluations, res.converged) == (0, 1, False)
-        assert_allclose(res.frame, q0, atol=1e-14)
-        full = cm_min(rd, 2, budget=1000, seed=0, max_iter=0)
-        assert full.evaluations == 10 + 1000
-        assert full.method != "projected-descent"
+        q, _, iters, evals, converged = _descend(rd, q0[None], 0)
+        assert (iters[0], evals[0], converged[0]) == (0, 1, False)
+        assert_allclose(q[0], q0, atol=1e-14)
 
 
 class TestLockstepDescent:
@@ -251,7 +246,7 @@ class TestLockstepDescent:
     `reference_descent` runs the same step rule (1/(1 + |g|), then capped
     Barzilai-Borwein steps) one start at a time with LAPACK QR and einsum
     contractions.  Frames are compared through their projections, and
-    loosely: near a minimum the step_tol stopping rule pins the span down
+    loosely: near a minimum the STEP_TOL stopping rule pins the span down
     only to about 1e-7, so rounding moves the stopping point along flat
     directions.
     """
@@ -260,7 +255,7 @@ class TestLockstepDescent:
     def test_every_start_matches_reference_loop(self, n, m):
         rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m))
         starts = random_frames(n, m, 9, np.random.default_rng(n * 10 + m + 1))
-        q, vals, iters, _, converged = _descend(rd, starts, 500, 1e-4, 1e-10)
+        q, vals, iters, _, converged = _descend(rd, starts, MAX_ITER)
         for i, q0 in enumerate(starts):
             ref_q, ref_val, ref_iters, _, ref_converged = reference_descent(rd, q0)
             assert vals[i] == pytest.approx(ref_val, rel=1e-9, abs=1e-9)
@@ -275,20 +270,20 @@ class TestLockstepDescent:
     def test_start_in_a_stack_matches_start_alone(self, n, m):
         rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 2))
         starts = random_frames(n, m, 9, np.random.default_rng(n * 10 + m + 3))
-        q, vals, _, _, converged = _descend(rd, starts, 500, 1e-4, 1e-10)
+        q, vals, _, _, converged = _descend(rd, starts, MAX_ITER)
         for i, q0 in enumerate(starts):
-            alone = stiefel_descent(rd, q0)
-            assert alone.value == pytest.approx(vals[i], rel=1e-12, abs=1e-12)
-            assert alone.converged == converged[i]
-            assert_allclose(projection(alone.frame), projection(q[i]), atol=1e-5)
+            q1, val1, _, _, converged1 = _descend(rd, q0[None], MAX_ITER)
+            assert val1[0] == pytest.approx(vals[i], rel=1e-12, abs=1e-12)
+            assert converged1[0] == converged[i]
+            assert_allclose(projection(q1[0]), projection(q[i]), atol=1e-5)
 
     def test_stops_at_a_degenerate_minimum(self):
         # (7, 4) at lambda 1, eps 1, r = 3: the minimum lambda is attained on a
         # continuum of spans, so near it accepted steps stop changing the value;
-        # without a stop there the starts cycle until max_iter
+        # without a stop there the starts cycle until MAX_ITER
         rd = riemann_exact(build_counterexample(7, 4, 1.0, 1.0), 3.0)
         starts = random_frames(7, 4, 8, np.random.default_rng(5))
-        _, vals, iters, _, converged = _descend(rd, starts, 500, 1e-4, 1e-10)
+        _, vals, iters, _, converged = _descend(rd, starts, MAX_ITER)
         assert np.all(converged)
         assert np.max(iters) < 100
         assert_allclose(vals, 1.0, rtol=0, atol=1e-12)
@@ -296,7 +291,7 @@ class TestLockstepDescent:
     def test_iteration_limit_is_per_frame(self):
         rd = random_curvature_tensor(6, np.random.default_rng(8))
         starts = random_frames(6, 3, 4, np.random.default_rng(9))
-        _, _, iters, _, converged = _descend(rd, starts, 3, 1e-4, 1e-10)
+        _, _, iters, _, converged = _descend(rd, starts, 3)
         assert np.all(iters == 3)
         assert not np.any(converged)
 
