@@ -304,6 +304,7 @@ class PositivityReport:
     coord_value_max: float
     evaluations: int
     complete: bool
+    certified_radii: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -311,6 +312,7 @@ class PositivityReport:
             "lambda": self.lam,
             "epsilon": self.epsilon,
             "grid": {"R": self.r_max, "points": self.grid_points},
+            "certified_radii": self.certified_radii,
             "worst": {
                 "r": self.worst_r,
                 "value": self.worst_value,
@@ -328,7 +330,8 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
 
     Passes iff the grid minimum is at least lambda * (1 - 1e-6).  Also
     records the range of C_m at the distinguished coordinate frame, which
-    the construction pins to lambda exactly.  A radius whose curvature
+    the construction pins to lambda exactly, and how many radii the
+    minimizer's certificate decided without sampling.  A radius whose curvature
     cannot be evaluated (non-finite components) raises ValueError naming
     that radius, so a sweep never passes on values it did not compute.
 
@@ -345,7 +348,7 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
 
     worst_value, worst_r, worst_frame = np.inf, np.nan, None
     cmin, cmax = np.inf, -np.inf
-    evals = 0
+    evals = certified = 0
     stopped = False
     for count, i in enumerate(order, 1):
         r = float(r_grid[i])
@@ -355,6 +358,7 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
             raise ValueError(f"curvature at r = {r!r}: {exc}") from exc
         res = cm_min(rd, metric.m, budget=frame_budget, seed=task_seed(seed, i))
         evals += res.evaluations
+        certified += res.method == "certificate"
         cv = cm_of_frame(rd, coord_q)
         cmin, cmax = min(cmin, cv), max(cmax, cv)
         if res.value < worst_value:
@@ -369,7 +373,7 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
         grid_points=len(r_grid), worst_r=worst_r,
         worst_value=float(worst_value), worst_frame=worst_frame,
         coord_value_min=float(cmin), coord_value_max=float(cmax),
-        evaluations=evals, complete=not stopped)
+        evaluations=evals, complete=not stopped, certified_radii=certified)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,23 @@ gradient 2 (Ric - B) Q.  One orthonormalization kernel, classical
 Gram-Schmidt applied twice and vectorized over the stack, gives the
 positive-diagonal QR factor for sampling and for the retraction.
 
-`cm_min` runs three phases: coordinate-subset enumeration, chunked random
-sampling with a fresh generator per chunk, and projected gradient descent on
-the Stiefel manifold from the most promising starts.  The descent runs in
+`cm_min` first tries to prove the minimum.  With W the orthogonal
+complement of the span V and R the curvature operator on 2-vectors (the
+C(n, 2) x C(n, 2) matrix Rm_{abcd} over pairs a < b, c < d),
+
+    C_m(V) = scal/2 - tr(R Pi_W) = tr(R (1 - Pi_W)),
+
+where Pi_W projects onto the 2-vectors of W, a subspace of dimension
+C(n - m, 2).  By Ky Fan's maximum principle (Ky Fan 1949) the trace of R
+over any subspace of dimension k = C(n, 2) - C(n - m, 2) is at least the
+sum of the k smallest eigenvalues of R, so that sum is a lower bound for
+every frame.  The coordinate subsets give an upper bound.  When the two
+agree within TIE_TOL on both sides, the coordinate minimum is proven; a
+bound far above an attained value can only be rounding, and is not taken
+as a proof.  Otherwise three phases run: coordinate-subset enumeration,
+chunked random sampling with a fresh generator per chunk, and projected
+gradient descent on the Stiefel manifold from the most promising starts,
+and the bound is still reported beside the value.  The descent runs in
 lockstep over the stack of starts: every frame keeps its own step size and
 Armijo test, frames still backtracking stay pending, and a frame leaves the
 stack when it stops, so each start follows the path it would follow alone
@@ -44,6 +58,7 @@ of nearly 3.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,28 +295,79 @@ def random_frames(n: int, m: int, count: int, rng: np.random.Generator) -> np.nd
 
 @dataclass(frozen=True)
 class CmResult:
-    """Outcome of a C_m minimization.
+    """Outcome of a C_m minimization: the bracket [lower_bound, value].
 
     `value` is the smallest value seen anywhere; `argmin` is a frame
     achieving it to within the tie tolerance, with coordinate frames
-    preferred when they tie.  `method` names the phase that produced the
-    reported argmin.
+    preferred when they tie.  `lower_bound` is the Ky Fan bound, the sum
+    of the smallest C(n, 2) - C(n - m, 2) eigenvalues of the curvature
+    operator, which no frame goes below.  `method` names the phase that
+    produced the reported argmin: "certificate" when the bound proves the
+    coordinate minimum, otherwise "coordinate-enumeration",
+    "random-sampling" or "projected-descent".
     """
 
     value: float
     argmin: np.ndarray
     evaluations: int
     method: str
+    lower_bound: float
     coordinate_subset: tuple[int, ...] | None = None
 
 
-def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -> CmResult:
-    """Minimize C_m over m-frames: enumeration, sampling, then descent.
+def _operator_lower_bound(riemann: RiemannData, m: int) -> float:
+    """Sum of the smallest C(n, 2) - C(n - m, 2) eigenvalues of the curvature operator.
 
-    The random phase draws `budget` Haar frames in chunks, seeding a fresh
-    PCG64 generator with seed + chunk_index so the stream is independent of
-    chunk size bookkeeping.  Descent runs in lockstep from the best
-    coordinate frame and the DESCENT_STARTS best samples.  When a
+    The operator on 2-vectors is the matrix Rm_{abcd} over pairs a < b,
+    c < d.  The small eigenvalues are summed directly: scal/2 minus the
+    large ones cancels catastrophically when the components are large.
+    """
+    n = riemann.dim
+    a, b = np.triu_indices(n, 1)
+    op = riemann.components[a[:, None], b[:, None], a, b]
+    count = math.comb(n, 2) - math.comb(n - m, 2)
+    return float(np.sum(np.linalg.eigvalsh(op)[:count]))
+
+
+def _best_samples(riemann: RiemannData, m: int, budget: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DESCENT_STARTS best of `budget` Haar frames: values and frames, best first.
+
+    Frames are drawn in chunks of SAMPLE_CHUNK, each from a fresh PCG64
+    generator seeded with seed + chunk_index, so the stream is independent
+    of chunk size bookkeeping.  Each chunk's best frames are copied out,
+    so the chunk is freed after its turn; ties keep drawing order.
+    """
+    kept_vals, kept_frames = [], []
+    remaining = int(budget)
+    chunk_index = 0
+    while remaining > 0:
+        count = min(SAMPLE_CHUNK, remaining)
+        rng = np.random.Generator(np.random.PCG64(seed + chunk_index))
+        frames = random_frames(riemann.dim, m, count, rng)
+        vals = cm_batch(riemann, frames)
+        order = np.argsort(vals, kind="stable")[:DESCENT_STARTS]
+        # fancy indexing copies, so that each chunk is freed after its turn
+        kept_vals.append(vals[order])
+        kept_frames.append(frames[order])
+        remaining -= count
+        chunk_index += 1
+    vals = np.concatenate(kept_vals)
+    order = np.argsort(vals, kind="stable")[:DESCENT_STARTS]
+    return vals[order], np.concatenate(kept_frames)[order]
+
+
+def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -> CmResult:
+    """Minimize C_m over m-frames: certificate, else enumeration, sampling and descent.
+
+    Coordinate subsets are enumerated first; their minimum is an upper
+    bound.  The Ky Fan bound is a lower bound, because C_m(V) =
+    scal/2 - tr(R Pi) with Pi the projection onto 2-vectors of V-perp.
+    When the two agree within TIE_TOL on both sides, the coordinate
+    minimum is proven and returned with method "certificate" after C(n, m)
+    evaluations.  Otherwise `budget` Haar frames are sampled (see
+    `_best_samples`) and descent runs in lockstep from the best coordinate
+    frame and the DESCENT_STARTS best samples.  On either path, when a
     coordinate subset comes within TIE_TOL of the best value found, the
     lexicographically first such subset is reported as the argmin.
     """
@@ -319,45 +385,32 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -
     coord_vals = cm_batch(riemann, coord_qs)
     evaluations = len(subsets)
     coord_best = int(np.argmin(coord_vals))
+    upper = float(coord_vals[coord_best])
+    lower = _operator_lower_bound(riemann, m)
 
-    # phase 2: chunked random sampling, keeping each chunk's best frames
-    kept_vals, kept_frames = [], []
-    remaining = int(budget)
-    chunk_index = 0
-    while remaining > 0:
-        count = min(SAMPLE_CHUNK, remaining)
-        rng = np.random.Generator(np.random.PCG64(seed + chunk_index))
-        frames = random_frames(n, m, count, rng)
-        vals = cm_batch(riemann, frames)
-        evaluations += count
-        order = np.argsort(vals, kind="stable")[:DESCENT_STARTS]
-        # fancy indexing copies, so that each chunk is freed after its turn
-        kept_vals.append(vals[order])
-        kept_frames.append(frames[order])
-        remaining -= count
-        chunk_index += 1
-    sample_vals = np.concatenate(kept_vals)
-    sample_frames = np.concatenate(kept_frames)
-    order = np.argsort(sample_vals, kind="stable")[:DESCENT_STARTS]
-    sample_best = order[0]
+    # both-sided: a bound far above an attained value is rounding, not a proof
+    if abs(upper - lower) <= TIE_TOL:
+        best_value, method = upper, "certificate"
+    else:
+        # phase 2: chunked random sampling
+        sample_vals, sample_frames = _best_samples(riemann, m, budget, seed)
+        evaluations += int(budget)
 
-    # phase 3: lockstep descent from the best coordinate frame and best samples
-    starts = np.concatenate([coord_qs[coord_best][None], sample_frames[order]])
-    desc_qs, desc_vals, _, evals, _ = _descend(riemann, starts, MAX_ITER)
-    evaluations += int(evals.sum())
-    desc_best = int(np.argmin(np.where(np.isnan(desc_vals), np.inf, desc_vals)))
+        # phase 3: lockstep descent from the best coordinate frame and best samples
+        starts = np.concatenate([coord_qs[coord_best][None], sample_frames])
+        desc_qs, desc_vals, _, evals, _ = _descend(riemann, starts, MAX_ITER)
+        evaluations += int(evals.sum())
+        desc_best = int(np.argmin(np.where(np.isnan(desc_vals), np.inf, desc_vals)))
+        best_value = float(min(upper, sample_vals[0], desc_vals[desc_best]))
+        method = "coordinate-enumeration"
 
-    best_value = float(min(coord_vals[coord_best], sample_vals[sample_best],
-                           desc_vals[desc_best]))
-
-    for idx, s in enumerate(subsets):
-        if coord_vals[idx] <= best_value + TIE_TOL:
-            return CmResult(best_value, coord_qs[idx], evaluations,
-                            "coordinate-enumeration", s)
-    if sample_vals[sample_best] <= best_value:
-        return CmResult(best_value, sample_frames[sample_best], evaluations,
-                        "random-sampling")
-    return CmResult(best_value, desc_qs[desc_best], evaluations, "projected-descent")
+    tied = np.flatnonzero(coord_vals <= best_value + TIE_TOL)
+    if tied.size:
+        idx = int(tied[0])
+        return CmResult(best_value, coord_qs[idx], evaluations, method, lower, subsets[idx])
+    if sample_vals[0] <= best_value:
+        return CmResult(best_value, sample_frames[0], evaluations, "random-sampling", lower)
+    return CmResult(best_value, desc_qs[desc_best], evaluations, "projected-descent", lower)
 
 
 def cm_min_oracle(riemann: RiemannData, m: int, samples: int = 20_000,

@@ -3,8 +3,9 @@
 Each test finishes by printing a single `ACCEPTANCE k: PASS/FAIL` line
 (visible with `pytest tests/test_acceptance.py -s`) and asserting the same
 condition, so the suite is both human-readable and a hard gate.  Criterion 5
-re-runs the full uniform-positivity search per construction pair and
-dominates the runtime (13-19 s per pair at the pinned budget on a 2-vCPU VM).
+re-runs the full uniform-positivity search per construction pair (under
+0.3 s per pair at the pinned budget on a 2-vCPU VM, where the minimizer's
+certificate decides every radius of the passing sweeps).
 """
 import math
 import time

@@ -1,4 +1,5 @@
 """Tests for profile solutions, lift chains, and positivity verification."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -317,7 +318,9 @@ class TestVerify:
         assert rep.passed and rep.complete
         assert rep.coord_value_min == pytest.approx(1.0, abs=1e-9)
         assert rep.coord_value_max == pytest.approx(1.0, abs=1e-9)
-        assert rep.evaluations > 13 * 3000
+        # every radius is certified: only the coordinate subsets are evaluated
+        assert rep.evaluations == 13 * math.comb(6, 2)
+        assert rep.certified_radii == 13
 
     def test_deterministic_reports(self):
         metric = build_counterexample(7, 2, 1.0, 0.5)
@@ -333,8 +336,9 @@ class TestVerify:
         rep = verify_uniform_positivity(metric, 1.0, np.linspace(-1, 1, 3),
                                         frame_budget=500, seed=0)
         d = rep.to_json_dict()
-        assert set(d) == {"pass", "lambda", "epsilon", "grid", "worst",
-                          "coordinate_frame_value_range"}
+        assert set(d) == {"pass", "lambda", "epsilon", "grid", "certified_radii",
+                          "worst", "coordinate_frame_value_range"}
+        assert d["certified_radii"] == 3
         assert set(d["grid"]) == {"R", "points"}
         assert set(d["worst"]) == {"r", "value", "frame"}
         assert isinstance(d["worst"]["frame"], list)

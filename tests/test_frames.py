@@ -1,4 +1,5 @@
 """Tests for the partial curvature sum minimizer."""
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -18,6 +19,7 @@ from curvlab.curvature import (
 )
 from curvlab.frames import (
     MAX_ITER,
+    _best_samples,
     _descend,
     cm_batch,
     cm_min,
@@ -102,6 +104,22 @@ def reference_descent(riemann, q0, max_iter=500, armijo=1e-4, step_tol=1e-10):
 
 def projection(q):
     return q @ q.T
+
+
+def coordinate_frames(n, m):
+    return np.stack([coordinate_frame(n, s) for s in itertools.combinations(range(n), m)])
+
+
+def slow_path_starts(riemann, m, budget, seed):
+    """The starts `cm_min` descends from when its certificate does not decide.
+
+    The best coordinate frame (the first on ties), then the best samples of
+    `_best_samples` in its order.
+    """
+    coords = coordinate_frames(riemann.dim, m)
+    best = coords[np.argmin(cm_batch(riemann, coords))]
+    _, samples = _best_samples(riemann, m, budget, seed)
+    return np.concatenate([best[None], samples])
 
 
 class TestEvaluation:
@@ -225,12 +243,16 @@ class TestDescent:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             q, vals, iters, evals, converged = _descend(rd, q0[None], MAX_ITER)
-            full = cm_min(rd, 3, budget=5000, seed=1)
+            # the certificate decides C_3 on this tensor but not C_1, so C_1
+            # takes the slow path: every start stops after one evaluation
+            # and no overflowed descent is reported as the winner
+            full = cm_min(rd, 1, budget=5000, seed=1)
         assert not converged[0]
         assert (iters[0], evals[0]) == (1, 1)
         assert_allclose(q[0], q0, atol=1e-14)
         assert vals[0] == pytest.approx(cm_of_frame(rd, q0), rel=1e-14)
-        assert full.method != "projected-descent"
+        assert full.method == "coordinate-enumeration"
+        assert full.evaluations == 6 + 5000 + 9
 
     def test_max_iter_zero_skips_descent(self):
         rd = random_curvature_tensor(5, np.random.default_rng(6))
@@ -295,20 +317,13 @@ class TestLockstepDescent:
         assert np.all(iters == 3)
         assert not np.any(converged)
 
-    def test_no_crawl_in_a_flat_valley(self, monkeypatch):
+    def test_no_crawl_in_a_flat_valley(self):
         # (7, 4) at lambda 1, eps 1, r = 0, seed 3: with a step restarted at
         # 1/(1 + |g|) every iteration, two of the nine starts ran all 500
         # iterations and stopped about 3e-3 above the minimum
         rd = riemann_exact(build_counterexample(7, 4, 1.0, 1.0), 0.0)
-        runs = []
-
-        def recording(*args):
-            runs.append(_descend(*args))
-            return runs[-1]
-
-        monkeypatch.setattr(frames, "_descend", recording)
-        cm_min(rd, 4, budget=100_000, seed=3)
-        (_, vals, iters, _, converged), = runs
+        starts = slow_path_starts(rd, 4, 100_000, 3)
+        _, vals, iters, _, converged = _descend(rd, starts, MAX_ITER)
         assert len(vals) == 9
         assert np.all(converged)
         assert np.max(iters) < 500
@@ -322,6 +337,7 @@ class TestLockstepDescent:
         # <s, y> <= 0, on the second through a Barzilai-Borwein step that
         # would move 2.87 uncapped
         rd = riemann_exact(build_counterexample(n, m, lam, eps), r)
+        starts = slow_path_starts(rd, m, 5000, 1)
         moves = []
 
         def recording(y):
@@ -329,11 +345,17 @@ class TestLockstepDescent:
             return stiefel_retract(y)
 
         monkeypatch.setattr(frames, "stiefel_retract", recording)
-        cm_min(rd, m, budget=5000, seed=1)
+        _descend(rd, starts, MAX_ITER)
         assert 1.0 - 1e-12 <= max(moves) <= 1.0 + 1e-12
 
 
 class TestDescentWork:
+    """Sampling and descent on construction tensors, as the slow path runs them.
+
+    The certificate decides these tensors, so `cm_min` no longer samples or
+    descends there; the tests run the two phases directly.
+    """
+
     def test_descent_evaluations_on_construction_tensors(self):
         # the 15 tensors of the construction pairs at lambda 1, eps 1 and
         # r in {0, -3, 10}; a step rule that crawls spent 64,676 here
@@ -341,9 +363,10 @@ class TestDescentWork:
         for n, m in CONSTRUCTION_PAIRS:
             metric = build_counterexample(n, m, 1.0, 1.0)
             for r in (0.0, -3.0, 10.0):
-                res = cm_min(riemann_exact(metric, r), m, budget=100_000, seed=5)
-                spent += res.evaluations - 100_000 - math.comb(n, m)
-        assert spent <= 5000
+                rd = riemann_exact(metric, r)
+                evals = _descend(rd, slow_path_starts(rd, m, 100_000, 5), MAX_ITER)[3]
+                spent += int(evals.sum())
+        assert 0 < spent <= 5000
 
     def test_sampling_chunks_are_freed(self):
         # kept samples are copies, so each 4096-frame chunk is released after
@@ -351,7 +374,7 @@ class TestDescentWork:
         rd = riemann_exact(build_counterexample(7, 4, 1.0, 1.0), 0.0)
         tracemalloc.start()
         try:
-            cm_min(rd, 4, budget=100_000, seed=3)
+            _descend(rd, slow_path_starts(rd, 4, 100_000, 3), MAX_ITER)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -407,7 +430,7 @@ class TestMinimizer:
         rd = RiemannData.from_components(np.zeros((5,) * 4))
         res = cm_min(rd, 2, budget=500, seed=0)
         assert res.value == 0.0
-        assert res.method == "coordinate-enumeration"
+        assert res.method == "certificate"
         assert res.coordinate_subset == (0, 1)
 
     def test_round_sphere_values(self):
@@ -421,7 +444,7 @@ class TestMinimizer:
         rd = product_sphere_flat_riemann(3, 1.0, 3)
         res = cm_min(rd, 4, budget=4000, seed=2)
         assert res.value == pytest.approx(2.0, abs=1e-8)
-        assert res.method == "coordinate-enumeration"
+        assert res.method == "certificate"
         assert res.coordinate_subset == (0, 3, 4, 5)
 
     @pytest.mark.parametrize("rho", [1.0, np.sqrt(2.0), 2.0])
@@ -459,8 +482,8 @@ class TestMinimizer:
             res = cm_min(rd, 3, budget=2000, seed=seed)
             assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value,
                                                                 abs=1e-9)
-            assert res.method in {"coordinate-enumeration", "random-sampling",
-                                  "projected-descent"}
+            assert res.method in {"certificate", "coordinate-enumeration",
+                                  "random-sampling", "projected-descent"}
 
     def test_deterministic_for_fixed_seed(self):
         rd = random_curvature_tensor(6, np.random.default_rng(44))
@@ -493,6 +516,104 @@ class TestMinimizer:
         comps[0, 1, 0, 1] = comps[1, 0, 1, 0] = bad
         with pytest.raises(ValueError, match="not finite"):
             cm_min(RiemannData(4, comps, rd.ricci, rd.scalar), 2, budget=100)
+
+
+class TestCertificate:
+    """The Ky Fan lower bound: sound everywhere, exact where the maths says so."""
+
+    @pytest.mark.parametrize("n", sorted({n for n, _ in DENSE_SHAPES}))
+    def test_bound_is_sound_on_dense_tensors(self, n):
+        # 12 tensors per dimension, 60 in all, with m running over 1..n; the
+        # bound is exact only for m >= n - 1, so the slow path runs below that
+        for i in range(12):
+            m = 1 + i % n
+            rd = random_curvature_tensor(n, np.random.default_rng(1000 + 12 * n + i))
+            res = cm_min(rd, m, budget=2000, seed=i)
+            assert res.lower_bound <= res.value + 1e-9
+            assert (res.method == "certificate") == (m >= n - 1)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_exact_at_m_n_minus_one(self, n):
+        rd = random_curvature_tensor(n, np.random.default_rng(n + 500))
+        res = cm_min(rd, n - 1, budget=1000, seed=0)
+        assert res.lower_bound == pytest.approx(0.5 * rd.scalar, abs=1e-9)
+        assert res.method == "certificate"
+        assert (res.evaluations, res.coordinate_subset) == (n, tuple(range(n - 1)))
+
+    @pytest.mark.parametrize("k,rho", [(1, 1.0), (2, np.sqrt(2.0)), (3, 2.0), (5, 0.5)])
+    def test_exact_on_sphere_times_flat(self, k, rho):
+        # S^3 x R^k at m = n - 2: the eigenvalues are K three times and 0
+        rd = product_sphere_flat_riemann(3, rho, k)
+        res = cm_min(rd, k + 1, budget=1000, seed=0)
+        assert res.lower_bound == pytest.approx(2.0 / rho ** 2, rel=1e-14)
+        assert res.value == pytest.approx(2.0 / rho ** 2, rel=1e-14)
+        assert res.method == "certificate"
+        assert res.evaluations == math.comb(k + 3, k + 1)
+
+    def test_exact_on_zero_tensor(self):
+        res = cm_min(RiemannData.from_components(np.zeros((6,) * 4)), 3, budget=100)
+        assert (res.lower_bound, res.value, res.method) == (0.0, 0.0, "certificate")
+
+    @pytest.mark.parametrize("shift,certified", [(-1e-12, True), (1e-12, True),
+                                                 (-2e-9, False), (2e-9, False)])
+    def test_tie_rule_is_both_sided(self, monkeypatch, shift, certified):
+        # S^3 x R^2 at m = 3, where bound and coordinate minimum are both 2;
+        # shifting the evaluator opens a gap of `shift`.  A bound far above
+        # an attained value is rounding, not a proof
+        rd = product_sphere_flat_riemann(3, 1.0, 2)
+        exact = frames.cm_batch
+        monkeypatch.setattr(frames, "cm_batch", lambda riemann, qs: exact(riemann, qs) + shift)
+        res = cm_min(rd, 3, budget=500, seed=0)
+        assert res.lower_bound == 2.0
+        assert (res.method == "certificate") == certified
+        if certified:
+            assert res.value == 2.0 + shift
+            assert (res.evaluations, res.coordinate_subset) == (math.comb(5, 3), (0, 3, 4))
+        else:
+            assert res.evaluations > math.comb(5, 3) + 500
+
+
+FAMILY_GRID = [(lam, eps) for lam in (1.0, 4.0) for eps in (0.25, 0.5, 1.0, 2.0)]
+
+
+class TestCertificateOnTheFamily:
+    """The certificate against the sampled route on the warped-torus family.
+
+    The curvature operator is diagonal there with the five class values as
+    eigenvalues, and the construction's coordinate frame attains lambda, so
+    the bound decides exactly where no coordinate frame goes below lambda.
+    """
+
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
+    def test_certified_iff_coordinate_minimum_reaches_lambda(self, n, m):
+        decided = 0
+        for lam, eps in FAMILY_GRID:
+            metric = build_counterexample(n, m, lam, eps)
+            for r in np.linspace(-10.0, 10.0, 121):
+                rd = riemann_exact(metric, float(r))
+                res = cm_min(rd, m, budget=1, seed=0)
+                certified = res.method == "certificate"
+                coord_min = np.min(cm_batch(rd, coordinate_frames(n, m)))
+                assert certified == (coord_min >= lam * (1 - 1e-6)), \
+                    f"lambda={lam} eps={eps} r={r}"
+                decided += certified
+        assert decided > 0
+
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
+    def test_sampling_and_descent_stay_above_certified_values(self, n, m):
+        checked = 0
+        for lam, eps in FAMILY_GRID:
+            metric = build_counterexample(n, m, lam, eps)
+            for i, r in enumerate(np.linspace(-10.0, 10.0, 5)):
+                rd = riemann_exact(metric, float(r))
+                res = cm_min(rd, m, budget=1, seed=0)
+                if res.method != "certificate":
+                    continue
+                # descent is monotone, so this bounds the best samples too
+                _, desc_vals, *_ = _descend(rd, slow_path_starts(rd, m, 1000, i), MAX_ITER)
+                assert desc_vals.min() >= res.value - 1e-9
+                checked += 1
+        assert checked > 0
 
 
 class TestOracle:
