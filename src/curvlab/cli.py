@@ -2,10 +2,10 @@
 
 Exit codes are part of the contract: 0 means every checked property held,
 1 means a verification ran and failed, 2 means the invocation itself was
-bad (unknown flags, out-of-range parameters).  Standard output carries
-only the paths of written reports, one per line; everything a human would
-read (progress, timing, failure diagnostics) goes to standard error, so
-scripts can consume report paths without filtering.
+bad (unknown flags, out-of-range or non-finite parameters).  Standard
+output carries only the paths of written reports, one per line; everything
+a human would read (progress, timing, failure diagnostics) goes to standard
+error, so scripts can consume report paths without filtering.
 
 Reports serialize through `canonical_json` with timing excluded, which
 makes identical invocations byte-identical across runs.
@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .constructions import (
 )
 from .curvature import riemann_exact
 from .diameter import (
-    BoundInput,
     antonelli_xu_bound,
     c0_identity_check,
     c0_identity_sweep,
@@ -42,6 +42,7 @@ from .diameter import (
     shen_ye_bound,
 )
 from .inequalities import (
+    DIMENSIONS,
     admissibility_sweep_rows,
     admissible,
     brendle_min_exact,
@@ -133,8 +134,7 @@ def cmd_verify_examples(cfg: RunConfig, n: int, m: int, lam: float,
                                        seed=cfg.seed, r_max=cfg.r_max,
                                        grid_points=cfg.grid_points)
             except EpsilonSearchError as exc:
-                witnesses["positivity"] = exc.best_report.to_json_dict() \
-                    if exc.best_report is not None else None
+                witnesses["positivity"] = exc.best_report.to_json_dict()
                 witnesses["epsilon"] = None
                 report = VerificationReport("verify-examples", False,
                                             witnesses, cfg)
@@ -191,7 +191,7 @@ def cmd_scan_algebra(cfg: RunConfig) -> int:
     witnesses = {
         "admissible_counts": {str(n): sorted(r["m"] for r in adm_rows
                                              if r["n"] == n and r["admissible"])
-                              for n in range(3, 8)},
+                              for n in DIMENSIONS},
         "d_third_expression": {"pass": third.passed, "rows": third.rows},
         "recursion": {"pass": recursion_ok, "cases": len(recursion_rows)},
         "gamma_equivalence": {"pass": gamma_ok, "cases": len(gamma_rows)},
@@ -243,8 +243,6 @@ def cmd_diameter(cfg: RunConfig, n: int, m: int, lam: float,
     rec = admissible(n, m)
     if not rec.admissible:
         return _usage_error(f"(n, m) = ({n}, {m}) is not admissible")
-    if lam <= 0:
-        return _usage_error(f"lambda must be positive, got {lam}")
 
     bound = cm_diameter_bound(n, m, lam)
     d = n - m + 1
@@ -252,13 +250,11 @@ def cmd_diameter(cfg: RunConfig, n: int, m: int, lam: float,
     bounds: dict = {"partial_curvature": bound}
     # the comparison bounds take the Ricci-normalized lambda/(d-1)
     try:
-        bounds["gradient_estimate"] = shen_ye_bound(
-            BoundInput(d, gamma, lam / (d - 1)))
+        bounds["gradient_estimate"] = shen_ye_bound(d, gamma, lam / (d - 1))
     except ValueError as exc:
         bounds["gradient_estimate"] = {"skipped": str(exc)}
     try:
-        bounds["oscillation"] = antonelli_xu_bound(
-            BoundInput(d, gamma, lam / (d - 1), ratio=1.0))
+        bounds["oscillation"] = antonelli_xu_bound(d, gamma, lam / (d - 1), ratio=1.0)
     except ValueError as exc:
         bounds["oscillation"] = {"skipped": str(exc)}
 
@@ -379,9 +375,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in
-                 ("seed", "r_max", "grid_points", "frame_budget",
-                  "output_dir", "format")}
+    for flag, value in (("--lambda", getattr(args, "lam", None)),
+                        ("--epsilon", getattr(args, "epsilon", None))):
+        if value is not None and not 0 < value < math.inf:
+            return _usage_error(f"{flag} must be finite and positive, got {value}")
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
         cfg = RunConfig.resolve(args.config, overrides)
     except (ValueError, OSError) as exc:

@@ -63,7 +63,6 @@ class RadialProfile:
     closed forms; they stay finite where v itself overflows or underflows.
     """
 
-    name: str
     log: Callable[[np.ndarray], np.ndarray]
     dlog: Callable[[np.ndarray], np.ndarray]
     d2log: Callable[[np.ndarray], np.ndarray]
@@ -76,11 +75,10 @@ class RadialProfile:
         return self.d2log(r) + self.dlog(r) ** 2
 
 
-def gaussian_profile(a: float, name: str | None = None) -> RadialProfile:
+def gaussian_profile(a: float) -> RadialProfile:
     """exp(a r^2): log-derivatives 2 a r and 2 a."""
     a = float(a)
     return RadialProfile(
-        name or f"exp({a}*r^2)",
         lambda r: a * np.asarray(r, dtype=float) ** 2,
         lambda r: 2.0 * a * np.asarray(r, dtype=float),
         lambda r: np.full_like(np.asarray(r, dtype=float), 2.0 * a),
@@ -99,23 +97,21 @@ def _sech2(x):
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def cosh_power_profile(omega: float, power: float, name: str | None = None) -> RadialProfile:
+def cosh_power_profile(omega: float, power: float) -> RadialProfile:
     """cosh(omega r)^power: log-derivatives p w tanh(w r) and p w^2 sech^2(w r)."""
     w, p = float(omega), float(power)
     return RadialProfile(
-        name or f"cosh({w}*r)^{p}",
         lambda r: p * _log_cosh(w * np.asarray(r, dtype=float)),
         lambda r: p * w * np.tanh(w * np.asarray(r, dtype=float)),
         lambda r: p * w * w * _sech2(w * np.asarray(r, dtype=float)),
     )
 
 
-def constant_profile(c: float = 1.0, name: str | None = None) -> RadialProfile:
+def constant_profile(c: float = 1.0) -> RadialProfile:
     """The constant c > 0: log c with vanishing log-derivatives."""
     c = float(c)
     log_c = math.log(c)
     return RadialProfile(
-        name or f"const({c})",
         lambda r: np.full_like(np.asarray(r, dtype=float), log_c),
         lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         lambda r: np.zeros_like(np.asarray(r, dtype=float)),

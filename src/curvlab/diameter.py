@@ -1,8 +1,9 @@
 """Diameter bounds and a graph-based estimator for rotational metrics.
 
 Three bound formulas with different hypotheses and normalizations live
-side by side.  `c0_identity_check` ties them together: the partial-curvature
-bound constant C0 satisfies
+side by side and take plain values.  `c0_identity_check` ties them
+together: the partial-curvature bound constant C0, the third candidate of
+D(n, m), satisfies
 
     1/C0 = (d-1) + (d-3)^2 / (4/gamma - (d-1)),
     d = n - m + 1,  gamma = (2m-2)/m,
@@ -23,18 +24,15 @@ default resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .inequalities import admissible
+from .inequalities import DIMENSIONS, admissible, d_of
 
 __all__ = [
-    "BoundInput",
-    "C0Value",
     "c0_of",
     "shen_ye_bound",
     "antonelli_xu_bound",
@@ -44,92 +42,68 @@ __all__ = [
     "rotational_diameter",
 ]
 
-
-@dataclass(frozen=True)
-class BoundInput:
-    """Arguments shared by the comparison bounds.
-
-    `lam` uses the normalization of whichever formula consumes it; `ratio`
-    is the eigenfunction oscillation u_max/u_min where required.
-    """
-
-    d: int
-    gamma: Fraction | float
-    lam: float
-    ratio: float | None = None
-
-    def check_common(self) -> None:
-        if self.d < 3:
-            raise ValueError(f"need dimension d >= 3, got {self.d}")
-        if self.gamma < 0:
-            raise ValueError(f"need gamma >= 0, got {self.gamma}")
-        if not self.lam > 0:
-            raise ValueError(f"need lambda > 0, got {self.lam}")
+WINDOW = 3  # Chebyshev radius of the chord directions
 
 
-@dataclass(frozen=True)
-class C0Value:
-    n: int
-    m: int
-    value: Fraction
-
-
-def c0_of(n: int, m: int) -> C0Value:
+def c0_of(n: int, m: int) -> Fraction:
     """Exact bound constant (m^2-mn+m+n)/(2(m^2-mn+2n-2)) for admissible pairs."""
-    record = admissible(n, m)
-    if not record.admissible:
-        raise ValueError(f"(n, m) = ({n}, {m}) is not admissible")
-    value = record.ineq2 / (2 * record.ineq1)
-    assert value > 0
-    return C0Value(n, m, value)
+    return d_of(n, m).candidates[2]
 
 
 # ---------------------------------------------------------------------------
 # bound formulas
 # ---------------------------------------------------------------------------
 
-def shen_ye_bound(inp: BoundInput) -> float:
+def _check_common(d: int, gamma: Fraction | float, lam: float) -> None:
+    if d < 3:
+        raise ValueError(f"need dimension d >= 3, got {d}")
+    if gamma < 0:
+        raise ValueError(f"need gamma >= 0, got {gamma}")
+    if not lam > 0:
+        raise ValueError(f"need lambda > 0, got {lam}")
+
+
+def shen_ye_bound(d: int, gamma: Fraction | float, lam: float) -> float:
     """Diameter bound sqrt(d-1 + (d-3)^2/(4/gamma - d + 1)) * pi/sqrt((d-1) lam).
 
     Validity: gamma < 4/(d-1) for d > 3; gamma <= 2 when d = 3, where the
     (d-3)^2 factor kills the correction term regardless of gamma, so the
-    correction is defined as 0 there (and at gamma = 0).
+    correction is defined as 0 there (and at gamma = 0).  `lam` uses this
+    formula's own normalization.
     """
-    inp.check_common()
-    d, g = inp.d, inp.gamma
+    _check_common(d, gamma, lam)
     if d == 3:
-        if g > 2:
-            raise ValueError(f"need gamma <= 2 at d = 3, got {g}")
+        if gamma > 2:
+            raise ValueError(f"need gamma <= 2 at d = 3, got {gamma}")
         correction = 0.0
     else:
-        if g >= Fraction(4, d - 1):
+        if gamma >= Fraction(4, d - 1):
             raise ValueError(f"need gamma < 4/(d-1) = {Fraction(4, d - 1)} "
-                             f"at d = {d}, got {g}")
-        correction = 0.0 if g == 0 else (d - 3) ** 2 / (4.0 / float(g) - (d - 1))
-    return math.sqrt((d - 1) + correction) * math.pi / math.sqrt((d - 1) * inp.lam)
+                             f"at d = {d}, got {gamma}")
+        correction = 0.0 if gamma == 0 else (d - 3) ** 2 / (4.0 / float(gamma) - (d - 1))
+    return math.sqrt((d - 1) + correction) * math.pi / math.sqrt((d - 1) * lam)
 
 
-def antonelli_xu_bound(inp: BoundInput) -> float:
-    """Diameter bound pi/sqrt(lam) * ratio^(gamma (d-3)/(d-1))."""
-    inp.check_common()
-    d, g = inp.d, inp.gamma
-    if g > Fraction(d - 1, d - 2):
+def antonelli_xu_bound(d: int, gamma: Fraction | float, lam: float, ratio: float) -> float:
+    """Diameter bound pi/sqrt(lam) * ratio^(gamma (d-3)/(d-1)).
+
+    `ratio` is the eigenfunction oscillation u_max/u_min.
+    """
+    _check_common(d, gamma, lam)
+    if gamma > Fraction(d - 1, d - 2):
         raise ValueError(f"need gamma <= (d-1)/(d-2) = {Fraction(d - 1, d - 2)}, "
-                         f"got {g}")
-    if inp.ratio is None:
-        raise ValueError("this bound needs the oscillation ratio u_max/u_min")
-    if not inp.ratio > 0:
-        raise ValueError(f"ratio must be positive, got {inp.ratio}")
-    exponent = float(g) * (d - 3) / (d - 1)
-    return math.pi / math.sqrt(inp.lam) * inp.ratio ** exponent
+                         f"got {gamma}")
+    if not ratio > 0:
+        raise ValueError(f"ratio must be positive, got {ratio}")
+    exponent = float(gamma) * (d - 3) / (d - 1)
+    return math.pi / math.sqrt(lam) * ratio ** exponent
 
 
 def cm_diameter_bound(n: int, m: int, lam: float) -> float:
     """Diameter bound pi/sqrt(lam C0(n, m)) under uniformly positive C_m."""
     if not lam > 0:
         raise ValueError(f"need lambda > 0, got {lam}")
-    c0 = c0_of(n, m)
-    return math.pi / math.sqrt(lam * float(c0.value))
+    return math.pi / math.sqrt(lam * float(c0_of(n, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +121,20 @@ def c0_identity_check(n: int, m: int) -> dict:
     c0 = c0_of(n, m)
     d = n - m + 1
     gamma = Fraction(2 * m - 2, m)
-    lhs = 1 / c0.value
+    lhs = 1 / c0
     rhs = (d - 1) + Fraction((d - 3) ** 2) / (Fraction(4) / gamma - (d - 1))
     return {
         "n": n, "m": m, "d": d,
-        "gamma": gamma, "c0": c0.value,
+        "gamma": gamma, "c0": c0,
         "lhs": lhs, "rhs": rhs,
         "equal": lhs == rhs,
     }
 
 
-def c0_identity_sweep(n_range=range(3, 8)) -> list[dict]:
-    """Identity reports for every admissible pair with m >= 2."""
+def c0_identity_sweep() -> list[dict]:
+    """Identity reports for every admissible pair with m >= 2 and n in DIMENSIONS."""
     rows = []
-    for n in n_range:
+    for n in DIMENSIONS:
         for m in range(2, n):
             if admissible(n, m).admissible:
                 rows.append(c0_identity_check(n, m))
@@ -171,11 +145,11 @@ def c0_identity_sweep(n_range=range(3, 8)) -> list[dict]:
 # rotational diameter estimation
 # ---------------------------------------------------------------------------
 
-def _window_offsets(window: int = 3) -> list[tuple[int, int]]:
-    """Primitive half-plane chord directions within a Chebyshev window."""
+def _window_offsets() -> list[tuple[int, int]]:
+    """Primitive half-plane chord directions within the Chebyshev window WINDOW."""
     offsets = []
-    for di in range(window + 1):
-        for dj in range(-window, window + 1):
+    for di in range(WINDOW + 1):
+        for dj in range(-WINDOW, WINDOW + 1):
             if (di, dj) == (0, 0) or (di == 0 and dj < 0):
                 continue
             if math.gcd(di, abs(dj)) == 1:

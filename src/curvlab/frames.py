@@ -35,10 +35,12 @@ sum of the k smallest eigenvalues of R, so that sum is a lower bound for
 every frame.  The coordinate subsets give an upper bound.  When the two
 agree within TIE_TOL on both sides, the coordinate minimum is proven; a
 bound far above an attained value can only be rounding, and is not taken
-as a proof.  Otherwise three phases run: coordinate-subset enumeration,
-chunked random sampling with a fresh generator per chunk, and projected
-gradient descent on the Stiefel manifold from the most promising starts,
-and the bound is still reported beside the value.  The descent runs in
+as a proof.  Otherwise projected gradient descent on the Stiefel manifold
+runs from the best coordinate frame and the best of a chunked random
+sample, and the bound is still reported beside the value.  Sampling only
+picks starts and descent only accepts decreases, so the outcome is
+"coordinate-enumeration" when a coordinate subset ties the best value,
+else "projected-descent".  The descent runs in
 lockstep over the stack of starts: every frame keeps its own step size and
 Armijo test, frames still backtracking stay pending, and a frame leaves the
 stack when it stops, so each start follows the path it would follow alone
@@ -87,6 +89,7 @@ HALVINGS = 60
 MAX_ITER = 500      # descent iterations per start
 DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
 TIE_TOL = 1e-9      # a coordinate subset this close to the best value is reported
+ORACLE_SAMPLES = 20_000  # frames cm_min_oracle draws
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +304,10 @@ class CmResult:
     achieving it to within the tie tolerance, with coordinate frames
     preferred when they tie.  `lower_bound` is the Ky Fan bound, the sum
     of the smallest C(n, 2) - C(n - m, 2) eigenvalues of the curvature
-    operator, which no frame goes below.  `method` names the phase that
-    produced the reported argmin: "certificate" when the bound proves the
-    coordinate minimum, otherwise "coordinate-enumeration",
-    "random-sampling" or "projected-descent".
+    operator, which no frame goes below.  `method` names the outcome:
+    "certificate" when the bound proves the coordinate minimum, otherwise
+    "coordinate-enumeration" when a coordinate subset ties the value, else
+    "projected-descent".
     """
 
     value: float
@@ -329,9 +332,8 @@ def _operator_lower_bound(riemann: RiemannData, m: int) -> float:
     return float(np.sum(np.linalg.eigvalsh(op)[:count]))
 
 
-def _best_samples(riemann: RiemannData, m: int, budget: int,
-                  seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The DESCENT_STARTS best of `budget` Haar frames: values and frames, best first.
+def _best_samples(riemann: RiemannData, m: int, budget: int, seed: int) -> np.ndarray:
+    """The DESCENT_STARTS best of `budget` Haar frames, best first.
 
     Frames are drawn in chunks of SAMPLE_CHUNK, each from a fresh PCG64
     generator seeded with seed + chunk_index, so the stream is independent
@@ -354,11 +356,11 @@ def _best_samples(riemann: RiemannData, m: int, budget: int,
         chunk_index += 1
     vals = np.concatenate(kept_vals)
     order = np.argsort(vals, kind="stable")[:DESCENT_STARTS]
-    return vals[order], np.concatenate(kept_frames)[order]
+    return np.concatenate(kept_frames)[order]
 
 
 def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -> CmResult:
-    """Minimize C_m over m-frames: certificate, else enumeration, sampling and descent.
+    """Minimize C_m over m-frames: certificate, else enumeration and sampled descent.
 
     Coordinate subsets are enumerated first; their minimum is an upper
     bound.  The Ky Fan bound is a lower bound, because C_m(V) =
@@ -379,7 +381,7 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -
     if not np.isfinite(riemann.components).all():
         raise ValueError("curvature components are not finite")
 
-    # phase 1: coordinate subsets, in lexicographic order
+    # coordinate subsets, in lexicographic order
     subsets = list(itertools.combinations(range(n), m))
     coord_qs = np.stack([coordinate_frame(n, s) for s in subsets])
     coord_vals = cm_batch(riemann, coord_qs)
@@ -392,41 +394,33 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -
     if abs(upper - lower) <= TIE_TOL:
         best_value, method = upper, "certificate"
     else:
-        # phase 2: chunked random sampling
-        sample_vals, sample_frames = _best_samples(riemann, m, budget, seed)
-        evaluations += int(budget)
-
-        # phase 3: lockstep descent from the best coordinate frame and best samples
-        starts = np.concatenate([coord_qs[coord_best][None], sample_frames])
+        # lockstep descent from the best coordinate frame and the best samples
+        starts = np.concatenate([coord_qs[coord_best][None],
+                                 _best_samples(riemann, m, budget, seed)])
         desc_qs, desc_vals, _, evals, _ = _descend(riemann, starts, MAX_ITER)
-        evaluations += int(evals.sum())
+        evaluations += int(budget) + int(evals.sum())
         desc_best = int(np.argmin(np.where(np.isnan(desc_vals), np.inf, desc_vals)))
-        best_value = float(min(upper, sample_vals[0], desc_vals[desc_best]))
+        best_value = float(min(upper, desc_vals[desc_best]))
         method = "coordinate-enumeration"
 
     tied = np.flatnonzero(coord_vals <= best_value + TIE_TOL)
     if tied.size:
         idx = int(tied[0])
         return CmResult(best_value, coord_qs[idx], evaluations, method, lower, subsets[idx])
-    if sample_vals[0] <= best_value:
-        return CmResult(best_value, sample_frames[0], evaluations, "random-sampling", lower)
     return CmResult(best_value, desc_qs[desc_best], evaluations, "projected-descent", lower)
 
 
-def cm_min_oracle(riemann: RiemannData, m: int, samples: int = 20_000,
-                  seed: int = 0) -> float:
-    """Pure-sampling baseline: min over random frames only, no descent.
+def cm_min_oracle(riemann: RiemannData, m: int, seed: int = 0) -> float:
+    """Pure-sampling baseline: min over ORACLE_SAMPLES random frames, no descent.
 
     Evaluation goes through a direct einsum contraction rather than the
     flattened matrix product used by `cm_batch`, so the two minimization
     routes share no arithmetic.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     n = riemann.dim
     best = np.inf
     rng = np.random.default_rng(seed)
-    remaining = int(samples)
+    remaining = ORACLE_SAMPLES
     while remaining > 0:
         count = min(SAMPLE_CHUNK, remaining)
         frames = random_frames(n, m, count, rng)

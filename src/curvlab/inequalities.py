@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
+    "DIMENSIONS",
     "AdmissibilityRecord",
     "DValue",
     "MatrixWitness",
@@ -37,6 +38,8 @@ __all__ = [
     "admissibility_sweep_rows",
     "d_table_rows",
 ]
+
+DIMENSIONS = range(3, 8)  # the dimensions n of every sweep and table
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +100,11 @@ class SweepReport:
     rows: tuple[dict, ...]
 
 
-def check_d_third_expression(n_range: Sequence[int] = range(3, 8)) -> SweepReport:
+def check_d_third_expression() -> SweepReport:
     """Check that D(n, m) equals its third candidate on every admissible pair, m >= 2."""
     rows = []
     ok = True
-    for n in n_range:
+    for n in DIMENSIONS:
         for m in range(2, n):
             rec = admissible(n, m)
             if not rec.admissible:
@@ -168,9 +171,9 @@ def stability_coefficients(k: Fraction) -> tuple[Fraction, Fraction]:
     return 1 + k * k / (4 * eps), Fraction(4, 1) / (4 - k)
 
 
-def admissibility_sweep_rows(n_range: Sequence[int] = range(3, 8)) -> list[dict]:
+def admissibility_sweep_rows() -> list[dict]:
     rows = []
-    for n in n_range:
+    for n in DIMENSIONS:
         for m in range(1, n):
             rec = admissible(n, m)
             rows.append({"n": n, "m": m, "ineq1": rec.ineq1, "ineq2": rec.ineq2,
@@ -178,9 +181,9 @@ def admissibility_sweep_rows(n_range: Sequence[int] = range(3, 8)) -> list[dict]
     return rows
 
 
-def d_table_rows(n_range: Sequence[int] = range(3, 8)) -> list[dict]:
+def d_table_rows() -> list[dict]:
     rows = []
-    for n in n_range:
+    for n in DIMENSIONS:
         for m in range(1, n):
             if admissible(n, m).admissible:
                 dv = d_of(n, m)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -114,16 +115,6 @@ def write_csv(path: str | Path, header: Sequence[str],
 # configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_TYPES = {
-    "seed": int,
-    "r_max": float,
-    "grid_points": int,
-    "frame_budget": int,
-    "output_dir": str,
-    "format": str,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs shared by every subcommand.
@@ -143,8 +134,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if not 0 <= self.seed <= MASK64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
+        if not 0 < self.r_max < math.inf:
+            raise ValueError(f"r_max must be finite and positive, got {self.r_max}")
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
         if self.frame_budget < 1:
@@ -156,6 +147,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         """Flat key = value lines; blank lines and # comments ignored."""
+        types = {f.name: type(f.default) for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -164,9 +156,9 @@ class RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = (s.strip() for s in line.partition("="))
-            if key not in _CONFIG_TYPES:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_TYPES[key](val)
+            values[key] = types[key](val)
         return cls(**values).validate()
 
     @classmethod

@@ -6,6 +6,7 @@ stdout-is-only-paths rule are asserted throughout.
 """
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -307,3 +308,41 @@ class TestReproducibility:
             main(["verify-examples", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+class TestNonFiniteParameters:
+    """A parameter that is not a finite positive number is bad usage, not a failure."""
+
+    INVOCATIONS = {
+        "verify-examples": (["--n", "6", "--m", "2"], ("--lambda", "--epsilon", "--r-max")),
+        "diameter": (["--n", "5", "--m", "3"], ("--lambda", "--r-max")),
+        "curvature-report": (["--n", "6", "--m", "2"], ("--lambda", "--epsilon", "--r-max")),
+    }
+    CASES = [(command, flag) for command, (_, flags) in INVOCATIONS.items()
+             for flag in flags]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command,flag", CASES)
+    def test_exits_two_with_a_reason(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, paths, err = run_cli(
+                [command, *self.INVOCATIONS[command][0], f"{flag}={value}",
+                 "--out", str(out), *FAST[:4]], capsys)
+        assert code == 2
+        assert paths == [] and not out.exists()
+        # --r-max is checked with the configuration, which names its key
+        assert flag.lstrip("-").replace("-", "_") in err
+        assert "finite and positive" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_non_finite_r_max_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r_max = inf\n")
+        code, paths, err = run_cli(
+            ["scan-algebra", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capsys)
+        assert code == 2
+        assert paths == []
+        assert "r_max must be finite and positive, got inf" in err

@@ -138,7 +138,7 @@ class TestOdeResidual:
             return u.d2log(r) + 0.02 * (1.0 - 0.01 * r * r) / (1.0 + 0.01 * r * r) ** 2
 
         bent = type(sol)(sol.n, sol.m, sol.lam, sol.case, sol.c3, sol.c4,
-                         u=RadialProfile("perturbed", plog, pdlog, pd2log),
+                         u=RadialProfile(plog, pdlog, pd2log),
                          f=sol.f, params=sol.params)
         assert abs(float(ode_residual(6, 2, 1.0, bent, 1.0))) > 1e-3
 

@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curvlab.diameter import (
-    BoundInput,
     antonelli_xu_bound,
     c0_identity_check,
     c0_identity_sweep,
@@ -16,22 +15,31 @@ from curvlab.diameter import (
     rotational_diameter,
     shen_ye_bound,
 )
-from curvlab.inequalities import admissible
+from curvlab.inequalities import admissible, d_of
 
 
 class TestC0:
     def test_exact_values(self):
-        assert c0_of(5, 2).value == Fraction(1, 4)
-        assert c0_of(7, 6).value == Fraction(7, 12)
+        assert c0_of(5, 2) == Fraction(1, 4)
+        assert c0_of(7, 6) == Fraction(7, 12)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_codimension_two_value(self, n):
         # both defining polynomials collapse to 2 at m = n-2
-        assert c0_of(n, n - 2).value == Fraction(1, 2)
+        assert c0_of(n, n - 2) == Fraction(1, 2)
 
     def test_first_index_matches_ricci_constant(self):
         for n in range(3, 8):
-            assert c0_of(n, 1).value == Fraction(1, n - 1)
+            assert c0_of(n, 1) == Fraction(1, n - 1)
+
+    def test_equals_d_on_every_admissible_pair(self):
+        # C0 is the third candidate of D(n, m), and D takes that value on
+        # every admissible pair with n <= 7, m = 1 included
+        pairs = [(n, m) for n in range(3, 8) for m in range(1, n)
+                 if admissible(n, m).admissible]
+        assert len(pairs) == 15
+        for n, m in pairs:
+            assert c0_of(n, m) == d_of(n, m).value
 
     def test_inadmissible_pair_rejected(self):
         with pytest.raises(ValueError, match="not admissible"):
@@ -43,71 +51,69 @@ class TestC0:
 class TestShenYeBound:
     def test_three_dimensional_case_is_pi(self):
         # correction term vanishes with the (d-3)^2 factor
-        assert_allclose(shen_ye_bound(BoundInput(3, Fraction(2), 1.0)),
+        assert_allclose(shen_ye_bound(3, Fraction(2), 1.0),
                         math.pi, rtol=1e-15)
 
     def test_four_dimensional_example(self):
-        got = shen_ye_bound(BoundInput(4, Fraction(1), 1.0))
+        got = shen_ye_bound(4, Fraction(1), 1.0)
         assert_allclose(got, 2 * math.pi / math.sqrt(3), rtol=1e-15)
         assert got == pytest.approx(3.6276, abs=1e-4)
 
     def test_rescaled_lambda_example(self):
-        got = shen_ye_bound(BoundInput(4, Fraction(1), 1.0 / 3.0))
+        got = shen_ye_bound(4, Fraction(1), 1.0 / 3.0)
         assert_allclose(got, 2 * math.pi, rtol=1e-14)
 
     def test_gamma_zero_drops_correction(self):
         for d in (4, 5, 6):
-            got = shen_ye_bound(BoundInput(d, Fraction(0), 2.0))
+            got = shen_ye_bound(d, Fraction(0), 2.0)
             assert_allclose(got, math.pi / math.sqrt(2.0), rtol=1e-15)
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_nondecreasing_in_gamma(self, d):
         limit = Fraction(4, d - 1)
         grid = [limit * Fraction(k, 40) for k in range(0, 40)]
-        values = [shen_ye_bound(BoundInput(d, g, 1.0)) for g in grid]
+        values = [shen_ye_bound(d, g, 1.0) for g in grid]
         diffs = np.diff(values)
         assert np.all(diffs >= -1e-14)
         assert diffs[-1] > 0
 
     def test_validity_range(self):
         with pytest.raises(ValueError, match="gamma <= 2"):
-            shen_ye_bound(BoundInput(3, Fraction(21, 10), 1.0))
+            shen_ye_bound(3, Fraction(21, 10), 1.0)
         with pytest.raises(ValueError, match="4/"):
-            shen_ye_bound(BoundInput(4, Fraction(4, 3), 1.0))
+            shen_ye_bound(4, Fraction(4, 3), 1.0)
         with pytest.raises(ValueError, match="d >= 3"):
-            shen_ye_bound(BoundInput(2, Fraction(1), 1.0))
+            shen_ye_bound(2, Fraction(1), 1.0)
         with pytest.raises(ValueError, match="gamma >= 0"):
-            shen_ye_bound(BoundInput(4, Fraction(-1, 2), 1.0))
+            shen_ye_bound(4, Fraction(-1, 2), 1.0)
         with pytest.raises(ValueError, match="lambda > 0"):
-            shen_ye_bound(BoundInput(4, Fraction(1), 0.0))
+            shen_ye_bound(4, Fraction(1), 0.0)
 
 
 class TestAntonelliXuBound:
     def test_three_dimensional_exponent_vanishes(self):
-        got = antonelli_xu_bound(BoundInput(3, Fraction(3, 2), 1.0, ratio=5.0))
+        got = antonelli_xu_bound(3, Fraction(3, 2), 1.0, ratio=5.0)
         assert_allclose(got, math.pi, rtol=1e-15)
 
     def test_four_dimensional_example(self):
-        got = antonelli_xu_bound(BoundInput(4, Fraction(1), 1.0, ratio=2.0))
+        got = antonelli_xu_bound(4, Fraction(1), 1.0, ratio=2.0)
         assert_allclose(got, math.pi * 2.0 ** (1.0 / 3.0), rtol=1e-15)
         assert got == pytest.approx(3.9581, abs=1e-4)
 
     def test_constant_eigenfunction_gives_myers_value(self):
         for d, lam in [(4, 1.0), (5, 0.25), (7, 3.0)]:
-            got = antonelli_xu_bound(BoundInput(d, Fraction(1, 2), lam, ratio=1.0))
+            got = antonelli_xu_bound(d, Fraction(1, 2), lam, ratio=1.0)
             assert_allclose(got, math.pi / math.sqrt(lam), rtol=1e-15)
 
     def test_gamma_boundary_inclusive(self):
         # gamma = (d-1)/(d-2) is allowed
-        antonelli_xu_bound(BoundInput(4, Fraction(3, 2), 1.0, ratio=2.0))
+        antonelli_xu_bound(4, Fraction(3, 2), 1.0, ratio=2.0)
         with pytest.raises(ValueError, match="gamma <="):
-            antonelli_xu_bound(BoundInput(4, Fraction(8, 5), 1.0, ratio=2.0))
+            antonelli_xu_bound(4, Fraction(8, 5), 1.0, ratio=2.0)
 
     def test_ratio_required_and_positive(self):
-        with pytest.raises(ValueError, match="ratio"):
-            antonelli_xu_bound(BoundInput(4, Fraction(1), 1.0))
         with pytest.raises(ValueError, match="positive"):
-            antonelli_xu_bound(BoundInput(4, Fraction(1), 1.0, ratio=-2.0))
+            antonelli_xu_bound(4, Fraction(1), 1.0, ratio=-2.0)
 
 
 class TestCmDiameterBound:

@@ -5,7 +5,9 @@ skip a missing name silently, so a stale `__all__` entry must fail here,
 and so must a name that `bench/` reads off a curvlab module.
 """
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -57,3 +59,36 @@ def test_bench_calls_only_existing_names():
     for filename, module, name in found:
         assert hasattr(importlib.import_module(f"curvlab.{module}"), name), \
             f"bench/{filename} calls curvlab.{module}.{name}, which does not exist"
+
+
+# The benchmark's tracer (`--trace 1`) reads these by name; a renamed one
+# breaks a traced run or zeroes its counters without failing any other
+# check.  One entry per observer in bench/spans.py.
+TRACED_PARAMETERS = [
+    # _observe_diameter binds the call and multiplies the grid sizes
+    ("diameter", "rotational_diameter", ("n_r", "n_theta")),
+]
+TRACED_FIELDS = [
+    # _observe_cm_min counts evaluations and the winning outcome
+    ("frames", "CmResult", ("method", "evaluations")),
+    # _observe_sweep counts sweeps that stopped early
+    ("constructions", "PositivityReport", ("complete",)),
+    # _observe_search counts the candidates tried from the passing scale
+    ("constructions", "EpsilonSearchResult", ("epsilon",)),
+]
+
+
+@pytest.mark.parametrize("module,function,names", TRACED_PARAMETERS)
+def test_traced_parameters_exist(module, function, names):
+    params = inspect.signature(getattr(importlib.import_module(f"curvlab.{module}"),
+                                       function)).parameters
+    for name in names:
+        assert name in params, f"bench/spans.py reads {function}({name}=...)"
+
+
+@pytest.mark.parametrize("module,cls,names", TRACED_FIELDS)
+def test_traced_result_fields_exist(module, cls, names):
+    fields = {f.name for f in dataclasses.fields(getattr(
+        importlib.import_module(f"curvlab.{module}"), cls))}
+    for name in names:
+        assert name in fields, f"bench/spans.py reads {cls}.{name}"

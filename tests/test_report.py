@@ -1,5 +1,6 @@
 """Unit tests for serialization, config resolution, and seed derivation."""
 import json
+import math
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -107,18 +108,21 @@ class TestRunConfig:
         assert cfg.format == "json"
 
     @pytest.mark.parametrize("field,value", [
-        ("seed", -1), ("seed", 1 << 64), ("r_max", 0.0),
-        ("grid_points", 1), ("frame_budget", 0), ("format", "xml"),
+        ("seed", -1), ("seed", 1 << 64), ("r_max", 0.0), ("r_max", math.nan),
+        ("r_max", math.inf), ("grid_points", 1), ("frame_budget", 0), ("format", "xml"),
     ])
     def test_validation_rejects(self, field, value):
         with pytest.raises(ValueError):
             RunConfig(**{field: value}).validate()
 
     def test_from_file(self, tmp_path):
+        # every field is a key, parsed with the type of its default
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 9\n# a comment\nr_max = 4.5\nformat = csv\n")
+        path.write_text("seed = 9\n# a comment\nr_max = 4\nformat = csv\n"
+                        "grid_points = 5\nframe_budget = 70\noutput_dir = out\n")
         cfg = RunConfig.from_file(path)
-        assert (cfg.seed, cfg.r_max, cfg.format) == (9, 4.5, "csv")
+        assert cfg == RunConfig(9, 4.0, 5, 70, "out", "csv")
+        assert isinstance(cfg.r_max, float)
 
     def test_from_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
