@@ -68,7 +68,7 @@ class UnsupportedParameters(ValueError):
 class EpsilonSearchError(RuntimeError):
     """No sphere scale in the search set passed; carries the best report."""
 
-    def __init__(self, message: str, best_report: "PositivityReport | None"):
+    def __init__(self, message: str, best_report: "PositivityReport"):
         super().__init__(message)
         self.best_report = best_report
 
@@ -398,7 +398,7 @@ def search_epsilon(n: int, m: int, lam: float,
     """
     _check_construction_range(n, m)
     r_grid = np.linspace(-r_max, r_max, grid_points)
-    best_report = None
+    failed = []
     for t in range(MAX_HALVINGS + 1):
         eps = 2.0 ** (-t)
         metric = build_counterexample(n, m, lam, eps, r_max=r_max)
@@ -413,8 +413,9 @@ def search_epsilon(n: int, m: int, lam: float,
                                               seed=task_seed(seed, 1000 + t),
                                               fail_fast=True)
             return EpsilonSearchResult(eps, rep, tight)
-        if best_report is None or rep.worst_value > best_report.worst_value:
-            best_report = rep
+        failed.append(rep)
+    # max keeps the first of equal reports, the earliest scale
     raise EpsilonSearchError(
         f"no epsilon in 2^-t, t <= {MAX_HALVINGS}, passed for "
-        f"(n, m, lambda) = ({n}, {m}, {lam})", best_report)
+        f"(n, m, lambda) = ({n}, {m}, {lam})",
+        max(failed, key=lambda rep: rep.worst_value))

@@ -8,27 +8,35 @@ quantity of interest is
 which depends only on the span of F.  Writing P = Q Q^T for the projection
 onto that span,
 
-    C_m(F) = tr(Ric P) - 1/2 Rm_{pqrs} P_{pr} P_{qs},
+    C_m(F) = tr(Ric P) - 1/2 Rm_{pqrs} P_{pr} P_{qs}.
 
-and this projection form is what the batched evaluator and the descent use.
-The literal completed-basis double sum lives in the tests as an independent
-slow route that this form is checked against.
+P is symmetric, so the batched evaluator and the descent use one quadratic
+form in the T = n(n + 1)/2 upper-triangle entries x of P:
 
-Stacks of frames have shape (B, n, m).  One kernel evaluates a stack: a
-batched matmul builds the projections, and one GEMM against the (n^2, n^2)
-flattening F_{(q,s),(a,b)} = Rm_{aqbs} gives B_ab = Rm_{aqbs} P_qs, from
-which follow both the values tr(Ric P) - 1/2 <B, P> and the Euclidean
-gradient 2 (Ric - B) Q.  One orthonormalization kernel, classical
-Gram-Schmidt applied twice and vectorized over the stack, gives the
-positive-diagonal QR factor for sampling and for the retraction.
+    C_m = w . x - 1/2 x . W x,    w = E^T Ric,  W = E^T F E,
 
-`cm_min` first tries to prove the minimum.  With W the orthogonal
+with E the map from x to the n^2 entries of P and F_{(q,s),(a,b)} =
+Rm_{aqbs}.  `cm_min_oracle` contracts the raw 4-tensor instead, and the
+literal completed-basis double sum lives in the tests as an independent
+slow route that both are checked against.
+
+Stacks of frames have shape (B, n, m), and the kernels read them
+stack-last, (m, n, B), the layout Gram-Schmidt produces, so that every
+operation runs over contiguous rows of length B.  One kernel evaluates a
+stack: one product per row of P builds x, and one (T, T) GEMM gives W x.
+From it follow the values and B_ab = Rm_{aqbs} P_qs, which is W x on the
+diagonal and half of it off the diagonal, hence the Euclidean gradient
+2 (Ric - B) Q.  One orthonormalization kernel, classical Gram-Schmidt
+applied twice and vectorized over the stack, gives the positive-diagonal
+QR factor for sampling and for the retraction.
+
+`cm_min` first tries to prove the minimum.  With U the orthogonal
 complement of the span V and R the curvature operator on 2-vectors (the
 C(n, 2) x C(n, 2) matrix Rm_{abcd} over pairs a < b, c < d),
 
-    C_m(V) = scal/2 - tr(R Pi_W) = tr(R (1 - Pi_W)),
+    C_m(V) = scal/2 - tr(R Pi_U) = tr(R (1 - Pi_U)),
 
-where Pi_W projects onto the 2-vectors of W, a subspace of dimension
+where Pi_U projects onto the 2-vectors of U, a subspace of dimension
 C(n - m, 2).  By Ky Fan's maximum principle (Ky Fan 1949) the trace of R
 over any subspace of dimension k = C(n, 2) - C(n - m, 2) is at least the
 sum of the k smallest eigenvalues of R, so that sum is a lower bound for
@@ -37,14 +45,14 @@ agree within TIE_TOL on both sides, the coordinate minimum is proven; a
 bound far above an attained value can only be rounding, and is not taken
 as a proof.  Otherwise projected gradient descent on the Stiefel manifold
 runs from the best coordinate frame and the best of a chunked random
-sample, and the bound is still reported beside the value.  Sampling only
-picks starts and descent only accepts decreases, so the outcome is
-"coordinate-enumeration" when a coordinate subset ties the best value,
-else "projected-descent".  The descent runs in
-lockstep over the stack of starts: every frame keeps its own step size and
-Armijo test, frames still backtracking stay pending, and a frame leaves the
-stack when it stops, so each start follows the path it would follow alone
-(up to rounding).  Results are bitwise reproducible for a fixed seed and
+sample, each chunk's best found by partial selection, and the bound is
+still reported beside the value.  Sampling only picks starts and descent
+only accepts decreases, so the outcome is "coordinate-enumeration" when a
+coordinate subset ties the best value, else "projected-descent".  The
+descent runs in lockstep over the stack of starts: every frame keeps its
+own step size and Armijo test, frames still backtracking stay pending, and
+a frame leaves the stack when it stops, so each start follows the path it
+would follow alone (up to rounding).  Results are bitwise reproducible for a fixed seed and
 budget.
 
 Step rule (Barzilai-Borwein steps on the Stiefel manifold, as in Wen and
@@ -59,6 +67,7 @@ of nearly 3.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -90,6 +99,7 @@ MAX_ITER = 500      # descent iterations per start
 DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
 TIE_TOL = 1e-9      # a coordinate subset this close to the best value is reported
 ORACLE_SAMPLES = 20_000  # frames cm_min_oracle draws
+ORACLE_SLICE = 512       # frames the oracle contracts at a time
 
 
 # ---------------------------------------------------------------------------
@@ -126,30 +136,72 @@ def cm_of_frame(riemann: RiemannData, q: np.ndarray) -> float:
     return float(np.einsum("ab,ab->", riemann.ricci, p) - 0.5 * quad)
 
 
-def _flattening(riemann: RiemannData) -> tuple[np.ndarray, np.ndarray]:
-    """F[(q, s), (a, b)] = Rm_{aqbs} as an (n^2, n^2) matrix, and Ric flattened."""
-    n = riemann.dim
-    return (riemann.components.transpose(1, 3, 0, 2).reshape(n * n, n * n),
-            riemann.ricci.reshape(n * n))
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The T = n(n + 1)/2 pairs i <= j in row-major order, the (n, n) table of
+    each entry's pair, and how many entries of a symmetric matrix each pair
+    stands for (1 on the diagonal, 2 off it).  The arrays are shared;
+    callers must not write them.
+    """
+    i, j = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    return i, j, pair, np.where(i == j, 1.0, 2.0)
 
 
-def _evaluate(qs: np.ndarray, flat: np.ndarray,
-              ricci_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and B_ab = Rm_{aqbs} P_qs for a stack of frames (B, n, m)."""
-    b, n = qs.shape[:2]
-    pf = (qs @ np.swapaxes(qs, 1, 2)).reshape(b, n * n)
-    bf = pf @ flat
-    vals = pf @ ricci_flat - 0.5 * np.einsum("bk,bk->b", bf, pf)
-    return vals, bf.reshape(b, n, n)
+def _symmetric_form(riemann: RiemannData) -> tuple[np.ndarray, np.ndarray]:
+    """C_m = w.x - 1/2 x.W x in the upper-triangle coordinates x of P = Q Q^T.
+
+    With E the (n^2, T) map from x to the entries of P and
+    F_{(q,s),(a,b)} = Rm_{aqbs}, w = E^T Ric and W = E^T F E: each sums the
+    entries that a coordinate stands for.  The sums below run over both
+    orders of every pair, which counts a diagonal pair's one entry twice.
+    """
+    i, j, _, count = _pairs(riemann.dim)
+    rm = riemann.components
+    a, b = i[:, None], j[:, None]
+    wmat = ((rm[a, i, b, j] + rm[a, j, b, i] + rm[b, i, a, j] + rm[b, j, a, i])
+            * (0.25 * count[:, None] * count))
+    return (riemann.ricci[i, j] + riemann.ricci[j, i]) * (0.5 * count), wmat
+
+
+def _evaluate(qs: np.ndarray,
+              form: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Values and W x, shape (T, B), for a stack of frames (B, n, m).
+
+    The stack is read as its stack-last transpose (m, n, B), which is the
+    contiguous array behind frames from `orthonormalize_frames`; row r of
+    P gives the coordinates x_t = P_rj, j >= r.
+    """
+    weights, wmat = form
+    cols = qs.transpose(2, 1, 0)
+    n = cols.shape[1]
+    x = np.empty((len(weights), cols.shape[2]))
+    start = 0
+    for r in range(n):
+        np.einsum("ab,ajb->jb", cols[:, r], cols[:, r:], out=x[start:start + n - r])
+        start += n - r
+    wx = wmat @ x
+    return weights @ x - 0.5 * np.einsum("tb,tb->b", x, wx), wx
+
+
+def _contraction(wx: np.ndarray, n: int) -> np.ndarray:
+    """B_ab = Rm_{aqbs} P_qs for a stack, shape (B, n, n), from W x.
+
+    (W x)_t sums B over the entries that pair t stands for, so an
+    off-diagonal entry is half of it.
+    """
+    _, _, pair, count = _pairs(n)
+    return (wx / count[:, None])[pair].transpose(2, 0, 1)
 
 
 def cm_batch(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
     """Projection-form values for a stack of frames, shape (B, n, m).
 
-    The quadratic part is a single GEMM against the (n^2, n^2) matrix
-    flattening of the curvature tensor.
+    The quadratic part is one GEMM of the (T, T) symmetric form W against
+    the stack-last coordinates of the projections, T = n(n + 1)/2.
     """
-    return _evaluate(np.asarray(qs, dtype=float), *_flattening(riemann))[0]
+    return _evaluate(np.asarray(qs, dtype=float), _symmetric_form(riemann))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +235,18 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
     in one call each.  A frame's first trial step is 1/(1 + |g|), later
     ones the capped BB1 step from its own last move and gradient change.
     A frame whose Armijo test fails halves its step and stays pending; one
-    that passes moves, takes a fresh gradient from the B the evaluation
-    gave, and stays in the stack until its gradient or its move falls
-    below STEP_TOL, a move leaves its value unchanged, HALVINGS
-    halvings all fail, max_iter iterations are spent, or its gradient is
-    not finite (an overflow, reported as not converged).  Returns per-start
+    that passes moves, takes a fresh gradient from the B that the
+    evaluation's W x gives, and stays in the stack until its gradient or
+    its move falls below STEP_TOL, a move leaves its value unchanged,
+    HALVINGS halvings all fail, max_iter iterations are spent, or its
+    gradient is not finite (an overflow, reported as not converged).  Returns per-start
     frames, values, iterations, evaluations and converged flags.
     """
-    flat, ricci_flat = _flattening(riemann)
+    n = riemann.dim
+    form = _symmetric_form(riemann)
     q = stiefel_retract(q0)
-    val, bmat = _evaluate(q, flat, ricci_flat)
+    val, wx = _evaluate(q, form)
+    bmat = _contraction(wx, n)
     k = len(q)
     iters = np.zeros(k, dtype=int)
     evals = np.ones(k, dtype=int)
@@ -240,7 +294,7 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
         if not idx.size:
             break
         cand = stiefel_retract(q[idx] - step[idx, None, None] * grad[idx])
-        cand_val, cand_b = _evaluate(cand, flat, ricci_flat)
+        cand_val, cand_wx = _evaluate(cand, form)
         evals[idx] += 1
         ok = cand_val <= val[idx] - ARMIJO * step[idx] * gnorm2[idx]
         acc = idx[ok]
@@ -248,7 +302,8 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
         # required decrease is below the value's rounding: nothing more to gain
         stalled = ((np.max(np.abs(cand[ok] - q[acc]), axis=(1, 2)) < STEP_TOL)
                    | (cand_val[ok] == val[acc]))
-        q[acc], val[acc], bmat[acc] = cand[ok], cand_val[ok], cand_b[ok]
+        q[acc], val[acc] = cand[ok], cand_val[ok]
+        bmat[acc] = _contraction(cand_wx[:, ok], n)
         pending[acc] = False
         converged[acc[stalled]] = True
         fresh[acc[~stalled & (iters[acc] < max_iter)]] = True
@@ -332,6 +387,20 @@ def _operator_lower_bound(riemann: RiemannData, m: int) -> float:
     return float(np.sum(np.linalg.eigvalsh(op)[:count]))
 
 
+def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest values, exactly the prefix of a stable argsort.
+
+    A partition finds the k-th smallest value; only the values not above it
+    are sorted.  NaN is never below it, and when the k-th value is itself
+    NaN every value takes part, so NaNs sort last in index order as well.
+    """
+    if len(vals) <= k:
+        return np.argsort(vals, kind="stable")
+    kth = np.partition(vals, k - 1)[k - 1]
+    kept = np.flatnonzero(~(vals > kth))
+    return kept[np.argsort(vals[kept], kind="stable")[:k]]
+
+
 def _best_samples(riemann: RiemannData, m: int, budget: int, seed: int) -> np.ndarray:
     """The DESCENT_STARTS best of `budget` Haar frames, best first.
 
@@ -339,6 +408,8 @@ def _best_samples(riemann: RiemannData, m: int, budget: int, seed: int) -> np.nd
     generator seeded with seed + chunk_index, so the stream is independent
     of chunk size bookkeeping.  Each chunk's best frames are copied out,
     so the chunk is freed after its turn; ties keep drawing order.
+    `random_frames` and `cm_batch` are looked up as module globals on
+    every chunk, so that wrappers installed on the module see each call.
     """
     kept_vals, kept_frames = [], []
     remaining = int(budget)
@@ -348,15 +419,14 @@ def _best_samples(riemann: RiemannData, m: int, budget: int, seed: int) -> np.nd
         rng = np.random.Generator(np.random.PCG64(seed + chunk_index))
         frames = random_frames(riemann.dim, m, count, rng)
         vals = cm_batch(riemann, frames)
-        order = np.argsort(vals, kind="stable")[:DESCENT_STARTS]
+        best = _smallest(vals, DESCENT_STARTS)
         # fancy indexing copies, so that each chunk is freed after its turn
-        kept_vals.append(vals[order])
-        kept_frames.append(frames[order])
+        kept_vals.append(vals[best])
+        kept_frames.append(frames[best])
         remaining -= count
         chunk_index += 1
-    vals = np.concatenate(kept_vals)
-    order = np.argsort(vals, kind="stable")[:DESCENT_STARTS]
-    return np.concatenate(kept_frames)[order]
+    best = _smallest(np.concatenate(kept_vals), DESCENT_STARTS)
+    return np.concatenate(kept_frames)[best]
 
 
 def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -> CmResult:
@@ -410,23 +480,39 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -
     return CmResult(best_value, desc_qs[desc_best], evaluations, "projected-descent", lower)
 
 
+def _oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
+    """C_m of a stack of frames (B, n, m) by direct contraction with the 4-tensor.
+
+    Rm_pqrs P_pr is contracted first and then dotted with P, ORACLE_SLICE
+    frames at a time, which bounds the contraction's scratch memory.
+    """
+    vals = np.empty(len(qs))
+    for start in range(0, len(qs), ORACLE_SLICE):
+        part = qs[start:start + ORACLE_SLICE]
+        ps = np.einsum("nia,nja->nij", part, part)
+        rp = np.einsum("pqrs,npr->nqs", riemann.components, ps, optimize=True)
+        vals[start:start + ORACLE_SLICE] = (np.einsum("ab,nab->n", riemann.ricci, ps)
+                                            - 0.5 * np.einsum("nqs,nqs->n", rp, ps))
+    return vals
+
+
 def cm_min_oracle(riemann: RiemannData, m: int, seed: int = 0) -> float:
     """Pure-sampling baseline: min over ORACLE_SAMPLES random frames, no descent.
 
-    Evaluation goes through a direct einsum contraction rather than the
-    flattened matrix product used by `cm_batch`, so the two minimization
-    routes share no arithmetic.
+    It shares the Gram-Schmidt kernel of `random_frames` with `cm_min`, but
+    not its frames: it draws from the first child of SeedSequence(seed),
+    a stream that none of `cm_min`'s chunk generators PCG64(seed + chunk)
+    reproduces.  Values come from `_oracle_values`, a contraction of the
+    raw 4-tensor with full projections, so they share no arithmetic with
+    the symmetric form of `cm_batch` and the descent.
     """
     n = riemann.dim
     best = np.inf
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     remaining = ORACLE_SAMPLES
     while remaining > 0:
         count = min(SAMPLE_CHUNK, remaining)
         frames = random_frames(n, m, count, rng)
-        ps = np.einsum("bia,bja->bij", frames, frames)
-        vals = (np.einsum("ab,nab->n", riemann.ricci, ps)
-                - 0.5 * np.einsum("pqrs,npr,nqs->n", riemann.components, ps, ps))
-        best = min(best, float(np.min(vals)))
+        best = min(best, float(np.min(_oracle_values(riemann, frames))))
         remaining -= count
     return best

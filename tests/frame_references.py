@@ -1,10 +1,11 @@
 """Slow independent routes that the tests check `curvlab.frames` against.
 
 `cm_double_sum` is the literal definition of C_m as a double sum over a
-completed orthonormal basis, `complete_frame` builds that basis, and
+completed orthonormal basis, `complete_frame` builds that basis,
 `cm_gradient` is the einsum form of the Euclidean gradient of the
-projection form.  None of them shares arithmetic with the library's
-evaluation kernel.
+projection form, and `oracle_values` is the one-pass 3-operand contraction
+the sampling oracle once used.  None of them shares arithmetic with the
+library's evaluation kernels.
 """
 from __future__ import annotations
 
@@ -65,3 +66,10 @@ def cm_gradient(riemann: RiemannData, q: np.ndarray) -> np.ndarray:
     p = q @ q.T
     b = np.einsum("aqbs,qs->ab", riemann.components, p)
     return 2.0 * (riemann.ricci - b) @ q
+
+
+def oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
+    """C_m of a stack of frames (B, n, m) in one 3-operand einsum pass."""
+    ps = np.einsum("bia,bja->bij", qs, qs)
+    return (np.einsum("ab,nab->n", riemann.ricci, ps)
+            - 0.5 * np.einsum("pqrs,npr,nqs->n", riemann.components, ps, ps))

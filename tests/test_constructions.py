@@ -377,6 +377,24 @@ class TestSearchEpsilon:
         assert exc.value.best_report is not None
         assert not exc.value.best_report.passed
 
+    def test_search_failure_carries_the_highest_failing_report(self, monkeypatch):
+        # (6, 2) at lambda 16 has sharp scale sqrt(e/24) < 1/2, so both
+        # candidates fail; the error carries the one whose worst value is highest
+        monkeypatch.setattr(constructions, "MAX_HALVINGS", 1)
+        swept = []
+        sweep = constructions.verify_uniform_positivity
+
+        def recording(*args, **kwargs):
+            swept.append(sweep(*args, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(constructions, "verify_uniform_positivity", recording)
+        with pytest.raises(EpsilonSearchError) as exc:
+            search_epsilon(6, 2, 16.0, r_max=2.0, grid_points=5,
+                           frame_budget=1500, seed=7)
+        assert len(swept) == 2 and not any(rep.passed for rep in swept)
+        assert exc.value.best_report is max(swept, key=lambda rep: rep.worst_value)
+
     def test_search_recovers_after_failure(self, monkeypatch):
         monkeypatch.setattr(constructions, "MAX_HALVINGS", 3)
         res = search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5,

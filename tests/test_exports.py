@@ -11,9 +11,12 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curvlab
+from curvlab import frames
+from curvlab.curvature import random_curvature_tensor
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(curvlab.__path__))
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -92,3 +95,25 @@ def test_traced_result_fields_exist(module, cls, names):
         importlib.import_module(f"curvlab.{module}"), cls))}
     for name in names:
         assert name in fields, f"bench/spans.py reads {cls}.{name}"
+
+
+def test_sampling_goes_through_the_traced_module_functions(monkeypatch):
+    # the tracer counts sampling through wrappers on frames.random_frames and
+    # frames.cm_batch, so cm_min must reach both through the module: one
+    # draw per 4096-frame chunk, one evaluation per chunk and one for the
+    # coordinate subsets.  C_3 of a dense 6-dimensional tensor is not certified
+    calls = {"random_frames": [], "cm_batch": []}
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls[name].append(len(result))
+            return result
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(frames, name, counting(name, getattr(frames, name)))
+    res = frames.cm_min(random_curvature_tensor(6, np.random.default_rng(3)), 3,
+                        budget=10_000, seed=4)
+    assert res.method != "certificate"
+    assert calls["random_frames"] == [4096, 4096, 1808]
+    assert calls["cm_batch"] == [20, 4096, 4096, 1808]

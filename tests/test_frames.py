@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from curvlab import frames
 from curvlab.constructions import CONSTRUCTION_PAIRS, build_counterexample
@@ -18,9 +18,17 @@ from curvlab.curvature import (
     riemann_exact,
 )
 from curvlab.frames import (
+    DESCENT_STARTS,
     MAX_ITER,
+    ORACLE_SLICE,
+    SAMPLE_CHUNK,
     _best_samples,
+    _contraction,
     _descend,
+    _evaluate,
+    _oracle_values,
+    _smallest,
+    _symmetric_form,
     cm_batch,
     cm_min,
     cm_min_oracle,
@@ -31,10 +39,25 @@ from curvlab.frames import (
     stiefel_retract,
     tangent_project,
 )
-from frame_references import cm_double_sum, cm_gradient, complete_frame
+from frame_references import cm_double_sum, cm_gradient, complete_frame, oracle_values
 
 
 DENSE_SHAPES = [(4, 2), (5, 3), (6, 2), (7, 5), (8, 4)]
+
+
+def kernel_cases():
+    """(tensor, m) for every DENSE_SHAPES shape and the family at a few radii."""
+    cases = [(random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 7)), m)
+             for n, m in DENSE_SHAPES]
+    for n, m in CONSTRUCTION_PAIRS:
+        for lam, eps in ((1.0, 1.0), (4.0, 0.5)):
+            metric = build_counterexample(n, m, lam, eps)
+            cases += [(riemann_exact(metric, r), m) for r in (-3.0, 0.0, 2.0)]
+    return cases
+
+
+KERNEL_CASES = kernel_cases()
+KERNEL_IDS = [f"n{rd.dim}-m{m}-{i}" for i, (rd, m) in enumerate(KERNEL_CASES)]
 
 
 def haar_frame(n, m, seed):
@@ -181,6 +204,65 @@ class TestEvaluation:
     def test_completion_skips_seed_columns_in_the_span(self):
         full = complete_frame(coordinate_frame(5, (0, 2)))
         assert_allclose(full, np.eye(5)[:, [0, 2, 1, 3, 4]], atol=1e-15)
+
+
+class TestSymmetricForm:
+    """The kernel's form in upper-triangle coordinates against the slow routes."""
+
+    @pytest.mark.parametrize("rd,m", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_values_and_contraction_match_references(self, rd, m):
+        n = rd.dim
+        qs = random_frames(n, m, 12, np.random.default_rng(n + 31 * m))
+        vals, wx = _evaluate(qs, _symmetric_form(rd))
+        bmat = _contraction(wx, n)
+        assert bmat.shape == (12, n, n)
+        for q, val, b in zip(qs, vals, bmat):
+            assert val == pytest.approx(cm_double_sum(rd, complete_frame(q), m), rel=1e-12)
+            ref = cm_gradient(rd, q)
+            assert_allclose(2.0 * (rd.ricci - b) @ q, ref, rtol=1e-12,
+                            atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_reads_the_stack_last_layout_without_a_copy(self):
+        # random_frames returns a transposed view of Gram-Schmidt's (m, n, B)
+        # array, and the kernel transposes it back
+        qs = random_frames(7, 3, 64, np.random.default_rng(4))
+        assert qs.transpose(2, 1, 0).flags.c_contiguous
+        rd = random_curvature_tensor(7, np.random.default_rng(5))
+        assert_allclose(cm_batch(rd, qs), cm_batch(rd, np.ascontiguousarray(qs)),
+                        rtol=0, atol=1e-13)
+
+
+class TestSelection:
+    """Partial selection returns exactly the prefix of a stable argsort."""
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 100, 4096])
+    def test_prefix_with_ties_and_non_finite_values(self, size):
+        rng = np.random.default_rng(size)
+        for trial in range(20):
+            vals = rng.integers(0, 4, size).astype(float)  # many ties
+            if trial % 2:
+                vals[rng.integers(0, size, max(1, size // 3))] = np.nan
+            if trial % 5 == 0:
+                vals[rng.integers(0, size)] = -np.inf
+            assert_array_equal(_smallest(vals, DESCENT_STARTS),
+                               np.argsort(vals, kind="stable")[:DESCENT_STARTS])
+
+    @pytest.mark.parametrize("budget", [1, 7, 5000, 2 * SAMPLE_CHUNK + 3])
+    def test_best_samples_with_forced_ties(self, monkeypatch, budget):
+        # rounding the values to integers makes most of them tie; the
+        # selection must keep the best frames in drawing order
+        rd = random_curvature_tensor(6, np.random.default_rng(17))
+        exact = frames.cm_batch
+        monkeypatch.setattr(frames, "cm_batch",
+                            lambda riemann, qs: np.round(exact(riemann, qs)))
+        best = _best_samples(rd, 3, budget, 40)
+        drawn = np.concatenate([
+            random_frames(6, 3, min(SAMPLE_CHUNK, budget - start),
+                          np.random.Generator(np.random.PCG64(40 + chunk)))
+            for chunk, start in enumerate(range(0, budget, SAMPLE_CHUNK))])
+        vals = np.round(exact(rd, drawn))
+        assert len(np.unique(vals)) < len(vals) // 2 or budget < 10
+        assert_array_equal(best, drawn[np.argsort(vals, kind="stable")[:DESCENT_STARTS]])
 
 
 class TestGradient:
@@ -638,3 +720,27 @@ class TestOracle:
         assert 2.0 <= val <= 3.0
         refined = cm_min(rd, 4, budget=20_000, seed=5)
         assert refined.value == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("rd,m", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_pairwise_contraction_matches_one_pass_einsum(self, rd, m):
+        # more than two slices, the last one partial
+        qs = random_frames(rd.dim, m, 2 * ORACLE_SLICE + 37, np.random.default_rng(m))
+        ref = oracle_values(rd, qs)
+        assert_allclose(_oracle_values(rd, qs), ref, rtol=1e-12,
+                        atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_draws_frames_cm_min_does_not(self, monkeypatch):
+        # default_rng(seed) is PCG64(seed), cm_min's chunk 0; the oracle must
+        # not re-score those frames
+        drawn = []
+        sampler = frames.random_frames
+
+        def recording(*args):
+            drawn.append(sampler(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(frames, "random_frames", recording)
+        cm_min_oracle(random_curvature_tensor(6, np.random.default_rng(0)), 3, seed=42)
+        chunk0 = sampler(6, 3, SAMPLE_CHUNK, np.random.Generator(np.random.PCG64(42)))
+        assert len(drawn) == math.ceil(frames.ORACLE_SAMPLES / SAMPLE_CHUNK)
+        assert not np.any(np.all(np.isclose(drawn[0], chunk0), axis=(1, 2)))
