@@ -29,7 +29,7 @@ from .curvature import (
     gaussian_profile,
     riemann_exact,
 )
-from .frames import cm_min, cm_of_frame, coordinate_frame
+from .frames import TIE_TOL, cm_min, cm_of_frame, coordinate_frame
 from .inequalities import admissible
 from .report import task_seed
 
@@ -328,7 +328,9 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
                               fail_fast: bool = False) -> PositivityReport:
     """Minimize C_m at every grid radius and compare against lambda.
 
-    Passes iff the grid minimum is at least lambda * (1 - 1e-6).  Also
+    Passes iff the grid minimum is at least lambda * (1 - 1e-6).  The
+    reported worst radius, value and frame belong to the first radius in
+    sweep order whose value is within TIE_TOL of that minimum.  Also
     records the range of C_m at the distinguished coordinate frame, which
     the construction pins to lambda exactly, and how many radii the
     minimizer's certificate decided without sampling.  A radius whose curvature
@@ -346,7 +348,7 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
     coord_q = coordinate_frame(metric.n, metric.coordinate_frame_indices())
     order = sorted(range(len(r_grid)), key=lambda i: (abs(r_grid[i]), r_grid[i]))
 
-    worst_value, worst_r, worst_frame = np.inf, np.nan, None
+    lowest, visited = np.inf, []  # visited: (r, value, frame) in sweep order
     cmin, cmax = np.inf, -np.inf
     evals = certified = 0
     stopped = False
@@ -361,14 +363,18 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
         certified += res.method == "certificate"
         cv = cm_of_frame(rd, coord_q)
         cmin, cmax = min(cmin, cv), max(cmax, cv)
-        if res.value < worst_value:
-            worst_value, worst_r, worst_frame = res.value, r, res.argmin
+        visited.append((r, res.value, res.argmin))
+        lowest = min(lowest, res.value)
         if fail_fast and res.value < threshold:
             stopped = count < len(order)
             break
 
+    # the family is symmetric in r, so a strict minimum would leave the
+    # choice between -r and r to rounding; report the first near-tie instead
+    worst_r, worst_value, worst_frame = next(
+        v for v in visited if v[1] <= lowest + TIE_TOL)
     return PositivityReport(
-        passed=bool(worst_value >= threshold), lam=float(lam),
+        passed=bool(lowest >= threshold), lam=float(lam),
         epsilon=metric.epsilon, r_max=float(np.max(np.abs(r_grid))),
         grid_points=len(r_grid), worst_r=worst_r,
         worst_value=float(worst_value), worst_frame=worst_frame,

@@ -33,7 +33,9 @@ from curvlab.curvature import (
     riemann_fd,
     to_subchart,
 )
+from curvlab.frames import CmResult
 from curvlab.inequalities import admissible
+from curvlab.report import task_seed
 
 LAMBDAS = (0.5, 1.0, 2.0)
 
@@ -352,6 +354,36 @@ class TestVerify:
         metric = build_counterexample(6, 2, 1.0, 1.0, r_max=40.0)
         with pytest.raises(ValueError, match=f"r = {first_bad}"):
             verify_uniform_positivity(metric, 1.0, grid, frame_budget=500)
+
+
+class TestWorstRadius:
+    @pytest.mark.parametrize("delta,reported_r", [(-1e-12, -1.0), (1e-12, -1.0),
+                                                  (-2e-9, 1.0), (2e-9, -1.0)])
+    def test_near_ties_report_the_first_radius_in_sweep_order(self, monkeypatch,
+                                                              delta, reported_r):
+        # the sweep visits r = 0, -1, 1; C_m is v at -1 and v + delta at 1,
+        # so only a difference beyond TIE_TOL = 1e-9 moves the report to r = 1
+        v = 1.0
+        values = {0.0: 5.0, -1.0: v, 1.0: v + delta}
+
+        grid = [-1.0, 0.0, 1.0]
+        radius_of_seed = {task_seed(0, i): r for i, r in enumerate(grid)}
+
+        def fake_cm_min(riemann, m, budget, seed):
+            r = radius_of_seed[seed]
+            return CmResult(values[r], np.full((riemann.dim, m), r), 1,
+                            "projected-descent", values[r])
+
+        monkeypatch.setattr(constructions, "cm_min", fake_cm_min)
+        # the threshold sits 5e-13 below v: the verdict reads the true minimum
+        threshold = v - 5e-13
+        lam = threshold / (1.0 - constructions.PASS_SLACK)
+        rep = verify_uniform_positivity(build_counterexample(6, 2, 1.0, 0.5),
+                                        lam, grid, seed=0)
+        assert rep.worst_r == reported_r
+        assert rep.worst_value == values[reported_r]
+        assert np.all(rep.worst_frame == reported_r)
+        assert rep.passed == (delta > 0)
 
 
 class TestSearchEpsilon:

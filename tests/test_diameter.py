@@ -1,5 +1,6 @@
 """Tests for the diameter bound formulas and the graph estimator."""
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curvlab.diameter import (
+    _certified,
+    _chords,
+    _distances,
+    _sweep,
     antonelli_xu_bound,
     c0_identity_check,
     c0_identity_sweep,
@@ -16,6 +21,7 @@ from curvlab.diameter import (
     shen_ye_bound,
 )
 from curvlab.inequalities import admissible, d_of
+from diameter_references import dijkstra_diameter, dijkstra_distances
 
 
 class TestC0:
@@ -224,3 +230,97 @@ class TestRotationalDiameter:
             rotational_diameter(np.sin, (0.0, math.pi), 0)
         with pytest.raises(ValueError, match="grid"):
             rotational_diameter(np.sin, (0.0, math.pi), 1, n_r=1)
+
+
+def _model(r):
+    # the round model the diameter subcommand checks at lambda = 1
+    rho = math.sqrt(2.0)
+    return rho * np.sin(np.asarray(r) / rho)
+
+
+# (f, interval, n_r, n_theta): the CLI model grid, smooth families with and
+# without zeros at the ends, non-square grids and the 2 x 2 minimum
+SWEEP_CASES = {
+    "cli-model": (_model, (0.0, math.sqrt(2.0) * math.pi), 121, 121),
+    "sin": (np.sin, (0.0, math.pi), 96, 96),
+    "constant": (lambda r: 0.75, (0.0, 2.0), 48, 48),
+    "gaussian": (lambda r: np.exp(-np.asarray(r) ** 2), (-2.0, 2.0), 48, 48),
+    "oscillating": (lambda r: 0.3 + 0.1 * np.sin(3.0 * np.asarray(r)), (0.0, 5.0), 48, 48),
+    "wide": (np.sin, (0.0, math.pi), 48, 17),
+    "tall": (np.sin, (0.0, math.pi), 17, 48),
+    "minimum": (np.sin, (0.0, math.pi), 2, 2),
+}
+
+
+def _chart(f, interval, n_r, n_theta):
+    lo, hi = interval
+    return _chords(f, np.linspace(lo, hi, n_r), (hi - lo) / (n_r - 1), n_theta)
+
+
+class TestColumnSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_diameter_equals_dijkstra_bit_for_bit(self, name):
+        f, interval, n_r, n_theta = SWEEP_CASES[name]
+        got = rotational_diameter(f, interval, 2, n_r=n_r, n_theta=n_theta)
+        assert got == dijkstra_diameter(f, interval, n_r=n_r, n_theta=n_theta)
+
+    @pytest.mark.parametrize("name", ["sin", "gaussian", "wide", "tall", "minimum"])
+    def test_every_distance_equals_dijkstra(self, name):
+        f, interval, n_r, n_theta = SWEEP_CASES[name]
+        dist = _distances(_chart(f, interval, n_r, n_theta), n_r, n_theta)
+        # dist[j, i, s] is Dijkstra's row s at node i * n_theta + j
+        want = dijkstra_distances(f, interval, n_r, n_theta)
+        assert np.array_equal(dist.transpose(2, 1, 0).reshape(n_r, -1), want)
+
+    @pytest.mark.parametrize("end", ["a", "b"])
+    def test_check_rejects_a_label_above_a_neighbour_plus_the_chord(self, end):
+        n_r, n_theta = 12, 9
+        chords = _chart(np.sin, (0.0, math.pi), n_r, n_theta)
+        dist = _distances(chords, n_r, n_theta)
+        assert _certified(dist, chords)
+        # the (2, 1) chord joins (i, j) = (4, 3) to (6, 4); source row 7
+        w = next(w for di, dj, w in chords if (di, dj) == (2, 1))[4]
+        a, b = (3, 4, 7), (4, 6, 7)
+        raised, other = (a, b) if end == "a" else (b, a)
+        assert dist[raised] <= dist[other] + w
+        # one ulp above the neighbour's label plus the chord length
+        dist[raised] = np.nextafter(dist[other] + w, np.inf)
+        assert not _certified(dist, chords)
+
+    def test_a_failed_check_is_settled_by_a_sweep_the_other_way(self):
+        f, interval, n_r, n_theta = SWEEP_CASES["tall"]
+        chords = _chart(f, interval, n_r, n_theta)
+        dist = np.full((n_theta, n_r, n_r), np.inf)
+        dist[0, np.arange(n_r), np.arange(n_r)] = 0.0
+        reached = np.zeros(n_theta, dtype=bool)
+        # descending first: every column but the first is still unreached
+        _sweep(dist, chords, range(n_theta)[::-1], reached)
+        assert np.isinf(dist[1:]).all() and not _certified(dist, chords)
+        _sweep(dist, chords, range(n_theta), reached)
+        assert _certified(dist, chords)
+        assert np.array_equal(dist, _distances(chords, n_r, n_theta))
+
+
+def _nan_between_nodes(r):
+    # finite at the 5 grid nodes of [0, 1], NaN at every Simpson point between
+    r = np.asarray(r)
+    return np.where(np.isin(r, np.linspace(0.0, 1.0, 5)), 1.0, np.nan)
+
+
+class TestRotationalDiameterRejects:
+    @pytest.mark.parametrize("f,interval,reason", [
+        (lambda r: np.full(np.shape(r), np.nan), (0.0, 1.0), "not finite at the grid nodes"),
+        (lambda r: np.full(np.shape(r), np.inf), (0.0, 1.0), "not finite at the grid nodes"),
+        (_nan_between_nodes, (0.0, 1.0), "not finite along the"),
+        (lambda r: np.full(np.shape(r), 1e200), (0.0, 1.0), "chord lengths are not finite"),
+        (lambda r: np.ones(np.shape(r)), (0.0, 1e200), "chord lengths are not finite"),
+        (np.sin, (0.0, math.inf), "interval ends and length must be finite"),
+        (np.sin, (-math.inf, 1.0), "interval ends and length must be finite"),
+        (np.sin, (math.nan, 1.0), "interval ends and length must be finite"),
+        (lambda r: np.ones(np.shape(r)), (-1e308, 1e308), "interval ends and length"),
+    ])
+    def test_non_finite_input_raises_without_warning(self, f, interval, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=reason):
+                rotational_diameter(f, interval, 1, n_r=5, n_theta=5)

@@ -9,6 +9,8 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -117,3 +119,12 @@ def test_sampling_goes_through_the_traced_module_functions(monkeypatch):
     assert res.method != "certificate"
     assert calls["random_frames"] == [4096, 4096, 1808]
     assert calls["cm_batch"] == [20, 4096, 4096, 1808]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; the runtime must not import it
+    probe = ("import sys, curvlab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=Path(curvlab.__file__).parents[1])
+    assert out.stdout.strip() == "[]"
