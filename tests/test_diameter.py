@@ -293,7 +293,7 @@ class TestColumnSweep:
         dist = np.full((n_theta, n_r, n_r), np.inf)
         dist[0, np.arange(n_r), np.arange(n_r)] = 0.0
         reached = np.zeros(n_theta, dtype=bool)
-        # descending first: every column but the first is still unreached
+        # descending from scratch, no column reaches back to the sources but the first
         _sweep(dist, chords, range(n_theta)[::-1], reached)
         assert np.isinf(dist[1:]).all() and not _certified(dist, chords)
         _sweep(dist, chords, range(n_theta), reached)
@@ -302,7 +302,7 @@ class TestColumnSweep:
 
 
 def _nan_between_nodes(r):
-    # finite at the 5 grid nodes of [0, 1], NaN at every Simpson point between
+    # finite at the 5 grid nodes of [0, 1], NaN everywhere else
     r = np.asarray(r)
     return np.where(np.isin(r, np.linspace(0.0, 1.0, 5)), 1.0, np.nan)
 
