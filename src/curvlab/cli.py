@@ -25,6 +25,7 @@ import numpy as np
 from .constructions import (
     EpsilonSearchError,
     UnsupportedParameters,
+    build_chain,
     build_counterexample,
     counterexample_json,
     ode_residual,
@@ -52,6 +53,7 @@ from .inequalities import (
     chen_min_exact,
     d_of,
     d_table_rows,
+    stability_coefficients,
 )
 from .report import RunConfig, VerificationReport, jsonable, write_csv, write_json
 
@@ -184,16 +186,25 @@ def cmd_scan_algebra(cfg: RunConfig) -> int:
             gamma_ok = gamma_ok and agree
             gamma_rows.append({"n": n, "m": m, "agree": agree})
 
+    chains = [build_chain(n, m) for n in DIMENSIONS for m in range(1, n)]
+    lift_checks = [ok for chain in chains for _, ok in chain.identity_checks]
+    lift_ok = all(lift_checks)
+    ks = sorted({k for chain in chains for k in chain.k_sequence if k})
+    stability_ok = all(a == b for a, b in map(stability_coefficients, ks))
+
     identity_rows = c0_identity_sweep()
     identity_ok = all(r["equal"] for r in identity_rows)
 
-    passed = third.passed and recursion_ok and gamma_ok and identity_ok
+    passed = (third.passed and recursion_ok and lift_ok and stability_ok
+              and gamma_ok and identity_ok)
     witnesses = {
         "admissible_counts": {str(n): sorted(r["m"] for r in adm_rows
                                              if r["n"] == n and r["admissible"])
                               for n in DIMENSIONS},
         "d_third_expression": {"pass": third.passed, "rows": third.rows},
         "recursion": {"pass": recursion_ok, "cases": len(recursion_rows)},
+        "lift_chain": {"pass": lift_ok, "cases": len(lift_checks)},
+        "stability": {"pass": stability_ok, "cases": len(ks)},
         "gamma_equivalence": {"pass": gamma_ok, "cases": len(gamma_rows)},
         "c0_identity": {"pass": identity_ok, "rows": identity_rows},
     }
@@ -212,7 +223,10 @@ def cmd_scan_algebra(cfg: RunConfig) -> int:
 
 def cmd_matrix_inequalities(cfg: RunConfig, n: int, m: int) -> int:
     started = time.perf_counter()
-    rec = admissible(n, m)
+    try:
+        rec = admissible(n, m)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     if not rec.admissible:
         return _usage_error(f"(n, m) = ({n}, {m}) is not admissible")
 
@@ -240,7 +254,10 @@ def cmd_matrix_inequalities(cfg: RunConfig, n: int, m: int) -> int:
 def cmd_diameter(cfg: RunConfig, n: int, m: int, lam: float,
                  skip_model: bool) -> int:
     started = time.perf_counter()
-    rec = admissible(n, m)
+    try:
+        rec = admissible(n, m)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     if not rec.admissible:
         return _usage_error(f"(n, m) = ({n}, {m}) is not admissible")
 
@@ -269,10 +286,13 @@ def cmd_diameter(cfg: RunConfig, n: int, m: int, lam: float,
 
     if m == n - 2 and not skip_model:
         rho = math.sqrt(2.0 / lam)
-        model = rotational_diameter(
-            lambda r: rho * np.sin(np.asarray(r) / rho),
-            (0.0, rho * math.pi), 2,
-            n_r=min(cfg.grid_points, 128), n_theta=min(cfg.grid_points, 128))
+        try:
+            model = rotational_diameter(
+                lambda r: rho * np.sin(np.asarray(r) / rho),
+                (0.0, rho * math.pi), 2,
+                n_r=min(cfg.grid_points, 128), n_theta=min(cfg.grid_points, 128))
+        except ValueError as exc:  # the model radius sqrt(2/lambda) overflows
+            return _usage_error(f"model metric at lambda = {lam}: {exc}")
         rel = abs(model - bound) / bound
         model_ok = rel < 0.02
         witnesses["model"] = {"diameter": model, "bound": bound,
@@ -295,7 +315,10 @@ def cmd_curvature_report(cfg: RunConfig, n: int, m: int, lam: float,
     r_grid = np.linspace(-cfg.r_max, cfg.r_max, cfg.grid_points)
     rows = []
     for r in r_grid:
-        data = riemann_exact(metric, float(r))
+        try:
+            data = riemann_exact(metric, float(r))
+        except ValueError as exc:
+            return _usage_error(f"curvature at r = {float(r)!r}: {exc}")
         data.validate(1e-8, relative=True)
         eigs = np.linalg.eigvalsh(data.ricci)
         rows.append({

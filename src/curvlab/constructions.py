@@ -45,11 +45,7 @@ __all__ = [
     "ode_residual",
     "build_chain",
     "build_counterexample",
-    "metric_from_json",
     "counterexample_json",
-    "coordinate_cm_value",
-    "radial_laplacian",
-    "lift_laplacian_split",
     "verify_uniform_positivity",
     "search_epsilon",
 ]
@@ -232,58 +228,6 @@ def counterexample_json(n: int, m: int, lam: float, epsilon: float,
     }
 
 
-def metric_from_json(data: dict) -> WarpedTorusMetric:
-    """Rebuild a metric from its chart description.
-
-    Only profile cases produced by `solve_profile` are accepted; the stored
-    parameters are recomputed from (n, m, lambda) and must match.
-    """
-    case = data["profile"]["case"]
-    if case not in ("equality", "strict"):
-        raise ValueError(f"cannot rebuild profiles of case {case!r}")
-    n, m = int(data["n"]), int(data["m"])
-    sol = solve_profile(n, m, float(data["profile"]["lambda"]))
-    if sol.case != case or sol.params != data["profile"]["params"]:
-        raise ValueError("stored profile parameters disagree with (n, m, lambda)")
-    lo, hi = (float(v) for v in data["r_domain"])
-    return WarpedTorusMetric(n, m, float(data["epsilon"]), sol.f, sol.u, (lo, hi))
-
-
-# ---------------------------------------------------------------------------
-# identities along the construction
-# ---------------------------------------------------------------------------
-
-def coordinate_cm_value(metric: WarpedTorusMetric, r: float) -> float:
-    """C_m at the distinguished frame (radial direction plus torus directions)."""
-    frame = coordinate_frame(metric.n, metric.coordinate_frame_indices())
-    return cm_of_frame(riemann_exact(metric, r), frame)
-
-
-def radial_laplacian(metric: WarpedTorusMetric, r) -> np.ndarray:
-    """Laplacian of the torus profile u as a function of r on the full metric."""
-    r = np.asarray(r, dtype=float)
-    n, m = metric.n, metric.m
-    u, lf1 = metric.u_profile, metric.f_profile.dlog(r)
-    lu1 = u.dlog(r)
-    return u(r) * (u.d2_ratio(r) + ((n - m) * lf1 + 2.0 * (m - 1) / m * lu1) * lu1)
-
-
-def lift_laplacian_split(metric: WarpedTorusMetric, r) -> tuple[np.ndarray, np.ndarray]:
-    """Split the Laplacian of u over the last circle lift.
-
-    Returns (base part, fiber-gradient coupling): the Laplacian on the
-    metric with one torus direction removed, and (1/w) <grad w, grad u> for
-    the fiber coefficient w = u^(2/m).  Their sum equals `radial_laplacian`.
-    """
-    r = np.asarray(r, dtype=float)
-    n, m = metric.n, metric.m
-    u, lf1 = metric.u_profile, metric.f_profile.dlog(r)
-    uv, lu1 = u(r), u.dlog(r)
-    base = uv * (u.d2_ratio(r) + ((n - m) * lf1 + 2.0 * (m - 2) / m * lu1) * lu1)
-    coupling = uv * (2.0 / m * lu1 * lu1)
-    return base, coupling
-
-
 # ---------------------------------------------------------------------------
 # grid verification
 # ---------------------------------------------------------------------------
@@ -398,27 +342,27 @@ def search_epsilon(n: int, m: int, lam: float,
 
     Tries epsilon = 2^-t for t = 0..MAX_HALVINGS and returns the first
     (largest) passing scale together with a sweep at twice that scale as
-    tightness evidence.  Every sweep runs fail-fast on the grid of
-    `grid_points` radii spanning [-r_max, r_max]; the grid seeds of
-    candidate t derive from task_seed(seed, t).
+    tightness evidence.  Each scale is swept once, fail-fast, on the grid
+    of `grid_points` radii spanning [-r_max, r_max]; the sweep at scale
+    2^-t seeds its grid from task_seed(seed, t).  The tightness report of
+    a passing t >= 1 is therefore the failed report of candidate t - 1;
+    only when t = 0 passes is scale 2 swept, as t = -1.
     """
     _check_construction_range(n, m)
     r_grid = np.linspace(-r_max, r_max, grid_points)
+
+    def sweep(t: int) -> PositivityReport:
+        metric = build_counterexample(n, m, lam, 2.0 ** (-t), r_max=r_max)
+        return verify_uniform_positivity(metric, lam, r_grid,
+                                         frame_budget=frame_budget,
+                                         seed=task_seed(seed, t), fail_fast=True)
+
     failed = []
     for t in range(MAX_HALVINGS + 1):
-        eps = 2.0 ** (-t)
-        metric = build_counterexample(n, m, lam, eps, r_max=r_max)
-        rep = verify_uniform_positivity(metric, lam, r_grid,
-                                        frame_budget=frame_budget,
-                                        seed=task_seed(seed, t),
-                                        fail_fast=True)
+        rep = sweep(t)
         if rep.passed:
-            double = build_counterexample(n, m, lam, 2.0 * eps, r_max=r_max)
-            tight = verify_uniform_positivity(double, lam, r_grid,
-                                              frame_budget=frame_budget,
-                                              seed=task_seed(seed, 1000 + t),
-                                              fail_fast=True)
-            return EpsilonSearchResult(eps, rep, tight)
+            return EpsilonSearchResult(2.0 ** (-t), rep,
+                                       failed[-1] if failed else sweep(-1))
         failed.append(rep)
     # max keeps the first of equal reports, the earliest scale
     raise EpsilonSearchError(

@@ -32,18 +32,15 @@ __all__ = [
     "RadialProfile",
     "gaussian_profile",
     "cosh_power_profile",
-    "constant_profile",
     "WarpedTorusMetric",
     "RiemannData",
     "CoordinateMetric",
     "riemann_exact",
     "riemann_fd",
-    "laplacian_fd",
     "to_subchart",
     "compare_exact_vs_fd",
     "kulkarni_nomizu",
     "random_curvature_tensor",
-    "constant_curvature_riemann",
     "product_sphere_flat_riemann",
 ]
 
@@ -104,17 +101,6 @@ def cosh_power_profile(omega: float, power: float) -> RadialProfile:
         lambda r: p * _log_cosh(w * np.asarray(r, dtype=float)),
         lambda r: p * w * np.tanh(w * np.asarray(r, dtype=float)),
         lambda r: p * w * w * _sech2(w * np.asarray(r, dtype=float)),
-    )
-
-
-def constant_profile(c: float = 1.0) -> RadialProfile:
-    """The constant c > 0: log c with vanishing log-derivatives."""
-    c = float(c)
-    log_c = math.log(c)
-    return RadialProfile(
-        lambda r: np.full_like(np.asarray(r, dtype=float), log_c),
-        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
     )
 
 
@@ -356,32 +342,6 @@ def riemann_fd(metric: CoordinateMetric, x: Sequence[float]) -> RiemannData:
     return RiemannData.from_components(r_on)
 
 
-def laplacian_fd(metric: CoordinateMetric, fn: Callable[[np.ndarray], float],
-                 x: Sequence[float]) -> float:
-    """Laplace-Beltrami of a scalar chart function by central differences.
-
-    Delta f = g^{ab} (d_a d_b f - Gamma^c_{ab} d_c f).
-    """
-    x = np.asarray(x, dtype=float)
-    metric.require_inside(x, margin=4.5 * FD_STEP)
-    dim = metric.dim
-    ginv = np.linalg.inv(metric.g(x))
-    gamma = _christoffel_at(metric, x, FD_STEP)
-
-    grad = np.array([_d1_stencil(fn, x, a, FD_STEP) for a in range(dim)])
-    hess = np.empty((dim, dim))
-    for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = FD_STEP
-        hess[a, a] = (-fn(x + 2 * e) + 16.0 * fn(x + e) - 30.0 * fn(x)
-                      + 16.0 * fn(x - e) - fn(x - 2 * e)) / (12.0 * FD_STEP ** 2)
-        for b in range(a + 1, dim):
-            hess[a, b] = hess[b, a] = _d1_stencil(
-                lambda y: _d1_stencil(fn, y, b, FD_STEP), x, a, FD_STEP)
-    return float(np.einsum("ab,ab->", ginv, hess)
-                 - np.einsum("ab,cab,c->", ginv, gamma, grad))
-
-
 # ---------------------------------------------------------------------------
 # chart export for cross-checks
 # ---------------------------------------------------------------------------
@@ -463,12 +423,6 @@ def random_curvature_tensor(dim: int, rng: np.random.Generator) -> RiemannData:
         mats.append(0.5 * (s + s.T))
     comp = kulkarni_nomizu(mats[0], mats[1]) + kulkarni_nomizu(mats[2], mats[3])
     return RiemannData.from_components(comp)
-
-
-def constant_curvature_riemann(dim: int, k: float) -> RiemannData:
-    """Space form of sectional curvature k: R = (k/2) * (g kn g)."""
-    eye = np.eye(dim)
-    return RiemannData.from_components(0.5 * k * kulkarni_nomizu(eye, eye))
 
 
 def product_sphere_flat_riemann(sphere_dim: int, radius: float, flat_dim: int) -> RiemannData:

@@ -4,8 +4,9 @@ All (n, m)-indexed constants are computed with `fractions.Fraction`, so the
 case checks below are genuine equalities and strict inequalities, not
 tolerance tests.  The matrix functionals are rational quadratic forms:
 their minima are exact, with a rational LDL^T certificate of positive
-definiteness.  Floating point enters only in `chen_numerator` and
-`chen_functional` and in the float value and witness of the minimal case.
+definiteness.  Floating point enters only in the float value and witness
+of the minimal case; the float numerator that tests play against the exact
+forms lives in `tests/float_minimizers.py`.
 
 The second-fundamental-form functional uses hypersurface index labels
 2..n, stored at 0-based positions 0..n-2 of a symmetric (n-1) x (n-1)
@@ -31,8 +32,6 @@ __all__ = [
     "check_gamma_equivalence",
     "stability_coefficients",
     "chen_weight_mask",
-    "chen_numerator",
-    "chen_functional",
     "chen_min_exact",
     "brendle_min_exact",
     "admissibility_sweep_rows",
@@ -162,7 +161,7 @@ def stability_coefficients(k: Fraction) -> tuple[Fraction, Fraction]:
     """Return (1 + k^2/(4 eps), 4/(4-k)) with eps = k - k^2/4, both exact.
 
     The two coefficients coincide for every rational k in (0, 4); the pair is
-    returned so tests can assert the identity rather than trust it.
+    returned so `scan-algebra` can check the identity rather than trust it.
     """
     k = Fraction(k)
     if not (0 < k < 4):
@@ -229,21 +228,6 @@ def chen_weight_mask(n: int, m: int) -> np.ndarray:
     return mask
 
 
-def chen_numerator(a: np.ndarray, mask: np.ndarray) -> float:
-    """|A|_F^2 + sum over masked pairs of (a_ii a_jj - a_ij^2)."""
-    diag = np.diag(a)
-    pair_term = float(np.sum(mask * (np.outer(diag, diag) - a * a)))
-    return float(np.sum(a * a)) + pair_term
-
-
-def chen_functional(a: np.ndarray, n: int, m: int) -> float:
-    """The ratio (numerator)/H^2; homogeneous of degree zero."""
-    h = float(np.trace(a))
-    if abs(h) < 1e-300:
-        raise ValueError("trace must be nonzero for the ratio")
-    return chen_numerator(a, chen_weight_mask(n, m)) / (h * h)
-
-
 # -- the numerator as an exact quadratic form --------------------------------
 #
 # A symmetric p x p matrix A has upper-triangle coordinates x = (a_ij), i <= j.
@@ -253,7 +237,11 @@ def _coordinates(p: int) -> list[tuple[int, int]]:
 
 
 def _numerator_hessian(n: int, m: int) -> np.ndarray:
-    """Integer matrix M with chen_numerator(A) = x^T M x / 2."""
+    """Integer matrix M with numerator(A) = x^T M x / 2.
+
+    The numerator is |A|_F^2 plus, over the pairs of `chen_weight_mask`,
+    a_ii a_jj - a_ij^2.
+    """
     p = n - 1
     coords = _coordinates(p)
     index = {c: k for k, c in enumerate(coords)}

@@ -4,8 +4,9 @@ Two multi-start descents with backtracking: `chen_min_ratio` on the H = 1
 slice and `brendle_min` (a Rayleigh-quotient descent) on the traceless
 norm-1 slice.  Both work in a Frobenius-orthonormal traceless basis
 (Helmert vectors on the diagonal) and read the numerator only through the
-float `chen_numerator`, so they share no code with the exact rational
-route they are played against.
+float `chen_numerator` defined here, so they share no code with the exact
+rational route they are played against.  `chen_functional` is that
+numerator divided by H^2.
 """
 from __future__ import annotations
 
@@ -14,9 +15,23 @@ import numpy as np
 from curvlab.inequalities import (
     MatrixWitness,
     admissible,
-    chen_numerator,
     chen_weight_mask,
 )
+
+
+def chen_numerator(a: np.ndarray, mask: np.ndarray) -> float:
+    """|A|_F^2 + sum over masked pairs of (a_ii a_jj - a_ij^2)."""
+    diag = np.diag(a)
+    pair_term = float(np.sum(mask * (np.outer(diag, diag) - a * a)))
+    return float(np.sum(a * a)) + pair_term
+
+
+def chen_functional(a: np.ndarray, n: int, m: int) -> float:
+    """The ratio (numerator)/H^2; homogeneous of degree zero."""
+    h = float(np.trace(a))
+    if abs(h) < 1e-300:
+        raise ValueError("trace must be nonzero for the ratio")
+    return chen_numerator(a, chen_weight_mask(n, m)) / (h * h)
 
 
 def _traceless_basis(p: int) -> list[np.ndarray]:

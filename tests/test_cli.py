@@ -4,6 +4,7 @@ Calls `main` in-process with small budgets so the suite stays fast; the
 exit-code contract (0 pass, 1 verification failure, 2 usage) and the
 stdout-is-only-paths rule are asserted throughout.
 """
+import dataclasses
 import json
 import math
 import warnings
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from curvlab import cli
 from curvlab.cli import main
 
 
@@ -108,9 +110,33 @@ class TestScanAlgebra:
         assert summary["pass"] is True
         assert summary["witnesses"]["admissible_counts"]["7"] == [1, 5, 6]
         assert summary["witnesses"]["gamma_equivalence"]["pass"] is True
+        # one chain per pair n in 3..7, 1 <= m < n: five checks each, one if m = 1
+        assert summary["witnesses"]["lift_chain"] == {"pass": True, "cases": 80}
+        # the distinct nonzero k = 2(m-1-j)/(m-j): 1, 4/3, 3/2, 8/5, 5/3
+        assert summary["witnesses"]["stability"] == {"pass": True, "cases": 5}
         d_table = load_json([p for p in paths if "d_table" in p][0])
         row_32 = [r for r in d_table["rows"] if r["n"] == 3 and r["m"] == 2][0]
         assert row_32["D"] == "3/4"
+
+    def test_false_lift_identity_fails_the_scan(self, tmp_path, capsys, monkeypatch):
+        build_chain = cli.build_chain
+
+        def planted(n, m):
+            chain = build_chain(n, m)
+            if (n, m) != (7, 3):
+                return chain
+            checks = (("planted", False),) + chain.identity_checks[1:]
+            return dataclasses.replace(chain, identity_checks=checks)
+
+        monkeypatch.setattr(cli, "build_chain", planted)
+        code, paths, err = run_cli(["scan-algebra", "--out", str(tmp_path)],
+                                   capsys)
+        assert code == 1
+        summary = load_json(paths[-1])
+        assert summary["pass"] is False
+        assert summary["witnesses"]["lift_chain"] == {"pass": False, "cases": 80}
+        assert summary["witnesses"]["stability"]["pass"] is True
+        assert "FAIL" in err
 
     def test_csv_format(self, tmp_path, capsys):
         code, paths, _ = run_cli(
@@ -308,6 +334,27 @@ class TestReproducibility:
             main(["verify-examples", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    # admissible() rejects m outside 1..n-1 before its verdict is read
+    ["matrix-inequalities", "--n", "3", "--m", "5"],
+    ["diameter", "--n", "4", "--m", "0"],
+    # the model radius sqrt(2/lambda) overflows
+    ["diameter", "--n", "5", "--m", "3", "--lambda", "1e-320"],
+    # the sphere curvature 1/(eps^2 f^2) overflows at the grid ends
+    ["curvature-report", "--n", "6", "--m", "2", "--lambda", "1e300",
+     "--grid-points", "3"],
+])
+def test_bad_invocation_exits_two_without_traceback(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, paths, err = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 2
+    assert paths == [] and not out.exists()
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+    if argv[0] == "curvature-report":
+        assert "r = -10.0" in err and "not finite" in err
 
 
 class TestNonFiniteParameters:

@@ -13,12 +13,8 @@ from curvlab.constructions import (
     UnsupportedParameters,
     build_chain,
     build_counterexample,
-    coordinate_cm_value,
     counterexample_json,
-    lift_laplacian_split,
-    metric_from_json,
     ode_residual,
-    radial_laplacian,
     search_epsilon,
     solve_profile,
     verify_uniform_positivity,
@@ -27,8 +23,6 @@ from curvlab.curvature import (
     CoordinateMetric,
     RadialProfile,
     WarpedTorusMetric,
-    constant_profile,
-    laplacian_fd,
     riemann_exact,
     riemann_fd,
     to_subchart,
@@ -36,6 +30,13 @@ from curvlab.curvature import (
 from curvlab.frames import CmResult
 from curvlab.inequalities import admissible
 from curvlab.report import task_seed
+from construction_references import (
+    coordinate_cm_value,
+    lift_laplacian_split,
+    metric_from_json,
+    radial_laplacian,
+)
+from curvature_references import constant_profile, laplacian_fd
 
 LAMBDAS = (0.5, 1.0, 2.0)
 
@@ -426,6 +427,30 @@ class TestSearchEpsilon:
                            frame_budget=1500, seed=7)
         assert len(swept) == 2 and not any(rep.passed for rep in swept)
         assert exc.value.best_report is max(swept, key=lambda rep: rep.worst_value)
+
+    @pytest.mark.parametrize("lam,scales", [(4.0, (0, 1)), (1.0, (0, -1))])
+    def test_each_scale_is_swept_once(self, monkeypatch, lam, scales):
+        # (6, 3) has sharp scale 1/sqrt(lambda).  At lambda = 4 scale 1 fails
+        # and 1/2 passes, so the failed sweep at 1 is the tightness evidence;
+        # at lambda = 1 scale 1 passes and scale 2 is swept as t = -1
+        swept, seeds = [], []
+        sweep = constructions.verify_uniform_positivity
+
+        def recording(*args, seed, **kwargs):
+            seeds.append(seed)
+            swept.append(sweep(*args, seed=seed, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(constructions, "verify_uniform_positivity", recording)
+        res = search_epsilon(6, 3, lam, r_max=3.0, grid_points=7,
+                             frame_budget=1500, seed=9)
+        assert [rep.epsilon for rep in swept] == [2.0 ** -t for t in scales]
+        assert seeds == [task_seed(9, t) for t in scales]
+        assert res.epsilon == 1 / math.sqrt(lam)
+        assert res.report is swept[0 if lam == 1.0 else 1]
+        assert res.tightness_report is swept[1 if lam == 1.0 else 0]
+        assert res.tightness_report.epsilon == 2 * res.epsilon
+        assert not res.tightness_report.passed
 
     def test_search_recovers_after_failure(self, monkeypatch):
         monkeypatch.setattr(constructions, "MAX_HALVINGS", 3)

@@ -18,18 +18,16 @@ from curvlab.curvature import (
     RiemannData,
     WarpedTorusMetric,
     compare_exact_vs_fd,
-    constant_curvature_riemann,
-    constant_profile,
     cosh_power_profile,
     gaussian_profile,
     kulkarni_nomizu,
-    laplacian_fd,
     product_sphere_flat_riemann,
     random_curvature_tensor,
     riemann_exact,
     riemann_fd,
     to_subchart,
 )
+from curvature_references import constant_curvature_riemann, constant_profile, laplacian_fd
 
 R_DOMAIN = (-10.0, 10.0)
 

@@ -2,7 +2,9 @@
 
 Tools that look exports up by name (the benchmark's tracer among them)
 skip a missing name silently, so a stale `__all__` entry must fail here,
-and so must a name that `bench/` reads off a curvlab module.
+and so must a name that `bench/` reads off a curvlab module.  Every export
+must also have a caller outside its own definition, in the library or the
+benchmark; a helper only tests call belongs in a `tests/` reference module.
 """
 import ast
 import dataclasses
@@ -21,6 +23,7 @@ from curvlab import frames
 from curvlab.curvature import random_curvature_tensor
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(curvlab.__path__))
+SRC = Path(curvlab.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -34,6 +37,41 @@ def test_all_names_exist_and_are_local(name):
         defined_in = getattr(vars(module)[export], "__module__", module.__name__)
         assert defined_in == module.__name__, \
             f"curvlab.{name}.{export} is imported from {defined_in}"
+
+
+def _defines(statement, name):
+    """Whether a top-level statement is the definition of `name`."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return statement.name == name
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def code_references(tree, skip=None):
+    """Names that Name (read) and Attribute nodes of a parsed file refer to.
+
+    The top-level definition of `skip` is left out, so a name does not
+    count as used by its own body.  Strings and docstrings never count.
+    """
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for statement in tree.body if not _defines(statement, skip)
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_export_has_a_caller_outside_tests():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))]}
+    unused = []
+    for name in MODULES:
+        home = SRC / f"{name}.py"
+        for export in getattr(importlib.import_module(f"curvlab.{name}"), "__all__", ()):
+            if not any(export in code_references(tree, export if path == home else None)
+                       for path, tree in trees.items()):
+                unused.append(f"{name}.{export}")
+    assert not unused, f"called by nothing in src/curvlab or bench/: {unused}"
 
 
 def bench_attributes():

@@ -12,7 +12,6 @@ from curvlab import frames
 from curvlab.constructions import CONSTRUCTION_PAIRS, build_counterexample
 from curvlab.curvature import (
     RiemannData,
-    constant_curvature_riemann,
     product_sphere_flat_riemann,
     random_curvature_tensor,
     riemann_exact,
@@ -39,6 +38,7 @@ from curvlab.frames import (
     stiefel_retract,
     tangent_project,
 )
+from curvature_references import constant_curvature_riemann
 from frame_references import cm_double_sum, cm_gradient, complete_frame, oracle_values
 
 

@@ -19,9 +19,7 @@ from curvlab.inequalities import (
     admissible,
     admissibility_sweep_rows,
     brendle_min_exact,
-    chen_functional,
     chen_min_exact,
-    chen_numerator,
     chen_weight_mask,
     check_d_third_expression,
     check_gamma_equivalence,
@@ -29,7 +27,7 @@ from curvlab.inequalities import (
     d_of,
     stability_coefficients,
 )
-from float_minimizers import brendle_min, chen_min_ratio
+from float_minimizers import brendle_min, chen_functional, chen_min_ratio, chen_numerator
 
 # admissible m-sets for n = 3..7
 EXPECTED_ADMISSIBLE = {3: {1, 2}, 4: {1, 2, 3}, 5: {1, 2, 3, 4}, 6: {1, 4, 5}, 7: {1, 5, 6}}
