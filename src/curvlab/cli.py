@@ -7,6 +7,13 @@ output carries only the paths of written reports, one per line; everything
 a human would read (progress, timing, failure diagnostics) goes to standard
 error, so scripts can consume report paths without filtering.
 
+Each `cmd_*` handler takes the resolved configuration and the parsed
+arguments and returns its verdict with the files to write, keyed by file
+stem: a `VerificationReport` or a `(header, rows)` table.  A handler raises
+`ValueError` for parameters it cannot evaluate.  `main` alone turns that
+into exit 2, writes the files once a verdict exists (so an exit-2 run
+writes nothing), prints their paths and one status line.
+
 Reports serialize through `canonical_json` with timing excluded, which
 makes identical invocations byte-identical across runs.
 """
@@ -24,7 +31,6 @@ import numpy as np
 
 from .constructions import (
     EpsilonSearchError,
-    UnsupportedParameters,
     build_chain,
     build_counterexample,
     counterexample_json,
@@ -76,52 +82,34 @@ def _flatten(obj, prefix=""):
         yield prefix, obj
 
 
-def _emit_report(cfg: RunConfig, stem: str, report: VerificationReport) -> Path:
-    payload = report.to_json_dict()
+def _write(cfg: RunConfig, stem: str, content) -> Path:
+    """Write a report, or a (header, rows) table, as `stem` in the run's format."""
     out = Path(cfg.output_dir) / f"{stem}.{cfg.format}"
-    if cfg.format == "json":
-        return write_json(out, payload)
-    return write_csv(out, ["key", "value"], list(_flatten(jsonable(payload))))
-
-
-def _emit_table(cfg: RunConfig, stem: str, header, rows) -> Path:
-    out = Path(cfg.output_dir) / f"{stem}.{cfg.format}"
+    if isinstance(content, VerificationReport):
+        payload = content.to_json_dict()
+        if cfg.format == "json":
+            return write_json(out, payload)
+        return write_csv(out, ["key", "value"], list(_flatten(jsonable(payload))))
+    header, rows = content
     if cfg.format == "csv":
         return write_csv(out, header, [[row[h] for h in header] for row in rows])
     return write_json(out, {"header": list(header), "rows": jsonable(rows)})
 
 
-def _finish(report: VerificationReport, paths, started: float) -> int:
-    for path in paths:
-        print(path)
-    status = "pass" if report.passed else "FAIL"
-    print(f"[{report.suite}] {status} in {time.perf_counter() - started:.2f}s",
-          file=sys.stderr)
-    return OK if report.passed else VERIFY_FAILED
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE
+def _require_admissible(n: int, m: int) -> None:
+    if not admissible(n, m).admissible:
+        raise ValueError(f"(n, m) = ({n}, {m}) is not admissible")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_verify_examples(cfg: RunConfig, n: int, m: int, lam: float,
-                        epsilon: float | None) -> int:
-    started = time.perf_counter()
-    try:
-        sol = solve_profile(n, m, lam)
-    except UnsupportedParameters as exc:
-        return _usage_error(str(exc))
-
+def cmd_verify_examples(cfg: RunConfig, args) -> tuple[bool, dict]:
+    n, m, lam = args.n, args.m, args.lam
+    sol = solve_profile(n, m, lam)
     r_grid = np.linspace(-cfg.r_max, cfg.r_max, cfg.grid_points)
-    residuals = ode_residual(n, m, lam, sol, r_grid)
-    residual_max = float(np.max(np.abs(residuals)))
-    residual_ok = residual_max < 1e-9
-
+    residual_max = float(np.max(np.abs(ode_residual(n, m, lam, sol, r_grid))))
     witnesses: dict = {
         "n": n, "m": m, "lambda": lam,
         "profile_case": sol.case,
@@ -129,43 +117,32 @@ def cmd_verify_examples(cfg: RunConfig, n: int, m: int, lam: float,
         "ode_residual_max": residual_max,
     }
 
-    try:
-        if epsilon is None:
-            try:
-                found = search_epsilon(n, m, lam, frame_budget=cfg.frame_budget,
-                                       seed=cfg.seed, r_max=cfg.r_max,
-                                       grid_points=cfg.grid_points)
-            except EpsilonSearchError as exc:
-                witnesses["positivity"] = exc.best_report.to_json_dict()
-                witnesses["epsilon"] = None
-                report = VerificationReport("verify-examples", False,
-                                            witnesses, cfg)
-                return _finish(report,
-                               [_emit_report(cfg, f"verify_examples_n{n}_m{m}",
-                                             report)], started)
-            positivity = found.report
-            witnesses["epsilon"] = found.epsilon
-            witnesses["tightness"] = found.tightness_report.to_json_dict()
+    if args.epsilon is None:
+        try:
+            found = search_epsilon(n, m, lam, frame_budget=cfg.frame_budget,
+                                   seed=cfg.seed, r_max=cfg.r_max,
+                                   grid_points=cfg.grid_points)
+        except EpsilonSearchError as exc:
+            positivity, witnesses["epsilon"] = exc.best_report, None
         else:
-            metric = build_counterexample(n, m, lam, epsilon, r_max=cfg.r_max)
-            positivity = verify_uniform_positivity(
-                metric, lam, r_grid=r_grid, frame_budget=cfg.frame_budget,
-                seed=cfg.seed)
-            witnesses["epsilon"] = epsilon
-            witnesses["metric"] = counterexample_json(n, m, lam, epsilon,
-                                                      r_max=cfg.r_max)
-    except ValueError as exc:  # out-of-range parameters or an r-range too wide
-        return _usage_error(str(exc))
+            positivity, witnesses["epsilon"] = found.report, found.epsilon
+            witnesses["tightness"] = found.tightness_report.to_json_dict()
+    else:
+        metric = build_counterexample(n, m, lam, args.epsilon, r_max=cfg.r_max)
+        positivity = verify_uniform_positivity(
+            metric, lam, r_grid=r_grid, frame_budget=cfg.frame_budget,
+            seed=cfg.seed)
+        witnesses["epsilon"] = args.epsilon
+        witnesses["metric"] = counterexample_json(n, m, lam, args.epsilon,
+                                                  r_max=cfg.r_max)
 
     witnesses["positivity"] = positivity.to_json_dict()
-    passed = residual_ok and positivity.passed
+    passed = residual_max < 1e-9 and positivity.passed
     report = VerificationReport("verify-examples", passed, witnesses, cfg)
-    return _finish(report, [_emit_report(cfg, f"verify_examples_n{n}_m{m}",
-                                         report)], started)
+    return passed, {f"verify_examples_n{n}_m{m}": report}
 
 
-def cmd_scan_algebra(cfg: RunConfig) -> int:
-    started = time.perf_counter()
+def cmd_scan_algebra(cfg: RunConfig, args) -> tuple[bool, dict]:
     adm_rows = admissibility_sweep_rows()
     d_rows = d_table_rows()
     third = check_d_third_expression()
@@ -208,28 +185,18 @@ def cmd_scan_algebra(cfg: RunConfig) -> int:
         "gamma_equivalence": {"pass": gamma_ok, "cases": len(gamma_rows)},
         "c0_identity": {"pass": identity_ok, "rows": identity_rows},
     }
-    report = VerificationReport("scan-algebra", passed, witnesses, cfg)
-    paths = [
-        _emit_table(cfg, "scan_algebra_admissibility",
-                    ["n", "m", "ineq1", "ineq2", "admissible"], adm_rows),
-        _emit_table(cfg, "scan_algebra_d_table",
-                    ["n", "m", "candidates", "D"], d_rows),
-        _emit_table(cfg, "scan_algebra_gamma",
-                    ["n", "m", "agree"], gamma_rows),
-        _emit_report(cfg, "scan_algebra", report),
-    ]
-    return _finish(report, paths, started)
+    return passed, {
+        "scan_algebra_admissibility":
+            (["n", "m", "ineq1", "ineq2", "admissible"], adm_rows),
+        "scan_algebra_d_table": (["n", "m", "candidates", "D"], d_rows),
+        "scan_algebra_gamma": (["n", "m", "agree"], gamma_rows),
+        "scan_algebra": VerificationReport("scan-algebra", passed, witnesses, cfg),
+    }
 
 
-def cmd_matrix_inequalities(cfg: RunConfig, n: int, m: int) -> int:
-    started = time.perf_counter()
-    try:
-        rec = admissible(n, m)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    if not rec.admissible:
-        return _usage_error(f"(n, m) = ({n}, {m}) is not admissible")
-
+def cmd_matrix_inequalities(cfg: RunConfig, args) -> tuple[bool, dict]:
+    n, m = args.n, args.m
+    _require_admissible(n, m)
     threshold = d_of(n, m).value
     chen = chen_min_exact(n, m)
     chen_ok = chen.ratio == threshold and min(chen.pivots) > 0
@@ -247,20 +214,12 @@ def cmd_matrix_inequalities(cfg: RunConfig, n: int, m: int) -> int:
                     "matrix": brendle.matrix, "pass": brendle_ok},
     }
     report = VerificationReport("matrix-inequalities", passed, witnesses, cfg)
-    return _finish(report, [_emit_report(cfg, f"matrix_inequalities_n{n}_m{m}",
-                                         report)], started)
+    return passed, {f"matrix_inequalities_n{n}_m{m}": report}
 
 
-def cmd_diameter(cfg: RunConfig, n: int, m: int, lam: float,
-                 skip_model: bool) -> int:
-    started = time.perf_counter()
-    try:
-        rec = admissible(n, m)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    if not rec.admissible:
-        return _usage_error(f"(n, m) = ({n}, {m}) is not admissible")
-
+def cmd_diameter(cfg: RunConfig, args) -> tuple[bool, dict]:
+    n, m, lam = args.n, args.m, args.lam
+    _require_admissible(n, m)
     bound = cm_diameter_bound(n, m, lam)
     d = n - m + 1
     gamma = Fraction(2 * m - 2, m)
@@ -284,7 +243,7 @@ def cmd_diameter(cfg: RunConfig, n: int, m: int, lam: float,
     else:
         witnesses["c0_identity"] = {"skipped": "needs m >= 2"}
 
-    if m == n - 2 and not skip_model:
+    if m == n - 2 and not args.skip_model:
         rho = math.sqrt(2.0 / lam)
         try:
             model = rotational_diameter(
@@ -292,7 +251,7 @@ def cmd_diameter(cfg: RunConfig, n: int, m: int, lam: float,
                 (0.0, rho * math.pi), 2,
                 n_r=min(cfg.grid_points, 128), n_theta=min(cfg.grid_points, 128))
         except ValueError as exc:  # the model radius sqrt(2/lambda) overflows
-            return _usage_error(f"model metric at lambda = {lam}: {exc}")
+            raise ValueError(f"model metric at lambda = {lam}: {exc}") from exc
         rel = abs(model - bound) / bound
         model_ok = rel < 0.02
         witnesses["model"] = {"diameter": model, "bound": bound,
@@ -300,25 +259,15 @@ def cmd_diameter(cfg: RunConfig, n: int, m: int, lam: float,
         passed = passed and model_ok
 
     report = VerificationReport("diameter", passed, witnesses, cfg)
-    return _finish(report, [_emit_report(cfg, f"diameter_n{n}_m{m}", report)],
-                   started)
+    return passed, {f"diameter_n{n}_m{m}": report}
 
 
-def cmd_curvature_report(cfg: RunConfig, n: int, m: int, lam: float,
-                         epsilon: float) -> int:
-    started = time.perf_counter()
-    try:
-        metric = build_counterexample(n, m, lam, epsilon, r_max=cfg.r_max)
-    except UnsupportedParameters as exc:
-        return _usage_error(str(exc))
-
-    r_grid = np.linspace(-cfg.r_max, cfg.r_max, cfg.grid_points)
+def cmd_curvature_report(cfg: RunConfig, args) -> tuple[bool, dict]:
+    n, m = args.n, args.m
+    metric = build_counterexample(n, m, args.lam, args.epsilon, r_max=cfg.r_max)
     rows = []
-    for r in r_grid:
-        try:
-            data = riemann_exact(metric, float(r))
-        except ValueError as exc:
-            return _usage_error(f"curvature at r = {float(r)!r}: {exc}")
+    for r in np.linspace(-cfg.r_max, cfg.r_max, cfg.grid_points):
+        data = riemann_exact(metric, float(r))
         data.validate(1e-8, relative=True)
         eigs = np.linalg.eigvalsh(data.ricci)
         rows.append({
@@ -328,13 +277,8 @@ def cmd_curvature_report(cfg: RunConfig, n: int, m: int, lam: float,
             "ricci_max": float(eigs[-1]),
             "ricci_radial": float(data.ricci[metric.sphere_dim, metric.sphere_dim]),
         })
-    path = _emit_table(cfg, f"curvature_report_n{n}_m{m}",
-                       ["r", "scalar", "ricci_min", "ricci_max", "ricci_radial"],
-                       rows)
-    print(path)
-    print(f"[curvature-report] {len(rows)} grid rows in "
-          f"{time.perf_counter() - started:.2f}s", file=sys.stderr)
-    return OK
+    header = ["r", "scalar", "ricci_min", "ricci_max", "ricci_radial"]
+    return True, {f"curvature_report_n{n}_m{m}": (header, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +298,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", dest="output_dir", help="report directory")
     common.add_argument("--format", choices=["json", "csv"],
                         help="report file format")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--n", type=int, required=True)
+    pair.add_argument("--m", type=int, required=True)
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", type=float, default=1.0, dest="lam")
 
     parser = argparse.ArgumentParser(
         prog="curvlab",
@@ -361,64 +310,51 @@ def _build_parser() -> argparse.ArgumentParser:
                     "warped counterexample metrics, and diameter bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-examples", parents=[common],
-                       help="build a warped metric and verify uniform positivity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", type=float, default=1.0, dest="lam")
+    def command(name, handler, help, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("verify-examples", cmd_verify_examples,
+                "build a warped metric and verify uniform positivity", pair, lam)
     p.add_argument("--epsilon", type=float, default=None,
                    help="sphere scale; searched when omitted")
-
-    sub.add_parser("scan-algebra", parents=[common],
-                   help="exact rational sweeps of the index inequalities")
-
-    p = sub.add_parser("matrix-inequalities", parents=[common],
-                       help="exact minima of the algebraic curvature forms "
-                            "with an LDL^T certificate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("diameter", parents=[common],
-                       help="evaluate diameter bounds and the constant identity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", type=float, default=1.0, dest="lam")
+    command("scan-algebra", cmd_scan_algebra,
+            "exact rational sweeps of the index inequalities")
+    command("matrix-inequalities", cmd_matrix_inequalities,
+            "exact minima of the algebraic curvature forms with an LDL^T "
+            "certificate", pair)
+    p = command("diameter", cmd_diameter,
+                "evaluate diameter bounds and the constant identity", pair, lam)
     p.add_argument("--skip-model", action="store_true",
                    help="skip the rotational model diameter check")
-
-    p = sub.add_parser("curvature-report", parents=[common],
-                       help="tabulate curvature invariants on a radial grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", type=float, default=1.0, dest="lam")
+    p = command("curvature-report", cmd_curvature_report,
+                "tabulate curvature invariants on a radial grid", pair, lam)
     p.add_argument("--epsilon", type=float, default=1.0)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    for flag, value in (("--lambda", getattr(args, "lam", None)),
-                        ("--epsilon", getattr(args, "epsilon", None))):
-        if value is not None and not 0 < value < math.inf:
-            return _usage_error(f"{flag} must be finite and positive, got {value}")
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    started = time.perf_counter()
     try:
-        cfg = RunConfig.resolve(args.config, overrides)
-    except (ValueError, OSError) as exc:
-        return _usage_error(str(exc))
+        for flag, value in (("--lambda", getattr(args, "lam", None)),
+                            ("--epsilon", getattr(args, "epsilon", None))):
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{flag} must be finite and positive, got {value}")
+        cfg = RunConfig.resolve(args.config, {f.name: getattr(args, f.name)
+                                              for f in fields(RunConfig)})
+        passed, files = args.handler(cfg, args)
+    except (ValueError, OSError) as exc:  # handlers do no I/O: OSError is the config file's
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
 
-    if args.command == "verify-examples":
-        return cmd_verify_examples(cfg, args.n, args.m, args.lam, args.epsilon)
-    if args.command == "scan-algebra":
-        return cmd_scan_algebra(cfg)
-    if args.command == "matrix-inequalities":
-        return cmd_matrix_inequalities(cfg, args.n, args.m)
-    if args.command == "diameter":
-        return cmd_diameter(cfg, args.n, args.m, args.lam, args.skip_model)
-    if args.command == "curvature-report":
-        return cmd_curvature_report(cfg, args.n, args.m, args.lam, args.epsilon)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    paths = [_write(cfg, stem, content) for stem, content in files.items()]
+    for path in paths:
+        print(path)
+    print(f"[{args.command}] {'pass' if passed else 'FAIL'} in "
+          f"{time.perf_counter() - started:.2f}s", file=sys.stderr)
+    return OK if passed else VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -262,11 +262,14 @@ def riemann_exact(metric: WarpedTorusMetric, r: float) -> RiemannData:
 
     Frame order: sphere block, then e_r, then the torus block.  Only the
     sectional pattern R[a,b,a,b] (and its symmetry images) is nonzero, with
-    the class value of the labels of e_a and e_b.  Raises ValueError when
-    the components or their contractions are not finite.
+    the class value of the labels of e_a and e_b.  Raises ValueError,
+    naming r, when the components or their contractions are not finite.
     """
-    return RiemannData.from_components(
-        _sectional_components(metric, r, metric.frame_labels()))
+    components = _sectional_components(metric, r, metric.frame_labels())
+    try:
+        return RiemannData.from_components(components)
+    except ValueError as exc:
+        raise ValueError(f"curvature at r = {r!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,10 @@ class RunConfig:
             key, _, val = (s.strip() for s in line.partition("="))
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = types[key](val)
+            try:
+                values[key] = types[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
         return cls(**values).validate()
 
     @classmethod
@@ -169,7 +172,10 @@ class RunConfig:
         cfg = cls.from_file(config_path) if config_path else cls()
         env = os.environ if env is None else env
         if "CURVLAB_SEED" in env:
-            cfg = replace(cfg, seed=int(env["CURVLAB_SEED"]))
+            try:
+                cfg = replace(cfg, seed=int(env["CURVLAB_SEED"]))
+            except ValueError as exc:
+                raise ValueError(f"CURVLAB_SEED: {exc}") from exc
         clean = {k: v for k, v in (overrides or {}).items() if v is not None}
         unknown = set(clean) - {f.name for f in fields(cls)}
         if unknown:

@@ -7,6 +7,9 @@ stdout-is-only-paths rule are asserted throughout.
 import dataclasses
 import json
 import math
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -71,10 +74,21 @@ class TestVerifyExamples:
         assert "error" in err
 
     def test_unsupported_dimension_is_usage_error(self, tmp_path, capsys):
+        # m^2 - mn + m + n = 2 > 0 at (8, 1): outside the construction range
         code, _, _ = run_cli(
-            ["verify-examples", "--n", "8", "--m", "2", "--out", str(tmp_path),
+            ["verify-examples", "--n", "8", "--m", "1", "--out", str(tmp_path),
              *FAST], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("n,m", [(8, 2), (9, 4), (12, 6)])
+    def test_construction_beyond_the_paper_dimensions(self, tmp_path, capsys, n, m):
+        code, paths, _ = run_cli(
+            ["verify-examples", "--n", str(n), "--m", str(m), "--epsilon", "1",
+             "--out", str(tmp_path), *FAST], capsys)
+        assert code == 0
+        positivity = load_json(paths[0])["witnesses"]["positivity"]
+        assert positivity["pass"] is True
+        assert positivity["certified_radii"] == 9
 
     @pytest.mark.parametrize("epsilon", [["--epsilon", "1"], []])
     def test_non_finite_curvature_is_usage_error(self, tmp_path, capsys, epsilon):
@@ -329,6 +343,27 @@ class TestReproducibility:
         assert paths == []
         assert "no_such_key" in err
 
+    @pytest.mark.parametrize("env,config,source", [
+        ("abc", None, "CURVLAB_SEED: "),
+        ("1.5", None, "CURVLAB_SEED: "),
+        (None, "seed = abc\n", "bad.cfg:1: "),
+    ])
+    def test_bad_config_value_names_its_source(self, tmp_path, monkeypatch, capsys,
+                                               env, config, source):
+        argv = ["scan-algebra", "--out", str(tmp_path / "out")]
+        if env is not None:
+            monkeypatch.setenv("CURVLAB_SEED", env)
+        if config is not None:
+            (tmp_path / "bad.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "bad.cfg")]
+        code, paths, err = run_cli(argv, capsys)
+        assert code == 2
+        assert paths == [] and not (tmp_path / "out").exists()
+        value = env or "abc"
+        assert err.endswith(f"{source}invalid literal for int() with base 10: "
+                            f"{value!r}\n")
+        assert err.startswith("error: ")
+
     def test_missing_required_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify-examples", "--out", str(tmp_path)])
@@ -345,6 +380,9 @@ class TestReproducibility:
     # the sphere curvature 1/(eps^2 f^2) overflows at the grid ends
     ["curvature-report", "--n", "6", "--m", "2", "--lambda", "1e300",
      "--grid-points", "3"],
+    # the Gaussian profile's log-derivatives overflow in the ODE residual
+    ["verify-examples", "--n", "6", "--m", "2", "--r-max", "1e160",
+     "--grid-points", "3"],
 ])
 def test_bad_invocation_exits_two_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -355,6 +393,42 @@ def test_bad_invocation_exits_two_without_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
     if argv[0] == "curvature-report":
         assert "r = -10.0" in err and "not finite" in err
+    if argv[0] == "verify-examples":
+        assert err == "error: ODE residual at r = -1e+160 is not finite\n"
+
+
+# one passing run of every subcommand, with a budget small enough for the suite
+SUBCOMMAND_RUNS = [
+    ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "1", *FAST],
+    ["scan-algebra"],
+    ["matrix-inequalities", "--n", "5", "--m", "3"],
+    ["diameter", "--n", "5", "--m", "3", "--grid-points", "33"],
+    ["curvature-report", "--n", "6", "--m", "2", "--grid-points", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_RUNS, ids=lambda argv: argv[0])
+def test_stdout_lists_exactly_the_written_files(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, paths, err = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 0
+    assert sorted(paths) == sorted(str(p) for p in out.iterdir())
+    status = [line for line in err.splitlines()
+              if re.match(rf"\[{argv[0]}\] (pass|FAIL) in \d+\.\d\ds$", line)]
+    assert len(status) == 1
+
+
+def test_module_entry_point_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency; a runtime-only install must still work
+    out = tmp_path / "out"
+    launcher = ("import runpy, sys; sys.modules['scipy'] = None; "
+                f"sys.argv = ['curvlab', 'scan-algebra', '--out', {str(out)!r}]; "
+                "runpy.run_module('curvlab.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", launcher], capture_output=True,
+                          text=True, cwd=Path(cli.__file__).parents[1])
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(out.iterdir())) == 4
+    assert sorted(proc.stdout.splitlines()) == sorted(str(p) for p in out.iterdir())
 
 
 class TestNonFiniteParameters:

@@ -192,12 +192,13 @@ class TestBuildCounterexample:
         assert 4.0 / metric.m == 1.0
 
     def test_all_pairs_accepted(self):
-        for n, m in CONSTRUCTION_PAIRS:
+        # the range is m^2 - mn + m + n <= 0 alone, beyond the paper's n <= 7
+        for n, m in CONSTRUCTION_PAIRS + ((8, 2),):
             metric = build_counterexample(n, m, 1.0, 0.5)
             assert (metric.n, metric.m) == (n, m)
 
     @pytest.mark.parametrize("n,m,eps", [(6, 4, 0.5), (5, 2, 0.5),
-                                         (8, 2, 0.5), (6, 2, -1.0)])
+                                         (8, 1, 0.5), (6, 2, -1.0)])
     def test_rejections(self, n, m, eps):
         with pytest.raises(UnsupportedParameters):
             build_counterexample(n, m, 1.0, eps)
