@@ -62,7 +62,13 @@ class UnsupportedParameters(ValueError):
 
 
 class EpsilonSearchError(RuntimeError):
-    """No sphere scale in the search set passed; carries the best report."""
+    """No sphere scale in the search set passed; carries the best report.
+
+    Every candidate's sweep is fail-fast, so its worst value is in general
+    a witness (its report's worst method says so): an upper bound on the
+    minimum at that radius, not the minimum.  The best report is the one
+    with the highest such value.
+    """
 
     def __init__(self, message: str, best_report: "PositivityReport"):
         super().__init__(message)
@@ -236,7 +242,15 @@ def counterexample_json(n: int, m: int, lam: float, epsilon: float,
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Outcome of a radial-grid sweep of the C_m minimizer."""
+    """Outcome of a radial-grid sweep of the C_m minimizer.
+
+    The worst radius carries the bracket [worst_lower_bound, worst_value]
+    from `cm_min`, and worst_method is its outcome.  When that is
+    "witness", a fail-fast sweep stopped on a coordinate frame below the
+    pass threshold: worst_value is that frame's value, an upper bound on
+    the minimum there, not the minimum.  `complete` is False when a
+    fail-fast sweep stopped before the last radius.
+    """
 
     passed: bool
     lam: float
@@ -246,6 +260,8 @@ class PositivityReport:
     worst_r: float
     worst_value: float
     worst_frame: np.ndarray
+    worst_method: str
+    worst_lower_bound: float
     coord_value_min: float
     coord_value_max: float
     evaluations: int
@@ -259,10 +275,13 @@ class PositivityReport:
             "epsilon": self.epsilon,
             "grid": {"R": self.r_max, "points": self.grid_points},
             "certified_radii": self.certified_radii,
+            "complete": self.complete,
             "worst": {
                 "r": self.worst_r,
                 "value": self.worst_value,
                 "frame": np.asarray(self.worst_frame).tolist(),
+                "method": self.worst_method,
+                "lower_bound": self.worst_lower_bound,
             },
             "coordinate_frame_value_range": [self.coord_value_min,
                                              self.coord_value_max],
@@ -275,38 +294,50 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
     """Minimize C_m at every grid radius and compare against lambda.
 
     Passes iff the grid minimum is at least lambda * (1 - 1e-6).  The
-    reported worst radius, value and frame belong to the first radius in
-    sweep order whose value is within TIE_TOL of that minimum.  Also
-    records the range of C_m at the distinguished coordinate frame, which
-    the construction pins to lambda exactly, and how many radii the
-    minimizer's certificate decided without sampling.  A radius whose curvature
-    cannot be evaluated (non-finite components) raises ValueError naming
-    that radius, so a sweep never passes on values it did not compute.
+    reported worst radius, value, frame, method and lower bound belong to
+    the first radius in sweep order whose value is within TIE_TOL of that
+    minimum.  Also records the range of C_m at the distinguished coordinate
+    frame, which the construction pins to lambda exactly, and how many
+    radii the minimizer's certificate decided without sampling.  A radius
+    whose curvature cannot be evaluated (non-finite components) raises
+    ValueError naming that radius and the |r| up to which the curvature
+    is finite, so a sweep never passes on values it did not compute.
 
     Grid points are processed in order of increasing |r| (violations
     cluster near the origin); with fail_fast=True the sweep stops at the
-    first violation and the report is marked incomplete.  Every grid index
-    seeds its own minimizer via task_seed(seed, index), so results do not
-    depend on evaluation order.
+    first violation and the report is marked incomplete.  A fail-fast
+    sweep asks only whether C_m stays above the threshold, so `cm_min`
+    stops at a coordinate frame below it (method "witness") instead of
+    minimizing; the reported worst value is then that witness.  Every grid
+    index seeds its own minimizer via task_seed(seed, index), so results
+    do not depend on evaluation order.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     threshold = lam * (1.0 - PASS_SLACK)
     coord_q = coordinate_frame(metric.n, metric.coordinate_frame_indices())
     order = sorted(range(len(r_grid)), key=lambda i: (abs(r_grid[i]), r_grid[i]))
 
-    lowest, visited = np.inf, []  # visited: (r, value, frame) in sweep order
+    lowest, visited = np.inf, []  # visited: (r, CmResult) in sweep order
     cmin, cmax = np.inf, -np.inf
     evals = certified = 0
     stopped = False
     for count, i in enumerate(order, 1):
         r = float(r_grid[i])
-        rd = riemann_exact(metric, r)
-        res = cm_min(rd, metric.m, budget=frame_budget, seed=task_seed(seed, i))
+        try:
+            rd = riemann_exact(metric, r)
+        except ValueError as exc:
+            reach = _finite_reach(metric, visited[-1][0] if visited else 0.0, r)
+            if reach is None:
+                raise
+            raise ValueError(f"{exc}; curvature is finite for "
+                             f"|r| <= {math.floor(reach * 100) / 100}") from exc
+        res = cm_min(rd, metric.m, budget=frame_budget, seed=task_seed(seed, i),
+                     stop_below=threshold if fail_fast else None)
         evals += res.evaluations
         certified += res.method == "certificate"
         cv = cm_of_frame(rd, coord_q)
         cmin, cmax = min(cmin, cv), max(cmax, cv)
-        visited.append((r, res.value, res.argmin))
+        visited.append((r, res))
         lowest = min(lowest, res.value)
         if fail_fast and res.value < threshold:
             stopped = count < len(order)
@@ -314,15 +345,39 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
 
     # the family is symmetric in r, so a strict minimum would leave the
     # choice between -r and r to rounding; report the first near-tie instead
-    worst_r, worst_value, worst_frame = next(
-        v for v in visited if v[1] <= lowest + TIE_TOL)
+    worst_r, worst = next((r, res) for r, res in visited
+                          if res.value <= lowest + TIE_TOL)
     return PositivityReport(
         passed=bool(lowest >= threshold), lam=float(lam),
         epsilon=metric.epsilon, r_max=float(np.max(np.abs(r_grid))),
         grid_points=len(r_grid), worst_r=worst_r,
-        worst_value=float(worst_value), worst_frame=worst_frame,
+        worst_value=float(worst.value), worst_frame=worst.argmin,
+        worst_method=worst.method, worst_lower_bound=float(worst.lower_bound),
         coord_value_min=float(cmin), coord_value_max=float(cmax),
         evaluations=evals, complete=not stopped, certified_radii=certified)
+
+
+def _finite_reach(metric: WarpedTorusMetric, lo: float, r: float) -> float | None:
+    """The largest |r| between lo and |r| found to keep the curvature finite.
+
+    Bisects on radii of r's sign from |lo|, the last radius swept, to r,
+    where the curvature is not finite, down to 2^-50 of the interval.
+    None when the curvature is not finite at |lo| either.
+    """
+    def finite(x: float) -> bool:
+        try:
+            riemann_exact(metric, math.copysign(x, r))
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = abs(lo), abs(r)
+    if not finite(lo):
+        return None
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -346,6 +401,12 @@ def search_epsilon(n: int, m: int, lam: float,
     2^-t seeds its grid from task_seed(seed, t).  The tightness report of
     a passing t >= 1 is therefore the failed report of candidate t - 1;
     only when t = 0 passes is scale 2 swept, as t = -1.
+
+    A failed fail-fast sweep reports, as its worst value, the witness that
+    stopped it (an upper bound on the minimum at that radius).  When no
+    scale passes, EpsilonSearchError carries the failed report with the
+    highest worst value: the comparison is between witnesses, not minima,
+    and the report's worst method says so.
     """
     r_grid = np.linspace(-r_max, r_max, grid_points)
 

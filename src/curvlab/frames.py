@@ -43,17 +43,20 @@ sum of the k smallest eigenvalues of R, so that sum is a lower bound for
 every frame.  The coordinate subsets give an upper bound.  When the two
 agree within TIE_TOL on both sides, the coordinate minimum is proven; a
 bound far above an attained value can only be rounding, and is not taken
-as a proof.  Otherwise projected gradient descent on the Stiefel manifold
-runs from the best coordinate frame and the best of a chunked random
-sample, each chunk's best found by partial selection, and the bound is
-still reported beside the value.  Sampling only picks starts and descent
-only accepts decreases, so the outcome is "coordinate-enumeration" when a
-coordinate subset ties the best value, else "projected-descent".  The
-descent runs in lockstep over the stack of starts: every frame keeps its
-own step size and Armijo test, frames still backtracking stay pending, and
-a frame leaves the stack when it stops, so each start follows the path it
-would follow alone (up to rounding).  Results are bitwise reproducible for a fixed seed and
-budget.
+as a proof.  A caller that only asks whether C_m stays at or above a
+threshold (`stop_below`) gets a coordinate frame below it as the answer,
+method "witness", without sampling: the bracket is then [bound, witness
+value], with the minimum somewhere inside.  Otherwise projected gradient
+descent on the Stiefel manifold runs from the best coordinate frame and
+the best of a chunked random sample, each chunk's best found by partial
+selection, and the bound is still reported beside the value.  Sampling
+only picks starts and descent only accepts decreases, so the outcome is
+"coordinate-enumeration" when a coordinate subset ties the best value,
+else "projected-descent".  The descent runs in lockstep over the stack of
+starts: every frame keeps its own step size and Armijo test, frames still
+backtracking stay pending, and a frame leaves the stack when it stops, so
+each start follows the path it would follow alone (up to rounding).
+Results are bitwise reproducible for a fixed seed and budget.
 
 Step rule (Barzilai-Borwein steps on the Stiefel manifold, as in Wen and
 Yin 2013): the first trial step is 1/(1 + |G|) for the tangent gradient G.
@@ -360,9 +363,11 @@ class CmResult:
     preferred when they tie.  `lower_bound` is the Ky Fan bound, the sum
     of the smallest C(n, 2) - C(n - m, 2) eigenvalues of the curvature
     operator, which no frame goes below.  `method` names the outcome:
-    "certificate" when the bound proves the coordinate minimum, otherwise
-    "coordinate-enumeration" when a coordinate subset ties the value, else
-    "projected-descent".
+    "certificate" when the bound proves the coordinate minimum, "witness"
+    when the search stopped at a coordinate frame below the caller's
+    `stop_below` (`value` is then that frame's value, an upper bound on
+    the minimum, not the minimum), otherwise "coordinate-enumeration" when
+    a coordinate subset ties the value, else "projected-descent".
     """
 
     value: float
@@ -429,7 +434,8 @@ def _best_samples(riemann: RiemannData, m: int, budget: int, seed: int) -> np.nd
     return np.concatenate(kept_frames)[best]
 
 
-def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -> CmResult:
+def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *,
+           stop_below: float | None = None) -> CmResult:
     """Minimize C_m over m-frames: certificate, else enumeration and sampled descent.
 
     Coordinate subsets are enumerated first; their minimum is an upper
@@ -437,9 +443,13 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -
     scal/2 - tr(R Pi) with Pi the projection onto 2-vectors of V-perp.
     When the two agree within TIE_TOL on both sides, the coordinate
     minimum is proven and returned with method "certificate" after C(n, m)
-    evaluations.  Otherwise `budget` Haar frames are sampled (see
+    evaluations.  Otherwise, when the caller only asks whether C_m stays
+    at or above `stop_below` and a coordinate frame already goes below it,
+    that frame answers no: its value is returned with method "witness"
+    after C(n, m) evaluations, an upper bound on the minimum rather than
+    the minimum.  Otherwise `budget` Haar frames are sampled (see
     `_best_samples`) and descent runs in lockstep from the best coordinate
-    frame and the DESCENT_STARTS best samples.  On either path, when a
+    frame and the DESCENT_STARTS best samples.  On every path, when a
     coordinate subset comes within TIE_TOL of the best value found, the
     lexicographically first such subset is reported as the argmin.
     """
@@ -463,6 +473,8 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0) -
     # both-sided: a bound far above an attained value is rounding, not a proof
     if abs(upper - lower) <= TIE_TOL:
         best_value, method = upper, "certificate"
+    elif stop_below is not None and upper < stop_below:
+        best_value, method = upper, "witness"
     else:
         # lockstep descent from the best coordinate frame and the best samples
         starts = np.concatenate([coord_qs[coord_best][None],

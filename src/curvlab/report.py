@@ -146,7 +146,11 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        """Flat key = value lines; blank lines and # comments ignored."""
+        """Flat key = value lines; blank lines and # comments ignored.
+
+        Each value is parsed and validated on its own line, so an error
+        names the line it came from.
+        """
         types = {f.name: type(f.default) for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -160,9 +164,10 @@ class RunConfig:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = types[key](val)
+                cls(**{key: values[key]}).validate()
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        return cls(**values).validate()
+        return cls(**values)
 
     @classmethod
     def resolve(cls, config_path: str | None = None,
@@ -173,7 +178,7 @@ class RunConfig:
         env = os.environ if env is None else env
         if "CURVLAB_SEED" in env:
             try:
-                cfg = replace(cfg, seed=int(env["CURVLAB_SEED"]))
+                cfg = replace(cfg, seed=int(env["CURVLAB_SEED"])).validate()
             except ValueError as exc:
                 raise ValueError(f"CURVLAB_SEED: {exc}") from exc
         clean = {k: v for k, v in (overrides or {}).items() if v is not None}

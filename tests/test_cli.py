@@ -100,6 +100,8 @@ class TestVerifyExamples:
         assert code == 2
         assert paths == []
         assert "r = -40.0" in err and "not finite" in err
+        # (6, 2) at lambda = epsilon = 1 stays finite up to |r| of about 37.61
+        assert err.endswith("; curvature is finite for |r| <= 37.61\n")
 
     def test_failing_epsilon_exits_one_with_witness(self, tmp_path, capsys):
         code, paths, _ = run_cli(
@@ -343,13 +345,18 @@ class TestReproducibility:
         assert paths == []
         assert "no_such_key" in err
 
-    @pytest.mark.parametrize("env,config,source", [
-        ("abc", None, "CURVLAB_SEED: "),
-        ("1.5", None, "CURVLAB_SEED: "),
-        (None, "seed = abc\n", "bad.cfg:1: "),
+    @pytest.mark.parametrize("env,config,source,reason", [
+        ("abc", None, "CURVLAB_SEED: ", "invalid literal for int() with base 10: 'abc'"),
+        ("1.5", None, "CURVLAB_SEED: ", "invalid literal for int() with base 10: '1.5'"),
+        (None, "seed = abc\n", "bad.cfg:1: ",
+         "invalid literal for int() with base 10: 'abc'"),
+        # values that parse but are out of range name their source as well
+        ("-1", None, "CURVLAB_SEED: ", "seed must fit in 64 unsigned bits"),
+        (None, "seed = 3\n\ngrid_points = 1\n", "bad.cfg:3: ",
+         "grid_points must be at least 2"),
     ])
     def test_bad_config_value_names_its_source(self, tmp_path, monkeypatch, capsys,
-                                               env, config, source):
+                                               env, config, source, reason):
         argv = ["scan-algebra", "--out", str(tmp_path / "out")]
         if env is not None:
             monkeypatch.setenv("CURVLAB_SEED", env)
@@ -359,10 +366,8 @@ class TestReproducibility:
         code, paths, err = run_cli(argv, capsys)
         assert code == 2
         assert paths == [] and not (tmp_path / "out").exists()
-        value = env or "abc"
-        assert err.endswith(f"{source}invalid literal for int() with base 10: "
-                            f"{value!r}\n")
         assert err.startswith("error: ")
+        assert err.endswith(f"{source}{reason}\n")
 
     def test_missing_required_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curvlab import constructions
+from curvlab import constructions, frames
 from curvlab.constructions import (
     CONSTRUCTION_PAIRS,
     EpsilonSearchError,
@@ -27,7 +27,7 @@ from curvlab.curvature import (
     riemann_fd,
     to_subchart,
 )
-from curvlab.frames import CmResult
+from curvlab.frames import CmResult, cm_of_frame
 from curvlab.inequalities import admissible
 from curvlab.report import task_seed
 from construction_references import (
@@ -304,7 +304,13 @@ class TestVerify:
         assert rep.worst_value == 0.0
         assert rep.epsilon == 1.0
 
-    def test_large_epsilon_fails_at_origin(self):
+    def test_large_epsilon_fails_at_origin(self, monkeypatch):
+        # a coordinate frame below the threshold answers the fail-fast
+        # question, so no frame is sampled
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("random_frames called")
+
+        monkeypatch.setattr(frames, "random_frames", no_sampling)
         metric = build_counterexample(6, 2, 1.0, 10.0)
         rep = verify_uniform_positivity(metric, 1.0, np.linspace(-2, 2, 9),
                                         frame_budget=4000, seed=3,
@@ -314,6 +320,15 @@ class TestVerify:
         assert rep.worst_r == 0.0
         # witnessed by the sphere/torus coordinate pair: 3/eps^2 - 1/2
         assert rep.worst_value == pytest.approx(3.0 / 100.0 - 0.5, abs=5e-3)
+        assert rep.worst_method == "witness"
+        assert rep.evaluations == math.comb(6, 2)
+        threshold = 1.0 - constructions.PASS_SLACK
+        assert rep.worst_lower_bound <= rep.worst_value < threshold
+        rd = riemann_exact(metric, rep.worst_r)
+        assert cm_of_frame(rd, rep.worst_frame) == rep.worst_value
+        worst = rep.to_json_dict()["worst"]
+        assert (worst["method"], worst["lower_bound"]) == ("witness",
+                                                           rep.worst_lower_bound)
 
     def test_small_epsilon_passes(self):
         metric = build_counterexample(6, 2, 1.0, 0.05, r_max=6.0)
@@ -341,10 +356,12 @@ class TestVerify:
                                         frame_budget=500, seed=0)
         d = rep.to_json_dict()
         assert set(d) == {"pass", "lambda", "epsilon", "grid", "certified_radii",
-                          "worst", "coordinate_frame_value_range"}
+                          "complete", "worst", "coordinate_frame_value_range"}
         assert d["certified_radii"] == 3
+        assert d["complete"] is True
         assert set(d["grid"]) == {"R", "points"}
-        assert set(d["worst"]) == {"r", "value", "frame"}
+        assert set(d["worst"]) == {"r", "value", "frame", "method", "lower_bound"}
+        assert d["worst"]["method"] == "certificate"
         assert isinstance(d["worst"]["frame"], list)
 
     @pytest.mark.parametrize("grid,first_bad", [([-40.0, -39.0, 39.0, 40.0], -39.0),
@@ -354,8 +371,12 @@ class TestVerify:
         # the sweep used to pass on the first grid (worst value inf at
         # r = nan) and to skip the NaN radii of the second
         metric = build_counterexample(6, 2, 1.0, 1.0, r_max=40.0)
-        with pytest.raises(ValueError, match=f"r = {first_bad}"):
+        with pytest.raises(ValueError, match=f"r = {first_bad}.*"
+                                             r"finite for \|r\| <= 37\.61$"):
             verify_uniform_positivity(metric, 1.0, grid, frame_budget=500)
+        riemann_exact(metric, -37.61)
+        with pytest.raises(ValueError):
+            riemann_exact(metric, -37.62)
 
 
 class TestWorstRadius:
@@ -371,7 +392,8 @@ class TestWorstRadius:
         grid = [-1.0, 0.0, 1.0]
         radius_of_seed = {task_seed(0, i): r for i, r in enumerate(grid)}
 
-        def fake_cm_min(riemann, m, budget, seed):
+        def fake_cm_min(riemann, m, budget, seed, stop_below):
+            assert stop_below is None  # a sweep that is not fail-fast minimizes
             r = radius_of_seed[seed]
             return CmResult(values[r], np.full((riemann.dim, m), r), 1,
                             "projected-descent", values[r])
@@ -410,6 +432,10 @@ class TestSearchEpsilon:
                            frame_budget=1500, seed=7)
         assert exc.value.best_report is not None
         assert not exc.value.best_report.passed
+        # the scale's worst value is a witness, and the report says so
+        worst = exc.value.best_report.to_json_dict()["worst"]
+        assert worst["method"] == "witness"
+        assert worst["lower_bound"] <= worst["value"] < 4.0
 
     def test_search_failure_carries_the_highest_failing_report(self, monkeypatch):
         # (6, 2) at lambda 16 has sharp scale sqrt(e/24) < 1/2, so both
@@ -452,6 +478,25 @@ class TestSearchEpsilon:
         assert res.tightness_report is swept[1 if lam == 1.0 else 0]
         assert res.tightness_report.epsilon == 2 * res.epsilon
         assert not res.tightness_report.passed
+
+    def test_construction_searches_sample_no_frame(self, monkeypatch):
+        # the certificate decides every passing radius and a coordinate
+        # witness every failing one, so the searches of criterion 5 never
+        # reach the sampled path
+        drawn = []
+        sampler = frames.random_frames
+
+        def recording(*args):
+            drawn.append(args)
+            return sampler(*args)
+
+        monkeypatch.setattr(frames, "random_frames", recording)
+        for lam, expected in ((1.0, 1.0), (4.0, 0.5)):
+            for n, m in CONSTRUCTION_PAIRS:
+                res = search_epsilon(n, m, lam, grid_points=3, seed=5)
+                assert res.epsilon == expected
+                assert res.tightness_report.worst_method == "witness"
+        assert drawn == []
 
     def test_search_recovers_after_failure(self, monkeypatch):
         monkeypatch.setattr(constructions, "MAX_HALVINGS", 3)
