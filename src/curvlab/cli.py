@@ -128,16 +128,16 @@ def cmd_verify_examples(cfg: RunConfig, args) -> tuple[bool, dict]:
             positivity, witnesses["epsilon"] = found.report, found.epsilon
             witnesses["tightness"] = found.tightness_report.to_json_dict()
     else:
-        metric = build_counterexample(n, m, lam, args.epsilon, r_max=cfg.r_max)
+        metric = build_counterexample(n, m, lam, args.epsilon)
         positivity = verify_uniform_positivity(
             metric, lam, r_grid=r_grid, frame_budget=cfg.frame_budget,
             seed=cfg.seed)
         witnesses["epsilon"] = args.epsilon
-        witnesses["metric"] = counterexample_json(n, m, lam, args.epsilon,
-                                                  r_max=cfg.r_max)
+        witnesses["metric"] = counterexample_json(n, m, lam, args.epsilon)
 
     witnesses["positivity"] = positivity.to_json_dict()
-    passed = residual_max < 1e-9 and positivity.passed
+    # the residual is rounding on terms of size lambda, so its gate scales
+    passed = residual_max < 1e-9 * max(1.0, lam) and positivity.passed
     report = VerificationReport("verify-examples", passed, witnesses, cfg)
     return passed, {f"verify_examples_n{n}_m{m}": report}
 
@@ -247,9 +247,7 @@ def cmd_diameter(cfg: RunConfig, args) -> tuple[bool, dict]:
         rho = math.sqrt(2.0 / lam)
         try:
             model = rotational_diameter(
-                lambda r: rho * np.sin(np.asarray(r) / rho),
-                (0.0, rho * math.pi), 2,
-                n_r=min(cfg.grid_points, 128), n_theta=min(cfg.grid_points, 128))
+                lambda r: rho * np.sin(np.asarray(r) / rho), (0.0, rho * math.pi), 2)
         except ValueError as exc:  # the model radius sqrt(2/lambda) overflows
             raise ValueError(f"model metric at lambda = {lam}: {exc}") from exc
         rel = abs(model - bound) / bound
@@ -264,7 +262,7 @@ def cmd_diameter(cfg: RunConfig, args) -> tuple[bool, dict]:
 
 def cmd_curvature_report(cfg: RunConfig, args) -> tuple[bool, dict]:
     n, m = args.n, args.m
-    metric = build_counterexample(n, m, args.lam, args.epsilon, r_max=cfg.r_max)
+    metric = build_counterexample(n, m, args.lam, args.epsilon)
     rows = []
     for r in np.linspace(-cfg.r_max, cfg.r_max, cfg.grid_points):
         data = riemann_exact(metric, float(r))

@@ -212,27 +212,23 @@ def build_chain(n: int, m: int) -> LiftChain:
 # metric assembly and serialization
 # ---------------------------------------------------------------------------
 
-def build_counterexample(n: int, m: int, lam: float, epsilon: float,
-                         r_max: float = 10.0) -> WarpedTorusMetric:
+def build_counterexample(n: int, m: int, lam: float, epsilon: float) -> WarpedTorusMetric:
     """Warped torus metric whose C_m is designed to stay at lambda."""
     if epsilon <= 0:
         raise UnsupportedParameters(f"need epsilon > 0, got {epsilon}")
     sol = solve_profile(n, m, lam)
-    return WarpedTorusMetric(n, m, float(epsilon), sol.f, sol.u,
-                             (-float(r_max), float(r_max)))
+    return WarpedTorusMetric(n, m, float(epsilon), sol.f, sol.u)
 
 
-def counterexample_json(n: int, m: int, lam: float, epsilon: float,
-                        r_max: float = 10.0) -> dict:
+def counterexample_json(n: int, m: int, lam: float, epsilon: float) -> dict:
     """The portable chart description of a constructed metric."""
-    metric = build_counterexample(n, m, lam, epsilon, r_max)
+    metric = build_counterexample(n, m, lam, epsilon)
     sol = solve_profile(n, m, lam)
     return {
         "n": metric.n,
         "m": metric.m,
         "epsilon": metric.epsilon,
         "profile": {"case": sol.case, "lambda": lam, "params": sol.params},
-        "r_domain": list(metric.r_domain),
     }
 
 
@@ -254,7 +250,7 @@ class PositivityReport:
 
     passed: bool
     lam: float
-    epsilon: float | None
+    epsilon: float
     r_max: float
     grid_points: int
     worst_r: float
@@ -300,8 +296,9 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
     frame, which the construction pins to lambda exactly, and how many
     radii the minimizer's certificate decided without sampling.  A radius
     whose curvature cannot be evaluated (non-finite components) raises
-    ValueError naming that radius and the |r| up to which the curvature
-    is finite, so a sweep never passes on values it did not compute.
+    `riemann_exact`'s ValueError, which names that radius and the |r| up
+    to which the curvature is finite, so a sweep never passes on values it
+    did not compute; an empty grid raises ValueError before any radius.
 
     Grid points are processed in order of increasing |r| (violations
     cluster near the origin); with fail_fast=True the sweep stops at the
@@ -313,6 +310,8 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
     do not depend on evaluation order.
     """
     r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.size == 0:
+        raise ValueError("the radial grid is empty")
     threshold = lam * (1.0 - PASS_SLACK)
     coord_q = coordinate_frame(metric.n, metric.coordinate_frame_indices())
     order = sorted(range(len(r_grid)), key=lambda i: (abs(r_grid[i]), r_grid[i]))
@@ -323,14 +322,7 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
     stopped = False
     for count, i in enumerate(order, 1):
         r = float(r_grid[i])
-        try:
-            rd = riemann_exact(metric, r)
-        except ValueError as exc:
-            reach = _finite_reach(metric, visited[-1][0] if visited else 0.0, r)
-            if reach is None:
-                raise
-            raise ValueError(f"{exc}; curvature is finite for "
-                             f"|r| <= {math.floor(reach * 100) / 100}") from exc
+        rd = riemann_exact(metric, r)
         res = cm_min(rd, metric.m, budget=frame_budget, seed=task_seed(seed, i),
                      stop_below=threshold if fail_fast else None)
         evals += res.evaluations
@@ -355,29 +347,6 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
         worst_method=worst.method, worst_lower_bound=float(worst.lower_bound),
         coord_value_min=float(cmin), coord_value_max=float(cmax),
         evaluations=evals, complete=not stopped, certified_radii=certified)
-
-
-def _finite_reach(metric: WarpedTorusMetric, lo: float, r: float) -> float | None:
-    """The largest |r| between lo and |r| found to keep the curvature finite.
-
-    Bisects on radii of r's sign from |lo|, the last radius swept, to r,
-    where the curvature is not finite, down to 2^-50 of the interval.
-    None when the curvature is not finite at |lo| either.
-    """
-    def finite(x: float) -> bool:
-        try:
-            riemann_exact(metric, math.copysign(x, r))
-        except ValueError:
-            return False
-        return True
-
-    lo, hi = abs(lo), abs(r)
-    if not finite(lo):
-        return None
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
-    return lo
 
 
 @dataclass(frozen=True)
@@ -411,7 +380,7 @@ def search_epsilon(n: int, m: int, lam: float,
     r_grid = np.linspace(-r_max, r_max, grid_points)
 
     def sweep(t: int) -> PositivityReport:
-        metric = build_counterexample(n, m, lam, 2.0 ** (-t), r_max=r_max)
+        metric = build_counterexample(n, m, lam, 2.0 ** (-t))
         return verify_uniform_positivity(metric, lam, r_grid,
                                          frame_budget=frame_budget,
                                          seed=task_seed(seed, t), fail_fast=True)

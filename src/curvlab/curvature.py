@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Context, Decimal
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,10 +111,11 @@ def cosh_power_profile(omega: float, power: float) -> RadialProfile:
 
 @dataclass(frozen=True)
 class WarpedTorusMetric:
-    """dr^2 + eps^2 f^2(r) g_sphere + u^(4/m)(r) (flat torus), on a finite r interval.
+    """dr^2 + eps^2 f^2(r) g_sphere + u^(4/m)(r) (flat torus), for every real r.
 
     The sphere factor S^(n-m) carries its radius-1 round metric scaled by
     eps^2 f^2(r); the torus factor contributes m-1 circle directions.
+    Where its curvature stops being finite is for `riemann_exact` to find.
     """
 
     n: int
@@ -121,16 +123,12 @@ class WarpedTorusMetric:
     epsilon: float
     f_profile: RadialProfile
     u_profile: RadialProfile
-    r_domain: tuple[float, float]
 
     def __post_init__(self):
         if not (1 <= self.m <= self.n - 1):
             raise ValueError(f"require 1 <= m <= n-1, got (n, m) = ({self.n}, {self.m})")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        lo, hi = self.r_domain
-        if not lo < hi:
-            raise ValueError("r_domain must be a nondegenerate interval")
 
     @property
     def sphere_dim(self) -> int:
@@ -139,11 +137,6 @@ class WarpedTorusMetric:
     @property
     def torus_dim(self) -> int:
         return self.m - 1
-
-    def require_in_domain(self, r: float) -> None:
-        lo, hi = self.r_domain
-        if not (lo <= r <= hi):
-            raise ValueError(f"r = {r} outside domain [{lo}, {hi}]")
 
     def frame_labels(self) -> tuple[str, ...]:
         return (("sphere",) * self.sphere_dim + ("r",)
@@ -225,7 +218,6 @@ def _sectional_table(metric: WarpedTorusMetric, r: float) -> np.ndarray:
     warning; it leaves inf or NaN in the table, which
     `RiemannData.from_components` rejects.
     """
-    metric.require_in_domain(r)
     f, u = metric.f_profile, metric.u_profile
     a = 2.0 / metric.m
     with np.errstate(all="ignore"):
@@ -257,19 +249,50 @@ def _sectional_components(metric: WarpedTorusMetric, r: float,
     return comp
 
 
+def _exact(metric: WarpedTorusMetric, r: float) -> RiemannData:
+    return RiemannData.from_components(
+        _sectional_components(metric, r, metric.frame_labels()))
+
+
 def riemann_exact(metric: WarpedTorusMetric, r: float) -> RiemannData:
     """Closed-form orthonormal curvature components of the warped torus family.
 
     Frame order: sphere block, then e_r, then the torus block.  Only the
     sectional pattern R[a,b,a,b] (and its symmetry images) is nonzero, with
     the class value of the labels of e_a and e_b.  Raises ValueError,
-    naming r, when the components or their contractions are not finite.
+    naming r, when the components or their contractions are not finite;
+    for a finite r whose curvature is finite at the origin, the message
+    adds how far out, on r's side, the curvature stays finite.
     """
-    components = _sectional_components(metric, r, metric.frame_labels())
     try:
-        return RiemannData.from_components(components)
+        return _exact(metric, r)
     except ValueError as exc:
-        raise ValueError(f"curvature at r = {r!r}: {exc}") from exc
+        reach = _finite_reach(metric, r) if math.isfinite(r) else None
+        clause = "" if reach is None else f"; curvature is finite for |r| <= {reach}"
+        raise ValueError(f"curvature at r = {r!r}: {exc}{clause}") from exc
+
+
+def _finite_reach(metric: WarpedTorusMetric, r: float) -> float | None:
+    """The largest |x| <= |r| found to keep the curvature finite on r's side.
+
+    Bisects from x = 0 to |r| down to 2^-50 of the interval and floors the
+    result to 4 significant digits, so the reach it states is never beyond
+    the last finite radius.  None when the curvature is not finite at 0.
+    """
+    def finite(x: float) -> bool:
+        try:
+            _exact(metric, math.copysign(x, r))
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 0.0, abs(r)
+    if not finite(lo):
+        return None
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+    return float(Context(prec=4, rounding=ROUND_FLOOR).plus(Decimal(lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +404,7 @@ def to_subchart(metric: WarpedTorusMetric):
         ])
         return np.diag(diag)
 
-    box = ((0.3, np.pi - 0.3), (-4.0, 4.0), metric.r_domain) + ((-4.0, 4.0),) * t
+    box = ((0.3, np.pi - 0.3), (-4.0, 4.0), (-np.inf, np.inf)) + ((-4.0, 4.0),) * t
     labels = ("sphere", "sphere", "r") + ("torus",) * t
     return CoordinateMetric(3 + t, g, box), labels
 

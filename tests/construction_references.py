@@ -30,8 +30,7 @@ def metric_from_json(data: dict) -> WarpedTorusMetric:
     sol = solve_profile(n, m, float(data["profile"]["lambda"]))
     if sol.case != case or sol.params != data["profile"]["params"]:
         raise ValueError("stored profile parameters disagree with (n, m, lambda)")
-    lo, hi = (float(v) for v in data["r_domain"])
-    return WarpedTorusMetric(n, m, float(data["epsilon"]), sol.f, sol.u, (lo, hi))
+    return WarpedTorusMetric(n, m, float(data["epsilon"]), sol.f, sol.u)
 
 
 def coordinate_cm_value(metric: WarpedTorusMetric, r: float) -> float:

@@ -103,6 +103,17 @@ class TestVerifyExamples:
         # (6, 2) at lambda = epsilon = 1 stays finite up to |r| of about 37.61
         assert err.endswith("; curvature is finite for |r| <= 37.61\n")
 
+    def test_large_lambda_residual_is_rounding(self, tmp_path, capsys):
+        # the profile-equation terms are of size lambda, so is their rounding
+        code, paths, _ = run_cli(
+            ["verify-examples", "--n", "7", "--m", "4", "--lambda", "1e6",
+             "--r-max", "1e-3", "--grid-points", "21", "--frame-budget", "2000",
+             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        witnesses = load_json(paths[0])["witnesses"]
+        assert witnesses["positivity"]["pass"] is True
+        assert witnesses["ode_residual_max"] < 1e-9 * 1e6
+
     def test_failing_epsilon_exits_one_with_witness(self, tmp_path, capsys):
         code, paths, _ = run_cli(
             ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "10",
@@ -236,6 +247,16 @@ class TestDiameter:
         assert model["relative_gap"] < 0.02
         assert report["witnesses"]["c0_identity"]["equal"] is True
 
+    def test_model_resolution_ignores_grid_points(self, tmp_path, capsys):
+        witnesses = []
+        for grid in (["--grid-points", "9"], []):
+            code, paths, _ = run_cli(
+                ["diameter", "--n", "5", "--m", "3", *grid,
+                 "--out", str(tmp_path / str(len(grid)))], capsys)
+            assert code == 0
+            witnesses.append(load_json(paths[0])["witnesses"])
+        assert witnesses[0] == witnesses[1]
+
     def test_skip_model(self, tmp_path, capsys):
         code, paths, _ = run_cli(
             ["diameter", "--n", "5", "--m", "3", "--skip-model",
@@ -282,6 +303,14 @@ class TestCurvatureReport:
             ["curvature-report", "--n", "5", "--m", "2", "--out",
              str(tmp_path)], capsys)
         assert code == 2
+
+    def test_non_finite_curvature_names_the_reach(self, tmp_path, capsys):
+        code, paths, err = run_cli(
+            ["curvature-report", "--n", "6", "--m", "2", "--r-max", "40",
+             "--grid-points", "3", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert paths == []
+        assert err.endswith("; curvature is finite for |r| <= 37.61\n")
 
 
 class TestReproducibility:

@@ -184,7 +184,6 @@ class TestBuildCounterexample:
         metric = build_counterexample(6, 2, 1.0, 0.1)
         assert metric.u_profile(1.0) ** 2 == pytest.approx(np.e, rel=1e-13)
         assert metric.epsilon == 0.1
-        assert metric.r_domain == (-10.0, 10.0)
 
     def test_linear_torus_coefficient(self):
         metric = build_counterexample(7, 4, 1.0, 0.3)
@@ -204,11 +203,10 @@ class TestBuildCounterexample:
             build_counterexample(n, m, 1.0, eps)
 
     def test_json_roundtrip(self):
-        data = counterexample_json(6, 3, 1.5, 0.25, r_max=8.0)
+        data = counterexample_json(6, 3, 1.5, 0.25)
         assert data["profile"]["case"] == "equality"
-        assert data["r_domain"] == [-8.0, 8.0]
         metric = metric_from_json(data)
-        direct = build_counterexample(6, 3, 1.5, 0.25, r_max=8.0)
+        direct = build_counterexample(6, 3, 1.5, 0.25)
         assert_allclose(riemann_exact(metric, 0.7).components,
                         riemann_exact(direct, 0.7).components, atol=1e-14)
 
@@ -296,8 +294,7 @@ class TestLaplacian:
 class TestVerify:
     def test_flat_control_fails(self):
         # constant profiles: S^2 x R x S^1, flat on the (r, torus) 2-plane
-        flat = WarpedTorusMetric(4, 2, 1.0, constant_profile(), constant_profile(),
-                                 (-1.0, 1.0))
+        flat = WarpedTorusMetric(4, 2, 1.0, constant_profile(), constant_profile())
         rep = verify_uniform_positivity(flat, 0.1, np.linspace(-1, 1, 5),
                                         frame_budget=200, seed=0)
         assert not rep.passed
@@ -331,7 +328,7 @@ class TestVerify:
                                                            rep.worst_lower_bound)
 
     def test_small_epsilon_passes(self):
-        metric = build_counterexample(6, 2, 1.0, 0.05, r_max=6.0)
+        metric = build_counterexample(6, 2, 1.0, 0.05)
         rep = verify_uniform_positivity(metric, 1.0, np.linspace(-6, 6, 13),
                                         frame_budget=3000, seed=4)
         assert rep.passed and rep.complete
@@ -370,13 +367,20 @@ class TestVerify:
         # 1/f^2 for the Gaussian f of (6, 2) overflows beyond r of about 37.6;
         # the sweep used to pass on the first grid (worst value inf at
         # r = nan) and to skip the NaN radii of the second
-        metric = build_counterexample(6, 2, 1.0, 1.0, r_max=40.0)
+        metric = build_counterexample(6, 2, 1.0, 1.0)
         with pytest.raises(ValueError, match=f"r = {first_bad}.*"
                                              r"finite for \|r\| <= 37\.61$"):
             verify_uniform_positivity(metric, 1.0, grid, frame_budget=500)
         riemann_exact(metric, -37.61)
         with pytest.raises(ValueError):
             riemann_exact(metric, -37.62)
+
+    def test_empty_grid_is_rejected(self):
+        metric = build_counterexample(6, 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match="radial grid is empty"):
+            verify_uniform_positivity(metric, 1.0, [])
+        with pytest.raises(ValueError, match="radial grid is empty"):
+            search_epsilon(6, 2, 1.0, grid_points=0)
 
 
 class TestWorstRadius:

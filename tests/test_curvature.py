@@ -29,15 +29,12 @@ from curvlab.curvature import (
 )
 from curvature_references import constant_curvature_riemann, constant_profile, laplacian_fd
 
-R_DOMAIN = (-10.0, 10.0)
-
-
 def equality_case_metric(n, m, lam=1.0, eps=1.0):
     """Gaussian-profile member used repeatedly below: u, f = exp(+-c lam r^2)."""
     c_u = m / ((2.0 * m - 2.0) * (n - m - 2.0))
     c_f = 1.0 / (2.0 * (n - m - 2.0))
     return WarpedTorusMetric(n, m, eps, gaussian_profile(-c_f * lam),
-                             gaussian_profile(c_u * lam), R_DOMAIN)
+                             gaussian_profile(c_u * lam))
 
 
 def sphere_chart(radius=1.0):
@@ -104,26 +101,18 @@ class TestWarpedTorusMetric:
     def test_rejects_bad_parameters(self):
         c = constant_profile()
         with pytest.raises(ValueError):
-            WarpedTorusMetric(6, 6, 1.0, c, c, R_DOMAIN)
+            WarpedTorusMetric(6, 6, 1.0, c, c)
         with pytest.raises(ValueError):
-            WarpedTorusMetric(6, 0, 1.0, c, c, R_DOMAIN)
+            WarpedTorusMetric(6, 0, 1.0, c, c)
         with pytest.raises(ValueError):
-            WarpedTorusMetric(6, 2, -1.0, c, c, R_DOMAIN)
-        with pytest.raises(ValueError):
-            WarpedTorusMetric(6, 2, 1.0, c, c, (2.0, 2.0))
-
-    def test_domain_enforced(self):
-        g = equality_case_metric(6, 2)
-        with pytest.raises(ValueError, match="outside domain"):
-            riemann_exact(g, 11.0)
+            WarpedTorusMetric(6, 2, -1.0, c, c)
 
     def test_json_dict_fields(self):
         d = counterexample_json(6, 2, 1.0, 0.5)
-        assert set(d) == {"n", "m", "epsilon", "profile", "r_domain"}
+        assert set(d) == {"n", "m", "epsilon", "profile"}
         assert (d["n"], d["m"], d["epsilon"]) == (6, 2, 0.5)
         assert d["profile"] == {"case": "equality", "lambda": 1.0,
                                 "params": {"c_u": "1/2", "c_f": "1/4"}}
-        assert d["r_domain"] == [-10.0, 10.0]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +162,7 @@ class TestRiemannExact:
     def test_product_limit_matches_oracle(self):
         # constant profiles: metric is S^2(sqrt 2) x R x T^3 up to frame order
         g = WarpedTorusMetric(6, 4, np.sqrt(2.0), constant_profile(),
-                              constant_profile(), R_DOMAIN)
+                              constant_profile())
         rd = riemann_exact(g, 0.3)
         oracle = product_sphere_flat_riemann(2, np.sqrt(2.0), 4)
         assert_allclose(rd.components, oracle.components, atol=1e-14)
@@ -199,7 +188,7 @@ class TestRiemannExact:
         # (6, 2), lambda = eps = 1: 1/(eps f)^2 = exp(r^2/2) overflows at
         # r of about 37.68, and the scalar curvature (12 times it) a little
         # earlier; the value-based route already failed at r = 37.5
-        metric = build_counterexample(6, 2, 1.0, 1.0, r_max=40.0)
+        metric = build_counterexample(6, 2, 1.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rd = riemann_exact(metric, 37.6)
@@ -208,13 +197,42 @@ class TestRiemannExact:
             with pytest.raises(ValueError, match="not finite"):
                 riemann_exact(metric, 38.0)
 
+    def test_defined_for_every_real_radius(self):
+        # no declared radial domain: r = 20 lies beyond the default sweep grid [-10, 10]
+        rd = riemann_exact(build_counterexample(7, 3, 1.0, 1.0), 20.0)
+        assert np.isfinite(rd.components).all() and np.isfinite(rd.scalar)
+
+    @pytest.mark.parametrize("r", [40.0, -40.0])
+    def test_failure_names_the_finite_reach(self, r):
+        metric = build_counterexample(6, 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match=rf"^curvature at r = {r}: .*"
+                                             r"; curvature is finite for \|r\| <= 37\.61$"):
+            riemann_exact(metric, r)
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_radius_has_no_reach(self, r):
+        metric = build_counterexample(6, 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match=rf"^curvature at r = {r}: ") as info:
+            riemann_exact(metric, r)
+        assert "finite for" not in str(info.value)
+
+    def test_short_reach_keeps_four_significant_digits(self):
+        # lambda = 1e10 shrinks the finite range of (6, 2) to |r| < 3.8e-4;
+        # the reach is floored, so it evaluates and its next 4-digit step does not
+        metric = build_counterexample(6, 2, 1e10, 1.0)
+        with pytest.raises(ValueError, match=r"finite for \|r\| <= 0\.0003761$"):
+            riemann_exact(metric, -4e-4)
+        riemann_exact(metric, -0.0003761)
+        with pytest.raises(ValueError):
+            riemann_exact(metric, -0.0003762)
+
     @settings(max_examples=150, deadline=None)
     @given(pair=st.sampled_from(CONSTRUCTION_PAIRS),
            lam=st.floats(0.05, 16.0),
            eps=st.floats(2.0 ** -20, 4.0),
            r=st.floats(-40.0, 40.0))
     def test_finite_or_rejected(self, pair, lam, eps, r):
-        metric = build_counterexample(*pair, lam, eps, r_max=40.0)
+        metric = build_counterexample(*pair, lam, eps)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
@@ -400,7 +418,7 @@ class TestCrossEngine:
 
     def test_subchart_needs_sphere_factor(self):
         c = constant_profile()
-        g = WarpedTorusMetric(4, 3, 1.0, c, c, R_DOMAIN)
+        g = WarpedTorusMetric(4, 3, 1.0, c, c)
         with pytest.raises(ValueError):
             to_subchart(g)
 
@@ -413,11 +431,11 @@ class TestCrossEngine:
         # u = cosh(r/2)^3, f = cosh(r/2)^-2 solves the profile system at
         # (n, m) = (7, 3), lambda = 1
         g = WarpedTorusMetric(7, 3, 1.0, cosh_power_profile(0.5, -2.0),
-                              cosh_power_profile(0.5, 3.0), R_DOMAIN)
+                              cosh_power_profile(0.5, 3.0))
         assert compare_exact_vs_fd(g, 0.8) < 1e-5
 
     def test_cosh_profiles_agree_three_torus_directions(self):
         w = np.sqrt(1.0 / 3.0)
         g = WarpedTorusMetric(7, 4, 0.7, cosh_power_profile(w, -3.0),
-                              cosh_power_profile(w, 4.0), R_DOMAIN)
+                              cosh_power_profile(w, 4.0))
         assert compare_exact_vs_fd(g, 0.6) < 1e-5
