@@ -33,7 +33,6 @@ from .constructions import (
     EpsilonSearchError,
     build_chain,
     build_counterexample,
-    counterexample_json,
     ode_residual,
     search_epsilon,
     solve_profile,
@@ -51,7 +50,6 @@ from .diameter import (
 from .inequalities import (
     DIMENSIONS,
     admissibility_sweep_rows,
-    admissible,
     brendle_min_exact,
     check_d_third_expression,
     check_gamma_equivalence,
@@ -96,11 +94,6 @@ def _write(cfg: RunConfig, stem: str, content) -> Path:
     return write_json(out, {"header": list(header), "rows": jsonable(rows)})
 
 
-def _require_admissible(n: int, m: int) -> None:
-    if not admissible(n, m).admissible:
-        raise ValueError(f"(n, m) = ({n}, {m}) is not admissible")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -133,7 +126,6 @@ def cmd_verify_examples(cfg: RunConfig, args) -> tuple[bool, dict]:
             metric, lam, r_grid=r_grid, frame_budget=cfg.frame_budget,
             seed=cfg.seed)
         witnesses["epsilon"] = args.epsilon
-        witnesses["metric"] = counterexample_json(n, m, lam, args.epsilon)
 
     witnesses["positivity"] = positivity.to_json_dict()
     # the residual is rounding on terms of size lambda, so its gate scales
@@ -196,7 +188,6 @@ def cmd_scan_algebra(cfg: RunConfig, args) -> tuple[bool, dict]:
 
 def cmd_matrix_inequalities(cfg: RunConfig, args) -> tuple[bool, dict]:
     n, m = args.n, args.m
-    _require_admissible(n, m)
     threshold = d_of(n, m).value
     chen = chen_min_exact(n, m)
     chen_ok = chen.ratio == threshold and min(chen.pivots) > 0
@@ -219,7 +210,6 @@ def cmd_matrix_inequalities(cfg: RunConfig, args) -> tuple[bool, dict]:
 
 def cmd_diameter(cfg: RunConfig, args) -> tuple[bool, dict]:
     n, m, lam = args.n, args.m, args.lam
-    _require_admissible(n, m)
     bound = cm_diameter_bound(n, m, lam)
     d = n - m + 1
     gamma = Fraction(2 * m - 2, m)
@@ -243,7 +233,7 @@ def cmd_diameter(cfg: RunConfig, args) -> tuple[bool, dict]:
     else:
         witnesses["c0_identity"] = {"skipped": "needs m >= 2"}
 
-    if m == n - 2 and not args.skip_model:
+    if m == n - 2:
         rho = math.sqrt(2.0 / lam)
         try:
             model = rotational_diameter(
@@ -322,10 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command("matrix-inequalities", cmd_matrix_inequalities,
             "exact minima of the algebraic curvature forms with an LDL^T "
             "certificate", pair)
-    p = command("diameter", cmd_diameter,
-                "evaluate diameter bounds and the constant identity", pair, lam)
-    p.add_argument("--skip-model", action="store_true",
-                   help="skip the rotational model diameter check")
+    command("diameter", cmd_diameter,
+            "evaluate diameter bounds and the constant identity", pair, lam)
     p = command("curvature-report", cmd_curvature_report,
                 "tabulate curvature invariants on a radial grid", pair, lam)
     p.add_argument("--epsilon", type=float, default=1.0)

@@ -45,7 +45,6 @@ __all__ = [
     "ode_residual",
     "build_chain",
     "build_counterexample",
-    "counterexample_json",
     "verify_uniform_positivity",
     "search_epsilon",
 ]
@@ -209,7 +208,7 @@ def build_chain(n: int, m: int) -> LiftChain:
 
 
 # ---------------------------------------------------------------------------
-# metric assembly and serialization
+# metric assembly
 # ---------------------------------------------------------------------------
 
 def build_counterexample(n: int, m: int, lam: float, epsilon: float) -> WarpedTorusMetric:
@@ -218,18 +217,6 @@ def build_counterexample(n: int, m: int, lam: float, epsilon: float) -> WarpedTo
         raise UnsupportedParameters(f"need epsilon > 0, got {epsilon}")
     sol = solve_profile(n, m, lam)
     return WarpedTorusMetric(n, m, float(epsilon), sol.f, sol.u)
-
-
-def counterexample_json(n: int, m: int, lam: float, epsilon: float) -> dict:
-    """The portable chart description of a constructed metric."""
-    metric = build_counterexample(n, m, lam, epsilon)
-    sol = solve_profile(n, m, lam)
-    return {
-        "n": metric.n,
-        "m": metric.m,
-        "epsilon": metric.epsilon,
-        "profile": {"case": sol.case, "lambda": lam, "params": sol.params},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +363,15 @@ def search_epsilon(n: int, m: int, lam: float,
     scale passes, EpsilonSearchError carries the failed report with the
     highest worst value: the comparison is between witnesses, not minima,
     and the report's worst method says so.
+
+    The profile depends on (n, m, lambda) alone, so it is solved once and
+    every scale's metric shares it.
     """
+    sol = solve_profile(n, m, lam)
     r_grid = np.linspace(-r_max, r_max, grid_points)
 
     def sweep(t: int) -> PositivityReport:
-        metric = build_counterexample(n, m, lam, 2.0 ** (-t))
+        metric = WarpedTorusMetric(n, m, 2.0 ** (-t), sol.f, sol.u)
         return verify_uniform_positivity(metric, lam, r_grid,
                                          frame_budget=frame_budget,
                                          seed=task_seed(seed, t), fail_fast=True)

@@ -222,7 +222,8 @@ def _sectional_table(metric: WarpedTorusMetric, r: float) -> np.ndarray:
     a = 2.0 / metric.m
     with np.errstate(all="ignore"):
         lf1, lu1 = f.dlog(r), u.dlog(r)
-        k_ss = np.exp(-2.0 * f.log(r)) / metric.epsilon ** 2 - lf1 * lf1
+        eps2 = metric.epsilon * metric.epsilon  # a float ** would raise on overflow
+        k_ss = np.exp(-2.0 * f.log(r)) / eps2 - lf1 * lf1
         k_st = -a * lf1 * lu1
         k_sr = -f.d2_ratio(r)
         k_rt = -a * u.d2_ratio(r) - a * (a - 1.0) * lu1 * lu1

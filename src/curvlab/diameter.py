@@ -189,10 +189,8 @@ def _chords(f, r: np.ndarray, hr: float, n_theta: int) -> list[tuple[int, int, n
             raise ValueError(f"warp factor is not finite along the ({di}, {dj}) chords")
         dtheta = dj * ht
         with np.errstate(over="ignore"):
-            try:
-                integrand = np.sqrt((di * hr) ** 2 + f_path ** 2 * dtheta ** 2)
-            except OverflowError:  # (di * hr) ** 2 is a Python float
-                integrand = np.full(r_path.shape, math.inf)
+            # np.square, not a float **, which would raise on overflow
+            integrand = np.sqrt(np.square(di * hr) + f_path ** 2 * dtheta ** 2)
             chord = integrand @ simpson_w
         if not np.all(np.isfinite(chord)):
             raise ValueError(f"the ({di}, {dj}) chord lengths are not finite")

@@ -1,12 +1,13 @@
 """Construction identities that the tests check `curvlab.constructions` against.
 
-`metric_from_json` rebuilds a metric from `counterexample_json` output,
-`coordinate_cm_value` is C_m at the distinguished coordinate frame, and
-`radial_laplacian` with `lift_laplacian_split` are the closed forms of the
-Laplacian of the torus profile u and of its split over the last circle
-lift.  The split is not reported by the CLI: its two parts sum to the full
-Laplacian by 2(m-2)/m + 2/m = 2(m-1)/m, so the check that carries weight
-is `radial_laplacian` against the finite-difference `laplacian_fd`.
+`metric_from_json` rebuilds a metric from the witnesses of a
+`verify-examples` report, `coordinate_cm_value` is C_m at the
+distinguished coordinate frame, and `radial_laplacian` with
+`lift_laplacian_split` are the closed forms of the Laplacian of the torus
+profile u and of its split over the last circle lift.  The split is not
+reported by the CLI: its two parts sum to the full Laplacian by
+2(m-2)/m + 2/m = 2(m-1)/m, so the check that carries weight is
+`radial_laplacian` against the finite-difference `laplacian_fd`.
 """
 from __future__ import annotations
 
@@ -17,20 +18,22 @@ from curvlab.curvature import WarpedTorusMetric, riemann_exact
 from curvlab.frames import cm_of_frame, coordinate_frame
 
 
-def metric_from_json(data: dict) -> WarpedTorusMetric:
-    """Rebuild a metric from its chart description.
+def metric_from_json(witnesses: dict) -> WarpedTorusMetric:
+    """Rebuild a metric from the witnesses of a `verify-examples` report.
 
-    Only profile cases produced by `solve_profile` are accepted; the stored
-    parameters are recomputed from (n, m, lambda) and must match.
+    Both modes name the metric there: `n`, `m`, `lambda`, `epsilon`,
+    `profile_case` and `profile_params`.  Only profile cases produced by
+    `solve_profile` are accepted; the stored parameters are recomputed from
+    (n, m, lambda) and must match.
     """
-    case = data["profile"]["case"]
+    case = witnesses["profile_case"]
     if case not in ("equality", "strict"):
         raise ValueError(f"cannot rebuild profiles of case {case!r}")
-    n, m = int(data["n"]), int(data["m"])
-    sol = solve_profile(n, m, float(data["profile"]["lambda"]))
-    if sol.case != case or sol.params != data["profile"]["params"]:
+    n, m = int(witnesses["n"]), int(witnesses["m"])
+    sol = solve_profile(n, m, float(witnesses["lambda"]))
+    if sol.case != case or sol.params != witnesses["profile_params"]:
         raise ValueError("stored profile parameters disagree with (n, m, lambda)")
-    return WarpedTorusMetric(n, m, float(data["epsilon"]), sol.f, sol.u)
+    return WarpedTorusMetric(n, m, float(witnesses["epsilon"]), sol.f, sol.u)
 
 
 def coordinate_cm_value(metric: WarpedTorusMetric, r: float) -> float:

@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -125,6 +126,18 @@ class TestVerifyExamples:
         assert worst["value"] < 1.0
         assert abs(worst["r"]) <= 3.0
         assert len(worst["frame"]) == 6
+
+    def test_huge_epsilon_fails_with_a_report(self, tmp_path, capsys):
+        # eps^2 overflows to inf, so 1/(eps^2 f^2) is 0: a finite curvature
+        code, paths, err = run_cli(
+            ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "1e155",
+             "--grid-points", "3", "--frame-budget", "100",
+             "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        worst = load_json(paths[0])["witnesses"]["positivity"]["worst"]
+        assert worst["r"] == -10.0
+        assert worst["value"] == pytest.approx(-224.0)
 
 
 class TestScanAlgebra:
@@ -257,14 +270,6 @@ class TestDiameter:
             witnesses.append(load_json(paths[0])["witnesses"])
         assert witnesses[0] == witnesses[1]
 
-    def test_skip_model(self, tmp_path, capsys):
-        code, paths, _ = run_cli(
-            ["diameter", "--n", "5", "--m", "3", "--skip-model",
-             "--out", str(tmp_path)], capsys)
-        assert code == 0
-        report = load_json(paths[0])
-        assert "model" not in report["witnesses"]
-
     def test_five_two_bound(self, tmp_path, capsys):
         code, paths, _ = run_cli(
             ["diameter", "--n", "5", "--m", "2", "--out", str(tmp_path)],
@@ -297,6 +302,16 @@ class TestCurvatureReport:
             lines = fh.read().splitlines()
         assert lines[0] == "r,scalar,ricci_min,ricci_max,ricci_radial"
         assert len(lines) == 10
+
+    def test_huge_epsilon_is_tabulated(self, tmp_path, capsys):
+        code, paths, err = run_cli(
+            ["curvature-report", "--n", "6", "--m", "2", "--epsilon", "1e300",
+             "--grid-points", "3", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert "Traceback" not in err
+        rows = load_json(paths[0])["rows"]
+        assert [row["r"] for row in rows] == [-10.0, 0.0, 10.0]
+        assert all(math.isfinite(row["scalar"]) for row in rows)
 
     def test_out_of_range(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -450,6 +465,30 @@ def test_stdout_lists_exactly_the_written_files(tmp_path, capsys, argv):
     status = [line for line in err.splitlines()
               if re.match(rf"\[{argv[0]}\] (pass|FAIL) in \d+\.\d\ds$", line)]
     assert len(status) == 1
+
+
+def readme_command_lines():
+    """Every `curvlab ...` line of the README's sh blocks, with its comment."""
+    readme = Path(cli.__file__).parents[2] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    return [line.strip() for block in blocks for line in block.splitlines()
+            if line.startswith("curvlab ")]
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_lines_run(tmp_path, capsys, line):
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)[1:] + ["--out", str(tmp_path)]
+    if argv[0] == "verify-examples":
+        argv += FAST
+    code, paths, _ = run_cli(argv, capsys)
+    assert code == (1 if "exits 1" in comment else 0)
+    assert paths
+
+
+def test_readme_shows_every_subcommand():
+    commands = {line.split()[1] for line in readme_command_lines()}
+    assert commands == {argv[0] for argv in SUBCOMMAND_RUNS}
 
 
 def test_module_entry_point_runs_without_scipy(tmp_path):

@@ -1,4 +1,5 @@
 """Tests for profile solutions, lift chains, and positivity verification."""
+import json
 import math
 from fractions import Fraction
 
@@ -6,14 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curvlab import constructions, frames
+from curvlab import cli, constructions, frames
 from curvlab.constructions import (
     CONSTRUCTION_PAIRS,
     EpsilonSearchError,
     UnsupportedParameters,
     build_chain,
     build_counterexample,
-    counterexample_json,
     ode_residual,
     search_epsilon,
     solve_profile,
@@ -28,7 +28,7 @@ from curvlab.curvature import (
     to_subchart,
 )
 from curvlab.frames import CmResult, cm_of_frame
-from curvlab.inequalities import admissible
+from curvlab.inequalities import admissible, chen_min_exact, d_of
 from curvlab.report import task_seed
 from construction_references import (
     coordinate_cm_value,
@@ -202,23 +202,37 @@ class TestBuildCounterexample:
         with pytest.raises(UnsupportedParameters):
             build_counterexample(n, m, 1.0, eps)
 
-    def test_json_roundtrip(self):
-        data = counterexample_json(6, 3, 1.5, 0.25)
-        assert data["profile"]["case"] == "equality"
-        metric = metric_from_json(data)
-        direct = build_counterexample(6, 3, 1.5, 0.25)
-        assert_allclose(riemann_exact(metric, 0.7).components,
-                        riemann_exact(direct, 0.7).components, atol=1e-14)
+    def test_json_roundtrip(self, tmp_path):
+        # one report with --epsilon, one from the search, which passes at 1
+        for i, (pair_args, expected) in enumerate((
+                (["--n", "6", "--m", "3", "--lambda", "1.5", "--epsilon", "0.25"],
+                 (6, 3, 1.5, 0.25)),
+                (["--n", "7", "--m", "3"], (7, 3, 1.0, 1.0)))):
+            metric = metric_from_json(report_witnesses(tmp_path / str(i), pair_args))
+            direct = build_counterexample(*expected)
+            assert_allclose(riemann_exact(metric, 0.7).components,
+                            riemann_exact(direct, 0.7).components, atol=1e-14)
 
-    def test_json_tamper_detected(self):
-        data = counterexample_json(6, 2, 1.0, 0.5)
-        data["profile"]["params"]["c_u"] = "2/3"
+    def test_json_tamper_detected(self, tmp_path):
+        witnesses = report_witnesses(tmp_path, ["--n", "6", "--m", "2"])
+        assert witnesses["profile_case"] == "equality"
+        metric_from_json(witnesses)
+        tampered = dict(witnesses, profile_params={**witnesses["profile_params"],
+                                                   "c_u": "2/3"})
         with pytest.raises(ValueError):
-            metric_from_json(data)
-        data2 = counterexample_json(6, 2, 1.0, 0.5)
-        data2["profile"]["case"] = "custom"
+            metric_from_json(tampered)
         with pytest.raises(ValueError):
-            metric_from_json(data2)
+            metric_from_json(dict(witnesses, profile_case="custom"))
+
+
+def report_witnesses(tmp_path, pair_args) -> dict:
+    """Witnesses of the report a small `verify-examples` run writes."""
+    argv = ["verify-examples", *pair_args, "--out", str(tmp_path),
+            "--frame-budget", "2000", "--grid-points", "9", "--r-max", "3",
+            "--seed", "0"]
+    assert cli.main(argv) == 0
+    (path,) = tmp_path.glob("*.json")
+    return json.loads(path.read_text(encoding="utf-8"))["witnesses"]
 
 
 class TestChainEquality:
@@ -483,6 +497,20 @@ class TestSearchEpsilon:
         assert res.tightness_report.epsilon == 2 * res.epsilon
         assert not res.tightness_report.passed
 
+    def test_profile_is_solved_once(self, monkeypatch):
+        # (6, 3) at lambda 4 sweeps scales 1 and 1/2 on one profile
+        solved = []
+        solve = constructions.solve_profile
+
+        def recording(*args):
+            solved.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(constructions, "solve_profile", recording)
+        res = search_epsilon(6, 3, 4.0, grid_points=3, seed=5)
+        assert res.epsilon == 0.5
+        assert solved == [(6, 3, 4.0)]
+
     def test_construction_searches_sample_no_frame(self, monkeypatch):
         # the certificate decides every passing radius and a coordinate
         # witness every failing one, so the searches of criterion 5 never
@@ -508,3 +536,28 @@ class TestSearchEpsilon:
                              frame_budget=1500, seed=8)
         assert res.epsilon < 1.0
         assert res.report.passed
+
+
+def test_sharpness_atlas():
+    # every pair with 3 <= n <= 12 is either admissible, where the Chen
+    # minimum is the sharp constant D(n, m) with a positive LDL^T certificate,
+    # or in the construction range, where the certificate proves C_m >= lambda
+    # on the grid at epsilon = 1
+    admissible_pairs, constructible_pairs = [], []
+    for n in range(3, 13):
+        for m in range(1, n):
+            try:
+                solve_profile(n, m, 1.0)
+            except UnsupportedParameters:
+                admissible_pairs.append((n, m))
+            else:
+                constructible_pairs.append((n, m))
+            assert admissible(n, m).admissible == ((n, m) in admissible_pairs), (n, m)
+    assert (len(admissible_pairs), len(constructible_pairs)) == (30, 35)
+    for n, m in admissible_pairs:
+        chen = chen_min_exact(n, m)
+        assert chen.ratio == d_of(n, m).value and min(chen.pivots) > 0, (n, m)
+    for n, m in constructible_pairs:
+        rep = verify_uniform_positivity(build_counterexample(n, m, 1.0, 1.0), 1.0,
+                                        np.linspace(-3.0, 3.0, 5), frame_budget=1000)
+        assert rep.passed and rep.certified_radii == 5, (n, m)

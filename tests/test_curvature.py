@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from curvlab.constructions import (
     CONSTRUCTION_PAIRS,
     build_counterexample,
-    counterexample_json,
     solve_profile,
 )
 from curvlab.curvature import (
@@ -106,13 +105,6 @@ class TestWarpedTorusMetric:
             WarpedTorusMetric(6, 0, 1.0, c, c)
         with pytest.raises(ValueError):
             WarpedTorusMetric(6, 2, -1.0, c, c)
-
-    def test_json_dict_fields(self):
-        d = counterexample_json(6, 2, 1.0, 0.5)
-        assert set(d) == {"n", "m", "epsilon", "profile"}
-        assert (d["n"], d["m"], d["epsilon"]) == (6, 2, 0.5)
-        assert d["profile"] == {"case": "equality", "lambda": 1.0,
-                                "params": {"c_u": "1/2", "c_f": "1/4"}}
 
 
 # ---------------------------------------------------------------------------
