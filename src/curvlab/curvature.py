@@ -276,24 +276,30 @@ def riemann_exact(metric: WarpedTorusMetric, r: float) -> RiemannData:
 def _finite_reach(metric: WarpedTorusMetric, r: float) -> float | None:
     """The largest |x| <= |r| found to keep the curvature finite on r's side.
 
-    Bisects from x = 0 to |r| down to 2^-50 of the interval and floors the
-    result to 4 significant digits, so the reach it states is never beyond
-    the last finite radius.  None when the curvature is not finite at 0.
+    Bisects over the int64 bit patterns of the non-negative floats between
+    0 and |r|, which are ordered as the floats are, so it ends on two
+    adjacent floats after at most 64 probes whatever the size of |r|.  The
+    result is floored to 4 significant digits, so the reach it states is
+    never beyond the last finite radius.  None when the curvature is not
+    finite at 0.
     """
-    def finite(x: float) -> bool:
+    def as_float(bits: int) -> float:
+        return float(np.int64(bits).view(np.float64))
+
+    def finite(bits: int) -> bool:
         try:
-            _exact(metric, math.copysign(x, r))
+            _exact(metric, math.copysign(as_float(bits), r))
         except ValueError:
             return False
         return True
 
-    lo, hi = 0.0, abs(r)
+    lo, hi = 0, int(np.float64(abs(r)).view(np.int64))
     if not finite(lo):
         return None
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         lo, hi = (mid, hi) if finite(mid) else (lo, mid)
-    return float(Context(prec=4, rounding=ROUND_FLOOR).plus(Decimal(lo)))
+    return float(Context(prec=4, rounding=ROUND_FLOOR).plus(Decimal(as_float(lo))))
 
 
 # ---------------------------------------------------------------------------

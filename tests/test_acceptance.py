@@ -26,7 +26,7 @@ from curvlab.curvature import (
     riemann_exact,
     product_sphere_flat_riemann,
 )
-from curvlab.diameter import c0_identity_sweep, rotational_diameter
+from curvlab.diameter import c0_identity_sweep
 from curvlab.frames import cm_min, cm_of_frame, coordinate_frame, random_frames
 from curvlab.inequalities import (
     admissible,
@@ -37,6 +37,7 @@ from curvlab.inequalities import (
     chen_min_exact,
     d_of,
 )
+from diameter_references import rotational_diameter
 from float_minimizers import brendle_min, chen_min_ratio
 
 EXPECTED_ADMISSIBLE = {3: {1, 2}, 4: {1, 2, 3}, 5: {1, 2, 3, 4},

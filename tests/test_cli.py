@@ -256,8 +256,12 @@ class TestDiameter:
         bound = report["witnesses"]["bounds"]["partial_curvature"]
         assert abs(bound - math.pi * math.sqrt(2)) < 1e-12
         model = report["witnesses"]["model"]
+        # the closed-form model: pass rests on the exact C0(n, n-2) = 1/2 alone
         assert model["pass"] is True
-        assert model["relative_gap"] < 0.02
+        assert model["c0"] == "1/2"
+        assert abs(model["diameter"] - math.pi * math.sqrt(2)) < 1e-12
+        assert model["bound"] == bound
+        assert "relative_gap" not in model
         assert report["witnesses"]["c0_identity"]["equal"] is True
 
     def test_model_resolution_ignores_grid_points(self, tmp_path, capsys):
@@ -290,6 +294,20 @@ class TestDiameter:
         assert code == 2
         assert paths == []
 
+    # lambda * C0 underflows to 0 at 5e-324, and 2/lambda overflows at 1e-320
+    @pytest.mark.parametrize("m", ["2", "3"])
+    @pytest.mark.parametrize("lam", ["5e-324", "1e-320", "1.7e308"])
+    def test_every_finite_lambda_gives_finite_numbers(self, tmp_path, capsys, lam, m):
+        code, paths, err = run_cli(
+            ["diameter", "--n", "5", "--m", m, "--lambda", lam, "--out", str(tmp_path)],
+            capsys)
+        assert code == 0
+        assert "Traceback" not in err
+        witnesses = load_json(paths[0])["witnesses"]
+        assert ("model" in witnesses) == (m == "3")
+        numbers = [v for _, v in cli._flatten(witnesses) if isinstance(v, float)]
+        assert numbers and all(math.isfinite(v) for v in numbers)
+
 
 class TestCurvatureReport:
     def test_csv_table(self, tmp_path, capsys):
@@ -318,6 +336,18 @@ class TestCurvatureReport:
             ["curvature-report", "--n", "5", "--m", "2", "--out",
              str(tmp_path)], capsys)
         assert code == 2
+
+    def test_reach_is_resolved_from_a_huge_r_max(self, tmp_path, capsys):
+        # the reach bisection runs over float bit patterns, so |r| = 1e300
+        # resolves it as finely as |r| = 40 does
+        code, paths, err = run_cli(
+            ["curvature-report", "--n", "7", "--m", "3", "--r-max", "1e300",
+             "--grid-points", "3", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert paths == []
+        reach = re.fullmatch(r"(?s).*; curvature is finite for \|r\| <= (\S+)\n", err)
+        assert reach, err
+        assert 350.0 <= float(reach.group(1)) <= 360.0
 
     def test_non_finite_curvature_names_the_reach(self, tmp_path, capsys):
         code, paths, err = run_cli(
@@ -424,8 +454,6 @@ class TestReproducibility:
     # admissible() rejects m outside 1..n-1 before its verdict is read
     ["matrix-inequalities", "--n", "3", "--m", "5"],
     ["diameter", "--n", "4", "--m", "0"],
-    # the model radius sqrt(2/lambda) overflows
-    ["diameter", "--n", "5", "--m", "3", "--lambda", "1e-320"],
     # the sphere curvature 1/(eps^2 f^2) overflows at the grid ends
     ["curvature-report", "--n", "6", "--m", "2", "--lambda", "1e300",
      "--grid-points", "3"],

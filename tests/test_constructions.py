@@ -202,6 +202,20 @@ class TestBuildCounterexample:
         with pytest.raises(UnsupportedParameters):
             build_counterexample(n, m, 1.0, eps)
 
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS + ((8, 2), (12, 6)))
+    def test_homothety_in_lambda(self, n, m):
+        # the (lambda, eps) metric is 1/lambda times the (1, eps sqrt(lambda))
+        # one under r -> sqrt(lambda) r, so eps*^2 lambda depends on (n, m) alone
+        for lam in (0.3, 4.0, 17.0):
+            root = math.sqrt(lam)
+            for eps in (0.25, 1.0):
+                scaled = build_counterexample(n, m, lam, eps)
+                unit = build_counterexample(n, m, 1.0, eps * root)
+                for r in (-3.0, -0.7, 0.0, 0.4, 2.5):
+                    assert_allclose(riemann_exact(scaled, r).components,
+                                    lam * riemann_exact(unit, root * r).components,
+                                    rtol=1e-12, atol=0.0)
+
     def test_json_roundtrip(self, tmp_path):
         # one report with --epsilon, one from the search, which passes at 1
         for i, (pair_args, expected) in enumerate((

@@ -1,4 +1,4 @@
-"""Tests for the diameter bound formulas and the graph estimator."""
+"""Tests for the diameter bound formulas and the graph estimator kept as a reference."""
 import math
 import warnings
 from fractions import Fraction
@@ -8,20 +8,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curvlab.diameter import (
-    _certified,
-    _chords,
-    _distances,
-    _sweep,
     antonelli_xu_bound,
     c0_identity_check,
     c0_identity_sweep,
     c0_of,
     cm_diameter_bound,
-    rotational_diameter,
     shen_ye_bound,
 )
 from curvlab.inequalities import admissible, d_of
-from diameter_references import dijkstra_diameter, dijkstra_distances
+from diameter_references import (
+    _certified,
+    _chords,
+    _distances,
+    _sweep,
+    dijkstra_diameter,
+    dijkstra_distances,
+    rotational_diameter,
+)
 
 
 class TestC0:
@@ -200,6 +203,17 @@ class TestRotationalDiameter:
         # the model metric achieves the codimension-two bound
         assert abs(got - cm_diameter_bound(5, 3, 1.0)) / want < 0.02
 
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 4.0])
+    def test_model_meets_every_codimension_two_bound(self, lam):
+        # the model f = rho sin(r/rho), rho = sqrt(2/lambda), depends on lambda
+        # alone, and C0(n, n-2) = 1/2 makes its diameter pi rho the bound for every n
+        rho = math.sqrt(2.0 / lam)
+        got = rotational_diameter(lambda r: rho * np.sin(np.asarray(r) / rho),
+                                  (0.0, rho * math.pi), 2)
+        for n in range(3, 13):
+            bound = cm_diameter_bound(n, n - 2, lam)
+            assert abs(got - bound) / bound < 0.02
+
     def test_at_least_interval_length(self):
         cases = [
             (np.sin, (0.0, math.pi)),
@@ -233,12 +247,12 @@ class TestRotationalDiameter:
 
 
 def _model(r):
-    # the round model the diameter subcommand checks at lambda = 1
+    # the round model the diameter subcommand reports at lambda = 1
     rho = math.sqrt(2.0)
     return rho * np.sin(np.asarray(r) / rho)
 
 
-# (f, interval, n_r, n_theta): the CLI model grid, smooth families with and
+# (f, interval, n_r, n_theta): the CLI's round model, smooth families with and
 # without zeros at the ends, non-square grids and the 2 x 2 minimum
 SWEEP_CASES = {
     "cli-model": (_model, (0.0, math.sqrt(2.0) * math.pi), 121, 121),

@@ -9,7 +9,6 @@ benchmark; a helper only tests call belongs in a `tests/` reference module.
 import ast
 import dataclasses
 import importlib
-import inspect
 import pkgutil
 import subprocess
 import sys
@@ -107,10 +106,6 @@ def test_bench_calls_only_existing_names():
 # The benchmark's tracer (`--trace 1`) reads these by name; a renamed one
 # breaks a traced run or zeroes its counters without failing any other
 # check.  One entry per observer in bench/spans.py.
-TRACED_PARAMETERS = [
-    # _observe_diameter binds the call and multiplies the grid sizes
-    ("diameter", "rotational_diameter", ("n_r", "n_theta")),
-]
 TRACED_FIELDS = [
     # _observe_cm_min counts evaluations and the winning outcome
     ("frames", "CmResult", ("method", "evaluations")),
@@ -119,14 +114,6 @@ TRACED_FIELDS = [
     # _observe_search counts the candidates tried from the passing scale
     ("constructions", "EpsilonSearchResult", ("epsilon",)),
 ]
-
-
-@pytest.mark.parametrize("module,function,names", TRACED_PARAMETERS)
-def test_traced_parameters_exist(module, function, names):
-    params = inspect.signature(getattr(importlib.import_module(f"curvlab.{module}"),
-                                       function)).parameters
-    for name in names:
-        assert name in params, f"bench/spans.py reads {function}({name}=...)"
 
 
 @pytest.mark.parametrize("module,cls,names", TRACED_FIELDS)
