@@ -454,6 +454,8 @@ class TestReproducibility:
     # admissible() rejects m outside 1..n-1 before its verdict is read
     ["matrix-inequalities", "--n", "3", "--m", "5"],
     ["diameter", "--n", "4", "--m", "0"],
+    # every positive finite lambda evaluates; zero is the edge of that range
+    ["diameter", "--n", "5", "--m", "3", "--lambda", "0"],
     # the sphere curvature 1/(eps^2 f^2) overflows at the grid ends
     ["curvature-report", "--n", "6", "--m", "2", "--lambda", "1e300",
      "--grid-points", "3"],
