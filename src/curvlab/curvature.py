@@ -189,14 +189,14 @@ class RiemannData:
             "scale": scale,
         }
 
-    def validate(self, tol: float = 1e-9, relative: bool = False) -> dict[str, float]:
-        """Raise when any symmetry or contraction residual exceeds tol.
+    def validate(self, tol: float = 1e-9) -> dict[str, float]:
+        """Raise when any symmetry or contraction residual exceeds tol * max(1, scale).
 
-        With relative=True the bound is tol * max(1, component scale), which
-        is the right yardstick for finite-difference output.
+        The component scale is the yardstick: residuals of large tensors and
+        of finite-difference output grow with it.
         """
         res = self.symmetry_residuals()
-        bound = tol * max(1.0, res["scale"]) if relative else tol
+        bound = tol * max(1.0, res["scale"])
         bad = {k: v for k, v in res.items()
                if k != "scale" and v > bound}
         if bad:

@@ -62,7 +62,8 @@ def shen_ye_bound(d: int, gamma: Fraction | float, lam: float) -> float:
     Validity: gamma < 4/(d-1) for d > 3; gamma <= 2 when d = 3, where the
     (d-3)^2 factor kills the correction term regardless of gamma, so the
     correction is defined as 0 there (and at gamma = 0).  `lam` uses this
-    formula's own normalization.
+    formula's own normalization.  The product (d-1) lam is never formed, so
+    the bound is finite for every finite lam > 0, also where it would overflow.
     """
     _check_common(d, gamma, lam)
     if d == 3:
@@ -74,7 +75,7 @@ def shen_ye_bound(d: int, gamma: Fraction | float, lam: float) -> float:
             raise ValueError(f"need gamma < 4/(d-1) = {Fraction(4, d - 1)} "
                              f"at d = {d}, got {gamma}")
         correction = 0.0 if gamma == 0 else (d - 3) ** 2 / (4.0 / float(gamma) - (d - 1))
-    return math.sqrt((d - 1) + correction) * math.pi / math.sqrt((d - 1) * lam)
+    return math.sqrt(((d - 1) + correction) / (d - 1)) * math.pi / math.sqrt(lam)
 
 
 def antonelli_xu_bound(d: int, gamma: Fraction | float, lam: float, ratio: float) -> float:

@@ -2,11 +2,19 @@
 
 All (n, m)-indexed constants are computed with `fractions.Fraction`, so the
 case checks below are genuine equalities and strict inequalities, not
-tolerance tests.  The matrix functionals are rational quadratic forms:
-their minima are exact, with a rational LDL^T certificate of positive
-definiteness.  Floating point enters only in the float value and witness
-of the minimal case; the float numerator that tests play against the exact
-forms lives in `tests/float_minimizers.py`.
+tolerance tests.
+
+The matrix functionals share one numerator, a rational quadratic form in
+a symmetric p x p matrix A, p = n-1.  Each off-diagonal entry a_ij enters
+it only as its own square, with weight 2 - mask_ij (1 or 2), so the whole
+problem is a p x p form on the diagonal: on traceless matrices, a
+(p-1) x (p-1) block, and the off-diagonal weights.  The minima are exact,
+with a rational LDL^T certificate of positive definiteness on the block;
+both minimizers are diagonal.  Floating point enters only in the float
+value and witness of the minimal case.  The form on full upper-triangle
+coordinates lives in `tests/inequality_references.py`, and the float
+numerator that tests play against the exact forms in
+`tests/float_minimizers.py`.
 
 The second-fundamental-form functional uses hypersurface index labels
 2..n, stored at 0-based positions 0..n-2 of a symmetric (n-1) x (n-1)
@@ -201,15 +209,15 @@ class MatrixWitness:
     `ratio` is the functional divided by H^2 on the trace slice (Chen case),
     or the numerator value on the traceless norm-1 slice (minimal case,
     where H = 0).  `pivots` are the LDL^T pivots of the numerator on
-    traceless matrices: all of them are positive exactly when the form is
-    positive definite there.
+    traceless matrices, the diagonal block's followed by the off-diagonal
+    weights: all of them are positive exactly when the form is positive
+    definite there.
     """
 
     n: int
     m: int
     matrix: np.ndarray
     ratio: Fraction | float
-    H: Fraction | float
     pivots: tuple[Fraction, ...] = ()
 
 
@@ -230,66 +238,25 @@ def chen_weight_mask(n: int, m: int) -> np.ndarray:
 
 # -- the numerator as an exact quadratic form --------------------------------
 #
-# A symmetric p x p matrix A has upper-triangle coordinates x = (a_ij), i <= j.
+# On traceless matrices the form is block diagonal: a (p-1) x (p-1) block on
+# the diagonal and one weight per off-diagonal entry.  So its LDL^T pivots
+# are the block's pivots followed by the weights.
 
-def _coordinates(p: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(p) for j in range(i, p)]
+def _diagonal_form(n: int, m: int) -> tuple[np.ndarray, np.ndarray, tuple[Fraction, ...]]:
+    """The numerator as (2M, D, weights).
 
-
-def _numerator_hessian(n: int, m: int) -> np.ndarray:
-    """Integer matrix M with numerator(A) = x^T M x / 2.
-
-    The numerator is |A|_F^2 plus, over the pairs of `chen_weight_mask`,
-    a_ii a_jj - a_ij^2.
+    On a symmetric A with diagonal d the numerator is
+    d^T M d + sum_(i<j) weights_ij a_ij^2, weights in row-major order.
+    2M = 2I + mask + mask^T is an integer matrix, and the integer columns
+    D_k = e_k - e_(p-1), k < p-1, span the traceless diagonals.
     """
     p = n - 1
-    coords = _coordinates(p)
-    index = {c: k for k, c in enumerate(coords)}
     mask = chen_weight_mask(n, m)
-    # |A|_F^2 counts a_ij^2 twice off the diagonal; a masked pair removes one
-    hess = np.diag([2 if i == j else 4 - 2 * int(mask[i, j]) for i, j in coords])
-    for i, j in zip(*np.nonzero(mask)):
-        hess[index[i, i], index[j, j]] = hess[index[j, j], index[i, i]] = 1
-    return hess
-
-
-def _traceless_basis(p: int) -> np.ndarray:
-    """Coordinates (columns) of E_kk - E_(p-1)(p-1), k < p-1, then E_ij + E_ji, i < j."""
-    coords = _coordinates(p)
-    index = {c: k for k, c in enumerate(coords)}
-    basis = np.zeros((len(coords), len(coords) - 1), dtype=np.int64)
-    for k in range(p - 1):
-        basis[index[k, k], k] = 1
-        basis[index[p - 1, p - 1], k] = -1
-    off_diagonal = [c for c in coords if c[0] < c[1]]
-    for col, c in enumerate(off_diagonal, start=p - 1):
-        basis[index[c], col] = 1
-    return basis
-
-
-def _symmetric_matrix(x, p: int) -> np.ndarray:
-    """The symmetric matrix with upper-triangle coordinates x (any dtype)."""
-    mat = np.empty((p, p), dtype=np.asarray(x).dtype)
-    for (i, j), v in zip(_coordinates(p), x):
-        mat[i, j] = mat[j, i] = v
-    return mat
-
-
-def _traceless_form(n: int, m: int):
-    """The numerator on the H = 1 slice as exact (Q, b, const).
-
-    On A = I/p + sum_k c_k B_k over the traceless basis B the numerator is
-    const + 2 b^T c + c^T Q c; Q is the numerator's own form on traceless
-    matrices.  Every entry is a Fraction.
-    """
-    p = n - 1
-    hess = _numerator_hessian(n, m)
-    basis = _traceless_basis(p)
-    eye = np.array([int(i == j) for i, j in _coordinates(p)])  # p times I/p
-    q = (basis.T @ hess @ basis).astype(object) * Fraction(1, 2)
-    b = (basis.T @ hess @ eye).astype(object) * Fraction(1, 2 * p)
-    const = int(eye @ hess @ eye) * Fraction(1, 2 * p * p)
-    return q, b, const
+    two_m = 2 * np.eye(p, dtype=np.int64) + mask + mask.T
+    basis = np.eye(p, p - 1, dtype=np.int64)
+    basis[p - 1] = -1
+    weights = tuple(Fraction(2 - int(mask[i, j])) for i in range(p) for j in range(i + 1, p))
+    return two_m, basis, weights
 
 
 def _ldl(q: np.ndarray) -> tuple[np.ndarray, tuple[Fraction, ...]]:
@@ -328,23 +295,26 @@ def _ldl_solve(low: np.ndarray, piv: tuple[Fraction, ...], rhs: np.ndarray) -> n
 def chen_min_exact(n: int, m: int) -> MatrixWitness:
     """Exact minimum of the ratio, a Fraction, with its exact witness on H = 1.
 
+    On A = I/p + diag(D c) + (off-diagonal part) the numerator is
+    const + 2 b^T c + c^T Q c + (off-diagonal squares), with Q = D^T M D.
     The LDL^T pivots of Q prove the numerator positive definite on
-    traceless matrices, so the slice quadratic const + 2 b^T c + c^T Q c is
-    strictly convex and its stationary point Q c = -b is the unique global
-    minimizer; the minimum is const + b^T c.
+    traceless matrices, so the minimizer is diagonal and Q c = -b is the
+    unique stationary point; the minimum is const + b^T c.
     """
     rec = admissible(n, m)
     if not rec.admissible:
         raise ValueError(f"(n, m) = ({n}, {m}) is not admissible")
     p = n - 1
-    q, b, const = _traceless_form(n, m)
+    two_m, basis, weights = _diagonal_form(n, m)
+    q = (basis.T @ two_m @ basis).astype(object) * Fraction(1, 2)
+    b = (basis.T @ two_m.sum(axis=1)).astype(object) * Fraction(1, 2 * p)
+    const = int(two_m.sum()) * Fraction(1, 2 * p * p)
     low, piv = _ldl(q)
     if min(piv) <= 0:
         raise ValueError(f"the ({n}, {m}) numerator is singular on traceless matrices")
     c = _ldl_solve(low, piv, -b)
-    x = _traceless_basis(p) @ c + np.array([Fraction(int(i == j), p)
-                                            for i, j in _coordinates(p)], dtype=object)
-    return MatrixWitness(n, m, _symmetric_matrix(x, p), const + b @ c, Fraction(1), piv)
+    return MatrixWitness(n, m, np.diag(basis @ c + Fraction(1, p)), const + b @ c,
+                         piv + weights)
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +324,25 @@ def chen_min_exact(n: int, m: int) -> MatrixWitness:
 def brendle_min_exact(n: int, m: int) -> MatrixWitness:
     """Minimum of the numerator on {tr A = 0, |A|_F = 1}, certified exactly.
 
-    The minimum is positive exactly when the traceless form Q of
+    The minimum is positive exactly when the traceless form of
     `chen_min_exact` is positive definite, which its LDL^T pivots decide
     in rational arithmetic.  The float value is the smallest eigenvalue of
-    the pencil (Q, G), G the Frobenius Gram matrix of the basis, and the
-    witness its eigenvector.
+    the diagonal block's pencil (Q, G), G = D^T D = I + J the Frobenius
+    Gram matrix of D, and the witness is the diagonal matrix of its
+    eigenvector.
+
+    The off-diagonal directions cannot go lower.  E_ij + E_ji has ratio
+    (2 - mask_ij)/2, which is 1/2 or 1.  For m >= 2 the traceless diagonal
+    (e_0 - e_1)/sqrt(2) already gives 1/2, since pair (0, 1) is masked; for
+    m = 1 there is no mask and every direction gives 1.
     """
     rec = admissible(n, m)
     if rec.ineq1 <= 0:
         raise ValueError(f"requires m^2 - mn + 2n - 2 > 0, got {rec.ineq1}")
-    p = n - 1
-    q = _traceless_form(n, m)[0]
-    _, piv = _ldl(q)
-    # with m = 1 the numerator is |A|_F^2, so its form is the Gram matrix
-    gram = _traceless_form(n, 1)[0]
-    inv = np.linalg.inv(np.linalg.cholesky(gram.astype(float)))
-    w, vecs = np.linalg.eigh(inv @ q.astype(float) @ inv.T)
-    mat = _symmetric_matrix(_traceless_basis(p) @ (inv.T @ vecs[:, 0]), p)
-    return MatrixWitness(n, m, mat, float(w[0]), float(np.trace(mat)), piv)
+    two_m, basis, weights = _diagonal_form(n, m)
+    q2 = basis.T @ two_m @ basis
+    _, piv = _ldl(q2.astype(object) * Fraction(1, 2))
+    inv = np.linalg.inv(np.linalg.cholesky((basis.T @ basis).astype(float)))
+    w, vecs = np.linalg.eigh(inv @ (0.5 * q2) @ inv.T)
+    return MatrixWitness(n, m, np.diag(basis @ (inv.T @ vecs[:, 0])), float(w[0]),
+                         piv + weights)

@@ -136,7 +136,7 @@ def chen_min_ratio(n: int, m: int, budget: int = 64, seed: int = 0) -> MatrixWit
         if v < best_v:
             best_v, best_c = v, c
     mat = shift + sum(ck * e for ck, e in zip(best_c, basis))
-    return MatrixWitness(n, m, mat, float(best_v), float(np.trace(mat)))
+    return MatrixWitness(n, m, mat, float(best_v))
 
 
 def _brendle_form_matrix(n: int, m: int) -> np.ndarray:
@@ -196,4 +196,4 @@ def brendle_min(n: int, m: int, budget: int = 64, seed: int = 0) -> MatrixWitnes
             best_v, best_c = v, c
     basis = _traceless_basis(n - 1)
     mat = sum(ck * e for ck, e in zip(best_c, basis))
-    return MatrixWitness(n, m, mat, float(best_v), float(np.trace(mat)))
+    return MatrixWitness(n, m, mat, float(best_v))

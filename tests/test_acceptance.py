@@ -166,7 +166,7 @@ def test_criterion_09_curvature_engines():
     for n, m in CONSTRUCTION_PAIRS:
         metric = build_counterexample(n, m, 1.0, 1.0)
         fd_worst = max(fd_worst, compare_exact_vs_fd(metric, 0.5))
-        riemann_exact(metric, 0.7).validate(1e-10, relative=True)
+        riemann_exact(metric, 0.7).validate(1e-10)
     fd_ok = fd_worst < 1e-5
 
     # frame properties on random algebraic curvature tensors
@@ -175,7 +175,7 @@ def test_criterion_09_curvature_engines():
     for i in range(100):
         dim = 4 + i % 4
         data = random_curvature_tensor(dim, rng)
-        data.validate(1e-8, relative=True)
+        data.validate(1e-8)
         ricci, scalar = data.ricci, data.scalar
 
         m = 2 + i % (dim - 2)

@@ -18,6 +18,7 @@ import pytest
 
 from curvlab import cli
 from curvlab.cli import main
+from curvlab.inequalities import admissible
 
 
 @pytest.fixture(autouse=True)
@@ -293,6 +294,35 @@ class TestDiameter:
             capsys)
         assert code == 2
         assert paths == []
+
+    # (d-1) lambda overflows at the largest lambda; the c0 identity makes the
+    # gradient estimate at the slice dimension equal the partial-curvature bound
+    @pytest.mark.parametrize("lam", ["1e-300", "1", "1.7976931348623157e308"])
+    def test_gradient_estimate_equals_the_bound(self, tmp_path, capsys, lam):
+        compared = 0
+        for n in range(3, 8):
+            for m in range(2, n):
+                if not admissible(n, m).admissible:
+                    continue
+                code, paths, _ = run_cli(
+                    ["diameter", "--n", str(n), "--m", str(m), "--lambda", lam,
+                     "--out", str(tmp_path)], capsys)
+                assert code == 0
+                bounds = load_json(paths[0])["witnesses"]["bounds"]
+                if isinstance(bounds["gradient_estimate"], float):
+                    compared += 1
+                    assert bounds["gradient_estimate"] == pytest.approx(
+                        bounds["partial_curvature"], rel=1e-12, abs=0), (n, m)
+        assert compared == 5
+
+    def test_underflowing_comparison_lambda_is_named(self, tmp_path, capsys):
+        code, paths, _ = run_cli(
+            ["diameter", "--n", "5", "--m", "3", "--lambda", "5e-324",
+             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        bounds = load_json(paths[0])["witnesses"]["bounds"]
+        reason = {"skipped": "lambda/(d-1) = 5e-324/2 underflows to 0"}
+        assert bounds["gradient_estimate"] == bounds["oscillation"] == reason
 
     # lambda * C0 underflows to 0 at 5e-324, and 2/lambda overflows at 1e-320
     @pytest.mark.parametrize("m", ["2", "3"])

@@ -147,7 +147,7 @@ class TestRiemannExact:
 
     def test_ricci_diagonal_and_symmetries(self):
         rd = riemann_exact(equality_case_metric(7, 4, lam=0.5, eps=0.3), 1.7)
-        rd.validate(1e-10, relative=True)
+        rd.validate(1e-10)
         off = rd.ricci - np.diag(np.diag(rd.ricci))
         assert np.max(np.abs(off)) < 1e-12
 
@@ -185,7 +185,7 @@ class TestRiemannExact:
             warnings.simplefilter("error")
             rd = riemann_exact(metric, 37.6)
             assert np.isfinite(rd.components).all() and np.isfinite(rd.scalar)
-            rd.validate(1e-8, relative=True)
+            rd.validate(1e-8)
             with pytest.raises(ValueError, match="not finite"):
                 riemann_exact(metric, 38.0)
 
@@ -231,7 +231,7 @@ class TestRiemannExact:
                 rd = riemann_exact(metric, r)
             except ValueError:
                 return
-            rd.validate(1e-8, relative=True)
+            rd.validate(1e-8)
         assert np.isfinite(rd.components).all()
         assert np.isfinite(rd.ricci).all() and np.isfinite(rd.scalar)
 
@@ -335,7 +335,7 @@ class TestRiemannData:
     def test_random_tensors_have_all_symmetries(self, seed):
         rng = np.random.default_rng(seed)
         rd = random_curvature_tensor(5 + seed % 3, rng)
-        rd.validate(1e-12, relative=True)
+        rd.validate(1e-12)
 
     def test_kulkarni_nomizu_of_identity(self):
         kn = kulkarni_nomizu(np.eye(3), np.eye(3))
@@ -354,7 +354,7 @@ class TestFiniteDifference:
         assert rd.components[0, 1, 0, 1] == pytest.approx(1.0, abs=5e-7)
         assert_allclose(rd.ricci, np.eye(2), atol=5e-7)
         assert rd.scalar == pytest.approx(2.0, abs=2e-6)
-        rd.validate(1e-6, relative=True)
+        rd.validate(1e-6)
 
     @pytest.mark.parametrize("c", [2.0, 0.5])
     def test_metric_scaling(self, c):

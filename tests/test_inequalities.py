@@ -2,6 +2,8 @@
 
 The float descents in `float_minimizers` are the cross-checks of the exact
 minima; they read the numerator only through the float `chen_numerator`.
+The full upper-triangle form in `inequality_references` is the cross-check
+of the reduced diagonal form the exact minima are solved on.
 """
 from fractions import Fraction
 
@@ -11,11 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvlab.inequalities import (
-    _coordinates,
     _ldl,
     _ldl_solve,
-    _numerator_hessian,
-    _traceless_form,
     admissible,
     admissibility_sweep_rows,
     brendle_min_exact,
@@ -28,6 +27,13 @@ from curvlab.inequalities import (
     stability_coefficients,
 )
 from float_minimizers import brendle_min, chen_functional, chen_min_ratio, chen_numerator
+from inequality_references import (
+    _coordinates,
+    _numerator_hessian,
+    _traceless_form,
+    brendle_min_reference,
+    chen_min_reference,
+)
 
 # admissible m-sets for n = 3..7
 EXPECTED_ADMISSIBLE = {3: {1, 2}, 4: {1, 2, 3}, 5: {1, 2, 3, 4}, 6: {1, 4, 5}, 7: {1, 5, 6}}
@@ -218,9 +224,9 @@ class TestChenMinimum:
     def test_witness_ratio_recomputes(self):
         w = chen_min_ratio(5, 3, budget=8, seed=1)
         assert chen_functional(w.matrix, 5, 3) == pytest.approx(w.ratio, abs=1e-10)
-        assert w.H == pytest.approx(1.0, abs=1e-9)
+        assert np.trace(w.matrix) == pytest.approx(1.0, abs=1e-9)
         exact = chen_min_exact(5, 3)
-        assert np.trace(exact.matrix) == exact.H == 1
+        assert np.trace(exact.matrix) == 1
         assert chen_functional(exact.matrix.astype(float), 5, 3) == pytest.approx(
             float(exact.ratio), abs=1e-14)
 
@@ -270,7 +276,7 @@ class TestBrendleMinimum:
 
     def test_witness_is_traceless_unit_norm(self):
         for w in (brendle_min(6, 4, budget=8, seed=0), brendle_min_exact(6, 4)):
-            assert abs(w.H) < 1e-9
+            assert abs(np.trace(w.matrix)) < 1e-9
             assert np.linalg.norm(w.matrix) == pytest.approx(1.0, abs=1e-9)
         w = brendle_min_exact(6, 4)
         assert chen_numerator(w.matrix, chen_weight_mask(6, 4)) == pytest.approx(
@@ -327,6 +333,42 @@ class TestExactForms:
         _, piv = _ldl(q - t * gram)
         assert min(piv) == 0
         assert brendle_min_exact(n, m).ratio == pytest.approx(float(t), abs=1e-12)
+
+
+# every pair of the 3 <= n <= 12 atlas on which the minimal case is defined
+POSITIVE_PAIRS = [(n, m) for n in range(3, 13) for m in range(1, n)
+                  if admissible(n, m).ineq1 > 0]
+
+
+class TestReducedForm:
+    """The diagonal block plus off-diagonal weights against the full upper-triangle form."""
+
+    @pytest.mark.parametrize("pair", POSITIVE_PAIRS)
+    def test_matches_full_coordinate_form(self, pair):
+        n, m = pair
+        brendle = brendle_min_exact(n, m)
+        # the LDL^T of a block-diagonal form is the blocks' LDL^T, so the
+        # pivots agree exactly, off-diagonal weights included
+        assert brendle.pivots == _ldl(_traceless_form(n, m)[0])[1]
+        assert brendle.ratio == pytest.approx(brendle_min_reference(n, m), abs=1e-12)
+        if admissible(n, m).admissible:
+            chen = chen_min_exact(n, m)
+            ratio, matrix = chen_min_reference(n, m)
+            assert chen.pivots == brendle.pivots
+            assert chen.ratio == ratio
+            assert (chen.matrix == matrix).all()
+
+    @pytest.mark.parametrize("pair", POSITIVE_PAIRS)
+    def test_diagonal_block_reaches_the_minimum(self, pair):
+        # E_ij + E_ji has ratio (2 - mask_ij)/2: no off-diagonal direction
+        # goes below the smallest eigenvalue of the diagonal block
+        n, m = pair
+        mask = chen_weight_mask(n, m)
+        p = n - 1
+        off = min((2 - int(mask[i, j])) / 2 for i in range(p) for j in range(i + 1, p))
+        w = brendle_min_exact(n, m)
+        assert w.ratio <= off + 1e-12
+        assert np.count_nonzero(w.matrix - np.diag(np.diag(w.matrix))) == 0
 
 
 def _fractions(rows):
