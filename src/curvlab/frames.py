@@ -46,16 +46,29 @@ bound far above an attained value can only be rounding, and is not taken
 as a proof.  A caller that only asks whether C_m stays at or above a
 threshold (`stop_below`) gets a coordinate frame below it as the answer,
 method "witness", without sampling: the bracket is then [bound, witness
-value], with the minimum somewhere inside.  Otherwise projected gradient
-descent on the Stiefel manifold runs from the best coordinate frame and
-the best of a chunked random sample, each chunk's best found by partial
-selection, and the bound is still reported beside the value.  Sampling
-only picks starts and descent only accepts decreases, so the outcome is
-"coordinate-enumeration" when a coordinate subset ties the best value,
-else "projected-descent".  The descent runs in lockstep over the stack of
-starts: every frame keeps its own step size and Armijo test, frames still
-backtracking stay pending, and a frame leaves the stack when it stops, so
-each start follows the path it would follow alone (up to rounding).
+value], with the minimum somewhere inside.
+
+At m = n - 2 (n >= 4) U is a 2-plane and Pi_U projects onto the single
+decomposable 2-vector u_1 ^ u_2, on which every 4-form eta vanishes as a
+quadratic form; so C_(n-2) >= scal/2 - lambda_max(R + eta) for every eta
+(Thorpe's trick: J. Thorpe 1972; R. Bettiol and R. Mendes 2018).  A BFGS
+loop in numpy lowers lambda_max over combinations of the C(n, 4) basis
+4-forms.  The top eigenvector of R + eta, read as an antisymmetric
+matrix, gives the 2-plane of its top two singular vectors, and a short
+descent polishes the complementary frame.  When the polished value and
+the bound agree within TIE_TOL, the minimum is proven without sampling;
+when they do not, nothing of the attempt is kept.
+
+Otherwise projected gradient descent on the Stiefel manifold runs from
+the best coordinate frame and the best of a chunked random sample, each
+chunk's best found by partial selection, and the Ky Fan bound is still
+reported beside the value.  Sampling only picks starts and descent only
+accepts decreases, so the outcome is "coordinate-enumeration" when a
+coordinate subset ties the best value, else "projected-descent".  The
+descent runs in lockstep over the stack of starts: every frame keeps its
+own step size and Armijo test, frames still backtracking stay pending,
+and a frame leaves the stack when it stops, so each start follows the
+path it would follow alone (up to rounding).
 Results are bitwise reproducible for a fixed seed and budget.
 
 Step rule (Barzilai-Borwein steps on the Stiefel manifold, as in Wen and
@@ -103,6 +116,8 @@ DESCENT_STARTS = 8  # best random samples that descend beside the best coordinat
 TIE_TOL = 1e-9      # a coordinate subset this close to the best value is reported
 ORACLE_SAMPLES = 20_000  # frames cm_min_oracle draws
 ORACLE_SLICE = 512       # frames the oracle contracts at a time
+ASCENT_ITER = 200   # quasi-Newton iterations of the 4-form bound
+POLISH_ITER = 50    # descent iterations that polish the 4-form witness
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +377,9 @@ class CmResult:
     achieving it to within the tie tolerance, with coordinate frames
     preferred when they tie.  `lower_bound` is the Ky Fan bound, the sum
     of the smallest C(n, 2) - C(n - m, 2) eigenvalues of the curvature
-    operator, which no frame goes below.  `method` names the outcome:
-    "certificate" when the bound proves the coordinate minimum, "witness"
+    operator, or Thorpe's 4-form bound when that one proved the minimum;
+    no frame goes below it.  `method` names the outcome:
+    "certificate" when a bound proves the minimum at `argmin`, "witness"
     when the search stopped at a coordinate frame below the caller's
     `stop_below` (`value` is then that frame's value, an upper bound on
     the minimum, not the minimum), otherwise "coordinate-enumeration" when
@@ -378,18 +394,130 @@ class CmResult:
     coordinate_subset: tuple[int, ...] | None = None
 
 
+def _curvature_operator(riemann: RiemannData) -> np.ndarray:
+    """The curvature operator on 2-vectors: Rm_{abcd} over pairs a < b, c < d."""
+    a, b = np.triu_indices(riemann.dim, 1)
+    return riemann.components[a[:, None], b[:, None], a, b]
+
+
 def _operator_lower_bound(riemann: RiemannData, m: int) -> float:
     """Sum of the smallest C(n, 2) - C(n - m, 2) eigenvalues of the curvature operator.
 
-    The operator on 2-vectors is the matrix Rm_{abcd} over pairs a < b,
-    c < d.  The small eigenvalues are summed directly: scal/2 minus the
-    large ones cancels catastrophically when the components are large.
+    The small eigenvalues are summed directly: scal/2 minus the large ones
+    cancels catastrophically when the components are large.
     """
     n = riemann.dim
-    a, b = np.triu_indices(n, 1)
-    op = riemann.components[a[:, None], b[:, None], a, b]
     count = math.comb(n, 2) - math.comb(n - m, 2)
-    return float(np.sum(np.linalg.eigvalsh(op)[:count]))
+    return float(np.sum(np.linalg.eigvalsh(_curvature_operator(riemann))[:count]))
+
+
+@functools.lru_cache(maxsize=None)
+def _four_forms(n: int) -> np.ndarray:
+    """The basis 4-forms e_i ^ e_j ^ e_k ^ e_l, i < j < k < l, as operators on 2-vectors.
+
+    Shape (C(n, 4), C(n, 2), C(n, 2)), in the pair order of
+    `_curvature_operator`: E[(i, j), (k, l)] = E[(i, l), (j, k)] = 1 and
+    E[(i, k), (j, l)] = -1, with their transposes.  <E w, w> is twice the
+    coefficient of w ^ w on the basis 4-form, so it vanishes on every
+    decomposable 2-vector.  The array is shared; callers must not write it.
+    """
+    a, b = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[a, b] = np.arange(len(a))
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp)
+    i, j, k, l = quads.reshape(-1, 4).T
+    t = np.arange(len(quads))
+    basis = np.zeros((len(quads), len(a), len(a)))
+    for p, q, sign in ((pair[i, j], pair[k, l], 1.0), (pair[i, k], pair[j, l], -1.0),
+                       (pair[i, l], pair[j, k], 1.0)):
+        basis[t, p, q] = basis[t, q, p] = sign
+    basis.flags.writeable = False
+    return basis
+
+
+def _four_form_bound(riemann: RiemannData) -> tuple[float, np.ndarray, np.ndarray]:
+    """Thorpe's lower bound on C_(n-2): scal/2 - lambda_max(R + eta) at a 4-form eta.
+
+    A 4-form has zero trace on the 2-vectors of every subspace, so for
+    every eta and every 2-plane U, C_(n-2)(U-perp) = tr((R + eta)(1 - Pi_U))
+    is at least the sum of all eigenvalues of R + eta but the largest.
+    BFGS with Armijo backtracking minimizes f(c) = lambda_max(R + sum c_t E_t)
+    over the coefficients on `_four_forms`; its gradient, where the top
+    eigenvalue is simple, is v^T E_t v for the top eigenvector v (BFGS on a
+    maximum eigenvalue: Lewis and Overton 2013).  The inverse Hessian
+    starts as the identity; when the first step has <s, y> > 0 it is
+    rescaled by <s, y>/<y, y> before that step's update, and an update
+    with <s, y> <= 0 is skipped.  The ascent stops after ASCENT_ITER
+    iterations, when a direction is not a descent direction, when HALVINGS
+    halvings all fail, or when an accepted step leaves f unchanged.  Any
+    eta gives a sound bound, so where it stops only decides how tight the
+    bound is.  Returns the bound, eta as an operator on 2-vectors and the
+    top eigenvector of R + eta.
+    """
+    op = _curvature_operator(riemann)
+    basis = _four_forms(riemann.dim).reshape(-1, op.size)
+
+    def spectrum(coef):
+        vals, vecs = np.linalg.eigh(op + (coef @ basis).reshape(op.shape))
+        top = vecs[:, -1]
+        return vals, top, basis @ np.outer(top, top).ravel()
+
+    coef = np.zeros(len(basis))
+    vals, top, grad = spectrum(coef)
+    hinv = np.eye(len(coef))
+    for it in range(ASCENT_ITER):
+        direction = -hinv @ grad
+        slope = grad @ direction
+        if not slope < 0:
+            break
+        step = 1.0
+        for _ in range(HALVINGS):
+            trial = coef + step * direction
+            t_vals, t_top, t_grad = spectrum(trial)
+            if t_vals[-1] <= vals[-1] + ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, y = trial - coef, t_grad - grad
+        unchanged = t_vals[-1] == vals[-1]
+        coef, vals, top, grad = trial, t_vals, t_top, t_grad
+        if unchanged:
+            break
+        sy = s @ y
+        if sy > 0:
+            if it == 0:
+                hinv *= sy / (y @ y)
+            hy = hinv @ y
+            hinv += (((sy + y @ hy) / sy) * np.outer(s, s) - np.outer(s, hy)
+                     - np.outer(hy, s)) / sy
+    return float(np.sum(vals[:-1])), (coef @ basis).reshape(op.shape), top
+
+
+def _four_form_certificate(riemann: RiemannData,
+                           upper: float) -> tuple[float, float, np.ndarray, int] | None:
+    """Thorpe's bound closed by a witness frame: (bound, value, frame, evaluations).
+
+    For m = n - 2.  The top eigenvector of R + eta, read as an
+    antisymmetric matrix, gives the 2-plane U of its top two singular
+    vectors; the frame V = U-perp is polished by at most POLISH_ITER
+    descent iterations and scored by `cm_batch`.  The value is the smaller
+    of that score and `upper`, the best coordinate value.  When the value
+    and the bound agree within TIE_TOL on both sides the minimum is
+    proven; otherwise this returns None.  The evaluations are the
+    polish's.
+    """
+    n = riemann.dim
+    bound, _, top = _four_form_bound(riemann)
+    a, b = np.triu_indices(n, 1)
+    form = np.zeros((n, n))
+    form[a, b], form[b, a] = top, -top
+    start = np.linalg.svd(form)[0][:, 2:]
+    polished, _, _, evals, _ = _descend(riemann, start[None], POLISH_ITER)
+    value = min(upper, float(cm_batch(riemann, polished)[0]))
+    if abs(value - bound) > TIE_TOL:
+        return None
+    return bound, value, polished[0], int(evals[0])
 
 
 def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
@@ -447,11 +575,17 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *
     at or above `stop_below` and a coordinate frame already goes below it,
     that frame answers no: its value is returned with method "witness"
     after C(n, m) evaluations, an upper bound on the minimum rather than
-    the minimum.  Otherwise `budget` Haar frames are sampled (see
-    `_best_samples`) and descent runs in lockstep from the best coordinate
-    frame and the DESCENT_STARTS best samples.  On every path, when a
-    coordinate subset comes within TIE_TOL of the best value found, the
-    lexicographically first such subset is reported as the argmin.
+    the minimum.  Otherwise, at m = n - 2 with n >= 4, Thorpe's 4-form
+    bound is raised and closed by a polished witness frame (see
+    `_four_form_certificate`); when they agree within TIE_TOL the minimum
+    at `argmin` is proven, with method "certificate", the 4-form bound as
+    `lower_bound`, and C(n, m) plus the polish's evaluations.  When it
+    does not close, nothing of it is kept.  Otherwise `budget` Haar
+    frames are sampled (see `_best_samples`) and descent runs in lockstep
+    from the best coordinate frame and the DESCENT_STARTS best samples.
+    On every path, when a coordinate subset comes within TIE_TOL of the
+    best value found, the lexicographically first such subset is reported
+    as the argmin.
     """
     n = riemann.dim
     if not 1 <= m <= n:
@@ -472,9 +606,13 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *
 
     # both-sided: a bound far above an attained value is rounding, not a proof
     if abs(upper - lower) <= TIE_TOL:
-        best_value, method = upper, "certificate"
+        best_value, best_frame, method = upper, None, "certificate"
     elif stop_below is not None and upper < stop_below:
-        best_value, method = upper, "witness"
+        best_value, best_frame, method = upper, None, "witness"
+    elif n - m == 2 and n >= 4 and (closed := _four_form_certificate(riemann, upper)):
+        lower, best_value, best_frame, polish_evals = closed
+        evaluations += polish_evals
+        method = "certificate"
     else:
         # lockstep descent from the best coordinate frame and the best samples
         starts = np.concatenate([coord_qs[coord_best][None],
@@ -483,13 +621,15 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *
         evaluations += int(budget) + int(evals.sum())
         desc_best = int(np.argmin(np.where(np.isnan(desc_vals), np.inf, desc_vals)))
         best_value = float(min(upper, desc_vals[desc_best]))
-        method = "coordinate-enumeration"
+        best_frame, method = desc_qs[desc_best], "projected-descent"
 
     tied = np.flatnonzero(coord_vals <= best_value + TIE_TOL)
     if tied.size:
         idx = int(tied[0])
+        if method == "projected-descent":
+            method = "coordinate-enumeration"
         return CmResult(best_value, coord_qs[idx], evaluations, method, lower, subsets[idx])
-    return CmResult(best_value, desc_qs[desc_best], evaluations, "projected-descent", lower)
+    return CmResult(best_value, best_frame, evaluations, method, lower)
 
 
 def _oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:

@@ -248,8 +248,12 @@ def _diagonal_form(n: int, m: int) -> tuple[np.ndarray, np.ndarray, tuple[Fracti
     On a symmetric A with diagonal d the numerator is
     d^T M d + sum_(i<j) weights_ij a_ij^2, weights in row-major order.
     2M = 2I + mask + mask^T is an integer matrix, and the integer columns
-    D_k = e_k - e_(p-1), k < p-1, span the traceless diagonals.
+    D_k = e_k - e_(p-1), k < p-1, span the traceless diagonals.  For n = 2
+    the block is 1 x 1 and has no traceless direction, so n < 3 is rejected.
     """
+    if n < 3:
+        raise ValueError(f"the exact minimum needs dimension n >= 3 for a traceless "
+                         f"direction, got n = {n}")
     p = n - 1
     mask = chen_weight_mask(n, m)
     two_m = 2 * np.eye(p, dtype=np.int64) + mask + mask.T

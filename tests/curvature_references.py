@@ -2,7 +2,8 @@
 
 `constant_profile` is the constant warp factor, `laplacian_fd` the
 Laplace-Beltrami operator of a chart function by the finite-difference
-engine's stencils, and `constant_curvature_riemann` the space-form tensor.
+engine's stencils, `constant_curvature_riemann` the space-form tensor and
+`fubini_study_riemann` the curvature of complex projective space.
 """
 from __future__ import annotations
 
@@ -63,3 +64,21 @@ def constant_curvature_riemann(dim: int, k: float) -> RiemannData:
     """Space form of sectional curvature k: R = (k/2) * (g kn g)."""
     eye = np.eye(dim)
     return RiemannData.from_components(0.5 * k * kulkarni_nomizu(eye, eye))
+
+
+def fubini_study_riemann(dim: int) -> RiemannData:
+    """Complex projective space of holomorphic sectional curvature 4, real dimension dim.
+
+    With J the complex structure that pairs e_2k with e_2k+1,
+    Rm(X, Y, Z, W) = (1/2)(g kn g) + <X, JZ><Y, JW> - <X, JW><Y, JZ> + 2 <X, JY><Z, JW>,
+    so a plane has sectional curvature 1 + 3 <X, JY>^2 for orthonormal X, Y.
+    """
+    if dim % 2:
+        raise ValueError(f"complex projective space has even real dimension, got {dim}")
+    eye = np.eye(dim)
+    j = np.zeros((dim, dim))
+    j[1::2, ::2] = j[::2, 1::2] = np.eye(dim // 2)
+    j[::2, 1::2] *= -1.0
+    return RiemannData.from_components(
+        0.5 * kulkarni_nomizu(eye, eye) + 0.5 * kulkarni_nomizu(j, j)
+        + 2.0 * np.einsum("ab,cd->abcd", j, j))

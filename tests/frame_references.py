@@ -5,7 +5,8 @@ completed orthonormal basis, `complete_frame` builds that basis,
 `cm_gradient` is the einsum form of the Euclidean gradient of the
 projection form, and `oracle_values` is the one-pass 3-operand contraction
 the sampling oracle once used.  None of them shares arithmetic with the
-library's evaluation kernels.
+library's evaluation kernels.  `count_calls` records the calls that go
+through module functions, the way the benchmark's tracer sees them.
 """
 from __future__ import annotations
 
@@ -73,3 +74,23 @@ def oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
     ps = np.einsum("bia,bja->bij", qs, qs)
     return (np.einsum("ab,nab->n", riemann.ricci, ps)
             - 0.5 * np.einsum("pqrs,npr,nqs->n", riemann.components, ps, ps))
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap `module.name` for each name so that every call records len(result).
+
+    Returns {name: [len(result), ...]}, filled as calls go through the
+    module attribute; `monkeypatch` restores the originals.
+    """
+    calls = {name: [] for name in names}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls[name].append(len(result))
+            return result
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls

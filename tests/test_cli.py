@@ -492,6 +492,8 @@ class TestReproducibility:
     # the Gaussian profile's log-derivatives overflow in the ODE residual
     ["verify-examples", "--n", "6", "--m", "2", "--r-max", "1e160",
      "--grid-points", "3"],
+    # (2, 1) is admissible, but the exact routes need a traceless direction
+    ["matrix-inequalities", "--n", "2", "--m", "1"],
 ])
 def test_bad_invocation_exits_two_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -504,6 +506,8 @@ def test_bad_invocation_exits_two_without_traceback(tmp_path, capsys, argv):
         assert "r = -10.0" in err and "not finite" in err
     if argv[0] == "verify-examples":
         assert err == "error: ODE residual at r = -1e+160 is not finite\n"
+    if argv[:3] == ["matrix-inequalities", "--n", "2"]:
+        assert err.endswith("got n = 2\n")
 
 
 # one passing run of every subcommand, with a budget small enough for the suite

@@ -20,6 +20,7 @@ import pytest
 import curvlab
 from curvlab import frames
 from curvlab.curvature import random_curvature_tensor
+from frame_references import count_calls
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(curvlab.__path__))
 SRC = Path(curvlab.__file__).resolve().parent
@@ -129,16 +130,7 @@ def test_sampling_goes_through_the_traced_module_functions(monkeypatch):
     # frames.cm_batch, so cm_min must reach both through the module: one
     # draw per 4096-frame chunk, one evaluation per chunk and one for the
     # coordinate subsets.  C_3 of a dense 6-dimensional tensor is not certified
-    calls = {"random_frames": [], "cm_batch": []}
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            result = original(*args, **kwargs)
-            calls[name].append(len(result))
-            return result
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(frames, name, counting(name, getattr(frames, name)))
+    calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
     res = frames.cm_min(random_curvature_tensor(6, np.random.default_rng(3)), 3,
                         budget=10_000, seed=4)
     assert res.method != "certificate"
@@ -147,9 +139,14 @@ def test_sampling_goes_through_the_traced_module_functions(monkeypatch):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency; the runtime must not import it
-    probe = ("import sys, curvlab.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, cwd=Path(curvlab.__file__).parents[1])
-    assert out.stdout.strip() == "[]"
+    # scipy is a test-only dependency; the runtime must not import it, neither
+    # on import nor in the 4-form certificate that C_(n-2) of a dense tensor takes
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    certified = ("import numpy as np; from curvlab import curvature, frames; "
+                 "rd = curvature.random_curvature_tensor(6, np.random.default_rng(8)); "
+                 "print(frames.cm_min(rd, 4, budget=10).method); ")
+    for probe, expected in ((f"import sys, curvlab.cli; {loaded}", "[]"),
+                            (f"import sys; {certified}{loaded}", "certificate\n[]")):
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, cwd=Path(curvlab.__file__).parents[1])
+        assert out.stdout.strip() == expected

@@ -23,8 +23,12 @@ from curvlab.frames import (
     SAMPLE_CHUNK,
     _best_samples,
     _contraction,
+    _curvature_operator,
     _descend,
     _evaluate,
+    _four_form_bound,
+    _four_forms,
+    _operator_lower_bound,
     _oracle_values,
     _smallest,
     _symmetric_form,
@@ -38,8 +42,14 @@ from curvlab.frames import (
     stiefel_retract,
     tangent_project,
 )
-from curvature_references import constant_curvature_riemann
-from frame_references import cm_double_sum, cm_gradient, complete_frame, oracle_values
+from curvature_references import constant_curvature_riemann, fubini_study_riemann
+from frame_references import (
+    cm_double_sum,
+    cm_gradient,
+    complete_frame,
+    count_calls,
+    oracle_values,
+)
 
 
 DENSE_SHAPES = [(4, 2), (5, 3), (6, 2), (7, 5), (8, 4)]
@@ -616,13 +626,14 @@ class TestCertificate:
     @pytest.mark.parametrize("n", sorted({n for n, _ in DENSE_SHAPES}))
     def test_bound_is_sound_on_dense_tensors(self, n):
         # 12 tensors per dimension, 60 in all, with m running over 1..n; the
-        # bound is exact only for m >= n - 1, so the slow path runs below that
+        # Ky Fan bound is exact for m >= n - 1 and the 4-form bound closes at
+        # m = n - 2, so the slow path runs below that
         for i in range(12):
             m = 1 + i % n
             rd = random_curvature_tensor(n, np.random.default_rng(1000 + 12 * n + i))
             res = cm_min(rd, m, budget=2000, seed=i)
             assert res.lower_bound <= res.value + 1e-9
-            assert (res.method == "certificate") == (m >= n - 1)
+            assert (res.method == "certificate") == (m >= n - 2)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_exact_at_m_n_minus_one(self, n):
@@ -663,6 +674,129 @@ class TestCertificate:
             assert (res.evaluations, res.coordinate_subset) == (math.comb(5, 3), (0, 3, 4))
         else:
             assert res.evaluations > math.comb(5, 3) + 500
+
+
+def two_vectors(w):
+    """The orthonormal 2-vectors w_i ^ w_j, i < j, of an orthonormal (n, k) basis.
+
+    Shape (C(k, 2), C(n, 2)), in the pair order a < b of the curvature operator.
+    """
+    a, b = np.triu_indices(w.shape[0], 1)
+    i, j = np.triu_indices(w.shape[1], 1)
+    return w[a][:, i].T * w[b][:, j].T - w[b][:, i].T * w[a][:, j].T
+
+
+def ky_fan_sum(op, n, m):
+    """Sum of the smallest C(n, 2) - C(n - m, 2) eigenvalues of a symmetric operator."""
+    return float(np.sum(np.linalg.eigvalsh(op)[:math.comb(n, 2) - math.comb(n - m, 2)]))
+
+
+class TestFourFormCertificate:
+    """Thorpe's bound at m = n - 2: any 4-form eta keeps tr((R + eta)(1 - Pi_U)) = C_m."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_basis_has_zero_trace_on_every_subspace(self, n):
+        basis = _four_forms(n)
+        assert basis.shape == (math.comb(n, 4), math.comb(n, 2), math.comb(n, 2))
+        assert_array_equal(basis, basis.transpose(0, 2, 1))
+        rng = np.random.default_rng(n)
+        for k in range(1, n + 1):
+            pairs = two_vectors(haar_frame(n, k, rng.integers(1 << 30)))
+            assert_allclose(pairs @ pairs.T, np.eye(len(pairs)), atol=1e-12)
+            traces = np.einsum("ta,sab,tb->s", pairs, basis, pairs)
+            assert_allclose(traces, 0.0, atol=1e-12)
+        # not zero on 2-vectors: e_0 ^ e_1 + e_2 ^ e_3 is not decomposable
+        kahler = two_vectors(np.eye(n)[:, [0, 1]])[0] + two_vectors(np.eye(n)[:, [2, 3]])[0]
+        assert kahler @ basis[0] @ kahler == 2.0
+
+    @pytest.mark.parametrize("n,m", DENSE_SHAPES)
+    def test_bound_is_below_coordinates_and_oracle(self, n, m):
+        # the ascent's 4-form, and a random one, give a sound bound at every m
+        for seed in range(3):
+            rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 200 * seed))
+            op = _curvature_operator(rd)
+            bound, eta, _ = _four_form_bound(rd)
+            noise = np.tensordot(np.random.default_rng(seed).standard_normal(
+                math.comb(n, 4)), _four_forms(n), 1)
+            coord_min = cm_batch(rd, coordinate_frames(n, m)).min()
+            oracle = cm_min_oracle(rd, m, seed=seed)
+            for form in (eta, noise):
+                low = ky_fan_sum(op + form, n, m)
+                assert low <= coord_min + 1e-9 and low <= oracle + 1e-9
+            assert ky_fan_sum(op + eta, n, n - 2) == pytest.approx(bound, abs=1e-9)
+            # the ascent starts at eta = 0, the Ky Fan bound, and only improves it
+            assert bound >= _operator_lower_bound(rd, n - 2) - 1e-9
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_closes_without_sampling(self, monkeypatch, n):
+        calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
+        for seed in range(3):
+            rd = random_curvature_tensor(n, np.random.default_rng(700 + 10 * n + seed))
+            calls["cm_batch"].clear()
+            res = cm_min(rd, n - 2, seed=seed)
+            assert res.method == "certificate"
+            # the coordinate subsets, then the polished witness
+            assert calls == {"random_frames": [], "cm_batch": [math.comb(n, 2), 1]}
+            assert abs(res.value - res.lower_bound) <= frames.TIE_TOL
+            assert res.lower_bound > _operator_lower_bound(rd, n - 2) + frames.TIE_TOL
+            assert res.evaluations > math.comb(n, 2)
+            assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value, abs=1e-9)
+            assert res.coordinate_subset is None
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_certified_value_matches_the_sampled_route(self, monkeypatch, n):
+        rd = random_curvature_tensor(n, np.random.default_rng(900 + n))
+        certified = cm_min(rd, n - 2, seed=n)
+        monkeypatch.setattr(frames, "_four_form_certificate", lambda *args: None)
+        sampled = cm_min(rd, n - 2, budget=100_000, seed=n)
+        assert certified.method == "certificate"
+        assert sampled.method in {"coordinate-enumeration", "projected-descent"}
+        assert abs(certified.value - sampled.value) <= frames.TIE_TOL
+        assert sampled.lower_bound == _operator_lower_bound(rd, n - 2)
+        assert certified.lower_bound >= sampled.lower_bound
+
+    def test_falls_back_bit_identically_where_it_does_not_close(self, monkeypatch):
+        # on CP^4 at m = 6 the ascent stops at a bound below the coordinate
+        # minimum 36, so the sampled route runs as if the 4-form route were absent
+        rd = fubini_study_riemann(8)
+        assert frames._four_form_certificate(rd, np.inf) is None
+        res = cm_min(rd, 6, budget=2000, seed=1)
+        monkeypatch.setattr(frames, "_four_form_certificate", lambda *args: None)
+        assert_same_result(res, cm_min(rd, 6, budget=2000, seed=1))
+        assert res.method == "coordinate-enumeration"
+        assert res.value == pytest.approx(36.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_closes_on_complex_projective_space(self, n):
+        # CP^2 and CP^3: C_(n-2) = scal/2 - K(V-perp) has its minimum
+        # n (n + 2)/2 - 4 where V-perp is a complex line, such as (e_0, e_1)
+        res = cm_min(fubini_study_riemann(n), n - 2, budget=10, seed=0)
+        assert res.method == "certificate"
+        assert res.value == pytest.approx({4: 8.0, 6: 20.0}[n], abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_four_forms_in_dimension_three(self, monkeypatch, seed):
+        # n - m = 2 at (3, 1), but there is no 4-form: the slow path runs as before
+        def unreachable(*args):
+            raise AssertionError("4-form route entered at n = 3")
+
+        rd = random_curvature_tensor(3, np.random.default_rng(seed + 40))
+        for name in ("_four_forms", "_four_form_bound", "_four_form_certificate"):
+            monkeypatch.setattr(frames, name, unreachable)
+        res = cm_min(rd, 1, budget=2000, seed=seed)
+        starts = slow_path_starts(rd, 1, 2000, seed)
+        qs, vals, _, evals, _ = _descend(rd, starts, MAX_ITER)
+        coord_vals = cm_batch(rd, coordinate_frames(3, 1))
+        best = int(np.argmin(vals))
+        assert res.method == "projected-descent"
+        assert res.value == min(coord_vals.min(), vals[best])
+        assert res.evaluations == 3 + 2000 + int(evals.sum())
+        assert res.lower_bound == _operator_lower_bound(rd, 1)
+        assert_array_equal(res.argmin, qs[best])
+        # C_1 is the Ricci form, and in dimension 3 every 2-vector is
+        # decomposable, so the Ky Fan bound is exact
+        assert res.value == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0], abs=1e-9)
+        assert res.lower_bound == pytest.approx(res.value, abs=1e-9)
 
 
 FAMILY_GRID = [(lam, eps) for lam in (1.0, 4.0) for eps in (0.25, 0.5, 1.0, 2.0)]

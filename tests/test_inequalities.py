@@ -234,6 +234,13 @@ class TestChenMinimum:
         with pytest.raises(ValueError, match="not admissible"):
             chen_min_exact(6, 2)
 
+    def test_dimension_two_rejected(self):
+        # (2, 1) is admissible, but the traceless block is empty
+        assert admissible(2, 1).admissible
+        for route in (chen_min_exact, brendle_min_exact):
+            with pytest.raises(ValueError, match="got n = 2"):
+                route(2, 1)
+
 
 class TestBrendleMinimum:
     def test_3_2_slice_is_constant_half(self):
