@@ -59,6 +59,11 @@ descent polishes the complementary frame.  When the polished value and
 the bound agree within TIE_TOL, the minimum is proven without sampling;
 when they do not, nothing of the attempt is kept.
 
+At m = 1, C_1(e) = Ric(e, e), whose minimum over unit vectors is the
+smallest Ricci eigenvalue, attained at its eigenvector.  That 1-frame is
+scored once; when its value and the eigenvalue agree within TIE_TOL, the
+minimum is proven without sampling, and otherwise nothing is kept.
+
 Otherwise projected gradient descent on the Stiefel manifold runs from
 the best coordinate frame and the best of a chunked random sample, each
 chunk's best found by partial selection, and the Ky Fan bound is still
@@ -377,13 +382,14 @@ class CmResult:
     achieving it to within the tie tolerance, with coordinate frames
     preferred when they tie.  `lower_bound` is the Ky Fan bound, the sum
     of the smallest C(n, 2) - C(n - m, 2) eigenvalues of the curvature
-    operator, or Thorpe's 4-form bound when that one proved the minimum;
-    no frame goes below it.  `method` names the outcome:
-    "certificate" when a bound proves the minimum at `argmin`, "witness"
-    when the search stopped at a coordinate frame below the caller's
-    `stop_below` (`value` is then that frame's value, an upper bound on
-    the minimum, not the minimum), otherwise "coordinate-enumeration" when
-    a coordinate subset ties the value, else "projected-descent".
+    operator, or Thorpe's 4-form bound or (m = 1) the smallest Ricci
+    eigenvalue when that one proved the minimum; no frame goes below it.
+    `method` names the outcome: "certificate" when a bound proves the
+    minimum at `argmin`, "witness" when the search stopped at a coordinate
+    frame below the caller's `stop_below` (`value` is then that frame's
+    value, an upper bound on the minimum, not the minimum), otherwise
+    "coordinate-enumeration" when a coordinate subset ties the value, else
+    "projected-descent".
     """
 
     value: float
@@ -520,6 +526,27 @@ def _four_form_certificate(riemann: RiemannData,
     return bound, value, polished[0], int(evals[0])
 
 
+def _ricci_certificate(riemann: RiemannData,
+                       upper: float) -> tuple[float, float, np.ndarray] | None:
+    """The smallest Ricci eigenvalue closed by its eigenvector: (bound, value, frame).
+
+    For m = 1, where C_1(e) = Ric(e, e) has the minimum lambda_min(Ric)
+    over unit vectors, attained at an eigenvector.  The 1-frame of that
+    eigenvector is scored by `cm_batch`, and the value is the smaller of
+    that score and `upper`, the best coordinate value.  When the value and
+    lambda_min agree within TIE_TOL on both sides the minimum is proven;
+    otherwise (a NaN included) this returns None.  The bound is taken from
+    `eigvalsh`, like the Ky Fan bound, since `eigh` rounds its eigenvalues
+    differently.
+    """
+    bound = float(np.linalg.eigvalsh(riemann.ricci)[0])
+    frame = np.linalg.eigh(riemann.ricci)[1][:, :1]
+    value = min(upper, float(cm_batch(riemann, frame[None])[0]))
+    if not abs(value - bound) <= TIE_TOL:
+        return None
+    return bound, value, frame
+
+
 def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest values, exactly the prefix of a stable argsort.
 
@@ -562,6 +589,11 @@ def _best_samples(riemann: RiemannData, m: int, budget: int, seed: int) -> np.nd
     return np.concatenate(kept_frames)[best]
 
 
+def _check_m(n: int, m: int) -> None:
+    if not 1 <= m <= n:
+        raise ValueError(f"require 1 <= m <= {n}, got m = {m}")
+
+
 def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *,
            stop_below: float | None = None) -> CmResult:
     """Minimize C_m over m-frames: certificate, else enumeration and sampled descent.
@@ -579,17 +611,20 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *
     bound is raised and closed by a polished witness frame (see
     `_four_form_certificate`); when they agree within TIE_TOL the minimum
     at `argmin` is proven, with method "certificate", the 4-form bound as
-    `lower_bound`, and C(n, m) plus the polish's evaluations.  When it
-    does not close, nothing of it is kept.  Otherwise `budget` Haar
-    frames are sampled (see `_best_samples`) and descent runs in lockstep
-    from the best coordinate frame and the DESCENT_STARTS best samples.
+    `lower_bound`, and C(n, m) plus the polish's evaluations.  At m = 1
+    the eigenvector of the smallest Ricci eigenvalue is scored instead
+    (see `_ricci_certificate`); when it closes, the minimum is proven with
+    method "certificate", that eigenvalue as `lower_bound`, and C(n, 1) + 1
+    evaluations.  A route that does not close leaves nothing behind.
+    Otherwise `budget` Haar frames are sampled (see `_best_samples`) and
+    descent runs in lockstep from the best coordinate frame and the
+    DESCENT_STARTS best samples.
     On every path, when a coordinate subset comes within TIE_TOL of the
     best value found, the lexicographically first such subset is reported
     as the argmin.
     """
     n = riemann.dim
-    if not 1 <= m <= n:
-        raise ValueError(f"require 1 <= m <= {n}, got m = {m}")
+    _check_m(n, m)
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if not np.isfinite(riemann.components).all():
@@ -612,6 +647,10 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *
     elif n - m == 2 and n >= 4 and (closed := _four_form_certificate(riemann, upper)):
         lower, best_value, best_frame, polish_evals = closed
         evaluations += polish_evals
+        method = "certificate"
+    elif m == 1 and (closed := _ricci_certificate(riemann, upper)):
+        lower, best_value, best_frame = closed
+        evaluations += 1
         method = "certificate"
     else:
         # lockstep descent from the best coordinate frame and the best samples
@@ -659,6 +698,7 @@ def cm_min_oracle(riemann: RiemannData, m: int, seed: int = 0) -> float:
     the symmetric form of `cm_batch` and the descent.
     """
     n = riemann.dim
+    _check_m(n, m)
     best = np.inf
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     remaining = ORACLE_SAMPLES

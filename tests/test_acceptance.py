@@ -39,6 +39,7 @@ from curvlab.inequalities import (
 )
 from diameter_references import rotational_diameter
 from float_minimizers import brendle_min, chen_min_ratio
+from frame_references import cm_double_sum, complete_frame
 
 EXPECTED_ADMISSIBLE = {3: {1, 2}, 4: {1, 2, 3}, 5: {1, 2, 3, 4},
                        6: {1, 4, 5}, 7: {1, 5, 6}}
@@ -184,8 +185,13 @@ def test_criterion_09_curvature_engines():
         spread = abs(cm_of_frame(data, q) - cm_of_frame(data, q @ rot))
         prop_ok = prop_ok and spread < 1e-8
 
-        c1 = cm_min(data, 1, budget=2000, seed=i).value
-        prop_ok = prop_ok and abs(c1 - np.linalg.eigvalsh(ricci)[0]) < 1e-6
+        # cm_min takes C_1 from the Ricci eigenvector, so the literal double
+        # sum at its argmin checks the frame as well as the value
+        c1 = cm_min(data, 1, budget=2000, seed=i)
+        ric_min = np.linalg.eigvalsh(ricci)[0]
+        at_argmin = cm_double_sum(data, complete_frame(c1.argmin), 1)
+        prop_ok = (prop_ok and abs(c1.value - ric_min) < 1e-6
+                   and abs(at_argmin - ric_min) < 1e-6)
 
         top = cm_of_frame(data, coordinate_frame(dim, range(dim - 1)))
         prop_ok = prop_ok and abs(2 * top - scalar) < 1e-8

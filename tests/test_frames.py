@@ -326,17 +326,19 @@ class TestDescent:
         assert iters[0] == 1
         assert vals[0] == pytest.approx(2.0 * (3 * 5 - 6), rel=1e-12)
 
-    def test_overflowing_gradient_stops_unconverged(self):
+    def test_overflowing_gradient_stops_unconverged(self, monkeypatch):
         # (6, 3) at lambda 4, eps 1/2, r = 10: f = exp(-2 r^2) puts K near 2e174,
         # so the squared gradient norm overflows
         rd = riemann_exact(build_counterexample(6, 3, 4.0, 0.5), 10.0)
         q0 = haar_frame(6, 3, 4)
+        monkeypatch.setattr(frames, "_ricci_certificate", lambda *args: None)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             q, vals, iters, evals, converged = _descend(rd, q0[None], MAX_ITER)
-            # the certificate decides C_3 on this tensor but not C_1, so C_1
-            # takes the slow path: every start stops after one evaluation
-            # and no overflowed descent is reported as the winner
+            # the Ky Fan certificate decides C_3 on this tensor but not C_1,
+            # so with the Ricci route off C_1 takes the slow path: every start
+            # stops after one evaluation and no overflowed descent is
+            # reported as the winner
             full = cm_min(rd, 1, budget=5000, seed=1)
         assert not converged[0]
         assert (iters[0], evals[0]) == (1, 1)
@@ -626,14 +628,15 @@ class TestCertificate:
     @pytest.mark.parametrize("n", sorted({n for n, _ in DENSE_SHAPES}))
     def test_bound_is_sound_on_dense_tensors(self, n):
         # 12 tensors per dimension, 60 in all, with m running over 1..n; the
-        # Ky Fan bound is exact for m >= n - 1 and the 4-form bound closes at
-        # m = n - 2, so the slow path runs below that
+        # Ky Fan bound is exact for m >= n - 1, the 4-form bound closes at
+        # m = n - 2 and the smallest Ricci eigenvalue at m = 1, so the slow
+        # path runs between
         for i in range(12):
             m = 1 + i % n
             rd = random_curvature_tensor(n, np.random.default_rng(1000 + 12 * n + i))
             res = cm_min(rd, m, budget=2000, seed=i)
             assert res.lower_bound <= res.value + 1e-9
-            assert (res.method == "certificate") == (m >= n - 2)
+            assert (res.method == "certificate") == (m == 1 or m >= n - 2)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_exact_at_m_n_minus_one(self, n):
@@ -776,13 +779,15 @@ class TestFourFormCertificate:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_no_four_forms_in_dimension_three(self, monkeypatch, seed):
-        # n - m = 2 at (3, 1), but there is no 4-form: the slow path runs as before
+        # n - m = 2 at (3, 1), but there is no 4-form: with the Ricci route
+        # off, the slow path runs as before
         def unreachable(*args):
             raise AssertionError("4-form route entered at n = 3")
 
         rd = random_curvature_tensor(3, np.random.default_rng(seed + 40))
         for name in ("_four_forms", "_four_form_bound", "_four_form_certificate"):
             monkeypatch.setattr(frames, name, unreachable)
+        monkeypatch.setattr(frames, "_ricci_certificate", lambda *args: None)
         res = cm_min(rd, 1, budget=2000, seed=seed)
         starts = slow_path_starts(rd, 1, 2000, seed)
         qs, vals, _, evals, _ = _descend(rd, starts, MAX_ITER)
@@ -797,6 +802,68 @@ class TestFourFormCertificate:
         # decomposable, so the Ky Fan bound is exact
         assert res.value == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0], abs=1e-9)
         assert res.lower_bound == pytest.approx(res.value, abs=1e-9)
+
+
+RICCI_CASES = ([random_curvature_tensor(n, np.random.default_rng(1300 + n)) for n in range(3, 9)]
+               + [product_sphere_flat_riemann(3, 1.0, 2),
+                  product_sphere_flat_riemann(3, np.sqrt(2.0), 4)]
+               + [fubini_study_riemann(n) for n in (4, 6, 8)])
+RICCI_IDS = ([f"dense-n{n}" for n in range(3, 9)] + ["S3xR2", "S3xR4"]
+             + [f"CP-n{n}" for n in (4, 6, 8)])
+
+
+class TestRicciCertificate:
+    """m = 1: C_1(e) = Ric(e, e), whose minimum is the smallest Ricci eigenvalue."""
+
+    @pytest.mark.parametrize("rd", RICCI_CASES, ids=RICCI_IDS)
+    def test_closes_without_sampling(self, monkeypatch, rd):
+        n = rd.dim
+        coord_min = cm_batch(rd, coordinate_frames(n, 1)).min()
+        ky_fan = abs(coord_min - _operator_lower_bound(rd, 1)) <= frames.TIE_TOL
+        calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
+        res = cm_min(rd, 1, seed=3)
+        assert res.method == "certificate"
+        # the coordinate frames, then the eigenvector unless Ky Fan closed first
+        # (on the products, where a flat coordinate direction attains 0)
+        assert calls == {"random_frames": [], "cm_batch": [n] if ky_fan else [n, 1]}
+        assert res.evaluations == (n if ky_fan else n + 1)
+        assert res.lower_bound == np.linalg.eigvalsh(rd.ricci)[0]
+        assert abs(res.value - res.lower_bound) <= frames.TIE_TOL
+
+    @pytest.mark.parametrize("rd", RICCI_CASES, ids=RICCI_IDS)
+    def test_value_is_attained_and_no_sample_beats_it(self, rd):
+        res = cm_min(rd, 1, seed=3)
+        assert res.value <= cm_min_oracle(rd, 1, seed=3) + 1e-9
+        assert cm_double_sum(rd, complete_frame(res.argmin), 1) == pytest.approx(
+            res.value, abs=1e-9)
+        # descent is monotone, so this bounds the best samples too
+        _, desc_vals, *_ = _descend(rd, slow_path_starts(rd, 1, 2000, 3), MAX_ITER)
+        assert desc_vals.min() >= res.lower_bound - 1e-9
+
+    @pytest.mark.parametrize("shift,certified", [(-1e-12, True), (1e-12, True),
+                                                 (-2e-9, False), (2e-9, False)])
+    def test_tie_rule_is_both_sided(self, monkeypatch, shift, certified):
+        # shifting the evaluator moves the eigenvector's value `shift` off the
+        # eigenvalue; past TIE_TOL the sampled route runs as if this one were absent
+        rd = random_curvature_tensor(5, np.random.default_rng(1305))
+        exact = frames.cm_batch
+        monkeypatch.setattr(frames, "cm_batch", lambda riemann, qs: exact(riemann, qs) + shift)
+        res = cm_min(rd, 1, budget=500, seed=0)
+        assert (res.method == "certificate") == certified
+        if certified:
+            assert res.value == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0] + shift,
+                                              abs=1e-12)
+            assert (res.evaluations, res.coordinate_subset) == (6, None)
+            return
+        qs, vals, _, evals, _ = _descend(rd, slow_path_starts(rd, 1, 500, 0), MAX_ITER)
+        best = int(np.argmin(vals))
+        assert res.method == "projected-descent"
+        assert res.value == min(exact(rd, coordinate_frames(5, 1)).min() + shift, vals[best])
+        assert res.evaluations == 5 + 500 + int(evals.sum())
+        assert res.lower_bound == _operator_lower_bound(rd, 1)
+        assert_array_equal(res.argmin, qs[best])
+        monkeypatch.setattr(frames, "_ricci_certificate", lambda *args: None)
+        assert_same_result(res, cm_min(rd, 1, budget=500, seed=0))
 
 
 FAMILY_GRID = [(lam, eps) for lam in (1.0, 4.0) for eps in (0.25, 0.5, 1.0, 2.0)]
@@ -913,6 +980,15 @@ class TestOracle:
         ref = oracle_values(rd, qs)
         assert_allclose(_oracle_values(rd, qs), ref, rtol=1e-12,
                         atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_rejects_m_outside_one_to_n(self):
+        # with the message of cm_min, not a 0.0 from empty frames at m = 0 or
+        # a rank-deficiency error at m = n + 1
+        rd = constant_curvature_riemann(4, 1.0)
+        for m in (0, 5):
+            for minimizer in (cm_min, cm_min_oracle):
+                with pytest.raises(ValueError, match=rf"^require 1 <= m <= 4, got m = {m}$"):
+                    minimizer(rd, m)
 
     def test_draws_frames_cm_min_does_not(self, monkeypatch):
         # default_rng(seed) is PCG64(seed), cm_min's chunk 0; the oracle must
