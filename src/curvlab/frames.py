@@ -37,41 +37,37 @@ C(n, 2) x C(n, 2) matrix Rm_{abcd} over pairs a < b, c < d),
     C_m(V) = scal/2 - tr(R Pi_U) = tr(R (1 - Pi_U)),
 
 where Pi_U projects onto the 2-vectors of U, a subspace of dimension
-C(n - m, 2).  By Ky Fan's maximum principle (Ky Fan 1949) the trace of R
-over any subspace of dimension k = C(n, 2) - C(n - m, 2) is at least the
-sum of the k smallest eigenvalues of R, so that sum is a lower bound for
-every frame.  The coordinate subsets give an upper bound.  When the two
-agree within TIE_TOL on both sides, the coordinate minimum is proven; a
-bound far above an attained value can only be rounding, and is not taken
-as a proof.  A caller that only asks whether C_m stays at or above a
-threshold (`stop_below`) gets a coordinate frame below it as the answer,
-method "witness", without sampling: the bracket is then [bound, witness
-value], with the minimum somewhere inside.
+C(n - m, 2).  Each m takes one route to a lower bound, the strongest this
+module has there:
 
-At m = n - 2 (n >= 4) U is a 2-plane and Pi_U projects onto the single
-decomposable 2-vector u_1 ^ u_2, on which every 4-form eta vanishes as a
-quadratic form; so C_(n-2) >= scal/2 - lambda_max(R + eta) for every eta
-(Thorpe's trick: J. Thorpe 1972; R. Bettiol and R. Mendes 2018).  A BFGS
-loop in numpy lowers lambda_max over combinations of the C(n, 4) basis
-4-forms.  The top eigenvector of R + eta, read as an antisymmetric
-matrix, gives the 2-plane of its top two singular vectors, and a short
-descent polishes the complementary frame.  When the polished value and
-the bound agree within TIE_TOL, the minimum is proven without sampling;
-when they do not, nothing of the attempt is kept.
+- m = 1: C_1(e) = Ric(e, e), so the bound is the smallest Ricci
+  eigenvalue, and its eigenvector is the route's frame.
+- m = n - 2 (n >= 4): U is a 2-plane and Pi_U projects onto the single
+  decomposable 2-vector u_1 ^ u_2, on which every 4-form eta vanishes as
+  a quadratic form; so C_(n-2) >= scal/2 - lambda_max(R + eta) for every
+  eta (Thorpe's trick: J. Thorpe 1972; R. Bettiol and R. Mendes 2018).  A
+  BFGS loop in numpy lowers lambda_max over combinations of the C(n, 4)
+  basis 4-forms, starting at eta = 0.  The top eigenvector of R + eta,
+  read as an antisymmetric matrix, gives the 2-plane of its top two
+  singular vectors, and a short descent polishes the complementary frame,
+  the route's frame.
+- any other m: by Ky Fan's maximum principle (Ky Fan 1949) the trace of R
+  over any subspace of dimension k = C(n, 2) - C(n - m, 2) is at least the
+  sum of the k smallest eigenvalues of R.  That bound has no frame.
 
-At m = 1, C_1(e) = Ric(e, e), whose minimum over unit vectors is the
-smallest Ricci eigenvalue, attained at its eigenvector.  That 1-frame is
-scored once; when its value and the eigenvalue agree within TIE_TOL, the
-minimum is proven without sampling, and otherwise nothing is kept.
+Both special bounds are at least the Ky Fan bound: at m = 1 Ky Fan bounds
+every unit vector's Ricci value, and at m = n - 2 the ascent starts from
+it.  `cm_min` proves the minimum when the route's bound meets the best
+frame it has scored (its docstring states the closure rule, the
+`stop_below` witness and how evaluations are counted).
 
 Otherwise projected gradient descent on the Stiefel manifold runs from
 the best coordinate frame and the best of a chunked random sample, each
-chunk's best found by partial selection, and the Ky Fan bound is still
-reported beside the value.  Sampling only picks starts and descent only
-accepts decreases, so the outcome is "coordinate-enumeration" when a
-coordinate subset ties the best value, else "projected-descent".  The
-descent runs in lockstep over the stack of starts: every frame keeps its
-own step size and Armijo test, frames still backtracking stay pending,
+chunk's best found by partial selection.  Sampling only picks starts and
+descent only accepts decreases, so the outcome is "coordinate-enumeration"
+when a coordinate subset ties the best value, else "projected-descent".
+The descent runs in lockstep over the stack of starts: every frame keeps
+its own step size and Armijo test, frames still backtracking stay pending,
 and a frame leaves the stack when it stops, so each start follows the
 path it would follow alone (up to rounding).
 Results are bitwise reproducible for a fixed seed and budget.
@@ -380,12 +376,10 @@ class CmResult:
 
     `value` is the smallest value seen anywhere; `argmin` is a frame
     achieving it to within the tie tolerance, with coordinate frames
-    preferred when they tie.  `lower_bound` is the Ky Fan bound, the sum
-    of the smallest C(n, 2) - C(n - m, 2) eigenvalues of the curvature
-    operator, or Thorpe's 4-form bound or (m = 1) the smallest Ricci
-    eigenvalue when that one proved the minimum; no frame goes below it.
-    `method` names the outcome: "certificate" when a bound proves the
-    minimum at `argmin`, "witness" when the search stopped at a coordinate
+    preferred when they tie.  `lower_bound` is the bound of the route that
+    `cm_min` takes at this m (see the module docstring); no frame goes
+    below it.  `method` names the outcome: "certificate" when the bound
+    proves the minimum at `argmin`, "witness" when the search stopped at a
     frame below the caller's `stop_below` (`value` is then that frame's
     value, an upper bound on the minimum, not the minimum), otherwise
     "coordinate-enumeration" when a coordinate subset ties the value, else
@@ -397,7 +391,6 @@ class CmResult:
     evaluations: int
     method: str
     lower_bound: float
-    coordinate_subset: tuple[int, ...] | None = None
 
 
 def _curvature_operator(riemann: RiemannData) -> np.ndarray:
@@ -500,51 +493,31 @@ def _four_form_bound(riemann: RiemannData) -> tuple[float, np.ndarray, np.ndarra
     return float(np.sum(vals[:-1])), (coef @ basis).reshape(op.shape), top
 
 
-def _four_form_certificate(riemann: RiemannData,
-                           upper: float) -> tuple[float, float, np.ndarray, int] | None:
-    """Thorpe's bound closed by a witness frame: (bound, value, frame, evaluations).
+def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray | None, int]:
+    """The route's lower bound on C_m: (bound, frame or None, evaluations).
 
-    For m = n - 2.  The top eigenvector of R + eta, read as an
-    antisymmetric matrix, gives the 2-plane U of its top two singular
-    vectors; the frame V = U-perp is polished by at most POLISH_ITER
-    descent iterations and scored by `cm_batch`.  The value is the smaller
-    of that score and `upper`, the best coordinate value.  When the value
-    and the bound agree within TIE_TOL on both sides the minimum is
-    proven; otherwise this returns None.  The evaluations are the
-    polish's.
+    m = 1: the smallest Ricci eigenvalue and its eigenvector.  The bound
+    is taken from `eigvalsh`, like the Ky Fan bound, since `eigh` rounds
+    its eigenvalues differently.  m = n - 2 (so n >= 4, as m >= 2 here):
+    Thorpe's 4-form bound and the frame V = U-perp, with U the 2-plane of
+    the top two singular vectors of the top eigenvector of R + eta read as
+    an antisymmetric matrix, polished by at most POLISH_ITER descent
+    iterations; the evaluations are the polish's.  Any other m: the Ky Fan
+    bound, with no frame and no evaluations.
     """
     n = riemann.dim
-    bound, _, top = _four_form_bound(riemann)
-    a, b = np.triu_indices(n, 1)
-    form = np.zeros((n, n))
-    form[a, b], form[b, a] = top, -top
-    start = np.linalg.svd(form)[0][:, 2:]
-    polished, _, _, evals, _ = _descend(riemann, start[None], POLISH_ITER)
-    value = min(upper, float(cm_batch(riemann, polished)[0]))
-    if abs(value - bound) > TIE_TOL:
-        return None
-    return bound, value, polished[0], int(evals[0])
-
-
-def _ricci_certificate(riemann: RiemannData,
-                       upper: float) -> tuple[float, float, np.ndarray] | None:
-    """The smallest Ricci eigenvalue closed by its eigenvector: (bound, value, frame).
-
-    For m = 1, where C_1(e) = Ric(e, e) has the minimum lambda_min(Ric)
-    over unit vectors, attained at an eigenvector.  The 1-frame of that
-    eigenvector is scored by `cm_batch`, and the value is the smaller of
-    that score and `upper`, the best coordinate value.  When the value and
-    lambda_min agree within TIE_TOL on both sides the minimum is proven;
-    otherwise (a NaN included) this returns None.  The bound is taken from
-    `eigvalsh`, like the Ky Fan bound, since `eigh` rounds its eigenvalues
-    differently.
-    """
-    bound = float(np.linalg.eigvalsh(riemann.ricci)[0])
-    frame = np.linalg.eigh(riemann.ricci)[1][:, :1]
-    value = min(upper, float(cm_batch(riemann, frame[None])[0]))
-    if not abs(value - bound) <= TIE_TOL:
-        return None
-    return bound, value, frame
+    if m == 1:
+        return (float(np.linalg.eigvalsh(riemann.ricci)[0]),
+                np.linalg.eigh(riemann.ricci)[1][:, :1], 0)
+    if n - m == 2:
+        bound, _, top = _four_form_bound(riemann)
+        a, b = np.triu_indices(n, 1)
+        form = np.zeros((n, n))
+        form[a, b], form[b, a] = top, -top
+        start = np.linalg.svd(form)[0][:, 2:]
+        polished, _, _, evals, _ = _descend(riemann, start[None], POLISH_ITER)
+        return bound, polished[0], int(evals[0])
+    return _operator_lower_bound(riemann, m), None, 0
 
 
 def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
@@ -599,26 +572,20 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *
     """Minimize C_m over m-frames: certificate, else enumeration and sampled descent.
 
     Coordinate subsets are enumerated first; their minimum is an upper
-    bound.  The Ky Fan bound is a lower bound, because C_m(V) =
-    scal/2 - tr(R Pi) with Pi the projection onto 2-vectors of V-perp.
-    When the two agree within TIE_TOL on both sides, the coordinate
-    minimum is proven and returned with method "certificate" after C(n, m)
-    evaluations.  Otherwise, when the caller only asks whether C_m stays
-    at or above `stop_below` and a coordinate frame already goes below it,
-    that frame answers no: its value is returned with method "witness"
-    after C(n, m) evaluations, an upper bound on the minimum rather than
-    the minimum.  Otherwise, at m = n - 2 with n >= 4, Thorpe's 4-form
-    bound is raised and closed by a polished witness frame (see
-    `_four_form_certificate`); when they agree within TIE_TOL the minimum
-    at `argmin` is proven, with method "certificate", the 4-form bound as
-    `lower_bound`, and C(n, m) plus the polish's evaluations.  At m = 1
-    the eigenvector of the smallest Ricci eigenvalue is scored instead
-    (see `_ricci_certificate`); when it closes, the minimum is proven with
-    method "certificate", that eigenvalue as `lower_bound`, and C(n, 1) + 1
-    evaluations.  A route that does not close leaves nothing behind.
-    Otherwise `budget` Haar frames are sampled (see `_best_samples`) and
-    descent runs in lockstep from the best coordinate frame and the
-    DESCENT_STARTS best samples.
+    bound.  `_lower_bound` gives this m's route: a lower bound and, at
+    m = 1 and m = n - 2, a frame, which is scored once; the value is the
+    smaller of the coordinate minimum and that score.  When value and
+    bound agree within TIE_TOL on both sides, the minimum is proven, with
+    method "certificate".  Otherwise, when the caller only asks whether
+    C_m stays at or above `stop_below` and the value already goes below
+    it, the frame that attains the value answers no, with method
+    "witness": its value is an upper bound on the minimum, not the minimum.  Otherwise
+    `budget` Haar frames are sampled (see `_best_samples`) and descent
+    runs in lockstep from the best coordinate frame and the
+    DESCENT_STARTS best samples; the route's frame is not kept.
+    `lower_bound` is the route's bound on every path, and `evaluations`
+    counts what ran: C(n, m), the route's evaluations, one for the score
+    when there is a frame, and the samples and descent when they run.
     On every path, when a coordinate subset comes within TIE_TOL of the
     best value found, the lexicographically first such subset is reported
     as the argmin.
@@ -634,24 +601,20 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *
     subsets = list(itertools.combinations(range(n), m))
     coord_qs = np.stack([coordinate_frame(n, s) for s in subsets])
     coord_vals = cm_batch(riemann, coord_qs)
-    evaluations = len(subsets)
     coord_best = int(np.argmin(coord_vals))
     upper = float(coord_vals[coord_best])
-    lower = _operator_lower_bound(riemann, m)
+    lower, best_frame, route_evals = _lower_bound(riemann, m)
+    evaluations = len(subsets) + route_evals
+    best_value = upper
+    if best_frame is not None:
+        best_value = min(upper, float(cm_batch(riemann, best_frame[None])[0]))
+        evaluations += 1
 
     # both-sided: a bound far above an attained value is rounding, not a proof
-    if abs(upper - lower) <= TIE_TOL:
-        best_value, best_frame, method = upper, None, "certificate"
-    elif stop_below is not None and upper < stop_below:
-        best_value, best_frame, method = upper, None, "witness"
-    elif n - m == 2 and n >= 4 and (closed := _four_form_certificate(riemann, upper)):
-        lower, best_value, best_frame, polish_evals = closed
-        evaluations += polish_evals
+    if abs(best_value - lower) <= TIE_TOL:
         method = "certificate"
-    elif m == 1 and (closed := _ricci_certificate(riemann, upper)):
-        lower, best_value, best_frame = closed
-        evaluations += 1
-        method = "certificate"
+    elif stop_below is not None and best_value < stop_below:
+        method = "witness"
     else:
         # lockstep descent from the best coordinate frame and the best samples
         starts = np.concatenate([coord_qs[coord_best][None],
@@ -664,10 +627,9 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *
 
     tied = np.flatnonzero(coord_vals <= best_value + TIE_TOL)
     if tied.size:
-        idx = int(tied[0])
+        best_frame = coord_qs[tied[0]]
         if method == "projected-descent":
             method = "coordinate-enumeration"
-        return CmResult(best_value, coord_qs[idx], evaluations, method, lower, subsets[idx])
     return CmResult(best_value, best_frame, evaluations, method, lower)
 
 

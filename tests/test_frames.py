@@ -74,6 +74,12 @@ def haar_frame(n, m, seed):
     return random_frames(n, m, 1, np.random.default_rng(seed))[0]
 
 
+def ky_fan_route(monkeypatch):
+    """Send every m down the generic route: the Ky Fan bound, no frame."""
+    monkeypatch.setattr(frames, "_lower_bound",
+                        lambda riemann, m: (_operator_lower_bound(riemann, m), None, 0))
+
+
 def qr_reference(a):
     """Positive-diagonal QR factor of a stack by sign-fixed LAPACK QR."""
     qmat, r = np.linalg.qr(a)
@@ -331,12 +337,12 @@ class TestDescent:
         # so the squared gradient norm overflows
         rd = riemann_exact(build_counterexample(6, 3, 4.0, 0.5), 10.0)
         q0 = haar_frame(6, 3, 4)
-        monkeypatch.setattr(frames, "_ricci_certificate", lambda *args: None)
+        ky_fan_route(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             q, vals, iters, evals, converged = _descend(rd, q0[None], MAX_ITER)
-            # the Ky Fan certificate decides C_3 on this tensor but not C_1,
-            # so with the Ricci route off C_1 takes the slow path: every start
+            # the Ky Fan bound decides C_3 on this tensor but not C_1, so
+            # with the Ricci route off C_1 takes the slow path: every start
             # stops after one evaluation and no overflowed descent is
             # reported as the winner
             full = cm_min(rd, 1, budget=5000, seed=1)
@@ -524,7 +530,7 @@ class TestMinimizer:
         res = cm_min(rd, 2, budget=500, seed=0)
         assert res.value == 0.0
         assert res.method == "certificate"
-        assert res.coordinate_subset == (0, 1)
+        assert_array_equal(res.argmin, coordinate_frame(5, (0, 1)))
 
     def test_round_sphere_values(self):
         # C_m is frame-independent on a space form: K (m n - m (m + 1) / 2)
@@ -538,7 +544,7 @@ class TestMinimizer:
         res = cm_min(rd, 4, budget=4000, seed=2)
         assert res.value == pytest.approx(2.0, abs=1e-8)
         assert res.method == "certificate"
-        assert res.coordinate_subset == (0, 3, 4, 5)
+        assert_array_equal(res.argmin, coordinate_frame(6, (0, 3, 4, 5)))
 
     @pytest.mark.parametrize("rho", [1.0, np.sqrt(2.0), 2.0])
     def test_sphere_radius_scaling(self, rho):
@@ -644,17 +650,22 @@ class TestCertificate:
         res = cm_min(rd, n - 1, budget=1000, seed=0)
         assert res.lower_bound == pytest.approx(0.5 * rd.scalar, abs=1e-9)
         assert res.method == "certificate"
-        assert (res.evaluations, res.coordinate_subset) == (n, tuple(range(n - 1)))
+        assert res.evaluations == n
+        assert_array_equal(res.argmin, coordinate_frame(n, tuple(range(n - 1))))
 
     @pytest.mark.parametrize("k,rho", [(1, 1.0), (2, np.sqrt(2.0)), (3, 2.0), (5, 0.5)])
     def test_exact_on_sphere_times_flat(self, k, rho):
-        # S^3 x R^k at m = n - 2: the eigenvalues are K three times and 0
+        # S^3 x R^k at m = n - 2: the eigenvalues are K three times and 0,
+        # and the 4-form route's bound is the Ky Fan bound
         rd = product_sphere_flat_riemann(3, rho, k)
         res = cm_min(rd, k + 1, budget=1000, seed=0)
         assert res.lower_bound == pytest.approx(2.0 / rho ** 2, rel=1e-14)
+        assert res.lower_bound == _operator_lower_bound(rd, k + 1)
         assert res.value == pytest.approx(2.0 / rho ** 2, rel=1e-14)
         assert res.method == "certificate"
-        assert res.evaluations == math.comb(k + 3, k + 1)
+        # the coordinate subsets, then the polish, which starts at a minimum
+        # and stops after one evaluation, then the polished frame's score
+        assert res.evaluations == math.comb(k + 3, k + 1) + 2
 
     def test_exact_on_zero_tensor(self):
         res = cm_min(RiemannData.from_components(np.zeros((6,) * 4)), 3, budget=100)
@@ -663,20 +674,24 @@ class TestCertificate:
     @pytest.mark.parametrize("shift,certified", [(-1e-12, True), (1e-12, True),
                                                  (-2e-9, False), (2e-9, False)])
     def test_tie_rule_is_both_sided(self, monkeypatch, shift, certified):
-        # S^3 x R^2 at m = 3, where bound and coordinate minimum are both 2;
-        # shifting the evaluator opens a gap of `shift`.  A bound far above
-        # an attained value is rounding, not a proof
-        rd = product_sphere_flat_riemann(3, 1.0, 2)
+        # S^3 x R^k, where bound and coordinate minimum agree; shifting the
+        # evaluator opens a gap of `shift`.  A bound far above an attained
+        # value is rounding, not a proof
         exact = frames.cm_batch
         monkeypatch.setattr(frames, "cm_batch", lambda riemann, qs: exact(riemann, qs) + shift)
-        res = cm_min(rd, 3, budget=500, seed=0)
-        assert res.lower_bound == 2.0
-        assert (res.method == "certificate") == certified
-        if certified:
-            assert res.value == 2.0 + shift
-            assert (res.evaluations, res.coordinate_subset) == (math.comb(5, 3), (0, 3, 4))
-        else:
-            assert res.evaluations > math.comb(5, 3) + 500
+        for k, m, bound, subset, route_evals in (
+                (2, 3, 2.0, (0, 3, 4), 2),            # m = n - 2: the 4-form route
+                (3, 5, 3.0, (0, 1, 2, 3, 4), 0)):     # m = n - 1: the Ky Fan route
+            n = k + 3
+            res = cm_min(product_sphere_flat_riemann(3, 1.0, k), m, budget=500, seed=0)
+            assert res.lower_bound == bound
+            assert (res.method == "certificate") == certified
+            if certified:
+                assert res.value == bound + shift
+                assert res.evaluations == math.comb(n, m) + route_evals
+                assert_array_equal(res.argmin, coordinate_frame(n, subset))
+            else:
+                assert res.evaluations > math.comb(n, m) + route_evals + 500
 
 
 def two_vectors(w):
@@ -744,13 +759,14 @@ class TestFourFormCertificate:
             assert res.lower_bound > _operator_lower_bound(rd, n - 2) + frames.TIE_TOL
             assert res.evaluations > math.comb(n, 2)
             assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value, abs=1e-9)
-            assert res.coordinate_subset is None
+            # no coordinate subset ties, so the argmin is the polished frame
+            assert cm_batch(rd, coordinate_frames(n, n - 2)).min() > res.value + frames.TIE_TOL
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_certified_value_matches_the_sampled_route(self, monkeypatch, n):
         rd = random_curvature_tensor(n, np.random.default_rng(900 + n))
         certified = cm_min(rd, n - 2, seed=n)
-        monkeypatch.setattr(frames, "_four_form_certificate", lambda *args: None)
+        ky_fan_route(monkeypatch)
         sampled = cm_min(rd, n - 2, budget=100_000, seed=n)
         assert certified.method == "certificate"
         assert sampled.method in {"coordinate-enumeration", "projected-descent"}
@@ -760,12 +776,17 @@ class TestFourFormCertificate:
 
     def test_falls_back_bit_identically_where_it_does_not_close(self, monkeypatch):
         # on CP^4 at m = 6 the ascent stops at a bound below the coordinate
-        # minimum 36, so the sampled route runs as if the 4-form route were absent
+        # minimum 36, so the sampled route runs as if the 4-form route were
+        # absent; only the bound and the route's evaluations stay behind
         rd = fubini_study_riemann(8)
-        assert frames._four_form_certificate(rd, np.inf) is None
+        bound, frame, polish_evals = frames._lower_bound(rd, 6)
+        assert min(36.0, cm_batch(rd, frame[None])[0]) > bound + frames.TIE_TOL
         res = cm_min(rd, 6, budget=2000, seed=1)
-        monkeypatch.setattr(frames, "_four_form_certificate", lambda *args: None)
-        assert_same_result(res, cm_min(rd, 6, budget=2000, seed=1))
+        ky_fan_route(monkeypatch)
+        sampled = cm_min(rd, 6, budget=2000, seed=1)
+        assert_same_search(res, sampled)
+        assert res.lower_bound == bound > sampled.lower_bound
+        assert res.evaluations == sampled.evaluations + polish_evals + 1
         assert res.method == "coordinate-enumeration"
         assert res.value == pytest.approx(36.0, abs=1e-9)
 
@@ -779,15 +800,18 @@ class TestFourFormCertificate:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_no_four_forms_in_dimension_three(self, monkeypatch, seed):
-        # n - m = 2 at (3, 1), but there is no 4-form: with the Ricci route
-        # off, the slow path runs as before
+        # n - m = 2 at (3, 1), but there is no 4-form: the Ricci route takes
+        # it, and with that route off the slow path runs as before
         def unreachable(*args):
             raise AssertionError("4-form route entered at n = 3")
 
         rd = random_curvature_tensor(3, np.random.default_rng(seed + 40))
-        for name in ("_four_forms", "_four_form_bound", "_four_form_certificate"):
+        for name in ("_four_forms", "_four_form_bound"):
             monkeypatch.setattr(frames, name, unreachable)
-        monkeypatch.setattr(frames, "_ricci_certificate", lambda *args: None)
+        ricci = cm_min(rd, 1, budget=2000, seed=seed)
+        assert ricci.method == "certificate"
+        assert ricci.lower_bound == np.linalg.eigvalsh(rd.ricci)[0]
+        ky_fan_route(monkeypatch)
         res = cm_min(rd, 1, budget=2000, seed=seed)
         starts = slow_path_starts(rd, 1, 2000, seed)
         qs, vals, _, evals, _ = _descend(rd, starts, MAX_ITER)
@@ -818,15 +842,12 @@ class TestRicciCertificate:
     @pytest.mark.parametrize("rd", RICCI_CASES, ids=RICCI_IDS)
     def test_closes_without_sampling(self, monkeypatch, rd):
         n = rd.dim
-        coord_min = cm_batch(rd, coordinate_frames(n, 1)).min()
-        ky_fan = abs(coord_min - _operator_lower_bound(rd, 1)) <= frames.TIE_TOL
         calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
         res = cm_min(rd, 1, seed=3)
         assert res.method == "certificate"
-        # the coordinate frames, then the eigenvector unless Ky Fan closed first
-        # (on the products, where a flat coordinate direction attains 0)
-        assert calls == {"random_frames": [], "cm_batch": [n] if ky_fan else [n, 1]}
-        assert res.evaluations == (n if ky_fan else n + 1)
+        # the coordinate frames, then the eigenvector
+        assert calls == {"random_frames": [], "cm_batch": [n, 1]}
+        assert res.evaluations == n + 1
         assert res.lower_bound == np.linalg.eigvalsh(rd.ricci)[0]
         assert abs(res.value - res.lower_bound) <= frames.TIE_TOL
 
@@ -853,17 +874,67 @@ class TestRicciCertificate:
         if certified:
             assert res.value == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0] + shift,
                                               abs=1e-12)
-            assert (res.evaluations, res.coordinate_subset) == (6, None)
+            assert res.evaluations == 6
+            # no coordinate subset ties, so the argmin is the eigenvector
+            assert_array_equal(res.argmin, np.linalg.eigh(rd.ricci)[1][:, :1])
             return
         qs, vals, _, evals, _ = _descend(rd, slow_path_starts(rd, 1, 500, 0), MAX_ITER)
         best = int(np.argmin(vals))
         assert res.method == "projected-descent"
         assert res.value == min(exact(rd, coordinate_frames(5, 1)).min() + shift, vals[best])
-        assert res.evaluations == 5 + 500 + int(evals.sum())
-        assert res.lower_bound == _operator_lower_bound(rd, 1)
+        assert res.evaluations == 5 + 1 + 500 + int(evals.sum())
+        assert res.lower_bound == np.linalg.eigvalsh(rd.ricci)[0]
         assert_array_equal(res.argmin, qs[best])
-        monkeypatch.setattr(frames, "_ricci_certificate", lambda *args: None)
-        assert_same_result(res, cm_min(rd, 1, budget=500, seed=0))
+        ky_fan_route(monkeypatch)
+        sampled = cm_min(rd, 1, budget=500, seed=0)
+        assert_same_search(res, sampled)
+        assert sampled.evaluations == res.evaluations - 1
+
+
+class TestRouteTable:
+    """`_lower_bound`: one route per m, each sound and at least the Ky Fan bound."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_routes_on_dense_tensors(self, monkeypatch, n):
+        calls = count_calls(monkeypatch, frames, ("_four_form_bound",))
+        for m in range(1, n + 1):
+            rd = random_curvature_tensor(n, np.random.default_rng(1500 + 10 * n + m))
+            calls["_four_form_bound"].clear()
+            bound, frame, evals = frames._lower_bound(rd, m)
+            four_form = n - m == 2 and n >= 4
+            assert len(calls["_four_form_bound"]) == int(four_form)
+            if m == 1:
+                assert bound == np.linalg.eigvalsh(rd.ricci)[0]
+                assert_array_equal(frame, np.linalg.eigh(rd.ricci)[1][:, :1])
+                assert evals == 0
+            elif four_form:
+                assert frame.shape == (n, m) and evals >= 1
+            else:
+                assert (bound, frame, evals) == (_operator_lower_bound(rd, m), None, 0)
+            coord_min = cm_batch(rd, coordinate_frames(n, m)).min()
+            assert bound >= _operator_lower_bound(rd, m) - 1e-9
+            assert bound <= coord_min + 1e-9
+            assert bound <= cm_min_oracle(rd, m, seed=m) + 1e-9
+            if frame is not None:
+                assert bound <= cm_of_frame(rd, frame) + 1e-9
+            # cm_min reports the route's bound whatever the outcome
+            assert cm_min(rd, m, budget=200, seed=m).lower_bound == bound
+
+
+class TestHomothety:
+    """C_m is linear in the tensor: scaling R by 2^k scales the bracket exactly."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("k", [-8, 8])
+    def test_bracket_scales_with_the_tensor(self, n, k):
+        rd = random_curvature_tensor(n, np.random.default_rng(1600 + n))
+        scaled = RiemannData.from_components(2.0 ** k * rd.components)
+        for m in sorted({1, n - 2, n - 1}):
+            base = cm_min(rd, m, budget=500, seed=m)
+            res = cm_min(scaled, m, budget=500, seed=m)
+            assert res.method == base.method, f"m = {m}"
+            assert res.value == pytest.approx(2.0 ** k * base.value, rel=1e-12)
+            assert res.lower_bound == pytest.approx(2.0 ** k * base.lower_bound, rel=1e-12)
 
 
 FAMILY_GRID = [(lam, eps) for lam in (1.0, 4.0) for eps in (0.25, 0.5, 1.0, 2.0)]
@@ -909,10 +980,15 @@ class TestCertificateOnTheFamily:
         assert checked > 0
 
 
-def assert_same_result(a, b):
-    assert (a.value, a.evaluations, a.method, a.lower_bound, a.coordinate_subset) == \
-        (b.value, b.evaluations, b.method, b.lower_bound, b.coordinate_subset)
+def assert_same_search(a, b):
+    """The same minimum found the same way, whatever bound and count came with it."""
+    assert (a.value, a.method) == (b.value, b.method)
     assert_array_equal(a.argmin, b.argmin)
+
+
+def assert_same_result(a, b):
+    assert_same_search(a, b)
+    assert (a.evaluations, a.lower_bound) == (b.evaluations, b.lower_bound)
 
 
 class TestWitness:
@@ -939,8 +1015,8 @@ class TestWitness:
         assert res.lower_bound == full.lower_bound <= full.value <= res.value
         # the first coordinate subset within TIE_TOL of the witness value
         first = int(np.flatnonzero(coord_vals <= res.value + frames.TIE_TOL)[0])
-        assert res.coordinate_subset == list(itertools.combinations(range(6), 2))[first]
-        assert_array_equal(res.argmin, coordinate_frames(6, 2)[first])
+        assert_array_equal(res.argmin, coordinate_frame(
+            6, list(itertools.combinations(range(6), 2))[first]))
 
     def test_certificate_closes_before_the_stop(self, monkeypatch):
         # (6, 3) at lambda = 1, eps = 1: every radius is certified at lambda
