@@ -112,8 +112,7 @@ def cmd_verify_examples(cfg: RunConfig, args) -> tuple[bool, dict]:
 
     if args.epsilon is None:
         try:
-            found = search_epsilon(n, m, lam, frame_budget=cfg.frame_budget,
-                                   seed=cfg.seed, r_max=cfg.r_max,
+            found = search_epsilon(n, m, lam, r_max=cfg.r_max,
                                    grid_points=cfg.grid_points)
         except EpsilonSearchError as exc:
             positivity, witnesses["epsilon"] = exc.best_report, None
@@ -122,9 +121,7 @@ def cmd_verify_examples(cfg: RunConfig, args) -> tuple[bool, dict]:
             witnesses["tightness"] = found.tightness_report.to_json_dict()
     else:
         metric = build_counterexample(n, m, lam, args.epsilon)
-        positivity = verify_uniform_positivity(
-            metric, lam, r_grid=r_grid, frame_budget=cfg.frame_budget,
-            seed=cfg.seed)
+        positivity = verify_uniform_positivity(metric, lam, r_grid=r_grid)
         witnesses["epsilon"] = args.epsilon
 
     witnesses["positivity"] = positivity.to_json_dict()
@@ -274,13 +271,16 @@ def cmd_curvature_report(cfg: RunConfig, args) -> tuple[bool, dict]:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value configuration file")
-    common.add_argument("--seed", type=int, help="base seed for sampling")
+    common.add_argument("--seed", type=int,
+                        help="base seed, validated and echoed in reports; "
+                             "no subcommand reads it")
     common.add_argument("--r-max", type=float, dest="r_max",
                         help="radial half-width of verification grids")
     common.add_argument("--grid-points", type=int, dest="grid_points",
                         help="number of radial grid points")
     common.add_argument("--frame-budget", type=int, dest="frame_budget",
-                        help="frame evaluations per minimization")
+                        help="frame budget, validated and echoed in reports; "
+                             "no subcommand reads it")
     common.add_argument("--out", dest="output_dir", help="report directory")
     common.add_argument("--format", choices=["json", "csv"],
                         help="report file format")

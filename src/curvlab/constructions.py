@@ -7,8 +7,9 @@ The radial profiles u, f solve
 with two closed branches: a Gaussian pair when 4/(n-m) = (2m-2)/m and a
 cosh-power pair when 4/(n-m) < (2m-2)/m.  `build_counterexample` assembles
 the warped torus metric from a profile solution; `verify_uniform_positivity`
-sweeps a radial grid and minimizes C_m at every point; `search_epsilon`
-looks for a sphere scale at which the sweep passes.
+sweeps a radial grid and takes the exact minimum of C_m at every point
+from the class counts (`curvature.cm_min_exact`), so no frame is sampled;
+`search_epsilon` looks for a sphere scale at which the sweep passes.
 
 The circle-lift bookkeeping (`build_chain`) tracks the exponent chain that
 turns one torus direction at a time into a warped circle factor, entirely
@@ -23,15 +24,16 @@ from fractions import Fraction
 import numpy as np
 
 from .curvature import (
+    TIE_TOL,
     RadialProfile,
     WarpedTorusMetric,
+    cm_min_exact,
     cosh_power_profile,
     gaussian_profile,
     riemann_exact,
 )
-from .frames import TIE_TOL, cm_min, cm_of_frame, coordinate_frame
+from .frames import cm_of_frame, coordinate_frame
 from .inequalities import admissible
-from .report import task_seed
 
 __all__ = [
     "UnsupportedParameters",
@@ -63,10 +65,9 @@ class UnsupportedParameters(ValueError):
 class EpsilonSearchError(RuntimeError):
     """No sphere scale in the search set passed; carries the best report.
 
-    Every candidate's sweep is fail-fast, so its worst value is in general
-    a witness (its report's worst method says so): an upper bound on the
-    minimum at that radius, not the minimum.  The best report is the one
-    with the highest such value.
+    Every candidate's sweep is fail-fast, and its worst value is the exact
+    minimum of C_m over the radii it visited.  The best report is the one
+    with the highest such minimum.
     """
 
     def __init__(self, message: str, best_report: "PositivityReport"):
@@ -225,14 +226,14 @@ def build_counterexample(n: int, m: int, lam: float, epsilon: float) -> WarpedTo
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Outcome of a radial-grid sweep of the C_m minimizer.
+    """Outcome of a radial-grid sweep of the exact C_m minimum.
 
-    The worst radius carries the bracket [worst_lower_bound, worst_value]
-    from `cm_min`, and worst_method is its outcome.  When that is
-    "witness", a fail-fast sweep stopped on a coordinate frame below the
-    pass threshold: worst_value is that frame's value, an upper bound on
-    the minimum there, not the minimum.  `complete` is False when a
-    fail-fast sweep stopped before the last radius.
+    Every visited radius is decided exactly, so worst_value is the minimum
+    of C_m over the radii the sweep visited (up to TIE_TOL, see
+    `verify_uniform_positivity`).  worst_counts is the binding class-count
+    vector (sphere, r, torus) there and worst_frame the coordinate frame
+    of its subset.  `complete` is False when a fail-fast sweep stopped
+    before the last radius.
     """
 
     passed: bool
@@ -243,13 +244,10 @@ class PositivityReport:
     worst_r: float
     worst_value: float
     worst_frame: np.ndarray
-    worst_method: str
-    worst_lower_bound: float
+    worst_counts: tuple[int, int, int]
     coord_value_min: float
     coord_value_max: float
-    evaluations: int
     complete: bool
-    certified_radii: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,14 +255,12 @@ class PositivityReport:
             "lambda": self.lam,
             "epsilon": self.epsilon,
             "grid": {"R": self.r_max, "points": self.grid_points},
-            "certified_radii": self.certified_radii,
             "complete": self.complete,
             "worst": {
                 "r": self.worst_r,
                 "value": self.worst_value,
                 "frame": np.asarray(self.worst_frame).tolist(),
-                "method": self.worst_method,
-                "lower_bound": self.worst_lower_bound,
+                "counts": list(self.worst_counts),
             },
             "coordinate_frame_value_range": [self.coord_value_min,
                                              self.coord_value_max],
@@ -272,29 +268,26 @@ class PositivityReport:
 
 
 def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
-                              frame_budget: int = 100_000, seed: int = 0,
                               fail_fast: bool = False) -> PositivityReport:
-    """Minimize C_m at every grid radius and compare against lambda.
+    """Take the exact minimum of C_m at every grid radius and compare against lambda.
 
     Passes iff the grid minimum is at least lambda * (1 - 1e-6).  The
-    reported worst radius, value, frame, method and lower bound belong to
-    the first radius in sweep order whose value is within TIE_TOL of that
-    minimum.  Also records the range of C_m at the distinguished coordinate
-    frame, which the construction pins to lambda exactly, and how many
-    radii the minimizer's certificate decided without sampling.  A radius
-    whose curvature cannot be evaluated (non-finite components) raises
-    `riemann_exact`'s ValueError, which names that radius and the |r| up
-    to which the curvature is finite, so a sweep never passes on values it
-    did not compute; an empty grid raises ValueError before any radius.
+    reported worst radius, value, class counts and frame belong to the
+    first radius in sweep order whose value is within TIE_TOL of that
+    minimum.  Also records the range of C_m at the distinguished
+    coordinate frame, which the construction pins to lambda exactly,
+    evaluated on the full curvature tensor by `cm_of_frame`, independently
+    of the class counts.  A radius whose curvature cannot be evaluated
+    (non-finite components) raises `riemann_exact`'s ValueError, which
+    names that radius and the |r| up to which the curvature is finite; a
+    non-finite class-count value raises `cm_min_exact`'s ValueError, which
+    names the radius.  So a sweep never passes on values it did not
+    compute; an empty grid raises ValueError before any radius.
 
     Grid points are processed in order of increasing |r| (violations
     cluster near the origin); with fail_fast=True the sweep stops at the
-    first violation and the report is marked incomplete.  A fail-fast
-    sweep asks only whether C_m stays above the threshold, so `cm_min`
-    stops at a coordinate frame below it (method "witness") instead of
-    minimizing; the reported worst value is then that witness.  Every grid
-    index seeds its own minimizer via task_seed(seed, index), so results
-    do not depend on evaluation order.
+    first radius below the threshold and the report is marked incomplete
+    when radii remain.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size == 0:
@@ -303,37 +296,29 @@ def verify_uniform_positivity(metric: WarpedTorusMetric, lam: float, r_grid,
     coord_q = coordinate_frame(metric.n, metric.coordinate_frame_indices())
     order = sorted(range(len(r_grid)), key=lambda i: (abs(r_grid[i]), r_grid[i]))
 
-    lowest, visited = np.inf, []  # visited: (r, CmResult) in sweep order
+    visited = []  # (r, value, counts, subset) in sweep order
     cmin, cmax = np.inf, -np.inf
-    evals = certified = 0
-    stopped = False
-    for count, i in enumerate(order, 1):
+    for i in order:
         r = float(r_grid[i])
         rd = riemann_exact(metric, r)
-        res = cm_min(rd, metric.m, budget=frame_budget, seed=task_seed(seed, i),
-                     stop_below=threshold if fail_fast else None)
-        evals += res.evaluations
-        certified += res.method == "certificate"
+        visited.append((r, *cm_min_exact(metric, r)))
         cv = cm_of_frame(rd, coord_q)
         cmin, cmax = min(cmin, cv), max(cmax, cv)
-        visited.append((r, res))
-        lowest = min(lowest, res.value)
-        if fail_fast and res.value < threshold:
-            stopped = count < len(order)
+        if fail_fast and visited[-1][1] < threshold:
             break
 
     # the family is symmetric in r, so a strict minimum would leave the
     # choice between -r and r to rounding; report the first near-tie instead
-    worst_r, worst = next((r, res) for r, res in visited
-                          if res.value <= lowest + TIE_TOL)
+    lowest = min(value for _, value, _, _ in visited)
+    worst_r, worst_value, counts, subset = next(
+        v for v in visited if v[1] <= lowest + TIE_TOL)
     return PositivityReport(
         passed=bool(lowest >= threshold), lam=float(lam),
         epsilon=metric.epsilon, r_max=float(np.max(np.abs(r_grid))),
-        grid_points=len(r_grid), worst_r=worst_r,
-        worst_value=float(worst.value), worst_frame=worst.argmin,
-        worst_method=worst.method, worst_lower_bound=float(worst.lower_bound),
+        grid_points=len(r_grid), worst_r=worst_r, worst_value=worst_value,
+        worst_frame=coordinate_frame(metric.n, subset), worst_counts=counts,
         coord_value_min=float(cmin), coord_value_max=float(cmax),
-        evaluations=evals, complete=not stopped, certified_radii=certified)
+        complete=len(visited) == len(r_grid))
 
 
 @dataclass(frozen=True)
@@ -346,35 +331,34 @@ class EpsilonSearchResult:
 
 
 def search_epsilon(n: int, m: int, lam: float,
-                   frame_budget: int = 100_000, seed: int = 0,
                    r_max: float = 10.0, grid_points: int = 121) -> EpsilonSearchResult:
     """Halving search for a sphere scale with a passing positivity sweep.
 
     Tries epsilon = 2^-t for t = 0..MAX_HALVINGS and returns the first
     (largest) passing scale together with a sweep at twice that scale as
     tightness evidence.  Each scale is swept once, fail-fast, on the grid
-    of `grid_points` radii spanning [-r_max, r_max]; the sweep at scale
-    2^-t seeds its grid from task_seed(seed, t).  The tightness report of
-    a passing t >= 1 is therefore the failed report of candidate t - 1;
+    of `grid_points` radii spanning [-r_max, r_max].  The tightness report
+    of a passing t >= 1 is therefore the failed report of candidate t - 1;
     only when t = 0 passes is scale 2 swept, as t = -1.
 
-    A failed fail-fast sweep reports, as its worst value, the witness that
-    stopped it (an upper bound on the minimum at that radius).  When no
-    scale passes, EpsilonSearchError carries the failed report with the
-    highest worst value: the comparison is between witnesses, not minima,
-    and the report's worst method says so.
+    A failed fail-fast sweep reports, as its worst value, the exact
+    minimum over the radii it visited.  When no scale passes,
+    EpsilonSearchError carries the failed report with the highest such
+    minimum.  An r_max that is not positive, or above half the largest
+    float (where the grid's width overflows), raises ValueError.
 
     The profile depends on (n, m, lambda) alone, so it is solved once and
     every scale's metric shares it.
     """
+    if not 0 < r_max <= np.finfo(float).max / 2:
+        raise ValueError("r_max must be positive and at most half the largest float, "
+                         f"so that [-r_max, r_max] has a finite width; got {r_max}")
     sol = solve_profile(n, m, lam)
     r_grid = np.linspace(-r_max, r_max, grid_points)
 
     def sweep(t: int) -> PositivityReport:
         metric = WarpedTorusMetric(n, m, 2.0 ** (-t), sol.f, sol.u)
-        return verify_uniform_positivity(metric, lam, r_grid,
-                                         frame_budget=frame_budget,
-                                         seed=task_seed(seed, t), fail_fast=True)
+        return verify_uniform_positivity(metric, lam, r_grid, fail_fast=True)
 
     failed = []
     for t in range(MAX_HALVINGS + 1):

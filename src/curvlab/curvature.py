@@ -37,6 +37,7 @@ __all__ = [
     "RiemannData",
     "CoordinateMetric",
     "riemann_exact",
+    "cm_min_exact",
     "riemann_fd",
     "to_subchart",
     "compare_exact_vs_fd",
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 FD_STEP = 1e-3  # step of every central difference in the finite-difference engine
+TIE_TOL = 1e-9  # a coordinate subset this close to the best value is reported
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +233,45 @@ def _sectional_table(metric: WarpedTorusMetric, r: float) -> np.ndarray:
     return np.array([[k_ss, k_sr, k_st],
                      [k_sr, 0.0, k_rt],
                      [k_st, k_rt, k_tt]], dtype=float)
+
+
+def cm_min_exact(metric: WarpedTorusMetric,
+                 r: float) -> tuple[float, tuple[int, int, int], tuple[int, ...]]:
+    """Exact minimum of C_m at r: (value, class counts (i, rho, j), coordinate subset).
+
+    The curvature operator of the family is diagonal on coordinate
+    2-vectors, so by Cauchy-Binet C_m(V) = sum_I xi_I^2 C_m(e_I) for the
+    unit Pluecker vector xi of V, and the minimum over all m-frames is the
+    minimum over coordinate subsets I.  C_m(e_I) is the sum of the Ricci
+    values of I minus the sectional values of the pairs within I, so it
+    depends only on how many sphere (i), radial (rho) and torus (j)
+    directions I holds: i + rho + j = m with i <= n - m, rho <= 1 and
+    j <= m - 1, at most 2m count vectors.  They are visited with i
+    descending, then rho descending, which is the lexicographic order of
+    their first subsets (the lowest indices of each class).  So the first
+    count vector within TIE_TOL of the minimum names the lexicographically
+    first coordinate subset that ties it, the argmin rule of
+    `frames.cm_min`.  Raises ValueError, naming r, when a count vector's
+    value is not finite.
+    """
+    table = _sectional_table(metric, r)
+    s, m = metric.sphere_dim, metric.m
+    counts = np.array([(i, rho, m - i - rho) for i in range(min(m, s), -1, -1)
+                       for rho in (1, 0) if 0 <= m - i - rho <= metric.torus_dim])
+    i, rho, j = counts.T
+    (k_ss, k_sr, k_st), (_, _, k_rt), (_, _, k_tt) = table
+    with np.errstate(all="ignore"):
+        # a direction never pairs with itself, hence the diagonal
+        ricci = table @ np.array([s, 1, metric.torus_dim]) - np.diag(table)
+        pairs = (i * (i - 1) / 2 * k_ss + j * (j - 1) / 2 * k_tt
+                 + i * rho * k_sr + i * j * k_st + rho * j * k_rt)
+        values = counts @ ricci - pairs
+    if not np.isfinite(values).all():
+        raise ValueError(f"C_m at r = {r!r}: class-count values are not finite")
+    lowest = float(values.min())
+    i, rho, j = (int(c) for c in counts[np.flatnonzero(values <= lowest + TIE_TOL)[0]])
+    subset = tuple(range(i)) + (s,) * rho + tuple(range(s + 1, s + 1 + j))
+    return lowest, (i, rho, j), subset
 
 
 def _sectional_components(metric: WarpedTorusMetric, r: float,

@@ -20,6 +20,11 @@ Rm_{aqbs}.  `cm_min_oracle` contracts the raw 4-tensor instead, and the
 literal completed-basis double sum lives in the tests as an independent
 slow route that both are checked against.
 
+The minimizer serves dense tensors.  On the warped torus family the
+curvature operator is diagonal on coordinate 2-vectors, and
+`curvature.cm_min_exact` gives the minimum from the class counts; the
+positivity sweep uses that, and the tests play `cm_min` against it.
+
 Stacks of frames have shape (B, n, m), and the kernels read them
 stack-last, (m, n, B), the layout Gram-Schmidt produces, so that every
 operation runs over contiguous rows of length B.  One kernel evaluates a
@@ -58,8 +63,8 @@ module has there:
 Both special bounds are at least the Ky Fan bound: at m = 1 Ky Fan bounds
 every unit vector's Ricci value, and at m = n - 2 the ascent starts from
 it.  `cm_min` proves the minimum when the route's bound meets the best
-frame it has scored (its docstring states the closure rule, the
-`stop_below` witness and how evaluations are counted).
+frame it has scored (its docstring states the closure rule and how
+evaluations are counted).
 
 Otherwise projected gradient descent on the Stiefel manifold runs from
 the best coordinate frame and the best of a chunked random sample, each
@@ -91,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import RiemannData
+from .curvature import TIE_TOL, RiemannData
 
 __all__ = [
     "CmResult",
@@ -114,7 +119,6 @@ STEP_TOL = 1e-10
 HALVINGS = 60
 MAX_ITER = 500      # descent iterations per start
 DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
-TIE_TOL = 1e-9      # a coordinate subset this close to the best value is reported
 ORACLE_SAMPLES = 20_000  # frames cm_min_oracle draws
 ORACLE_SLICE = 512       # frames the oracle contracts at a time
 ASCENT_ITER = 200   # quasi-Newton iterations of the 4-form bound
@@ -379,11 +383,8 @@ class CmResult:
     preferred when they tie.  `lower_bound` is the bound of the route that
     `cm_min` takes at this m (see the module docstring); no frame goes
     below it.  `method` names the outcome: "certificate" when the bound
-    proves the minimum at `argmin`, "witness" when the search stopped at a
-    frame below the caller's `stop_below` (`value` is then that frame's
-    value, an upper bound on the minimum, not the minimum), otherwise
-    "coordinate-enumeration" when a coordinate subset ties the value, else
-    "projected-descent".
+    proves the minimum at `argmin`, otherwise "coordinate-enumeration"
+    when a coordinate subset ties the value, else "projected-descent".
     """
 
     value: float
@@ -567,8 +568,8 @@ def _check_m(n: int, m: int) -> None:
         raise ValueError(f"require 1 <= m <= {n}, got m = {m}")
 
 
-def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *,
-           stop_below: float | None = None) -> CmResult:
+def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
+           seed: int = 0) -> CmResult:
     """Minimize C_m over m-frames: certificate, else enumeration and sampled descent.
 
     Coordinate subsets are enumerated first; their minimum is an upper
@@ -576,13 +577,10 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *
     m = 1 and m = n - 2, a frame, which is scored once; the value is the
     smaller of the coordinate minimum and that score.  When value and
     bound agree within TIE_TOL on both sides, the minimum is proven, with
-    method "certificate".  Otherwise, when the caller only asks whether
-    C_m stays at or above `stop_below` and the value already goes below
-    it, the frame that attains the value answers no, with method
-    "witness": its value is an upper bound on the minimum, not the minimum.  Otherwise
-    `budget` Haar frames are sampled (see `_best_samples`) and descent
-    runs in lockstep from the best coordinate frame and the
-    DESCENT_STARTS best samples; the route's frame is not kept.
+    method "certificate".  Otherwise `budget` Haar frames are sampled
+    (see `_best_samples`) and descent runs in lockstep from the best
+    coordinate frame and the DESCENT_STARTS best samples; the route's
+    frame is not kept.
     `lower_bound` is the route's bound on every path, and `evaluations`
     counts what ran: C(n, m), the route's evaluations, one for the score
     when there is a frame, and the samples and descent when they run.
@@ -613,8 +611,6 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000, seed: int = 0, *
     # both-sided: a bound far above an attained value is rounding, not a proof
     if abs(best_value - lower) <= TIE_TOL:
         method = "certificate"
-    elif stop_below is not None and best_value < stop_below:
-        method = "witness"
     else:
         # lockstep descent from the best coordinate frame and the best samples
         starts = np.concatenate([coord_qs[coord_best][None],

@@ -1,9 +1,8 @@
-"""Run configuration, deterministic task seeds, and canonical report output.
+"""Run configuration and canonical report output.
 
 Reports must be byte-identical across runs with the same configuration, so
-JSON is emitted with sorted keys and a fixed layout, wall-clock timing never
-enters the serialized payload, and every parallel-style task derives its
-seed from the run seed plus a stable task index through a 64-bit mixer.
+JSON is emitted with sorted keys and a fixed layout, and wall-clock timing
+never enters the serialized payload.
 """
 from __future__ import annotations
 
@@ -20,8 +19,6 @@ import numpy as np
 
 __all__ = [
     "MASK64",
-    "splitmix64",
-    "task_seed",
     "jsonable",
     "canonical_json",
     "write_json",
@@ -31,23 +28,6 @@ __all__ = [
 ]
 
 MASK64 = (1 << 64) - 1
-
-
-def splitmix64(x: int) -> int:
-    """One step of the splitmix64 mixer; uniform scrambling of 64-bit input."""
-    z = (x + 0x9E3779B97F4A7C15) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return (z ^ (z >> 31)) & MASK64
-
-
-def task_seed(base_seed: int, index: int) -> int:
-    """Seed for the task with the given stable index.
-
-    Mixing (rather than plain addition) keeps streams for neighboring
-    indices statistically unrelated while staying order-independent.
-    """
-    return splitmix64((int(base_seed) + int(index)) & MASK64)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +101,10 @@ class RunConfig:
 
     Reports echo every field except `output_dir`: where a report is written
     is not part of what it says, so identical invocations with different
-    `--out` directories write identical bytes.
+    `--out` directories write identical bytes.  `seed` and `frame_budget`
+    are validated and echoed, but no subcommand reads them: every
+    verification the CLI runs is exact.  `r_max` is at most half the
+    largest float, so that the grid [-r_max, r_max] has a finite width.
     """
 
     seed: int = 0
@@ -136,6 +119,9 @@ class RunConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0 < self.r_max < math.inf:
             raise ValueError(f"r_max must be finite and positive, got {self.r_max}")
+        if self.r_max > np.finfo(float).max / 2:
+            raise ValueError("r_max must be at most half the largest float, so that "
+                             f"[-r_max, r_max] has a finite width; got {self.r_max}")
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
         if self.frame_budget < 1:

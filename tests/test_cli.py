@@ -90,7 +90,8 @@ class TestVerifyExamples:
         assert code == 0
         positivity = load_json(paths[0])["witnesses"]["positivity"]
         assert positivity["pass"] is True
-        assert positivity["certified_radii"] == 9
+        assert positivity["complete"] is True
+        assert sum(positivity["worst"]["counts"]) == int(m)
 
     @pytest.mark.parametrize("epsilon", [["--epsilon", "1"], []])
     def test_non_finite_curvature_is_usage_error(self, tmp_path, capsys, epsilon):
@@ -594,6 +595,21 @@ class TestNonFiniteParameters:
         assert flag.lstrip("-").replace("-", "_") in err
         assert "finite and positive" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["verify-examples", "curvature-report"])
+    def test_r_max_beyond_half_the_largest_float(self, tmp_path, capsys, command):
+        # np.linspace(-r_max, r_max) would overflow its width and leave NaN radii
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, paths, err = run_cli(
+                [command, *self.INVOCATIONS[command][0], "--epsilon", "1",
+                 "--grid-points", "3", "--r-max", "1.5e308", "--out", str(out)], capsys)
+        assert code == 2
+        assert paths == [] and not out.exists()
+        assert "r_max must be at most half the largest float" in err
+        assert "got 1.5e+308" in err and "nan" not in err
+        assert not caught
 
     def test_non_finite_r_max_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

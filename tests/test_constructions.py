@@ -1,11 +1,13 @@
 """Tests for profile solutions, lift chains, and positivity verification."""
+import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from curvlab import cli, constructions, frames
 from curvlab.constructions import (
@@ -20,16 +22,17 @@ from curvlab.constructions import (
     verify_uniform_positivity,
 )
 from curvlab.curvature import (
+    TIE_TOL,
     CoordinateMetric,
     RadialProfile,
     WarpedTorusMetric,
+    cm_min_exact,
     riemann_exact,
     riemann_fd,
     to_subchart,
 )
-from curvlab.frames import CmResult, cm_of_frame
+from curvlab.frames import cm_batch, cm_of_frame, coordinate_frame
 from curvlab.inequalities import admissible, chen_min_exact, d_of
-from curvlab.report import task_seed
 from construction_references import (
     coordinate_cm_value,
     lift_laplacian_split,
@@ -39,6 +42,15 @@ from construction_references import (
 from curvature_references import constant_profile, laplacian_fd
 
 LAMBDAS = (0.5, 1.0, 2.0)
+
+
+def forbid_frame_search(monkeypatch):
+    """Make the frame minimizer and the frame sampler raise when called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("frame search called")
+
+    monkeypatch.setattr(frames, "cm_min", forbidden)
+    monkeypatch.setattr(frames, "random_frames", forbidden)
 
 
 class TestSolveProfile:
@@ -323,70 +335,60 @@ class TestVerify:
     def test_flat_control_fails(self):
         # constant profiles: S^2 x R x S^1, flat on the (r, torus) 2-plane
         flat = WarpedTorusMetric(4, 2, 1.0, constant_profile(), constant_profile())
-        rep = verify_uniform_positivity(flat, 0.1, np.linspace(-1, 1, 5),
-                                        frame_budget=200, seed=0)
+        rep = verify_uniform_positivity(flat, 0.1, np.linspace(-1, 1, 5))
         assert not rep.passed
         assert rep.worst_value == 0.0
         assert rep.epsilon == 1.0
 
     def test_large_epsilon_fails_at_origin(self, monkeypatch):
-        # a coordinate frame below the threshold answers the fail-fast
-        # question, so no frame is sampled
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("random_frames called")
-
-        monkeypatch.setattr(frames, "random_frames", no_sampling)
+        # the class counts decide every radius: the frame minimizer is never
+        # called and no frame is sampled
+        forbid_frame_search(monkeypatch)
         metric = build_counterexample(6, 2, 1.0, 10.0)
         rep = verify_uniform_positivity(metric, 1.0, np.linspace(-2, 2, 9),
-                                        frame_budget=4000, seed=3,
                                         fail_fast=True)
         assert not rep.passed
         assert not rep.complete
         assert rep.worst_r == 0.0
-        # witnessed by the sphere/torus coordinate pair: 3/eps^2 - 1/2
-        assert rep.worst_value == pytest.approx(3.0 / 100.0 - 0.5, abs=5e-3)
-        assert rep.worst_method == "witness"
-        assert rep.evaluations == math.comb(6, 2)
-        threshold = 1.0 - constructions.PASS_SLACK
-        assert rep.worst_lower_bound <= rep.worst_value < threshold
+        # the sphere/torus coordinate pair: Ric_s + Ric_t = (3/eps^2 + 1/2) - 1
+        assert rep.worst_value == pytest.approx(3.0 / 100.0 - 0.5, rel=1e-14)
+        assert rep.worst_counts == (1, 0, 1)
         rd = riemann_exact(metric, rep.worst_r)
-        assert cm_of_frame(rd, rep.worst_frame) == rep.worst_value
-        worst = rep.to_json_dict()["worst"]
-        assert (worst["method"], worst["lower_bound"]) == ("witness",
-                                                           rep.worst_lower_bound)
+        assert cm_of_frame(rd, rep.worst_frame) == pytest.approx(rep.worst_value,
+                                                                 rel=1e-12)
+        assert rep.to_json_dict()["worst"]["counts"] == [1, 0, 1]
 
-    def test_small_epsilon_passes(self):
+    def test_small_epsilon_passes(self, monkeypatch):
+        forbid_frame_search(monkeypatch)
         metric = build_counterexample(6, 2, 1.0, 0.05)
-        rep = verify_uniform_positivity(metric, 1.0, np.linspace(-6, 6, 13),
-                                        frame_budget=3000, seed=4)
+        rep = verify_uniform_positivity(metric, 1.0, np.linspace(-6, 6, 13))
         assert rep.passed and rep.complete
         assert rep.coord_value_min == pytest.approx(1.0, abs=1e-9)
         assert rep.coord_value_max == pytest.approx(1.0, abs=1e-9)
-        # every radius is certified: only the coordinate subsets are evaluated
-        assert rep.evaluations == 13 * math.comb(6, 2)
-        assert rep.certified_radii == 13
+        # the distinguished frame (e_r, e_x1) binds: counts (0, 1, 1)
+        assert rep.worst_value == pytest.approx(1.0, abs=1e-9)
+        assert rep.worst_counts == (0, 1, 1)
 
     def test_deterministic_reports(self):
         metric = build_counterexample(7, 2, 1.0, 0.5)
         grid = np.linspace(-3, 3, 7)
-        a = verify_uniform_positivity(metric, 1.0, grid, frame_budget=1000, seed=9)
-        b = verify_uniform_positivity(metric, 1.0, grid, frame_budget=1000, seed=9)
+        a = verify_uniform_positivity(metric, 1.0, grid)
+        b = verify_uniform_positivity(metric, 1.0, grid)
         assert a.worst_value == b.worst_value
         assert a.worst_r == b.worst_r
+        assert a.worst_counts == b.worst_counts
         assert np.array_equal(a.worst_frame, b.worst_frame)
 
     def test_report_schema(self):
         metric = build_counterexample(6, 2, 1.0, 0.1)
-        rep = verify_uniform_positivity(metric, 1.0, np.linspace(-1, 1, 3),
-                                        frame_budget=500, seed=0)
+        rep = verify_uniform_positivity(metric, 1.0, np.linspace(-1, 1, 3))
         d = rep.to_json_dict()
-        assert set(d) == {"pass", "lambda", "epsilon", "grid", "certified_radii",
-                          "complete", "worst", "coordinate_frame_value_range"}
-        assert d["certified_radii"] == 3
+        assert set(d) == {"pass", "lambda", "epsilon", "grid", "complete", "worst",
+                          "coordinate_frame_value_range"}
         assert d["complete"] is True
         assert set(d["grid"]) == {"R", "points"}
-        assert set(d["worst"]) == {"r", "value", "frame", "method", "lower_bound"}
-        assert d["worst"]["method"] == "certificate"
+        assert set(d["worst"]) == {"r", "value", "frame", "counts"}
+        assert d["worst"]["counts"] == [0, 1, 1]
         assert isinstance(d["worst"]["frame"], list)
 
     @pytest.mark.parametrize("grid,first_bad", [([-40.0, -39.0, 39.0, 40.0], -39.0),
@@ -398,10 +400,29 @@ class TestVerify:
         metric = build_counterexample(6, 2, 1.0, 1.0)
         with pytest.raises(ValueError, match=f"r = {first_bad}.*"
                                              r"finite for \|r\| <= 37\.61$"):
-            verify_uniform_positivity(metric, 1.0, grid, frame_budget=500)
+            verify_uniform_positivity(metric, 1.0, grid)
         riemann_exact(metric, -37.61)
         with pytest.raises(ValueError):
             riemann_exact(metric, -37.62)
+
+    @pytest.mark.parametrize("fail_fast", [False, True])
+    def test_non_finite_class_count_value_never_passes(self, fail_fast):
+        # every class value and Ricci value is finite, so riemann_exact
+        # accepts the radius, but the radial-torus subset sums two Ricci
+        # values of 1e308 and overflows: k_rt = -u''/u = 1e308,
+        # k_ss = 1 - (f'/f)^2 = -1e307, and k_sr = k_st = k_tt = 0
+        c = math.sqrt(1.0 + 1e307)
+        f = RadialProfile(lambda r: 0.0 * r, lambda r: c + 0.0 * r,
+                          lambda r: -(c * c) + 0.0 * r)
+        u = RadialProfile(lambda r: 0.0 * r, lambda r: 0.0 * r,
+                          lambda r: -1e308 + 0.0 * r)
+        metric = WarpedTorusMetric(6, 2, 1.0, f, u)
+        rd = riemann_exact(metric, 0.5)
+        assert np.isfinite(rd.ricci).all() and np.isfinite(rd.scalar)
+        with pytest.raises(ValueError, match=r"r = 0\.5: class-count values are not finite"):
+            cm_min_exact(metric, 0.5)
+        with pytest.raises(ValueError, match=r"r = 0\.5"):
+            verify_uniform_positivity(metric, 1.0, [0.5, 1.0], fail_fast=fail_fast)
 
     def test_empty_grid_is_rejected(self):
         metric = build_counterexample(6, 2, 1.0, 1.0)
@@ -420,32 +441,95 @@ class TestWorstRadius:
         # so only a difference beyond TIE_TOL = 1e-9 moves the report to r = 1
         v = 1.0
         values = {0.0: 5.0, -1.0: v, 1.0: v + delta}
+        counts = {0.0: (2, 0, 0), -1.0: (1, 1, 0), 1.0: (1, 0, 1)}
+        subsets = {0.0: (0, 1), -1.0: (0, 4), 1.0: (0, 5)}
 
-        grid = [-1.0, 0.0, 1.0]
-        radius_of_seed = {task_seed(0, i): r for i, r in enumerate(grid)}
+        def fake_exact(metric, r):
+            return values[r], counts[r], subsets[r]
 
-        def fake_cm_min(riemann, m, budget, seed, stop_below):
-            assert stop_below is None  # a sweep that is not fail-fast minimizes
-            r = radius_of_seed[seed]
-            return CmResult(values[r], np.full((riemann.dim, m), r), 1,
-                            "projected-descent", values[r])
-
-        monkeypatch.setattr(constructions, "cm_min", fake_cm_min)
+        monkeypatch.setattr(constructions, "cm_min_exact", fake_exact)
         # the threshold sits 5e-13 below v: the verdict reads the true minimum
         threshold = v - 5e-13
         lam = threshold / (1.0 - constructions.PASS_SLACK)
         rep = verify_uniform_positivity(build_counterexample(6, 2, 1.0, 0.5),
-                                        lam, grid, seed=0)
+                                        lam, [-1.0, 0.0, 1.0])
         assert rep.worst_r == reported_r
         assert rep.worst_value == values[reported_r]
-        assert np.all(rep.worst_frame == reported_r)
+        assert rep.worst_counts == counts[reported_r]
+        assert_array_equal(rep.worst_frame, coordinate_frame(6, subsets[reported_r]))
         assert rep.passed == (delta > 0)
+
+
+class TestClassCounts:
+    """The exact class-count minimum against the full-tensor routes."""
+
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
+    def test_value_is_the_pluecker_average_of_coordinate_values(self, n, m):
+        # Cauchy-Binet on a diagonal curvature operator: C_m(V) is the
+        # average of C_m(e_I) over coordinate subsets I with weights xi_I^2,
+        # the squared Pluecker coordinates of V, so no frame goes below the
+        # coordinate minimum
+        subsets = list(itertools.combinations(range(n), m))
+        coords = np.stack([coordinate_frame(n, s) for s in subsets])
+        qs = frames.random_frames(n, m, 64, np.random.default_rng(10 * n + m))
+        xi2 = np.stack([np.linalg.det(qs[:, list(s), :]) for s in subsets], axis=1) ** 2
+        assert_allclose(xi2.sum(axis=1), 1.0, rtol=1e-13)
+        for eps in (0.25, 1.0, 10.0):
+            metric = build_counterexample(n, m, 1.0, eps)
+            for r in (-3.0, 0.0, 0.7, 2.0):
+                rd = riemann_exact(metric, r)
+                assert_allclose(cm_batch(rd, qs), xi2 @ cm_batch(rd, coords),
+                                rtol=1e-12, err_msg=f"eps={eps}, r={r}")
+
+    @pytest.mark.parametrize("n,m,r", [(6, 3, 0.0), (7, 4, 0.0), (4, 2, None),
+                                       (5, 3, None), (6, 2, None)])
+    def test_ties_name_the_first_coordinate_subset(self, n, m, r):
+        # r = None: f'/f = 2 with f''/f = 0 and a constant u give K_ss = 1 - 4
+        # and every other class value 0, so C_m(e_I) depends on the sphere
+        # count alone and many subsets tie.  The reported subset is the
+        # lexicographically first within TIE_TOL, as in cm_min
+        if r is None:
+            f = RadialProfile(lambda r: 0.0 * r, lambda r: 2.0 + 0.0 * r,
+                              lambda r: -4.0 + 0.0 * r)
+            metric, r = WarpedTorusMetric(n, m, 1.0, f, constant_profile()), 0.0
+        else:
+            metric = build_counterexample(n, m, 1.0, 1.0)
+        subsets = list(itertools.combinations(range(n), m))
+        rd = riemann_exact(metric, r)
+        vals = cm_batch(rd, np.stack([coordinate_frame(n, s) for s in subsets]))
+        tied = np.flatnonzero(vals <= vals.min() + TIE_TOL)
+        assert len(tied) > 1
+        subset = cm_min_exact(metric, r)[2]
+        assert subset == subsets[tied[0]]
+        assert_array_equal(frames.cm_min(rd, m, budget=100).argmin,
+                           coordinate_frame(n, subset))
+
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
+    def test_sampled_minimizer_never_beats_the_exact_minimum(self, monkeypatch, n, m):
+        # with no route bound to close on, cm_min samples and descends
+        monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (-np.inf, None, 0))
+        rng = np.random.default_rng(n * 10 + m)
+        for eps in (0.25, 1.0, 10.0):
+            metric = build_counterexample(n, m, 1.0, eps)
+            for r in rng.uniform(-3.0, 3.0, 2):
+                exact = cm_min_exact(metric, r)[0]
+                res = frames.cm_min(riemann_exact(metric, r), m, budget=2000, seed=1)
+                assert res.method != "certificate"
+                assert exact - 1e-9 <= res.value <= exact + 1e-9, (eps, r)
+
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
+    def test_worst_frame_carries_the_worst_value(self, n, m):
+        for lam in (1.0, 4.0):
+            for eps in (0.25, 1.0, 10.0):
+                metric = build_counterexample(n, m, lam, eps)
+                rep = verify_uniform_positivity(metric, lam, np.linspace(-3.0, 3.0, 13))
+                value = cm_of_frame(riemann_exact(metric, rep.worst_r), rep.worst_frame)
+                assert value == pytest.approx(rep.worst_value, rel=1e-12), (lam, eps)
 
 
 class TestSearchEpsilon:
     def test_finds_passing_scale(self):
-        res = search_epsilon(6, 2, 1.0, r_max=3.0, grid_points=7,
-                             frame_budget=1500, seed=6)
+        res = search_epsilon(6, 2, 1.0, r_max=3.0, grid_points=7)
         assert 0.0 < res.epsilon <= 1.0
         assert res.report.passed
         assert res.report.coord_value_min == pytest.approx(1.0, abs=1e-9)
@@ -460,14 +544,15 @@ class TestSearchEpsilon:
         # fails, so a zero-halving search has no passing candidate
         monkeypatch.setattr(constructions, "MAX_HALVINGS", 0)
         with pytest.raises(EpsilonSearchError) as exc:
-            search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5,
-                           frame_budget=1500, seed=7)
+            search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5)
         assert exc.value.best_report is not None
         assert not exc.value.best_report.passed
-        # the scale's worst value is a witness, and the report says so
+        # the fail-fast sweep stops at r = 0, and its worst value is the
+        # exact minimum there: the sphere/torus pair at 1 < 4
         worst = exc.value.best_report.to_json_dict()["worst"]
-        assert worst["method"] == "witness"
-        assert worst["lower_bound"] <= worst["value"] < 4.0
+        metric = build_counterexample(6, 2, 4.0, 1.0)
+        assert (worst["r"], worst["counts"]) == (0.0, [1, 0, 1])
+        assert worst["value"] == cm_min_exact(metric, 0.0)[0] == pytest.approx(1.0)
 
     def test_search_failure_carries_the_highest_failing_report(self, monkeypatch):
         # (6, 2) at lambda 16 has sharp scale sqrt(e/24) < 1/2, so both
@@ -482,8 +567,7 @@ class TestSearchEpsilon:
 
         monkeypatch.setattr(constructions, "verify_uniform_positivity", recording)
         with pytest.raises(EpsilonSearchError) as exc:
-            search_epsilon(6, 2, 16.0, r_max=2.0, grid_points=5,
-                           frame_budget=1500, seed=7)
+            search_epsilon(6, 2, 16.0, r_max=2.0, grid_points=5)
         assert len(swept) == 2 and not any(rep.passed for rep in swept)
         assert exc.value.best_report is max(swept, key=lambda rep: rep.worst_value)
 
@@ -492,19 +576,16 @@ class TestSearchEpsilon:
         # (6, 3) has sharp scale 1/sqrt(lambda).  At lambda = 4 scale 1 fails
         # and 1/2 passes, so the failed sweep at 1 is the tightness evidence;
         # at lambda = 1 scale 1 passes and scale 2 is swept as t = -1
-        swept, seeds = [], []
+        swept = []
         sweep = constructions.verify_uniform_positivity
 
-        def recording(*args, seed, **kwargs):
-            seeds.append(seed)
-            swept.append(sweep(*args, seed=seed, **kwargs))
+        def recording(*args, **kwargs):
+            swept.append(sweep(*args, **kwargs))
             return swept[-1]
 
         monkeypatch.setattr(constructions, "verify_uniform_positivity", recording)
-        res = search_epsilon(6, 3, lam, r_max=3.0, grid_points=7,
-                             frame_budget=1500, seed=9)
+        res = search_epsilon(6, 3, lam, r_max=3.0, grid_points=7)
         assert [rep.epsilon for rep in swept] == [2.0 ** -t for t in scales]
-        assert seeds == [task_seed(9, t) for t in scales]
         assert res.epsilon == 1 / math.sqrt(lam)
         assert res.report is swept[0 if lam == 1.0 else 1]
         assert res.tightness_report is swept[1 if lam == 1.0 else 0]
@@ -521,33 +602,34 @@ class TestSearchEpsilon:
             return solve(*args)
 
         monkeypatch.setattr(constructions, "solve_profile", recording)
-        res = search_epsilon(6, 3, 4.0, grid_points=3, seed=5)
+        res = search_epsilon(6, 3, 4.0, grid_points=3)
         assert res.epsilon == 0.5
         assert solved == [(6, 3, 4.0)]
 
     def test_construction_searches_sample_no_frame(self, monkeypatch):
-        # the certificate decides every passing radius and a coordinate
-        # witness every failing one, so the searches of criterion 5 never
-        # reach the sampled path
-        drawn = []
-        sampler = frames.random_frames
-
-        def recording(*args):
-            drawn.append(args)
-            return sampler(*args)
-
-        monkeypatch.setattr(frames, "random_frames", recording)
+        # the class counts decide every radius of every sweep, so the
+        # searches of criterion 5 pass with the frame search forbidden
+        forbid_frame_search(monkeypatch)
         for lam, expected in ((1.0, 1.0), (4.0, 0.5)):
             for n, m in CONSTRUCTION_PAIRS:
-                res = search_epsilon(n, m, lam, grid_points=3, seed=5)
-                assert res.epsilon == expected
-                assert res.tightness_report.worst_method == "witness"
-        assert drawn == []
+                res = search_epsilon(n, m, lam)
+                assert res.epsilon == expected and res.report.passed, (n, m, lam)
+                assert not res.tightness_report.passed, (n, m, lam)
+
+    @pytest.mark.parametrize("r_max", [1.5e308, math.inf, math.nan, 0.0, -1.0])
+    def test_r_max_is_rejected_before_the_grid_overflows(self, r_max):
+        # np.linspace(-r_max, r_max) overflows to NaN radii above max/2
+        with pytest.raises(ValueError, match="r_max must be positive"):
+            search_epsilon(6, 2, 1.0, r_max=r_max, grid_points=3)
+        # half the largest float is accepted; its radii are finite, and
+        # riemann_exact names the first one whose curvature is not
+        half = float(np.finfo(float).max) / 2
+        with pytest.raises(ValueError, match=re.escape(f"curvature at r = {-half!r}:")):
+            search_epsilon(6, 2, 1.0, r_max=half, grid_points=3)
 
     def test_search_recovers_after_failure(self, monkeypatch):
         monkeypatch.setattr(constructions, "MAX_HALVINGS", 3)
-        res = search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5,
-                             frame_budget=1500, seed=8)
+        res = search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5)
         assert res.epsilon < 1.0
         assert res.report.passed
 
@@ -555,8 +637,8 @@ class TestSearchEpsilon:
 def test_sharpness_atlas():
     # every pair with 3 <= n <= 12 is either admissible, where the Chen
     # minimum is the sharp constant D(n, m) with a positive LDL^T certificate,
-    # or in the construction range, where the certificate proves C_m >= lambda
-    # on the grid at epsilon = 1
+    # or in the construction range, where the exact class-count minimum
+    # proves C_m >= lambda on the grid at epsilon = 1
     admissible_pairs, constructible_pairs = [], []
     for n in range(3, 13):
         for m in range(1, n):
@@ -572,6 +654,15 @@ def test_sharpness_atlas():
         chen = chen_min_exact(n, m)
         assert chen.ratio == d_of(n, m).value and min(chen.pivots) > 0, (n, m)
     for n, m in constructible_pairs:
-        rep = verify_uniform_positivity(build_counterexample(n, m, 1.0, 1.0), 1.0,
-                                        np.linspace(-3.0, 3.0, 5), frame_budget=1000)
-        assert rep.passed and rep.certified_radii == 5, (n, m)
+        metric = build_counterexample(n, m, 1.0, 1.0)
+        grid = np.linspace(-3.0, 3.0, 5)
+        rep = verify_uniform_positivity(metric, 1.0, grid)
+        assert rep.passed, (n, m)
+        # the class-count minimum is the minimum over all C(n, m) coordinate
+        # subsets, evaluated on the full tensor
+        subsets = np.stack([coordinate_frame(n, s)
+                            for s in itertools.combinations(range(n), m)])
+        for r in grid:
+            coordinate_min = cm_batch(riemann_exact(metric, r), subsets).min()
+            assert cm_min_exact(metric, r)[0] == pytest.approx(coordinate_min,
+                                                               rel=1e-13), (n, m, r)

@@ -986,56 +986,6 @@ def assert_same_search(a, b):
     assert_array_equal(a.argmin, b.argmin)
 
 
-def assert_same_result(a, b):
-    assert_same_search(a, b)
-    assert (a.evaluations, a.lower_bound) == (b.evaluations, b.lower_bound)
-
-
-class TestWitness:
-    """`stop_below`: a coordinate frame below it answers a yes/no caller."""
-
-    @staticmethod
-    def forbid_sampling(monkeypatch):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("random_frames called")
-
-        monkeypatch.setattr(frames, "random_frames", no_sampling)
-
-    def test_coordinate_frame_below_the_stop_is_the_answer(self, monkeypatch):
-        # (6, 2) at lambda = 1, eps = 10, r = 0: the sphere/torus coordinate
-        # pair gives 3/eps^2 - 1/2, and the Ky Fan bound lies far below it
-        rd = riemann_exact(build_counterexample(6, 2, 1.0, 10.0), 0.0)
-        full = cm_min(rd, 2, budget=2000, seed=3)
-        self.forbid_sampling(monkeypatch)
-        res = cm_min(rd, 2, budget=2000, seed=3, stop_below=1.0)
-        coord_vals = cm_batch(rd, coordinate_frames(6, 2))
-        assert res.method == "witness"
-        assert res.value == coord_vals.min() == pytest.approx(3.0 / 100.0 - 0.5)
-        assert res.evaluations == math.comb(6, 2)
-        assert res.lower_bound == full.lower_bound <= full.value <= res.value
-        # the first coordinate subset within TIE_TOL of the witness value
-        first = int(np.flatnonzero(coord_vals <= res.value + frames.TIE_TOL)[0])
-        assert_array_equal(res.argmin, coordinate_frame(
-            6, list(itertools.combinations(range(6), 2))[first]))
-
-    def test_certificate_closes_before_the_stop(self, monkeypatch):
-        # (6, 3) at lambda = 1, eps = 1: every radius is certified at lambda
-        rd = riemann_exact(build_counterexample(6, 3, 1.0, 1.0), 0.0)
-        full = cm_min(rd, 3, budget=2000, seed=3)
-        self.forbid_sampling(monkeypatch)
-        res = cm_min(rd, 3, budget=2000, seed=3, stop_below=2.0)
-        assert res.method == "certificate" and res.value < 2.0
-        assert_same_result(res, full)
-
-    def test_stop_below_the_coordinate_minimum_changes_nothing(self):
-        # the sampled path runs as if no stop were asked for
-        rd = riemann_exact(build_counterexample(6, 2, 1.0, 10.0), 0.0)
-        full = cm_min(rd, 2, budget=2000, seed=3)
-        res = cm_min(rd, 2, budget=2000, seed=3, stop_below=-0.5)
-        assert res.evaluations > 2000
-        assert_same_result(res, full)
-
-
 class TestOracle:
     def test_constant_on_round_sphere(self):
         val = cm_min_oracle(constant_curvature_riemann(5, 1.0), 3)
