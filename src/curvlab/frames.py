@@ -35,36 +35,27 @@ diagonal and half of it off the diagonal, hence the Euclidean gradient
 applied twice and vectorized over the stack, gives the positive-diagonal
 QR factor for sampling and for the retraction.
 
-`cm_min` first tries to prove the minimum.  With U the orthogonal
-complement of the span V and R the curvature operator on 2-vectors (the
-C(n, 2) x C(n, 2) matrix Rm_{abcd} over pairs a < b, c < d),
+`cm_min` first tries to prove the minimum, by one route at every m.  C_m is
+a quadratic form on k-vectors, k = min(m, n - m).  Let D_k(A) be the
+derivation extension of a symmetric A to k-vectors and R^[2] the curvature
+operator applied to every pair of slots.  For the unit k-vector xi of V
+(when m <= n - m) or of its orthogonal complement U (when m > n - m),
 
-    C_m(V) = scal/2 - tr(R Pi_U) = tr(R (1 - Pi_U)),
+    C_m(V) = <(D_k(Ric) - R^[2]) xi, xi>    or    C_m(V) = scal/2 - <R^[2] xi, xi>.
 
-where Pi_U projects onto the 2-vectors of U, a subspace of dimension
-C(n - m, 2).  Each m takes one route to a lower bound, the strongest this
-module has there:
-
-- m = 1: C_1(e) = Ric(e, e), so the bound is the smallest Ricci
-  eigenvalue, and its eigenvector is the route's frame.
-- m = n - 2 (n >= 4): U is a 2-plane and Pi_U projects onto the single
-  decomposable 2-vector u_1 ^ u_2, on which every 4-form eta vanishes as
-  a quadratic form; so C_(n-2) >= scal/2 - lambda_max(R + eta) for every
-  eta (Thorpe's trick: J. Thorpe 1972; R. Bettiol and R. Mendes 2018).  A
-  BFGS loop in numpy lowers lambda_max over combinations of the C(n, 4)
-  basis 4-forms, starting at eta = 0.  The top eigenvector of R + eta,
-  read as an antisymmetric matrix, gives the 2-plane of its top two
-  singular vectors, and a short descent polishes the complementary frame,
-  the route's frame.
-- any other m: by Ky Fan's maximum principle (Ky Fan 1949) the trace of R
-  over any subspace of dimension k = C(n, 2) - C(n - m, 2) is at least the
-  sum of the k smallest eigenvalues of R.  That bound has no frame.
-
-Both special bounds are at least the Ky Fan bound: at m = 1 Ky Fan bounds
-every unit vector's Ricci value, and at m = n - 2 the ascent starts from
-it.  `cm_min` proves the minimum when the route's bound meets the best
-frame it has scored (its docstring states the closure rule and how
-evaluations are counted).
+Every quadratic form Q that vanishes on decomposable k-vectors, such as a
+combination of the Plücker relations, leaves these values unchanged.  So
+C_m >= -lambda_max(R^[2] - D_k(Ric) + Q), or scal/2 - lambda_max(R^[2] + Q),
+for every Q (Thorpe's trick: J. Thorpe 1972; R. Bettiol and R. Mendes
+2018, here on k-vectors).  An L-BFGS ascent lowers lambda_max over the
+integer Plücker relations, starting at Q = 0.  Its top eigenvector,
+contracted to an (n, C(n, k - 1)) matrix, gives V or U as the span of the
+top k left singular vectors, and a short descent polishes that frame, the
+route's frame.  At k = 1 there are no relations: the route is the smallest
+Ricci eigenvalue at m = 1 and the constant scal/2 at m = n - 1.  At k = 2
+the relations are the 4-forms.  `cm_min` proves the minimum when the
+route's bound meets the best frame it has scored (its docstring states the
+closure rule, the scale normalization and how evaluations are counted).
 
 Otherwise projected gradient descent on the Stiefel manifold runs from
 the best coordinate frame and the best of a chunked random sample, each
@@ -89,10 +80,12 @@ of nearly 3.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,8 +114,9 @@ MAX_ITER = 500      # descent iterations per start
 DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
 ORACLE_SAMPLES = 20_000  # frames cm_min_oracle draws
 ORACLE_SLICE = 512       # frames the oracle contracts at a time
-ASCENT_ITER = 200   # quasi-Newton iterations of the 4-form bound
-POLISH_ITER = 50    # descent iterations that polish the 4-form witness
+ASCENT_ITER = 200   # quasi-Newton iterations of the Plücker ascent
+MEMORY = 50         # (s, y) pairs the ascent's L-BFGS recursion keeps
+POLISH_ITER = 50    # descent iterations that polish the route's frame
 
 
 # ---------------------------------------------------------------------------
@@ -394,131 +388,251 @@ class CmResult:
     lower_bound: float
 
 
-def _curvature_operator(riemann: RiemannData) -> np.ndarray:
-    """The curvature operator on 2-vectors: Rm_{abcd} over pairs a < b, c < d."""
-    a, b = np.triu_indices(riemann.dim, 1)
-    return riemann.components[a[:, None], b[:, None], a, b]
+class _Tables(NamedTuple):
+    """Index tables of the k-vectors of R^n; see `_plucker_tables`.
 
-
-def _operator_lower_bound(riemann: RiemannData, m: int) -> float:
-    """Sum of the smallest C(n, 2) - C(n - m, 2) eigenvalues of the curvature operator.
-
-    The small eigenvalues are summed directly: scal/2 minus the large ones
-    cancels catastrophically when the components are large.
+    `ricci` and `riemann` hold (entry, index into Ric or Rm, sign) for
+    D_k and R^[2], entries as flat indices into a (size, size) matrix.
+    `relations` holds (relation, weight, row, column) for every matrix
+    entry of every kept relation, `count` of them.  `interior` holds
+    (slot, k-vector, sign) for the interior product, which has `columns`
+    = C(n, k - 1) columns.
     """
-    n = riemann.dim
-    count = math.comb(n, 2) - math.comb(n - m, 2)
-    return float(np.sum(np.linalg.eigvalsh(_curvature_operator(riemann))[:count]))
+
+    size: int
+    ricci: tuple[np.ndarray, np.ndarray, np.ndarray]
+    riemann: tuple[np.ndarray, np.ndarray, np.ndarray]
+    relations: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    count: int
+    interior: tuple[np.ndarray, np.ndarray, np.ndarray]
+    columns: int
+
+
+def _subsets(n: int, size: int) -> np.ndarray:
+    """The size-subsets of range(n) as bit masks, in increasing order."""
+    masks = np.arange(1 << n)
+    return masks[np.bitwise_count(masks) == size]
+
+
+def _below(masks: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """How many members of each bit-mask subset are smaller than `index`."""
+    return np.bitwise_count(masks & ((1 << index) - 1)).astype(np.intp)
+
+
+def _sign(parity: np.ndarray) -> np.ndarray:
+    """(-1)^parity, as floats."""
+    return 1.0 - 2.0 * (parity % 2)
+
+
+def _exchange(basis: np.ndarray, number: np.ndarray, members: np.ndarray):
+    """Entries of the operators that replace a group of slots of e_J by another group.
+
+    `members` (G, s) lists the groups as sorted indices: singletons for
+    D_k, pairs for R^[2].  For every column J, group g inside J and group h
+    outside K = J - g, the entry at row K + h and column J takes the sign
+    of e_g ^ e_K = +-e_J times that of e_h ^ e_K = +-e_(K+h).  Returns the
+    flat entries, g, h and the signs.
+    """
+    groups = np.bitwise_or.reduce(1 << members, axis=1)
+    col, g = np.nonzero((basis[:, None] & groups) == groups)
+    rest = basis[col] & ~groups[g]
+    term, h = np.nonzero((rest[:, None] & groups) == 0)
+    col, g, rest = col[term], g[term], rest[term]
+    parity = sum(_below(rest, members[g, i]) + _below(rest, members[h, i])
+                 for i in range(members.shape[1]))
+    return number[rest | groups[h]] * len(basis) + col, g, h, _sign(parity)
+
+
+def _relations(n: int, k: int, number: np.ndarray):
+    """The Plücker relations sum_(j in J) +-p_(I + j) p_(J - j), |I| = k - 1, |J| = k + 1.
+
+    p_(I + j) = +-xi_(I + j), with the sign of moving e_j past the members
+    of I above j.  Terms of one relation on the same monomial are summed,
+    and of the relations left nonzero the first one of each distinct
+    leading (largest) monomial is kept, so the kept ones are linearly
+    independent.  Returns (relation, weight, row, column) for both
+    entries of each monomial, with weight half its coefficient, and the
+    number of relations kept.
+    """
+    size = math.comb(n, k)
+    one = 1 << np.arange(n)
+    small, large = _subsets(n, k - 1), _subsets(n, k + 1)
+    i_idx, j_idx, j = np.nonzero(((large[None, :, None] & one) != 0)
+                                 & ((small[:, None, None] & one) == 0))
+    first = number[small[i_idx] | one[j]]
+    second = number[large[j_idx] & ~one[j]]
+    coef = _sign(_below(large[j_idx], j) + k - 1 - _below(small[i_idx], j))
+    relation = i_idx * len(large) + j_idx
+    keys = (relation * size + np.minimum(first, second)) * size + np.maximum(first, second)
+    order = np.argsort(keys, kind="stable")
+    keys, coef = keys[order], coef[order]
+    start = np.diff(keys, prepend=-1) != 0
+    coef = np.bincount(np.cumsum(start) - 1, coef)
+    relation, monomial = np.divmod(keys[start][coef != 0], size * size)
+    coef = coef[coef != 0]
+    # keys are sorted, so a relation's last key holds its leading monomial;
+    # a stable sort of those keeps the first relation of each
+    last = np.flatnonzero(np.diff(relation, append=-1) != 0)
+    order = last[np.argsort(monomial[last], kind="stable")]
+    chosen = order[np.diff(monomial[order], prepend=-1) != 0]
+    keep = np.zeros(len(small) * len(large), dtype=bool)
+    keep[relation[chosen]] = True
+    renumber = np.cumsum(keep) - 1
+    kept = keep[relation]
+    relation = renumber[relation[kept]]
+    lo, hi = np.divmod(monomial[kept], size)
+    weight = 0.5 * coef[kept]
+    return (np.r_[relation, relation], np.r_[weight, weight], np.r_[lo, hi],
+            np.r_[hi, lo]), len(chosen)
 
 
 @functools.lru_cache(maxsize=None)
-def _four_forms(n: int) -> np.ndarray:
-    """The basis 4-forms e_i ^ e_j ^ e_k ^ e_l, i < j < k < l, as operators on 2-vectors.
+def _plucker_tables(n: int, k: int) -> _Tables:
+    """Index tables for the operators of `_lower_bound` on the k-vectors of R^n.
 
-    Shape (C(n, 4), C(n, 2), C(n, 2)), in the pair order of
-    `_curvature_operator`: E[(i, j), (k, l)] = E[(i, l), (j, k)] = 1 and
-    E[(i, k), (j, l)] = -1, with their transposes.  <E w, w> is twice the
-    coefficient of w ^ w on the basis 4-form, so it vanishes on every
-    decomposable 2-vector.  The array is shared; callers must not write it.
+    The basis k-vectors e_J, J a k-subset held as a bit mask, are numbered
+    in increasing mask order.  Every table lists the entries an operator
+    takes from one input, with the sign that sorting its indices costs:
+
+    - D_k(A) e_J = sum over b in J and a of A_ab e_(J - b + a), the
+      derivation extension;
+    - R^[2] e_J = sum over c < d in J and a < b of Rm_abcd e_(J - cd + ab),
+      R applied to every pair of slots;
+    - the Plücker relations (see `_relations`) as symmetric quadratic forms;
+    - the interior product, the (n, C(n, k - 1)) matrix
+      M[a, K] = <xi, e_a ^ e_K>, whose columns span V when xi is the
+      k-vector of V.
+
+    The arrays are shared; callers must not write them.
     """
-    a, b = np.triu_indices(n, 1)
-    pair = np.zeros((n, n), dtype=np.intp)
-    pair[a, b] = np.arange(len(a))
-    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp)
-    i, j, k, l = quads.reshape(-1, 4).T
-    t = np.arange(len(quads))
-    basis = np.zeros((len(quads), len(a), len(a)))
-    for p, q, sign in ((pair[i, j], pair[k, l], 1.0), (pair[i, k], pair[j, l], -1.0),
-                       (pair[i, l], pair[j, k], 1.0)):
-        basis[t, p, q] = basis[t, q, p] = sign
-    basis.flags.writeable = False
-    return basis
+    basis = _subsets(n, k)
+    number = np.full(1 << n, -1, dtype=np.intp)
+    number[basis] = np.arange(len(basis))
+    entry, b, a, sign = _exchange(basis, number, np.arange(n)[:, None])
+    ricci = (entry, a * n + b, sign)
+    low, high = np.triu_indices(n, 1)
+    entry, cd, ab, sign = _exchange(basis, number, np.column_stack([low, high]))
+    riemann = (entry, ((low[ab] * n + high[ab]) * n + low[cd]) * n + high[cd], sign)
+    relations, count = _relations(n, k, number)
+    # interior product: slot (a, K) with a not in K reads xi on K + a
+    small = _subsets(n, k - 1)
+    k_idx, a = np.nonzero((small[:, None] & (1 << np.arange(n))) == 0)
+    interior = (a * len(small) + k_idx, number[small[k_idx] | (1 << a)],
+                _sign(_below(small[k_idx], a)))
+    tables = _Tables(len(basis), ricci, riemann, relations, count, interior, len(small))
+    for table in (*ricci, *riemann, *relations, *interior):
+        table.flags.writeable = False
+    return tables
 
 
-def _four_form_bound(riemann: RiemannData) -> tuple[float, np.ndarray, np.ndarray]:
-    """Thorpe's lower bound on C_(n-2): scal/2 - lambda_max(R + eta) at a 4-form eta.
+def _operators(riemann: RiemannData, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """D_k(Ric) and R^[2] as matrices on the k-vectors, in the basis of `_plucker_tables`."""
+    tables = _plucker_tables(riemann.dim, k)
+    size = tables.size
 
-    A 4-form has zero trace on the 2-vectors of every subspace, so for
-    every eta and every 2-plane U, C_(n-2)(U-perp) = tr((R + eta)(1 - Pi_U))
-    is at least the sum of all eigenvalues of R + eta but the largest.
-    BFGS with Armijo backtracking minimizes f(c) = lambda_max(R + sum c_t E_t)
-    over the coefficients on `_four_forms`; its gradient, where the top
-    eigenvalue is simple, is v^T E_t v for the top eigenvector v (BFGS on a
-    maximum eigenvalue: Lewis and Overton 2013).  The inverse Hessian
-    starts as the identity; when the first step has <s, y> > 0 it is
-    rescaled by <s, y>/<y, y> before that step's update, and an update
-    with <s, y> <= 0 is skipped.  The ascent stops after ASCENT_ITER
+    def operator(table, values):
+        entry, index, sign = table
+        return np.bincount(entry, values.ravel()[index] * sign, size * size).reshape(size, size)
+
+    return operator(tables.ricci, riemann.ricci), operator(tables.riemann, riemann.components)
+
+
+def _ascent(base: np.ndarray, relations, count: int) -> tuple[float, np.ndarray]:
+    """min over c of lambda_max(base + sum_j c_j Q_j) by L-BFGS: (lambda_max, top eigenvector).
+
+    Q_j are the kept Plücker relations of `_plucker_tables`.  Where the top
+    eigenvalue is simple, the gradient is v^T Q_j v for the top
+    eigenvector v (quasi-Newton steps on a maximum eigenvalue: Lewis and
+    Overton 2013).  The direction comes from the two-loop recursion over
+    the last MEMORY pairs (s, y) with <s, y> > 0 (Liu and Nocedal 1989),
+    on the initial inverse Hessian gamma I, gamma = <s, y>/<y, y> of the
+    first pair kept, as in a full BFGS rescaled once; before that pair the
+    direction is the steepest descent.  (Rescaling at every pair stalls on
+    some dense tensors where the top eigenvalue is nearly double.)  Armijo
+    backtracking halves the unit step.  The ascent stops after ASCENT_ITER
     iterations, when a direction is not a descent direction, when HALVINGS
-    halvings all fail, or when an accepted step leaves f unchanged.  Any
-    eta gives a sound bound, so where it stops only decides how tight the
-    bound is.  Returns the bound, eta as an operator on 2-vectors and the
-    top eigenvector of R + eta.
+    halvings all fail, or when an accepted step leaves lambda_max
+    unchanged.  Any c gives a sound bound, so where it stops only decides
+    how tight the bound is.
     """
-    op = _curvature_operator(riemann)
-    basis = _four_forms(riemann.dim).reshape(-1, op.size)
+    relation, weight, row, col = relations
+    size = len(base)
+    entry = row * size + col
 
     def spectrum(coef):
-        vals, vecs = np.linalg.eigh(op + (coef @ basis).reshape(op.shape))
+        shift = np.bincount(entry, coef[relation] * weight, size * size)
+        vals, vecs = np.linalg.eigh(base + shift.reshape(size, size))
         top = vecs[:, -1]
-        return vals, top, basis @ np.outer(top, top).ravel()
+        return vals[-1], top, np.bincount(relation, weight * top[row] * top[col], count)
 
-    coef = np.zeros(len(basis))
-    vals, top, grad = spectrum(coef)
-    hinv = np.eye(len(coef))
-    for it in range(ASCENT_ITER):
-        direction = -hinv @ grad
+    coef = np.zeros(count)
+    value, top, grad = spectrum(coef)
+    memory = collections.deque(maxlen=MEMORY)
+    gamma = 1.0
+    for _ in range(ASCENT_ITER):
+        direction = -grad
+        alphas = []
+        for s, y, sy in reversed(memory):
+            alphas.append((s @ direction) / sy)
+            direction = direction - alphas[-1] * y
+        direction = direction * gamma
+        for (s, y, sy), alpha in zip(memory, reversed(alphas)):
+            direction = direction + (alpha - (y @ direction) / sy) * s
         slope = grad @ direction
         if not slope < 0:
             break
         step = 1.0
         for _ in range(HALVINGS):
             trial = coef + step * direction
-            t_vals, t_top, t_grad = spectrum(trial)
-            if t_vals[-1] <= vals[-1] + ARMIJO * step * slope:
+            t_value, t_top, t_grad = spectrum(trial)
+            if t_value <= value + ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
             break
         s, y = trial - coef, t_grad - grad
-        unchanged = t_vals[-1] == vals[-1]
-        coef, vals, top, grad = trial, t_vals, t_top, t_grad
+        unchanged = t_value == value
+        coef, value, top, grad = trial, t_value, t_top, t_grad
         if unchanged:
             break
         sy = s @ y
         if sy > 0:
-            if it == 0:
-                hinv *= sy / (y @ y)
-            hy = hinv @ y
-            hinv += (((sy + y @ hy) / sy) * np.outer(s, s) - np.outer(s, hy)
-                     - np.outer(hy, s)) / sy
-    return float(np.sum(vals[:-1])), (coef @ basis).reshape(op.shape), top
+            if not memory:
+                gamma = sy / (y @ y)
+            memory.append((s, y, sy))
+    return float(value), top
 
 
-def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray | None, int]:
-    """The route's lower bound on C_m: (bound, frame or None, evaluations).
+def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
+    """The route's lower bound on C_m: (bound, frame, evaluations).
 
-    m = 1: the smallest Ricci eigenvalue and its eigenvector.  The bound
-    is taken from `eigvalsh`, like the Ky Fan bound, since `eigh` rounds
-    its eigenvalues differently.  m = n - 2 (so n >= 4, as m >= 2 here):
-    Thorpe's 4-form bound and the frame V = U-perp, with U the 2-plane of
-    the top two singular vectors of the top eigenvector of R + eta read as
-    an antisymmetric matrix, polished by at most POLISH_ITER descent
-    iterations; the evaluations are the polish's.  Any other m: the Ky Fan
-    bound, with no frame and no evaluations.
+    The route works on the k-vectors, k = min(m, n - m), with the tables
+    of `_plucker_tables`.  For m <= n - m, xi is the unit k-vector of V and
+    C_m(V) = <T xi, xi> with T = D_k(Ric) - R^[2], so the bound is
+    -lambda_max(R^[2] - D_k(Ric) + Q).  For m > n - m, xi is the k-vector
+    of the complement U and C_m(V) = scal/2 - <R^[2] xi, xi>, so the bound
+    is scal/2 - lambda_max(R^[2] + Q).  `_ascent` picks the combination Q
+    of Plücker relations.  The frame comes from the top eigenvector xi at
+    the end of the ascent: the top k left singular vectors of its interior
+    product span V, or U and then their complement is the frame.  At most
+    POLISH_ITER descent iterations polish it; the evaluations are the
+    polish's.
     """
     n = riemann.dim
-    if m == 1:
-        return (float(np.linalg.eigvalsh(riemann.ricci)[0]),
-                np.linalg.eigh(riemann.ricci)[1][:, :1], 0)
-    if n - m == 2:
-        bound, _, top = _four_form_bound(riemann)
-        a, b = np.triu_indices(n, 1)
-        form = np.zeros((n, n))
-        form[a, b], form[b, a] = top, -top
-        start = np.linalg.svd(form)[0][:, 2:]
-        polished, _, _, evals, _ = _descend(riemann, start[None], POLISH_ITER)
-        return bound, polished[0], int(evals[0])
-    return _operator_lower_bound(riemann, m), None, 0
+    k = min(m, n - m)
+    tables = _plucker_tables(n, k)
+    ricci, base = _operators(riemann, k)
+    offset = 0.5 * riemann.scalar
+    if k == m:
+        base, offset = base - ricci, 0.0
+    top_value, top = _ascent(base, tables.relations, tables.count)
+    slot, index, sign = tables.interior
+    interior = np.zeros(n * tables.columns)
+    interior[slot] = sign * top[index]
+    left = np.linalg.svd(interior.reshape(n, tables.columns))[0]
+    start = left[:, :k] if k == m else left[:, k:]
+    polished, _, _, evals, _ = _descend(riemann, start[None], POLISH_ITER)
+    return offset - top_value, polished[0], int(evals[0])
 
 
 def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
@@ -572,18 +686,22 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
            seed: int = 0) -> CmResult:
     """Minimize C_m over m-frames: certificate, else enumeration and sampled descent.
 
+    Everything runs on R/s, where s = 2^floor(log2 max|Rm|) (1 for the
+    zero tensor) scales the tensor, its Ricci tensor and its scalar
+    curvature exactly, and the value and the bound are multiplied by s at
+    the end.  So cm_min(2^j R) is 2^j cm_min(R) bit for bit, and TIE_TOL is
+    relative to the size of the tensor.
     Coordinate subsets are enumerated first; their minimum is an upper
-    bound.  `_lower_bound` gives this m's route: a lower bound and, at
-    m = 1 and m = n - 2, a frame, which is scored once; the value is the
-    smaller of the coordinate minimum and that score.  When value and
-    bound agree within TIE_TOL on both sides, the minimum is proven, with
-    method "certificate".  Otherwise `budget` Haar frames are sampled
-    (see `_best_samples`) and descent runs in lockstep from the best
-    coordinate frame and the DESCENT_STARTS best samples; the route's
-    frame is not kept.
+    bound.  `_lower_bound` gives the route's lower bound and its frame,
+    which is scored once; the value is the smaller of the coordinate
+    minimum and that score.  When value and bound agree within TIE_TOL on
+    both sides, the minimum is proven, with method "certificate".
+    Otherwise `budget` Haar frames are sampled (see `_best_samples`) and
+    descent runs in lockstep from the best coordinate frame and the
+    DESCENT_STARTS best samples; the route's frame is not kept.
     `lower_bound` is the route's bound on every path, and `evaluations`
-    counts what ran: C(n, m), the route's evaluations, one for the score
-    when there is a frame, and the samples and descent when they run.
+    counts what ran: C(n, m), the route's evaluations, one for the score,
+    and the samples and descent when they run.
     On every path, when a coordinate subset comes within TIE_TOL of the
     best value found, the lexicographically first such subset is reported
     as the argmin.
@@ -594,6 +712,10 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
         raise ValueError("budget must be at least 1")
     if not np.isfinite(riemann.components).all():
         raise ValueError("curvature components are not finite")
+    peak = float(np.max(np.abs(riemann.components)))
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
+    riemann = RiemannData(n, riemann.components / scale, riemann.ricci / scale,
+                          riemann.scalar / scale)
 
     # coordinate subsets, in lexicographic order
     subsets = list(itertools.combinations(range(n), m))
@@ -602,11 +724,8 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     coord_best = int(np.argmin(coord_vals))
     upper = float(coord_vals[coord_best])
     lower, best_frame, route_evals = _lower_bound(riemann, m)
-    evaluations = len(subsets) + route_evals
-    best_value = upper
-    if best_frame is not None:
-        best_value = min(upper, float(cm_batch(riemann, best_frame[None])[0]))
-        evaluations += 1
+    best_value = min(upper, float(cm_batch(riemann, best_frame[None])[0]))
+    evaluations = len(subsets) + route_evals + 1
 
     # both-sided: a bound far above an attained value is rounding, not a proof
     if abs(best_value - lower) <= TIE_TOL:
@@ -626,7 +745,7 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
         best_frame = coord_qs[tied[0]]
         if method == "projected-descent":
             method = "coordinate-enumeration"
-    return CmResult(best_value, best_frame, evaluations, method, lower)
+    return CmResult(scale * best_value, best_frame, evaluations, method, scale * lower)
 
 
 def _oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:

@@ -5,10 +5,14 @@ completed orthonormal basis, `complete_frame` builds that basis,
 `cm_gradient` is the einsum form of the Euclidean gradient of the
 projection form, and `oracle_values` is the one-pass 3-operand contraction
 the sampling oracle once used.  None of them shares arithmetic with the
-library's evaluation kernels.  `count_calls` records the calls that go
-through module functions, the way the benchmark's tracer sees them.
+library's evaluation kernels.  `ky_fan_bound` is the eigenvalue bound that
+`cm_min` took at most m before its Plücker route, which must stay at or
+above it.  `count_calls` records the calls that go through module
+functions, the way the benchmark's tracer sees them.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -94,3 +98,24 @@ def count_calls(monkeypatch, module, names):
     for name in names:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls
+
+
+def curvature_operator(riemann: RiemannData) -> np.ndarray:
+    """The curvature operator on 2-vectors: Rm_abcd over pairs a < b, c < d."""
+    a, b = np.triu_indices(riemann.dim, 1)
+    return riemann.components[a[:, None], b[:, None], a, b]
+
+
+def ky_fan_bound(riemann: RiemannData, m: int) -> float:
+    """Ky Fan's lower bound on C_m (Ky Fan 1949).
+
+    With U the orthogonal complement of the span and Pi_U the projection
+    onto the 2-vectors of U, C_m = tr(R (1 - Pi_U)), a trace of the
+    curvature operator over a subspace of dimension C(n, 2) - C(n - m, 2);
+    no such trace is below the sum of that many smallest eigenvalues.  They
+    are summed directly: scal/2 minus the large ones cancels
+    catastrophically when the components are large.
+    """
+    n = riemann.dim
+    count = math.comb(n, 2) - math.comb(n - m, 2)
+    return float(np.sum(np.linalg.eigvalsh(curvature_operator(riemann))[:count]))

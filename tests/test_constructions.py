@@ -507,7 +507,8 @@ class TestClassCounts:
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
     def test_sampled_minimizer_never_beats_the_exact_minimum(self, monkeypatch, n, m):
         # with no route bound to close on, cm_min samples and descends
-        monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (-np.inf, None, 0))
+        monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (
+            -np.inf, coordinate_frame(riemann.dim, tuple(range(m))), 0))
         rng = np.random.default_rng(n * 10 + m)
         for eps in (0.25, 1.0, 10.0):
             metric = build_counterexample(n, m, 1.0, eps)

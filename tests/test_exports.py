@@ -19,7 +19,7 @@ import pytest
 
 import curvlab
 from curvlab import frames
-from curvlab.curvature import random_curvature_tensor
+from curvature_references import fubini_study_riemann
 from frame_references import count_calls
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(curvlab.__path__))
@@ -128,25 +128,26 @@ def test_traced_result_fields_exist(module, cls, names):
 def test_sampling_goes_through_the_traced_module_functions(monkeypatch):
     # the tracer counts sampling through wrappers on frames.random_frames and
     # frames.cm_batch, so cm_min must reach both through the module: one
-    # draw per 4096-frame chunk, one evaluation per chunk and one for the
-    # coordinate subsets.  C_3 of a dense 6-dimensional tensor is not certified
+    # draw per 4096-frame chunk, one evaluation per chunk, one for the
+    # coordinate subsets and one for the route's frame.  On CP^4 at m = 3
+    # the route's bound 20 stays below the minimum 24, so C_3 is not certified
     calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
-    res = frames.cm_min(random_curvature_tensor(6, np.random.default_rng(3)), 3,
-                        budget=10_000, seed=4)
+    res = frames.cm_min(fubini_study_riemann(8), 3, budget=10_000, seed=4)
     assert res.method != "certificate"
     assert calls["random_frames"] == [4096, 4096, 1808]
-    assert calls["cm_batch"] == [20, 4096, 4096, 1808]
+    assert calls["cm_batch"] == [56, 1, 4096, 4096, 1808]
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency; the runtime must not import it, neither
-    # on import nor in the 4-form certificate that C_(n-2) of a dense tensor takes
+    # on import nor in the route that proves C_(n-2) and C_3 of a dense tensor
     loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     certified = ("import numpy as np; from curvlab import curvature, frames; "
                  "rd = curvature.random_curvature_tensor(6, np.random.default_rng(8)); "
-                 "print(frames.cm_min(rd, 4, budget=10).method); ")
+                 "print(frames.cm_min(rd, 4, budget=10).method, "
+                 "frames.cm_min(rd, 3, budget=10).method); ")
     for probe, expected in ((f"import sys, curvlab.cli; {loaded}", "[]"),
-                            (f"import sys; {certified}{loaded}", "certificate\n[]")):
+                            (f"import sys; {certified}{loaded}", "certificate certificate\n[]")):
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              check=True, cwd=Path(curvlab.__file__).parents[1])
         assert out.stdout.strip() == expected

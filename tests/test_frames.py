@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from curvlab import frames
 from curvlab.constructions import CONSTRUCTION_PAIRS, build_counterexample
 from curvlab.curvature import (
     RiemannData,
+    cm_min_exact,
     product_sphere_flat_riemann,
     random_curvature_tensor,
     riemann_exact,
@@ -23,13 +25,12 @@ from curvlab.frames import (
     SAMPLE_CHUNK,
     _best_samples,
     _contraction,
-    _curvature_operator,
     _descend,
     _evaluate,
-    _four_form_bound,
-    _four_forms,
-    _operator_lower_bound,
+    _lower_bound,
+    _operators,
     _oracle_values,
+    _plucker_tables,
     _smallest,
     _symmetric_form,
     cm_batch,
@@ -48,6 +49,7 @@ from frame_references import (
     cm_gradient,
     complete_frame,
     count_calls,
+    ky_fan_bound,
     oracle_values,
 )
 
@@ -75,9 +77,24 @@ def haar_frame(n, m, seed):
 
 
 def ky_fan_route(monkeypatch):
-    """Send every m down the generic route: the Ky Fan bound, no frame."""
-    monkeypatch.setattr(frames, "_lower_bound",
-                        lambda riemann, m: (_operator_lower_bound(riemann, m), None, 0))
+    """Replace the route by the Ky Fan bound and the first coordinate frame.
+
+    That frame's score never beats the coordinate minimum, so `cm_min`
+    searches as if it had no route, with one more evaluation.
+    """
+    monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (
+        ky_fan_bound(riemann, m), coordinate_frame(riemann.dim, tuple(range(m))), 0))
+
+
+def unit_scale(rd):
+    """(rd / s, s) for the power of two s with max |Rm| / s in [1, 2), 1 for zero.
+
+    `cm_min` runs every phase on this tensor, so the slow path is replayed
+    on it to compare bit for bit.
+    """
+    peak = float(np.max(np.abs(rd.components)))
+    s = 2.0 ** (np.frexp(peak)[1] - 1) if peak else 1.0
+    return RiemannData(rd.dim, rd.components / s, rd.ricci / s, rd.scalar / s), s
 
 
 def qr_reference(a):
@@ -335,23 +352,25 @@ class TestDescent:
     def test_overflowing_gradient_stops_unconverged(self, monkeypatch):
         # (6, 3) at lambda 4, eps 1/2, r = 10: f = exp(-2 r^2) puts K near 2e174,
         # so the squared gradient norm overflows
-        rd = riemann_exact(build_counterexample(6, 3, 4.0, 0.5), 10.0)
+        metric = build_counterexample(6, 3, 4.0, 0.5)
+        rd = riemann_exact(metric, 10.0)
         q0 = haar_frame(6, 3, 4)
-        ky_fan_route(monkeypatch)
+        monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (
+            -np.inf, coordinate_frame(6, tuple(range(m))), 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             q, vals, iters, evals, converged = _descend(rd, q0[None], MAX_ITER)
-            # the Ky Fan bound decides C_3 on this tensor but not C_1, so
-            # with the Ricci route off C_1 takes the slow path: every start
-            # stops after one evaluation and no overflowed descent is
-            # reported as the winner
+            # cm_min descends on the tensor scaled to unit size, where nothing
+            # overflows: with no bound to close on, C_1 takes the slow path
+            # and finds the exact minimum
             full = cm_min(rd, 1, budget=5000, seed=1)
         assert not converged[0]
         assert (iters[0], evals[0]) == (1, 1)
         assert_allclose(q[0], q0, atol=1e-14)
         assert vals[0] == pytest.approx(cm_of_frame(rd, q0), rel=1e-14)
         assert full.method == "coordinate-enumeration"
-        assert full.evaluations == 6 + 5000 + 9
+        assert abs(full.value - cm_min_exact(metric, 10.0)[0]) <= 1e-9 * unit_scale(rd)[1]
+        assert full.evaluations > 6 + 1 + 5000 + 9
 
     def test_max_iter_zero_skips_descent(self):
         rd = random_curvature_tensor(5, np.random.default_rng(6))
@@ -605,9 +624,10 @@ class TestMinimizer:
         assert np.array_equal(a.argmin, b.argmin)
 
     def test_evaluation_budget_accounted(self):
-        rd = random_curvature_tensor(5, np.random.default_rng(5))
-        res = cm_min(rd, 2, budget=1000, seed=0)
-        assert res.evaluations >= 1000 + 10
+        # CP^4 at m = 3, where the route's bound 20 stays below the minimum 24
+        res = cm_min(fubini_study_riemann(8), 3, budget=1000, seed=0)
+        assert res.method != "certificate"
+        assert res.evaluations >= 1000 + math.comb(8, 3) + 1
 
     def test_rejects_bad_m(self):
         rd = constant_curvature_riemann(4, 1.0)
@@ -629,20 +649,18 @@ class TestMinimizer:
 
 
 class TestCertificate:
-    """The Ky Fan lower bound: sound everywhere, exact where the maths says so."""
+    """The route's bound: sound everywhere, exact where the maths says so."""
 
     @pytest.mark.parametrize("n", sorted({n for n, _ in DENSE_SHAPES}))
     def test_bound_is_sound_on_dense_tensors(self, n):
         # 12 tensors per dimension, 60 in all, with m running over 1..n; the
-        # Ky Fan bound is exact for m >= n - 1, the 4-form bound closes at
-        # m = n - 2 and the smallest Ricci eigenvalue at m = 1, so the slow
-        # path runs between
+        # one route closes at every m
         for i in range(12):
             m = 1 + i % n
             rd = random_curvature_tensor(n, np.random.default_rng(1000 + 12 * n + i))
             res = cm_min(rd, m, budget=2000, seed=i)
             assert res.lower_bound <= res.value + 1e-9
-            assert (res.method == "certificate") == (m == 1 or m >= n - 2)
+            assert res.method == "certificate", f"m = {m}"
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_exact_at_m_n_minus_one(self, n):
@@ -650,17 +668,18 @@ class TestCertificate:
         res = cm_min(rd, n - 1, budget=1000, seed=0)
         assert res.lower_bound == pytest.approx(0.5 * rd.scalar, abs=1e-9)
         assert res.method == "certificate"
-        assert res.evaluations == n
+        # the coordinate subsets, then the polish, which starts where C_(n-1)
+        # is constant and stops after one evaluation, then the score
+        assert res.evaluations == n + 2
         assert_array_equal(res.argmin, coordinate_frame(n, tuple(range(n - 1))))
 
     @pytest.mark.parametrize("k,rho", [(1, 1.0), (2, np.sqrt(2.0)), (3, 2.0), (5, 0.5)])
     def test_exact_on_sphere_times_flat(self, k, rho):
-        # S^3 x R^k at m = n - 2: the eigenvalues are K three times and 0,
-        # and the 4-form route's bound is the Ky Fan bound
+        # S^3 x R^k at m = k + 1: the bound is the Ky Fan bound, 2 / rho^2
         rd = product_sphere_flat_riemann(3, rho, k)
         res = cm_min(rd, k + 1, budget=1000, seed=0)
         assert res.lower_bound == pytest.approx(2.0 / rho ** 2, rel=1e-14)
-        assert res.lower_bound == _operator_lower_bound(rd, k + 1)
+        assert res.lower_bound == pytest.approx(ky_fan_bound(rd, k + 1), rel=1e-14)
         assert res.value == pytest.approx(2.0 / rho ** 2, rel=1e-14)
         assert res.method == "certificate"
         # the coordinate subsets, then the polish, which starts at a minimum
@@ -674,121 +693,165 @@ class TestCertificate:
     @pytest.mark.parametrize("shift,certified", [(-1e-12, True), (1e-12, True),
                                                  (-2e-9, False), (2e-9, False)])
     def test_tie_rule_is_both_sided(self, monkeypatch, shift, certified):
-        # S^3 x R^k, where bound and coordinate minimum agree; shifting the
-        # evaluator opens a gap of `shift`.  A bound far above an attained
-        # value is rounding, not a proof
+        # S^3 x R^k, where bound and coordinate minimum agree and the tensor
+        # has unit scale; shifting the evaluator opens a gap of `shift`.  A
+        # bound far above an attained value is rounding, not a proof
         exact = frames.cm_batch
         monkeypatch.setattr(frames, "cm_batch", lambda riemann, qs: exact(riemann, qs) + shift)
-        for k, m, bound, subset, route_evals in (
-                (2, 3, 2.0, (0, 3, 4), 2),            # m = n - 2: the 4-form route
-                (3, 5, 3.0, (0, 1, 2, 3, 4), 0)):     # m = n - 1: the Ky Fan route
+        for k, m, bound, subset in ((2, 3, 2.0, (0, 3, 4)),          # k-vectors of U, k = 2
+                                    (3, 5, 3.0, (0, 1, 2, 3, 4))):   # m = n - 1, k = 1
             n = k + 3
             res = cm_min(product_sphere_flat_riemann(3, 1.0, k), m, budget=500, seed=0)
             assert res.lower_bound == bound
             assert (res.method == "certificate") == certified
             if certified:
                 assert res.value == bound + shift
-                assert res.evaluations == math.comb(n, m) + route_evals
+                # the subsets, one polish evaluation and the score
+                assert res.evaluations == math.comb(n, m) + 2
                 assert_array_equal(res.argmin, coordinate_frame(n, subset))
             else:
-                assert res.evaluations > math.comb(n, m) + route_evals + 500
+                assert res.evaluations > math.comb(n, m) + 2 + 500
 
 
-def two_vectors(w):
-    """The orthonormal 2-vectors w_i ^ w_j, i < j, of an orthonormal (n, k) basis.
+def minors(q, k):
+    """The k x k minors of an (n, k) frame: its unit k-vector.
 
-    Shape (C(k, 2), C(n, 2)), in the pair order a < b of the curvature operator.
+    In the basis order of `_plucker_tables`, subsets by increasing bit mask.
     """
-    a, b = np.triu_indices(w.shape[0], 1)
-    i, j = np.triu_indices(w.shape[1], 1)
-    return w[a][:, i].T * w[b][:, j].T - w[b][:, i].T * w[a][:, j].T
+    subsets = sorted(itertools.combinations(range(q.shape[0]), k),
+                     key=lambda s: sum(1 << i for i in s))
+    return np.array([np.linalg.det(q[list(s)]) for s in subsets])
 
 
-def ky_fan_sum(op, n, m):
-    """Sum of the smallest C(n, 2) - C(n - m, 2) eigenvalues of a symmetric operator."""
-    return float(np.sum(np.linalg.eigvalsh(op)[:math.comb(n, 2) - math.comb(n - m, 2)]))
+def relation_rows(n, k):
+    """The kept relations as integer rows over the monomials xi_A xi_B, A <= B."""
+    tables = _plucker_tables(n, k)
+    relation, weight, row, col = tables.relations
+    monomial = np.zeros((tables.size, tables.size), dtype=np.intp)
+    upper = np.triu_indices(tables.size)
+    monomial[upper] = np.arange(len(upper[0]))
+    rows = np.zeros((tables.count, len(upper[0])))
+    np.add.at(rows, (relation, monomial[np.minimum(row, col), np.maximum(row, col)]), weight)
+    return rows, upper
 
 
-class TestFourFormCertificate:
-    """Thorpe's bound at m = n - 2: any 4-form eta keeps tr((R + eta)(1 - Pi_U)) = C_m."""
+def grassmannian_quadrics(n, k):
+    """Dimension of the quadrics on the k-vectors that vanish on decomposable ones.
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_basis_has_zero_trace_on_every_subspace(self, n):
-        basis = _four_forms(n)
-        assert basis.shape == (math.comb(n, 4), math.comb(n, 2), math.comb(n, 2))
-        assert_array_equal(basis, basis.transpose(0, 2, 1))
+    All quadrics, C(C(n, k) + 1, 2), less the degree-2 part of the
+    Grassmannian's coordinate ring, which counts the semistandard tableaux
+    of the k x 2 rectangle with entries up to n (hook-content formula).
+    """
+    tableaux = Fraction(1)
+    for i in range(k):
+        for j in range(2):
+            tableaux *= Fraction(n + j - i, (1 - j) + (k - 1 - i) + 1)
+    return math.comb(math.comb(n, k) + 1, 2) - int(tableaux)
+
+
+class TestPluckerRoute:
+    """C_m as a quadratic form on k-vectors, and the relations that vanish on decomposable ones."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_k_vector_form_is_cm(self, n):
+        rd = random_curvature_tensor(n, np.random.default_rng(1700 + n))
         rng = np.random.default_rng(n)
-        for k in range(1, n + 1):
-            pairs = two_vectors(haar_frame(n, k, rng.integers(1 << 30)))
-            assert_allclose(pairs @ pairs.T, np.eye(len(pairs)), atol=1e-12)
-            traces = np.einsum("ta,sab,tb->s", pairs, basis, pairs)
-            assert_allclose(traces, 0.0, atol=1e-12)
-        # not zero on 2-vectors: e_0 ^ e_1 + e_2 ^ e_3 is not decomposable
-        kahler = two_vectors(np.eye(n)[:, [0, 1]])[0] + two_vectors(np.eye(n)[:, [2, 3]])[0]
-        assert kahler @ basis[0] @ kahler == 2.0
+        for m in range(1, n + 1):
+            k = min(m, n - m)
+            ricci, pairs = _operators(rd, k)
+            for q in random_frames(n, m, 4, rng):
+                ref = cm_of_frame(rd, q)
+                if k == m:
+                    xi = minors(q, k)
+                    value = xi @ (ricci - pairs) @ xi
+                else:
+                    xi = minors(complete_frame(q, rng.standard_normal((n, n)))[:, m:], k)
+                    value = 0.5 * rd.scalar - xi @ pairs @ xi
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), f"m = {m}"
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_relations_vanish_on_decomposable_vectors(self, n):
+        rng = np.random.default_rng(1800 + n)
+        for k in range(n // 2 + 1):
+            rows, (a, b) = relation_rows(n, k)
+            assert_array_equal(rows, np.round(rows))
+            xi = np.stack([minors(q, k) for q in random_frames(n, k, 100, rng)]) if k else \
+                np.ones((100, 1))
+            assert np.max(np.abs(rows @ (xi[:, a] * xi[:, b]).T), initial=0.0) <= 1e-12
+            # each relation is one symmetric matrix: the ascent's eigh reads
+            # only its lower triangle
+            tables = _plucker_tables(n, k)
+            relation, weight, row, col = tables.relations
+            shift = np.zeros((tables.size, tables.size))
+            np.add.at(shift, (row, col), weight * rng.standard_normal(tables.count)[relation])
+            assert_array_equal(shift, shift.T)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_kept_relations_are_independent(self, n):
+        for k in range(n // 2 + 1):
+            count = _plucker_tables(n, k).count
+            rows, _ = relation_rows(n, k)
+            assert np.linalg.matrix_rank(rows) == count
+            # leading-monomial selection keeps the whole span but at (8, 4)
+            span = grassmannian_quadrics(n, k)
+            assert (count, span) == ((719, 721) if (n, k) == (8, 4) else (span, span))
 
     @pytest.mark.parametrize("n,m", DENSE_SHAPES)
-    def test_bound_is_below_coordinates_and_oracle(self, n, m):
-        # the ascent's 4-form, and a random one, give a sound bound at every m
-        for seed in range(3):
-            rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 200 * seed))
-            op = _curvature_operator(rd)
-            bound, eta, _ = _four_form_bound(rd)
-            noise = np.tensordot(np.random.default_rng(seed).standard_normal(
-                math.comb(n, 4)), _four_forms(n), 1)
-            coord_min = cm_batch(rd, coordinate_frames(n, m)).min()
-            oracle = cm_min_oracle(rd, m, seed=seed)
-            for form in (eta, noise):
-                low = ky_fan_sum(op + form, n, m)
-                assert low <= coord_min + 1e-9 and low <= oracle + 1e-9
-            assert ky_fan_sum(op + eta, n, n - 2) == pytest.approx(bound, abs=1e-9)
-            # the ascent starts at eta = 0, the Ky Fan bound, and only improves it
-            assert bound >= _operator_lower_bound(rd, n - 2) - 1e-9
-
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_closes_without_sampling(self, monkeypatch, n):
+    def test_closes_without_sampling(self, monkeypatch, n, m):
+        # every DENSE_SHAPES draw of this module: the kernel cases' and the
+        # best-sample test's
         calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
-        for seed in range(3):
-            rd = random_curvature_tensor(n, np.random.default_rng(700 + 10 * n + seed))
+        for seed in (n * 10 + m + 7, *(n * 10 + m + 4 + 100 * i for i in range(3))):
+            rd = random_curvature_tensor(n, np.random.default_rng(seed))
             calls["cm_batch"].clear()
-            res = cm_min(rd, n - 2, seed=seed)
+            res = cm_min(rd, m, seed=seed)
             assert res.method == "certificate"
             # the coordinate subsets, then the polished witness
-            assert calls == {"random_frames": [], "cm_batch": [math.comb(n, 2), 1]}
-            assert abs(res.value - res.lower_bound) <= frames.TIE_TOL
-            assert res.lower_bound > _operator_lower_bound(rd, n - 2) + frames.TIE_TOL
-            assert res.evaluations > math.comb(n, 2)
+            assert calls == {"random_frames": [], "cm_batch": [math.comb(n, m), 1]}
+            assert abs(res.value - res.lower_bound) <= unit_scale(rd)[1] * frames.TIE_TOL
+            assert res.lower_bound > ky_fan_bound(rd, m) + frames.TIE_TOL
             assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value, abs=1e-9)
             # no coordinate subset ties, so the argmin is the polished frame
-            assert cm_batch(rd, coordinate_frames(n, n - 2)).min() > res.value + frames.TIE_TOL
+            assert cm_batch(rd, coordinate_frames(n, m)).min() > res.value + frames.TIE_TOL
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_certified_value_matches_the_sampled_route(self, monkeypatch, n):
+    @pytest.mark.parametrize("n,m,seed", [(7, 5, 71), (7, 5, 91), (8, 4, 22), (8, 4, 52)])
+    def test_closes_where_rescaling_at_every_pair_stalls(self, n, m, seed):
+        # with gamma taken from the newest (s, y) pair instead of the first,
+        # the ascent stalls on these tensors at a nearly double top eigenvalue
+        res = cm_min(random_curvature_tensor(n, np.random.default_rng(seed)), m, budget=1)
+        assert res.method == "certificate"
+
+    @pytest.mark.parametrize("n,m", DENSE_SHAPES)
+    def test_certified_value_matches_the_sampled_route(self, monkeypatch, n, m):
         rd = random_curvature_tensor(n, np.random.default_rng(900 + n))
-        certified = cm_min(rd, n - 2, seed=n)
+        unit, scale = unit_scale(rd)
+        certified = cm_min(rd, m, seed=n)
         ky_fan_route(monkeypatch)
-        sampled = cm_min(rd, n - 2, budget=100_000, seed=n)
+        sampled = cm_min(rd, m, budget=100_000, seed=n)
         assert certified.method == "certificate"
         assert sampled.method in {"coordinate-enumeration", "projected-descent"}
-        assert abs(certified.value - sampled.value) <= frames.TIE_TOL
-        assert sampled.lower_bound == _operator_lower_bound(rd, n - 2)
+        assert abs(certified.value - sampled.value) <= scale * frames.TIE_TOL
+        assert sampled.lower_bound == scale * ky_fan_bound(unit, m)
         assert certified.lower_bound >= sampled.lower_bound
 
     def test_falls_back_bit_identically_where_it_does_not_close(self, monkeypatch):
-        # on CP^4 at m = 6 the ascent stops at a bound below the coordinate
-        # minimum 36, so the sampled route runs as if the 4-form route were
-        # absent; only the bound and the route's evaluations stay behind
+        # on CP^4 at m = 3 the ascent stops at the bound 20, below the
+        # coordinate minimum 24, so the sampled route runs as if the route
+        # were absent; only the bound and the route's evaluations stay behind
         rd = fubini_study_riemann(8)
-        bound, frame, polish_evals = frames._lower_bound(rd, 6)
-        assert min(36.0, cm_batch(rd, frame[None])[0]) > bound + frames.TIE_TOL
-        res = cm_min(rd, 6, budget=2000, seed=1)
+        unit, scale = unit_scale(rd)
+        bound, frame, polish_evals = _lower_bound(unit, 3)
+        assert scale * bound == pytest.approx(20.0, abs=1e-9)
+        assert min(24.0, scale * cm_batch(unit, frame[None])[0]) > scale * bound + 1.0
+        res = cm_min(rd, 3, budget=2000, seed=1)
         ky_fan_route(monkeypatch)
-        sampled = cm_min(rd, 6, budget=2000, seed=1)
+        sampled = cm_min(rd, 3, budget=2000, seed=1)
         assert_same_search(res, sampled)
-        assert res.lower_bound == bound > sampled.lower_bound
-        assert res.evaluations == sampled.evaluations + polish_evals + 1
+        assert res.lower_bound == scale * bound > sampled.lower_bound
+        # both score one frame: the route's, or the first coordinate frame
+        assert res.evaluations == sampled.evaluations + polish_evals
         assert res.method == "coordinate-enumeration"
-        assert res.value == pytest.approx(36.0, abs=1e-9)
+        assert res.value == pytest.approx(24.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_closes_on_complex_projective_space(self, n):
@@ -799,28 +862,27 @@ class TestFourFormCertificate:
         assert res.value == pytest.approx({4: 8.0, 6: 20.0}[n], abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_no_four_forms_in_dimension_three(self, monkeypatch, seed):
-        # n - m = 2 at (3, 1), but there is no 4-form: the Ricci route takes
-        # it, and with that route off the slow path runs as before
-        def unreachable(*args):
-            raise AssertionError("4-form route entered at n = 3")
-
+    def test_slow_path_in_dimension_three(self, monkeypatch, seed):
+        # at (3, 1) the route has no relations and takes the smallest Ricci
+        # eigenvalue; with the route off, the slow path runs on the tensor
+        # scaled to unit size as the reference replays it
         rd = random_curvature_tensor(3, np.random.default_rng(seed + 40))
-        for name in ("_four_forms", "_four_form_bound"):
-            monkeypatch.setattr(frames, name, unreachable)
+        assert _plucker_tables(3, 1).count == 0
         ricci = cm_min(rd, 1, budget=2000, seed=seed)
         assert ricci.method == "certificate"
-        assert ricci.lower_bound == np.linalg.eigvalsh(rd.ricci)[0]
+        assert ricci.lower_bound == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0], rel=1e-13)
         ky_fan_route(monkeypatch)
         res = cm_min(rd, 1, budget=2000, seed=seed)
-        starts = slow_path_starts(rd, 1, 2000, seed)
-        qs, vals, _, evals, _ = _descend(rd, starts, MAX_ITER)
-        coord_vals = cm_batch(rd, coordinate_frames(3, 1))
+        unit, scale = unit_scale(rd)
+        starts = slow_path_starts(unit, 1, 2000, seed)
+        qs, vals, _, evals, _ = _descend(unit, starts, MAX_ITER)
+        coord_vals = cm_batch(unit, coordinate_frames(3, 1))
         best = int(np.argmin(vals))
         assert res.method == "projected-descent"
-        assert res.value == min(coord_vals.min(), vals[best])
-        assert res.evaluations == 3 + 2000 + int(evals.sum())
-        assert res.lower_bound == _operator_lower_bound(rd, 1)
+        assert res.value == scale * min(coord_vals.min(), vals[best])
+        # the subsets, the replaced route's frame, the samples and the descent
+        assert res.evaluations == 3 + 1 + 2000 + int(evals.sum())
+        assert res.lower_bound == scale * ky_fan_bound(unit, 1)
         assert_array_equal(res.argmin, qs[best])
         # C_1 is the Ricci form, and in dimension 3 every 2-vector is
         # decomposable, so the Ky Fan bound is exact
@@ -836,6 +898,11 @@ RICCI_IDS = ([f"dense-n{n}" for n in range(3, 9)] + ["S3xR2", "S3xR4"]
              + [f"CP-n{n}" for n in (4, 6, 8)])
 
 
+def eigenvector_alignment(frame, ricci):
+    """|<q, e>| for the single column q of a 1-frame and the smallest Ricci eigenvector e."""
+    return abs(float(frame[:, 0] @ np.linalg.eigh(ricci)[1][:, 0]))
+
+
 class TestRicciCertificate:
     """m = 1: C_1(e) = Ric(e, e), whose minimum is the smallest Ricci eigenvalue."""
 
@@ -847,9 +914,11 @@ class TestRicciCertificate:
         assert res.method == "certificate"
         # the coordinate frames, then the eigenvector
         assert calls == {"random_frames": [], "cm_batch": [n, 1]}
-        assert res.evaluations == n + 1
-        assert res.lower_bound == np.linalg.eigvalsh(rd.ricci)[0]
-        assert abs(res.value - res.lower_bound) <= frames.TIE_TOL
+        # the polish starts at a critical point and stops after one evaluation
+        assert res.evaluations == n + 2
+        lam_min = np.linalg.eigvalsh(rd.ricci)[0]
+        assert res.lower_bound == pytest.approx(lam_min, rel=1e-13, abs=1e-13)
+        assert abs(res.value - res.lower_bound) <= unit_scale(rd)[1] * frames.TIE_TOL
 
     @pytest.mark.parametrize("rd", RICCI_CASES, ids=RICCI_IDS)
     def test_value_is_attained_and_no_sample_beats_it(self, rd):
@@ -865,25 +934,28 @@ class TestRicciCertificate:
                                                  (-2e-9, False), (2e-9, False)])
     def test_tie_rule_is_both_sided(self, monkeypatch, shift, certified):
         # shifting the evaluator moves the eigenvector's value `shift` off the
-        # eigenvalue; past TIE_TOL the sampled route runs as if this one were absent
+        # eigenvalue, on the tensor scaled to unit size; past TIE_TOL the
+        # sampled route runs as if this one were absent
         rd = random_curvature_tensor(5, np.random.default_rng(1305))
+        unit, scale = unit_scale(rd)
         exact = frames.cm_batch
         monkeypatch.setattr(frames, "cm_batch", lambda riemann, qs: exact(riemann, qs) + shift)
         res = cm_min(rd, 1, budget=500, seed=0)
+        lam_min = np.linalg.eigvalsh(rd.ricci)[0]
         assert (res.method == "certificate") == certified
+        assert res.lower_bound == pytest.approx(lam_min, rel=1e-13)
         if certified:
-            assert res.value == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0] + shift,
-                                              abs=1e-12)
-            assert res.evaluations == 6
+            assert res.value == pytest.approx(lam_min + scale * shift, abs=1e-12)
+            assert res.evaluations == 7
             # no coordinate subset ties, so the argmin is the eigenvector
-            assert_array_equal(res.argmin, np.linalg.eigh(rd.ricci)[1][:, :1])
+            assert eigenvector_alignment(res.argmin, rd.ricci) == pytest.approx(1.0, abs=1e-12)
             return
-        qs, vals, _, evals, _ = _descend(rd, slow_path_starts(rd, 1, 500, 0), MAX_ITER)
+        qs, vals, _, evals, _ = _descend(unit, slow_path_starts(unit, 1, 500, 0), MAX_ITER)
         best = int(np.argmin(vals))
         assert res.method == "projected-descent"
-        assert res.value == min(exact(rd, coordinate_frames(5, 1)).min() + shift, vals[best])
-        assert res.evaluations == 5 + 1 + 500 + int(evals.sum())
-        assert res.lower_bound == np.linalg.eigvalsh(rd.ricci)[0]
+        assert res.value == scale * min(exact(unit, coordinate_frames(5, 1)).min() + shift,
+                                        vals[best])
+        assert res.evaluations == 5 + 2 + 500 + int(evals.sum())
         assert_array_equal(res.argmin, qs[best])
         ky_fan_route(monkeypatch)
         sampled = cm_min(rd, 1, budget=500, seed=0)
@@ -892,76 +964,83 @@ class TestRicciCertificate:
 
 
 class TestRouteTable:
-    """`_lower_bound`: one route per m, each sound and at least the Ky Fan bound."""
+    """`_lower_bound`: one route at every m, between the Ky Fan bound and the minimum."""
 
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_routes_on_dense_tensors(self, monkeypatch, n):
-        calls = count_calls(monkeypatch, frames, ("_four_form_bound",))
+    def test_one_route_on_dense_tensors(self, monkeypatch, n):
         for m in range(1, n + 1):
             rd = random_curvature_tensor(n, np.random.default_rng(1500 + 10 * n + m))
-            calls["_four_form_bound"].clear()
-            bound, frame, evals = frames._lower_bound(rd, m)
-            four_form = n - m == 2 and n >= 4
-            assert len(calls["_four_form_bound"]) == int(four_form)
-            if m == 1:
-                assert bound == np.linalg.eigvalsh(rd.ricci)[0]
-                assert_array_equal(frame, np.linalg.eigh(rd.ricci)[1][:, :1])
-                assert evals == 0
-            elif four_form:
-                assert frame.shape == (n, m) and evals >= 1
-            else:
-                assert (bound, frame, evals) == (_operator_lower_bound(rd, m), None, 0)
-            coord_min = cm_batch(rd, coordinate_frames(n, m)).min()
-            assert bound >= _operator_lower_bound(rd, m) - 1e-9
-            assert bound <= coord_min + 1e-9
+            unit, scale = unit_scale(rd)
+            k = min(m, n - m)
+            eighs = count_calls(monkeypatch, np.linalg, ("eigh",))["eigh"]
+            bound, frame, evals = _lower_bound(unit, m)
+            monkeypatch.undo()
+            # cm_min runs the route on the tensor scaled to unit size
+            assert cm_min(rd, m, budget=200, seed=m).lower_bound == scale * bound
+            bound *= scale
+            assert frame.shape == (n, m) and evals >= 1
+            assert_allclose(frame.T @ frame, np.eye(m), atol=1e-12)
+            assert bound >= ky_fan_bound(rd, m) - 1e-9
+            assert bound <= cm_batch(rd, coordinate_frames(n, m)).min() + 1e-9
             assert bound <= cm_min_oracle(rd, m, seed=m) + 1e-9
-            if frame is not None:
-                assert bound <= cm_of_frame(rd, frame) + 1e-9
-            # cm_min reports the route's bound whatever the outcome
-            assert cm_min(rd, m, budget=200, seed=m).lower_bound == bound
+            assert bound <= cm_of_frame(rd, frame) + 1e-9
+            if k <= 1:
+                # no relations: one eigendecomposition and no ascent step
+                assert _plucker_tables(n, k).count == 0 and len(eighs) == 1
+                expected = np.linalg.eigvalsh(rd.ricci)[0] if m == 1 else 0.5 * rd.scalar
+                assert bound == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 class TestHomothety:
-    """C_m is linear in the tensor: scaling R by 2^k scales the bracket exactly."""
+    """C_m is linear in the tensor, and cm_min works at unit scale: 2^k R scales the result exactly."""
 
     @pytest.mark.parametrize("n", range(3, 9))
-    @pytest.mark.parametrize("k", [-8, 8])
-    def test_bracket_scales_with_the_tensor(self, n, k):
+    def test_bracket_scales_with_the_tensor(self, n):
         rd = random_curvature_tensor(n, np.random.default_rng(1600 + n))
-        scaled = RiemannData.from_components(2.0 ** k * rd.components)
-        for m in sorted({1, n - 2, n - 1}):
+        for m in range(1, n + 1):
             base = cm_min(rd, m, budget=500, seed=m)
-            res = cm_min(scaled, m, budget=500, seed=m)
-            assert res.method == base.method, f"m = {m}"
-            assert res.value == pytest.approx(2.0 ** k * base.value, rel=1e-12)
-            assert res.lower_bound == pytest.approx(2.0 ** k * base.lower_bound, rel=1e-12)
+            for k in (-500, -8, 8, 500, 511):
+                res = cm_min(RiemannData.from_components(2.0 ** k * rd.components), m,
+                             budget=500, seed=m)
+                assert res.method == base.method, f"m = {m}, k = {k}"
+                assert res.value == 2.0 ** k * base.value
+                assert res.lower_bound == 2.0 ** k * base.lower_bound
+                assert_array_equal(res.argmin, base.argmin)
+                assert res.evaluations == base.evaluations
+
+    def test_certifies_at_the_largest_scales(self):
+        # with an absolute tolerance the route did not close at 2^500, and at
+        # 2^511 the descent stopped 3% above the minimum when |g|^2 overflowed
+        rd = random_curvature_tensor(4, np.random.default_rng(3))
+        lam_min = np.linalg.eigvalsh(rd.ricci)[0]
+        for k in (500, 511):
+            res = cm_min(RiemannData.from_components(2.0 ** k * rd.components), 1)
+            assert res.method == "certificate"
+            assert res.value == pytest.approx(2.0 ** k * lam_min, rel=1e-12)
 
 
 FAMILY_GRID = [(lam, eps) for lam in (1.0, 4.0) for eps in (0.25, 0.5, 1.0, 2.0)]
 
 
 class TestCertificateOnTheFamily:
-    """The certificate against the sampled route on the warped-torus family.
+    """The certificate against the exact minimum on the warped-torus family.
 
-    The curvature operator is diagonal there with the five class values as
-    eigenvalues, and the construction's coordinate frame attains lambda, so
-    the bound decides exactly where no coordinate frame goes below lambda.
+    The curvature operator is diagonal there, so D_k(Ric) - R^[2] and R^[2]
+    are diagonal on coordinate k-vectors, and the route is exact at Q = 0.
     """
 
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
-    def test_certified_iff_coordinate_minimum_reaches_lambda(self, n, m):
-        decided = 0
+    def test_certified_at_every_radius(self, n, m):
         for lam, eps in FAMILY_GRID:
             metric = build_counterexample(n, m, lam, eps)
             for r in np.linspace(-10.0, 10.0, 121):
                 rd = riemann_exact(metric, float(r))
                 res = cm_min(rd, m, budget=1, seed=0)
-                certified = res.method == "certificate"
-                coord_min = np.min(cm_batch(rd, coordinate_frames(n, m)))
-                assert certified == (coord_min >= lam * (1 - 1e-6)), \
-                    f"lambda={lam} eps={eps} r={r}"
-                decided += certified
-        assert decided > 0
+                where = f"lambda={lam} eps={eps} r={r}"
+                assert res.method == "certificate", where
+                # TIE_TOL on the tensor scaled to unit size
+                tol = 1e-9 * unit_scale(rd)[1]
+                assert abs(res.value - cm_min_exact(metric, float(r))[0]) <= tol, where
 
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
     def test_sampling_and_descent_stay_above_certified_values(self, n, m):
