@@ -1,4 +1,5 @@
 """Tests for the partial curvature sum minimizer."""
+import functools
 import itertools
 import math
 import tracemalloc
@@ -796,24 +797,6 @@ class TestPluckerRoute:
             span = grassmannian_quadrics(n, k)
             assert (count, span) == ((719, 721) if (n, k) == (8, 4) else (span, span))
 
-    @pytest.mark.parametrize("n,m", DENSE_SHAPES)
-    def test_closes_without_sampling(self, monkeypatch, n, m):
-        # every DENSE_SHAPES draw of this module: the kernel cases' and the
-        # best-sample test's
-        calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
-        for seed in (n * 10 + m + 7, *(n * 10 + m + 4 + 100 * i for i in range(3))):
-            rd = random_curvature_tensor(n, np.random.default_rng(seed))
-            calls["cm_batch"].clear()
-            res = cm_min(rd, m, seed=seed)
-            assert res.method == "certificate"
-            # the coordinate subsets, then the polished witness
-            assert calls == {"random_frames": [], "cm_batch": [math.comb(n, m), 1]}
-            assert abs(res.value - res.lower_bound) <= unit_scale(rd)[1] * frames.TIE_TOL
-            assert res.lower_bound > ky_fan_bound(rd, m) + frames.TIE_TOL
-            assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value, abs=1e-9)
-            # no coordinate subset ties, so the argmin is the polished frame
-            assert cm_batch(rd, coordinate_frames(n, m)).min() > res.value + frames.TIE_TOL
-
     @pytest.mark.parametrize("n,m,seed", [(7, 5, 71), (7, 5, 91), (8, 4, 22), (8, 4, 52)])
     def test_closes_where_rescaling_at_every_pair_stalls(self, n, m, seed):
         # with gamma taken from the newest (s, y) pair instead of the first,
@@ -821,18 +804,118 @@ class TestPluckerRoute:
         res = cm_min(random_curvature_tensor(n, np.random.default_rng(seed)), m, budget=1)
         assert res.method == "certificate"
 
+
+def relation_matrices(n, k):
+    """The kept relations as symmetric matrices on the k-vectors, shape (count, size, size)."""
+    tables = _plucker_tables(n, k)
+    relation, weight, row, col = tables.relations
+    mats = np.zeros((tables.count, tables.size, tables.size))
+    np.add.at(mats, (relation, row, col), weight)
+    return mats
+
+
+def relation_bound(rd, m, shift):
+    """The bound on C_m that the quadric Q = `shift` gives, as `_lower_bound` forms it."""
+    k = min(m, rd.dim - m)
+    ricci, pairs = _operators(rd, k)
+    if k == m:
+        return -np.linalg.eigvalsh(pairs - ricci + shift)[-1]
+    return 0.5 * rd.scalar - np.linalg.eigvalsh(pairs + shift)[-1]
+
+
+def closing_draws(n):
+    """(m, seed) of every draw the closing tests take in dimension n.
+
+    m = n - 2 on seeds 700 + 10 n + i, and every DENSE_SHAPES draw of this
+    module: the kernel cases' and the best-sample test's.
+    """
+    draws = [(n - 2, 700 + 10 * n + i) for i in range(3)]
+    for m in (m for dn, m in DENSE_SHAPES if dn == n):
+        draws += [(m, n * 10 + m + 7), *((m, n * 10 + m + 4 + 100 * i) for i in range(3))]
+    return draws
+
+
+class TestFourFormCertificate:
+    """Thorpe's certificate, named for k = 2, where the Plücker relations are the 4-forms.
+
+    Any quadric Q vanishing on decomposable k-vectors keeps <(T + Q) xi, xi>
+    = C_m on the k-vector xi of a subspace, so lambda_min(T + Q) bounds C_m.
+    """
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_basis_has_zero_trace_on_every_subspace(self, n):
+        basis = relation_matrices(n, 2)
+        assert basis.shape == (math.comb(n, 4), math.comb(n, 2), math.comb(n, 2))
+        assert_array_equal(basis, basis.transpose(0, 2, 1))
+        rng = np.random.default_rng(n)
+        for k in range(1, n + 1):
+            q = haar_frame(n, k, rng.integers(1 << 30))
+            pairs = np.array([minors(q[:, [a, b]], 2)
+                              for a, b in itertools.combinations(range(k), 2)])
+            pairs = pairs.reshape(-1, basis.shape[1])
+            assert_allclose(pairs @ pairs.T, np.eye(len(pairs)), atol=1e-12)
+            traces = np.einsum("ta,sab,tb->s", pairs, basis, pairs)
+            assert_allclose(traces, 0.0, atol=1e-12)
+        # not zero on 2-vectors: e_0 ^ e_1 + e_2 ^ e_3 is not decomposable,
+        # and exactly one kept relation, that of {0, 1, 2, 3}, reads it
+        eye = np.eye(n)
+        kahler = minors(eye[:, [0, 1]], 2) + minors(eye[:, [2, 3]], 2)
+        values = np.einsum("a,sab,b->s", kahler, basis, kahler)
+        assert np.count_nonzero(values) == 1 and np.abs(values).max() == 1.0
+
     @pytest.mark.parametrize("n,m", DENSE_SHAPES)
-    def test_certified_value_matches_the_sampled_route(self, monkeypatch, n, m):
+    def test_bound_is_below_coordinates_and_oracle(self, n, m):
+        # the route's quadric, and random ones, give a sound bound
+        basis = relation_matrices(n, min(m, n - m))
+        for seed in range(3):
+            rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 200 * seed))
+            unit, scale = unit_scale(rd)
+            bound = scale * _lower_bound(unit, m)[0]
+            coord_min = cm_batch(rd, coordinate_frames(n, m)).min()
+            oracle = cm_min_oracle(rd, m, seed=seed)
+            for i in range(3):
+                noise = np.tensordot(np.random.default_rng(10 * seed + i).standard_normal(
+                    len(basis)), basis, 1)
+                low = relation_bound(rd, m, noise)
+                assert low <= coord_min + 1e-9 and low <= oracle + 1e-9
+            assert bound <= coord_min + 1e-9 and bound <= oracle + 1e-9
+            # the ascent starts at Q = 0 and only improves it, and is at
+            # least the Ky Fan bound
+            assert bound >= relation_bound(rd, m, 0.0) - 1e-9
+            assert bound >= ky_fan_bound(rd, m) - 1e-9
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_closes_without_sampling(self, monkeypatch, n):
+        calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
+        for m, seed in closing_draws(n):
+            rd = random_curvature_tensor(n, np.random.default_rng(seed))
+            calls["cm_batch"].clear()
+            res = cm_min(rd, m, seed=seed)
+            where = f"m = {m}, seed = {seed}"
+            assert res.method == "certificate", where
+            # the coordinate subsets, then the polished witness
+            assert calls == {"random_frames": [], "cm_batch": [math.comb(n, m), 1]}, where
+            assert abs(res.value - res.lower_bound) <= unit_scale(rd)[1] * frames.TIE_TOL
+            assert res.lower_bound > ky_fan_bound(rd, m) + frames.TIE_TOL, where
+            assert res.evaluations > math.comb(n, m)
+            assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value, abs=1e-9)
+            # no coordinate subset ties, so the argmin is the polished frame
+            assert cm_batch(rd, coordinate_frames(n, m)).min() > res.value + frames.TIE_TOL
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_certified_value_matches_the_sampled_route(self, monkeypatch, n):
         rd = random_curvature_tensor(n, np.random.default_rng(900 + n))
         unit, scale = unit_scale(rd)
-        certified = cm_min(rd, m, seed=n)
-        ky_fan_route(monkeypatch)
-        sampled = cm_min(rd, m, budget=100_000, seed=n)
-        assert certified.method == "certificate"
-        assert sampled.method in {"coordinate-enumeration", "projected-descent"}
-        assert abs(certified.value - sampled.value) <= scale * frames.TIE_TOL
-        assert sampled.lower_bound == scale * ky_fan_bound(unit, m)
-        assert certified.lower_bound >= sampled.lower_bound
+        for m in sorted({n - 2, *(m for dn, m in DENSE_SHAPES if dn == n)}):
+            certified = cm_min(rd, m, seed=n)
+            with monkeypatch.context() as patch:
+                ky_fan_route(patch)
+                sampled = cm_min(rd, m, budget=100_000, seed=n)
+            assert certified.method == "certificate", f"m = {m}"
+            assert sampled.method in {"coordinate-enumeration", "projected-descent"}
+            assert abs(certified.value - sampled.value) <= scale * frames.TIE_TOL
+            assert sampled.lower_bound == scale * ky_fan_bound(unit, m)
+            assert certified.lower_bound >= sampled.lower_bound
 
     def test_falls_back_bit_identically_where_it_does_not_close(self, monkeypatch):
         # on CP^4 at m = 3 the ascent stops at the bound 20, below the
@@ -862,12 +945,13 @@ class TestPluckerRoute:
         assert res.value == pytest.approx({4: 8.0, 6: 20.0}[n], abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_slow_path_in_dimension_three(self, monkeypatch, seed):
-        # at (3, 1) the route has no relations and takes the smallest Ricci
+    def test_no_four_forms_in_dimension_three(self, monkeypatch, seed):
+        # every 2-vector of R^3 is decomposable: no 4-form, and no relation
+        # at any k, so at (3, 1) the route takes the smallest Ricci
         # eigenvalue; with the route off, the slow path runs on the tensor
         # scaled to unit size as the reference replays it
         rd = random_curvature_tensor(3, np.random.default_rng(seed + 40))
-        assert _plucker_tables(3, 1).count == 0
+        assert [_plucker_tables(3, k).count for k in range(4)] == [0, 0, 0, 0]
         ricci = cm_min(rd, 1, budget=2000, seed=seed)
         assert ricci.method == "certificate"
         assert ricci.lower_bound == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0], rel=1e-13)
@@ -888,6 +972,7 @@ class TestPluckerRoute:
         # decomposable, so the Ky Fan bound is exact
         assert res.value == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0], abs=1e-9)
         assert res.lower_bound == pytest.approx(res.value, abs=1e-9)
+
 
 
 RICCI_CASES = ([random_curvature_tensor(n, np.random.default_rng(1300 + n)) for n in range(3, 9)]
@@ -967,7 +1052,7 @@ class TestRouteTable:
     """`_lower_bound`: one route at every m, between the Ky Fan bound and the minimum."""
 
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_one_route_on_dense_tensors(self, monkeypatch, n):
+    def test_routes_on_dense_tensors(self, monkeypatch, n):
         for m in range(1, n + 1):
             rd = random_curvature_tensor(n, np.random.default_rng(1500 + 10 * n + m))
             unit, scale = unit_scale(rd)
@@ -991,22 +1076,28 @@ class TestRouteTable:
                 assert bound == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
+@functools.lru_cache(maxsize=None)
+def homothety_base(n):
+    """cm_min at every m of the unscaled tensor that TestHomothety scales."""
+    rd = random_curvature_tensor(n, np.random.default_rng(1600 + n))
+    return tuple(cm_min(rd, m, budget=500, seed=m) for m in range(1, n + 1))
+
+
 class TestHomothety:
     """C_m is linear in the tensor, and cm_min works at unit scale: 2^k R scales the result exactly."""
 
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_bracket_scales_with_the_tensor(self, n):
+    @pytest.mark.parametrize("k", [-500, -8, 8, 500, 511])
+    def test_bracket_scales_with_the_tensor(self, n, k):
         rd = random_curvature_tensor(n, np.random.default_rng(1600 + n))
-        for m in range(1, n + 1):
-            base = cm_min(rd, m, budget=500, seed=m)
-            for k in (-500, -8, 8, 500, 511):
-                res = cm_min(RiemannData.from_components(2.0 ** k * rd.components), m,
-                             budget=500, seed=m)
-                assert res.method == base.method, f"m = {m}, k = {k}"
-                assert res.value == 2.0 ** k * base.value
-                assert res.lower_bound == 2.0 ** k * base.lower_bound
-                assert_array_equal(res.argmin, base.argmin)
-                assert res.evaluations == base.evaluations
+        scaled = RiemannData.from_components(2.0 ** k * rd.components)
+        for m, base in enumerate(homothety_base(n), start=1):
+            res = cm_min(scaled, m, budget=500, seed=m)
+            assert res.method == base.method, f"m = {m}"
+            assert res.value == 2.0 ** k * base.value
+            assert res.lower_bound == 2.0 ** k * base.lower_bound
+            assert_array_equal(res.argmin, base.argmin)
+            assert res.evaluations == base.evaluations
 
     def test_certifies_at_the_largest_scales(self):
         # with an absolute tolerance the route did not close at 2^500, and at
@@ -1030,7 +1121,10 @@ class TestCertificateOnTheFamily:
     """
 
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
-    def test_certified_at_every_radius(self, n, m):
+    def test_certified_iff_coordinate_minimum_reaches_lambda(self, n, m):
+        # the route closes at every radius, so the certified value reaches
+        # lambda exactly where the coordinate minimum does
+        reached = 0
         for lam, eps in FAMILY_GRID:
             metric = build_counterexample(n, m, lam, eps)
             for r in np.linspace(-10.0, 10.0, 121):
@@ -1041,6 +1135,10 @@ class TestCertificateOnTheFamily:
                 # TIE_TOL on the tensor scaled to unit size
                 tol = 1e-9 * unit_scale(rd)[1]
                 assert abs(res.value - cm_min_exact(metric, float(r))[0]) <= tol, where
+                coord_min = np.min(cm_batch(rd, coordinate_frames(n, m)))
+                assert (res.value >= lam * (1 - 1e-6)) == (coord_min >= lam * (1 - 1e-6)), where
+                reached += coord_min >= lam * (1 - 1e-6)
+        assert reached > 0
 
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
     def test_sampling_and_descent_stay_above_certified_values(self, n, m):
