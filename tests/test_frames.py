@@ -34,6 +34,7 @@ from curvlab.frames import (
     _plucker_tables,
     _smallest,
     _symmetric_form,
+    _unit_scale,
     cm_batch,
     cm_min,
     cm_min_oracle,
@@ -85,17 +86,6 @@ def ky_fan_route(monkeypatch):
     """
     monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (
         ky_fan_bound(riemann, m), coordinate_frame(riemann.dim, tuple(range(m))), 0))
-
-
-def unit_scale(rd):
-    """(rd / s, s) for the power of two s with max |Rm| / s in [1, 2), 1 for zero.
-
-    `cm_min` runs every phase on this tensor, so the slow path is replayed
-    on it to compare bit for bit.
-    """
-    peak = float(np.max(np.abs(rd.components)))
-    s = 2.0 ** (np.frexp(peak)[1] - 1) if peak else 1.0
-    return RiemannData(rd.dim, rd.components / s, rd.ricci / s, rd.scalar / s), s
 
 
 def qr_reference(a):
@@ -370,8 +360,11 @@ class TestDescent:
         assert_allclose(q[0], q0, atol=1e-14)
         assert vals[0] == pytest.approx(cm_of_frame(rd, q0), rel=1e-14)
         assert full.method == "coordinate-enumeration"
-        assert abs(full.value - cm_min_exact(metric, 10.0)[0]) <= 1e-9 * unit_scale(rd)[1]
-        assert full.evaluations > 6 + 1 + 5000 + 9
+        unit, scale = _unit_scale(rd)
+        assert abs(full.value - cm_min_exact(metric, 10.0)[0]) <= 1e-9 * scale
+        # coordinate subsets, the patched route's frame, the samples, the descent
+        _, _, _, unit_evals, _ = _descend(unit, slow_path_starts(unit, 1, 5000, 1), MAX_ITER)
+        assert full.evaluations == 6 + 1 + 5000 + int(unit_evals.sum())
 
     def test_max_iter_zero_skips_descent(self):
         rd = random_curvature_tensor(5, np.random.default_rng(6))
@@ -721,7 +714,7 @@ def minors(q, k):
     """
     subsets = sorted(itertools.combinations(range(q.shape[0]), k),
                      key=lambda s: sum(1 << i for i in s))
-    return np.array([np.linalg.det(q[list(s)]) for s in subsets])
+    return np.linalg.det(q[np.array(subsets, dtype=np.intp).reshape(len(subsets), k)])
 
 
 def relation_rows(n, k):
@@ -786,6 +779,20 @@ class TestPluckerRoute:
             shift = np.zeros((tables.size, tables.size))
             np.add.at(shift, (row, col), weight * rng.standard_normal(tables.count)[relation])
             assert_array_equal(shift, shift.T)
+
+    def test_tables_build_without_numpy_2(self, monkeypatch):
+        # the package supports numpy 1.24, which has no np.bitwise_count
+        masks = np.arange(1 << 10)
+        assert_array_equal(frames._popcount(masks), [bin(x).count("1") for x in range(1 << 10)])
+        cached = _plucker_tables(8, 4)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        built = _plucker_tables.__wrapped__(8, 4)
+        for got, want in zip(built, cached):
+            if isinstance(got, tuple):
+                for a, b in zip(got, want):
+                    assert_array_equal(a, b)
+            else:
+                assert got == want
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_kept_relations_are_independent(self, n):
@@ -869,7 +876,7 @@ class TestFourFormCertificate:
         basis = relation_matrices(n, min(m, n - m))
         for seed in range(3):
             rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 200 * seed))
-            unit, scale = unit_scale(rd)
+            unit, scale = _unit_scale(rd)
             bound = scale * _lower_bound(unit, m)[0]
             coord_min = cm_batch(rd, coordinate_frames(n, m)).min()
             oracle = cm_min_oracle(rd, m, seed=seed)
@@ -895,7 +902,7 @@ class TestFourFormCertificate:
             assert res.method == "certificate", where
             # the coordinate subsets, then the polished witness
             assert calls == {"random_frames": [], "cm_batch": [math.comb(n, m), 1]}, where
-            assert abs(res.value - res.lower_bound) <= unit_scale(rd)[1] * frames.TIE_TOL
+            assert abs(res.value - res.lower_bound) <= _unit_scale(rd)[1] * frames.TIE_TOL
             assert res.lower_bound > ky_fan_bound(rd, m) + frames.TIE_TOL, where
             assert res.evaluations > math.comb(n, m)
             assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value, abs=1e-9)
@@ -905,7 +912,7 @@ class TestFourFormCertificate:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_certified_value_matches_the_sampled_route(self, monkeypatch, n):
         rd = random_curvature_tensor(n, np.random.default_rng(900 + n))
-        unit, scale = unit_scale(rd)
+        unit, scale = _unit_scale(rd)
         for m in sorted({n - 2, *(m for dn, m in DENSE_SHAPES if dn == n)}):
             certified = cm_min(rd, m, seed=n)
             with monkeypatch.context() as patch:
@@ -922,7 +929,7 @@ class TestFourFormCertificate:
         # coordinate minimum 24, so the sampled route runs as if the route
         # were absent; only the bound and the route's evaluations stay behind
         rd = fubini_study_riemann(8)
-        unit, scale = unit_scale(rd)
+        unit, scale = _unit_scale(rd)
         bound, frame, polish_evals = _lower_bound(unit, 3)
         assert scale * bound == pytest.approx(20.0, abs=1e-9)
         assert min(24.0, scale * cm_batch(unit, frame[None])[0]) > scale * bound + 1.0
@@ -957,7 +964,7 @@ class TestFourFormCertificate:
         assert ricci.lower_bound == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0], rel=1e-13)
         ky_fan_route(monkeypatch)
         res = cm_min(rd, 1, budget=2000, seed=seed)
-        unit, scale = unit_scale(rd)
+        unit, scale = _unit_scale(rd)
         starts = slow_path_starts(unit, 1, 2000, seed)
         qs, vals, _, evals, _ = _descend(unit, starts, MAX_ITER)
         coord_vals = cm_batch(unit, coordinate_frames(3, 1))
@@ -1003,7 +1010,7 @@ class TestRicciCertificate:
         assert res.evaluations == n + 2
         lam_min = np.linalg.eigvalsh(rd.ricci)[0]
         assert res.lower_bound == pytest.approx(lam_min, rel=1e-13, abs=1e-13)
-        assert abs(res.value - res.lower_bound) <= unit_scale(rd)[1] * frames.TIE_TOL
+        assert abs(res.value - res.lower_bound) <= _unit_scale(rd)[1] * frames.TIE_TOL
 
     @pytest.mark.parametrize("rd", RICCI_CASES, ids=RICCI_IDS)
     def test_value_is_attained_and_no_sample_beats_it(self, rd):
@@ -1022,7 +1029,7 @@ class TestRicciCertificate:
         # eigenvalue, on the tensor scaled to unit size; past TIE_TOL the
         # sampled route runs as if this one were absent
         rd = random_curvature_tensor(5, np.random.default_rng(1305))
-        unit, scale = unit_scale(rd)
+        unit, scale = _unit_scale(rd)
         exact = frames.cm_batch
         monkeypatch.setattr(frames, "cm_batch", lambda riemann, qs: exact(riemann, qs) + shift)
         res = cm_min(rd, 1, budget=500, seed=0)
@@ -1055,7 +1062,7 @@ class TestRouteTable:
     def test_routes_on_dense_tensors(self, monkeypatch, n):
         for m in range(1, n + 1):
             rd = random_curvature_tensor(n, np.random.default_rng(1500 + 10 * n + m))
-            unit, scale = unit_scale(rd)
+            unit, scale = _unit_scale(rd)
             k = min(m, n - m)
             eighs = count_calls(monkeypatch, np.linalg, ("eigh",))["eigh"]
             bound, frame, evals = _lower_bound(unit, m)
@@ -1133,7 +1140,7 @@ class TestCertificateOnTheFamily:
                 where = f"lambda={lam} eps={eps} r={r}"
                 assert res.method == "certificate", where
                 # TIE_TOL on the tensor scaled to unit size
-                tol = 1e-9 * unit_scale(rd)[1]
+                tol = 1e-9 * _unit_scale(rd)[1]
                 assert abs(res.value - cm_min_exact(metric, float(r))[0]) <= tol, where
                 coord_min = np.min(cm_batch(rd, coordinate_frames(n, m)))
                 assert (res.value >= lam * (1 - 1e-6)) == (coord_min >= lam * (1 - 1e-6)), where
