@@ -58,15 +58,15 @@ route's bound meets the best frame it has scored (its docstring states the
 closure rule, the scale normalization and how evaluations are counted).
 
 Otherwise projected gradient descent on the Stiefel manifold runs from
-the best coordinate frame and the best of a chunked random sample, each
-chunk's best found by partial selection.  Sampling only picks starts and
-descent only accepts decreases, so the outcome is "coordinate-enumeration"
-when a coordinate subset ties the best value, else "projected-descent".
-The descent runs in lockstep over the stack of starts: every frame keeps
-its own step size and Armijo test, frames still backtracking stay pending,
+two starts: the best coordinate frame and the route's frame.  Descent
+only accepts decreases, so the outcome is "coordinate-enumeration" when a
+coordinate subset ties the best value, else "projected-descent".  The
+descent runs in lockstep over the stack of starts: every frame keeps its
+own step size and Armijo test, frames still backtracking stay pending,
 and a frame leaves the stack when it stops, so each start follows the
-path it would follow alone (up to rounding).
-Results are bitwise reproducible for a fixed seed and budget.
+path it would follow alone (up to rounding).  `cm_min` samples no frame,
+so its results are bitwise reproducible with no seed; only the oracle
+samples.
 
 Step rule (Barzilai-Borwein steps on the Stiefel manifold, as in Wen and
 Yin 2013): the first trial step is 1/(1 + |G|) for the tangent gradient G.
@@ -111,7 +111,6 @@ ARMIJO = 1e-4
 STEP_TOL = 1e-10
 HALVINGS = 60
 MAX_ITER = 500      # descent iterations per start
-DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
 ORACLE_SAMPLES = 20_000  # frames cm_min_oracle draws
 ORACLE_SLICE = 512       # frames the oracle contracts at a time
 ASCENT_ITER = 200   # quasi-Newton iterations of the Plücker ascent
@@ -372,9 +371,12 @@ def random_frames(n: int, m: int, count: int, rng: np.random.Generator) -> np.nd
 class CmResult:
     """Outcome of a C_m minimization: the bracket [lower_bound, value].
 
-    `value` is the smallest value seen anywhere; `argmin` is a frame
-    achieving it to within the tie tolerance, with coordinate frames
-    preferred when they tie.  `lower_bound` is the bound of the route that
+    `value` is the smallest value `cm_min` scored: the coordinate frames,
+    the route's frame and, where the route does not close, the descent
+    from the best of the first and from the second; no frame is sampled.
+    `evaluations` counts those scores.  `argmin` is a frame achieving
+    `value` to within the tie tolerance, with coordinate frames preferred
+    when they tie.  `lower_bound` is the bound of the route that
     `cm_min` takes at this m (see the module docstring); no frame goes
     below it.  `method` names the outcome: "certificate" when the bound
     proves the minimum at `argmin`, otherwise "coordinate-enumeration"
@@ -650,51 +652,13 @@ def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
     return offset - top_value, polished[0], int(evals[0])
 
 
-def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest values, exactly the prefix of a stable argsort.
-
-    A partition finds the k-th smallest value; only the values not above it
-    are sorted.  NaN is never below it, and when the k-th value is itself
-    NaN every value takes part, so NaNs sort last in index order as well.
-    """
-    if len(vals) <= k:
-        return np.argsort(vals, kind="stable")
-    kth = np.partition(vals, k - 1)[k - 1]
-    kept = np.flatnonzero(~(vals > kth))
-    return kept[np.argsort(vals[kept], kind="stable")[:k]]
-
-
-def _best_samples(riemann: RiemannData, m: int, budget: int, seed: int) -> np.ndarray:
-    """The DESCENT_STARTS best of `budget` Haar frames, best first.
-
-    Frames are drawn in chunks of SAMPLE_CHUNK, each from a fresh PCG64
-    generator seeded with seed + chunk_index, so the stream is independent
-    of chunk size bookkeeping.  Each chunk's best frames are copied out,
-    so the chunk is freed after its turn; ties keep drawing order.
-    `random_frames` and `cm_batch` are looked up as module globals on
-    every chunk, so that wrappers installed on the module see each call.
-    """
-    kept_vals, kept_frames = [], []
-    remaining = int(budget)
-    chunk_index = 0
-    while remaining > 0:
-        count = min(SAMPLE_CHUNK, remaining)
-        rng = np.random.Generator(np.random.PCG64(seed + chunk_index))
-        frames = random_frames(riemann.dim, m, count, rng)
-        vals = cm_batch(riemann, frames)
-        best = _smallest(vals, DESCENT_STARTS)
-        # fancy indexing copies, so that each chunk is freed after its turn
-        kept_vals.append(vals[best])
-        kept_frames.append(frames[best])
-        remaining -= count
-        chunk_index += 1
-    best = _smallest(np.concatenate(kept_vals), DESCENT_STARTS)
-    return np.concatenate(kept_frames)[best]
-
-
-def _check_m(n: int, m: int) -> None:
+def _check_input(riemann: RiemannData, m: int) -> None:
+    """The checks both minimizers make: 1 <= m <= n and finite components."""
+    n = riemann.dim
     if not 1 <= m <= n:
         raise ValueError(f"require 1 <= m <= {n}, got m = {m}")
+    if not np.isfinite(riemann.components).all():
+        raise ValueError("curvature components are not finite")
 
 
 def _unit_scale(riemann: RiemannData) -> tuple[RiemannData, float]:
@@ -711,7 +675,7 @@ def _unit_scale(riemann: RiemannData) -> tuple[RiemannData, float]:
 
 def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
            seed: int = 0) -> CmResult:
-    """Minimize C_m over m-frames: certificate, else enumeration and sampled descent.
+    """Minimize C_m over m-frames: certificate, else enumeration and descent.
 
     Everything runs on R/s, where s = 2^floor(log2 max|Rm|) (1 for the
     zero tensor) scales the tensor, its Ricci tensor and its scalar
@@ -723,15 +687,16 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     which is scored once; the value is the smaller of the coordinate
     minimum and that score.  When value and bound agree within TIE_TOL on
     both sides, the minimum is proven, with method "certificate".
-    Otherwise `budget` Haar frames are sampled (see `_best_samples`) and
-    descent runs in lockstep from the best coordinate frame and the
-    DESCENT_STARTS best samples; the route's frame is not kept.
+    Otherwise descent runs in lockstep from the best coordinate frame and
+    the route's frame, for at most MAX_ITER iterations each.
     `lower_bound` is the route's bound on every path, and `evaluations`
     counts what ran: C(n, m), the route's evaluations, one for the score,
-    and the samples and descent when they run.
+    and the descent's when it runs.
     On every path, when a coordinate subset comes within TIE_TOL of the
     best value found, the lexicographically first such subset is reported
     as the argmin.
+    No frame is sampled, so nothing reads `budget` or `seed`; they are
+    kept for callers that pass them, and `budget` < 1 still raises.
     Cost grows quickly with n: the route runs `eigh` on C(n, k) x C(n, k)
     matrices, up to ASCENT_ITER ascent steps, and its tables, built once
     per (n, k), hold 2^n masks and C(n, k - 1) C(n, k + 1) n relation
@@ -740,13 +705,11 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     whose tables take about 40 ms and 19 MB at peak to build.  n = 10 is
     the largest size measured; the benchmark and the tests stop at n = 8.
     """
-    n = riemann.dim
-    _check_m(n, m)
+    _check_input(riemann, m)
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if not np.isfinite(riemann.components).all():
-        raise ValueError("curvature components are not finite")
     riemann, scale = _unit_scale(riemann)
+    n = riemann.dim
 
     # coordinate subsets, in lexicographic order
     subsets = np.array(list(itertools.combinations(range(n), m)))
@@ -763,11 +726,10 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     if abs(best_value - lower) <= TIE_TOL:
         method = "certificate"
     else:
-        # lockstep descent from the best coordinate frame and the best samples
-        starts = np.concatenate([coord_qs[coord_best][None],
-                                 _best_samples(riemann, m, budget, seed)])
+        # lockstep descent from the best coordinate frame and the route's frame
+        starts = np.stack([coord_qs[coord_best], best_frame])
         desc_qs, desc_vals, _, evals, _ = _descend(riemann, starts, MAX_ITER)
-        evaluations += int(budget) + int(evals.sum())
+        evaluations += int(evals.sum())
         desc_best = int(np.argmin(np.where(np.isnan(desc_vals), np.inf, desc_vals)))
         best_value = float(min(upper, desc_vals[desc_best]))
         best_frame, method = desc_qs[desc_best], "projected-descent"
@@ -799,15 +761,16 @@ def _oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
 def cm_min_oracle(riemann: RiemannData, m: int, seed: int = 0) -> float:
     """Pure-sampling baseline: min over ORACLE_SAMPLES random frames, no descent.
 
-    It shares the Gram-Schmidt kernel of `random_frames` with `cm_min`, but
-    not its frames: it draws from the first child of SeedSequence(seed),
-    a stream that none of `cm_min`'s chunk generators PCG64(seed + chunk)
-    reproduces.  Values come from `_oracle_values`, a contraction of the
-    raw 4-tensor with full projections, so they share no arithmetic with
-    the symmetric form of `cm_batch` and the descent.
+    `cm_min` samples nothing, so the oracle shares only the Gram-Schmidt
+    kernel with it, through `random_frames`.  It draws from the first
+    child of SeedSequence(seed), so its frames differ from those of any
+    generator seeded with an integer, such as PCG64(seed + j).  Values
+    come from `_oracle_values`, a contraction of the raw 4-tensor with
+    full projections, so they share no arithmetic with the symmetric form
+    of `cm_batch` and the descent.  It checks its input as `cm_min` does.
     """
+    _check_input(riemann, m)
     n = riemann.dim
-    _check_m(n, m)
     best = np.inf
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     remaining = ORACLE_SAMPLES

@@ -7,17 +7,24 @@ projection form, and `oracle_values` is the one-pass 3-operand contraction
 the sampling oracle once used.  None of them shares arithmetic with the
 library's evaluation kernels.  `ky_fan_bound` is the eigenvalue bound that
 `cm_min` took at most m before its Plücker route, which must stay at or
-above it.  `count_calls` records the calls that go through module
+above it.  `sampled_search` is the sampled start search that `cm_min`'s
+fallback must never lose to: descent from the best coordinate frame and
+the DESCENT_STARTS best of a seeded Haar sample (`best_samples`).
+`count_calls` records the calls that go through module
 functions, the way the benchmark's tracer sees them.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from curvlab import frames
 from curvlab.curvature import RiemannData
-from curvlab.frames import stiefel_retract
+from curvlab.frames import MAX_ITER, SAMPLE_CHUNK, _descend, _unit_scale, stiefel_retract
+
+DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
 
 
 def complete_frame(q: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
@@ -119,3 +126,72 @@ def ky_fan_bound(riemann: RiemannData, m: int) -> float:
     n = riemann.dim
     count = math.comb(n, 2) - math.comb(n - m, 2)
     return float(np.sum(np.linalg.eigvalsh(curvature_operator(riemann))[:count]))
+
+
+def coordinate_frames(n: int, m: int) -> np.ndarray:
+    """The coordinate m-frames of R^n, subsets in lexicographic order, shape (C(n, m), n, m)."""
+    return np.stack([frames.coordinate_frame(n, s)
+                     for s in itertools.combinations(range(n), m)])
+
+
+def smallest(vals: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest values, exactly the prefix of a stable argsort.
+
+    A partition finds the k-th smallest value; only the values not above it
+    are sorted.  NaN is never below it, and when the k-th value is itself
+    NaN every value takes part, so NaNs sort last in index order as well.
+    """
+    if len(vals) <= k:
+        return np.argsort(vals, kind="stable")
+    kth = np.partition(vals, k - 1)[k - 1]
+    kept = np.flatnonzero(~(vals > kth))
+    return kept[np.argsort(vals[kept], kind="stable")[:k]]
+
+
+def best_samples(riemann: RiemannData, m: int, budget: int, seed: int) -> np.ndarray:
+    """The DESCENT_STARTS best of `budget` Haar frames, best first.
+
+    Frames are drawn in chunks of SAMPLE_CHUNK, each from a fresh PCG64
+    generator seeded with seed + chunk_index, so the stream is independent
+    of chunk size bookkeeping.  Each chunk's best frames are copied out,
+    so the chunk is freed after its turn; ties keep drawing order.
+    `random_frames` and `cm_batch` are looked up on `curvlab.frames` on
+    every chunk, so that wrappers installed on the module see each call.
+    """
+    kept_vals, kept_frames = [], []
+    remaining = int(budget)
+    chunk_index = 0
+    while remaining > 0:
+        count = min(SAMPLE_CHUNK, remaining)
+        rng = np.random.Generator(np.random.PCG64(seed + chunk_index))
+        drawn = frames.random_frames(riemann.dim, m, count, rng)
+        vals = frames.cm_batch(riemann, drawn)
+        best = smallest(vals, DESCENT_STARTS)
+        # fancy indexing copies, so that each chunk is freed after its turn
+        kept_vals.append(vals[best])
+        kept_frames.append(drawn[best])
+        remaining -= count
+        chunk_index += 1
+    best = smallest(np.concatenate(kept_vals), DESCENT_STARTS)
+    return np.concatenate(kept_frames)[best]
+
+
+def slow_path_starts(riemann: RiemannData, m: int, budget: int, seed: int) -> np.ndarray:
+    """The starts of `sampled_search`: the best coordinate frame (the first on
+    ties), then the best samples of `best_samples` in its order."""
+    coords = coordinate_frames(riemann.dim, m)
+    best = coords[np.argmin(frames.cm_batch(riemann, coords))]
+    return np.concatenate([best[None], best_samples(riemann, m, budget, seed)])
+
+
+def sampled_search(riemann: RiemannData, m: int, budget: int, seed: int) -> float:
+    """The smallest C_m that the sampled search finds: the coordinate minimum,
+    or lower where descent from `slow_path_starts` gets there.
+
+    Like `cm_min`, it runs on the tensor scaled to unit size and scales the
+    value back.
+    """
+    unit, scale = _unit_scale(riemann)
+    coord_min = float(frames.cm_batch(unit, coordinate_frames(unit.dim, m)).min())
+    vals = _descend(unit, slow_path_starts(unit, m, budget, seed), MAX_ITER)[1]
+    return scale * min(coord_min, float(np.where(np.isnan(vals), np.inf, vals).min()))

@@ -40,6 +40,7 @@ from construction_references import (
     radial_laplacian,
 )
 from curvature_references import constant_profile, laplacian_fd
+from frame_references import sampled_search
 
 LAMBDAS = (0.5, 1.0, 2.0)
 
@@ -506,7 +507,9 @@ class TestClassCounts:
 
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
     def test_sampled_minimizer_never_beats_the_exact_minimum(self, monkeypatch, n, m):
-        # with no route bound to close on, cm_min samples and descends
+        # the reference sampled search, and cm_min with no route bound to
+        # close on, which descends from the best coordinate frame and the
+        # route's frame
         monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (
             -np.inf, coordinate_frame(riemann.dim, tuple(range(m))), 0))
         rng = np.random.default_rng(n * 10 + m)
@@ -514,9 +517,12 @@ class TestClassCounts:
             metric = build_counterexample(n, m, 1.0, eps)
             for r in rng.uniform(-3.0, 3.0, 2):
                 exact = cm_min_exact(metric, r)[0]
-                res = frames.cm_min(riemann_exact(metric, r), m, budget=2000, seed=1)
+                rd = riemann_exact(metric, r)
+                res = frames.cm_min(rd, m)
                 assert res.method != "certificate"
                 assert exact - 1e-9 <= res.value <= exact + 1e-9, (eps, r)
+                sampled = sampled_search(rd, m, 2000, seed=1)
+                assert exact - 1e-9 <= sampled <= exact + 1e-9, (eps, r)
 
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
     def test_worst_frame_carries_the_worst_value(self, n, m):

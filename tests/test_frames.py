@@ -20,11 +20,9 @@ from curvlab.curvature import (
     riemann_exact,
 )
 from curvlab.frames import (
-    DESCENT_STARTS,
     MAX_ITER,
     ORACLE_SLICE,
     SAMPLE_CHUNK,
-    _best_samples,
     _contraction,
     _descend,
     _evaluate,
@@ -32,7 +30,6 @@ from curvlab.frames import (
     _operators,
     _oracle_values,
     _plucker_tables,
-    _smallest,
     _symmetric_form,
     _unit_scale,
     cm_batch,
@@ -47,12 +44,18 @@ from curvlab.frames import (
 )
 from curvature_references import constant_curvature_riemann, fubini_study_riemann
 from frame_references import (
+    DESCENT_STARTS,
+    best_samples,
     cm_double_sum,
     cm_gradient,
     complete_frame,
+    coordinate_frames,
     count_calls,
     ky_fan_bound,
     oracle_values,
+    sampled_search,
+    slow_path_starts,
+    smallest,
 )
 
 
@@ -81,8 +84,9 @@ def haar_frame(n, m, seed):
 def ky_fan_route(monkeypatch):
     """Replace the route by the Ky Fan bound and the first coordinate frame.
 
-    That frame's score never beats the coordinate minimum, so `cm_min`
-    searches as if it had no route, with one more evaluation.
+    That frame's score never beats the coordinate minimum, so where the
+    bound does not close `cm_min` descends from the best coordinate frame
+    and that one.
     """
     monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (
         ky_fan_bound(riemann, m), coordinate_frame(riemann.dim, tuple(range(m))), 0))
@@ -153,19 +157,13 @@ def projection(q):
     return q @ q.T
 
 
-def coordinate_frames(n, m):
-    return np.stack([coordinate_frame(n, s) for s in itertools.combinations(range(n), m)])
+def fallback_starts(riemann, m, route_frame):
+    """The starts `cm_min` descends from when its route does not close.
 
-
-def slow_path_starts(riemann, m, budget, seed):
-    """The starts `cm_min` descends from when its certificate does not decide.
-
-    The best coordinate frame (the first on ties), then the best samples of
-    `_best_samples` in its order.
+    The best coordinate frame (the first on ties), then the route's frame.
     """
     coords = coordinate_frames(riemann.dim, m)
-    best = coords[np.argmin(cm_batch(riemann, coords))]
-    return np.concatenate([best[None], _best_samples(riemann, m, budget, seed)])
+    return np.stack([coords[np.argmin(cm_batch(riemann, coords))], route_frame])
 
 
 class TestEvaluation:
@@ -257,7 +255,7 @@ class TestSymmetricForm:
 
 
 class TestSelection:
-    """Partial selection returns exactly the prefix of a stable argsort."""
+    """The reference sampler's partial selection is exactly the prefix of a stable argsort."""
 
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 100, 4096])
     def test_prefix_with_ties_and_non_finite_values(self, size):
@@ -268,7 +266,7 @@ class TestSelection:
                 vals[rng.integers(0, size, max(1, size // 3))] = np.nan
             if trial % 5 == 0:
                 vals[rng.integers(0, size)] = -np.inf
-            assert_array_equal(_smallest(vals, DESCENT_STARTS),
+            assert_array_equal(smallest(vals, DESCENT_STARTS),
                                np.argsort(vals, kind="stable")[:DESCENT_STARTS])
 
     @pytest.mark.parametrize("budget", [1, 7, 5000, 2 * SAMPLE_CHUNK + 3])
@@ -279,7 +277,7 @@ class TestSelection:
         exact = frames.cm_batch
         monkeypatch.setattr(frames, "cm_batch",
                             lambda riemann, qs: np.round(exact(riemann, qs)))
-        best = _best_samples(rd, 3, budget, 40)
+        best = best_samples(rd, 3, budget, 40)
         drawn = np.concatenate([
             random_frames(6, 3, min(SAMPLE_CHUNK, budget - start),
                           np.random.Generator(np.random.PCG64(40 + chunk)))
@@ -352,8 +350,8 @@ class TestDescent:
             warnings.simplefilter("error", RuntimeWarning)
             q, vals, iters, evals, converged = _descend(rd, q0[None], MAX_ITER)
             # cm_min descends on the tensor scaled to unit size, where nothing
-            # overflows: with no bound to close on, C_1 takes the slow path
-            # and finds the exact minimum
+            # overflows: with no bound to close on, C_1 descends and finds
+            # the exact minimum
             full = cm_min(rd, 1, budget=5000, seed=1)
         assert not converged[0]
         assert (iters[0], evals[0]) == (1, 1)
@@ -362,9 +360,11 @@ class TestDescent:
         assert full.method == "coordinate-enumeration"
         unit, scale = _unit_scale(rd)
         assert abs(full.value - cm_min_exact(metric, 10.0)[0]) <= 1e-9 * scale
-        # coordinate subsets, the patched route's frame, the samples, the descent
-        _, _, _, unit_evals, _ = _descend(unit, slow_path_starts(unit, 1, 5000, 1), MAX_ITER)
-        assert full.evaluations == 6 + 1 + 5000 + int(unit_evals.sum())
+        # coordinate subsets, the patched route's frame, the descent from the
+        # best coordinate frame and that frame
+        starts = fallback_starts(unit, 1, coordinate_frame(6, (0,)))
+        _, _, _, unit_evals, _ = _descend(unit, starts, MAX_ITER)
+        assert full.evaluations == 6 + 1 + int(unit_evals.sum())
 
     def test_max_iter_zero_skips_descent(self):
         rd = random_curvature_tensor(5, np.random.default_rng(6))
@@ -462,10 +462,10 @@ class TestLockstepDescent:
 
 
 class TestDescentWork:
-    """Sampling and descent on construction tensors, as the slow path runs them.
+    """Sampling and descent on construction tensors, as the sampled search runs them.
 
-    The certificate decides these tensors, so `cm_min` no longer samples or
-    descends there; the tests run the two phases directly.
+    The certificate decides these tensors, and `cm_min` samples nothing;
+    the tests run the reference sampler and the descent directly.
     """
 
     def test_descent_evaluations_on_construction_tensors(self):
@@ -596,7 +596,7 @@ class TestMinimizer:
             rng = np.random.default_rng(n * 10 + m + 4 + 100 * seed)
             rd = random_curvature_tensor(n, rng)
             res = cm_min(rd, m, budget=2000, seed=seed)
-            best_sample = cm_batch(rd, _best_samples(rd, m, 2000, seed)[:1])[0]
+            best_sample = cm_batch(rd, best_samples(rd, m, 2000, seed)[:1])[0]
             assert res.value <= best_sample + 1e-12 * max(1.0, abs(res.value))
 
     def test_argmin_attains_value(self):
@@ -618,10 +618,16 @@ class TestMinimizer:
         assert np.array_equal(a.argmin, b.argmin)
 
     def test_evaluation_budget_accounted(self):
-        # CP^4 at m = 3, where the route's bound 20 stays below the minimum 24
-        res = cm_min(fubini_study_riemann(8), 3, budget=1000, seed=0)
+        # CP^4 at m = 3, where the route's bound 20 stays below the minimum 24:
+        # the subsets, the route's polish, its frame's score and the descent
+        # from two starts; nothing is sampled, so the budget does not count
+        rd = fubini_study_riemann(8)
+        res = cm_min(rd, 3, budget=1000, seed=0)
         assert res.method != "certificate"
-        assert res.evaluations >= 1000 + math.comb(8, 3) + 1
+        unit, _ = _unit_scale(rd)
+        _, frame, polish_evals = _lower_bound(unit, 3)
+        evals = _descend(unit, fallback_starts(unit, 3, frame), MAX_ITER)[3]
+        assert res.evaluations == math.comb(8, 3) + polish_evals + 1 + int(evals.sum())
 
     def test_rejects_bad_m(self):
         rd = constant_curvature_riemann(4, 1.0)
@@ -634,12 +640,15 @@ class TestMinimizer:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_components(self, bad):
-        # the constructor, unlike from_components, does not check the table
+        # the constructor, unlike from_components, does not check the table;
+        # both minimizers make one input check (the oracle returned inf for
+        # a NaN component and -inf for an inf one)
         rd = constant_curvature_riemann(4, 1.0)
         comps = rd.components.copy()
         comps[0, 1, 0, 1] = comps[1, 0, 1, 0] = bad
-        with pytest.raises(ValueError, match="not finite"):
-            cm_min(RiemannData(4, comps, rd.ricci, rd.scalar), 2, budget=100)
+        for minimizer in (cm_min, cm_min_oracle):
+            with pytest.raises(ValueError, match=r"^curvature components are not finite$"):
+                minimizer(RiemannData(4, comps, rd.ricci, rd.scalar), 2)
 
 
 class TestCertificate:
@@ -695,7 +704,8 @@ class TestCertificate:
         for k, m, bound, subset in ((2, 3, 2.0, (0, 3, 4)),          # k-vectors of U, k = 2
                                     (3, 5, 3.0, (0, 1, 2, 3, 4))):   # m = n - 1, k = 1
             n = k + 3
-            res = cm_min(product_sphere_flat_riemann(3, 1.0, k), m, budget=500, seed=0)
+            rd = product_sphere_flat_riemann(3, 1.0, k)
+            res = cm_min(rd, m, budget=500, seed=0)
             assert res.lower_bound == bound
             assert (res.method == "certificate") == certified
             if certified:
@@ -704,7 +714,11 @@ class TestCertificate:
                 assert res.evaluations == math.comb(n, m) + 2
                 assert_array_equal(res.argmin, coordinate_frame(n, subset))
             else:
-                assert res.evaluations > math.comb(n, m) + 2 + 500
+                # the same, then the descent from the best coordinate frame
+                # and the route's frame; the descent does not read cm_batch
+                frame = _lower_bound(rd, m)[1]
+                evals = _descend(rd, fallback_starts(rd, m, frame), MAX_ITER)[3]
+                assert res.evaluations == math.comb(n, m) + 2 + int(evals.sum())
 
 
 def minors(q, k):
@@ -910,24 +924,21 @@ class TestFourFormCertificate:
             assert cm_batch(rd, coordinate_frames(n, m)).min() > res.value + frames.TIE_TOL
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_certified_value_matches_the_sampled_route(self, monkeypatch, n):
+    def test_certified_value_matches_the_sampled_route(self, n):
         rd = random_curvature_tensor(n, np.random.default_rng(900 + n))
         unit, scale = _unit_scale(rd)
         for m in sorted({n - 2, *(m for dn, m in DENSE_SHAPES if dn == n)}):
             certified = cm_min(rd, m, seed=n)
-            with monkeypatch.context() as patch:
-                ky_fan_route(patch)
-                sampled = cm_min(rd, m, budget=100_000, seed=n)
+            sampled = sampled_search(rd, m, 100_000, seed=n)
             assert certified.method == "certificate", f"m = {m}"
-            assert sampled.method in {"coordinate-enumeration", "projected-descent"}
-            assert abs(certified.value - sampled.value) <= scale * frames.TIE_TOL
-            assert sampled.lower_bound == scale * ky_fan_bound(unit, m)
-            assert certified.lower_bound >= sampled.lower_bound
+            assert abs(certified.value - sampled) <= scale * frames.TIE_TOL
+            assert certified.lower_bound >= scale * ky_fan_bound(unit, m)
 
     def test_falls_back_bit_identically_where_it_does_not_close(self, monkeypatch):
         # on CP^4 at m = 3 the ascent stops at the bound 20, below the
-        # coordinate minimum 24, so the sampled route runs as if the route
-        # were absent; only the bound and the route's evaluations stay behind
+        # coordinate minimum 24, so cm_min descends; from the route's frame
+        # it finds what it finds from the first coordinate frame in its
+        # place, and only the bound and the route's evaluations stay behind
         rd = fubini_study_riemann(8)
         unit, scale = _unit_scale(rd)
         bound, frame, polish_evals = _lower_bound(unit, 3)
@@ -955,7 +966,7 @@ class TestFourFormCertificate:
     def test_no_four_forms_in_dimension_three(self, monkeypatch, seed):
         # every 2-vector of R^3 is decomposable: no 4-form, and no relation
         # at any k, so at (3, 1) the route takes the smallest Ricci
-        # eigenvalue; with the route off, the slow path runs on the tensor
+        # eigenvalue; with the route off, the descent runs on the tensor
         # scaled to unit size as the reference replays it
         rd = random_curvature_tensor(3, np.random.default_rng(seed + 40))
         assert [_plucker_tables(3, k).count for k in range(4)] == [0, 0, 0, 0]
@@ -965,14 +976,14 @@ class TestFourFormCertificate:
         ky_fan_route(monkeypatch)
         res = cm_min(rd, 1, budget=2000, seed=seed)
         unit, scale = _unit_scale(rd)
-        starts = slow_path_starts(unit, 1, 2000, seed)
+        starts = fallback_starts(unit, 1, coordinate_frame(3, (0,)))
         qs, vals, _, evals, _ = _descend(unit, starts, MAX_ITER)
         coord_vals = cm_batch(unit, coordinate_frames(3, 1))
         best = int(np.argmin(vals))
         assert res.method == "projected-descent"
         assert res.value == scale * min(coord_vals.min(), vals[best])
-        # the subsets, the replaced route's frame, the samples and the descent
-        assert res.evaluations == 3 + 1 + 2000 + int(evals.sum())
+        # the subsets, the replaced route's frame and the descent
+        assert res.evaluations == 3 + 1 + int(evals.sum())
         assert res.lower_bound == scale * ky_fan_bound(unit, 1)
         assert_array_equal(res.argmin, qs[best])
         # C_1 is the Ricci form, and in dimension 3 every 2-vector is
@@ -1026,8 +1037,8 @@ class TestRicciCertificate:
                                                  (-2e-9, False), (2e-9, False)])
     def test_tie_rule_is_both_sided(self, monkeypatch, shift, certified):
         # shifting the evaluator moves the eigenvector's value `shift` off the
-        # eigenvalue, on the tensor scaled to unit size; past TIE_TOL the
-        # sampled route runs as if this one were absent
+        # eigenvalue, on the tensor scaled to unit size; past TIE_TOL cm_min
+        # descends from the best coordinate frame and the eigenvector
         rd = random_curvature_tensor(5, np.random.default_rng(1305))
         unit, scale = _unit_scale(rd)
         exact = frames.cm_batch
@@ -1042,17 +1053,16 @@ class TestRicciCertificate:
             # no coordinate subset ties, so the argmin is the eigenvector
             assert eigenvector_alignment(res.argmin, rd.ricci) == pytest.approx(1.0, abs=1e-12)
             return
-        qs, vals, _, evals, _ = _descend(unit, slow_path_starts(unit, 1, 500, 0), MAX_ITER)
+        frame = _lower_bound(unit, 1)[1]
+        qs, vals, _, evals, _ = _descend(unit, fallback_starts(unit, 1, frame), MAX_ITER)
         best = int(np.argmin(vals))
         assert res.method == "projected-descent"
         assert res.value == scale * min(exact(unit, coordinate_frames(5, 1)).min() + shift,
                                         vals[best])
-        assert res.evaluations == 5 + 2 + 500 + int(evals.sum())
+        # the subsets, one polish evaluation, the score and the descent
+        assert res.evaluations == 5 + 2 + int(evals.sum())
         assert_array_equal(res.argmin, qs[best])
-        ky_fan_route(monkeypatch)
-        sampled = cm_min(rd, 1, budget=500, seed=0)
-        assert_same_search(res, sampled)
-        assert sampled.evaluations == res.evaluations - 1
+        assert res.value == pytest.approx(lam_min, rel=1e-13)
 
 
 class TestRouteTable:
@@ -1164,6 +1174,84 @@ class TestCertificateOnTheFamily:
         assert checked > 0
 
 
+def dense_cm_tensor(seed, draw):
+    """Tensor number `draw` of the benchmark's `dense-cm` workload at `seed`, and its m.
+
+    The workload draws from default_rng(seed) one tensor per DENSE_SHAPES
+    shape in turn, six rounds, each followed by one integer draw.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(draw + 1):
+        n, m = DENSE_SHAPES[i % len(DENSE_SHAPES)]
+        rd = random_curvature_tensor(n, rng)
+        rng.integers(0, 2**31)
+    return rd, m
+
+
+def open_cases():
+    """(tensor, m, minimum or None) of inputs where the route does not close.
+
+    CP^4 at m = 2..6, where coordinate frames attain the minimum; a dense
+    (8, 4) tensor where the ascent stalls at a nearly double top
+    eigenvalue; and the (7, 5) tensors of `dense-cm` at seeds 19 and 39
+    that stay open.
+    """
+    cp4 = fubini_study_riemann(8)
+    return ([(cp4, m, value) for m, value in zip(range(2, 7), (16.0, 24.0, 28.0, 34.0, 36.0))]
+            + [(random_curvature_tensor(8, np.random.default_rng(20)), 4, None),
+               (*dense_cm_tensor(19, 13), None), (*dense_cm_tensor(39, 18), None)])
+
+
+OPEN_IDS = [f"CP4-m{m}" for m in range(2, 7)] + ["dense-n8-m4", "dense-cm-19", "dense-cm-39"]
+
+
+class TestOpenInputs:
+    """Where the route does not close, descent from its frame against the sampled search."""
+
+    @pytest.mark.parametrize("rd,m,minimum", open_cases(), ids=OPEN_IDS)
+    def test_no_sample_finds_less(self, monkeypatch, rd, m, minimum):
+        calls = count_calls(monkeypatch, frames, ("random_frames",))
+        res = cm_min(rd, m)
+        assert calls["random_frames"] == []
+        monkeypatch.undo()
+        assert res.method in {"coordinate-enumeration", "projected-descent"}
+        assert res.lower_bound < res.value - frames.TIE_TOL
+        tol = 1e-9 * max(1.0, abs(res.value))
+        assert res.value <= sampled_search(rd, m, 100_000, seed=0) + tol
+        assert res.value <= cm_min_oracle(rd, m) + 1e-9
+        assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value, abs=tol)
+        if minimum is not None:
+            assert res.method == "coordinate-enumeration"
+            assert res.value == pytest.approx(minimum, abs=1e-12)
+
+    @pytest.mark.parametrize("n,m", DENSE_SHAPES)
+    def test_forced_fallback_keeps_the_certified_value(self, monkeypatch, n, m):
+        # a bound 1 below the route's keeps cm_min from closing on tensors
+        # where it does; the descent from the route's frame keeps its value
+        route = frames._lower_bound
+
+        def lowered(riemann, m):
+            bound, frame, evals = route(riemann, m)
+            return bound - 1.0, frame, evals
+
+        for i in range(2):
+            rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 4 + 100 * i))
+            certified = cm_min(rd, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(frames, "_lower_bound", lowered)
+                calls = count_calls(patch, frames, ("random_frames",))
+                forced = cm_min(rd, m)
+            assert certified.method == "certificate"
+            assert forced.method in {"coordinate-enumeration", "projected-descent"}
+            assert calls["random_frames"] == []
+            assert forced.lower_bound < certified.lower_bound
+            assert forced.evaluations > certified.evaluations
+            scale = _unit_scale(rd)[1]
+            assert abs(forced.value - certified.value) <= scale * frames.TIE_TOL
+            tol = 1e-9 * max(1.0, abs(forced.value))
+            assert forced.value <= sampled_search(rd, m, 2000, seed=i) + tol
+
+
 def assert_same_search(a, b):
     """The same minimum found the same way, whatever bound and count came with it."""
     assert (a.value, a.method) == (b.value, b.method)
@@ -1201,8 +1289,8 @@ class TestOracle:
                     minimizer(rd, m)
 
     def test_draws_frames_cm_min_does_not(self, monkeypatch):
-        # default_rng(seed) is PCG64(seed), cm_min's chunk 0; the oracle must
-        # not re-score those frames
+        # default_rng(seed) is PCG64(seed), chunk 0 of the reference sampled
+        # search; the oracle must not re-score those frames
         drawn = []
         sampler = frames.random_frames
 
