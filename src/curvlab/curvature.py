@@ -37,6 +37,7 @@ __all__ = [
     "RiemannData",
     "CoordinateMetric",
     "riemann_exact",
+    "diagonal_ricci",
     "cm_min_exact",
     "riemann_fd",
     "to_subchart",
@@ -217,8 +218,10 @@ def _sectional_table(metric: WarpedTorusMetric, r: float) -> np.ndarray:
     never pairs two distinct directions and is 0.  Every value comes from
     the profiles' log-derivatives and 1/(eps^2 f^2), so the table stays
     finite until 1/(eps^2 f^2) itself overflows.  An overflow raises no
-    warning; it leaves inf or NaN in the table, which
-    `RiemannData.from_components` rejects.
+    warning; it leaves inf or NaN in the table, which each caller rejects:
+    `RiemannData.from_components`, `cm_min_exact` and `diagonal_ricci`.
+    Callers pass a scalar r: on arrays, numpy's vectorized exp and tanh
+    may round differently from `riemann_exact`'s values.
     """
     f, u = metric.f_profile, metric.u_profile
     a = 2.0 / metric.m
@@ -341,6 +344,39 @@ def _finite_reach(metric: WarpedTorusMetric, r: float) -> float | None:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if finite(mid) else (lo, mid)
     return float(Context(prec=4, rounding=ROUND_FLOOR).plus(Decimal(as_float(lo))))
+
+
+def diagonal_ricci(metric: WarpedTorusMetric,
+                   r_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Ricci values (R, n) and scalar curvature (R,) on a grid of R radii.
+
+    The Ricci tensor of the family is diagonal, so the n values per radius
+    are all of it.  Each is the sum of its direction's class values over
+    the other frame directions in frame index order, and the scalar is
+    reduced as `np.trace` reduces, so both equal `riemann_exact`'s
+    contractions bit for bit without building its n^4 components.  When a
+    value is not finite, the first such radius in grid order goes to
+    `riemann_exact`, whose error names it and the finite reach.
+    """
+    r_grid = np.asarray(r_grid, dtype=float)
+    classes = [_CLASS[label] for label in metric.frame_labels()]
+    # one scalar table per radius, as riemann_exact evaluates it
+    tables = np.array([_sectional_table(metric, float(r)) for r in r_grid])
+    sectional = tables.reshape(-1, 3, 3)[:, classes][:, :, classes]
+    # a direction never pairs with itself
+    sectional[:, range(metric.n), range(metric.n)] = 0.0
+    with np.errstate(all="ignore"):
+        ricci = sectional[:, 0]
+        for c in range(1, metric.n):
+            ricci = ricci + sectional[:, c]
+        # one 1-D reduction per radius, as np.trace does (pairwise from n = 8)
+        scalar = np.array([row.sum() for row in ricci])
+    finite = np.isfinite(ricci).all(axis=1) & np.isfinite(scalar)
+    if not finite.all():
+        r = float(r_grid[np.argmin(finite)])
+        riemann_exact(metric, r)
+        raise ValueError(f"curvature at r = {r!r}: Ricci values are not finite")
+    return ricci, scalar
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ profile u and of its split over the last circle lift.  The split is not
 reported by the CLI: its two parts sum to the full Laplacian by
 2(m-2)/m + 2/m = 2(m-1)/m, so the check that carries weight is
 `radial_laplacian` against the finite-difference `laplacian_fd`.
+`curvature_report_rows` is the dense per-radius route that
+`curvature-report` took before it read the diagonal Ricci values off the
+sectional class table.
 """
 from __future__ import annotations
 
@@ -40,6 +43,29 @@ def coordinate_cm_value(metric: WarpedTorusMetric, r: float) -> float:
     """C_m at the distinguished frame (radial direction plus torus directions)."""
     frame = coordinate_frame(metric.n, metric.coordinate_frame_indices())
     return cm_of_frame(riemann_exact(metric, r), frame)
+
+
+def curvature_report_rows(metric: WarpedTorusMetric, r_grid) -> list[dict]:
+    """`curvature-report`'s rows from the n^4 components at each radius.
+
+    Each radius builds `riemann_exact`'s tensor, validates its symmetries
+    to 1e-8 and reads the Ricci extremes off `eigvalsh`; the full Ricci
+    matrix is kept under "ricci".
+    """
+    rows = []
+    for r in r_grid:
+        data = riemann_exact(metric, float(r))
+        data.validate(1e-8)
+        eigs = np.linalg.eigvalsh(data.ricci)
+        rows.append({
+            "r": float(r),
+            "scalar": data.scalar,
+            "ricci_min": float(eigs[0]),
+            "ricci_max": float(eigs[-1]),
+            "ricci_radial": float(data.ricci[metric.sphere_dim, metric.sphere_dim]),
+            "ricci": data.ricci,
+        })
+    return rows
 
 
 def radial_laplacian(metric: WarpedTorusMetric, r) -> np.ndarray:

@@ -14,11 +14,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curvlab import cli
 from curvlab.cli import main
+from curvlab.constructions import CONSTRUCTION_PAIRS, build_counterexample
 from curvlab.inequalities import admissible
+from construction_references import curvature_report_rows
 
 
 @pytest.fixture(autouse=True)
@@ -105,6 +108,34 @@ class TestVerifyExamples:
         assert "r = -40.0" in err and "not finite" in err
         # (6, 2) at lambda = epsilon = 1 stays finite up to |r| of about 37.61
         assert err.endswith("; curvature is finite for |r| <= 37.61\n")
+
+    def test_extremes_are_exact_on_the_diagonal(self, tmp_path, capsys):
+        # Ricci values from -7e3 to 1e226 put eigvalsh's extremes 1-2 ulp off
+        # the diagonal; at r = -9.6 the radial direction is the minimum
+        code, paths, _ = run_cli(
+            ["curvature-report", "--n", "6", "--m", "3", "--lambda", "4",
+             "--grid-points", "41", "--r-max", "12", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        rows = load_json(paths[0])["rows"]
+        row = next(row for row in rows if row["r"] == -9.6)
+        assert row["ricci_min"] == row["ricci_radial"] == -7368.799999999999
+        assert all(row["ricci_min"] <= row["ricci_radial"] <= row["ricci_max"]
+                   for row in rows)
+
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
+    def test_rows_match_the_dense_route(self, tmp_path, capsys, n, m):
+        code, paths, _ = run_cli(["curvature-report", "--n", str(n), "--m", str(m),
+                                  "--out", str(tmp_path)], capsys)
+        assert code == 0
+        rows = load_json(paths[0])["rows"]
+        metric = build_counterexample(n, m, 1.0, 1.0)
+        reference = curvature_report_rows(metric, np.linspace(-10.0, 10.0, 121))
+        assert len(rows) == len(reference) == 121
+        for row, ref in zip(rows, reference):
+            assert [row[k] for k in ("r", "scalar", "ricci_radial")] == \
+                [ref[k] for k in ("r", "scalar", "ricci_radial")]
+            for key in ("ricci_min", "ricci_max"):
+                assert abs(row[key] - ref[key]) <= 4 * np.spacing(abs(ref[key]))
 
     def test_large_lambda_residual_is_rounding(self, tmp_path, capsys):
         # the profile-equation terms are of size lambda, so is their rounding
@@ -388,6 +419,34 @@ class TestCurvatureReport:
         assert paths == []
         assert err.endswith("; curvature is finite for |r| <= 37.61\n")
 
+    def test_extremes_are_exact_on_the_diagonal(self, tmp_path, capsys):
+        # Ricci values from -7e3 to 1e226 put eigvalsh's extremes 1-2 ulp off
+        # the diagonal; at r = -9.6 the radial direction is the minimum
+        code, paths, _ = run_cli(
+            ["curvature-report", "--n", "6", "--m", "3", "--lambda", "4",
+             "--grid-points", "41", "--r-max", "12", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        rows = load_json(paths[0])["rows"]
+        row = next(row for row in rows if row["r"] == -9.6)
+        assert row["ricci_min"] == row["ricci_radial"] == -7368.799999999999
+        assert all(row["ricci_min"] <= row["ricci_radial"] <= row["ricci_max"]
+                   for row in rows)
+
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
+    def test_rows_match_the_dense_route(self, tmp_path, capsys, n, m):
+        code, paths, _ = run_cli(["curvature-report", "--n", str(n), "--m", str(m),
+                                  "--out", str(tmp_path)], capsys)
+        assert code == 0
+        rows = load_json(paths[0])["rows"]
+        metric = build_counterexample(n, m, 1.0, 1.0)
+        reference = curvature_report_rows(metric, np.linspace(-10.0, 10.0, 121))
+        assert len(rows) == len(reference) == 121
+        for row, ref in zip(rows, reference):
+            assert [row[k] for k in ("r", "scalar", "ricci_radial")] == \
+                [ref[k] for k in ("r", "scalar", "ricci_radial")]
+            for key in ("ricci_min", "ricci_max"):
+                assert abs(row[key] - ref[key]) <= 4 * np.spacing(abs(ref[key]))
+
 
 class TestReproducibility:
     def test_reports_byte_identical_across_runs(self, tmp_path, capsys):
@@ -495,6 +554,9 @@ class TestReproducibility:
      "--grid-points", "3"],
     # (2, 1) is admissible, but the exact routes need a traceless direction
     ["matrix-inequalities", "--n", "2", "--m", "1"],
+    # n >= 8: the scalar is reduced pairwise, and r = -1e300 still comes first
+    ["curvature-report", "--n", "12", "--m", "6", "--r-max", "1e300",
+     "--grid-points", "3"],
 ])
 def test_bad_invocation_exits_two_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -504,11 +566,28 @@ def test_bad_invocation_exits_two_without_traceback(tmp_path, capsys, argv):
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
     if argv[0] == "curvature-report":
-        assert "r = -10.0" in err and "not finite" in err
+        r_max = float(argv[argv.index("--r-max") + 1]) if "--r-max" in argv else 10.0
+        assert f"r = {-r_max!r}" in err and "not finite" in err
     if argv[0] == "verify-examples":
         assert err == "error: ODE residual at r = -1e+160 is not finite\n"
     if argv[:3] == ["matrix-inequalities", "--n", "2"]:
         assert err.endswith("got n = 2\n")
+
+
+def test_handler_replaced_after_the_first_call_is_the_one_run(tmp_path, capsys,
+                                                               monkeypatch):
+    # the parser is built once; a handler it bound at build time would hide
+    # the benchmark tracer's wrappers from every later call
+    assert run_cli(["scan-algebra", "--out", str(tmp_path / "a")], capsys)[0] == 0
+    calls = []
+
+    def replaced(cfg, args):
+        calls.append(args.command)
+        return False, {}
+
+    monkeypatch.setattr(cli, "cmd_scan_algebra", replaced)
+    code, paths, _ = run_cli(["scan-algebra", "--out", str(tmp_path / "b")], capsys)
+    assert (code, paths, calls) == (1, [], ["scan-algebra"])
 
 
 # one passing run of every subcommand, with a budget small enough for the suite

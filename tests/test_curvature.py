@@ -1,4 +1,5 @@
 """Tests for exact and finite-difference curvature engines."""
+import math
 import warnings
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from curvlab import curvature
 from curvlab.constructions import (
     CONSTRUCTION_PAIRS,
     build_counterexample,
@@ -14,10 +16,12 @@ from curvlab.constructions import (
 )
 from curvlab.curvature import (
     CoordinateMetric,
+    RadialProfile,
     RiemannData,
     WarpedTorusMetric,
     compare_exact_vs_fd,
     cosh_power_profile,
+    diagonal_ricci,
     gaussian_profile,
     kulkarni_nomizu,
     product_sphere_flat_riemann,
@@ -26,6 +30,7 @@ from curvlab.curvature import (
     riemann_fd,
     to_subchart,
 )
+from construction_references import curvature_report_rows
 from curvature_references import constant_curvature_riemann, constant_profile, laplacian_fd
 
 def equality_case_metric(n, m, lam=1.0, eps=1.0):
@@ -234,6 +239,77 @@ class TestRiemannExact:
             rd.validate(1e-8)
         assert np.isfinite(rd.components).all()
         assert np.isfinite(rd.ricci).all() and np.isfinite(rd.scalar)
+
+
+def constant_sphere_metric(k_ss):
+    """(6, 2) metric whose only nonzero class value is k_ss = 1/f^2, at every r."""
+    log_f = -0.5 * math.log(k_ss)
+    f = RadialProfile(lambda r: log_f + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r)
+    u = RadialProfile(lambda r: 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r)
+    return WarpedTorusMetric(6, 2, 1.0, f, u)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestDiagonalRicci:
+    PAIRS = [(6, 2), (6, 3), (7, 2), (7, 3), (7, 4), (8, 3), (9, 4), (12, 6)]
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 1e300])
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("n,m", PAIRS)
+    def test_matches_the_dense_route(self, n, m, lam, eps):
+        metric = build_counterexample(n, m, lam, eps)
+        grid = np.linspace(-10.0, 10.0, 121)
+        ricci, scalar = diagonal_ricci(metric, grid)
+        assert ricci.shape == (121, n) and scalar.shape == (121,)
+        off_diagonal = ~np.eye(n, dtype=bool)
+        for row, s, ref in zip(ricci, scalar, curvature_report_rows(metric, grid)):
+            assert bits(row) == bits(np.diag(ref["ricci"]))
+            assert bits(s) == bits(ref["scalar"])
+            assert not ref["ricci"][off_diagonal].any()
+            for new, old in ((row.min(), ref["ricci_min"]), (row.max(), ref["ricci_max"])):
+                assert abs(new - old) <= 4 * np.spacing(abs(old))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=st.sampled_from(PAIRS),
+           lam=st.floats(0.05, 16.0),
+           eps=st.floats(2.0 ** -20, 4.0),
+           r=st.floats(-400.0, 400.0))
+    def test_finite_or_rejected_as_riemann_exact(self, pair, lam, eps, r):
+        metric = build_counterexample(*pair, lam, eps)
+        try:
+            rd = riemann_exact(metric, r)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                diagonal_ricci(metric, [r])
+            assert str(excinfo.value) == str(exc)
+            return
+        ricci, scalar = diagonal_ricci(metric, [r])
+        assert bits(ricci[0]) == bits(np.diag(rd.ricci))
+        assert bits(scalar[0]) == bits(rd.scalar)
+
+    def test_first_non_finite_radius_in_grid_order_is_named(self):
+        metric = build_counterexample(6, 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^curvature at r = 40\.0: .*"
+                                             r"finite for \|r\| <= 37\.61$"):
+            diagonal_ricci(metric, [0.0, 40.0, -40.0])
+
+    @pytest.mark.parametrize("k_ss", [8e307, 4e307])
+    def test_overflowing_contractions_are_rejected(self, k_ss):
+        # every class value is finite; at 8e307 the Ricci values of the four
+        # sphere directions (3 k_ss each) overflow, at 4e307 only their sum
+        metric = constant_sphere_metric(k_ss)
+        with pytest.raises(ValueError, match=r"^curvature at r = 0\.5: "
+                                             r"curvature contractions are not finite$"):
+            diagonal_ricci(metric, [0.5])
+
+    def test_never_tabulates_a_value_riemann_exact_accepts(self, monkeypatch):
+        monkeypatch.setattr(curvature, "riemann_exact", lambda metric, r: None)
+        with pytest.raises(ValueError,
+                           match=r"^curvature at r = 0\.5: Ricci values are not finite$"):
+            diagonal_ricci(constant_sphere_metric(8e307), [0.5])
 
 
 # the five class values from the profiles' values f, f', f'' (not their
