@@ -48,14 +48,19 @@ combination of the Plücker relations, leaves these values unchanged.  So
 C_m >= -lambda_max(R^[2] - D_k(Ric) + Q), or scal/2 - lambda_max(R^[2] + Q),
 for every Q (Thorpe's trick: J. Thorpe 1972; R. Bettiol and R. Mendes
 2018, here on k-vectors).  An L-BFGS ascent lowers lambda_max over the
-integer Plücker relations, starting at Q = 0.  Its top eigenvector,
+integer Plücker relations, starting at Q = 0.  A top eigenvector,
 contracted to an (n, C(n, k - 1)) matrix, gives V or U as the span of the
-top k left singular vectors, and a short descent polishes that frame, the
-route's frame.  At k = 1 there are no relations: the route is the smallest
-Ricci eigenvalue at m = 1 and the constant scal/2 at m = n - 1.  At k = 2
-the relations are the 4-forms.  `cm_min` proves the minimum when the
-route's bound meets the best frame it has scored (its docstring states the
-closure rule, the scale normalization and how evaluations are counted).
+top k left singular vectors.  Before each ascent step that frame is
+scored once, and the ascent stops as soon as the score is within TIE_TOL
+of the current bound: the frame closes the proof as it is.  Only an
+ascent that ends without closing has its last frame polished by a short
+descent.  Either way this is the route's frame, and the route's
+evaluations are its scores plus the polish's.  At k = 1 there are no
+relations: the route is the smallest Ricci eigenvalue at m = 1 and the
+constant scal/2 at m = n - 1.  At k = 2 the relations are the 4-forms.
+`cm_min` proves the minimum when the route's bound meets the best frame
+it has scored (its docstring states the closure rule, the scale
+normalization and how evaluations are counted).
 
 Otherwise projected gradient descent on the Stiefel manifold runs from
 two starts: the best coordinate frame and the route's frame.  Descent
@@ -138,8 +143,10 @@ def _check_frame(riemann: RiemannData, q: np.ndarray) -> np.ndarray:
     n = riemann.dim
     if q.ndim != 2 or q.shape[0] != n or not 1 <= q.shape[1] <= n:
         raise ValueError(f"frame must have shape ({n}, m) with 1 <= m <= {n}")
-    defect = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
-    if defect > ORTHONORMAL_TOL:
+    # a non-finite or huge entry makes the defect NaN or inf, which must not pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
+    if not defect <= ORTHONORMAL_TOL:
         raise ValueError(f"frame is not orthonormal (defect {defect:.2e})")
     return q
 
@@ -554,8 +561,9 @@ def _operators(riemann: RiemannData, k: int) -> tuple[np.ndarray, np.ndarray]:
     return operator(tables.ricci, riemann.ricci), operator(tables.riemann, riemann.components)
 
 
-def _ascent(base: np.ndarray, relations, count: int) -> tuple[float, np.ndarray]:
-    """min over c of lambda_max(base + sum_j c_j Q_j) by L-BFGS: (lambda_max, top eigenvector).
+def _ascent(base: np.ndarray, relations, count: int,
+            closes) -> tuple[float, np.ndarray, bool]:
+    """min over c of lambda_max(base + sum_j c_j Q_j) by L-BFGS: (lambda_max, top vector, closed).
 
     Q_j are the kept Plücker relations of `_plucker_tables`.  Where the top
     eigenvalue is simple, the gradient is v^T Q_j v for the top
@@ -566,11 +574,13 @@ def _ascent(base: np.ndarray, relations, count: int) -> tuple[float, np.ndarray]
     first pair kept, as in a full BFGS rescaled once; before that pair the
     direction is the steepest descent.  (Rescaling at every pair stalls on
     some dense tensors where the top eigenvalue is nearly double.)  Armijo
-    backtracking halves the unit step.  The ascent stops after ASCENT_ITER
+    backtracking halves the unit step.  Before each step, closes(lambda_max,
+    v) tests whether the caller's proof is already complete; the ascent
+    stops there with closed True.  Otherwise it stops after ASCENT_ITER
     iterations, when a direction is not a descent direction, when HALVINGS
     halvings all fail, or when an accepted step leaves lambda_max
-    unchanged.  Any c gives a sound bound, so where it stops only decides
-    how tight the bound is.
+    unchanged.  Any c gives a sound bound and lambda_max only falls, so
+    where it stops only decides how tight the bound is.
     """
     relation, weight, row, col = relations
     size = len(base)
@@ -587,6 +597,8 @@ def _ascent(base: np.ndarray, relations, count: int) -> tuple[float, np.ndarray]
     memory = collections.deque(maxlen=MEMORY)
     gamma = 1.0
     for _ in range(ASCENT_ITER):
+        if closes(value, top):
+            return float(value), top, True
         direction = -grad
         alphas = []
         for s, y, sy in reversed(memory):
@@ -617,7 +629,7 @@ def _ascent(base: np.ndarray, relations, count: int) -> tuple[float, np.ndarray]
             if not memory:
                 gamma = sy / (y @ y)
             memory.append((s, y, sy))
-    return float(value), top
+    return float(value), top, False
 
 
 def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
@@ -629,11 +641,14 @@ def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
     -lambda_max(R^[2] - D_k(Ric) + Q).  For m > n - m, xi is the k-vector
     of the complement U and C_m(V) = scal/2 - <R^[2] xi, xi>, so the bound
     is scal/2 - lambda_max(R^[2] + Q).  `_ascent` picks the combination Q
-    of Plücker relations.  The frame comes from the top eigenvector xi at
-    the end of the ascent: the top k left singular vectors of its interior
-    product span V, or U and then their complement is the frame.  At most
-    POLISH_ITER descent iterations polish it; the evaluations are the
-    polish's.
+    of Plücker relations.  A frame comes from a top eigenvector xi: the
+    top k left singular vectors of its interior product span V, or U and
+    then their complement is the frame.  Before each ascent step the
+    frame of the current xi is scored once; when the score is at most the
+    current bound plus TIE_TOL, the ascent stops and that frame is
+    returned as it is.  Otherwise the frame of the last xi is polished by
+    at most POLISH_ITER descent iterations.  The evaluations are the
+    ascent's scores plus the polish's.
     """
     n = riemann.dim
     k = min(m, n - m)
@@ -642,14 +657,27 @@ def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
     offset = 0.5 * riemann.scalar
     if k == m:
         base, offset = base - ricci, 0.0
-    top_value, top = _ascent(base, tables.relations, tables.count)
     slot, index, sign = tables.interior
-    interior = np.zeros(n * tables.columns)
-    interior[slot] = sign * top[index]
-    left = np.linalg.svd(interior.reshape(n, tables.columns))[0]
-    start = left[:, :k] if k == m else left[:, k:]
+    form = _symmetric_form(riemann)
+    scores = 0
+
+    def frame(top):
+        interior = np.zeros(n * tables.columns)
+        interior[slot] = sign * top[index]
+        left = np.linalg.svd(interior.reshape(n, tables.columns))[0]
+        return left[:, :k] if k == m else left[:, k:]
+
+    def closes(value, top):
+        nonlocal scores
+        scores += 1
+        return _evaluate(frame(top)[None], form)[0][0] <= offset - value + TIE_TOL
+
+    top_value, top, closed = _ascent(base, tables.relations, tables.count, closes)
+    start = frame(top)
+    if closed:
+        return offset - top_value, start, scores
     polished, _, _, evals, _ = _descend(riemann, start[None], POLISH_ITER)
-    return offset - top_value, polished[0], int(evals[0])
+    return offset - top_value, polished[0], scores + int(evals[0])
 
 
 def _check_input(riemann: RiemannData, m: int) -> None:
@@ -689,9 +717,14 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     both sides, the minimum is proven, with method "certificate".
     Otherwise descent runs in lockstep from the best coordinate frame and
     the route's frame, for at most MAX_ITER iterations each.
+    The route stops its ascent at the first frame that meets its bound
+    within TIE_TOL and polishes its frame only when the ascent ends
+    without closing; that stop can only lower the bound by TIE_TOL, so
+    the closure rule here is unchanged.
     `lower_bound` is the route's bound on every path, and `evaluations`
-    counts what ran: C(n, m), the route's evaluations, one for the score,
-    and the descent's when it runs.
+    counts what ran: C(n, m), the route's evaluations (one per closure
+    test of its ascent, plus the polish's when it runs), one for the
+    score, and the descent's when it runs.
     On every path, when a coordinate subset comes within TIE_TOL of the
     best value found, the lexicographically first such subset is reported
     as the argmin.
@@ -701,7 +734,7 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     matrices, up to ASCENT_ITER ascent steps, and its tables, built once
     per (n, k), hold 2^n masks and C(n, k - 1) C(n, k + 1) n relation
     terms.  Measured on 2 vCPU (numpy 2.4.6), a call takes a median of
-    about 30 ms at (n, m) = (8, 4), 90 ms at (9, 4) and 340 ms at (10, 5),
+    about 25 ms at (n, m) = (8, 4), 75 ms at (9, 4) and 300 ms at (10, 5),
     whose tables take about 40 ms and 19 MB at peak to build.  n = 10 is
     the largest size measured; the benchmark and the tests stop at n = 8.
     """
@@ -745,16 +778,21 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
 def _oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
     """C_m of a stack of frames (B, n, m) by direct contraction with the 4-tensor.
 
-    Rm_pqrs P_pr is contracted first and then dotted with P, ORACLE_SLICE
-    frames at a time, which bounds the contraction's scratch memory.
+    The 4-tensor is read as the (n^2, n^2) matrix [(p, r), (q, s)] =
+    Rm_pqrs, and the full projections P as stack-last (n^2, B) columns,
+    the layout behind frames from `random_frames`; one GEMM gives
+    Rm_pqrs P_qs, which is then dotted with P.  ORACLE_SLICE frames go at
+    a time, which bounds the contraction's scratch memory.
     """
+    n = riemann.dim
+    rmat = riemann.components.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    ricci = riemann.ricci.ravel()
     vals = np.empty(len(qs))
     for start in range(0, len(qs), ORACLE_SLICE):
-        part = qs[start:start + ORACLE_SLICE]
-        ps = np.einsum("nia,nja->nij", part, part)
-        rp = np.einsum("pqrs,npr->nqs", riemann.components, ps, optimize=True)
-        vals[start:start + ORACLE_SLICE] = (np.einsum("ab,nab->n", riemann.ricci, ps)
-                                            - 0.5 * np.einsum("nqs,nqs->n", rp, ps))
+        cols = qs[start:start + ORACLE_SLICE].transpose(2, 1, 0)
+        ps = np.einsum("aib,ajb->ijb", cols, cols).reshape(n * n, -1)
+        vals[start:start + ORACLE_SLICE] = (ricci @ ps
+                                            - 0.5 * np.einsum("tb,tb->b", rmat @ ps, ps))
     return vals
 
 

@@ -92,6 +92,28 @@ def ky_fan_route(monkeypatch):
         ky_fan_bound(riemann, m), coordinate_frame(riemann.dim, tuple(range(m))), 0))
 
 
+def never_closing(patch):
+    """Give `_ascent` a closure test that never passes: the ascent runs to its other stops."""
+    ascent = frames._ascent
+    patch.setattr(frames, "_ascent", lambda base, relations, count, closes: ascent(
+        base, relations, count, lambda *_: False))
+
+
+def record_closure_tests(patch):
+    """Record `_ascent`'s closure tests; returns their outcomes, one per test."""
+    ascent = frames._ascent
+    outcomes = []
+
+    def recorded(base, relations, count, closes):
+        def test(*args):
+            outcomes.append(closes(*args))
+            return outcomes[-1]
+        return ascent(base, relations, count, test)
+
+    patch.setattr(frames, "_ascent", recorded)
+    return outcomes
+
+
 def qr_reference(a):
     """Positive-diagonal QR factor of a stack by sign-fixed LAPACK QR."""
     qmat, r = np.linalg.qr(a)
@@ -181,6 +203,16 @@ class TestEvaluation:
         rd = constant_curvature_riemann(4, 1.0)
         with pytest.raises(ValueError):
             cm_of_frame(rd, np.ones((4, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_rejects_non_finite_frames(self, bad):
+        # the defect of such a frame is NaN or inf, which a `defect > tol`
+        # test let through to a NaN value; an overflowing entry gives inf
+        rd = constant_curvature_riemann(4, 1.0)
+        q = coordinate_frame(4, (0, 1))
+        q[2, 1] = bad
+        with pytest.raises(ValueError, match=r"^frame is not orthonormal"):
+            cm_of_frame(rd, q)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projection_form_matches_double_sum(self, seed):
@@ -619,15 +651,16 @@ class TestMinimizer:
 
     def test_evaluation_budget_accounted(self):
         # CP^4 at m = 3, where the route's bound 20 stays below the minimum 24:
-        # the subsets, the route's polish, its frame's score and the descent
-        # from two starts; nothing is sampled, so the budget does not count
+        # the subsets, the route's closure tests and polish, its frame's score
+        # and the descent from two starts; nothing is sampled, so the budget
+        # does not count
         rd = fubini_study_riemann(8)
         res = cm_min(rd, 3, budget=1000, seed=0)
         assert res.method != "certificate"
         unit, _ = _unit_scale(rd)
-        _, frame, polish_evals = _lower_bound(unit, 3)
+        _, frame, route_evals = _lower_bound(unit, 3)
         evals = _descend(unit, fallback_starts(unit, 3, frame), MAX_ITER)[3]
-        assert res.evaluations == math.comb(8, 3) + polish_evals + 1 + int(evals.sum())
+        assert res.evaluations == math.comb(8, 3) + route_evals + 1 + int(evals.sum())
 
     def test_rejects_bad_m(self):
         rd = constant_curvature_riemann(4, 1.0)
@@ -671,8 +704,8 @@ class TestCertificate:
         res = cm_min(rd, n - 1, budget=1000, seed=0)
         assert res.lower_bound == pytest.approx(0.5 * rd.scalar, abs=1e-9)
         assert res.method == "certificate"
-        # the coordinate subsets, then the polish, which starts where C_(n-1)
-        # is constant and stops after one evaluation, then the score
+        # the coordinate subsets, then the route's one closure test, which
+        # closes where C_(n-1) is constant, then the score
         assert res.evaluations == n + 2
         assert_array_equal(res.argmin, coordinate_frame(n, tuple(range(n - 1))))
 
@@ -685,8 +718,8 @@ class TestCertificate:
         assert res.lower_bound == pytest.approx(ky_fan_bound(rd, k + 1), rel=1e-14)
         assert res.value == pytest.approx(2.0 / rho ** 2, rel=1e-14)
         assert res.method == "certificate"
-        # the coordinate subsets, then the polish, which starts at a minimum
-        # and stops after one evaluation, then the polished frame's score
+        # the coordinate subsets, then the route's one closure test, which
+        # closes at Q = 0, then the route's frame's score
         assert res.evaluations == math.comb(k + 3, k + 1) + 2
 
     def test_exact_on_zero_tensor(self):
@@ -710,7 +743,7 @@ class TestCertificate:
             assert (res.method == "certificate") == certified
             if certified:
                 assert res.value == bound + shift
-                # the subsets, one polish evaluation and the score
+                # the subsets, the route's one closure test and the score
                 assert res.evaluations == math.comb(n, m) + 2
                 assert_array_equal(res.argmin, coordinate_frame(n, subset))
             else:
@@ -825,6 +858,30 @@ class TestPluckerRoute:
         res = cm_min(random_curvature_tensor(n, np.random.default_rng(seed)), m, budget=1)
         assert res.method == "certificate"
 
+    @pytest.mark.parametrize("n,m", DENSE_SHAPES)
+    def test_stop_costs_no_more_and_keeps_the_proof(self, monkeypatch, n, m):
+        # against the ascent whose closure test never passes, on this
+        # module's draws of the shape and the benchmark's at seed 5: no
+        # more eigh calls, a bound at most TIE_TOL lower, and still proven
+        shape = DENSE_SHAPES.index((n, m))
+        cases = [random_curvature_tensor(n, np.random.default_rng(seed))
+                 for seed in (n * 10 + m + 7, *(n * 10 + m + 4 + 100 * i for i in range(3)))]
+        cases += [dense_cm_tensor(5, draw)[0] for draw in range(shape, 30, len(DENSE_SHAPES))]
+        for i, rd in enumerate(cases):
+            runs = []
+            for never in (False, True):
+                with monkeypatch.context() as patch:
+                    if never:
+                        never_closing(patch)
+                    eighs = count_calls(patch, np.linalg, ("eigh",))["eigh"]
+                    runs.append((cm_min(rd, m), len(eighs)))
+            (res, eighs), (full, full_eighs) = runs
+            tol = _unit_scale(rd)[1] * frames.TIE_TOL
+            assert res.method == full.method == "certificate", f"case {i}"
+            assert eighs <= full_eighs, f"case {i}"
+            assert full.lower_bound - tol <= res.lower_bound <= full.lower_bound, f"case {i}"
+            assert res.value - res.lower_bound <= tol, f"case {i}"
+
 
 def relation_matrices(n, k):
     """The kept relations as symmetric matrices on the k-vectors, shape (count, size, size)."""
@@ -914,13 +971,13 @@ class TestFourFormCertificate:
             res = cm_min(rd, m, seed=seed)
             where = f"m = {m}, seed = {seed}"
             assert res.method == "certificate", where
-            # the coordinate subsets, then the polished witness
+            # the coordinate subsets, then the route's frame
             assert calls == {"random_frames": [], "cm_batch": [math.comb(n, m), 1]}, where
             assert abs(res.value - res.lower_bound) <= _unit_scale(rd)[1] * frames.TIE_TOL
             assert res.lower_bound > ky_fan_bound(rd, m) + frames.TIE_TOL, where
             assert res.evaluations > math.comb(n, m)
             assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value, abs=1e-9)
-            # no coordinate subset ties, so the argmin is the polished frame
+            # no coordinate subset ties, so the argmin is the route's frame
             assert cm_batch(rd, coordinate_frames(n, m)).min() > res.value + frames.TIE_TOL
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -941,7 +998,7 @@ class TestFourFormCertificate:
         # place, and only the bound and the route's evaluations stay behind
         rd = fubini_study_riemann(8)
         unit, scale = _unit_scale(rd)
-        bound, frame, polish_evals = _lower_bound(unit, 3)
+        bound, frame, route_evals = _lower_bound(unit, 3)
         assert scale * bound == pytest.approx(20.0, abs=1e-9)
         assert min(24.0, scale * cm_batch(unit, frame[None])[0]) > scale * bound + 1.0
         res = cm_min(rd, 3, budget=2000, seed=1)
@@ -950,7 +1007,7 @@ class TestFourFormCertificate:
         assert_same_search(res, sampled)
         assert res.lower_bound == scale * bound > sampled.lower_bound
         # both score one frame: the route's, or the first coordinate frame
-        assert res.evaluations == sampled.evaluations + polish_evals
+        assert res.evaluations == sampled.evaluations + route_evals
         assert res.method == "coordinate-enumeration"
         assert res.value == pytest.approx(24.0, abs=1e-9)
 
@@ -1017,7 +1074,7 @@ class TestRicciCertificate:
         assert res.method == "certificate"
         # the coordinate frames, then the eigenvector
         assert calls == {"random_frames": [], "cm_batch": [n, 1]}
-        # the polish starts at a critical point and stops after one evaluation
+        # the route's first closure test closes, so nothing is polished
         assert res.evaluations == n + 2
         lam_min = np.linalg.eigvalsh(rd.ricci)[0]
         assert res.lower_bound == pytest.approx(lam_min, rel=1e-13, abs=1e-13)
@@ -1059,7 +1116,7 @@ class TestRicciCertificate:
         assert res.method == "projected-descent"
         assert res.value == scale * min(exact(unit, coordinate_frames(5, 1)).min() + shift,
                                         vals[best])
-        # the subsets, one polish evaluation, the score and the descent
+        # the subsets, the route's one closure test, the score and the descent
         assert res.evaluations == 5 + 2 + int(evals.sum())
         assert_array_equal(res.argmin, qs[best])
         assert res.value == pytest.approx(lam_min, rel=1e-13)
@@ -1223,6 +1280,21 @@ class TestOpenInputs:
         if minimum is not None:
             assert res.method == "coordinate-enumeration"
             assert res.value == pytest.approx(minimum, abs=1e-12)
+
+    @pytest.mark.parametrize("rd,m,minimum", open_cases(), ids=OPEN_IDS)
+    def test_closure_tests_change_only_the_count(self, monkeypatch, rd, m, minimum):
+        # the stop never fires where the route stays open: the search and
+        # the bound of the never-closing ascent, one evaluation more per test
+        with monkeypatch.context() as patch:
+            outcomes = record_closure_tests(patch)
+            res = cm_min(rd, m)
+        with monkeypatch.context() as patch:
+            never_closing(patch)
+            full = cm_min(rd, m)
+        assert outcomes and not any(outcomes)
+        assert_same_search(res, full)
+        assert res.lower_bound == full.lower_bound
+        assert res.evaluations == full.evaluations + len(outcomes)
 
     @pytest.mark.parametrize("n,m", DENSE_SHAPES)
     def test_forced_fallback_keeps_the_certified_value(self, monkeypatch, n, m):
