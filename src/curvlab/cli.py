@@ -2,15 +2,17 @@
 
 Exit codes are part of the contract: 0 means every checked property held,
 1 means a verification ran and failed, 2 means the invocation itself was
-bad (unknown flags, out-of-range or non-finite parameters).  Standard
-output carries only the paths of written reports, one per line; everything
-a human would read (progress, timing, failure diagnostics) goes to standard
-error, so scripts can consume report paths without filtering.
+bad (unknown flags, out-of-range or non-finite parameters, a grid too
+large to allocate).  Standard output carries only the paths of written
+reports, one per line; everything a human would read (progress, timing,
+failure diagnostics) goes to standard error, so scripts can consume report
+paths without filtering.
 
 Each `cmd_*` handler takes the resolved configuration and the parsed
 arguments and returns its verdict with the files to write, keyed by file
 stem: a `VerificationReport` or a `(header, rows)` table.  A handler raises
-`ValueError` for parameters it cannot evaluate.  `main` alone turns that
+`ValueError` for parameters it cannot evaluate, and numpy raises
+`MemoryError` for a grid it cannot allocate.  `main` alone turns either
 into exit 2, writes the files once a verdict exists (so an exit-2 run
 writes nothing), prints their paths and one status line.
 
@@ -337,7 +339,9 @@ def main(argv=None) -> int:
         cfg = RunConfig.resolve(args.config, {f.name: getattr(args, f.name)
                                               for f in fields(RunConfig)})
         passed, files = globals()[args.handler](cfg, args)
-    except (ValueError, OSError) as exc:  # handlers do no I/O: OSError is the config file's
+    # handlers do no I/O: OSError is the config file's, and MemoryError a
+    # grid too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -52,18 +52,17 @@ integer Plücker relations, starting at Q = 0.  A top eigenvector,
 contracted to an (n, C(n, k - 1)) matrix, gives V or U as the span of the
 top k left singular vectors.  Before each ascent step that frame is
 scored once, and the ascent stops as soon as the score is within TIE_TOL
-of the current bound: the frame closes the proof as it is.  Only an
-ascent that ends without closing has its last frame polished by a short
-descent.  Either way this is the route's frame, and the route's
-evaluations are its scores plus the polish's.  At k = 1 there are no
-relations: the route is the smallest Ricci eigenvalue at m = 1 and the
-constant scal/2 at m = n - 1.  At k = 2 the relations are the 4-forms.
+of the current bound: the frame closes the proof as it is.  The frame of
+the last top eigenvector is the route's frame, closed or not, and the
+route's evaluations are its scores.  At k = 1 there are no relations: the
+route is the smallest Ricci eigenvalue at m = 1 and the constant scal/2
+at m = n - 1.  At k = 2 the relations are the 4-forms.
 `cm_min` proves the minimum when the route's bound meets the best frame
 it has scored (its docstring states the closure rule, the scale
 normalization and how evaluations are counted).
 
-Otherwise projected gradient descent on the Stiefel manifold runs from
-two starts: the best coordinate frame and the route's frame.  Descent
+Otherwise projected gradient descent on the Stiefel manifold runs once,
+from two starts: the best coordinate frame and the route's frame.  Descent
 only accepts decreases, so the outcome is "coordinate-enumeration" when a
 coordinate subset ties the best value, else "projected-descent".  The
 descent runs in lockstep over the stack of starts: every frame keeps its
@@ -101,9 +100,6 @@ __all__ = [
     "coordinate_frame",
     "cm_of_frame",
     "cm_batch",
-    "tangent_project",
-    "stiefel_retract",
-    "orthonormalize_frames",
     "random_frames",
     "cm_min",
     "cm_min_oracle",
@@ -120,7 +116,6 @@ ORACLE_SAMPLES = 20_000  # frames cm_min_oracle draws
 ORACLE_SLICE = 512       # frames the oracle contracts at a time
 ASCENT_ITER = 200   # quasi-Newton iterations of the Plücker ascent
 MEMORY = 50         # (s, y) pairs the ascent's L-BFGS recursion keeps
-POLISH_ITER = 50    # descent iterations that polish the route's frame
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +556,8 @@ def _operators(riemann: RiemannData, k: int) -> tuple[np.ndarray, np.ndarray]:
     return operator(tables.ricci, riemann.ricci), operator(tables.riemann, riemann.components)
 
 
-def _ascent(base: np.ndarray, relations, count: int,
-            closes) -> tuple[float, np.ndarray, bool]:
-    """min over c of lambda_max(base + sum_j c_j Q_j) by L-BFGS: (lambda_max, top vector, closed).
+def _ascent(base: np.ndarray, relations, count: int, closes) -> tuple[float, np.ndarray]:
+    """min over c of lambda_max(base + sum_j c_j Q_j) by L-BFGS: (lambda_max, top vector).
 
     Q_j are the kept Plücker relations of `_plucker_tables`.  Where the top
     eigenvalue is simple, the gradient is v^T Q_j v for the top
@@ -576,10 +570,9 @@ def _ascent(base: np.ndarray, relations, count: int,
     some dense tensors where the top eigenvalue is nearly double.)  Armijo
     backtracking halves the unit step.  Before each step, closes(lambda_max,
     v) tests whether the caller's proof is already complete; the ascent
-    stops there with closed True.  Otherwise it stops after ASCENT_ITER
-    iterations, when a direction is not a descent direction, when HALVINGS
-    halvings all fail, or when an accepted step leaves lambda_max
-    unchanged.  Any c gives a sound bound and lambda_max only falls, so
+    stops there.  Otherwise it stops after ASCENT_ITER iterations, when a
+    direction is not a descent direction, when HALVINGS halvings all fail,
+    or when an accepted step leaves lambda_max unchanged.  Any c gives a sound bound and lambda_max only falls, so
     where it stops only decides how tight the bound is.
     """
     relation, weight, row, col = relations
@@ -598,7 +591,7 @@ def _ascent(base: np.ndarray, relations, count: int,
     gamma = 1.0
     for _ in range(ASCENT_ITER):
         if closes(value, top):
-            return float(value), top, True
+            break
         direction = -grad
         alphas = []
         for s, y, sy in reversed(memory):
@@ -629,7 +622,7 @@ def _ascent(base: np.ndarray, relations, count: int,
             if not memory:
                 gamma = sy / (y @ y)
             memory.append((s, y, sy))
-    return float(value), top, False
+    return float(value), top
 
 
 def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
@@ -644,11 +637,10 @@ def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
     of Plücker relations.  A frame comes from a top eigenvector xi: the
     top k left singular vectors of its interior product span V, or U and
     then their complement is the frame.  Before each ascent step the
-    frame of the current xi is scored once; when the score is at most the
-    current bound plus TIE_TOL, the ascent stops and that frame is
-    returned as it is.  Otherwise the frame of the last xi is polished by
-    at most POLISH_ITER descent iterations.  The evaluations are the
-    ascent's scores plus the polish's.
+    frame of the current xi is scored once, and the ascent stops when the
+    score is at most the current bound plus TIE_TOL.  The frame of the
+    last xi is returned as it is, closed or not; the evaluations are the
+    ascent's scores.
     """
     n = riemann.dim
     k = min(m, n - m)
@@ -672,12 +664,8 @@ def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
         scores += 1
         return _evaluate(frame(top)[None], form)[0][0] <= offset - value + TIE_TOL
 
-    top_value, top, closed = _ascent(base, tables.relations, tables.count, closes)
-    start = frame(top)
-    if closed:
-        return offset - top_value, start, scores
-    polished, _, _, evals, _ = _descend(riemann, start[None], POLISH_ITER)
-    return offset - top_value, polished[0], scores + int(evals[0])
+    top_value, top = _ascent(base, tables.relations, tables.count, closes)
+    return offset - top_value, frame(top), scores
 
 
 def _check_input(riemann: RiemannData, m: int) -> None:
@@ -715,16 +703,14 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     which is scored once; the value is the smaller of the coordinate
     minimum and that score.  When value and bound agree within TIE_TOL on
     both sides, the minimum is proven, with method "certificate".
-    Otherwise descent runs in lockstep from the best coordinate frame and
-    the route's frame, for at most MAX_ITER iterations each.
+    Otherwise the one descent runs, in lockstep from the best coordinate
+    frame and the route's frame, for at most MAX_ITER iterations each.
     The route stops its ascent at the first frame that meets its bound
-    within TIE_TOL and polishes its frame only when the ascent ends
-    without closing; that stop can only lower the bound by TIE_TOL, so
-    the closure rule here is unchanged.
+    within TIE_TOL; that stop can only lower the bound by TIE_TOL, so the
+    closure rule here is unchanged.
     `lower_bound` is the route's bound on every path, and `evaluations`
-    counts what ran: C(n, m), the route's evaluations (one per closure
-    test of its ascent, plus the polish's when it runs), one for the
-    score, and the descent's when it runs.
+    counts what ran: C(n, m), one per closure test of the route's ascent,
+    one for the score, and the descent's when it runs.
     On every path, when a coordinate subset comes within TIE_TOL of the
     best value found, the lexicographically first such subset is reported
     as the argmin.

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -157,16 +156,9 @@ class RunConfig:
 
     @classmethod
     def resolve(cls, config_path: str | None = None,
-                overrides: Mapping[str, object] | None = None,
-                env: Mapping[str, str] | None = None) -> "RunConfig":
-        """Defaults, then config file, then CURVLAB_SEED, then explicit flags."""
+                overrides: Mapping[str, object] | None = None) -> "RunConfig":
+        """Defaults, then config file, then explicit flags."""
         cfg = cls.from_file(config_path) if config_path else cls()
-        env = os.environ if env is None else env
-        if "CURVLAB_SEED" in env:
-            try:
-                cfg = replace(cfg, seed=int(env["CURVLAB_SEED"])).validate()
-            except ValueError as exc:
-                raise ValueError(f"CURVLAB_SEED: {exc}") from exc
         clean = {k: v for k, v in (overrides or {}).items() if v is not None}
         unknown = set(clean) - {f.name for f in fields(cls)}
         if unknown:

@@ -24,11 +24,6 @@ from curvlab.inequalities import admissible
 from construction_references import curvature_report_rows
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("CURVLAB_SEED", raising=False)
-
-
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -478,15 +473,31 @@ class TestReproducibility:
         assert b"output_dir" not in blobs[0]
 
     def test_env_seed_and_flag_precedence(self, tmp_path, monkeypatch, capsys):
+        # the flag beats the config file, and CURVLAB_SEED is read by nothing
         monkeypatch.setenv("CURVLAB_SEED", "7")
-        _, paths, _ = run_cli(
-            ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "1",
-             "--out", str(tmp_path / "env"), *FAST], capsys)
-        assert load_json(paths[0])["config"]["seed"] == 7
-        _, paths, _ = run_cli(
-            ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "1",
-             "--seed", "3", "--out", str(tmp_path / "flag"), *FAST], capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 11\n")
+        argv = ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "1",
+                "--config", str(cfg), *FAST]
+        _, paths, _ = run_cli([*argv, "--out", str(tmp_path / "file")], capsys)
+        assert load_json(paths[0])["config"]["seed"] == 11
+        _, paths, _ = run_cli([*argv, "--seed", "3", "--out", str(tmp_path / "flag")],
+                              capsys)
         assert load_json(paths[0])["config"]["seed"] == 3
+
+    def test_env_seed_changes_nothing(self, tmp_path, monkeypatch, capsys):
+        # not even an unparsable CURVLAB_SEED: same exit code, same bytes
+        def run(out):
+            code, paths, _ = run_cli(
+                ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "1", *FAST,
+                 "--out", str(tmp_path / out)], capsys)
+            return code, [Path(p).read_bytes() for p in paths]
+
+        monkeypatch.delenv("CURVLAB_SEED", raising=False)
+        unset = run("unset")
+        monkeypatch.setenv("CURVLAB_SEED", "abc")
+        assert run("abc") == unset
+        assert unset[0] == 0 and len(unset[1]) == 1
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -509,24 +520,16 @@ class TestReproducibility:
         assert paths == []
         assert "no_such_key" in err
 
-    @pytest.mark.parametrize("env,config,source,reason", [
-        ("abc", None, "CURVLAB_SEED: ", "invalid literal for int() with base 10: 'abc'"),
-        ("1.5", None, "CURVLAB_SEED: ", "invalid literal for int() with base 10: '1.5'"),
-        (None, "seed = abc\n", "bad.cfg:1: ",
-         "invalid literal for int() with base 10: 'abc'"),
+    @pytest.mark.parametrize("config,source,reason", [
+        ("seed = abc\n", "bad.cfg:1: ", "invalid literal for int() with base 10: 'abc'"),
         # values that parse but are out of range name their source as well
-        ("-1", None, "CURVLAB_SEED: ", "seed must fit in 64 unsigned bits"),
-        (None, "seed = 3\n\ngrid_points = 1\n", "bad.cfg:3: ",
-         "grid_points must be at least 2"),
+        ("seed = 3\n\ngrid_points = 1\n", "bad.cfg:3: ", "grid_points must be at least 2"),
     ])
-    def test_bad_config_value_names_its_source(self, tmp_path, monkeypatch, capsys,
-                                               env, config, source, reason):
-        argv = ["scan-algebra", "--out", str(tmp_path / "out")]
-        if env is not None:
-            monkeypatch.setenv("CURVLAB_SEED", env)
-        if config is not None:
-            (tmp_path / "bad.cfg").write_text(config)
-            argv += ["--config", str(tmp_path / "bad.cfg")]
+    def test_bad_config_value_names_its_source(self, tmp_path, capsys,
+                                               config, source, reason):
+        (tmp_path / "bad.cfg").write_text(config)
+        argv = ["scan-algebra", "--out", str(tmp_path / "out"),
+                "--config", str(tmp_path / "bad.cfg")]
         code, paths, err = run_cli(argv, capsys)
         assert code == 2
         assert paths == [] and not (tmp_path / "out").exists()
@@ -572,6 +575,18 @@ def test_bad_invocation_exits_two_without_traceback(tmp_path, capsys, argv):
         assert err == "error: ODE residual at r = -1e+160 is not finite\n"
     if argv[:3] == ["matrix-inequalities", "--n", "2"]:
         assert err.endswith("got n = 2\n")
+
+
+@pytest.mark.parametrize("command", ["verify-examples", "curvature-report"])
+def test_unallocatable_grid_exits_two(tmp_path, capsys, command):
+    # 8 PB of radii: numpy refuses the grid at once, without touching memory
+    out = tmp_path / "out"
+    code, paths, err = run_cli(
+        [command, "--n", "6", "--m", "2", "--epsilon", "1",
+         "--grid-points", "1000000000000000", "--out", str(out)], capsys)
+    assert code == 2
+    assert paths == [] and not out.exists()
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
 
 def test_handler_replaced_after_the_first_call_is_the_one_run(tmp_path, capsys,

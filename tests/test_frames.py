@@ -114,6 +114,19 @@ def record_closure_tests(patch):
     return outcomes
 
 
+def record_descents(patch):
+    """Record `_descend`'s calls; returns the number of starts of each call."""
+    descend = frames._descend
+    starts = []
+
+    def recorded(riemann, q0, max_iter):
+        starts.append(len(q0))
+        return descend(riemann, q0, max_iter)
+
+    patch.setattr(frames, "_descend", recorded)
+    return starts
+
+
 def qr_reference(a):
     """Positive-diagonal QR factor of a stack by sign-fixed LAPACK QR."""
     qmat, r = np.linalg.qr(a)
@@ -651,9 +664,9 @@ class TestMinimizer:
 
     def test_evaluation_budget_accounted(self):
         # CP^4 at m = 3, where the route's bound 20 stays below the minimum 24:
-        # the subsets, the route's closure tests and polish, its frame's score
-        # and the descent from two starts; nothing is sampled, so the budget
-        # does not count
+        # the subsets, the route's closure tests, its frame's score and the
+        # descent from two starts; nothing is sampled, so the budget does
+        # not count
         rd = fubini_study_riemann(8)
         res = cm_min(rd, 3, budget=1000, seed=0)
         assert res.method != "certificate"
@@ -965,12 +978,14 @@ class TestFourFormCertificate:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_closes_without_sampling(self, monkeypatch, n):
         calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
+        descents = record_descents(monkeypatch)
         for m, seed in closing_draws(n):
             rd = random_curvature_tensor(n, np.random.default_rng(seed))
             calls["cm_batch"].clear()
             res = cm_min(rd, m, seed=seed)
             where = f"m = {m}, seed = {seed}"
             assert res.method == "certificate", where
+            assert descents == [], where
             # the coordinate subsets, then the route's frame
             assert calls == {"random_frames": [], "cm_batch": [math.comb(n, m), 1]}, where
             assert abs(res.value - res.lower_bound) <= _unit_scale(rd)[1] * frames.TIE_TOL
@@ -995,7 +1010,7 @@ class TestFourFormCertificate:
         # on CP^4 at m = 3 the ascent stops at the bound 20, below the
         # coordinate minimum 24, so cm_min descends; from the route's frame
         # it finds what it finds from the first coordinate frame in its
-        # place, and only the bound and the route's evaluations stay behind
+        # place, and only the bound and the evaluations differ
         rd = fubini_study_riemann(8)
         unit, scale = _unit_scale(rd)
         bound, frame, route_evals = _lower_bound(unit, 3)
@@ -1006,8 +1021,9 @@ class TestFourFormCertificate:
         sampled = cm_min(rd, 3, budget=2000, seed=1)
         assert_same_search(res, sampled)
         assert res.lower_bound == scale * bound > sampled.lower_bound
-        # both score one frame: the route's, or the first coordinate frame
-        assert res.evaluations == sampled.evaluations + route_evals
+        # the subsets, the route's closure tests, its frame's score and the descent
+        evals = _descend(unit, fallback_starts(unit, 3, frame), MAX_ITER)[3]
+        assert res.evaluations == math.comb(8, 3) + route_evals + 1 + int(evals.sum())
         assert res.method == "coordinate-enumeration"
         assert res.value == pytest.approx(24.0, abs=1e-9)
 
@@ -1070,11 +1086,13 @@ class TestRicciCertificate:
     def test_closes_without_sampling(self, monkeypatch, rd):
         n = rd.dim
         calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
+        descents = record_descents(monkeypatch)
         res = cm_min(rd, 1, seed=3)
         assert res.method == "certificate"
-        # the coordinate frames, then the eigenvector
+        # the coordinate frames, then the eigenvector, and no descent
         assert calls == {"random_frames": [], "cm_batch": [n, 1]}
-        # the route's first closure test closes, so nothing is polished
+        assert descents == []
+        # the subsets, the route's one closure test, which closes, and the score
         assert res.evaluations == n + 2
         lam_min = np.linalg.eigvalsh(rd.ricci)[0]
         assert res.lower_bound == pytest.approx(lam_min, rel=1e-13, abs=1e-13)
@@ -1280,6 +1298,26 @@ class TestOpenInputs:
         if minimum is not None:
             assert res.method == "coordinate-enumeration"
             assert res.value == pytest.approx(minimum, abs=1e-12)
+
+    @pytest.mark.parametrize("rd,m,minimum", open_cases(), ids=OPEN_IDS)
+    def test_descends_once_from_two_starts(self, monkeypatch, rd, m, minimum):
+        # the route returns its frame as it is, so the only descent is
+        # cm_min's, from the best coordinate frame and the route's frame
+        descents = record_descents(monkeypatch)
+        route = frames._lower_bound
+        in_route = []
+
+        def recorded_route(riemann, m):
+            before = len(descents)
+            result = route(riemann, m)
+            in_route.append(len(descents) - before)
+            return result
+
+        monkeypatch.setattr(frames, "_lower_bound", recorded_route)
+        res = cm_min(rd, m)
+        assert res.method != "certificate"
+        assert in_route == [0]
+        assert descents == [2]
 
     @pytest.mark.parametrize("rd,m,minimum", open_cases(), ids=OPEN_IDS)
     def test_closure_tests_change_only_the_count(self, monkeypatch, rd, m, minimum):

@@ -115,18 +115,15 @@ class TestRunConfig:
     def test_resolve_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 1\ngrid_points = 31\n")
-        cfg = RunConfig.resolve(str(path), {"seed": 3}, env={"CURVLAB_SEED": "2"})
-        assert cfg.seed == 3          # flag beats env beats file
+        cfg = RunConfig.resolve(str(path), {"seed": 3})
+        assert cfg.seed == 3          # flag beats file
         assert cfg.grid_points == 31  # file beats default
-        cfg = RunConfig.resolve(str(path), {"seed": None},
-                                env={"CURVLAB_SEED": "2"})
-        assert cfg.seed == 2          # env beats file when no flag
-        cfg = RunConfig.resolve(str(path), {}, env={})
-        assert cfg.seed == 1
+        cfg = RunConfig.resolve(str(path), {"seed": None})
+        assert cfg.seed == 1          # an unset flag leaves the file's value
 
     def test_resolve_rejects_unknown_override(self):
         with pytest.raises(ValueError, match="unknown"):
-            RunConfig.resolve(None, {"speed": 3}, env={})
+            RunConfig.resolve(None, {"speed": 3})
 
 
 class TestVerificationReport:
