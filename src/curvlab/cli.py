@@ -3,7 +3,8 @@
 Exit codes are part of the contract: 0 means every checked property held,
 1 means a verification ran and failed, 2 means the invocation itself was
 bad (unknown flags, out-of-range or non-finite parameters, a grid too
-large to allocate).  Standard output carries only the paths of written
+large to allocate, an unreadable config file, a report directory that
+cannot be written).  Standard output carries only the paths of written
 reports, one per line; everything a human would read (progress, timing,
 failure diagnostics) goes to standard error, so scripts can consume report
 paths without filtering.
@@ -12,9 +13,10 @@ Each `cmd_*` handler takes the resolved configuration and the parsed
 arguments and returns its verdict with the files to write, keyed by file
 stem: a `VerificationReport` or a `(header, rows)` table.  A handler raises
 `ValueError` for parameters it cannot evaluate, and numpy raises
-`MemoryError` for a grid it cannot allocate.  `main` alone turns either
-into exit 2, writes the files once a verdict exists (so an exit-2 run
-writes nothing), prints their paths and one status line.
+`MemoryError` for a grid it cannot allocate.  `main` alone turns either,
+or an `OSError` from the config file or the report directory, into exit
+2.  It writes the files once a verdict exists (so a run with bad
+parameters writes nothing), prints their paths and one status line.
 
 Reports serialize through `canonical_json` with timing excluded, which
 makes identical invocations byte-identical across runs.
@@ -115,8 +117,7 @@ def cmd_verify_examples(cfg: RunConfig, args) -> tuple[bool, dict]:
 
     if args.epsilon is None:
         try:
-            found = search_epsilon(n, m, lam, r_max=cfg.r_max,
-                                   grid_points=cfg.grid_points)
+            found = search_epsilon(n, m, lam, r_grid)
         except EpsilonSearchError as exc:
             positivity, witnesses["epsilon"] = exc.best_report, None
         else:
@@ -281,16 +282,13 @@ def _build_parser() -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value configuration file")
-    common.add_argument("--seed", type=int,
-                        help="base seed, validated and echoed in reports; "
-                             "no subcommand reads it")
+    # the benchmark still passes --seed and --frame-budget
+    common.add_argument("--seed", type=int, help="ignored")
     common.add_argument("--r-max", type=float, dest="r_max",
                         help="radial half-width of verification grids")
     common.add_argument("--grid-points", type=int, dest="grid_points",
                         help="number of radial grid points")
-    common.add_argument("--frame-budget", type=int, dest="frame_budget",
-                        help="frame budget, validated and echoed in reports; "
-                             "no subcommand reads it")
+    common.add_argument("--frame-budget", type=int, help="ignored")
     common.add_argument("--out", dest="output_dir", help="report directory")
     common.add_argument("--format", choices=["json", "csv"],
                         help="report file format")
@@ -339,13 +337,13 @@ def main(argv=None) -> int:
         cfg = RunConfig.resolve(args.config, {f.name: getattr(args, f.name)
                                               for f in fields(RunConfig)})
         passed, files = globals()[args.handler](cfg, args)
-    # handlers do no I/O: OSError is the config file's, and MemoryError a
-    # grid too large to allocate
+        paths = [_write(cfg, stem, content) for stem, content in files.items()]
+    # handlers do no I/O: OSError is the config file's or the report
+    # directory's, and MemoryError a grid too large to allocate
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 
-    paths = [_write(cfg, stem, content) for stem, content in files.items()]
     for path in paths:
         print(path)
     print(f"[{args.command}] {'pass' if passed else 'FAIL'} in "

@@ -330,31 +330,27 @@ class EpsilonSearchResult:
     tightness_report: PositivityReport
 
 
-def search_epsilon(n: int, m: int, lam: float,
-                   r_max: float = 10.0, grid_points: int = 121) -> EpsilonSearchResult:
+def search_epsilon(n: int, m: int, lam: float, r_grid) -> EpsilonSearchResult:
     """Halving search for a sphere scale with a passing positivity sweep.
 
     Tries epsilon = 2^-t for t = 0..MAX_HALVINGS and returns the first
     (largest) passing scale together with a sweep at twice that scale as
-    tightness evidence.  Each scale is swept once, fail-fast, on the grid
-    of `grid_points` radii spanning [-r_max, r_max].  The tightness report
-    of a passing t >= 1 is therefore the failed report of candidate t - 1;
-    only when t = 0 passes is scale 2 swept, as t = -1.
+    tightness evidence.  Each scale is swept once, fail-fast, on the radii
+    of `r_grid`.  The tightness report of a passing t >= 1 is therefore the
+    failed report of candidate t - 1; only when t = 0 passes is scale 2
+    swept, as t = -1.
 
     A failed fail-fast sweep reports, as its worst value, the exact
     minimum over the radii it visited.  When no scale passes,
     EpsilonSearchError carries the failed report with the highest such
-    minimum.  An r_max that is not positive, or above half the largest
-    float (where the grid's width overflows), raises ValueError.
+    minimum.  An empty grid, or one holding a radius whose curvature is
+    not finite (NaN and infinite radii included), raises the sweep's
+    ValueError, which names that radius.
 
     The profile depends on (n, m, lambda) alone, so it is solved once and
     every scale's metric shares it.
     """
-    if not 0 < r_max <= np.finfo(float).max / 2:
-        raise ValueError("r_max must be positive and at most half the largest float, "
-                         f"so that [-r_max, r_max] has a finite width; got {r_max}")
     sol = solve_profile(n, m, lam)
-    r_grid = np.linspace(-r_max, r_max, grid_points)
 
     def sweep(t: int) -> PositivityReport:
         metric = WarpedTorusMetric(n, m, 2.0 ** (-t), sol.f, sol.u)

@@ -235,17 +235,6 @@ def tangent_project(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - q @ (0.5 * (qtg + np.swapaxes(qtg, -1, -2)))
 
 
-def stiefel_retract(y: np.ndarray) -> np.ndarray:
-    """Nearest-frame retraction: the positive-diagonal QR factor.
-
-    Takes one (n, m) matrix or a stack of them, shape (B, n, m).
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 2:
-        return orthonormalize_frames(y[None])[0]
-    return orthonormalize_frames(y)
-
-
 def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
     """Projected gradient descent in lockstep from a stack of starts (k, n, m).
 
@@ -262,7 +251,7 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
     """
     n = riemann.dim
     form = _symmetric_form(riemann)
-    q = stiefel_retract(q0)
+    q = orthonormalize_frames(q0)
     val, wx = _evaluate(q, form)
     bmat = _contraction(wx, n)
     k = len(q)
@@ -311,7 +300,7 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
         idx = np.flatnonzero(pending)
         if not idx.size:
             break
-        cand = stiefel_retract(q[idx] - step[idx, None, None] * grad[idx])
+        cand = orthonormalize_frames(q[idx] - step[idx, None, None] * grad[idx])
         cand_val, cand_wx = _evaluate(cand, form)
         evals[idx] += 1
         ok = cand_val <= val[idx] - ARMIJO * step[idx] * gnorm2[idx]

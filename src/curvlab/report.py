@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "MASK64",
     "jsonable",
     "canonical_json",
     "write_json",
@@ -25,8 +24,6 @@ __all__ = [
     "RunConfig",
     "VerificationReport",
 ]
-
-MASK64 = (1 << 64) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +97,17 @@ class RunConfig:
 
     Reports echo every field except `output_dir`: where a report is written
     is not part of what it says, so identical invocations with different
-    `--out` directories write identical bytes.  `seed` and `frame_budget`
-    are validated and echoed, but no subcommand reads them: every
-    verification the CLI runs is exact.  `r_max` is at most half the
-    largest float, so that the grid [-r_max, r_max] has a finite width.
+    `--out` directories write identical bytes.  `r_max` is at most half the
+    largest float, so that the grid [-r_max, r_max] has a finite width;
+    this is the only place that bound is checked.
     """
 
-    seed: int = 0
     r_max: float = 10.0
     grid_points: int = 121
-    frame_budget: int = 100_000
     output_dir: str = "reports"
     format: str = "json"
 
     def validate(self) -> "RunConfig":
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must fit in 64 unsigned bits")
         if not 0 < self.r_max < math.inf:
             raise ValueError(f"r_max must be finite and positive, got {self.r_max}")
         if self.r_max > np.finfo(float).max / 2:
@@ -123,8 +115,6 @@ class RunConfig:
                              f"[-r_max, r_max] has a finite width; got {self.r_max}")
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
-        if self.frame_budget < 1:
-            raise ValueError("frame_budget must be at least 1")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
         return self

@@ -22,7 +22,8 @@ import numpy as np
 
 from curvlab import frames
 from curvlab.curvature import RiemannData
-from curvlab.frames import MAX_ITER, SAMPLE_CHUNK, _descend, _unit_scale, stiefel_retract
+from curvlab.frames import (MAX_ITER, SAMPLE_CHUNK, _descend, _unit_scale,
+                            orthonormalize_frames)
 
 DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
 
@@ -38,14 +39,14 @@ def complete_frame(q: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
     seed_block = np.eye(n) if extra is None else np.asarray(extra, dtype=float)
-    full = stiefel_retract(q)
+    full = orthonormalize_frames(q[None])[0]
     if np.max(np.abs(full - q)) > 1e-9:
         raise ValueError("completion failed to preserve the input frame")
     for col in seed_block.T:
         if full.shape[1] == n:
             break
         try:
-            full = stiefel_retract(np.column_stack([full, col]))
+            full = orthonormalize_frames(np.column_stack([full, col])[None])[0]
         except ValueError:
             continue
     if full.shape[1] < n:

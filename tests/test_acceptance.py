@@ -106,7 +106,7 @@ def test_criterion_05_epsilon_search_all_pairs():
     details, ok = [], True
     for n, m in CONSTRUCTION_PAIRS:
         started = time.perf_counter()
-        found = search_epsilon(n, m, lam, r_max=10.0, grid_points=121)
+        found = search_epsilon(n, m, lam, np.linspace(-10, 10, 121))
         elapsed = time.perf_counter() - started
         rep = found.report
         coord_ok = (abs(rep.coord_value_min - lam) < 1e-9

@@ -52,7 +52,8 @@ class TestVerifyExamples:
         lo, hi = report["witnesses"]["positivity"]["coordinate_frame_value_range"]
         assert abs(lo - 1.0) < 1e-9 and abs(hi - 1.0) < 1e-9
         assert report["witnesses"]["ode_residual_max"] < 1e-9
-        assert report["config"]["frame_budget"] == 2000
+        # the configuration holds only what a subcommand reads
+        assert report["config"] == {"format": "json", "grid_points": 9, "r_max": 3.0}
 
     def test_search_finds_scale(self, tmp_path, capsys):
         code, paths, _ = run_cli(
@@ -255,16 +256,16 @@ class TestMatrixInequalities:
                    for row in wit[key]["matrix"] for v in row)
 
     def test_seed_does_not_change_report(self, tmp_path, capsys):
-        blobs = []
-        for seed in ("1", "2", "2"):
-            _, paths, _ = run_cli(
-                ["matrix-inequalities", "--n", "6", "--m", "4", "--seed", seed,
-                 "--out", str(tmp_path)], capsys)
-            blobs.append(Path(paths[0]).read_bytes())
-        assert blobs[1] == blobs[2]
-        # the echoed configuration is the only place the seed appears
-        assert blobs[0].count(b'"seed": 1\n') == 1
-        assert blobs[0].replace(b'"seed": 1\n', b'"seed": 2\n') == blobs[1]
+        # --seed and --frame-budget are accepted and read by nothing
+        runs = []
+        for i, flags in enumerate((["--seed", "1"], ["--seed", "2"], [],
+                                   ["--frame-budget", "0"])):
+            code, paths, _ = run_cli(
+                ["matrix-inequalities", "--n", "6", "--m", "4", *flags,
+                 "--out", str(tmp_path / str(i))], capsys)
+            runs.append((code, [Path(p).read_bytes() for p in paths]))
+        assert runs[0][0] == 0 and len(runs[0][1]) == 1
+        assert all(run == runs[0] for run in runs)
 
     def test_inadmissible_pair(self, tmp_path, capsys):
         code, paths, _ = run_cli(
@@ -472,18 +473,16 @@ class TestReproducibility:
         assert blobs[0] == blobs[1]
         assert b"output_dir" not in blobs[0]
 
-    def test_env_seed_and_flag_precedence(self, tmp_path, monkeypatch, capsys):
-        # the flag beats the config file, and CURVLAB_SEED is read by nothing
-        monkeypatch.setenv("CURVLAB_SEED", "7")
+    def test_flag_beats_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 11\n")
+        cfg.write_text("grid_points = 11\n")
         argv = ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "1",
-                "--config", str(cfg), *FAST]
+                "--r-max", "3", "--config", str(cfg)]
         _, paths, _ = run_cli([*argv, "--out", str(tmp_path / "file")], capsys)
-        assert load_json(paths[0])["config"]["seed"] == 11
-        _, paths, _ = run_cli([*argv, "--seed", "3", "--out", str(tmp_path / "flag")],
+        assert load_json(paths[0])["config"]["grid_points"] == 11
+        _, paths, _ = run_cli([*argv, "--grid-points", "3", "--out", str(tmp_path / "flag")],
                               capsys)
-        assert load_json(paths[0])["config"]["seed"] == 3
+        assert load_json(paths[0])["config"]["grid_points"] == 3
 
     def test_env_seed_changes_nothing(self, tmp_path, monkeypatch, capsys):
         # not even an unparsable CURVLAB_SEED: same exit code, same bytes
@@ -501,14 +500,12 @@ class TestReproducibility:
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 11\ngrid_points = 7\n# comment\n")
+        cfg.write_text("r_max = 3\ngrid_points = 7\n# comment\n")
         _, paths, _ = run_cli(
             ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "1",
-             "--config", str(cfg), "--frame-budget", "2000",
-             "--r-max", "3", "--out", str(tmp_path / "out")], capsys)
+             "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
         report = load_json(paths[0])
-        assert report["config"]["seed"] == 11
-        assert report["config"]["grid_points"] == 7
+        assert report["config"] == {"format": "json", "grid_points": 7, "r_max": 3.0}
 
     def test_bad_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -521,9 +518,12 @@ class TestReproducibility:
         assert "no_such_key" in err
 
     @pytest.mark.parametrize("config,source,reason", [
-        ("seed = abc\n", "bad.cfg:1: ", "invalid literal for int() with base 10: 'abc'"),
+        ("grid_points = abc\n", "bad.cfg:1: ", "invalid literal for int() with base 10: 'abc'"),
         # values that parse but are out of range name their source as well
-        ("seed = 3\n\ngrid_points = 1\n", "bad.cfg:3: ", "grid_points must be at least 2"),
+        ("r_max = 3\n\ngrid_points = 1\n", "bad.cfg:3: ", "grid_points must be at least 2"),
+        # no subcommand reads a seed or a frame budget, so neither is a key
+        ("seed = 3\n", "bad.cfg:1: ", "unknown config key 'seed'"),
+        ("frame_budget = 70\n", "bad.cfg:1: ", "unknown config key 'frame_budget'"),
     ])
     def test_bad_config_value_names_its_source(self, tmp_path, capsys,
                                                config, source, reason):
@@ -587,6 +587,19 @@ def test_unallocatable_grid_exits_two(tmp_path, capsys, command):
     assert code == 2
     assert paths == [] and not out.exists()
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_unwritable_out_exits_two(tmp_path, capsys, target):
+    # --out names a regular file, or a directory below one
+    (tmp_path / "file").write_text("")
+    code, paths, err = run_cli(
+        ["matrix-inequalities", "--n", "6", "--m", "4", "--out", str(tmp_path / target)],
+        capsys)
+    assert code == 2
+    assert paths == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_handler_replaced_after_the_first_call_is_the_one_run(tmp_path, capsys,

@@ -43,6 +43,8 @@ from curvature_references import constant_profile, laplacian_fd
 from frame_references import sampled_search
 
 LAMBDAS = (0.5, 1.0, 2.0)
+# the default radial grid of the CLI
+GRID = np.linspace(-10.0, 10.0, 121)
 
 
 def forbid_frame_search(monkeypatch):
@@ -430,7 +432,7 @@ class TestVerify:
         with pytest.raises(ValueError, match="radial grid is empty"):
             verify_uniform_positivity(metric, 1.0, [])
         with pytest.raises(ValueError, match="radial grid is empty"):
-            search_epsilon(6, 2, 1.0, grid_points=0)
+            search_epsilon(6, 2, 1.0, [])
 
 
 class TestWorstRadius:
@@ -536,7 +538,7 @@ class TestClassCounts:
 
 class TestSearchEpsilon:
     def test_finds_passing_scale(self):
-        res = search_epsilon(6, 2, 1.0, r_max=3.0, grid_points=7)
+        res = search_epsilon(6, 2, 1.0, np.linspace(-3.0, 3.0, 7))
         assert 0.0 < res.epsilon <= 1.0
         assert res.report.passed
         assert res.report.coord_value_min == pytest.approx(1.0, abs=1e-9)
@@ -544,14 +546,14 @@ class TestSearchEpsilon:
 
     def test_range_check(self):
         with pytest.raises(UnsupportedParameters):
-            search_epsilon(6, 4, 1.0)
+            search_epsilon(6, 4, 1.0, GRID)
 
     def test_search_failure_carries_best_report(self, monkeypatch):
         # lambda = 4 at scale 1 behaves like lambda = 1 at scale 2, which
         # fails, so a zero-halving search has no passing candidate
         monkeypatch.setattr(constructions, "MAX_HALVINGS", 0)
         with pytest.raises(EpsilonSearchError) as exc:
-            search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5)
+            search_epsilon(6, 2, 4.0, np.linspace(-2.0, 2.0, 5))
         assert exc.value.best_report is not None
         assert not exc.value.best_report.passed
         # the fail-fast sweep stops at r = 0, and its worst value is the
@@ -574,7 +576,7 @@ class TestSearchEpsilon:
 
         monkeypatch.setattr(constructions, "verify_uniform_positivity", recording)
         with pytest.raises(EpsilonSearchError) as exc:
-            search_epsilon(6, 2, 16.0, r_max=2.0, grid_points=5)
+            search_epsilon(6, 2, 16.0, np.linspace(-2.0, 2.0, 5))
         assert len(swept) == 2 and not any(rep.passed for rep in swept)
         assert exc.value.best_report is max(swept, key=lambda rep: rep.worst_value)
 
@@ -591,7 +593,7 @@ class TestSearchEpsilon:
             return swept[-1]
 
         monkeypatch.setattr(constructions, "verify_uniform_positivity", recording)
-        res = search_epsilon(6, 3, lam, r_max=3.0, grid_points=7)
+        res = search_epsilon(6, 3, lam, np.linspace(-3.0, 3.0, 7))
         assert [rep.epsilon for rep in swept] == [2.0 ** -t for t in scales]
         assert res.epsilon == 1 / math.sqrt(lam)
         assert res.report is swept[0 if lam == 1.0 else 1]
@@ -609,7 +611,7 @@ class TestSearchEpsilon:
             return solve(*args)
 
         monkeypatch.setattr(constructions, "solve_profile", recording)
-        res = search_epsilon(6, 3, 4.0, grid_points=3)
+        res = search_epsilon(6, 3, 4.0, np.linspace(-10.0, 10.0, 3))
         assert res.epsilon == 0.5
         assert solved == [(6, 3, 4.0)]
 
@@ -619,24 +621,25 @@ class TestSearchEpsilon:
         forbid_frame_search(monkeypatch)
         for lam, expected in ((1.0, 1.0), (4.0, 0.5)):
             for n, m in CONSTRUCTION_PAIRS:
-                res = search_epsilon(n, m, lam)
+                res = search_epsilon(n, m, lam, GRID)
                 assert res.epsilon == expected and res.report.passed, (n, m, lam)
                 assert not res.tightness_report.passed, (n, m, lam)
 
-    @pytest.mark.parametrize("r_max", [1.5e308, math.inf, math.nan, 0.0, -1.0])
-    def test_r_max_is_rejected_before_the_grid_overflows(self, r_max):
-        # np.linspace(-r_max, r_max) overflows to NaN radii above max/2
-        with pytest.raises(ValueError, match="r_max must be positive"):
-            search_epsilon(6, 2, 1.0, r_max=r_max, grid_points=3)
-        # half the largest float is accepted; its radii are finite, and
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_radius_it_cannot_evaluate_is_named(self, bad):
+        # the grid is the caller's, so the sweep alone keeps a non-finite
+        # radius from passing
+        with pytest.raises(ValueError, match=re.escape(f"curvature at r = {bad!r}:")):
+            search_epsilon(6, 2, 1.0, [-1.0, bad, 1.0])
+        # the radii of a grid as wide as [-max/2, max/2] are finite, and
         # riemann_exact names the first one whose curvature is not
         half = float(np.finfo(float).max) / 2
         with pytest.raises(ValueError, match=re.escape(f"curvature at r = {-half!r}:")):
-            search_epsilon(6, 2, 1.0, r_max=half, grid_points=3)
+            search_epsilon(6, 2, 1.0, np.linspace(-half, half, 3))
 
     def test_search_recovers_after_failure(self, monkeypatch):
         monkeypatch.setattr(constructions, "MAX_HALVINGS", 3)
-        res = search_epsilon(6, 2, 4.0, r_max=2.0, grid_points=5)
+        res = search_epsilon(6, 2, 4.0, np.linspace(-2.0, 2.0, 5))
         assert res.epsilon < 1.0
         assert res.report.passed
 

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from curvlab.frames import (
     coordinate_frame,
     orthonormalize_frames,
     random_frames,
-    stiefel_retract,
     tangent_project,
 )
 from curvature_references import constant_curvature_riemann, fubini_study_riemann
@@ -357,7 +357,7 @@ class TestGradient:
 
     def test_retraction_fixes_orthonormal_input(self):
         q = haar_frame(6, 3, 33)
-        assert_allclose(stiefel_retract(q), q, atol=1e-12)
+        assert_allclose(orthonormalize_frames(q[None])[0], q, atol=1e-12)
 
     def test_gradient_vanishes_on_space_form(self):
         rd = constant_curvature_riemann(5, 1.0)
@@ -499,9 +499,9 @@ class TestLockstepDescent:
 
         def recording(y):
             moves.extend(np.sqrt(np.maximum(np.einsum("kia,kia->k", y, y) - m, 0)))
-            return stiefel_retract(y)
+            return orthonormalize_frames(y)
 
-        monkeypatch.setattr(frames, "stiefel_retract", recording)
+        monkeypatch.setattr(frames, "orthonormalize_frames", recording)
         _descend(rd, starts, MAX_ITER)
         assert 1.0 - 1e-12 <= max(moves) <= 1.0 + 1e-12
 
@@ -569,17 +569,15 @@ class TestSampling:
         a = np.random.default_rng(2).standard_normal((8, 5, 3))
         a[3, :, 2] = 2.0 * a[3, :, 0] - a[3, :, 1]
         for bad in (np.zeros((1, 3, 2)), a, np.full((2, 4, 2), np.nan)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="rank deficient"):
                 orthonormalize_frames(bad)
-        with pytest.raises(ValueError):
-            stiefel_retract(np.zeros((4, 2)))
 
     def test_retraction_of_a_stack_is_framewise(self):
         y = np.random.default_rng(3).standard_normal((6, 7, 4))
-        stacked = stiefel_retract(y)
+        stacked = orthonormalize_frames(y)
         assert stacked.shape == y.shape
         for i in range(len(y)):
-            assert_allclose(stacked[i], stiefel_retract(y[i]), rtol=0, atol=1e-14)
+            assert_allclose(stacked[i], orthonormalize_frames(y[i:i + 1])[0], rtol=0, atol=1e-14)
 
 
 class TestMinimizer:
@@ -1283,52 +1281,58 @@ OPEN_IDS = [f"CP4-m{m}" for m in range(2, 7)] + ["dense-n8-m4", "dense-cm-19", "
 class TestOpenInputs:
     """Where the route does not close, descent from its frame against the sampled search."""
 
-    @pytest.mark.parametrize("rd,m,minimum", open_cases(), ids=OPEN_IDS)
-    def test_no_sample_finds_less(self, monkeypatch, rd, m, minimum):
-        calls = count_calls(monkeypatch, frames, ("random_frames",))
-        res = cm_min(rd, m)
-        assert calls["random_frames"] == []
-        monkeypatch.undo()
+    @pytest.fixture(scope="class", params=open_cases(), ids=OPEN_IDS)
+    def recorded(self, request):
+        """One `cm_min` run per open input, with its sampling, descents and closure tests recorded.
+
+        `in_route` holds the descents made inside each `_lower_bound` call.
+        """
+        rd, m, minimum = request.param
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_calls(patch, frames, ("random_frames",))
+            descents = record_descents(patch)
+            outcomes = record_closure_tests(patch)
+            route = frames._lower_bound
+            in_route = []
+
+            def recorded_route(riemann, m):
+                before = len(descents)
+                result = route(riemann, m)
+                in_route.append(len(descents) - before)
+                return result
+
+            patch.setattr(frames, "_lower_bound", recorded_route)
+            res = cm_min(rd, m)
+        return SimpleNamespace(rd=rd, m=m, minimum=minimum, res=res,
+                               random_frames=calls["random_frames"], descents=descents,
+                               in_route=in_route, outcomes=outcomes)
+
+    def test_no_sample_finds_less(self, recorded):
+        rd, m, res = recorded.rd, recorded.m, recorded.res
+        assert recorded.random_frames == []
         assert res.method in {"coordinate-enumeration", "projected-descent"}
         assert res.lower_bound < res.value - frames.TIE_TOL
         tol = 1e-9 * max(1.0, abs(res.value))
         assert res.value <= sampled_search(rd, m, 100_000, seed=0) + tol
         assert res.value <= cm_min_oracle(rd, m) + 1e-9
         assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value, abs=tol)
-        if minimum is not None:
+        if recorded.minimum is not None:
             assert res.method == "coordinate-enumeration"
-            assert res.value == pytest.approx(minimum, abs=1e-12)
+            assert res.value == pytest.approx(recorded.minimum, abs=1e-12)
 
-    @pytest.mark.parametrize("rd,m,minimum", open_cases(), ids=OPEN_IDS)
-    def test_descends_once_from_two_starts(self, monkeypatch, rd, m, minimum):
+    def test_descends_once_from_two_starts(self, recorded):
         # the route returns its frame as it is, so the only descent is
         # cm_min's, from the best coordinate frame and the route's frame
-        descents = record_descents(monkeypatch)
-        route = frames._lower_bound
-        in_route = []
+        assert recorded.res.method != "certificate"
+        assert recorded.in_route == [0]
+        assert recorded.descents == [2]
 
-        def recorded_route(riemann, m):
-            before = len(descents)
-            result = route(riemann, m)
-            in_route.append(len(descents) - before)
-            return result
-
-        monkeypatch.setattr(frames, "_lower_bound", recorded_route)
-        res = cm_min(rd, m)
-        assert res.method != "certificate"
-        assert in_route == [0]
-        assert descents == [2]
-
-    @pytest.mark.parametrize("rd,m,minimum", open_cases(), ids=OPEN_IDS)
-    def test_closure_tests_change_only_the_count(self, monkeypatch, rd, m, minimum):
+    def test_closure_tests_change_only_the_count(self, monkeypatch, recorded):
         # the stop never fires where the route stays open: the search and
         # the bound of the never-closing ascent, one evaluation more per test
-        with monkeypatch.context() as patch:
-            outcomes = record_closure_tests(patch)
-            res = cm_min(rd, m)
-        with monkeypatch.context() as patch:
-            never_closing(patch)
-            full = cm_min(rd, m)
+        res, outcomes = recorded.res, recorded.outcomes
+        never_closing(monkeypatch)
+        full = cm_min(recorded.rd, recorded.m)
         assert outcomes and not any(outcomes)
         assert_same_search(res, full)
         assert res.lower_bound == full.lower_bound

@@ -78,26 +78,29 @@ class TestWriters:
 class TestRunConfig:
     def test_defaults_validate(self):
         cfg = RunConfig().validate()
-        assert cfg.seed == 0
+        assert cfg.r_max == 10.0
         assert cfg.grid_points == 121
         assert cfg.format == "json"
 
     @pytest.mark.parametrize("field,value", [
-        ("seed", -1), ("seed", 1 << 64), ("r_max", 0.0), ("r_max", math.nan),
-        ("r_max", math.inf), ("r_max", 1.5e308), ("grid_points", 1), ("frame_budget", 0),
-        ("format", "xml"),
+        ("r_max", 0.0), ("r_max", math.nan), ("r_max", math.inf), ("r_max", 1.5e308),
+        ("grid_points", 1), ("format", "xml"),
     ])
     def test_validation_rejects(self, field, value):
         with pytest.raises(ValueError):
             RunConfig(**{field: value}).validate()
 
+    def test_fields_are_the_settings_a_subcommand_reads(self):
+        assert [f.name for f in fields(RunConfig)] == \
+            ["r_max", "grid_points", "output_dir", "format"]
+
     def test_from_file(self, tmp_path):
         # every field is a key, parsed with the type of its default
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 9\n# a comment\nr_max = 4\nformat = csv\n"
-                        "grid_points = 5\nframe_budget = 70\noutput_dir = out\n")
+        path.write_text("# a comment\nr_max = 4\nformat = csv\n"
+                        "grid_points = 5\noutput_dir = out\n")
         cfg = RunConfig.from_file(path)
-        assert cfg == RunConfig(9, 4.0, 5, 70, "out", "csv")
+        assert cfg == RunConfig(4.0, 5, "out", "csv")
         assert isinstance(cfg.r_max, float)
 
     def test_from_file_rejects_unknown_key(self, tmp_path):
@@ -108,18 +111,18 @@ class TestRunConfig:
 
     def test_from_file_rejects_missing_equals(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("seed 9\n")
+        path.write_text("grid_points 9\n")
         with pytest.raises(ValueError, match="key = value"):
             RunConfig.from_file(path)
 
     def test_resolve_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 1\ngrid_points = 31\n")
-        cfg = RunConfig.resolve(str(path), {"seed": 3})
-        assert cfg.seed == 3          # flag beats file
-        assert cfg.grid_points == 31  # file beats default
-        cfg = RunConfig.resolve(str(path), {"seed": None})
-        assert cfg.seed == 1          # an unset flag leaves the file's value
+        path.write_text("grid_points = 31\n")
+        cfg = RunConfig.resolve(str(path), {"grid_points": 3})
+        assert cfg.grid_points == 3   # flag beats file
+        assert cfg.r_max == 10.0      # default when neither sets it
+        cfg = RunConfig.resolve(str(path), {"grid_points": None})
+        assert cfg.grid_points == 31  # an unset flag leaves the file's value
 
     def test_resolve_rejects_unknown_override(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -135,13 +138,13 @@ class TestVerificationReport:
         payload = report.to_json_dict()
         assert set(payload) == {"suite", "pass", "witnesses", "config"}
         assert payload["pass"] is True
-        assert payload["config"]["seed"] == 0
+        assert payload["config"] == {"format": "json", "grid_points": 121, "r_max": 10.0}
         # where a report is written is not part of its contents
         assert set(payload["config"]) == (
             {f.name for f in fields(RunConfig)} - {"output_dir"})
 
     def test_identical_runs_identical_bytes(self):
         make = lambda: VerificationReport(
-            "demo", False, {"vals": np.arange(3.0)}, RunConfig(seed=4))
+            "demo", False, {"vals": np.arange(3.0)}, RunConfig(grid_points=4))
         assert canonical_json(make().to_json_dict()) == \
             canonical_json(make().to_json_dict())
