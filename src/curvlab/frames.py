@@ -61,22 +61,18 @@ at m = n - 1.  At k = 2 the relations are the 4-forms.
 it has scored (its docstring states the closure rule, the scale
 normalization and how evaluations are counted).
 
-Otherwise projected gradient descent on the Stiefel manifold runs once,
-from two starts: the best coordinate frame and the route's frame.  Descent
-only accepts decreases, so the outcome is "coordinate-enumeration" when a
-coordinate subset ties the best value, else "projected-descent".  The
-descent runs in lockstep over the stack of starts: every frame keeps its
-own step size and Armijo test, frames still backtracking stay pending,
-and a frame leaves the stack when it stops, so each start follows the
-path it would follow alone (up to rounding).  `cm_min` samples no frame,
-so its results are bitwise reproducible with no seed; only the oracle
-samples.
+Otherwise projected gradient descent on the Stiefel manifold runs from
+two starts in turn: the best coordinate frame, then the route's frame.
+Descent only accepts decreases, so the outcome is "coordinate-enumeration"
+when a coordinate subset ties the best value, else "projected-descent".
+`cm_min` samples no frame, so its results are bitwise reproducible with no
+seed; only the oracle samples.
 
 Step rule (Barzilai-Borwein steps on the Stiefel manifold, as in Wen and
 Yin 2013): the first trial step is 1/(1 + |G|) for the tangent gradient G.
 From the second iteration on it is the BB1 step <s, s>/<s, y>, with
-s = Q_k - Q_{k-1} and y = G_k - G_{k-1} the last move and gradient change
-of that frame, capped at 1/|G_k| so that a trial move Q - tG has at most
+s = Q_k - Q_{k-1} and y = G_k - G_{k-1} the last move and gradient
+change, capped at 1/|G_k| so that a trial move Q - tG has at most
 unit Frobenius length; when <s, y> <= 0 the step is the cap itself.  The
 trial step is halved until the monotone Armijo test passes.  The cap is
 needed: on the construction tensors an uncapped BB step can ask for a move
@@ -236,91 +232,63 @@ def tangent_project(q: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
-    """Projected gradient descent in lockstep from a stack of starts (k, n, m).
+    """Projected gradient descent on the Stiefel manifold from one frame (n, m).
 
-    Each round retracts and evaluates every pending frame at its own step
-    in one call each.  A frame's first trial step is 1/(1 + |g|), later
-    ones the capped BB1 step from its own last move and gradient change.
-    A frame whose Armijo test fails halves its step and stays pending; one
-    that passes moves, takes a fresh gradient from the B that the
-    evaluation's W x gives, and stays in the stack until its gradient or
-    its move falls below STEP_TOL, a move leaves its value unchanged,
-    HALVINGS halvings all fail, max_iter iterations are spent, or its
-    gradient is not finite (an overflow, reported as not converged).  Returns per-start
-    frames, values, iterations, evaluations and converged flags.
+    The kernels run on one-frame stacks.  The first trial step is
+    1/(1 + |g|), later ones the capped BB1 step from the last move and
+    gradient change.  A trial step is halved until the Armijo test passes;
+    the move then takes a new gradient from the B that the evaluation's
+    W x gives.  The descent stops when the gradient or the move falls
+    below STEP_TOL, a move leaves the value unchanged, HALVINGS halvings
+    all fail, max_iter iterations are spent, or the gradient is not finite
+    (an overflow, reported as not converged).  Returns the frame, its
+    value, the iterations, the evaluations and whether it converged.
     """
     n = riemann.dim
     form = _symmetric_form(riemann)
-    q = orthonormalize_frames(q0)
+    q = orthonormalize_frames(q0[None])
     val, wx = _evaluate(q, form)
-    bmat = _contraction(wx, n)
-    k = len(q)
-    iters = np.zeros(k, dtype=int)
-    evals = np.ones(k, dtype=int)
-    converged = np.zeros(k, dtype=bool)
-    grad = np.zeros_like(q)
-    qprev = np.zeros_like(q)
-    gnorm2 = np.zeros(k)
-    step = np.zeros(k)
-    halvings = np.zeros(k, dtype=int)
-    fresh = np.full(k, max_iter > 0)       # moved: needs a new gradient
-    pending = np.zeros(k, dtype=bool)      # backtracking along its gradient
-    while True:
-        idx = np.flatnonzero(fresh)
-        if idx.size:
-            fresh[idx] = False
-            iters[idx] += 1
-            g = tangent_project(q[idx], 2.0 * (riemann.ricci - bmat[idx]) @ q[idx])
-            with np.errstate(over="ignore", invalid="ignore"):
-                g2 = np.einsum("kia,kia->k", g, g)
-            finite = np.isfinite(g2)
-            gnorm = np.sqrt(np.where(finite, g2, 0.0))
-            small = finite & (gnorm < STEP_TOL)
-            converged[idx[small]] = True
-            go = finite & ~small
-            moving = idx[go]
-            g, gnorm = g[go], gnorm[go]
-            step[moving] = 1.0 / (1.0 + gnorm)
-            later = iters[moving] > 1
-            if later.any():
-                # <s, y> <= 0 leaves bb infinite, so the cap 1/|g| applies
-                prev = moving[later]
-                s = q[prev] - qprev[prev]
-                y = g[later] - grad[prev]
-                sy = np.einsum("kia,kia->k", s, y)
-                bb = np.full(prev.size, np.inf)
-                with np.errstate(over="ignore"):
-                    np.divide(np.einsum("kia,kia->k", s, s), sy, out=bb, where=sy > 0)
-                step[prev] = np.minimum(bb, 1.0 / gnorm[later])
-            qprev[moving] = q[moving]
-            grad[moving] = g
-            gnorm2[moving] = g2[go]
-            halvings[moving] = 0
-            pending[moving] = True
-        idx = np.flatnonzero(pending)
-        if not idx.size:
+    evals, converged, it = 1, False, 0
+    qprev = gprev = None
+    for it in range(1, max_iter + 1):
+        g = tangent_project(q, 2.0 * (riemann.ricci - _contraction(wx, n)) @ q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gnorm2 = np.vdot(g, g)
+        if not np.isfinite(gnorm2):
             break
-        cand = orthonormalize_frames(q[idx] - step[idx, None, None] * grad[idx])
-        cand_val, cand_wx = _evaluate(cand, form)
-        evals[idx] += 1
-        ok = cand_val <= val[idx] - ARMIJO * step[idx] * gnorm2[idx]
-        acc = idx[ok]
+        gnorm = np.sqrt(gnorm2)
+        if gnorm < STEP_TOL:
+            converged = True
+            break
+        if qprev is None:
+            step = 1.0 / (1.0 + gnorm)
+        else:
+            # <s, y> <= 0 leaves the cap 1/|g| as the step
+            s, y = q - qprev, g - gprev
+            sy = np.vdot(s, y)
+            step = 1.0 / gnorm
+            if sy > 0:
+                with np.errstate(over="ignore"):
+                    step = min(np.vdot(s, s) / sy, step)
+        qprev, gprev = q, g
+        for _ in range(HALVINGS):
+            cand = orthonormalize_frames(q - step * g)
+            cand_val, cand_wx = _evaluate(cand, form)
+            evals += 1
+            if cand_val[0] <= val[0] - ARMIJO * step * gnorm2:
+                break
+            step *= 0.5
+        else:
+            converged = True
+            break
         # a step that leaves the value unchanged passed Armijo only because the
         # required decrease is below the value's rounding: nothing more to gain
-        stalled = ((np.max(np.abs(cand[ok] - q[acc]), axis=(1, 2)) < STEP_TOL)
-                   | (cand_val[ok] == val[acc]))
-        q[acc], val[acc] = cand[ok], cand_val[ok]
-        bmat[acc] = _contraction(cand_wx[:, ok], n)
-        pending[acc] = False
-        converged[acc[stalled]] = True
-        fresh[acc[~stalled & (iters[acc] < max_iter)]] = True
-        rej = idx[~ok]
-        step[rej] *= 0.5
-        halvings[rej] += 1
-        spent = rej[halvings[rej] == HALVINGS]
-        pending[spent] = False
-        converged[spent] = True
-    return q, val, iters, evals, converged
+        stalled = np.max(np.abs(cand - q)) < STEP_TOL or cand_val[0] == val[0]
+        q, val, wx = cand, cand_val, cand_wx
+        if stalled:
+            converged = True
+            break
+    return q[0], float(val[0]), it, evals, converged
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +660,9 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     which is scored once; the value is the smaller of the coordinate
     minimum and that score.  When value and bound agree within TIE_TOL on
     both sides, the minimum is proven, with method "certificate".
-    Otherwise the one descent runs, in lockstep from the best coordinate
-    frame and the route's frame, for at most MAX_ITER iterations each.
+    Otherwise the descent runs from the best coordinate frame, then from
+    the route's frame, for at most MAX_ITER iterations each; the first of
+    equal values wins.
     The route stops its ascent at the first frame that meets its bound
     within TIE_TOL; that stop can only lower the bound by TIE_TOL, so the
     closure rule here is unchanged.
@@ -734,13 +703,13 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     if abs(best_value - lower) <= TIE_TOL:
         method = "certificate"
     else:
-        # lockstep descent from the best coordinate frame and the route's frame
-        starts = np.stack([coord_qs[coord_best], best_frame])
-        desc_qs, desc_vals, _, evals, _ = _descend(riemann, starts, MAX_ITER)
-        evaluations += int(evals.sum())
-        desc_best = int(np.argmin(np.where(np.isnan(desc_vals), np.inf, desc_vals)))
-        best_value = float(min(upper, desc_vals[desc_best]))
-        best_frame, method = desc_qs[desc_best], "projected-descent"
+        # descend from the best coordinate frame, then from the route's frame;
+        # min keeps the first of equal values
+        runs = [_descend(riemann, start, MAX_ITER)
+                for start in (coord_qs[coord_best], best_frame)]
+        best_frame, desc_value = min(runs, key=lambda run: run[1])[:2]
+        evaluations += sum(run[3] for run in runs)
+        best_value, method = min(upper, desc_value), "projected-descent"
 
     tied = np.flatnonzero(coord_vals <= best_value + TIE_TOL)
     if tied.size:

@@ -9,7 +9,8 @@ library's evaluation kernels.  `ky_fan_bound` is the eigenvalue bound that
 `cm_min` took at most m before its Plücker route, which must stay at or
 above it.  `sampled_search` is the sampled start search that `cm_min`'s
 fallback must never lose to: descent from the best coordinate frame and
-the DESCENT_STARTS best of a seeded Haar sample (`best_samples`).
+from each of the DESCENT_STARTS best of a seeded Haar sample
+(`best_samples`), one start at a time.
 `count_calls` records the calls that go through module
 functions, the way the benchmark's tracer sees them.
 """
@@ -194,5 +195,5 @@ def sampled_search(riemann: RiemannData, m: int, budget: int, seed: int) -> floa
     """
     unit, scale = _unit_scale(riemann)
     coord_min = float(frames.cm_batch(unit, coordinate_frames(unit.dim, m)).min())
-    vals = _descend(unit, slow_path_starts(unit, m, budget, seed), MAX_ITER)[1]
-    return scale * min(coord_min, float(np.where(np.isnan(vals), np.inf, vals).min()))
+    vals = [_descend(unit, q0, MAX_ITER)[1] for q0 in slow_path_starts(unit, m, budget, seed)]
+    return scale * min(coord_min, *vals)

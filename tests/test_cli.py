@@ -36,7 +36,7 @@ def load_json(path):
         return json.load(fh)
 
 
-FAST = ["--frame-budget", "2000", "--grid-points", "9", "--r-max", "3"]
+FAST = ["--grid-points", "9", "--r-max", "3"]
 
 
 class TestVerifyExamples:
@@ -97,8 +97,7 @@ class TestVerifyExamples:
         # no errstate guard: the suite turns any RuntimeWarning into an error
         code, paths, err = run_cli(
             ["verify-examples", "--n", "6", "--m", "2", *epsilon,
-             "--r-max", "40", "--grid-points", "3", "--frame-budget", "500",
-             "--out", str(tmp_path)], capsys)
+             "--r-max", "40", "--grid-points", "3", "--out", str(tmp_path)], capsys)
         assert code == 2
         assert paths == []
         assert "r = -40.0" in err and "not finite" in err
@@ -137,8 +136,7 @@ class TestVerifyExamples:
         # the profile-equation terms are of size lambda, so is their rounding
         code, paths, _ = run_cli(
             ["verify-examples", "--n", "7", "--m", "4", "--lambda", "1e6",
-             "--r-max", "1e-3", "--grid-points", "21", "--frame-budget", "2000",
-             "--out", str(tmp_path)], capsys)
+             "--r-max", "1e-3", "--grid-points", "21", "--out", str(tmp_path)], capsys)
         assert code == 0
         witnesses = load_json(paths[0])["witnesses"]
         assert witnesses["positivity"]["pass"] is True
@@ -160,8 +158,7 @@ class TestVerifyExamples:
         # eps^2 overflows to inf, so 1/(eps^2 f^2) is 0: a finite curvature
         code, paths, err = run_cli(
             ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "1e155",
-             "--grid-points", "3", "--frame-budget", "100",
-             "--out", str(tmp_path)], capsys)
+             "--grid-points", "3", "--out", str(tmp_path)], capsys)
         assert code == 1
         assert "Traceback" not in err
         worst = load_json(paths[0])["witnesses"]["positivity"]["worst"]
@@ -447,7 +444,7 @@ class TestCurvatureReport:
 class TestReproducibility:
     def test_reports_byte_identical_across_runs(self, tmp_path, capsys):
         argv = ["verify-examples", "--n", "6", "--m", "2", "--epsilon", "1",
-                "--seed", "5", "--out", str(tmp_path), *FAST]
+                "--out", str(tmp_path), *FAST]
         outputs = []
         for _ in range(2):
             _, paths, _ = run_cli(argv, capsys)
@@ -695,7 +692,7 @@ class TestNonFiniteParameters:
             warnings.simplefilter("always")
             code, paths, err = run_cli(
                 [command, *self.INVOCATIONS[command][0], f"{flag}={value}",
-                 "--out", str(out), *FAST[:4]], capsys)
+                 "--out", str(out), "--grid-points", "9"], capsys)
         assert code == 2
         assert paths == [] and not out.exists()
         # --r-max is checked with the configuration, which names its key

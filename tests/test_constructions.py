@@ -257,8 +257,7 @@ class TestBuildCounterexample:
 def report_witnesses(tmp_path, pair_args) -> dict:
     """Witnesses of the report a small `verify-examples` run writes."""
     argv = ["verify-examples", *pair_args, "--out", str(tmp_path),
-            "--frame-budget", "2000", "--grid-points", "9", "--r-max", "3",
-            "--seed", "0"]
+            "--grid-points", "9", "--r-max", "3"]
     assert cli.main(argv) == 0
     (path,) = tmp_path.glob("*.json")
     return json.loads(path.read_text(encoding="utf-8"))["witnesses"]

@@ -115,12 +115,12 @@ def record_closure_tests(patch):
 
 
 def record_descents(patch):
-    """Record `_descend`'s calls; returns the number of starts of each call."""
+    """Record `_descend`'s calls; returns a copy of each call's start frame."""
     descend = frames._descend
     starts = []
 
     def recorded(riemann, q0, max_iter):
-        starts.append(len(q0))
+        starts.append(np.array(q0))
         return descend(riemann, q0, max_iter)
 
     patch.setattr(frames, "_descend", recorded)
@@ -199,6 +199,16 @@ def fallback_starts(riemann, m, route_frame):
     """
     coords = coordinate_frames(riemann.dim, m)
     return np.stack([coords[np.argmin(cm_batch(riemann, coords))], route_frame])
+
+
+def descend_each(riemann, starts, max_iter=MAX_ITER):
+    """`_descend` from each start in turn, its results stacked field by field.
+
+    Returns frames (k, n, m), values, iterations, evaluations and converged
+    flags, one entry per start.
+    """
+    runs = [_descend(riemann, q0, max_iter) for q0 in starts]
+    return tuple(np.array(field) for field in zip(*runs))
 
 
 class TestEvaluation:
@@ -371,17 +381,17 @@ class TestDescent:
         rd = random_curvature_tensor(6, np.random.default_rng(14))
         q0 = haar_frame(6, 3, 15)
         start = cm_of_frame(rd, q0)
-        q, vals, _, _, converged = _descend(rd, q0[None], MAX_ITER)
-        assert vals[0] <= start + 1e-12
-        assert converged[0]
-        gt = tangent_project(q[0], cm_gradient(rd, q[0]))
+        q, val, _, _, converged = _descend(rd, q0, MAX_ITER)
+        assert val <= start + 1e-12
+        assert converged
+        gt = tangent_project(q, cm_gradient(rd, q))
         assert np.linalg.norm(gt) < 1e-6
 
     def test_immediate_convergence_on_space_form(self):
         rd = constant_curvature_riemann(5, 2.0)
-        _, vals, iters, _, _ = _descend(rd, haar_frame(5, 3, 3)[None], MAX_ITER)
-        assert iters[0] == 1
-        assert vals[0] == pytest.approx(2.0 * (3 * 5 - 6), rel=1e-12)
+        _, val, iters, _, _ = _descend(rd, haar_frame(5, 3, 3), MAX_ITER)
+        assert iters == 1
+        assert val == pytest.approx(2.0 * (3 * 5 - 6), rel=1e-12)
 
     def test_overflowing_gradient_stops_unconverged(self, monkeypatch):
         # (6, 3) at lambda 4, eps 1/2, r = 10: f = exp(-2 r^2) puts K near 2e174,
@@ -393,68 +403,56 @@ class TestDescent:
             -np.inf, coordinate_frame(6, tuple(range(m))), 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            q, vals, iters, evals, converged = _descend(rd, q0[None], MAX_ITER)
+            q, val, iters, evals, converged = _descend(rd, q0, MAX_ITER)
             # cm_min descends on the tensor scaled to unit size, where nothing
             # overflows: with no bound to close on, C_1 descends and finds
             # the exact minimum
             full = cm_min(rd, 1, budget=5000, seed=1)
-        assert not converged[0]
-        assert (iters[0], evals[0]) == (1, 1)
-        assert_allclose(q[0], q0, atol=1e-14)
-        assert vals[0] == pytest.approx(cm_of_frame(rd, q0), rel=1e-14)
+        assert not converged
+        assert (iters, evals) == (1, 1)
+        assert_allclose(q, q0, atol=1e-14)
+        assert val == pytest.approx(cm_of_frame(rd, q0), rel=1e-14)
         assert full.method == "coordinate-enumeration"
         unit, scale = _unit_scale(rd)
         assert abs(full.value - cm_min_exact(metric, 10.0)[0]) <= 1e-9 * scale
         # coordinate subsets, the patched route's frame, the descent from the
-        # best coordinate frame and that frame
+        # best coordinate frame and from that frame
         starts = fallback_starts(unit, 1, coordinate_frame(6, (0,)))
-        _, _, _, unit_evals, _ = _descend(unit, starts, MAX_ITER)
+        unit_evals = descend_each(unit, starts)[3]
         assert full.evaluations == 6 + 1 + int(unit_evals.sum())
 
     def test_max_iter_zero_skips_descent(self):
         rd = random_curvature_tensor(5, np.random.default_rng(6))
         q0 = haar_frame(5, 2, 7)
-        q, _, iters, evals, converged = _descend(rd, q0[None], 0)
-        assert (iters[0], evals[0], converged[0]) == (0, 1, False)
-        assert_allclose(q[0], q0, atol=1e-14)
+        q, _, iters, evals, converged = _descend(rd, q0, 0)
+        assert (iters, evals, converged) == (0, 1, False)
+        assert_allclose(q, q0, atol=1e-14)
 
 
-class TestLockstepDescent:
-    """The lockstep core against an independent per-frame loop.
+class TestDescentRule:
+    """The descent against an independent loop.
 
     `reference_descent` runs the same step rule (1/(1 + |g|), then capped
-    Barzilai-Borwein steps) one start at a time with LAPACK QR and einsum
-    contractions.  Frames are compared through their projections, and
-    loosely: near a minimum the STEP_TOL stopping rule pins the span down
-    only to about 1e-7, so rounding moves the stopping point along flat
-    directions.
+    Barzilai-Borwein steps) with LAPACK QR and einsum contractions.  Frames
+    are compared through their projections, and loosely: near a minimum
+    the STEP_TOL stopping rule pins the span down only to about 1e-7, so
+    rounding moves the stopping point along flat directions.
     """
 
     @pytest.mark.parametrize("n,m", DENSE_SHAPES)
     def test_every_start_matches_reference_loop(self, n, m):
         rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m))
         starts = random_frames(n, m, 9, np.random.default_rng(n * 10 + m + 1))
-        q, vals, iters, _, converged = _descend(rd, starts, MAX_ITER)
-        for i, q0 in enumerate(starts):
+        for q0 in starts:
+            q, val, iters, _, converged = _descend(rd, q0, MAX_ITER)
             ref_q, ref_val, ref_iters, _, ref_converged = reference_descent(rd, q0)
-            assert vals[i] == pytest.approx(ref_val, rel=1e-9, abs=1e-9)
-            assert converged[i] == ref_converged
+            assert val == pytest.approx(ref_val, rel=1e-9, abs=1e-9)
+            assert converged == ref_converged
             # rounding moves the stop by a few iterations; another step rule
             # moves it by far more (a step restarted at 1/(1 + |g|) every
             # iteration took 1.2 to 21 times as many here)
-            assert abs(iters[i] - ref_iters) <= 0.25 * ref_iters + 2
-            assert_allclose(projection(q[i]), projection(ref_q), atol=1e-5)
-
-    @pytest.mark.parametrize("n,m", DENSE_SHAPES)
-    def test_start_in_a_stack_matches_start_alone(self, n, m):
-        rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 2))
-        starts = random_frames(n, m, 9, np.random.default_rng(n * 10 + m + 3))
-        q, vals, _, _, converged = _descend(rd, starts, MAX_ITER)
-        for i, q0 in enumerate(starts):
-            q1, val1, _, _, converged1 = _descend(rd, q0[None], MAX_ITER)
-            assert val1[0] == pytest.approx(vals[i], rel=1e-12, abs=1e-12)
-            assert converged1[0] == converged[i]
-            assert_allclose(projection(q1[0]), projection(q[i]), atol=1e-5)
+            assert abs(iters - ref_iters) <= 0.25 * ref_iters + 2
+            assert_allclose(projection(q), projection(ref_q), atol=1e-5)
 
     def test_stops_at_a_degenerate_minimum(self):
         # (7, 4) at lambda 1, eps 1, r = 3: the minimum lambda is attained on a
@@ -462,7 +460,7 @@ class TestLockstepDescent:
         # without a stop there the starts cycle until MAX_ITER
         rd = riemann_exact(build_counterexample(7, 4, 1.0, 1.0), 3.0)
         starts = random_frames(7, 4, 8, np.random.default_rng(5))
-        _, vals, iters, _, converged = _descend(rd, starts, MAX_ITER)
+        _, vals, iters, _, converged = descend_each(rd, starts)
         assert np.all(converged)
         assert np.max(iters) < 100
         assert_allclose(vals, 1.0, rtol=0, atol=1e-12)
@@ -470,7 +468,7 @@ class TestLockstepDescent:
     def test_iteration_limit_is_per_frame(self):
         rd = random_curvature_tensor(6, np.random.default_rng(8))
         starts = random_frames(6, 3, 4, np.random.default_rng(9))
-        _, _, iters, _, converged = _descend(rd, starts, 3)
+        _, _, iters, _, converged = descend_each(rd, starts, 3)
         assert np.all(iters == 3)
         assert not np.any(converged)
 
@@ -480,7 +478,7 @@ class TestLockstepDescent:
         # iterations and stopped about 3e-3 above the minimum
         rd = riemann_exact(build_counterexample(7, 4, 1.0, 1.0), 0.0)
         starts = slow_path_starts(rd, 4, 100_000, 3)
-        _, vals, iters, _, converged = _descend(rd, starts, MAX_ITER)
+        _, vals, iters, _, converged = descend_each(rd, starts)
         assert len(vals) == 9
         assert np.all(converged)
         assert np.max(iters) < 500
@@ -502,7 +500,7 @@ class TestLockstepDescent:
             return orthonormalize_frames(y)
 
         monkeypatch.setattr(frames, "orthonormalize_frames", recording)
-        _descend(rd, starts, MAX_ITER)
+        descend_each(rd, starts)
         assert 1.0 - 1e-12 <= max(moves) <= 1.0 + 1e-12
 
 
@@ -521,7 +519,7 @@ class TestDescentWork:
             metric = build_counterexample(n, m, 1.0, 1.0)
             for r in (0.0, -3.0, 10.0):
                 rd = riemann_exact(metric, r)
-                evals = _descend(rd, slow_path_starts(rd, m, 100_000, 5), MAX_ITER)[3]
+                evals = descend_each(rd, slow_path_starts(rd, m, 100_000, 5))[3]
                 spent += int(evals.sum())
         assert 0 < spent <= 5000
 
@@ -531,7 +529,7 @@ class TestDescentWork:
         rd = riemann_exact(build_counterexample(7, 4, 1.0, 1.0), 0.0)
         tracemalloc.start()
         try:
-            _descend(rd, slow_path_starts(rd, 4, 100_000, 3), MAX_ITER)
+            descend_each(rd, slow_path_starts(rd, 4, 100_000, 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -670,7 +668,7 @@ class TestMinimizer:
         assert res.method != "certificate"
         unit, _ = _unit_scale(rd)
         _, frame, route_evals = _lower_bound(unit, 3)
-        evals = _descend(unit, fallback_starts(unit, 3, frame), MAX_ITER)[3]
+        evals = descend_each(unit, fallback_starts(unit, 3, frame))[3]
         assert res.evaluations == math.comb(8, 3) + route_evals + 1 + int(evals.sum())
 
     def test_rejects_bad_m(self):
@@ -761,7 +759,7 @@ class TestCertificate:
                 # the same, then the descent from the best coordinate frame
                 # and the route's frame; the descent does not read cm_batch
                 frame = _lower_bound(rd, m)[1]
-                evals = _descend(rd, fallback_starts(rd, m, frame), MAX_ITER)[3]
+                evals = descend_each(rd, fallback_starts(rd, m, frame))[3]
                 assert res.evaluations == math.comb(n, m) + 2 + int(evals.sum())
 
 
@@ -1020,7 +1018,7 @@ class TestFourFormCertificate:
         assert_same_search(res, sampled)
         assert res.lower_bound == scale * bound > sampled.lower_bound
         # the subsets, the route's closure tests, its frame's score and the descent
-        evals = _descend(unit, fallback_starts(unit, 3, frame), MAX_ITER)[3]
+        evals = descend_each(unit, fallback_starts(unit, 3, frame))[3]
         assert res.evaluations == math.comb(8, 3) + route_evals + 1 + int(evals.sum())
         assert res.method == "coordinate-enumeration"
         assert res.value == pytest.approx(24.0, abs=1e-9)
@@ -1048,7 +1046,7 @@ class TestFourFormCertificate:
         res = cm_min(rd, 1, budget=2000, seed=seed)
         unit, scale = _unit_scale(rd)
         starts = fallback_starts(unit, 1, coordinate_frame(3, (0,)))
-        qs, vals, _, evals, _ = _descend(unit, starts, MAX_ITER)
+        qs, vals, _, evals, _ = descend_each(unit, starts)
         coord_vals = cm_batch(unit, coordinate_frames(3, 1))
         best = int(np.argmin(vals))
         assert res.method == "projected-descent"
@@ -1103,7 +1101,7 @@ class TestRicciCertificate:
         assert cm_double_sum(rd, complete_frame(res.argmin), 1) == pytest.approx(
             res.value, abs=1e-9)
         # descent is monotone, so this bounds the best samples too
-        _, desc_vals, *_ = _descend(rd, slow_path_starts(rd, 1, 2000, 3), MAX_ITER)
+        _, desc_vals, *_ = descend_each(rd, slow_path_starts(rd, 1, 2000, 3))
         assert desc_vals.min() >= res.lower_bound - 1e-9
 
     @pytest.mark.parametrize("shift,certified", [(-1e-12, True), (1e-12, True),
@@ -1127,7 +1125,7 @@ class TestRicciCertificate:
             assert eigenvector_alignment(res.argmin, rd.ricci) == pytest.approx(1.0, abs=1e-12)
             return
         frame = _lower_bound(unit, 1)[1]
-        qs, vals, _, evals, _ = _descend(unit, fallback_starts(unit, 1, frame), MAX_ITER)
+        qs, vals, _, evals, _ = descend_each(unit, fallback_starts(unit, 1, frame))
         best = int(np.argmin(vals))
         assert res.method == "projected-descent"
         assert res.value == scale * min(exact(unit, coordinate_frames(5, 1)).min() + shift,
@@ -1241,7 +1239,7 @@ class TestCertificateOnTheFamily:
                 if res.method != "certificate":
                     continue
                 # descent is monotone, so this bounds the best samples too
-                _, desc_vals, *_ = _descend(rd, slow_path_starts(rd, m, 1000, i), MAX_ITER)
+                _, desc_vals, *_ = descend_each(rd, slow_path_starts(rd, m, 1000, i))
                 assert desc_vals.min() >= res.value - 1e-9
                 checked += 1
         assert checked > 0
@@ -1285,7 +1283,8 @@ class TestOpenInputs:
     def recorded(self, request):
         """One `cm_min` run per open input, with its sampling, descents and closure tests recorded.
 
-        `in_route` holds the descents made inside each `_lower_bound` call.
+        `in_route` holds the descents made inside each `_lower_bound` call,
+        and `route_frames` the frame each call returns.
         """
         rd, m, minimum = request.param
         with pytest.MonkeyPatch.context() as patch:
@@ -1293,19 +1292,21 @@ class TestOpenInputs:
             descents = record_descents(patch)
             outcomes = record_closure_tests(patch)
             route = frames._lower_bound
-            in_route = []
+            in_route, route_frames = [], []
 
             def recorded_route(riemann, m):
                 before = len(descents)
                 result = route(riemann, m)
                 in_route.append(len(descents) - before)
+                route_frames.append(np.array(result[1]))
                 return result
 
             patch.setattr(frames, "_lower_bound", recorded_route)
             res = cm_min(rd, m)
         return SimpleNamespace(rd=rd, m=m, minimum=minimum, res=res,
                                random_frames=calls["random_frames"], descents=descents,
-                               in_route=in_route, outcomes=outcomes)
+                               in_route=in_route, route_frames=route_frames,
+                               outcomes=outcomes)
 
     def test_no_sample_finds_less(self, recorded):
         rd, m, res = recorded.rd, recorded.m, recorded.res
@@ -1320,12 +1321,15 @@ class TestOpenInputs:
             assert res.method == "coordinate-enumeration"
             assert res.value == pytest.approx(recorded.minimum, abs=1e-12)
 
-    def test_descends_once_from_two_starts(self, recorded):
-        # the route returns its frame as it is, so the only descent is
-        # cm_min's, from the best coordinate frame and the route's frame
+    def test_descends_from_each_start_in_turn(self, recorded):
+        # the route returns its frame as it is, so the only descents are
+        # cm_min's: from the best coordinate frame, then from the route's frame
         assert recorded.res.method != "certificate"
         assert recorded.in_route == [0]
-        assert recorded.descents == [2]
+        unit = _unit_scale(recorded.rd)[0]
+        starts = fallback_starts(unit, recorded.m, recorded.route_frames[0])
+        assert len(recorded.descents) == 2
+        assert_array_equal(recorded.descents, starts)
 
     def test_closure_tests_change_only_the_count(self, monkeypatch, recorded):
         # the stop never fires where the route stays open: the search and
