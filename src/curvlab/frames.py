@@ -18,7 +18,9 @@ form in the T = n(n + 1)/2 upper-triangle entries x of P:
 with E the map from x to the n^2 entries of P and F_{(q,s),(a,b)} =
 Rm_{aqbs}.  `cm_min_oracle` contracts the raw 4-tensor instead, and the
 literal completed-basis double sum lives in the tests as an independent
-slow route that both are checked against.
+slow route that both are checked against.  The oracle draws frames of
+k = min(m, n - m) columns: for m > n - m they span the complement U, and
+it scores V = U^perp through P_V = I - P_U (Haar on U is Haar on V).
 
 The minimizer serves dense tensors.  On the warped torus family the
 curvature operator is diagonal on coordinate 2-vectors, and
@@ -719,22 +721,27 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     return CmResult(scale * best_value, best_frame, evaluations, method, scale * lower)
 
 
-def _oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
-    """C_m of a stack of frames (B, n, m) by direct contraction with the 4-tensor.
+def _oracle_values(riemann: RiemannData, qs: np.ndarray, m: int) -> np.ndarray:
+    """C_m of a stack of frames (B, n, k) by direct contraction with the 4-tensor.
 
-    The 4-tensor is read as the (n^2, n^2) matrix [(p, r), (q, s)] =
-    Rm_pqrs, and the full projections P as stack-last (n^2, B) columns,
-    the layout behind frames from `random_frames`; one GEMM gives
-    Rm_pqrs P_qs, which is then dotted with P.  ORACLE_SLICE frames go at
-    a time, which bounds the contraction's scratch memory.
+    With k = m the frames span V.  With k != m they span the complement U
+    of V, and V's projection is P_V = I - P_U; at k = 0 that is I.  The
+    4-tensor is read as the (n^2, n^2) matrix [(p, r), (q, s)] = Rm_pqrs,
+    and the full projections P_V as stack-last (n^2, B) columns, the
+    layout behind frames from `random_frames`; one GEMM gives
+    Rm_pqrs P_qs, which is then dotted with P_V.  ORACLE_SLICE frames go
+    at a time, which bounds the contraction's scratch memory.
     """
     n = riemann.dim
     rmat = riemann.components.transpose(0, 2, 1, 3).reshape(n * n, n * n)
     ricci = riemann.ricci.ravel()
+    identity = np.eye(n).reshape(n * n, 1)
     vals = np.empty(len(qs))
     for start in range(0, len(qs), ORACLE_SLICE):
         cols = qs[start:start + ORACLE_SLICE].transpose(2, 1, 0)
         ps = np.einsum("aib,ajb->ijb", cols, cols).reshape(n * n, -1)
+        if qs.shape[2] != m:
+            ps = identity - ps
         vals[start:start + ORACLE_SLICE] = (ricci @ ps
                                             - 0.5 * np.einsum("tb,tb->b", rmat @ ps, ps))
     return vals
@@ -743,22 +750,28 @@ def _oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
 def cm_min_oracle(riemann: RiemannData, m: int, seed: int = 0) -> float:
     """Pure-sampling baseline: min over ORACLE_SAMPLES random frames, no descent.
 
-    `cm_min` samples nothing, so the oracle shares only the Gram-Schmidt
-    kernel with it, through `random_frames`.  It draws from the first
-    child of SeedSequence(seed), so its frames differ from those of any
-    generator seeded with an integer, such as PCG64(seed + j).  Values
-    come from `_oracle_values`, a contraction of the raw 4-tensor with
-    full projections, so they share no arithmetic with the symmetric form
-    of `cm_batch` and the descent.  It checks its input as `cm_min` does.
+    C_m depends only on the span V of a frame, so each sample draws
+    k = min(m, n - m) columns: V itself when m <= n - m, else its
+    complement U, which `_oracle_values` scores through P_V = I - P_U.
+    Orthogonal complement commutes with every rotation, so Haar measure
+    on the k-planes U maps to Haar measure on the m-planes V.  `cm_min`
+    samples nothing, so the oracle shares only the Gram-Schmidt kernel
+    with it, through `random_frames`.  It draws from the first child of
+    SeedSequence(seed), so its frames differ from those of any generator
+    seeded with an integer, such as PCG64(seed + j).  Values come from a
+    contraction of the raw 4-tensor with full projections, so they share
+    no arithmetic with the symmetric form of `cm_batch` and the descent.
+    It checks its input as `cm_min` does.
     """
     _check_input(riemann, m)
     n = riemann.dim
+    k = min(m, n - m)
     best = np.inf
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     remaining = ORACLE_SAMPLES
     while remaining > 0:
         count = min(SAMPLE_CHUNK, remaining)
-        frames = random_frames(n, m, count, rng)
-        best = min(best, float(np.min(_oracle_values(riemann, frames))))
+        frames = random_frames(n, k, count, rng)
+        best = min(best, float(np.min(_oracle_values(riemann, frames, m))))
         remaining -= count
     return best

@@ -75,6 +75,8 @@ def kernel_cases():
 
 KERNEL_CASES = kernel_cases()
 KERNEL_IDS = [f"n{rd.dim}-m{m}-{i}" for i, (rd, m) in enumerate(KERNEL_CASES)]
+COMPLEMENT_CASES = [(rd, m) for rd, m in KERNEL_CASES if m > rd.dim - m]
+COMPLEMENT_IDS = [i for i, (rd, m) in zip(KERNEL_IDS, KERNEL_CASES) if m > rd.dim - m]
 
 
 def haar_frame(n, m, seed):
@@ -1394,8 +1396,39 @@ class TestOracle:
         # more than two slices, the last one partial
         qs = random_frames(rd.dim, m, 2 * ORACLE_SLICE + 37, np.random.default_rng(m))
         ref = oracle_values(rd, qs)
-        assert_allclose(_oracle_values(rd, qs), ref, rtol=1e-12,
+        assert_allclose(_oracle_values(rd, qs, m), ref, rtol=1e-12,
                         atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("rd,m", COMPLEMENT_CASES, ids=COMPLEMENT_IDS)
+    def test_complement_contraction_matches_one_pass_einsum(self, rd, m):
+        # (n - m)-frames of U score V = U^perp; more than two slices, the last
+        # one partial; the reference scores the completed basis's last m columns
+        n = rd.dim
+        us = random_frames(n, n - m, 2 * ORACLE_SLICE + 37, np.random.default_rng(m))
+        ref = oracle_values(rd, np.stack([complete_frame(u)[:, n - m:] for u in us]))
+        assert_allclose(_oracle_values(rd, us, m), ref, rtol=1e-12,
+                        atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n,m,k", [(7, 5, 2), (6, 3, 3), (8, 3, 3), (5, 5, 0)])
+    def test_draws_the_smaller_of_the_plane_and_its_complement(self, monkeypatch, n, m, k):
+        shapes = []
+        sampler = frames.random_frames
+
+        def recording(*args):
+            drawn = sampler(*args)
+            shapes.append(drawn.shape)
+            return drawn
+
+        monkeypatch.setattr(frames, "random_frames", recording)
+        cm_min_oracle(random_curvature_tensor(n, np.random.default_rng(n + m)), m, seed=3)
+        assert shapes == [(SAMPLE_CHUNK, n, k)] * 4 + [(3616, n, k)]
+        assert 4 * SAMPLE_CHUNK + 3616 == frames.ORACLE_SAMPLES
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_full_dimension_is_half_the_scalar_curvature(self, n):
+        # at m = n the oracle draws 0-column frames of U = 0, so P_V = I
+        rd = random_curvature_tensor(n, np.random.default_rng(n))
+        assert cm_min_oracle(rd, n, seed=1) == pytest.approx(0.5 * rd.scalar, rel=1e-12)
 
     def test_rejects_m_outside_one_to_n(self):
         # with the message of cm_min, not a 0.0 from empty frames at m = 0 or
