@@ -96,7 +96,7 @@ def _write(cfg: RunConfig, stem: str, content) -> Path:
     header, rows = content
     if cfg.format == "csv":
         return write_csv(out, header, [[row[h] for h in header] for row in rows])
-    return write_json(out, {"header": list(header), "rows": jsonable(rows)})
+    return write_json(out, {"header": list(header), "rows": rows})
 
 
 # ---------------------------------------------------------------------------

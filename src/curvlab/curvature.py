@@ -72,15 +72,27 @@ class RadialProfile:
         return np.exp(self.log(r))
 
     def d2_ratio(self, r):
-        """v''/v."""
-        return self.d2log(r) + self.dlog(r) ** 2
+        """v''/v, squaring by multiplication.
+
+        numpy's scalar `** 2` is not always the correctly rounded square
+        that `x * x` and the array `** 2` give, so with it a radius
+        evaluated alone could differ in its last bit from the same radius
+        in a grid.
+        """
+        d = self.dlog(r)
+        return self.d2log(r) + d * d
 
 
 def gaussian_profile(a: float) -> RadialProfile:
     """exp(a r^2): log-derivatives 2 a r and 2 a."""
     a = float(a)
+
+    def log(r):
+        r = np.asarray(r, dtype=float)
+        return a * (r * r)
+
     return RadialProfile(
-        lambda r: a * np.asarray(r, dtype=float) ** 2,
+        log,
         lambda r: 2.0 * a * np.asarray(r, dtype=float),
         lambda r: np.full_like(np.asarray(r, dtype=float), 2.0 * a),
     )
@@ -95,7 +107,7 @@ def _log_cosh(x):
 def _sech2(x):
     """sech^2 x = 4 e^(-2|x|) / (1 + e^(-2|x|))^2, without overflowing cosh."""
     e = np.exp(-2.0 * np.abs(x))
-    return 4.0 * e / (1.0 + e) ** 2
+    return 4.0 * e / ((1.0 + e) * (1.0 + e))
 
 
 def cosh_power_profile(omega: float, power: float) -> RadialProfile:
@@ -211,17 +223,22 @@ class RiemannData:
 _CLASS = {"sphere": 0, "r": 1, "torus": 2}
 
 
-def _sectional_table(metric: WarpedTorusMetric, r: float) -> np.ndarray:
-    """The five sectional class values at r as a symmetric 3x3 table.
+def _sectional_table(metric: WarpedTorusMetric, r: float | np.ndarray) -> np.ndarray:
+    """The five sectional class values as a symmetric 3x3 table per radius.
 
+    A scalar r gives a (3, 3) table, a 1-D grid of R radii an (R, 3, 3)
+    stack, from the same formulas, and each grid row equals the scalar
+    table of its radius bit for bit.  That holds because every square is
+    taken as `x * x`: numpy's exp, tanh and log1p round a radius alone as
+    they round it in an array, but its scalar `** 2` is not always the
+    correctly rounded square that the array `** 2` gives.
     Rows and columns follow `_CLASS` (sphere, r, torus); the (r, r) entry
-    never pairs two distinct directions and is 0.  Every value comes from
-    the profiles' log-derivatives and 1/(eps^2 f^2), so the table stays
-    finite until 1/(eps^2 f^2) itself overflows.  An overflow raises no
-    warning; it leaves inf or NaN in the table, which each caller rejects:
-    `RiemannData.from_components`, `cm_min_exact` and `diagonal_ricci`.
-    Callers pass a scalar r: on arrays, numpy's vectorized exp and tanh
-    may round differently from `riemann_exact`'s values.
+    never pairs two distinct directions and is an exact 0.  Every value
+    comes from the profiles' log-derivatives and 1/(eps^2 f^2), so the
+    table stays finite until 1/(eps^2 f^2) itself overflows.  An overflow
+    raises no warning; it leaves inf or NaN in the table, which each
+    caller rejects: `RiemannData.from_components`, `cm_min_exact` and
+    `diagonal_ricci`.
     """
     f, u = metric.f_profile, metric.u_profile
     a = 2.0 / metric.m
@@ -230,12 +247,15 @@ def _sectional_table(metric: WarpedTorusMetric, r: float) -> np.ndarray:
         eps2 = metric.epsilon * metric.epsilon  # a float ** would raise on overflow
         k_ss = np.exp(-2.0 * f.log(r)) / eps2 - lf1 * lf1
         k_st = -a * lf1 * lu1
-        k_sr = -f.d2_ratio(r)
-        k_rt = -a * u.d2_ratio(r) - a * (a - 1.0) * lu1 * lu1
-        k_tt = -(a * lu1) ** 2
-    return np.array([[k_ss, k_sr, k_st],
-                     [k_sr, 0.0, k_rt],
-                     [k_st, k_rt, k_tt]], dtype=float)
+        # v''/v as `RadialProfile.d2_ratio` forms it, from the dlog at hand
+        k_sr = -(f.d2log(r) + lf1 * lf1)
+        k_rt = -a * (u.d2log(r) + lu1 * lu1) - a * (a - 1.0) * lu1 * lu1
+        k_tt = -(a * lu1) * (a * lu1)
+    table = np.array([[k_ss, k_sr, k_st],
+                      [k_sr, np.zeros(k_ss.shape), k_rt],
+                      [k_st, k_rt, k_tt]], dtype=float)
+    # the grid axis, if any, goes first; a (3, 3) table stays as built
+    return table.transpose(*range(2, table.ndim), 0, 1)
 
 
 def cm_min_exact(metric: WarpedTorusMetric,
@@ -351,18 +371,19 @@ def diagonal_ricci(metric: WarpedTorusMetric,
     """Ricci values (R, n) and scalar curvature (R,) on a grid of R radii.
 
     The Ricci tensor of the family is diagonal, so the n values per radius
-    are all of it.  Each is the sum of its direction's class values over
-    the other frame directions in frame index order, and the scalar is
-    reduced as `np.trace` reduces, so both equal `riemann_exact`'s
+    are all of it.  The class table is evaluated once on the whole grid;
+    its rows equal the scalar tables `riemann_exact` reads because every
+    class-value formula squares as `x * x`, never with numpy's scalar
+    `** 2`.  Each Ricci value is the sum of its direction's class values
+    over the other frame directions in frame index order, and the scalar
+    is reduced as `np.trace` reduces, so both equal `riemann_exact`'s
     contractions bit for bit without building its n^4 components.  When a
     value is not finite, the first such radius in grid order goes to
     `riemann_exact`, whose error names it and the finite reach.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     classes = [_CLASS[label] for label in metric.frame_labels()]
-    # one scalar table per radius, as riemann_exact evaluates it
-    tables = np.array([_sectional_table(metric, float(r)) for r in r_grid])
-    sectional = tables.reshape(-1, 3, 3)[:, classes][:, :, classes]
+    sectional = _sectional_table(metric, r_grid)[:, classes][:, :, classes]
     # a direction never pairs with itself
     sectional[:, range(metric.n), range(metric.n)] = 0.0
     with np.errstate(all="ignore"):

@@ -170,9 +170,10 @@ class VerificationReport:
     config: RunConfig
 
     def to_json_dict(self) -> dict:
+        """The report's payload; `canonical_json` converts its values once."""
         return {
             "suite": self.suite,
             "pass": self.passed,
-            "witnesses": jsonable(self.witnesses),
+            "witnesses": self.witnesses,
             "config": self.config.to_json_dict(),
         }

@@ -70,6 +70,12 @@ class TestProfiles:
         v2_fd = (profile(r + h) - 2 * profile(r) + profile(r - h)) / h ** 2
         assert_allclose(profile.d2_ratio(r) * profile(r), v2_fd, rtol=1e-5, atol=1e-5)
 
+    @pytest.mark.parametrize("profile", [gaussian_profile(-0.25), cosh_power_profile(0.5, 3.0)])
+    def test_a_radius_alone_rounds_as_in_an_array(self, profile):
+        r = np.random.default_rng(0).uniform(-8.0, 8.0, 2000)
+        for form in (profile.log, profile.dlog, profile.d2log, profile.d2_ratio):
+            assert bits(form(r)) == bits([form(float(x)) for x in r])
+
     def test_log_forms_finite_far_out(self):
         # cosh(500)^3 and exp(-0.25 r^2) at r = 1000 are out of float range;
         # their log-derivatives are not
@@ -271,6 +277,50 @@ class TestDiagonalRicci:
             assert not ref["ricci"][off_diagonal].any()
             for new, old in ((row.min(), ref["ricci_min"]), (row.max(), ref["ricci_max"])):
                 assert abs(new - old) <= 4 * np.spacing(abs(old))
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 1e300])
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("n,m", PAIRS)
+    def test_grid_table_rows_are_the_scalar_tables(self, n, m, lam, eps):
+        # diagonal_ricci reads the grid table, riemann_exact and cm_min_exact
+        # the scalar one: they agree only if every row matches bit for bit.
+        # A scalar `** 2` in any class value breaks a few hundredths of a
+        # percent of rows, so most radii lie where no profile saturates.
+        metric = build_counterexample(n, m, lam, eps)
+        rng = np.random.default_rng(n * m)
+        grid = np.concatenate([np.linspace(-10.0, 10.0, 121), rng.uniform(-4.0, 4.0, 400),
+                               rng.uniform(-400.0, 400.0, 32)])
+        tables = curvature._sectional_table(metric, grid)
+        assert tables.shape == (grid.size, 3, 3)
+        for row, r in zip(tables, grid):
+            assert bits(row) == bits(curvature._sectional_table(metric, float(r)))
+
+    @pytest.mark.parametrize("n,m", PAIRS)
+    def test_a_radius_has_the_same_bits_at_every_grid_position(self, n, m):
+        # numpy's array kernels treat the tail of a short array apart from
+        # the full SIMD lanes, so place each radius at every position
+        metric = build_counterexample(n, m, 1.0, 0.5)
+        rng = np.random.default_rng(n * m)
+        radii, filler = rng.uniform(-12.0, 12.0, (2, 17))
+        for r in radii:
+            want = bits(curvature._sectional_table(metric, float(r)))
+            for length in range(1, 18):
+                for at in range(length):
+                    grid = filler[:length].copy()
+                    grid[at] = r
+                    assert bits(curvature._sectional_table(metric, grid)[at]) == want
+
+    def test_tabulates_the_grid_in_one_call(self, monkeypatch):
+        calls = []
+        table = curvature._sectional_table
+
+        def spy(metric, r):
+            calls.append(np.shape(r))
+            return table(metric, r)
+
+        monkeypatch.setattr(curvature, "_sectional_table", spy)
+        diagonal_ricci(build_counterexample(7, 3, 1.0, 1.0), np.linspace(-10.0, 10.0, 121))
+        assert calls == [(121,)]
 
     @settings(max_examples=100, deadline=None)
     @given(pair=st.sampled_from(PAIRS),
