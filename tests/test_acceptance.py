@@ -3,9 +3,10 @@
 Each test finishes by printing a single `ACCEPTANCE k: PASS/FAIL` line
 (visible with `pytest tests/test_acceptance.py -s`) and asserting the same
 condition, so the suite is both human-readable and a hard gate.  Criterion 5
-re-runs the full uniform-positivity search per construction pair (under
-0.3 s per pair at the pinned budget on a 2-vCPU VM, where the minimizer's
-certificate decides every radius of the passing sweeps).
+re-runs the full uniform-positivity search per construction pair on the
+121-point grid.  Its sweeps take the exact minimum of C_m at every radius
+from the class counts (`curvature.cm_min_exact`), so they sample no frame
+and take no budget.
 """
 import math
 import time

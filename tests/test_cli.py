@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvlab import cli
+from curvlab import cli, report
 from curvlab.cli import main
 from curvlab.constructions import CONSTRUCTION_PAIRS, build_counterexample
 from curvlab.inequalities import admissible
 from construction_references import curvature_report_rows
+import report_references
 
 
 def run_cli(argv, capsys):
@@ -469,6 +470,24 @@ class TestReproducibility:
             blobs.append(Path(paths[0]).read_bytes())
         assert blobs[0] == blobs[1]
         assert b"output_dir" not in blobs[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-examples", "--n", "6", "--m", "3", "--lambda", "4", "--grid-points", "3"],
+        ["scan-algebra"],
+        ["matrix-inequalities", "--n", "7", "--m", "5"],
+        ["diameter", "--n", "6", "--m", "4", "--lambda", "4"],
+        ["curvature-report", "--n", "6", "--m", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_reports_are_the_reference_writers_bytes(self, tmp_path, capsys,
+                                                      monkeypatch, argv):
+        def written(out):
+            code, paths, _ = run_cli([*argv, "--out", str(tmp_path / out)], capsys)
+            assert code == 0 and paths
+            return {Path(p).name: Path(p).read_bytes() for p in paths}
+
+        library = written("library")
+        monkeypatch.setattr(report, "canonical_json", report_references.canonical_json)
+        assert written("reference") == library
 
     def test_flag_beats_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,13 +1,18 @@
 """Unit tests for serialization and config resolution."""
+import enum
 import json
 import math
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+import report_references
 
 from curvlab.report import (
     RunConfig,
@@ -55,6 +60,83 @@ class TestCanonicalJson:
     @settings(max_examples=50, deadline=None)
     def test_round_trips_through_json(self, obj):
         assert json.loads(canonical_json(obj)) == jsonable(obj)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  1.7e308, -1.7e308, 0.1, 1e16, 1e-7]
+
+# quotes, backslashes, control characters and non-ASCII text
+TEXT = st.text(alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028é€😀'),
+                                  st.characters()), max_size=6)
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+
+# what a report holds, and some things it cannot hold
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**30, 10**30), FLOATS, TEXT,
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**31, 2**31 - 1).map(np.int32), st.fractions(),
+    st.text(alphabet="ab/", max_size=4).map(Path), st.just(Level.LOW),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                            max_side=3), elements=FLOATS),
+    st.lists(st.fractions(), max_size=3).map(lambda xs: np.array(xs, dtype=object)),
+    st.sets(st.one_of(st.integers(-3, 3), st.text(max_size=2)), max_size=4),
+    st.frozensets(st.floats(allow_nan=False), max_size=4),
+    st.sampled_from([object(), 1j, b"x", np.bool_(True), np.complex128(1)]),
+)
+
+# keys that collide after str(): 1 and "1", True and "True", ...
+KEYS = st.one_of(st.sampled_from([1, "1", True, "True", None, "None", 0.5, "0.5",
+                                  Fraction(1, 2), "1/2", "", "a"]),
+                 TEXT, st.integers(-3, 3))
+
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+        st.dictionaries(KEYS, children, max_size=3).map(MappingProxyType)),
+    max_leaves=16)
+
+
+def outcome(encode, obj):
+    """The text `encode` writes for `obj`, or TypeError where it refuses it."""
+    try:
+        return encode(obj)
+    except TypeError:
+        return TypeError
+
+
+class TestCanonicalJsonMatchesTheReference:
+    """The one-walk writer writes what jsonable plus json.dumps writes."""
+
+    @given(PAYLOADS)
+    @example(SPECIAL_FLOATS)
+    @example([np.float64(x) for x in SPECIAL_FLOATS])
+    @example({1: "a", "1": "b", 2: [], "2": {}, (): set()})
+    @example({"x": [Fraction(1, 3), np.array([[Fraction(1, 2)]], dtype=object),
+                    np.empty((0, 2)), Path("a/b")]})
+    @example(np.array(0.0))
+    @example(np.array(Fraction(1, 2), dtype=object))
+    @example(np.array("ab"))
+    @example(['"\\\x00\x1f\u2028é😀'])
+    @example({1: object(), "1": 0})
+    @settings(max_examples=400, deadline=None)
+    def test_same_text_or_same_refusal(self, obj):
+        assert outcome(canonical_json, obj) == \
+            outcome(report_references.canonical_json, obj)
+
+    @pytest.mark.parametrize("obj", [np.array(0.0), np.array(7),
+                                     np.array(Fraction(1, 2), dtype=object)])
+    def test_a_zero_dim_array_is_refused(self, obj):
+        for encode in (canonical_json, report_references.canonical_json):
+            with pytest.raises(TypeError):
+                encode(obj)
 
 
 class TestWriters:
