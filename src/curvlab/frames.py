@@ -10,15 +10,23 @@ onto that span,
 
     C_m(F) = tr(Ric P) - 1/2 Rm_{pqrs} P_{pr} P_{qs}.
 
-P is symmetric, so the batched evaluator and the descent use one quadratic
-form in the T = n(n + 1)/2 upper-triangle entries x of P:
+P is symmetric, so the descent uses one quadratic form in the
+T = n(n + 1)/2 upper-triangle entries x of P:
 
     C_m = w . x - 1/2 x . W x,    w = E^T Ric,  W = E^T F E,
 
 with E the map from x to the n^2 entries of P and F_{(q,s),(a,b)} =
-Rm_{aqbs}.  `cm_min_oracle` contracts the raw 4-tensor instead, and the
-literal completed-basis double sum lives in the tests as an independent
-slow route that both are checked against.  The oracle draws frames of
+Rm_{aqbs}.  One evaluation of a frame is x = (Q Q^T)[triu] and one (T, T)
+product W x.  From it follow the value and B_ab = Rm_{aqbs} P_qs, which is
+W x on the diagonal and half of it off the diagonal, hence the Euclidean
+gradient 2 (Ric - B) Q.  The value of a coordinate frame e_I needs no
+frame at all:
+
+    C_m(e_I) = sum_{p in I} Ric_pp - 1/2 sum_{p, q in I} K_pq,    K_pq = Rm_pqpq.
+
+`cm_min_oracle` contracts the raw 4-tensor instead, and the literal
+completed-basis double sum lives in the tests as an independent slow
+route that both are checked against.  The oracle draws frames of
 k = min(m, n - m) columns: for m > n - m they span the complement U, and
 it scores V = U^perp through P_V = I - P_U (Haar on U is Haar on V).
 
@@ -27,15 +35,12 @@ curvature operator is diagonal on coordinate 2-vectors, and
 `curvature.cm_min_exact` gives the minimum from the class counts; the
 positivity sweep uses that, and the tests play `cm_min` against it.
 
-Stacks of frames have shape (B, n, m), and the kernels read them
-stack-last, (m, n, B), the layout Gram-Schmidt produces, so that every
-operation runs over contiguous rows of length B.  One kernel evaluates a
-stack: one product per row of P builds x, and one (T, T) GEMM gives W x.
-From it follow the values and B_ab = Rm_{aqbs} P_qs, which is W x on the
-diagonal and half of it off the diagonal, hence the Euclidean gradient
-2 (Ric - B) Q.  One orthonormalization kernel, classical Gram-Schmidt
-applied twice and vectorized over the stack, gives the positive-diagonal
-QR factor for sampling and for the retraction.
+Only the sampling oracle handles stacks of frames.  They have shape
+(B, n, k) and are read stack-last, (k, n, B), the layout Gram-Schmidt
+produces, so that every operation runs over contiguous rows of length B.
+One orthonormalization kernel, classical Gram-Schmidt applied twice and
+vectorized over the stack, gives the positive-diagonal QR factor for
+sampling and, on a one-frame stack, for the descent's retraction.
 
 `cm_min` first tries to prove the minimum, by one route at every m.  C_m is
 a quadratic form on k-vectors, k = min(m, n - m).  Let D_k(A) be the
@@ -97,7 +102,6 @@ __all__ = [
     "CmResult",
     "coordinate_frame",
     "cm_of_frame",
-    "cm_batch",
     "random_frames",
     "cm_min",
     "cm_min_oracle",
@@ -181,43 +185,23 @@ def _symmetric_form(riemann: RiemannData) -> tuple[np.ndarray, np.ndarray]:
     return (riemann.ricci[i, j] + riemann.ricci[j, i]) * (0.5 * count), wmat
 
 
-def _evaluate(qs: np.ndarray,
-              form: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Values and W x, shape (T, B), for a stack of frames (B, n, m).
-
-    The stack is read as its stack-last transpose (m, n, B), which is the
-    contiguous array behind frames from `orthonormalize_frames`; row r of
-    P gives the coordinates x_t = P_rj, j >= r.
-    """
+def _evaluate(q: np.ndarray, form: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
+    """The value and W x, shape (T,), of one frame (n, m): x = (Q Q^T)[triu]."""
     weights, wmat = form
-    cols = qs.transpose(2, 1, 0)
-    n = cols.shape[1]
-    x = np.empty((len(weights), cols.shape[2]))
-    start = 0
-    for r in range(n):
-        np.einsum("ab,ajb->jb", cols[:, r], cols[:, r:], out=x[start:start + n - r])
-        start += n - r
+    i, j, _, _ = _pairs(len(q))
+    x = (q @ q.T)[i, j]
     wx = wmat @ x
-    return weights @ x - 0.5 * np.einsum("tb,tb->b", x, wx), wx
+    return float(weights @ x - 0.5 * (x @ wx)), wx
 
 
 def _contraction(wx: np.ndarray, n: int) -> np.ndarray:
-    """B_ab = Rm_{aqbs} P_qs for a stack, shape (B, n, n), from W x.
+    """B_ab = Rm_{aqbs} P_qs, shape (n, n), from W x.
 
     (W x)_t sums B over the entries that pair t stands for, so an
     off-diagonal entry is half of it.
     """
     _, _, pair, count = _pairs(n)
-    return (wx / count[:, None])[pair].transpose(2, 0, 1)
-
-
-def cm_batch(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
-    """Projection-form values for a stack of frames, shape (B, n, m).
-
-    The quadratic part is one GEMM of the (T, T) symmetric form W against
-    the stack-last coordinates of the projections, T = n(n + 1)/2.
-    """
-    return _evaluate(np.asarray(qs, dtype=float), _symmetric_form(riemann))[0]
+    return (wx / count)[pair]
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +209,18 @@ def cm_batch(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def tangent_project(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Project an ambient direction onto the Stiefel tangent space at Q.
-
-    Takes one frame or a stack of frames with matching directions.
-    """
-    qtg = np.swapaxes(q, -1, -2) @ g
-    return g - q @ (0.5 * (qtg + np.swapaxes(qtg, -1, -2)))
+    """Project an ambient direction onto the Stiefel tangent space at the frame Q."""
+    qtg = q.T @ g
+    return g - q @ (0.5 * (qtg + qtg.T))
 
 
 def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
     """Projected gradient descent on the Stiefel manifold from one frame (n, m).
 
-    The kernels run on one-frame stacks.  The first trial step is
-    1/(1 + |g|), later ones the capped BB1 step from the last move and
-    gradient change.  A trial step is halved until the Armijo test passes;
-    the move then takes a new gradient from the B that the evaluation's
-    W x gives.  The descent stops when the gradient or the move falls
+    The first trial step is 1/(1 + |g|), later ones the capped BB1 step
+    from the last move and gradient change.  A trial step is halved until
+    the Armijo test passes; the move then takes a new gradient from the B
+    that the evaluation's W x gives.  The descent stops when the gradient or the move falls
     below STEP_TOL, a move leaves the value unchanged, HALVINGS halvings
     all fail, max_iter iterations are spent, or the gradient is not finite
     (an overflow, reported as not converged).  Returns the frame, its
@@ -248,7 +228,7 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
     """
     n = riemann.dim
     form = _symmetric_form(riemann)
-    q = orthonormalize_frames(q0[None])
+    q = orthonormalize_frames(q0[None])[0]
     val, wx = _evaluate(q, form)
     evals, converged, it = 1, False, 0
     qprev = gprev = None
@@ -274,10 +254,10 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
                     step = min(np.vdot(s, s) / sy, step)
         qprev, gprev = q, g
         for _ in range(HALVINGS):
-            cand = orthonormalize_frames(q - step * g)
+            cand = orthonormalize_frames((q - step * g)[None])[0]
             cand_val, cand_wx = _evaluate(cand, form)
             evals += 1
-            if cand_val[0] <= val[0] - ARMIJO * step * gnorm2:
+            if cand_val <= val - ARMIJO * step * gnorm2:
                 break
             step *= 0.5
         else:
@@ -285,12 +265,12 @@ def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
             break
         # a step that leaves the value unchanged passed Armijo only because the
         # required decrease is below the value's rounding: nothing more to gain
-        stalled = np.max(np.abs(cand - q)) < STEP_TOL or cand_val[0] == val[0]
+        stalled = np.max(np.abs(cand - q)) < STEP_TOL or cand_val == val
         q, val, wx = cand, cand_val, cand_wx
         if stalled:
             converged = True
             break
-    return q[0], float(val[0]), it, evals, converged
+    return q, val, it, evals, converged
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +511,9 @@ def _ascent(base: np.ndarray, relations, count: int, closes) -> tuple[float, np.
     v) tests whether the caller's proof is already complete; the ascent
     stops there.  Otherwise it stops after ASCENT_ITER iterations, when a
     direction is not a descent direction, when HALVINGS halvings all fail,
-    or when an accepted step leaves lambda_max unchanged.  Any c gives a sound bound and lambda_max only falls, so
-    where it stops only decides how tight the bound is.
+    or when an accepted step leaves lambda_max unchanged.  Any c gives a
+    sound bound and lambda_max only falls, so where it stops only decides
+    how tight the bound is.
     """
     relation, weight, row, col = relations
     size = len(base)
@@ -621,7 +602,7 @@ def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
     def closes(value, top):
         nonlocal scores
         scores += 1
-        return _evaluate(frame(top)[None], form)[0][0] <= offset - value + TIE_TOL
+        return _evaluate(frame(top), form)[0] <= offset - value + TIE_TOL
 
     top_value, top = _ascent(base, tables.relations, tables.count, closes)
     return offset - top_value, frame(top), scores
@@ -648,6 +629,18 @@ def _unit_scale(riemann: RiemannData) -> tuple[RiemannData, float]:
                        riemann.scalar / scale), scale
 
 
+def _coordinate_values(riemann: RiemannData, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate m-subsets I in lexicographic order, shape (C(n, m), m), and C_m(e_I).
+
+    Each value is read off the tensor, with no frame: the sum of Ric_pp
+    over I less half the sum of K_pq = Rm_pqpq over I x I.
+    """
+    subsets = np.array(list(itertools.combinations(range(riemann.dim), m)))
+    sectional = np.einsum("pqpq->pq", riemann.components)
+    return subsets, (np.diag(riemann.ricci)[subsets].sum(axis=1)
+                     - 0.5 * sectional[subsets[:, :, None], subsets[:, None, :]].sum(axis=(1, 2)))
+
+
 def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
            seed: int = 0) -> CmResult:
     """Minimize C_m over m-frames: certificate, else enumeration and descent.
@@ -657,11 +650,13 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     curvature exactly, and the value and the bound are multiplied by s at
     the end.  So cm_min(2^j R) is 2^j cm_min(R) bit for bit, and TIE_TOL is
     relative to the size of the tensor.
-    Coordinate subsets are enumerated first; their minimum is an upper
-    bound.  `_lower_bound` gives the route's lower bound and its frame,
-    which is scored once; the value is the smaller of the coordinate
-    minimum and that score.  When value and bound agree within TIE_TOL on
-    both sides, the minimum is proven, with method "certificate".
+    Coordinate subsets are enumerated first, their values read off the
+    tensor as sums of Ric_pp and K_pq = Rm_pqpq (see the module
+    docstring); their minimum is an upper bound.  `_lower_bound` gives the
+    route's lower bound and its frame, which is scored once; the value is
+    the smaller of the coordinate minimum and that score.  When value and
+    bound agree within TIE_TOL on both sides, the minimum is proven, with
+    method "certificate".
     Otherwise the descent runs from the best coordinate frame, then from
     the route's frame, for at most MAX_ITER iterations each; the first of
     equal values wins.
@@ -690,15 +685,11 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     riemann, scale = _unit_scale(riemann)
     n = riemann.dim
 
-    # coordinate subsets, in lexicographic order
-    subsets = np.array(list(itertools.combinations(range(n), m)))
-    coord_qs = np.zeros((len(subsets), n, m))
-    coord_qs[np.arange(len(subsets))[:, None], subsets, np.arange(m)] = 1.0
-    coord_vals = cm_batch(riemann, coord_qs)
+    subsets, coord_vals = _coordinate_values(riemann, m)
     coord_best = int(np.argmin(coord_vals))
     upper = float(coord_vals[coord_best])
     lower, best_frame, route_evals = _lower_bound(riemann, m)
-    best_value = min(upper, float(cm_batch(riemann, best_frame[None])[0]))
+    best_value = min(upper, _evaluate(best_frame, _symmetric_form(riemann))[0])
     evaluations = len(subsets) + route_evals + 1
 
     # both-sided: a bound far above an attained value is rounding, not a proof
@@ -708,14 +699,14 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
         # descend from the best coordinate frame, then from the route's frame;
         # min keeps the first of equal values
         runs = [_descend(riemann, start, MAX_ITER)
-                for start in (coord_qs[coord_best], best_frame)]
+                for start in (np.eye(n)[:, subsets[coord_best]], best_frame)]
         best_frame, desc_value = min(runs, key=lambda run: run[1])[:2]
         evaluations += sum(run[3] for run in runs)
         best_value, method = min(upper, desc_value), "projected-descent"
 
     tied = np.flatnonzero(coord_vals <= best_value + TIE_TOL)
     if tied.size:
-        best_frame = coord_qs[tied[0]]
+        best_frame = np.eye(n)[:, subsets[tied[0]]]
         if method == "projected-descent":
             method = "coordinate-enumeration"
     return CmResult(scale * best_value, best_frame, evaluations, method, scale * lower)
@@ -760,7 +751,7 @@ def cm_min_oracle(riemann: RiemannData, m: int, seed: int = 0) -> float:
     SeedSequence(seed), so its frames differ from those of any generator
     seeded with an integer, such as PCG64(seed + j).  Values come from a
     contraction of the raw 4-tensor with full projections, so they share
-    no arithmetic with the symmetric form of `cm_batch` and the descent.
+    no arithmetic with the symmetric form of the descent.
     It checks its input as `cm_min` does.
     """
     _check_input(riemann, m)

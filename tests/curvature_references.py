@@ -3,7 +3,8 @@
 `constant_profile` is the constant warp factor, `laplacian_fd` the
 Laplace-Beltrami operator of a chart function by the finite-difference
 engine's stencils, `constant_curvature_riemann` the space-form tensor and
-`fubini_study_riemann` the curvature of complex projective space.
+`fubini_study_riemann` the curvature of complex projective space, whose
+minimum C_m `complex_projective_minimum` gives in closed form.
 """
 from __future__ import annotations
 
@@ -82,3 +83,18 @@ def fubini_study_riemann(dim: int) -> RiemannData:
     return RiemannData.from_components(
         0.5 * kulkarni_nomizu(eye, eye) + 0.5 * kulkarni_nomizu(j, j)
         + 2.0 * np.einsum("ab,cd->abcd", j, j))
+
+
+def complex_projective_minimum(d: int, m: int) -> int:
+    """min C_m on CP^d of holomorphic sectional curvature 4: 2m(d + 1) - C(m, 2) - 3 floor(m/2).
+
+    Ric = 2(d + 1), so C_m(V) = 2m(d + 1) less the pair sum of the m-plane V,
+    which is C(m, 2) + (3/2) |P_V J P_V|^2_F by the sectional curvature
+    1 + 3 <X, JY>^2.  P_V J P_V is skew with operator norm at most 1, so its
+    squared norm is at most 2 floor(m/2), with equality on a complex
+    subspace plus at most a line, such as a coordinate subspace of
+    `fubini_study_riemann(2d)`.
+    """
+    if not 1 <= m <= 2 * d:
+        raise ValueError(f"require 1 <= m <= {2 * d}, got m = {m}")
+    return 2 * m * (d + 1) - math.comb(m, 2) - 3 * (m // 2)

@@ -5,14 +5,17 @@ completed orthonormal basis, `complete_frame` builds that basis,
 `cm_gradient` is the einsum form of the Euclidean gradient of the
 projection form, and `oracle_values` is the one-pass 3-operand contraction
 the sampling oracle once used.  None of them shares arithmetic with the
-library's evaluation kernels.  `ky_fan_bound` is the eigenvalue bound that
-`cm_min` took at most m before its Plücker route, which must stay at or
-above it.  `sampled_search` is the sampled start search that `cm_min`'s
-fallback must never lose to: descent from the best coordinate frame and
-from each of the DESCENT_STARTS best of a seeded Haar sample
-(`best_samples`), one start at a time.
-`count_calls` records the calls that go through module
-functions, the way the benchmark's tracer sees them.
+library's evaluation kernels.  `cm_batch` is the stacked evaluator that
+`cm_min` once scored its coordinate frames with: the descent's symmetric
+form applied to a whole stack in one (T, T) GEMM, a cross-check route for
+the coordinate values that `cm_min` reads off the tensor.  `ky_fan_bound`
+is the eigenvalue bound that `cm_min` took at most m before its Plücker
+route, which must stay at or above it.  `sampled_search` is the sampled
+start search that `cm_min`'s fallback must never lose to: descent from
+the best coordinate frame and from each of the DESCENT_STARTS best of a
+seeded Haar sample (`best_samples`), one start at a time.  `count_calls`
+records the calls that go through module functions, the way the
+benchmark's tracer sees them.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ import numpy as np
 
 from curvlab import frames
 from curvlab.curvature import RiemannData
-from curvlab.frames import (MAX_ITER, SAMPLE_CHUNK, _descend, _unit_scale,
-                            orthonormalize_frames)
+from curvlab.frames import (MAX_ITER, SAMPLE_CHUNK, _descend, _symmetric_form,
+                            _unit_scale, orthonormalize_frames)
 
 DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
 
@@ -87,6 +90,24 @@ def oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
     ps = np.einsum("bia,bja->bij", qs, qs)
     return (np.einsum("ab,nab->n", riemann.ricci, ps)
             - 0.5 * np.einsum("pqrs,npr,nqs->n", riemann.components, ps, ps))
+
+
+def cm_batch(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
+    """Projection-form values for a stack of frames, shape (B, n, m).
+
+    The stack is read as its stack-last transpose (m, n, B); row r of P
+    gives the upper-triangle coordinates x_t = P_rj, j >= r, and the
+    quadratic part is one GEMM of the (T, T) symmetric form W against them.
+    """
+    weights, wmat = _symmetric_form(riemann)
+    cols = np.asarray(qs, dtype=float).transpose(2, 1, 0)
+    n = cols.shape[1]
+    x = np.empty((len(weights), cols.shape[2]))
+    start = 0
+    for r in range(n):
+        np.einsum("ab,ajb->jb", cols[:, r], cols[:, r:], out=x[start:start + n - r])
+        start += n - r
+    return weights @ x - 0.5 * np.einsum("tb,tb->b", x, wmat @ x)
 
 
 def count_calls(monkeypatch, module, names):
@@ -157,8 +178,9 @@ def best_samples(riemann: RiemannData, m: int, budget: int, seed: int) -> np.nda
     generator seeded with seed + chunk_index, so the stream is independent
     of chunk size bookkeeping.  Each chunk's best frames are copied out,
     so the chunk is freed after its turn; ties keep drawing order.
-    `random_frames` and `cm_batch` are looked up on `curvlab.frames` on
-    every chunk, so that wrappers installed on the module see each call.
+    `random_frames` is looked up on `curvlab.frames`, and `cm_batch` on
+    this module, on every chunk, so that wrappers installed on either see
+    each call.
     """
     kept_vals, kept_frames = [], []
     remaining = int(budget)
@@ -167,7 +189,7 @@ def best_samples(riemann: RiemannData, m: int, budget: int, seed: int) -> np.nda
         count = min(SAMPLE_CHUNK, remaining)
         rng = np.random.Generator(np.random.PCG64(seed + chunk_index))
         drawn = frames.random_frames(riemann.dim, m, count, rng)
-        vals = frames.cm_batch(riemann, drawn)
+        vals = cm_batch(riemann, drawn)
         best = smallest(vals, DESCENT_STARTS)
         # fancy indexing copies, so that each chunk is freed after its turn
         kept_vals.append(vals[best])
@@ -182,7 +204,7 @@ def slow_path_starts(riemann: RiemannData, m: int, budget: int, seed: int) -> np
     """The starts of `sampled_search`: the best coordinate frame (the first on
     ties), then the best samples of `best_samples` in its order."""
     coords = coordinate_frames(riemann.dim, m)
-    best = coords[np.argmin(frames.cm_batch(riemann, coords))]
+    best = coords[np.argmin(cm_batch(riemann, coords))]
     return np.concatenate([best[None], best_samples(riemann, m, budget, seed)])
 
 
@@ -194,6 +216,6 @@ def sampled_search(riemann: RiemannData, m: int, budget: int, seed: int) -> floa
     value back.
     """
     unit, scale = _unit_scale(riemann)
-    coord_min = float(frames.cm_batch(unit, coordinate_frames(unit.dim, m)).min())
+    coord_min = float(cm_batch(unit, coordinate_frames(unit.dim, m)).min())
     vals = [_descend(unit, q0, MAX_ITER)[1] for q0 in slow_path_starts(unit, m, budget, seed)]
     return scale * min(coord_min, *vals)

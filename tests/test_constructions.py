@@ -31,7 +31,7 @@ from curvlab.curvature import (
     riemann_fd,
     to_subchart,
 )
-from curvlab.frames import cm_batch, cm_of_frame, coordinate_frame
+from curvlab.frames import cm_of_frame, coordinate_frame
 from curvlab.inequalities import admissible, chen_min_exact, d_of
 from construction_references import (
     coordinate_cm_value,
@@ -40,7 +40,7 @@ from construction_references import (
     radial_laplacian,
 )
 from curvature_references import constant_profile, laplacian_fd
-from frame_references import sampled_search
+from frame_references import cm_batch, sampled_search
 
 LAMBDAS = (0.5, 1.0, 2.0)
 # the default radial grid of the CLI

@@ -126,16 +126,15 @@ def test_traced_result_fields_exist(module, cls, names):
 
 
 def test_sampling_goes_through_the_traced_module_functions(monkeypatch):
-    # the tracer counts sampling and evaluation through wrappers on
-    # frames.random_frames and frames.cm_batch, so both must be reached
-    # through the module.  On CP^4 at m = 3 the route's bound 20 stays below
-    # the minimum 24, so C_3 is not certified: cm_min evaluates the
-    # coordinate subsets and the route's frame, descends and draws nothing.
-    # The oracle draws once per 4096-frame chunk
-    calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
+    # the tracer counts sampling through a wrapper on frames.random_frames,
+    # so it must be reached through the module.  On CP^4 at m = 3 the
+    # route's bound 20 stays below the minimum 24, so C_3 is not certified:
+    # cm_min descends and draws nothing.  The oracle draws once per
+    # 4096-frame chunk
+    calls = count_calls(monkeypatch, frames, ("random_frames",))
     res = frames.cm_min(fubini_study_riemann(8), 3, budget=10_000, seed=4)
     assert res.method != "certificate"
-    assert calls == {"random_frames": [], "cm_batch": [56, 1]}
+    assert calls == {"random_frames": []}
     frames.cm_min_oracle(fubini_study_riemann(8), 3, seed=4)
     assert calls["random_frames"] == [4096] * 4 + [frames.ORACLE_SAMPLES - 4 * 4096]
 

@@ -25,6 +25,7 @@ from curvlab.frames import (
     ORACLE_SLICE,
     SAMPLE_CHUNK,
     _contraction,
+    _coordinate_values,
     _descend,
     _evaluate,
     _lower_bound,
@@ -33,7 +34,6 @@ from curvlab.frames import (
     _plucker_tables,
     _symmetric_form,
     _unit_scale,
-    cm_batch,
     cm_min,
     cm_min_oracle,
     cm_of_frame,
@@ -42,10 +42,16 @@ from curvlab.frames import (
     random_frames,
     tangent_project,
 )
-from curvature_references import constant_curvature_riemann, fubini_study_riemann
+import frame_references
+from curvature_references import (
+    complex_projective_minimum,
+    constant_curvature_riemann,
+    fubini_study_riemann,
+)
 from frame_references import (
     DESCENT_STARTS,
     best_samples,
+    cm_batch,
     cm_double_sum,
     cm_gradient,
     complete_frame,
@@ -197,10 +203,27 @@ def projection(q):
 def fallback_starts(riemann, m, route_frame):
     """The starts `cm_min` descends from when its route does not close.
 
-    The best coordinate frame (the first on ties), then the route's frame.
+    The best coordinate frame, by the values `cm_min` reads off the tensor
+    (the first on ties), then the route's frame.
     """
-    coords = coordinate_frames(riemann.dim, m)
-    return np.stack([coords[np.argmin(cm_batch(riemann, coords))], route_frame])
+    subsets, vals = _coordinate_values(riemann, m)
+    return np.stack([coordinate_frame(riemann.dim, tuple(subsets[np.argmin(vals)])),
+                     route_frame])
+
+
+def shift_route(patch, shift):
+    """Lower the route's bound by `shift`, keeping its frame and evaluations.
+
+    Returns the unpatched route.
+    """
+    route = frames._lower_bound
+
+    def shifted(riemann, m):
+        bound, frame, evals = route(riemann, m)
+        return bound - shift, frame, evals
+
+    patch.setattr(frames, "_lower_bound", shifted)
+    return route
 
 
 def descend_each(riemann, starts, max_iter=MAX_ITER):
@@ -291,11 +314,11 @@ class TestSymmetricForm:
     @pytest.mark.parametrize("rd,m", KERNEL_CASES, ids=KERNEL_IDS)
     def test_values_and_contraction_match_references(self, rd, m):
         n = rd.dim
-        qs = random_frames(n, m, 12, np.random.default_rng(n + 31 * m))
-        vals, wx = _evaluate(qs, _symmetric_form(rd))
-        bmat = _contraction(wx, n)
-        assert bmat.shape == (12, n, n)
-        for q, val, b in zip(qs, vals, bmat):
+        form = _symmetric_form(rd)
+        for q in random_frames(n, m, 12, np.random.default_rng(n + 31 * m)):
+            val, wx = _evaluate(q, form)
+            b = _contraction(wx, n)
+            assert b.shape == (n, n)
             assert val == pytest.approx(cm_double_sum(rd, complete_frame(q), m), rel=1e-12)
             ref = cm_gradient(rd, q)
             assert_allclose(2.0 * (rd.ricci - b) @ q, ref, rtol=1e-12,
@@ -303,12 +326,37 @@ class TestSymmetricForm:
 
     def test_reads_the_stack_last_layout_without_a_copy(self):
         # random_frames returns a transposed view of Gram-Schmidt's (m, n, B)
-        # array, and the kernel transposes it back
+        # array, and the oracle transposes it back
         qs = random_frames(7, 3, 64, np.random.default_rng(4))
         assert qs.transpose(2, 1, 0).flags.c_contiguous
         rd = random_curvature_tensor(7, np.random.default_rng(5))
-        assert_allclose(cm_batch(rd, qs), cm_batch(rd, np.ascontiguousarray(qs)),
-                        rtol=0, atol=1e-13)
+        assert_allclose(_oracle_values(rd, qs, 3),
+                        _oracle_values(rd, np.ascontiguousarray(qs), 3), rtol=0, atol=1e-13)
+
+
+COORDINATE_CASES = ([rd for rd, _ in KERNEL_CASES]
+                    + [product_sphere_flat_riemann(3, rho, k)
+                       for k, rho in ((1, 1.0), (2, np.sqrt(2.0)), (3, 2.0), (5, 0.5))]
+                    + [RiemannData.from_components(np.zeros((5,) * 4))])
+COORDINATE_IDS = ([f"n{rd.dim}-{i}" for i, (rd, _) in enumerate(KERNEL_CASES)]
+                  + [f"S3xR{k}" for k in (1, 2, 3, 5)] + ["zero"])
+
+
+class TestCoordinateValues:
+    """C_m(e_I) read off Ric_pp and K_pq against the frame routes, at every m."""
+
+    @pytest.mark.parametrize("rd", COORDINATE_CASES, ids=COORDINATE_IDS)
+    def test_match_stacked_evaluator_and_double_sum(self, rd):
+        n = rd.dim
+        for m in range(1, n + 1):
+            subsets, vals = _coordinate_values(rd, m)
+            assert_array_equal(subsets, list(itertools.combinations(range(n), m)))
+            coords = coordinate_frames(n, m)
+            for name, ref in (("cm_batch", cm_batch(rd, coords)),
+                              ("double sum", [cm_double_sum(rd, complete_frame(q), m)
+                                              for q in coords])):
+                assert_allclose(vals, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)),
+                                err_msg=f"{name}, m = {m}")
 
 
 class TestSelection:
@@ -331,8 +379,8 @@ class TestSelection:
         # rounding the values to integers makes most of them tie; the
         # selection must keep the best frames in drawing order
         rd = random_curvature_tensor(6, np.random.default_rng(17))
-        exact = frames.cm_batch
-        monkeypatch.setattr(frames, "cm_batch",
+        exact = cm_batch
+        monkeypatch.setattr(frame_references, "cm_batch",
                             lambda riemann, qs: np.round(exact(riemann, qs)))
         best = best_samples(rd, 3, budget, 40)
         drawn = np.concatenate([
@@ -355,7 +403,7 @@ class TestGradient:
         t = 1e-6
 
         def f(mat):
-            return cm_batch(rd, mat[None])[0]
+            return _evaluate(mat, _symmetric_form(rd))[0]
 
         fd = (f(q + t * h) - f(q - t * h)) / (2 * t)
         assert fd == pytest.approx(float(np.sum(g * h)), rel=1e-5, abs=1e-8)
@@ -741,26 +789,26 @@ class TestCertificate:
                                                  (-2e-9, False), (2e-9, False)])
     def test_tie_rule_is_both_sided(self, monkeypatch, shift, certified):
         # S^3 x R^k, where bound and coordinate minimum agree and the tensor
-        # has unit scale; shifting the evaluator opens a gap of `shift`.  A
-        # bound far above an attained value is rounding, not a proof
-        exact = frames.cm_batch
-        monkeypatch.setattr(frames, "cm_batch", lambda riemann, qs: exact(riemann, qs) + shift)
+        # has unit scale; lowering the route's bound opens a gap of `shift`.
+        # A bound far above an attained value is rounding, not a proof
+        route = shift_route(monkeypatch, shift)
         for k, m, bound, subset in ((2, 3, 2.0, (0, 3, 4)),          # k-vectors of U, k = 2
                                     (3, 5, 3.0, (0, 1, 2, 3, 4))):   # m = n - 1, k = 1
             n = k + 3
             rd = product_sphere_flat_riemann(3, 1.0, k)
             res = cm_min(rd, m, budget=500, seed=0)
-            assert res.lower_bound == bound
+            assert route(rd, m)[0] == bound
+            assert res.lower_bound == bound - shift
             assert (res.method == "certificate") == certified
             if certified:
-                assert res.value == bound + shift
+                assert res.value == bound
                 # the subsets, the route's one closure test and the score
                 assert res.evaluations == math.comb(n, m) + 2
                 assert_array_equal(res.argmin, coordinate_frame(n, subset))
             else:
                 # the same, then the descent from the best coordinate frame
-                # and the route's frame; the descent does not read cm_batch
-                frame = _lower_bound(rd, m)[1]
+                # and the route's frame
+                frame = route(rd, m)[1]
                 evals = descend_each(rd, fallback_starts(rd, m, frame))[3]
                 assert res.evaluations == math.comb(n, m) + 2 + int(evals.sum())
 
@@ -975,17 +1023,15 @@ class TestFourFormCertificate:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_closes_without_sampling(self, monkeypatch, n):
-        calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
+        calls = count_calls(monkeypatch, frames, ("random_frames",))
         descents = record_descents(monkeypatch)
         for m, seed in closing_draws(n):
             rd = random_curvature_tensor(n, np.random.default_rng(seed))
-            calls["cm_batch"].clear()
             res = cm_min(rd, m, seed=seed)
             where = f"m = {m}, seed = {seed}"
             assert res.method == "certificate", where
             assert descents == [], where
-            # the coordinate subsets, then the route's frame
-            assert calls == {"random_frames": [], "cm_batch": [math.comb(n, m), 1]}, where
+            assert calls == {"random_frames": []}, where
             assert abs(res.value - res.lower_bound) <= _unit_scale(rd)[1] * frames.TIE_TOL
             assert res.lower_bound > ky_fan_bound(rd, m) + frames.TIE_TOL, where
             assert res.evaluations > math.comb(n, m)
@@ -1049,7 +1095,7 @@ class TestFourFormCertificate:
         unit, scale = _unit_scale(rd)
         starts = fallback_starts(unit, 1, coordinate_frame(3, (0,)))
         qs, vals, _, evals, _ = descend_each(unit, starts)
-        coord_vals = cm_batch(unit, coordinate_frames(3, 1))
+        coord_vals = _coordinate_values(unit, 1)[1]
         best = int(np.argmin(vals))
         assert res.method == "projected-descent"
         assert res.value == scale * min(coord_vals.min(), vals[best])
@@ -1062,6 +1108,23 @@ class TestFourFormCertificate:
         assert res.value == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0], abs=1e-9)
         assert res.lower_bound == pytest.approx(res.value, abs=1e-9)
 
+
+
+CP_CASES = [(d, m) for d in (2, 3, 4) for m in range(1, 2 * d)]
+
+
+class TestComplexProjective:
+    """cm_min on CP^d against the closed-form minimum 2m(d + 1) - C(m, 2) - 3 floor(m/2)."""
+
+    @pytest.mark.parametrize("d,m", CP_CASES, ids=[f"CP{d}-m{m}" for d, m in CP_CASES])
+    def test_value_is_the_closed_form_and_the_bound_never_passes_it(self, d, m):
+        rd = fubini_study_riemann(2 * d)
+        minimum = complex_projective_minimum(d, m)
+        res = cm_min(rd, m)
+        tol = _unit_scale(rd)[1] * frames.TIE_TOL
+        assert abs(res.value - minimum) <= tol
+        assert res.lower_bound <= minimum + tol
+        assert (res.method == "certificate") == (res.lower_bound >= minimum - tol)
 
 
 RICCI_CASES = ([random_curvature_tensor(n, np.random.default_rng(1300 + n)) for n in range(3, 9)]
@@ -1083,12 +1146,11 @@ class TestRicciCertificate:
     @pytest.mark.parametrize("rd", RICCI_CASES, ids=RICCI_IDS)
     def test_closes_without_sampling(self, monkeypatch, rd):
         n = rd.dim
-        calls = count_calls(monkeypatch, frames, ("random_frames", "cm_batch"))
+        calls = count_calls(monkeypatch, frames, ("random_frames",))
         descents = record_descents(monkeypatch)
         res = cm_min(rd, 1, seed=3)
         assert res.method == "certificate"
-        # the coordinate frames, then the eigenvector, and no descent
-        assert calls == {"random_frames": [], "cm_batch": [n, 1]}
+        assert calls == {"random_frames": []}
         assert descents == []
         # the subsets, the route's one closure test, which closes, and the score
         assert res.evaluations == n + 2
@@ -1109,29 +1171,28 @@ class TestRicciCertificate:
     @pytest.mark.parametrize("shift,certified", [(-1e-12, True), (1e-12, True),
                                                  (-2e-9, False), (2e-9, False)])
     def test_tie_rule_is_both_sided(self, monkeypatch, shift, certified):
-        # shifting the evaluator moves the eigenvector's value `shift` off the
-        # eigenvalue, on the tensor scaled to unit size; past TIE_TOL cm_min
+        # lowering the route's bound moves it `shift` off the eigenvector's
+        # value, on the tensor scaled to unit size; past TIE_TOL cm_min
         # descends from the best coordinate frame and the eigenvector
         rd = random_curvature_tensor(5, np.random.default_rng(1305))
         unit, scale = _unit_scale(rd)
-        exact = frames.cm_batch
-        monkeypatch.setattr(frames, "cm_batch", lambda riemann, qs: exact(riemann, qs) + shift)
+        route = shift_route(monkeypatch, shift)
         res = cm_min(rd, 1, budget=500, seed=0)
         lam_min = np.linalg.eigvalsh(rd.ricci)[0]
+        bound, frame, _ = route(unit, 1)
         assert (res.method == "certificate") == certified
-        assert res.lower_bound == pytest.approx(lam_min, rel=1e-13)
+        assert scale * bound == pytest.approx(lam_min, rel=1e-13)
+        assert res.lower_bound == scale * (bound - shift)
         if certified:
-            assert res.value == pytest.approx(lam_min + scale * shift, abs=1e-12)
+            assert res.value == pytest.approx(lam_min, rel=1e-13)
             assert res.evaluations == 7
             # no coordinate subset ties, so the argmin is the eigenvector
             assert eigenvector_alignment(res.argmin, rd.ricci) == pytest.approx(1.0, abs=1e-12)
             return
-        frame = _lower_bound(unit, 1)[1]
         qs, vals, _, evals, _ = descend_each(unit, fallback_starts(unit, 1, frame))
         best = int(np.argmin(vals))
         assert res.method == "projected-descent"
-        assert res.value == scale * min(exact(unit, coordinate_frames(5, 1)).min() + shift,
-                                        vals[best])
+        assert res.value == scale * min(_coordinate_values(unit, 1)[1].min(), vals[best])
         # the subsets, the route's one closure test, the score and the descent
         assert res.evaluations == 5 + 2 + int(evals.sum())
         assert_array_equal(res.argmin, qs[best])
@@ -1264,18 +1325,20 @@ def dense_cm_tensor(seed, draw):
 def open_cases():
     """(tensor, m, minimum or None) of inputs where the route does not close.
 
-    CP^4 at m = 2..6, where coordinate frames attain the minimum; a dense
-    (8, 4) tensor where the ascent stalls at a nearly double top
-    eigenvalue; and the (7, 5) tensors of `dense-cm` at seeds 19 and 39
-    that stay open.
+    CP^4 at m = 2..6 and CP^3 at m = 3, where coordinate frames attain the
+    closed-form minimum; a dense (8, 4) tensor where the ascent stalls at a
+    nearly double top eigenvalue; and the (7, 5) tensors of `dense-cm` at
+    seeds 19 and 39 that stay open.
     """
     cp4 = fubini_study_riemann(8)
-    return ([(cp4, m, value) for m, value in zip(range(2, 7), (16.0, 24.0, 28.0, 34.0, 36.0))]
-            + [(random_curvature_tensor(8, np.random.default_rng(20)), 4, None),
+    return ([(cp4, m, complex_projective_minimum(4, m)) for m in range(2, 7)]
+            + [(fubini_study_riemann(6), 3, complex_projective_minimum(3, 3)),
+               (random_curvature_tensor(8, np.random.default_rng(20)), 4, None),
                (*dense_cm_tensor(19, 13), None), (*dense_cm_tensor(39, 18), None)])
 
 
-OPEN_IDS = [f"CP4-m{m}" for m in range(2, 7)] + ["dense-n8-m4", "dense-cm-19", "dense-cm-39"]
+OPEN_IDS = ([f"CP4-m{m}" for m in range(2, 7)]
+            + ["CP3-m3", "dense-n8-m4", "dense-cm-19", "dense-cm-39"])
 
 
 class TestOpenInputs:
