@@ -43,7 +43,7 @@ from .constructions import (
     solve_profile,
     verify_uniform_positivity,
 )
-from .curvature import diagonal_ricci
+from .curvature import WarpedTorusMetric, diagonal_ricci
 from .diameter import (
     antonelli_xu_bound,
     c0_identity_check,
@@ -107,7 +107,7 @@ def cmd_verify_examples(cfg: RunConfig, args) -> tuple[bool, dict]:
     n, m, lam = args.n, args.m, args.lam
     sol = solve_profile(n, m, lam)
     r_grid = np.linspace(-cfg.r_max, cfg.r_max, cfg.grid_points)
-    residual_max = float(np.max(np.abs(ode_residual(n, m, lam, sol, r_grid))))
+    residual_max = float(np.max(np.abs(ode_residual(sol, r_grid))))
     witnesses: dict = {
         "n": n, "m": m, "lambda": lam,
         "profile_case": sol.case,
@@ -117,14 +117,14 @@ def cmd_verify_examples(cfg: RunConfig, args) -> tuple[bool, dict]:
 
     if args.epsilon is None:
         try:
-            found = search_epsilon(n, m, lam, r_grid)
+            found = search_epsilon(sol, r_grid)
         except EpsilonSearchError as exc:
             positivity, witnesses["epsilon"] = exc.best_report, None
         else:
             positivity, witnesses["epsilon"] = found.report, found.epsilon
             witnesses["tightness"] = found.tightness_report.to_json_dict()
     else:
-        metric = build_counterexample(n, m, lam, args.epsilon)
+        metric = WarpedTorusMetric(n, m, args.epsilon, sol.f, sol.u)
         positivity = verify_uniform_positivity(metric, lam, r_grid=r_grid)
         witnesses["epsilon"] = args.epsilon
 

@@ -138,12 +138,13 @@ def solve_profile(n: int, m: int, lam: float) -> ProfileSolution:
         params={"C3": str(c3), "C4": str(c4), "p_u": str(pu), "p_f": str(pf)})
 
 
-def ode_residual(n: int, m: int, lam: float, sol: ProfileSolution, r) -> np.ndarray:
-    """Defect of the profile equation at r (zero for both closed branches).
+def ode_residual(sol: ProfileSolution, r) -> np.ndarray:
+    """Defect of the profile equation of `sol` at r (zero for both closed branches).
 
     Raises ValueError naming the first radius where the defect is not
     finite (the log-derivatives overflow far out on the Gaussian branch).
     """
+    n, m, lam = sol.n, sol.m, sol.lam
     r = np.asarray(r, dtype=float)
     with np.errstate(all="ignore"):
         lhs = (2.0 * m - 2.0) / m * (sol.u.d2_ratio(r)
@@ -330,8 +331,8 @@ class EpsilonSearchResult:
     tightness_report: PositivityReport
 
 
-def search_epsilon(n: int, m: int, lam: float, r_grid) -> EpsilonSearchResult:
-    """Halving search for a sphere scale with a passing positivity sweep.
+def search_epsilon(sol: ProfileSolution, r_grid) -> EpsilonSearchResult:
+    """Halving search for a sphere scale with a passing positivity sweep of `sol`.
 
     Tries epsilon = 2^-t for t = 0..MAX_HALVINGS and returns the first
     (largest) passing scale together with a sweep at twice that scale as
@@ -346,11 +347,8 @@ def search_epsilon(n: int, m: int, lam: float, r_grid) -> EpsilonSearchResult:
     minimum.  An empty grid, or one holding a radius whose curvature is
     not finite (NaN and infinite radii included), raises the sweep's
     ValueError, which names that radius.
-
-    The profile depends on (n, m, lambda) alone, so it is solved once and
-    every scale's metric shares it.
     """
-    sol = solve_profile(n, m, lam)
+    n, m, lam = sol.n, sol.m, sol.lam
 
     def sweep(t: int) -> PositivityReport:
         metric = WarpedTorusMetric(n, m, 2.0 ** (-t), sol.f, sol.u)

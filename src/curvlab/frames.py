@@ -58,12 +58,12 @@ for every Q (Thorpe's trick: J. Thorpe 1972; R. Bettiol and R. Mendes
 integer Plücker relations, starting at Q = 0.  A top eigenvector,
 contracted to an (n, C(n, k - 1)) matrix, gives V or U as the span of the
 top k left singular vectors.  Before each ascent step that frame is
-scored once, and the ascent stops as soon as the score is within TIE_TOL
-of the current bound: the frame closes the proof as it is.  The frame of
-the last top eigenvector is the route's frame, closed or not, and the
-route's evaluations are its scores.  At k = 1 there are no relations: the
-route is the smallest Ricci eigenvalue at m = 1 and the constant scal/2
-at m = n - 1.  At k = 2 the relations are the 4-forms.
+built and scored once, and the ascent stops as soon as the score is within
+TIE_TOL of the current bound: the frame closes the proof as it is.  The
+frame of the last top eigenvector, closed or not, is the route's frame,
+returned with its score.  At k = 1 there are no relations: the route is
+the smallest Ricci eigenvalue at m = 1 and the constant scal/2 at m = n - 1.
+At k = 2 the relations are the 4-forms.
 `cm_min` proves the minimum when the route's bound meets the best frame
 it has scored (its docstring states the closure rule, the scale
 normalization and how evaluations are counted).
@@ -214,20 +214,21 @@ def tangent_project(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - q @ (0.5 * (qtg + qtg.T))
 
 
-def _descend(riemann: RiemannData, q0: np.ndarray, max_iter: int):
+def _descend(riemann: RiemannData, form: tuple[np.ndarray, np.ndarray], q0: np.ndarray,
+             max_iter: int):
     """Projected gradient descent on the Stiefel manifold from one frame (n, m).
 
-    The first trial step is 1/(1 + |g|), later ones the capped BB1 step
-    from the last move and gradient change.  A trial step is halved until
-    the Armijo test passes; the move then takes a new gradient from the B
-    that the evaluation's W x gives.  The descent stops when the gradient or the move falls
+    Frames are scored on `form`, the `_symmetric_form` of `riemann`.  The
+    first trial step is 1/(1 + |g|), later ones the capped BB1 step from
+    the last move and gradient change.  A trial step is halved until the
+    Armijo test passes; the move then takes a new gradient from the B that
+    the evaluation's W x gives.  The descent stops when the gradient or the move falls
     below STEP_TOL, a move leaves the value unchanged, HALVINGS halvings
     all fail, max_iter iterations are spent, or the gradient is not finite
     (an overflow, reported as not converged).  Returns the frame, its
     value, the iterations, the evaluations and whether it converged.
     """
     n = riemann.dim
-    form = _symmetric_form(riemann)
     q = orthonormalize_frames(q0[None])[0]
     val, wx = _evaluate(q, form)
     evals, converged, it = 1, False, 0
@@ -315,7 +316,7 @@ class CmResult:
     `value` is the smallest value `cm_min` scored: the coordinate frames,
     the route's frame and, where the route does not close, the descent
     from the best of the first and from the second; no frame is sampled.
-    `evaluations` counts those scores.  `argmin` is a frame achieving
+    `evaluations` counts those scores, each once.  `argmin` is a frame achieving
     `value` to within the tie tolerance, with coordinate frames preferred
     when they tie.  `lower_bound` is the bound of the route that
     `cm_min` takes at this m (see the module docstring); no frame goes
@@ -565,8 +566,9 @@ def _ascent(base: np.ndarray, relations, count: int, closes) -> tuple[float, np.
     return float(value), top
 
 
-def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
-    """The route's lower bound on C_m: (bound, frame, evaluations).
+def _lower_bound(riemann: RiemannData, m: int,
+                 form: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray, float, int]:
+    """The route's lower bound on C_m: (bound, frame, its score, evaluations).
 
     The route works on the k-vectors, k = min(m, n - m), with the tables
     of `_plucker_tables`.  For m <= n - m, xi is the unit k-vector of V and
@@ -577,10 +579,10 @@ def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
     of Plücker relations.  A frame comes from a top eigenvector xi: the
     top k left singular vectors of its interior product span V, or U and
     then their complement is the frame.  Before each ascent step the
-    frame of the current xi is scored once, and the ascent stops when the
-    score is at most the current bound plus TIE_TOL.  The frame of the
-    last xi is returned as it is, closed or not; the evaluations are the
-    ascent's scores.
+    frame of the current xi is built and scored once on `form`, and the
+    ascent stops when the score is at most the current bound plus TIE_TOL.
+    The frame of the last xi, closed or not, is returned with its score,
+    taken after the ascent only if no test had that xi.
     """
     n = riemann.dim
     k = min(m, n - m)
@@ -590,22 +592,22 @@ def _lower_bound(riemann: RiemannData, m: int) -> tuple[float, np.ndarray, int]:
     if k == m:
         base, offset = base - ricci, 0.0
     slot, index, sign = tables.interior
-    form = _symmetric_form(riemann)
-    scores = 0
+    last, scores = None, 0  # keep one (xi, frame, score): xi views a whole eigh matrix
 
-    def frame(top):
+    def score(top):
+        nonlocal last, scores
         interior = np.zeros(n * tables.columns)
         interior[slot] = sign * top[index]
         left = np.linalg.svd(interior.reshape(n, tables.columns))[0]
-        return left[:, :k] if k == m else left[:, k:]
+        q = left[:, :k] if k == m else left[:, k:]
+        last, scores = (top, q, _evaluate(q, form)[0]), scores + 1
+        return last[2]
 
-    def closes(value, top):
-        nonlocal scores
-        scores += 1
-        return _evaluate(frame(top), form)[0] <= offset - value + TIE_TOL
-
-    top_value, top = _ascent(base, tables.relations, tables.count, closes)
-    return offset - top_value, frame(top), scores
+    top_value, top = _ascent(base, tables.relations, tables.count,
+                             lambda value, top: score(top) <= offset - value + TIE_TOL)
+    if last is None or last[0] is not top:  # a step followed the last test
+        score(top)
+    return offset - top_value, *last[1:], scores
 
 
 def _check_input(riemann: RiemannData, m: int) -> None:
@@ -653,19 +655,16 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     Coordinate subsets are enumerated first, their values read off the
     tensor as sums of Ric_pp and K_pq = Rm_pqpq (see the module
     docstring); their minimum is an upper bound.  `_lower_bound` gives the
-    route's lower bound and its frame, which is scored once; the value is
+    route's lower bound, its frame and that frame's score; the value is
     the smaller of the coordinate minimum and that score.  When value and
     bound agree within TIE_TOL on both sides, the minimum is proven, with
     method "certificate".
     Otherwise the descent runs from the best coordinate frame, then from
     the route's frame, for at most MAX_ITER iterations each; the first of
-    equal values wins.
-    The route stops its ascent at the first frame that meets its bound
-    within TIE_TOL; that stop can only lower the bound by TIE_TOL, so the
-    closure rule here is unchanged.
+    equal values wins.  The route and the descent score on one symmetric
+    form, built once per call.
     `lower_bound` is the route's bound on every path, and `evaluations`
-    counts what ran: C(n, m), one per closure test of the route's ascent,
-    one for the score, and the descent's when it runs.
+    counts each score once: C(n, m), the route's and the descent's.
     On every path, when a coordinate subset comes within TIE_TOL of the
     best value found, the lexicographically first such subset is reported
     as the argmin.
@@ -685,12 +684,13 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     riemann, scale = _unit_scale(riemann)
     n = riemann.dim
 
+    form = _symmetric_form(riemann)
     subsets, coord_vals = _coordinate_values(riemann, m)
     coord_best = int(np.argmin(coord_vals))
     upper = float(coord_vals[coord_best])
-    lower, best_frame, route_evals = _lower_bound(riemann, m)
-    best_value = min(upper, _evaluate(best_frame, _symmetric_form(riemann))[0])
-    evaluations = len(subsets) + route_evals + 1
+    lower, best_frame, route_value, route_evals = _lower_bound(riemann, m, form)
+    best_value = min(upper, route_value)
+    evaluations = len(subsets) + route_evals
 
     # both-sided: a bound far above an attained value is rounding, not a proof
     if abs(best_value - lower) <= TIE_TOL:
@@ -698,7 +698,7 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     else:
         # descend from the best coordinate frame, then from the route's frame;
         # min keeps the first of equal values
-        runs = [_descend(riemann, start, MAX_ITER)
+        runs = [_descend(riemann, form, start, MAX_ITER)
                 for start in (np.eye(n)[:, subsets[coord_best]], best_frame)]
         best_frame, desc_value = min(runs, key=lambda run: run[1])[:2]
         evaluations += sum(run[3] for run in runs)

@@ -15,7 +15,8 @@ start search that `cm_min`'s fallback must never lose to: descent from
 the best coordinate frame and from each of the DESCENT_STARTS best of a
 seeded Haar sample (`best_samples`), one start at a time.  `count_calls`
 records the calls that go through module functions, the way the
-benchmark's tracer sees them.
+benchmark's tracer sees them, and `coordinate_route` stands in for
+`cm_min`'s route.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from curvlab import frames
 from curvlab.curvature import RiemannData
-from curvlab.frames import (MAX_ITER, SAMPLE_CHUNK, _descend, _symmetric_form,
+from curvlab.frames import (MAX_ITER, SAMPLE_CHUNK, _descend, _evaluate, _symmetric_form,
                             _unit_scale, orthonormalize_frames)
 
 DESCENT_STARTS = 8  # best random samples that descend beside the best coordinate frame
@@ -130,6 +131,21 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
+def coordinate_route(monkeypatch, bound) -> None:
+    """Replace `cm_min`'s route by `bound(riemann, m)` and the first coordinate frame.
+
+    The replacement scores that frame once, on the form `cm_min` passes, as
+    the route scores the frame it returns.  The score never beats the
+    coordinate minimum, so where the bound does not close `cm_min`
+    descends from the best coordinate frame and that one.
+    """
+    def route(riemann, m, form):
+        frame = frames.coordinate_frame(riemann.dim, tuple(range(m)))
+        return bound(riemann, m), frame, _evaluate(frame, form)[0], 1
+
+    monkeypatch.setattr(frames, "_lower_bound", route)
+
+
 def curvature_operator(riemann: RiemannData) -> np.ndarray:
     """The curvature operator on 2-vectors: Rm_abcd over pairs a < b, c < d."""
     a, b = np.triu_indices(riemann.dim, 1)
@@ -216,6 +232,8 @@ def sampled_search(riemann: RiemannData, m: int, budget: int, seed: int) -> floa
     value back.
     """
     unit, scale = _unit_scale(riemann)
+    form = _symmetric_form(unit)
     coord_min = float(cm_batch(unit, coordinate_frames(unit.dim, m)).min())
-    vals = [_descend(unit, q0, MAX_ITER)[1] for q0 in slow_path_starts(unit, m, budget, seed)]
+    vals = [_descend(unit, form, q0, MAX_ITER)[1]
+            for q0 in slow_path_starts(unit, m, budget, seed)]
     return scale * min(coord_min, *vals)

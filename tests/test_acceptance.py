@@ -95,7 +95,7 @@ def test_criterion_04_ode_residuals():
         for lam in (0.5, 1.0, 2.0):
             sol = solve_profile(n, m, lam)
             worst = max(worst, float(np.max(np.abs(
-                ode_residual(n, m, lam, sol, grid)))))
+                ode_residual(sol, grid)))))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-9 and elapsed < 1.0
     _line(4, ok, f"max residual {worst:.3e} over 5 pairs x 3 lambdas "
@@ -107,7 +107,7 @@ def test_criterion_05_epsilon_search_all_pairs():
     details, ok = [], True
     for n, m in CONSTRUCTION_PAIRS:
         started = time.perf_counter()
-        found = search_epsilon(n, m, lam, np.linspace(-10, 10, 121))
+        found = search_epsilon(solve_profile(n, m, lam), np.linspace(-10, 10, 121))
         elapsed = time.perf_counter() - started
         rep = found.report
         coord_ok = (abs(rep.coord_value_min - lam) < 1e-9
@@ -187,7 +187,7 @@ def test_criterion_09_curvature_engines():
 
         # cm_min takes C_1 from the Ricci eigenvector, so the literal double
         # sum at its argmin checks the frame as well as the value
-        c1 = cm_min(data, 1, budget=2000, seed=i)
+        c1 = cm_min(data, 1)
         ric_min = np.linalg.eigvalsh(ricci)[0]
         at_argmin = cm_double_sum(data, complete_frame(c1.argmin), 1)
         prop_ok = (prop_ok and abs(c1.value - ric_min) < 1e-6
@@ -214,7 +214,7 @@ def test_criterion_10_diameter_models():
     for n, lam in ((5, 1.0), (6, 1.0), (7, 2.0)):
         radius = math.sqrt(2.0 / lam)
         data = product_sphere_flat_riemann(3, radius, n - 3)
-        result = cm_min(data, n - 2, budget=40_000, seed=0)
+        result = cm_min(data, n - 2)
         model_ok = model_ok and abs(result.value - lam) < 1e-6
         records.append(f"n={n}: {result.value:.9f} vs {lam}")
     ok = diam_ok and model_ok

@@ -40,7 +40,7 @@ from construction_references import (
     radial_laplacian,
 )
 from curvature_references import constant_profile, laplacian_fd
-from frame_references import cm_batch, sampled_search
+from frame_references import cm_batch, coordinate_route, sampled_search
 
 LAMBDAS = (0.5, 1.0, 2.0)
 # the default radial grid of the CLI
@@ -130,13 +130,13 @@ class TestSolveProfile:
 class TestOdeResidual:
     def test_pointwise_example(self):
         sol = solve_profile(6, 2, 1.0)
-        assert abs(float(ode_residual(6, 2, 1.0, sol, 0.5))) < 1e-12
+        assert abs(float(ode_residual(sol, 0.5))) < 1e-12
 
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_grid_residual_both_branches(self, n, m, lam):
         sol = solve_profile(n, m, lam)
-        res = ode_residual(n, m, lam, sol, np.linspace(-5.0, 5.0, 101))
+        res = ode_residual(sol, np.linspace(-5.0, 5.0, 101))
         assert np.max(np.abs(res)) < 1e-9
 
     def test_perturbed_profile_detected(self):
@@ -158,7 +158,7 @@ class TestOdeResidual:
         bent = type(sol)(sol.n, sol.m, sol.lam, sol.case, sol.c3, sol.c4,
                          u=RadialProfile(plog, pdlog, pd2log),
                          f=sol.f, params=sol.params)
-        assert abs(float(ode_residual(6, 2, 1.0, bent, 1.0))) > 1e-3
+        assert abs(float(ode_residual(bent, 1.0))) > 1e-3
 
 
 class TestLiftChain:
@@ -431,7 +431,7 @@ class TestVerify:
         with pytest.raises(ValueError, match="radial grid is empty"):
             verify_uniform_positivity(metric, 1.0, [])
         with pytest.raises(ValueError, match="radial grid is empty"):
-            search_epsilon(6, 2, 1.0, [])
+            search_epsilon(solve_profile(6, 2, 1.0), [])
 
 
 class TestWorstRadius:
@@ -503,7 +503,7 @@ class TestClassCounts:
         assert len(tied) > 1
         subset = cm_min_exact(metric, r)[2]
         assert subset == subsets[tied[0]]
-        assert_array_equal(frames.cm_min(rd, m, budget=100).argmin,
+        assert_array_equal(frames.cm_min(rd, m).argmin,
                            coordinate_frame(n, subset))
 
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
@@ -511,8 +511,7 @@ class TestClassCounts:
         # the reference sampled search, and cm_min with no route bound to
         # close on, which descends from the best coordinate frame and the
         # route's frame
-        monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (
-            -np.inf, coordinate_frame(riemann.dim, tuple(range(m))), 0))
+        coordinate_route(monkeypatch, lambda riemann, m: -np.inf)
         rng = np.random.default_rng(n * 10 + m)
         for eps in (0.25, 1.0, 10.0):
             metric = build_counterexample(n, m, 1.0, eps)
@@ -537,22 +536,24 @@ class TestClassCounts:
 
 class TestSearchEpsilon:
     def test_finds_passing_scale(self):
-        res = search_epsilon(6, 2, 1.0, np.linspace(-3.0, 3.0, 7))
+        res = search_epsilon(solve_profile(6, 2, 1.0), np.linspace(-3.0, 3.0, 7))
         assert 0.0 < res.epsilon <= 1.0
         assert res.report.passed
         assert res.report.coord_value_min == pytest.approx(1.0, abs=1e-9)
         assert res.tightness_report.epsilon == pytest.approx(2 * res.epsilon)
 
+
     def test_range_check(self):
+        # the range is checked where the profile is solved, before any sweep
         with pytest.raises(UnsupportedParameters):
-            search_epsilon(6, 4, 1.0, GRID)
+            search_epsilon(solve_profile(6, 4, 1.0), GRID)
 
     def test_search_failure_carries_best_report(self, monkeypatch):
         # lambda = 4 at scale 1 behaves like lambda = 1 at scale 2, which
         # fails, so a zero-halving search has no passing candidate
         monkeypatch.setattr(constructions, "MAX_HALVINGS", 0)
         with pytest.raises(EpsilonSearchError) as exc:
-            search_epsilon(6, 2, 4.0, np.linspace(-2.0, 2.0, 5))
+            search_epsilon(solve_profile(6, 2, 4.0), np.linspace(-2.0, 2.0, 5))
         assert exc.value.best_report is not None
         assert not exc.value.best_report.passed
         # the fail-fast sweep stops at r = 0, and its worst value is the
@@ -575,7 +576,7 @@ class TestSearchEpsilon:
 
         monkeypatch.setattr(constructions, "verify_uniform_positivity", recording)
         with pytest.raises(EpsilonSearchError) as exc:
-            search_epsilon(6, 2, 16.0, np.linspace(-2.0, 2.0, 5))
+            search_epsilon(solve_profile(6, 2, 16.0), np.linspace(-2.0, 2.0, 5))
         assert len(swept) == 2 and not any(rep.passed for rep in swept)
         assert exc.value.best_report is max(swept, key=lambda rep: rep.worst_value)
 
@@ -592,7 +593,7 @@ class TestSearchEpsilon:
             return swept[-1]
 
         monkeypatch.setattr(constructions, "verify_uniform_positivity", recording)
-        res = search_epsilon(6, 3, lam, np.linspace(-3.0, 3.0, 7))
+        res = search_epsilon(solve_profile(6, 3, lam), np.linspace(-3.0, 3.0, 7))
         assert [rep.epsilon for rep in swept] == [2.0 ** -t for t in scales]
         assert res.epsilon == 1 / math.sqrt(lam)
         assert res.report is swept[0 if lam == 1.0 else 1]
@@ -600,8 +601,10 @@ class TestSearchEpsilon:
         assert res.tightness_report.epsilon == 2 * res.epsilon
         assert not res.tightness_report.passed
 
-    def test_profile_is_solved_once(self, monkeypatch):
-        # (6, 3) at lambda 4 sweeps scales 1 and 1/2 on one profile
+    def test_profile_is_solved_once(self, monkeypatch, tmp_path):
+        # verify-examples on (6, 3) at lambda 4 solves the profile once, for
+        # the residual and then for the search over scales 1 and 1/2 or for
+        # the sweep at the given scale
         solved = []
         solve = constructions.solve_profile
 
@@ -609,10 +612,15 @@ class TestSearchEpsilon:
             solved.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(constructions, "solve_profile", recording)
-        res = search_epsilon(6, 3, 4.0, np.linspace(-10.0, 10.0, 3))
-        assert res.epsilon == 0.5
-        assert solved == [(6, 3, 4.0)]
+        for module in (cli, constructions):
+            monkeypatch.setattr(module, "solve_profile", recording)
+        for mode in ([], ["--epsilon", "0.5"]):
+            solved.clear()
+            out = tmp_path / str(len(mode))
+            assert cli.main(["verify-examples", "--n", "6", "--m", "3", "--lambda", "4",
+                             "--r-max", "10", "--grid-points", "3", "--out", str(out),
+                             *mode]) == 0
+            assert solved == [(6, 3, 4.0)], mode
 
     def test_construction_searches_sample_no_frame(self, monkeypatch):
         # the class counts decide every radius of every sweep, so the
@@ -620,7 +628,7 @@ class TestSearchEpsilon:
         forbid_frame_search(monkeypatch)
         for lam, expected in ((1.0, 1.0), (4.0, 0.5)):
             for n, m in CONSTRUCTION_PAIRS:
-                res = search_epsilon(n, m, lam, GRID)
+                res = search_epsilon(solve_profile(n, m, lam), GRID)
                 assert res.epsilon == expected and res.report.passed, (n, m, lam)
                 assert not res.tightness_report.passed, (n, m, lam)
 
@@ -629,16 +637,16 @@ class TestSearchEpsilon:
         # the grid is the caller's, so the sweep alone keeps a non-finite
         # radius from passing
         with pytest.raises(ValueError, match=re.escape(f"curvature at r = {bad!r}:")):
-            search_epsilon(6, 2, 1.0, [-1.0, bad, 1.0])
+            search_epsilon(solve_profile(6, 2, 1.0), [-1.0, bad, 1.0])
         # the radii of a grid as wide as [-max/2, max/2] are finite, and
         # riemann_exact names the first one whose curvature is not
         half = float(np.finfo(float).max) / 2
         with pytest.raises(ValueError, match=re.escape(f"curvature at r = {-half!r}:")):
-            search_epsilon(6, 2, 1.0, np.linspace(-half, half, 3))
+            search_epsilon(solve_profile(6, 2, 1.0), np.linspace(-half, half, 3))
 
     def test_search_recovers_after_failure(self, monkeypatch):
         monkeypatch.setattr(constructions, "MAX_HALVINGS", 3)
-        res = search_epsilon(6, 2, 4.0, np.linspace(-2.0, 2.0, 5))
+        res = search_epsilon(solve_profile(6, 2, 4.0), np.linspace(-2.0, 2.0, 5))
         assert res.epsilon < 1.0
         assert res.report.passed
 

@@ -132,7 +132,7 @@ def test_sampling_goes_through_the_traced_module_functions(monkeypatch):
     # cm_min descends and draws nothing.  The oracle draws once per
     # 4096-frame chunk
     calls = count_calls(monkeypatch, frames, ("random_frames",))
-    res = frames.cm_min(fubini_study_riemann(8), 3, budget=10_000, seed=4)
+    res = frames.cm_min(fubini_study_riemann(8), 3)
     assert res.method != "certificate"
     assert calls == {"random_frames": []}
     frames.cm_min_oracle(fubini_study_riemann(8), 3, seed=4)
@@ -145,8 +145,8 @@ def test_cli_import_leaves_scipy_unloaded():
     loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     certified = ("import numpy as np; from curvlab import curvature, frames; "
                  "rd = curvature.random_curvature_tensor(6, np.random.default_rng(8)); "
-                 "print(frames.cm_min(rd, 4, budget=10).method, "
-                 "frames.cm_min(rd, 3, budget=10).method); ")
+                 "print(frames.cm_min(rd, 4).method, "
+                 "frames.cm_min(rd, 3).method); ")
     for probe, expected in ((f"import sys, curvlab.cli; {loaded}", "[]"),
                             (f"import sys; {certified}{loaded}", "certificate certificate\n[]")):
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

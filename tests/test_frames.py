@@ -56,6 +56,7 @@ from frame_references import (
     cm_gradient,
     complete_frame,
     coordinate_frames,
+    coordinate_route,
     count_calls,
     ky_fan_bound,
     oracle_values,
@@ -90,14 +91,8 @@ def haar_frame(n, m, seed):
 
 
 def ky_fan_route(monkeypatch):
-    """Replace the route by the Ky Fan bound and the first coordinate frame.
-
-    That frame's score never beats the coordinate minimum, so where the
-    bound does not close `cm_min` descends from the best coordinate frame
-    and that one.
-    """
-    monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (
-        ky_fan_bound(riemann, m), coordinate_frame(riemann.dim, tuple(range(m))), 0))
+    """Replace the route by the Ky Fan bound and the first coordinate frame."""
+    coordinate_route(monkeypatch, ky_fan_bound)
 
 
 def never_closing(patch):
@@ -108,18 +103,28 @@ def never_closing(patch):
 
 
 def record_closure_tests(patch):
-    """Record `_ascent`'s closure tests; returns their outcomes, one per test."""
+    """Record `_ascent`'s closure tests and where each ascent ends.
+
+    Returns the outcome of every test, and for every ascent whether the top
+    vector it returns is the one its last test had.
+    """
     ascent = frames._ascent
-    outcomes = []
+    outcomes, ends_tested = [], []
 
     def recorded(base, relations, count, closes):
-        def test(*args):
-            outcomes.append(closes(*args))
+        tested = [None]  # the last top vector tested
+
+        def test(value, top):
+            tested[0] = top
+            outcomes.append(closes(value, top))
             return outcomes[-1]
-        return ascent(base, relations, count, test)
+
+        result = ascent(base, relations, count, test)
+        ends_tested.append(result[1] is tested[0])
+        return result
 
     patch.setattr(frames, "_ascent", recorded)
-    return outcomes
+    return outcomes, ends_tested
 
 
 def record_descents(patch):
@@ -127,9 +132,9 @@ def record_descents(patch):
     descend = frames._descend
     starts = []
 
-    def recorded(riemann, q0, max_iter):
+    def recorded(riemann, form, q0, max_iter):
         starts.append(np.array(q0))
-        return descend(riemann, q0, max_iter)
+        return descend(riemann, form, q0, max_iter)
 
     patch.setattr(frames, "_descend", recorded)
     return starts
@@ -212,15 +217,15 @@ def fallback_starts(riemann, m, route_frame):
 
 
 def shift_route(patch, shift):
-    """Lower the route's bound by `shift`, keeping its frame and evaluations.
+    """Lower the route's bound by `shift`, keeping its frame, score and evaluations.
 
     Returns the unpatched route.
     """
     route = frames._lower_bound
 
-    def shifted(riemann, m):
-        bound, frame, evals = route(riemann, m)
-        return bound - shift, frame, evals
+    def shifted(riemann, m, form):
+        bound, *rest = route(riemann, m, form)
+        return bound - shift, *rest
 
     patch.setattr(frames, "_lower_bound", shifted)
     return route
@@ -232,7 +237,8 @@ def descend_each(riemann, starts, max_iter=MAX_ITER):
     Returns frames (k, n, m), values, iterations, evaluations and converged
     flags, one entry per start.
     """
-    runs = [_descend(riemann, q0, max_iter) for q0 in starts]
+    form = _symmetric_form(riemann)
+    runs = [_descend(riemann, form, q0, max_iter) for q0 in starts]
     return tuple(np.array(field) for field in zip(*runs))
 
 
@@ -431,7 +437,7 @@ class TestDescent:
         rd = random_curvature_tensor(6, np.random.default_rng(14))
         q0 = haar_frame(6, 3, 15)
         start = cm_of_frame(rd, q0)
-        q, val, _, _, converged = _descend(rd, q0, MAX_ITER)
+        q, val, _, _, converged = _descend(rd, _symmetric_form(rd), q0, MAX_ITER)
         assert val <= start + 1e-12
         assert converged
         gt = tangent_project(q, cm_gradient(rd, q))
@@ -439,7 +445,7 @@ class TestDescent:
 
     def test_immediate_convergence_on_space_form(self):
         rd = constant_curvature_riemann(5, 2.0)
-        _, val, iters, _, _ = _descend(rd, haar_frame(5, 3, 3), MAX_ITER)
+        _, val, iters, _, _ = _descend(rd, _symmetric_form(rd), haar_frame(5, 3, 3), MAX_ITER)
         assert iters == 1
         assert val == pytest.approx(2.0 * (3 * 5 - 6), rel=1e-12)
 
@@ -449,15 +455,14 @@ class TestDescent:
         metric = build_counterexample(6, 3, 4.0, 0.5)
         rd = riemann_exact(metric, 10.0)
         q0 = haar_frame(6, 3, 4)
-        monkeypatch.setattr(frames, "_lower_bound", lambda riemann, m: (
-            -np.inf, coordinate_frame(6, tuple(range(m))), 0))
+        coordinate_route(monkeypatch, lambda riemann, m: -np.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            q, val, iters, evals, converged = _descend(rd, q0, MAX_ITER)
+            q, val, iters, evals, converged = _descend(rd, _symmetric_form(rd), q0, MAX_ITER)
             # cm_min descends on the tensor scaled to unit size, where nothing
             # overflows: with no bound to close on, C_1 descends and finds
             # the exact minimum
-            full = cm_min(rd, 1, budget=5000, seed=1)
+            full = cm_min(rd, 1)
         assert not converged
         assert (iters, evals) == (1, 1)
         assert_allclose(q, q0, atol=1e-14)
@@ -465,8 +470,8 @@ class TestDescent:
         assert full.method == "coordinate-enumeration"
         unit, scale = _unit_scale(rd)
         assert abs(full.value - cm_min_exact(metric, 10.0)[0]) <= 1e-9 * scale
-        # coordinate subsets, the patched route's frame, the descent from the
-        # best coordinate frame and from that frame
+        # coordinate subsets, the patched route's score of its frame, the
+        # descent from the best coordinate frame and from that frame
         starts = fallback_starts(unit, 1, coordinate_frame(6, (0,)))
         unit_evals = descend_each(unit, starts)[3]
         assert full.evaluations == 6 + 1 + int(unit_evals.sum())
@@ -474,7 +479,7 @@ class TestDescent:
     def test_max_iter_zero_skips_descent(self):
         rd = random_curvature_tensor(5, np.random.default_rng(6))
         q0 = haar_frame(5, 2, 7)
-        q, _, iters, evals, converged = _descend(rd, q0, 0)
+        q, _, iters, evals, converged = _descend(rd, _symmetric_form(rd), q0, 0)
         assert (iters, evals, converged) == (0, 1, False)
         assert_allclose(q, q0, atol=1e-14)
 
@@ -494,7 +499,7 @@ class TestDescentRule:
         rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m))
         starts = random_frames(n, m, 9, np.random.default_rng(n * 10 + m + 1))
         for q0 in starts:
-            q, val, iters, _, converged = _descend(rd, q0, MAX_ITER)
+            q, val, iters, _, converged = _descend(rd, _symmetric_form(rd), q0, MAX_ITER)
             ref_q, ref_val, ref_iters, _, ref_converged = reference_descent(rd, q0)
             assert val == pytest.approx(ref_val, rel=1e-9, abs=1e-9)
             assert converged == ref_converged
@@ -631,21 +636,21 @@ class TestSampling:
 class TestMinimizer:
     def test_flat_space_zero(self):
         rd = RiemannData.from_components(np.zeros((5,) * 4))
-        res = cm_min(rd, 2, budget=500, seed=0)
+        res = cm_min(rd, 2)
         assert res.value == 0.0
         assert res.method == "certificate"
         assert_array_equal(res.argmin, coordinate_frame(5, (0, 1)))
 
     def test_round_sphere_values(self):
         # C_m is frame-independent on a space form: K (m n - m (m + 1) / 2)
-        res = cm_min(constant_curvature_riemann(5, 1.0), 3, budget=2000, seed=1)
+        res = cm_min(constant_curvature_riemann(5, 1.0), 3)
         assert res.value == pytest.approx(9.0, abs=1e-9)
-        res = cm_min(constant_curvature_riemann(4, 1.0), 2, budget=2000, seed=1)
+        res = cm_min(constant_curvature_riemann(4, 1.0), 2)
         assert res.value == pytest.approx(5.0, abs=1e-9)
 
     def test_sphere_times_torus(self):
         rd = product_sphere_flat_riemann(3, 1.0, 3)
-        res = cm_min(rd, 4, budget=4000, seed=2)
+        res = cm_min(rd, 4)
         assert res.value == pytest.approx(2.0, abs=1e-8)
         assert res.method == "certificate"
         assert_array_equal(res.argmin, coordinate_frame(6, (0, 3, 4, 5)))
@@ -653,20 +658,20 @@ class TestMinimizer:
     @pytest.mark.parametrize("rho", [1.0, np.sqrt(2.0), 2.0])
     def test_sphere_radius_scaling(self, rho):
         rd = product_sphere_flat_riemann(3, rho, 3)
-        res = cm_min(rd, 4, budget=4000, seed=3)
+        res = cm_min(rd, 4)
         assert res.value == pytest.approx(2.0 / rho ** 2, abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_m_one_is_smallest_ricci_eigenvalue(self, seed):
         rd = random_curvature_tensor(6, np.random.default_rng(seed))
-        res = cm_min(rd, 1, budget=3000, seed=seed)
+        res = cm_min(rd, 1)
         lam_min = float(np.linalg.eigvalsh(rd.ricci)[0])
         assert res.value == pytest.approx(lam_min, abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_m_top_is_half_scalar(self, seed):
         rd = random_curvature_tensor(6, np.random.default_rng(seed + 10))
-        res = cm_min(rd, 5, budget=1000, seed=seed)
+        res = cm_min(rd, 5)
         assert res.value == pytest.approx(0.5 * rd.scalar, abs=1e-9)
         # frame independence of the top case
         q = haar_frame(6, 5, seed + 60)
@@ -675,7 +680,7 @@ class TestMinimizer:
     @pytest.mark.parametrize("seed", range(3))
     def test_never_worse_than_oracle(self, seed):
         rd = random_curvature_tensor(6, np.random.default_rng(seed + 30))
-        res = cm_min(rd, 3, budget=4000, seed=seed)
+        res = cm_min(rd, 3)
         oracle = cm_min_oracle(rd, 3, seed=seed + 1)
         assert res.value <= oracle + 1e-9
 
@@ -686,40 +691,45 @@ class TestMinimizer:
         for seed in range(3):
             rng = np.random.default_rng(n * 10 + m + 4 + 100 * seed)
             rd = random_curvature_tensor(n, rng)
-            res = cm_min(rd, m, budget=2000, seed=seed)
+            res = cm_min(rd, m)
             best_sample = cm_batch(rd, best_samples(rd, m, 2000, seed)[:1])[0]
             assert res.value <= best_sample + 1e-12 * max(1.0, abs(res.value))
 
     def test_argmin_attains_value(self):
         for seed in range(3):
             rd = random_curvature_tensor(7, np.random.default_rng(seed + 70))
-            res = cm_min(rd, 3, budget=2000, seed=seed)
+            res = cm_min(rd, 3)
             assert cm_of_frame(rd, res.argmin) == pytest.approx(res.value,
                                                                 abs=1e-9)
             assert res.method in {"certificate", "coordinate-enumeration",
                                   "projected-descent"}
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_repeatable_and_blind_to_budget_and_seed(self):
+        # nothing is sampled: a second call, and one with the budget and
+        # seed that the benchmark passes, give the same record bit for bit
         rd = random_curvature_tensor(6, np.random.default_rng(44))
-        a = cm_min(rd, 3, budget=6000, seed=7)
-        b = cm_min(rd, 3, budget=6000, seed=7)
-        assert a.value == b.value
-        assert a.evaluations == b.evaluations
-        assert a.method == b.method
-        assert np.array_equal(a.argmin, b.argmin)
+        a = cm_min(rd, 3)
+        for b in (cm_min(rd, 3), cm_min(rd, 3, budget=100_000, seed=7)):
+            assert (a.value, a.evaluations, a.method, a.lower_bound) == (
+                b.value, b.evaluations, b.method, b.lower_bound)
+            assert_array_equal(a.argmin, b.argmin)
 
     def test_evaluation_budget_accounted(self):
         # CP^4 at m = 3, where the route's bound 20 stays below the minimum 24:
-        # the subsets, the route's closure tests, its frame's score and the
-        # descent from two starts; nothing is sampled, so the budget does
-        # not count
+        # the subsets, the route's scores (one per closure test, and one
+        # for its frame, whose top vector no test had) and the descent from
+        # two starts; nothing is sampled, so no budget counts
         rd = fubini_study_riemann(8)
-        res = cm_min(rd, 3, budget=1000, seed=0)
+        res = cm_min(rd, 3)
         assert res.method != "certificate"
         unit, _ = _unit_scale(rd)
-        _, frame, route_evals = _lower_bound(unit, 3)
+        form = _symmetric_form(unit)
+        with pytest.MonkeyPatch.context() as patch:
+            outcomes, ends_tested = record_closure_tests(patch)
+            _, frame, _, route_evals = _lower_bound(unit, 3, form)
+        assert route_evals == len(outcomes) + 1 and ends_tested == [False]
         evals = descend_each(unit, fallback_starts(unit, 3, frame))[3]
-        assert res.evaluations == math.comb(8, 3) + route_evals + 1 + int(evals.sum())
+        assert res.evaluations == math.comb(8, 3) + route_evals + int(evals.sum())
 
     def test_rejects_bad_m(self):
         rd = constant_curvature_riemann(4, 1.0)
@@ -743,6 +753,27 @@ class TestMinimizer:
                 minimizer(RiemannData(4, comps, rd.ricci, rd.scalar), 2)
 
 
+FORM_CASES = [(random_curvature_tensor(6, np.random.default_rng(44)), 3, True),
+              (fubini_study_riemann(6), 3, False),
+              (random_curvature_tensor(5, np.random.default_rng(1305)), 1, True),
+              (random_curvature_tensor(5, np.random.default_rng(1305)), 4, True)]
+
+
+class TestOneFormPerCall:
+    """`cm_min` builds its symmetric form once and scores each frame it counts once."""
+
+    @pytest.mark.parametrize("rd,m,certified", FORM_CASES,
+                             ids=["dense-n6-m3", "CP3-m3", "dense-n5-m1", "dense-n5-m4"])
+    def test_form_builds_and_scores(self, monkeypatch, rd, m, certified):
+        # a certified input, an open one that descends, and the k = 1 routes
+        # at m = 1 and m = n - 1; the coordinate values need no score
+        calls = count_calls(monkeypatch, frames, ("_symmetric_form", "_evaluate"))
+        res = cm_min(rd, m)
+        assert (res.method == "certificate") == certified
+        assert len(calls["_symmetric_form"]) == 1
+        assert len(calls["_evaluate"]) == res.evaluations - math.comb(rd.dim, m)
+
+
 class TestCertificate:
     """The route's bound: sound everywhere, exact where the maths says so."""
 
@@ -753,36 +784,36 @@ class TestCertificate:
         for i in range(12):
             m = 1 + i % n
             rd = random_curvature_tensor(n, np.random.default_rng(1000 + 12 * n + i))
-            res = cm_min(rd, m, budget=2000, seed=i)
+            res = cm_min(rd, m)
             assert res.lower_bound <= res.value + 1e-9
             assert res.method == "certificate", f"m = {m}"
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_exact_at_m_n_minus_one(self, n):
         rd = random_curvature_tensor(n, np.random.default_rng(n + 500))
-        res = cm_min(rd, n - 1, budget=1000, seed=0)
+        res = cm_min(rd, n - 1)
         assert res.lower_bound == pytest.approx(0.5 * rd.scalar, abs=1e-9)
         assert res.method == "certificate"
         # the coordinate subsets, then the route's one closure test, which
-        # closes where C_(n-1) is constant, then the score
-        assert res.evaluations == n + 2
+        # closes where C_(n-1) is constant and scores the returned frame
+        assert res.evaluations == n + 1
         assert_array_equal(res.argmin, coordinate_frame(n, tuple(range(n - 1))))
 
     @pytest.mark.parametrize("k,rho", [(1, 1.0), (2, np.sqrt(2.0)), (3, 2.0), (5, 0.5)])
     def test_exact_on_sphere_times_flat(self, k, rho):
         # S^3 x R^k at m = k + 1: the bound is the Ky Fan bound, 2 / rho^2
         rd = product_sphere_flat_riemann(3, rho, k)
-        res = cm_min(rd, k + 1, budget=1000, seed=0)
+        res = cm_min(rd, k + 1)
         assert res.lower_bound == pytest.approx(2.0 / rho ** 2, rel=1e-14)
         assert res.lower_bound == pytest.approx(ky_fan_bound(rd, k + 1), rel=1e-14)
         assert res.value == pytest.approx(2.0 / rho ** 2, rel=1e-14)
         assert res.method == "certificate"
         # the coordinate subsets, then the route's one closure test, which
-        # closes at Q = 0, then the route's frame's score
-        assert res.evaluations == math.comb(k + 3, k + 1) + 2
+        # closes at Q = 0 and scores the returned frame
+        assert res.evaluations == math.comb(k + 3, k + 1) + 1
 
     def test_exact_on_zero_tensor(self):
-        res = cm_min(RiemannData.from_components(np.zeros((6,) * 4)), 3, budget=100)
+        res = cm_min(RiemannData.from_components(np.zeros((6,) * 4)), 3)
         assert (res.lower_bound, res.value, res.method) == (0.0, 0.0, "certificate")
 
     @pytest.mark.parametrize("shift,certified", [(-1e-12, True), (1e-12, True),
@@ -796,21 +827,21 @@ class TestCertificate:
                                     (3, 5, 3.0, (0, 1, 2, 3, 4))):   # m = n - 1, k = 1
             n = k + 3
             rd = product_sphere_flat_riemann(3, 1.0, k)
-            res = cm_min(rd, m, budget=500, seed=0)
-            assert route(rd, m)[0] == bound
+            res = cm_min(rd, m)
+            assert route(rd, m, _symmetric_form(rd))[0] == bound
             assert res.lower_bound == bound - shift
             assert (res.method == "certificate") == certified
             if certified:
                 assert res.value == bound
-                # the subsets, the route's one closure test and the score
-                assert res.evaluations == math.comb(n, m) + 2
+                # the subsets and the route's one closure test
+                assert res.evaluations == math.comb(n, m) + 1
                 assert_array_equal(res.argmin, coordinate_frame(n, subset))
             else:
                 # the same, then the descent from the best coordinate frame
                 # and the route's frame
-                frame = route(rd, m)[1]
+                frame = route(rd, m, _symmetric_form(rd))[1]
                 evals = descend_each(rd, fallback_starts(rd, m, frame))[3]
-                assert res.evaluations == math.comb(n, m) + 2 + int(evals.sum())
+                assert res.evaluations == math.comb(n, m) + 1 + int(evals.sum())
 
 
 def minors(q, k):
@@ -914,7 +945,7 @@ class TestPluckerRoute:
     def test_closes_where_rescaling_at_every_pair_stalls(self, n, m, seed):
         # with gamma taken from the newest (s, y) pair instead of the first,
         # the ascent stalls on these tensors at a nearly double top eigenvalue
-        res = cm_min(random_curvature_tensor(n, np.random.default_rng(seed)), m, budget=1)
+        res = cm_min(random_curvature_tensor(n, np.random.default_rng(seed)), m)
         assert res.method == "certificate"
 
     @pytest.mark.parametrize("n,m", DENSE_SHAPES)
@@ -1007,7 +1038,7 @@ class TestFourFormCertificate:
         for seed in range(3):
             rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 200 * seed))
             unit, scale = _unit_scale(rd)
-            bound = scale * _lower_bound(unit, m)[0]
+            bound = scale * _lower_bound(unit, m, _symmetric_form(unit))[0]
             coord_min = cm_batch(rd, coordinate_frames(n, m)).min()
             oracle = cm_min_oracle(rd, m, seed=seed)
             for i in range(3):
@@ -1027,7 +1058,7 @@ class TestFourFormCertificate:
         descents = record_descents(monkeypatch)
         for m, seed in closing_draws(n):
             rd = random_curvature_tensor(n, np.random.default_rng(seed))
-            res = cm_min(rd, m, seed=seed)
+            res = cm_min(rd, m)
             where = f"m = {m}, seed = {seed}"
             assert res.method == "certificate", where
             assert descents == [], where
@@ -1044,7 +1075,7 @@ class TestFourFormCertificate:
         rd = random_curvature_tensor(n, np.random.default_rng(900 + n))
         unit, scale = _unit_scale(rd)
         for m in sorted({n - 2, *(m for dn, m in DENSE_SHAPES if dn == n)}):
-            certified = cm_min(rd, m, seed=n)
+            certified = cm_min(rd, m)
             sampled = sampled_search(rd, m, 100_000, seed=n)
             assert certified.method == "certificate", f"m = {m}"
             assert abs(certified.value - sampled) <= scale * frames.TIE_TOL
@@ -1057,17 +1088,18 @@ class TestFourFormCertificate:
         # place, and only the bound and the evaluations differ
         rd = fubini_study_riemann(8)
         unit, scale = _unit_scale(rd)
-        bound, frame, route_evals = _lower_bound(unit, 3)
+        bound, frame, score, route_evals = _lower_bound(unit, 3, _symmetric_form(unit))
         assert scale * bound == pytest.approx(20.0, abs=1e-9)
-        assert min(24.0, scale * cm_batch(unit, frame[None])[0]) > scale * bound + 1.0
-        res = cm_min(rd, 3, budget=2000, seed=1)
+        assert score == pytest.approx(cm_batch(unit, frame[None])[0], rel=1e-12)
+        assert min(24.0, scale * score) > scale * bound + 1.0
+        res = cm_min(rd, 3)
         ky_fan_route(monkeypatch)
-        sampled = cm_min(rd, 3, budget=2000, seed=1)
+        sampled = cm_min(rd, 3)
         assert_same_search(res, sampled)
         assert res.lower_bound == scale * bound > sampled.lower_bound
-        # the subsets, the route's closure tests, its frame's score and the descent
+        # the subsets, the route's scores and the descent
         evals = descend_each(unit, fallback_starts(unit, 3, frame))[3]
-        assert res.evaluations == math.comb(8, 3) + route_evals + 1 + int(evals.sum())
+        assert res.evaluations == math.comb(8, 3) + route_evals + int(evals.sum())
         assert res.method == "coordinate-enumeration"
         assert res.value == pytest.approx(24.0, abs=1e-9)
 
@@ -1075,7 +1107,7 @@ class TestFourFormCertificate:
     def test_closes_on_complex_projective_space(self, n):
         # CP^2 and CP^3: C_(n-2) = scal/2 - K(V-perp) has its minimum
         # n (n + 2)/2 - 4 where V-perp is a complex line, such as (e_0, e_1)
-        res = cm_min(fubini_study_riemann(n), n - 2, budget=10, seed=0)
+        res = cm_min(fubini_study_riemann(n), n - 2)
         assert res.method == "certificate"
         assert res.value == pytest.approx({4: 8.0, 6: 20.0}[n], abs=1e-9)
 
@@ -1087,11 +1119,11 @@ class TestFourFormCertificate:
         # scaled to unit size as the reference replays it
         rd = random_curvature_tensor(3, np.random.default_rng(seed + 40))
         assert [_plucker_tables(3, k).count for k in range(4)] == [0, 0, 0, 0]
-        ricci = cm_min(rd, 1, budget=2000, seed=seed)
+        ricci = cm_min(rd, 1)
         assert ricci.method == "certificate"
         assert ricci.lower_bound == pytest.approx(np.linalg.eigvalsh(rd.ricci)[0], rel=1e-13)
         ky_fan_route(monkeypatch)
-        res = cm_min(rd, 1, budget=2000, seed=seed)
+        res = cm_min(rd, 1)
         unit, scale = _unit_scale(rd)
         starts = fallback_starts(unit, 1, coordinate_frame(3, (0,)))
         qs, vals, _, evals, _ = descend_each(unit, starts)
@@ -1148,19 +1180,19 @@ class TestRicciCertificate:
         n = rd.dim
         calls = count_calls(monkeypatch, frames, ("random_frames",))
         descents = record_descents(monkeypatch)
-        res = cm_min(rd, 1, seed=3)
+        res = cm_min(rd, 1)
         assert res.method == "certificate"
         assert calls == {"random_frames": []}
         assert descents == []
-        # the subsets, the route's one closure test, which closes, and the score
-        assert res.evaluations == n + 2
+        # the subsets and the route's one closure test, which closes
+        assert res.evaluations == n + 1
         lam_min = np.linalg.eigvalsh(rd.ricci)[0]
         assert res.lower_bound == pytest.approx(lam_min, rel=1e-13, abs=1e-13)
         assert abs(res.value - res.lower_bound) <= _unit_scale(rd)[1] * frames.TIE_TOL
 
     @pytest.mark.parametrize("rd", RICCI_CASES, ids=RICCI_IDS)
     def test_value_is_attained_and_no_sample_beats_it(self, rd):
-        res = cm_min(rd, 1, seed=3)
+        res = cm_min(rd, 1)
         assert res.value <= cm_min_oracle(rd, 1, seed=3) + 1e-9
         assert cm_double_sum(rd, complete_frame(res.argmin), 1) == pytest.approx(
             res.value, abs=1e-9)
@@ -1177,15 +1209,15 @@ class TestRicciCertificate:
         rd = random_curvature_tensor(5, np.random.default_rng(1305))
         unit, scale = _unit_scale(rd)
         route = shift_route(monkeypatch, shift)
-        res = cm_min(rd, 1, budget=500, seed=0)
+        res = cm_min(rd, 1)
         lam_min = np.linalg.eigvalsh(rd.ricci)[0]
-        bound, frame, _ = route(unit, 1)
+        bound, frame, _, _ = route(unit, 1, _symmetric_form(unit))
         assert (res.method == "certificate") == certified
         assert scale * bound == pytest.approx(lam_min, rel=1e-13)
         assert res.lower_bound == scale * (bound - shift)
         if certified:
             assert res.value == pytest.approx(lam_min, rel=1e-13)
-            assert res.evaluations == 7
+            assert res.evaluations == 6
             # no coordinate subset ties, so the argmin is the eigenvector
             assert eigenvector_alignment(res.argmin, rd.ricci) == pytest.approx(1.0, abs=1e-12)
             return
@@ -1193,8 +1225,8 @@ class TestRicciCertificate:
         best = int(np.argmin(vals))
         assert res.method == "projected-descent"
         assert res.value == scale * min(_coordinate_values(unit, 1)[1].min(), vals[best])
-        # the subsets, the route's one closure test, the score and the descent
-        assert res.evaluations == 5 + 2 + int(evals.sum())
+        # the subsets, the route's one closure test and the descent
+        assert res.evaluations == 5 + 1 + int(evals.sum())
         assert_array_equal(res.argmin, qs[best])
         assert res.value == pytest.approx(lam_min, rel=1e-13)
 
@@ -1208,11 +1240,13 @@ class TestRouteTable:
             rd = random_curvature_tensor(n, np.random.default_rng(1500 + 10 * n + m))
             unit, scale = _unit_scale(rd)
             k = min(m, n - m)
+            form = _symmetric_form(unit)
             eighs = count_calls(monkeypatch, np.linalg, ("eigh",))["eigh"]
-            bound, frame, evals = _lower_bound(unit, m)
+            bound, frame, score, evals = _lower_bound(unit, m, form)
             monkeypatch.undo()
+            assert score == _evaluate(frame, form)[0]
             # cm_min runs the route on the tensor scaled to unit size
-            assert cm_min(rd, m, budget=200, seed=m).lower_bound == scale * bound
+            assert cm_min(rd, m).lower_bound == scale * bound
             bound *= scale
             assert frame.shape == (n, m) and evals >= 1
             assert_allclose(frame.T @ frame, np.eye(m), atol=1e-12)
@@ -1231,7 +1265,7 @@ class TestRouteTable:
 def homothety_base(n):
     """cm_min at every m of the unscaled tensor that TestHomothety scales."""
     rd = random_curvature_tensor(n, np.random.default_rng(1600 + n))
-    return tuple(cm_min(rd, m, budget=500, seed=m) for m in range(1, n + 1))
+    return tuple(cm_min(rd, m) for m in range(1, n + 1))
 
 
 class TestHomothety:
@@ -1243,7 +1277,7 @@ class TestHomothety:
         rd = random_curvature_tensor(n, np.random.default_rng(1600 + n))
         scaled = RiemannData.from_components(2.0 ** k * rd.components)
         for m, base in enumerate(homothety_base(n), start=1):
-            res = cm_min(scaled, m, budget=500, seed=m)
+            res = cm_min(scaled, m)
             assert res.method == base.method, f"m = {m}"
             assert res.value == 2.0 ** k * base.value
             assert res.lower_bound == 2.0 ** k * base.lower_bound
@@ -1280,7 +1314,7 @@ class TestCertificateOnTheFamily:
             metric = build_counterexample(n, m, lam, eps)
             for r in np.linspace(-10.0, 10.0, 121):
                 rd = riemann_exact(metric, float(r))
-                res = cm_min(rd, m, budget=1, seed=0)
+                res = cm_min(rd, m)
                 where = f"lambda={lam} eps={eps} r={r}"
                 assert res.method == "certificate", where
                 # TIE_TOL on the tensor scaled to unit size
@@ -1298,7 +1332,7 @@ class TestCertificateOnTheFamily:
             metric = build_counterexample(n, m, lam, eps)
             for i, r in enumerate(np.linspace(-10.0, 10.0, 5)):
                 rd = riemann_exact(metric, float(r))
-                res = cm_min(rd, m, budget=1, seed=0)
+                res = cm_min(rd, m)
                 if res.method != "certificate":
                     continue
                 # descent is monotone, so this bounds the best samples too
@@ -1355,13 +1389,13 @@ class TestOpenInputs:
         with pytest.MonkeyPatch.context() as patch:
             calls = count_calls(patch, frames, ("random_frames",))
             descents = record_descents(patch)
-            outcomes = record_closure_tests(patch)
+            outcomes, ends_tested = record_closure_tests(patch)
             route = frames._lower_bound
             in_route, route_frames = [], []
 
-            def recorded_route(riemann, m):
+            def recorded_route(riemann, m, form):
                 before = len(descents)
-                result = route(riemann, m)
+                result = route(riemann, m, form)
                 in_route.append(len(descents) - before)
                 route_frames.append(np.array(result[1]))
                 return result
@@ -1371,7 +1405,7 @@ class TestOpenInputs:
         return SimpleNamespace(rd=rd, m=m, minimum=minimum, res=res,
                                random_frames=calls["random_frames"], descents=descents,
                                in_route=in_route, route_frames=route_frames,
-                               outcomes=outcomes)
+                               outcomes=outcomes, ends_tested=ends_tested)
 
     def test_no_sample_finds_less(self, recorded):
         rd, m, res = recorded.rd, recorded.m, recorded.res
@@ -1398,14 +1432,17 @@ class TestOpenInputs:
 
     def test_closure_tests_change_only_the_count(self, monkeypatch, recorded):
         # the stop never fires where the route stays open: the search and
-        # the bound of the never-closing ascent, one evaluation more per test
+        # the bound of the never-closing ascent.  That ascent scores only
+        # the frame it returns, so the count is one more per test, less one
+        # where the last test already scored that frame
         res, outcomes = recorded.res, recorded.outcomes
         never_closing(monkeypatch)
         full = cm_min(recorded.rd, recorded.m)
         assert outcomes and not any(outcomes)
         assert_same_search(res, full)
         assert res.lower_bound == full.lower_bound
-        assert res.evaluations == full.evaluations + len(outcomes)
+        (tested,) = recorded.ends_tested
+        assert res.evaluations == full.evaluations + len(outcomes) - tested
 
     @pytest.mark.parametrize("n,m", DENSE_SHAPES)
     def test_forced_fallback_keeps_the_certified_value(self, monkeypatch, n, m):
@@ -1413,9 +1450,9 @@ class TestOpenInputs:
         # where it does; the descent from the route's frame keeps its value
         route = frames._lower_bound
 
-        def lowered(riemann, m):
-            bound, frame, evals = route(riemann, m)
-            return bound - 1.0, frame, evals
+        def lowered(riemann, m, form):
+            bound, *rest = route(riemann, m, form)
+            return bound - 1.0, *rest
 
         for i in range(2):
             rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m + 4 + 100 * i))
@@ -1451,7 +1488,7 @@ class TestOracle:
         rd = product_sphere_flat_riemann(3, 1.0, 3)
         val = cm_min_oracle(rd, 4, seed=5)
         assert 2.0 <= val <= 3.0
-        refined = cm_min(rd, 4, budget=20_000, seed=5)
+        refined = cm_min(rd, 4)
         assert refined.value == pytest.approx(2.0, abs=1e-6)
 
     @pytest.mark.parametrize("rd,m", KERNEL_CASES, ids=KERNEL_IDS)
