@@ -8,12 +8,15 @@ The matrix functionals share one numerator, a rational quadratic form in
 a symmetric p x p matrix A, p = n-1.  Each off-diagonal entry a_ij enters
 it only as its own square, with weight 2 - mask_ij (1 or 2), so the whole
 problem is a p x p form on the diagonal: on traceless matrices, a
-(p-1) x (p-1) block, and the off-diagonal weights.  The minima are exact,
-with a rational LDL^T certificate of positive definiteness on the block;
-both minimizers are diagonal.  Floating point enters only in the float
-value and witness of the minimal case.  The form on full upper-triangle
-coordinates lives in `tests/inequality_references.py`, and the float
-numerator that tests play against the exact forms in
+(p-1) x (p-1) block, and the off-diagonal weights.  The minima are exact:
+twice the block is an integer matrix, and one fraction-free elimination
+of it in Python integers (`_bareiss`) certifies positive definiteness
+through its leading minors and solves for the minimizer, so a `Fraction`
+is built only for each output.  Both minimizers are diagonal.  Floating
+point enters only in the float value and witness of the minimal case.
+The rational LDL^T on `Fraction` arrays and the form on full
+upper-triangle coordinates live in `tests/inequality_references.py`, and
+the float numerator that tests play against the exact forms in
 `tests/float_minimizers.py`.
 
 The second-fundamental-form functional uses hypersurface index labels
@@ -39,7 +42,6 @@ __all__ = [
     "check_recursion",
     "check_gamma_equivalence",
     "stability_coefficients",
-    "chen_weight_mask",
     "chen_min_exact",
     "brendle_min_exact",
     "admissibility_sweep_rows",
@@ -221,104 +223,118 @@ class MatrixWitness:
     pivots: tuple[Fraction, ...] = ()
 
 
-def chen_weight_mask(n: int, m: int) -> np.ndarray:
-    """Boolean (n-1) x (n-1) mask of the weighted pairs.
-
-    Entry (t, s) is True when the label pair (i, j) = (t+2, s+2) satisfies
-    2 <= i <= m and i < j <= n.  Empty for m = 1.
-    """
-    p = n - 1
-    mask = np.zeros((p, p), dtype=bool)
-    for t in range(p):
-        if t + 2 > m:
-            break
-        mask[t, t + 1:] = True
-    return mask
-
-
 # -- the numerator as an exact quadratic form --------------------------------
 #
 # On traceless matrices the form is block diagonal: a (p-1) x (p-1) block on
 # the diagonal and one weight per off-diagonal entry.  So its LDL^T pivots
 # are the block's pivots followed by the weights.
 
-def _diagonal_form(n: int, m: int) -> tuple[np.ndarray, np.ndarray, tuple[Fraction, ...]]:
-    """The numerator as (2M, D, weights).
+def _traceless_block(n: int, m: int) -> tuple[list[list[int]], list[int], tuple[Fraction, ...]]:
+    """The numerator in integers: the block D^T (2M) D, the row sums of 2M, the weights.
 
     On a symmetric A with diagonal d the numerator is
     d^T M d + sum_(i<j) weights_ij a_ij^2, weights in row-major order.
-    2M = 2I + mask + mask^T is an integer matrix, and the integer columns
-    D_k = e_k - e_(p-1), k < p-1, span the traceless diagonals.  For n = 2
-    the block is 1 x 1 and has no traceless direction, so n < 3 is rejected.
+    2M = 2I + mask + mask^T is an integer matrix: off the diagonal,
+    (2M)_ij = 1 exactly when the pair is masked, min(i, j) + 2 <= m.  The
+    integer columns D_k = e_k - e_(p-1), k < p-1, span the traceless
+    diagonals, and D^T (2M) D is twice the form there.  For n = 2 the
+    diagonal is 1 x 1 and has no traceless direction, so n < 3 is rejected.
     """
     if n < 3:
         raise ValueError(f"the exact minimum needs dimension n >= 3 for a traceless "
                          f"direction, got n = {n}")
     p = n - 1
-    mask = chen_weight_mask(n, m)
-    two_m = 2 * np.eye(p, dtype=np.int64) + mask + mask.T
-    basis = np.eye(p, p - 1, dtype=np.int64)
-    basis[p - 1] = -1
-    weights = tuple(Fraction(2 - int(mask[i, j])) for i in range(p) for j in range(i + 1, p))
-    return two_m, basis, weights
+    two_m = [[2 if i == j else int(min(i, j) + 2 <= m) for j in range(p)] for i in range(p)]
+    last = two_m[-1]
+    block = [[row[j] - row[-1] - last[j] + last[-1] for j in range(p - 1)]
+             for row in two_m[:-1]]
+    one, two = Fraction(1), Fraction(2)
+    weights = tuple(one if i + 2 <= m else two for i in range(p) for _ in range(i + 1, p))
+    return block, [sum(row) for row in two_m], weights
 
 
-def _ldl(q: np.ndarray) -> tuple[np.ndarray, tuple[Fraction, ...]]:
-    """Rational LDL^T of a symmetric Fraction matrix: (unit lower L, pivots).
+def _bareiss(a: list[list[int]], rhs: list[int] | None = None
+             ) -> tuple[list[int], list[int] | None]:
+    """Fraction-free elimination of a symmetric integer matrix, without pivoting.
 
-    Raises ValueError unless q is positive semidefinite: a negative pivot,
+    Returns the leading minors delta_k of a, read from its upper triangle,
+    and, when rhs is given and a is nonsingular, the integer vector
+    det(a) a^-1 rhs (else None).  delta_k / delta_(k-1) is the k-th LDL^T
+    pivot.  Each step divides by the previous minor, and Sylvester's
+    identity makes every division exact (E. H. Bareiss, Math. Comp. 22,
+    1968), so all arithmetic stays in Python integers, which cannot
+    overflow.
+
+    Raises ValueError unless a is positive semidefinite: a negative pivot,
     or a zero pivot with a nonzero entry below it, certifies a direction of
-    negative value.  A zero pivot over a zero column leaves that column of
-    L zero.
+    negative value.  A zero pivot over a zero column is reported as 0 and
+    its step is skipped with the divisor unchanged, so later minors are
+    taken over the indices kept.
     """
-    d = len(q)
-    low = np.eye(d, dtype=np.int64).astype(object) * Fraction(1)
-    piv = np.zeros(d, dtype=object)
-    for j in range(d):
-        col = q[j:, j] - (low[j:, :j] * piv[:j]) @ low[j, :j]
-        piv[j] = col[0]
-        if piv[j] < 0 or (piv[j] == 0 and col[1:].any()):
-            raise ValueError(f"matrix is not positive semidefinite (pivot {j})")
-        if piv[j]:
-            low[j + 1:, j] = col[1:] / piv[j]
-    return low, tuple(piv)
+    d = len(a)
+    rows = [list(row) for row in a]
+    b = None if rhs is None else list(rhs)
+    minors = []
+    prev = 1
+    for k in range(d):
+        top = rows[k]
+        pivot = top[k]
+        if pivot < 0 or (pivot == 0 and any(top[k + 1:])):
+            raise ValueError(f"matrix is not positive semidefinite (pivot {k})")
+        minors.append(pivot)
+        if not pivot:
+            continue
+        for i in range(k + 1, d):
+            f, row = top[i], rows[i]
+            row[i:] = [(pivot * x - f * y) // prev for x, y in zip(row[i:], top[i:])]
+            if b is not None:
+                b[i] = (pivot * b[i] - f * b[k]) // prev
+        prev = pivot
+    if b is None or 0 in minors:
+        return minors, None
+    x = [0] * d
+    for k in reversed(range(d)):
+        top = rows[k]
+        x[k] = (prev * b[k] - sum(top[j] * x[j] for j in range(k + 1, d))) // top[k]
+    return minors, x
 
 
-def _ldl_solve(low: np.ndarray, piv: tuple[Fraction, ...], rhs: np.ndarray) -> np.ndarray:
-    """Solve L D L^T c = rhs for positive pivots."""
-    d = len(piv)
-    y = rhs.copy()
-    for i in range(d):
-        y[i] = rhs[i] - low[i, :i] @ y[:i]
-    c = y / np.array(piv, dtype=object)
-    for i in reversed(range(d)):
-        c[i] -= low[i + 1:, i] @ c[i + 1:]
-    return c
+def _half_pivots(minors: list[int]) -> tuple[Fraction, ...]:
+    """The LDL^T pivots of a/2 from the leading minors of a, a skipped step as 0."""
+    pivots, prev = [], 1
+    for delta in minors:
+        pivots.append(Fraction(delta, 2 * prev))
+        prev = delta or prev
+    return tuple(pivots)
 
 
 def chen_min_exact(n: int, m: int) -> MatrixWitness:
     """Exact minimum of the ratio, a Fraction, with its exact witness on H = 1.
 
     On A = I/p + diag(D c) + (off-diagonal part) the numerator is
-    const + 2 b^T c + c^T Q c + (off-diagonal squares), with Q = D^T M D.
-    The LDL^T pivots of Q prove the numerator positive definite on
+    const + 2 b^T c + c^T Q c + (off-diagonal squares), with Q = D^T M D,
+    b = D^T (2M) 1/(2p) and const = 1^T (2M) 1/(2p^2).  The integer
+    elimination of the block 2Q proves the numerator positive definite on
     traceless matrices, so the minimizer is diagonal and Q c = -b is the
-    unique stationary point; the minimum is const + b^T c.
+    unique stationary point; the minimum is const + b^T c.  The
+    elimination also returns x = det(2Q) (2Q)^-1 D^T (2M) 1, so
+    c = -x/(p det) and every output is one Fraction of integers.
     """
     rec = admissible(n, m)
     if not rec.admissible:
         raise ValueError(f"(n, m) = ({n}, {m}) is not admissible")
     p = n - 1
-    two_m, basis, weights = _diagonal_form(n, m)
-    q = (basis.T @ two_m @ basis).astype(object) * Fraction(1, 2)
-    b = (basis.T @ two_m.sum(axis=1)).astype(object) * Fraction(1, 2 * p)
-    const = int(two_m.sum()) * Fraction(1, 2 * p * p)
-    low, piv = _ldl(q)
-    if min(piv) <= 0:
+    block, sums, weights = _traceless_block(n, m)
+    rhs = [s - sums[-1] for s in sums[:-1]]
+    minors, x = _bareiss(block, rhs)
+    if x is None:
         raise ValueError(f"the ({n}, {m}) numerator is singular on traceless matrices")
-    c = _ldl_solve(low, piv, -b)
-    return MatrixWitness(n, m, np.diag(basis @ c + Fraction(1, p)), const + b @ c,
-                         piv + weights)
+    det = minors[-1]
+    scale = p * det
+    diagonal = [Fraction(det - xk, scale) for xk in x] + [Fraction(det + sum(x), scale)]
+    ratio = Fraction(det * sum(sums) - sum(r * xk for r, xk in zip(rhs, x)), 2 * p * scale)
+    return MatrixWitness(n, m, np.diag(np.array(diagonal, dtype=object)), ratio,
+                         _half_pivots(minors) + weights)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +345,11 @@ def brendle_min_exact(n: int, m: int) -> MatrixWitness:
     """Minimum of the numerator on {tr A = 0, |A|_F = 1}, certified exactly.
 
     The minimum is positive exactly when the traceless form of
-    `chen_min_exact` is positive definite, which its LDL^T pivots decide
-    in rational arithmetic.  The float value is the smallest eigenvalue of
-    the diagonal block's pencil (Q, G), G = D^T D = I + J the Frobenius
-    Gram matrix of D, and the witness is the diagonal matrix of its
-    eigenvector.
+    `chen_min_exact` is positive definite, which the integer elimination
+    of its block decides exactly.  The float value is the smallest
+    eigenvalue of the diagonal block's pencil (Q, G), G = D^T D = I + J
+    the Frobenius Gram matrix of D, and the witness is the diagonal matrix
+    of its eigenvector.
 
     The off-diagonal directions cannot go lower.  E_ij + E_ji has ratio
     (2 - mask_ij)/2, which is 1/2 or 1.  For m >= 2 the traceless diagonal
@@ -343,10 +359,12 @@ def brendle_min_exact(n: int, m: int) -> MatrixWitness:
     rec = admissible(n, m)
     if rec.ineq1 <= 0:
         raise ValueError(f"requires m^2 - mn + 2n - 2 > 0, got {rec.ineq1}")
-    two_m, basis, weights = _diagonal_form(n, m)
-    q2 = basis.T @ two_m @ basis
-    _, piv = _ldl(q2.astype(object) * Fraction(1, 2))
+    block, _, weights = _traceless_block(n, m)
+    minors, _ = _bareiss(block)
+    p = n - 1
+    basis = np.eye(p, p - 1, dtype=np.int64)
+    basis[p - 1] = -1
     inv = np.linalg.inv(np.linalg.cholesky((basis.T @ basis).astype(float)))
-    w, vecs = np.linalg.eigh(inv @ (0.5 * q2) @ inv.T)
+    w, vecs = np.linalg.eigh(inv @ (0.5 * np.array(block)) @ inv.T)
     return MatrixWitness(n, m, np.diag(basis @ (inv.T @ vecs[:, 0])), float(w[0]),
-                         piv + weights)
+                         _half_pivots(minors) + weights)

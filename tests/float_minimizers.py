@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from curvlab.inequalities import (
-    MatrixWitness,
-    admissible,
-    chen_weight_mask,
-)
+from curvlab.inequalities import MatrixWitness, admissible
+from inequality_references import chen_weight_mask
 
 
 def chen_numerator(a: np.ndarray, mask: np.ndarray) -> float:

@@ -1,10 +1,20 @@
-"""The numerator on full upper-triangle coordinates, the reference for the reduced form.
+"""Reference routes for the exact matrix inequalities.
 
 `curvlab.inequalities` works on the diagonal block alone, because each
-off-diagonal entry enters the numerator only as its own square.  This
-module keeps the route that does not use that: the integer Hessian over all
-T = p(p+1)/2 upper-triangle coordinates of a symmetric p x p matrix, its
-(T-1)-dimensional traceless form, and the two minima taken on that form.
+off-diagonal entry enters the numerator only as its own square, and
+eliminates it in Python integers.  This module keeps the routes that use
+neither:
+
+- the rational LDL^T on numpy object arrays of `Fraction` (`_ldl`,
+  `_ldl_solve`), the reference for the integer elimination
+  `inequalities._bareiss`;
+- the boolean mask of the weighted pairs (`chen_weight_mask`) and the
+  block as numpy integer matrices (`_diagonal_form`), the reference for
+  `inequalities._traceless_block`;
+- the integer Hessian over all T = p(p+1)/2 upper-triangle coordinates of
+  a symmetric p x p matrix, its (T-1)-dimensional traceless form, and the
+  two minima taken on that form.
+
 Tests play these against `chen_min_exact` and `brendle_min_exact`.
 """
 from __future__ import annotations
@@ -13,7 +23,75 @@ from fractions import Fraction
 
 import numpy as np
 
-from curvlab.inequalities import _ldl, _ldl_solve, chen_weight_mask
+
+def chen_weight_mask(n: int, m: int) -> np.ndarray:
+    """Boolean (n-1) x (n-1) mask of the weighted pairs.
+
+    Entry (t, s) is True when the label pair (i, j) = (t+2, s+2) satisfies
+    2 <= i <= m and i < j <= n.  Empty for m = 1.
+    """
+    p = n - 1
+    mask = np.zeros((p, p), dtype=bool)
+    for t in range(p):
+        if t + 2 > m:
+            break
+        mask[t, t + 1:] = True
+    return mask
+
+
+def _diagonal_form(n: int, m: int) -> tuple[np.ndarray, np.ndarray, tuple[Fraction, ...]]:
+    """The numerator as (2M, D, weights).
+
+    On a symmetric A with diagonal d the numerator is
+    d^T M d + sum_(i<j) weights_ij a_ij^2, weights in row-major order.
+    2M = 2I + mask + mask^T is an integer matrix, and the integer columns
+    D_k = e_k - e_(p-1), k < p-1, span the traceless diagonals.  For n = 2
+    the block is 1 x 1 and has no traceless direction, so n < 3 is rejected.
+    """
+    if n < 3:
+        raise ValueError(f"the exact minimum needs dimension n >= 3 for a traceless "
+                         f"direction, got n = {n}")
+    p = n - 1
+    mask = chen_weight_mask(n, m)
+    two_m = 2 * np.eye(p, dtype=np.int64) + mask + mask.T
+    basis = np.eye(p, p - 1, dtype=np.int64)
+    basis[p - 1] = -1
+    weights = tuple(Fraction(2 - int(mask[i, j])) for i in range(p) for j in range(i + 1, p))
+    return two_m, basis, weights
+
+
+def _ldl(q: np.ndarray) -> tuple[np.ndarray, tuple[Fraction, ...]]:
+    """Rational LDL^T of a symmetric Fraction matrix: (unit lower L, pivots).
+
+    Raises ValueError unless q is positive semidefinite: a negative pivot,
+    or a zero pivot with a nonzero entry below it, certifies a direction of
+    negative value.  A zero pivot over a zero column leaves that column of
+    L zero.
+    """
+    d = len(q)
+    low = np.eye(d, dtype=np.int64).astype(object) * Fraction(1)
+    piv = np.zeros(d, dtype=object)
+    for j in range(d):
+        col = q[j:, j] - (low[j:, :j] * piv[:j]) @ low[j, :j]
+        piv[j] = col[0]
+        if piv[j] < 0 or (piv[j] == 0 and col[1:].any()):
+            raise ValueError(f"matrix is not positive semidefinite (pivot {j})")
+        if piv[j]:
+            low[j + 1:, j] = col[1:] / piv[j]
+    return low, tuple(piv)
+
+
+def _ldl_solve(low: np.ndarray, piv: tuple[Fraction, ...], rhs: np.ndarray) -> np.ndarray:
+    """Solve L D L^T c = rhs for positive pivots."""
+    d = len(piv)
+    y = rhs.copy()
+    for i in range(d):
+        y[i] = rhs[i] - low[i, :i] @ y[:i]
+    c = y / np.array(piv, dtype=object)
+    for i in reversed(range(d)):
+        c[i] -= low[i + 1:, i] @ c[i + 1:]
+    return c
+
 
 # A symmetric p x p matrix A has upper-triangle coordinates x = (a_ij), i <= j.
 

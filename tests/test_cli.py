@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,18 @@ class TestMatrixInequalities:
             runs.append((code, [Path(p).read_bytes() for p in paths]))
         assert runs[0][0] == 0 and len(runs[0][1]) == 1
         assert all(run == runs[0] for run in runs)
+
+    @pytest.mark.parametrize("m", [1, 39])
+    def test_large_dimension(self, m, tmp_path, capsys):
+        # a 38 x 38 block: at m = 1 the elimination's products reach 2.7e25,
+        # past int64, and must stay exact
+        code, paths, _ = run_cli(
+            ["matrix-inequalities", "--n", "40", "--m", str(m),
+             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        wit = load_json(paths[0])["witnesses"]
+        assert wit["chen"]["ratio_exact"] == wit["threshold_D"]
+        assert Fraction(wit["brendle"]["min_pivot"]) > 0
 
     def test_inadmissible_pair(self, tmp_path, capsys):
         code, paths, _ = run_cli(

@@ -42,6 +42,7 @@ from curvlab.frames import (
     random_frames,
     tangent_project,
 )
+from curvlab.inequalities import _bareiss
 import frame_references
 from curvature_references import (
     complex_projective_minimum,
@@ -1157,6 +1158,58 @@ class TestComplexProjective:
         assert abs(res.value - minimum) <= tol
         assert res.lower_bound <= minimum + tol
         assert (res.method == "certificate") == (res.lower_bound >= minimum - tol)
+
+
+def omega_squared_form(n: int) -> np.ndarray:
+    """Q_IJ = <e_I ^ e_J, omega ^ omega> on the 2-vectors of R^n, in the basis of `_plucker_tables`.
+
+    omega = sum_a e_2a ^ e_2a+1, so omega ^ omega = 2 sum_(a<b) e_2a ^ e_2a+1
+    ^ e_2b ^ e_2b+1: Q_IJ is twice the sign that sorts I + J when I and J
+    together fill two of the pairs (2a, 2a+1), and 0 otherwise.  Q vanishes
+    on decomposable 2-vectors, since it is a combination of Plücker
+    relations.
+    """
+    pairs = sorted(itertools.combinations(range(n), 2), key=lambda s: (1 << s[0]) | (1 << s[1]))
+    q = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
+    for x, y in itertools.product(range(len(pairs)), repeat=2):
+        quad = pairs[x] + pairs[y]
+        if len(set(quad)) == 4 and len({v // 2 for v in quad}) == 2:
+            inversions = sum(u > v for u, v in itertools.combinations(quad, 2))
+            q[x, y] = 2 * (-1) ** inversions
+    return q
+
+
+class TestComplexProjectiveCertificate:
+    """The exact k = 2 certificate for CP^4: lambda_max(R^[2] - s Q) <= 4 at s = 1.
+
+    With R^[2] the curvature operator on 2-vectors and Q = `omega_squared_form`,
+    which vanishes on decomposable 2-vectors, 4I - (R^[2] - s Q) positive
+    semidefinite bounds the sectional curvature of every 2-plane by 4, so
+    C_2 >= 2 Ric - 4 = 16, the exact minimum.
+    """
+
+    @staticmethod
+    def shifted(s: Fraction) -> list[list[int]]:
+        """(4 I - R^[2] + s Q) times the denominator of s, checked integral."""
+        r2 = _operators(fubini_study_riemann(8), 2)[1]
+        q = omega_squared_form(8)
+        scale = s.denominator
+        mat = scale * (4 * np.eye(len(q)) - r2) + s.numerator * q
+        assert (mat == np.round(mat)).all()
+        return mat.astype(np.int64).tolist()
+
+    def test_holds_at_one(self):
+        mat = self.shifted(Fraction(1))
+        assert {v for row in mat for v in row} == {-3, 0, 3}
+        minors, _ = _bareiss(mat)
+        assert len(minors) == 28 and minors.count(0) == 16
+        # Ric = 10, so the bound is C_2 >= 2 * 10 - 4, the exact minimum
+        assert_array_equal(fubini_study_riemann(8).ricci, 10 * np.eye(8))
+        assert complex_projective_minimum(4, 2) == 16
+
+    def test_fails_below_one(self):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            _bareiss(self.shifted(Fraction(19, 20)))
 
 
 RICCI_CASES = ([random_curvature_tensor(n, np.random.default_rng(1300 + n)) for n in range(3, 9)]

@@ -3,23 +3,25 @@
 The float descents in `float_minimizers` are the cross-checks of the exact
 minima; they read the numerator only through the float `chen_numerator`.
 The full upper-triangle form in `inequality_references` is the cross-check
-of the reduced diagonal form the exact minima are solved on.
+of the reduced diagonal form the exact minima are solved on, and its
+rational LDL^T the cross-check of the integer elimination that solves them.
 """
+import re
 from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curvlab.inequalities import (
-    _ldl,
-    _ldl_solve,
+    _bareiss,
+    _half_pivots,
+    _traceless_block,
     admissible,
     admissibility_sweep_rows,
     brendle_min_exact,
     chen_min_exact,
-    chen_weight_mask,
     check_d_third_expression,
     check_gamma_equivalence,
     check_recursion,
@@ -29,10 +31,14 @@ from curvlab.inequalities import (
 from float_minimizers import brendle_min, chen_functional, chen_min_ratio, chen_numerator
 from inequality_references import (
     _coordinates,
+    _diagonal_form,
+    _ldl,
+    _ldl_solve,
     _numerator_hessian,
     _traceless_form,
     brendle_min_reference,
     chen_min_reference,
+    chen_weight_mask,
 )
 
 # admissible m-sets for n = 3..7
@@ -380,3 +386,62 @@ class TestReducedForm:
 
 def _fractions(rows):
     return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
+
+
+ENTRY = st.integers(-4, 4)
+
+
+@st.composite
+def symmetric_systems(draw):
+    """(A, b): A symmetric of size d <= 7, either G G^T of any rank or with entries in [-4, 4].
+
+    G G^T is positive semidefinite and singular below full rank, so it takes
+    the skipped steps; the other kind is mostly indefinite.
+    """
+    d = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, d))
+        g = draw(st.lists(st.lists(ENTRY, min_size=rank, max_size=rank),
+                          min_size=d, max_size=d))
+        a = [[sum(x * y for x, y in zip(gi, gj)) for gj in g] for gi in g]
+    else:
+        a = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                a[i][j] = a[j][i] = draw(ENTRY)
+    return a, draw(st.lists(ENTRY, min_size=d, max_size=d))
+
+
+class TestIntegerElimination:
+    """`_bareiss` against the rational LDL^T of `inequality_references`."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(symmetric_systems())
+    # a zero pivot over a nonzero column: determinant -1
+    @example(([[0, 1], [1, 1]], [1, 0]))
+    # a skipped step followed by a step that divides
+    @example(([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]], [1, 2, 3, 4]))
+    def test_matches_the_rational_ldl(self, system):
+        a, rhs = system
+        try:
+            _, expected = _ldl(_fractions(a) / 2)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                _bareiss(a, rhs)
+            return
+        minors, x = _bareiss(a, rhs)
+        assert _half_pivots(minors) == expected
+        if all(minors):
+            det = minors[-1]
+            assert [sum(v * xj for v, xj in zip(row, x)) for row in a] == [det * v for v in rhs]
+        else:
+            assert x is None
+
+    def test_block_matches_the_numpy_form(self):
+        for n in range(3, 13):
+            for m in range(1, n):
+                two_m, basis, weights = _diagonal_form(n, m)
+                block, sums, block_weights = _traceless_block(n, m)
+                assert block == (basis.T @ two_m @ basis).tolist()
+                assert sums == two_m.sum(axis=1).tolist()
+                assert block_weights == weights
