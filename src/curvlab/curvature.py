@@ -237,8 +237,8 @@ def _sectional_table(metric: WarpedTorusMetric, r: float | np.ndarray) -> np.nda
     comes from the profiles' log-derivatives and 1/(eps^2 f^2), so the
     table stays finite until 1/(eps^2 f^2) itself overflows.  An overflow
     raises no warning; it leaves inf or NaN in the table, which each
-    caller rejects: `RiemannData.from_components`, `cm_min_exact` and
-    `diagonal_ricci`.
+    caller rejects: `RiemannData.from_components`, `cm_min_exact`,
+    `diagonal_ricci` and the positivity sweep.
     """
     f, u = metric.f_profile, metric.u_profile
     a = 2.0 / metric.m
@@ -258,6 +258,51 @@ def _sectional_table(metric: WarpedTorusMetric, r: float | np.ndarray) -> np.nda
     return table.transpose(*range(2, table.ndim), 0, 1)
 
 
+def _class_count_minima(metric: WarpedTorusMetric,
+                        table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact C_m minima of class tables (..., 3, 3): (lowest, counts, finite).
+
+    The one class-count kernel: `cm_min_exact` passes it one table, the
+    positivity sweep a grid of them.  For each table, lowest is the
+    minimum over the count vectors (i, rho, j), counts the first count
+    vector within TIE_TOL of it (see `cm_min_exact` for the order) and
+    finite whether every count vector's value is finite; lowest and
+    counts mean nothing where it is not.  A grid row equals the single
+    table's result bit for bit: the table is made contiguous, so that
+    `table @ (s, 1, t)` rounds each row as it rounds one table, and each
+    row's Ricci values meet the count vectors in a matrix-vector product
+    of their own, as BLAS forms it for one table.  A matrix product over
+    the whole grid rounds some rows differently.
+    """
+    s, m, t = metric.sphere_dim, metric.m, metric.torus_dim
+    counts = [(i, rho, m - i - rho) for i in range(min(m, s), -1, -1)
+              for rho in (1, 0) if 0 <= m - i - rho <= t]
+    # how many (sphere, sphere), (torus, torus), (sphere, r), (sphere, torus)
+    # and (r, torus) pairs each count vector holds
+    c_ss, c_tt, c_sr, c_st, c_rt = np.array(
+        [(i * (i - 1) / 2, j * (j - 1) / 2, i * rho, i * j, rho * j)
+         for i, rho, j in counts]).T
+    counts = np.array(counts)
+    table = np.ascontiguousarray(table)
+    k_ss, k_sr, k_st, k_rt, k_tt = (table[..., a, b, None]
+                                    for a, b in ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2)))
+    with np.errstate(all="ignore"):
+        # a direction never pairs with itself, hence the diagonal
+        ricci = table @ np.array([s, 1, t]) - np.diagonal(table, axis1=-2, axis2=-1)
+        pairs = c_ss * k_ss + c_tt * k_tt + c_sr * k_sr + c_st * k_st + c_rt * k_rt
+        values = (counts @ ricci[..., None])[..., 0] - pairs
+        lowest = values.min(axis=-1)
+        first = np.argmax(values <= lowest[..., None] + TIE_TOL, axis=-1)
+    return lowest, counts[first], np.isfinite(values).all(axis=-1)
+
+
+def _count_subset(metric: WarpedTorusMetric, counts) -> tuple[int, ...]:
+    """The lexicographically first coordinate subset with class counts (i, rho, j)."""
+    i, rho, j = counts
+    s = metric.sphere_dim
+    return tuple(range(i)) + (s,) * rho + tuple(range(s + 1, s + 1 + j))
+
+
 def cm_min_exact(metric: WarpedTorusMetric,
                  r: float) -> tuple[float, tuple[int, int, int], tuple[int, ...]]:
     """Exact minimum of C_m at r: (value, class counts (i, rho, j), coordinate subset).
@@ -275,48 +320,56 @@ def cm_min_exact(metric: WarpedTorusMetric,
     count vector within TIE_TOL of the minimum names the lexicographically
     first coordinate subset that ties it, the argmin rule of
     `frames.cm_min`.  Raises ValueError, naming r, when a count vector's
-    value is not finite.
+    value is not finite.  The values come from `_class_count_minima`, the
+    kernel the positivity sweep runs on a whole grid.
     """
-    table = _sectional_table(metric, r)
-    s, m = metric.sphere_dim, metric.m
-    counts = np.array([(i, rho, m - i - rho) for i in range(min(m, s), -1, -1)
-                       for rho in (1, 0) if 0 <= m - i - rho <= metric.torus_dim])
-    i, rho, j = counts.T
-    (k_ss, k_sr, k_st), (_, _, k_rt), (_, _, k_tt) = table
-    with np.errstate(all="ignore"):
-        # a direction never pairs with itself, hence the diagonal
-        ricci = table @ np.array([s, 1, metric.torus_dim]) - np.diag(table)
-        pairs = (i * (i - 1) / 2 * k_ss + j * (j - 1) / 2 * k_tt
-                 + i * rho * k_sr + i * j * k_st + rho * j * k_rt)
-        values = counts @ ricci - pairs
-    if not np.isfinite(values).all():
+    lowest, counts, finite = _class_count_minima(metric, _sectional_table(metric, r))
+    if not finite:
         raise ValueError(f"C_m at r = {r!r}: class-count values are not finite")
-    lowest = float(values.min())
-    i, rho, j = (int(c) for c in counts[np.flatnonzero(values <= lowest + TIE_TOL)[0]])
-    subset = tuple(range(i)) + (s,) * rho + tuple(range(s + 1, s + 1 + j))
-    return lowest, (i, rho, j), subset
+    counts = tuple(int(c) for c in counts)
+    return float(lowest), counts, _count_subset(metric, counts)
 
 
-def _sectional_components(metric: WarpedTorusMetric, r: float,
-                          labels: Sequence[str]) -> np.ndarray:
+def _sectional_components(table: np.ndarray, labels: Sequence[str]) -> np.ndarray:
     """Components on a frame whose directions carry the given class labels.
 
     Rm_abcd = K_ab (delta_ac delta_bd - delta_ad delta_bc) for a != b, where
-    K_ab is the table value of the labels of e_a and e_b.
+    K_ab is the value of the labels of e_a and e_b in the class table; a
+    stack of tables (..., 3, 3) gives a stack of tensors.
     """
-    classes = [_CLASS[label] for label in labels]
-    sectional = _sectional_table(metric, r)[np.ix_(classes, classes)]
+    classes = np.array([_CLASS[label] for label in labels])
     n = len(labels)
     a, b = np.nonzero(~np.eye(n, dtype=bool))
-    comp = np.zeros((n,) * 4)
-    comp[a, b, a, b] = sectional[a, b]
-    comp[a, b, b, a] = -sectional[a, b]
-    return comp
+    # flat positions, so that each stack row takes one 1-D fancy index
+    sectional = table.reshape(table.shape[:-2] + (9,))[..., 3 * classes[a] + classes[b]]
+    comp = np.zeros(table.shape[:-2] + (n ** 4,))
+    comp[..., ((a * n + b) * n + a) * n + b] = sectional
+    comp[..., ((a * n + b) * n + b) * n + a] = -sectional
+    return comp.reshape(table.shape[:-2] + (n,) * 4)
 
 
 def _exact(metric: WarpedTorusMetric, r: float) -> RiemannData:
     return RiemannData.from_components(
-        _sectional_components(metric, r, metric.frame_labels()))
+        _sectional_components(_sectional_table(metric, r), metric.frame_labels()))
+
+
+def _grid_riemann(metric: WarpedTorusMetric,
+                  table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`riemann_exact`'s components and Ricci tensors for a stack of class tables.
+
+    Returns (components (R, n, n, n, n), ricci (R, n, n), accepted (R,)),
+    where accepted says whether `riemann_exact` accepts the table's
+    radius: its components, Ricci values and scalar curvature are
+    finite.  Each contraction runs per table as `RiemannData` runs it, so
+    the Ricci tensors equal riemann_exact's bit for bit.
+    """
+    comp = _sectional_components(table, metric.frame_labels())
+    with np.errstate(over="ignore", invalid="ignore"):
+        ricci = np.einsum("...cacb->...ab", comp)
+        scalar = np.trace(ricci, axis1=-2, axis2=-1)
+    accepted = (np.isfinite(comp).all(axis=(-4, -3, -2, -1))
+                & np.isfinite(ricci).all(axis=(-2, -1)) & np.isfinite(scalar))
+    return comp, ricci, accepted
 
 
 def riemann_exact(metric: WarpedTorusMetric, r: float) -> RiemannData:
@@ -335,6 +388,26 @@ def riemann_exact(metric: WarpedTorusMetric, r: float) -> RiemannData:
         reach = _finite_reach(metric, r) if math.isfinite(r) else None
         clause = "" if reach is None else f"; curvature is finite for |r| <= {reach}"
         raise ValueError(f"curvature at r = {r!r}: {exc}{clause}") from exc
+
+
+def _reject_first(metric: WarpedTorusMetric, radii: np.ndarray, finite: np.ndarray,
+                  what: str, route: Callable | None = None) -> None:
+    """Raise for the first of a grid's radii whose `finite` flag is False.
+
+    The grid routes evaluate every radius at once and leave naming a
+    failure to the scalar routes.  `riemann_exact` goes first, so a radius
+    whose curvature is not finite gets its error, with the finite reach;
+    then `route`, the scalar twin of the grid values, when given.  Should
+    both accept the radius, the error says that `what` are not finite
+    there.  Returns when every flag is True.
+    """
+    if finite.all():
+        return
+    r = float(radii[np.argmin(finite)])
+    riemann_exact(metric, r)
+    if route is not None:
+        route(metric, r)
+    raise ValueError(f"curvature at r = {r!r}: {what} are not finite")
 
 
 def _finite_reach(metric: WarpedTorusMetric, r: float) -> float | None:
@@ -392,11 +465,8 @@ def diagonal_ricci(metric: WarpedTorusMetric,
             ricci = ricci + sectional[:, c]
         # one 1-D reduction per radius, as np.trace does (pairwise from n = 8)
         scalar = np.array([row.sum() for row in ricci])
-    finite = np.isfinite(ricci).all(axis=1) & np.isfinite(scalar)
-    if not finite.all():
-        r = float(r_grid[np.argmin(finite)])
-        riemann_exact(metric, r)
-        raise ValueError(f"curvature at r = {r!r}: Ricci values are not finite")
+    _reject_first(metric, r_grid, np.isfinite(ricci).all(axis=1) & np.isfinite(scalar),
+                  "Ricci values")
     return ricci, scalar
 
 
@@ -523,7 +593,7 @@ def compare_exact_vs_fd(metric: WarpedTorusMetric, r: float) -> float:
     """
     chart, labels = to_subchart(metric)
     expected = RiemannData.from_components(
-        _sectional_components(metric, r, labels)).components
+        _sectional_components(_sectional_table(metric, r), labels)).components
 
     x = np.zeros(chart.dim)
     x[0], x[2] = 1.0, r

@@ -10,14 +10,16 @@ reported by the CLI: its two parts sum to the full Laplacian by
 `radial_laplacian` against the finite-difference `laplacian_fd`.
 `curvature_report_rows` is the dense per-radius route that
 `curvature-report` took before it read the diagonal Ricci values off the
-sectional class table.
+sectional class table.  `per_radius_sweep` is the positivity sweep one
+radius at a time, as it ran before it evaluated the grid as arrays, and
+`class_count_minimum` the per-radius class-count formula it called.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from curvlab.constructions import solve_profile
-from curvlab.curvature import WarpedTorusMetric, riemann_exact
+from curvlab.constructions import PASS_SLACK, PositivityReport, solve_profile
+from curvlab.curvature import TIE_TOL, WarpedTorusMetric, _sectional_table, riemann_exact
 from curvlab.frames import cm_of_frame, coordinate_frame
 
 
@@ -91,3 +93,64 @@ def lift_laplacian_split(metric: WarpedTorusMetric, r) -> tuple[np.ndarray, np.n
     base = uv * (u.d2_ratio(r) + ((n - m) * lf1 + 2.0 * (m - 2) / m * lu1) * lu1)
     coupling = uv * (2.0 / m * lu1 * lu1)
     return base, coupling
+
+
+def class_count_minimum(metric: WarpedTorusMetric, table: np.ndarray, r: float):
+    """(value, counts, subset) of the exact C_m minimum from the class table at r.
+
+    The count vectors' values are formed as one matrix-vector product of
+    the count matrix with the table's Ricci values.  Raises ValueError
+    naming r when a value is not finite.
+    """
+    s, m = metric.sphere_dim, metric.m
+    counts = np.array([(i, rho, m - i - rho) for i in range(min(m, s), -1, -1)
+                       for rho in (1, 0) if 0 <= m - i - rho <= metric.torus_dim])
+    i, rho, j = counts.T
+    (k_ss, k_sr, k_st), (_, _, k_rt), (_, _, k_tt) = table
+    with np.errstate(all="ignore"):
+        ricci = table @ np.array([s, 1, metric.torus_dim]) - np.diag(table)
+        pairs = (i * (i - 1) / 2 * k_ss + j * (j - 1) / 2 * k_tt
+                 + i * rho * k_sr + i * j * k_st + rho * j * k_rt)
+        values = counts @ ricci - pairs
+    if not np.isfinite(values).all():
+        raise ValueError(f"C_m at r = {r!r}: class-count values are not finite")
+    lowest = float(values.min())
+    i, rho, j = (int(c) for c in counts[np.flatnonzero(values <= lowest + TIE_TOL)[0]])
+    subset = tuple(range(i)) + (s,) * rho + tuple(range(s + 1, s + 1 + j))
+    return lowest, (i, rho, j), subset
+
+
+def per_radius_sweep(metric: WarpedTorusMetric, lam: float, r_grid,
+                     fail_fast: bool = False) -> PositivityReport:
+    """`verify_uniform_positivity` one radius at a time, in sweep order.
+
+    Each radius builds `riemann_exact`'s tensor, takes `class_count_minimum`
+    and scores the distinguished coordinate frame with `cm_of_frame`, and
+    a fail-fast sweep stops after the first radius below the threshold.
+    """
+    r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.size == 0:
+        raise ValueError("the radial grid is empty")
+    threshold = lam * (1.0 - PASS_SLACK)
+    coord_q = coordinate_frame(metric.n, metric.coordinate_frame_indices())
+    order = sorted(range(len(r_grid)), key=lambda i: (abs(r_grid[i]), r_grid[i]))
+    visited = []  # (r, value, counts, subset) in sweep order
+    cmin, cmax = np.inf, -np.inf
+    for i in order:
+        r = float(r_grid[i])
+        rd = riemann_exact(metric, r)
+        visited.append((r, *class_count_minimum(metric, _sectional_table(metric, r), r)))
+        cv = cm_of_frame(rd, coord_q)
+        cmin, cmax = min(cmin, cv), max(cmax, cv)
+        if fail_fast and visited[-1][1] < threshold:
+            break
+    lowest = min(value for _, value, _, _ in visited)
+    worst_r, worst_value, counts, subset = next(
+        v for v in visited if v[1] <= lowest + TIE_TOL)
+    return PositivityReport(
+        passed=bool(lowest >= threshold), lam=float(lam),
+        epsilon=metric.epsilon, r_max=float(np.max(np.abs(r_grid))),
+        grid_points=len(r_grid), worst_r=worst_r, worst_value=worst_value,
+        worst_frame=coordinate_frame(metric.n, subset), worst_counts=counts,
+        coord_value_min=float(cmin), coord_value_max=float(cmax),
+        complete=len(visited) == len(r_grid))

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from curvlab import cli, constructions, frames
+from curvlab import cli, constructions, curvature, frames
 from curvlab.constructions import (
     CONSTRUCTION_PAIRS,
     EpsilonSearchError,
@@ -34,9 +35,11 @@ from curvlab.curvature import (
 from curvlab.frames import cm_of_frame, coordinate_frame
 from curvlab.inequalities import admissible, chen_min_exact, d_of
 from construction_references import (
+    class_count_minimum,
     coordinate_cm_value,
     lift_laplacian_split,
     metric_from_json,
+    per_radius_sweep,
     radial_laplacian,
 )
 from curvature_references import constant_profile, laplacian_fd
@@ -446,10 +449,17 @@ class TestWorstRadius:
         counts = {0.0: (2, 0, 0), -1.0: (1, 1, 0), 1.0: (1, 0, 1)}
         subsets = {0.0: (0, 1), -1.0: (0, 4), 1.0: (0, 5)}
 
-        def fake_exact(metric, r):
-            return values[r], counts[r], subsets[r]
+        sweep_order = (0.0, -1.0, 1.0)
 
-        monkeypatch.setattr(constructions, "cm_min_exact", fake_exact)
+        def fake_grid(metric, table):
+            # the class-count kernel sees the sweep's table, one row per radius
+            assert len(table) == len(sweep_order)
+            assert all(curvature._count_subset(metric, counts[r]) == subsets[r]
+                       for r in sweep_order)
+            return (np.array([values[r] for r in sweep_order]),
+                    np.array([counts[r] for r in sweep_order]), np.ones(3, dtype=bool))
+
+        monkeypatch.setattr(curvature, "_class_count_minima", fake_grid)
         # the threshold sits 5e-13 below v: the verdict reads the true minimum
         threshold = v - 5e-13
         lam = threshold / (1.0 - constructions.PASS_SLACK)
@@ -460,6 +470,155 @@ class TestWorstRadius:
         assert rep.worst_counts == counts[reported_r]
         assert_array_equal(rep.worst_frame, coordinate_frame(6, subsets[reported_r]))
         assert rep.passed == (delta > 0)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def report_text(rep):
+    """Every field of a positivity report; json writes each float's repr, so bits count."""
+    return json.dumps(rep.to_json_dict())
+
+
+def sweep_outcome(sweep, *args, **kwargs):
+    """A sweep's report text, or the message of the ValueError it raised."""
+    try:
+        return report_text(sweep(*args, **kwargs))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestGridSweep:
+    """The sweep evaluates its grid as arrays, with the per-radius sweep's results."""
+
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
+    def test_kernel_rows_equal_the_scalar_minimum(self, n, m):
+        # each row of the shared class-count kernel equals cm_min_exact at its
+        # radius, and the per-radius formula it replaced, bit for bit
+        for lam in (1.0, 4.0):
+            for eps in (2.0, 1.0, 0.5, 0.25):
+                metric = build_counterexample(n, m, lam, eps)
+                table = curvature._sectional_table(metric, GRID)
+                lowest, counts, finite = curvature._class_count_minima(metric, table)
+                assert finite.all()
+                for r, value, row in zip(GRID, lowest, counts):
+                    row = tuple(int(c) for c in row)
+                    got = (bits(value), row, curvature._count_subset(metric, row))
+                    reference = class_count_minimum(
+                        metric, curvature._sectional_table(metric, r), r)
+                    for want in (cm_min_exact(metric, r), reference):
+                        assert got == (bits(want[0]), want[1], want[2]), (lam, eps, r)
+
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS + ((12, 6),))
+    def test_kernel_rows_equal_the_per_table_formula_on_random_tables(self, n, m):
+        # class values over 16 orders of magnitude, where a product of the
+        # whole grid with the count matrix rounds some rows' minima differently
+        rng = np.random.default_rng(10 * n + m)
+        raw = rng.standard_normal((1500, 3, 3)) * np.exp(rng.uniform(-18.0, 18.0, (1500, 3, 3)))
+        tables = raw + raw.transpose(0, 2, 1)
+        tables[:, 1, 1] = 0.0
+        metric = build_counterexample(n, m, 1.0, 1.0)
+        lowest, counts, finite = curvature._class_count_minima(metric, tables)
+        assert finite.all()
+        for table, value, row in zip(tables, lowest, counts):
+            want = class_count_minimum(metric, table, 0.0)
+            assert (bits(value), tuple(int(c) for c in row)) == (bits(want[0]), want[1])
+
+    @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
+    def test_batched_coordinate_values_equal_cm_of_frame(self, n, m):
+        # the n^4 tensors of a stack carry riemann_exact's components and
+        # Ricci tensors, and cm_of_frame's contraction over the stack gives
+        # its value at every radius bit for bit
+        for lam in (1.0, 4.0):
+            for eps in (2.0, 1.0, 0.5, 0.25):
+                metric = build_counterexample(n, m, lam, eps)
+                q = coordinate_frame(n, metric.coordinate_frame_indices())
+                components, ricci, accepted = curvature._grid_riemann(
+                    metric, curvature._sectional_table(metric, GRID))
+                values = frames._projection_value(components, ricci, q @ q.T)
+                assert accepted.all()
+                for k, r in enumerate(GRID):
+                    rd = riemann_exact(metric, r)
+                    assert bits(components[k]) == bits(rd.components)
+                    assert bits(ricci[k]) == bits(rd.ricci)
+                    assert bits(values[k]) == bits(cm_of_frame(rd, q)), (lam, eps, r)
+
+    def test_fail_fast_stops_before_a_non_finite_radius(self):
+        # at eps = 10 the origin already fails; the curvature of (6, 2) is not
+        # finite at r = 40, which only a sweep that goes on reaches
+        metric = build_counterexample(6, 2, 1.0, 10.0)
+        rep = verify_uniform_positivity(metric, 1.0, [0.0, 40.0], fail_fast=True)
+        assert not rep.passed and not rep.complete
+        assert rep.worst_r == 0.0
+        with pytest.raises(ValueError, match=r"^curvature at r = 40\.0: .*"
+                                             r"finite for \|r\| <= 37\.67$"):
+            verify_uniform_positivity(metric, 1.0, [0.0, 40.0], fail_fast=False)
+
+    def test_a_finite_sweep_tabulates_once_and_builds_no_scalar_tensor(self, monkeypatch):
+        tabulated, built = [], []
+        table, exact = curvature._sectional_table, curvature.riemann_exact
+
+        def spy_table(metric, r):
+            tabulated.append(np.shape(r))
+            return table(metric, r)
+
+        def spy_exact(metric, r):
+            built.append(r)
+            return exact(metric, r)
+
+        monkeypatch.setattr(curvature, "_sectional_table", spy_table)
+        monkeypatch.setattr(curvature, "riemann_exact", spy_exact)
+        rep = verify_uniform_positivity(build_counterexample(7, 3, 1.0, 1.0), 1.0, GRID)
+        assert rep.passed and rep.complete
+        assert tabulated == [(121,)]
+        assert built == []
+
+    @pytest.mark.parametrize("n,m,eps,fail_fast", [(7, 3, 1.0, False), (6, 2, 10.0, True),
+                                                   (8, 2, 0.5, False), (12, 6, 1.0, False)])
+    def test_tensors_are_built_a_bounded_slice_at_a_time(self, monkeypatch, n, m, eps,
+                                                         fail_fast):
+        # only visited radii get a tensor, at most SWEEP_ENTRIES entries at a time
+        sizes = []
+        grid_riemann = curvature._grid_riemann
+
+        def spy(metric, table):
+            sizes.append(len(table))
+            return grid_riemann(metric, table)
+
+        monkeypatch.setattr(curvature, "_grid_riemann", spy)
+        metric = build_counterexample(n, m, 1.0, eps)
+        grid = np.linspace(-10.0, 10.0, 401)
+        rep = verify_uniform_positivity(metric, 1.0, grid, fail_fast=fail_fast)
+        assert max(sizes) * n ** 4 <= max(constructions.SWEEP_ENTRIES, n ** 4)
+        assert sum(sizes) == (len(grid) if rep.complete else 1)
+        assert len(sizes) == -(-sum(sizes) // max(1, constructions.SWEEP_ENTRIES // n ** 4))
+        assert report_text(rep) == report_text(per_radius_sweep(metric, 1.0, grid, fail_fast))
+
+    @pytest.mark.parametrize("grid", [np.linspace(-40.0, 40.0, 801),
+                                      np.linspace(0.0, 39.0, 400)])
+    def test_a_non_finite_radius_in_a_later_slice_is_named(self, grid):
+        # (6, 2) at eps = 1 is finite for |r| <= 37.61: the first radius beyond
+        # lies slices into the sweep, and its error is the per-radius one
+        metric = build_counterexample(6, 2, 1.0, 1.0)
+        want = sweep_outcome(per_radius_sweep, metric, 1.0, grid)
+        assert want.startswith("ValueError: curvature at r = ")
+        assert sweep_outcome(verify_uniform_positivity, metric, 1.0, grid) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=st.sampled_from(CONSTRUCTION_PAIRS + ((8, 2), (9, 4))),
+           lam=st.floats(0.05, 16.0),
+           eps=st.floats(2.0 ** -6, 8.0),
+           grid=st.lists(st.one_of(st.floats(-12.0, 12.0), st.floats(-60.0, 60.0),
+                                   st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+                         min_size=1, max_size=12),
+           fail_fast=st.booleans())
+    def test_report_or_error_equals_the_per_radius_sweep(self, pair, lam, eps, grid,
+                                                         fail_fast):
+        metric = build_counterexample(*pair, lam, eps)
+        want = sweep_outcome(per_radius_sweep, metric, lam, grid, fail_fast)
+        assert sweep_outcome(verify_uniform_positivity, metric, lam, grid,
+                             fail_fast=fail_fast) == want
 
 
 class TestClassCounts:
