@@ -11,7 +11,8 @@ paths without filtering.
 
 Each `cmd_*` handler takes the resolved configuration and the parsed
 arguments and returns its verdict with the files to write, keyed by file
-stem: a `VerificationReport` or a `(header, rows)` table.  A handler raises
+stem: a `VerificationReport` or a `(header, rows)` table; `verify-examples`
+also says on standard error why an epsilon search failed.  A handler raises
 `ValueError` for parameters it cannot evaluate, and numpy raises
 `MemoryError` for a grid it cannot allocate.  `main` alone turns either,
 or an `OSError` from the config file or the report directory, into exit
@@ -119,6 +120,7 @@ def cmd_verify_examples(cfg: RunConfig, args) -> tuple[bool, dict]:
         try:
             found = search_epsilon(sol, r_grid)
         except EpsilonSearchError as exc:
+            print(f"[verify-examples] {exc}", file=sys.stderr)
             positivity, witnesses["epsilon"] = exc.best_report, None
         else:
             positivity, witnesses["epsilon"] = found.report, found.epsilon
@@ -193,7 +195,7 @@ def cmd_matrix_inequalities(cfg: RunConfig, args) -> tuple[bool, dict]:
     chen = chen_min_exact(n, m)
     chen_ok = chen.ratio == threshold
     brendle = brendle_min_exact(n, m)
-    brendle_ok = min(brendle.pivots) > 0
+    brendle_ok = brendle.ratio > 0
 
     passed = chen_ok and brendle_ok
     witnesses = {
@@ -202,7 +204,9 @@ def cmd_matrix_inequalities(cfg: RunConfig, args) -> tuple[bool, dict]:
         "chen": {"ratio": float(chen.ratio), "ratio_exact": chen.ratio,
                  "gap": float(chen.ratio - threshold),
                  "matrix": chen.matrix.astype(float), "pass": chen_ok},
-        "brendle": {"ratio": brendle.ratio, "min_pivot": min(brendle.pivots),
+        "brendle": {"ratio": float(brendle.ratio), "ratio_exact": brendle.ratio,
+                    "sector": next(name for name, value in brendle.sectors
+                                   if value == brendle.ratio),
                     "matrix": brendle.matrix, "pass": brendle_ok},
     }
     report = VerificationReport("matrix-inequalities", passed, witnesses, cfg)
@@ -338,7 +342,7 @@ def main(argv=None) -> int:
                                               for f in fields(RunConfig)})
         passed, files = globals()[args.handler](cfg, args)
         paths = [_write(cfg, stem, content) for stem, content in files.items()]
-    # handlers do no I/O: OSError is the config file's or the report
+    # handlers write no files: OSError is the config file's or the report
     # directory's, and MemoryError a grid too large to allocate
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

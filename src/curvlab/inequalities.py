@@ -6,17 +6,18 @@ tolerance tests.
 
 The matrix functionals share one numerator, a rational quadratic form in
 a symmetric p x p matrix A, p = n-1.  Each off-diagonal entry a_ij enters
-it only as its own square, with weight 2 - mask_ij (1 or 2), so the whole
-problem is a p x p form on the diagonal: on traceless matrices, a
-(p-1) x (p-1) block, and the off-diagonal weights.  The minima are exact:
-twice the block is an integer matrix, and one fraction-free elimination
-of it in Python integers (`_bareiss`) certifies positive definiteness
-through its leading minors and solves for the minimizer, so a `Fraction`
-is built only for each output.  Both minimizers are diagonal.  Floating
-point enters only in the float value and witness of the minimal case.
-The rational LDL^T on `Fraction` arrays and the form on full
-upper-triangle coordinates live in `tests/inequality_references.py`, and
-the float numerator that tests play against the exact forms in
+it only as its own square, with weight 2 - mask_ij (1 or 2), and the mask
+treats the first m-1 diagonal positions (block A) alike and the other n-m
+(block B) alike.  So on traceless matrices the form is a scalar on each of
+a few invariant sectors: the one diagonal direction v that is constant on
+each block, the sum-zero diagonals on A and on B, and the off-diagonal
+entries.  Both minima follow from these in integers and `Fraction`s, with
+no elimination: the minimal-case minimum is the least sector value, and
+the Chen minimizer, constant on each block, is found along v.  Floating
+point enters only in the minimal case's float witness.  The integer
+elimination of the full diagonal block, the rational LDL^T and the form on
+full upper-triangle coordinates live in `tests/inequality_references.py`,
+and the float numerator that tests play against the exact forms in
 `tests/float_minimizers.py`.
 
 The second-fundamental-form functional uses hypersurface index labels
@@ -25,6 +26,7 @@ matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -210,131 +212,100 @@ class MatrixWitness:
 
     `ratio` is the functional divided by H^2 on the trace slice (Chen case),
     or the numerator value on the traceless norm-1 slice (minimal case,
-    where H = 0).  `pivots` are the LDL^T pivots of the numerator on
-    traceless matrices, the diagonal block's followed by the off-diagonal
-    weights: all of them are positive exactly when the form is positive
-    definite there.
+    where H = 0); the exact routes give it as a Fraction.  `sectors` are
+    the (name, value) pairs of the numerator's invariant pieces on
+    traceless matrices, in the order v, A, B, off-diagonal (see `_sectors`):
+    all values are positive exactly when the form is positive definite
+    there, and the least of them is the minimal-case minimum.
     """
 
     n: int
     m: int
     matrix: np.ndarray
     ratio: Fraction | float
-    pivots: tuple[Fraction, ...] = ()
+    sectors: tuple[tuple[str, Fraction], ...] = ()
 
 
-# -- the numerator as an exact quadratic form --------------------------------
+# -- the numerator on its invariant sectors ----------------------------------
 #
-# On traceless matrices the form is block diagonal: a (p-1) x (p-1) block on
-# the diagonal and one weight per off-diagonal entry.  So its LDL^T pivots
-# are the block's pivots followed by the weights.
+# The mask treats the first a = m-1 diagonal positions (block A) alike and the
+# other b = n-m (block B) alike, and each off-diagonal entry enters the
+# numerator only as its own square.  So on traceless matrices the form is a
+# scalar on each piece of `_sectors`, and the pieces are orthogonal for it
+# and for the Frobenius product.
 
-def _traceless_block(n: int, m: int) -> tuple[list[list[int]], list[int], tuple[Fraction, ...]]:
-    """The numerator in integers: the block D^T (2M) D, the row sums of 2M, the weights.
+def _twice_form(diagonal: list[int], m: int) -> int:
+    """2N(diag(d)) = 2|d|^2 + sum of d_i d_j over ordered masked pairs, in integers.
 
-    On a symmetric A with diagonal d the numerator is
-    d^T M d + sum_(i<j) weights_ij a_ij^2, weights in row-major order.
-    2M = 2I + mask + mask^T is an integer matrix: off the diagonal,
-    (2M)_ij = 1 exactly when the pair is masked, min(i, j) + 2 <= m.  The
-    integer columns D_k = e_k - e_(p-1), k < p-1, span the traceless
-    diagonals, and D^T (2M) D is twice the form there.  For n = 2 the
-    diagonal is 1 x 1 and has no traceless direction, so n < 3 is rejected.
+    A pair i < j of 0-based positions is masked exactly when i + 2 <= m,
+    that is when i lies in block A.
+    """
+    total, tail = 0, sum(diagonal)
+    for i, d in enumerate(diagonal):
+        tail -= d
+        total += 2 * d * d + (2 * d * tail if i + 2 <= m else 0)
+    return total
+
+
+def _sectors(n: int, m: int) -> list[tuple[str, Fraction, np.ndarray]]:
+    """The invariant pieces of the traceless form as (name, value, representative).
+
+    In the order v, A, B, off-diagonal, each piece present or left out:
+    - v = (b on A, -a on B), when a >= 1;
+    - A: sum-zero diagonals on block A, when a >= 2;
+    - B: sum-zero diagonals on block B, when b >= 2;
+    - off-diagonal: E_01 + E_10.  E_ij + E_ji has value (2 - mask_ij)/2,
+      and pair (0, 1) is masked whenever any pair is, so it is the least.
+    The representative X is an integer symmetric matrix of the piece, and
+    the value N(X)/|X|_F^2 is the form's on every matrix of the piece.  For
+    n = 2 the diagonal is 1 x 1 and has no traceless direction, so n < 3 is
+    rejected.
     """
     if n < 3:
         raise ValueError(f"the exact minimum needs dimension n >= 3 for a traceless "
                          f"direction, got n = {n}")
-    p = n - 1
-    two_m = [[2 if i == j else int(min(i, j) + 2 <= m) for j in range(p)] for i in range(p)]
-    last = two_m[-1]
-    block = [[row[j] - row[-1] - last[j] + last[-1] for j in range(p - 1)]
-             for row in two_m[:-1]]
-    one, two = Fraction(1), Fraction(2)
-    weights = tuple(one if i + 2 <= m else two for i in range(p) for _ in range(i + 1, p))
-    return block, [sum(row) for row in two_m], weights
-
-
-def _bareiss(a: list[list[int]], rhs: list[int] | None = None
-             ) -> tuple[list[int], list[int] | None]:
-    """Fraction-free elimination of a symmetric integer matrix, without pivoting.
-
-    Returns the leading minors delta_k of a, read from its upper triangle,
-    and, when rhs is given and a is nonsingular, the integer vector
-    det(a) a^-1 rhs (else None).  delta_k / delta_(k-1) is the k-th LDL^T
-    pivot.  Each step divides by the previous minor, and Sylvester's
-    identity makes every division exact (E. H. Bareiss, Math. Comp. 22,
-    1968), so all arithmetic stays in Python integers, which cannot
-    overflow.
-
-    Raises ValueError unless a is positive semidefinite: a negative pivot,
-    or a zero pivot with a nonzero entry below it, certifies a direction of
-    negative value.  A zero pivot over a zero column is reported as 0 and
-    its step is skipped with the divisor unchanged, so later minors are
-    taken over the indices kept.
-    """
-    d = len(a)
-    rows = [list(row) for row in a]
-    b = None if rhs is None else list(rhs)
-    minors = []
-    prev = 1
-    for k in range(d):
-        top = rows[k]
-        pivot = top[k]
-        if pivot < 0 or (pivot == 0 and any(top[k + 1:])):
-            raise ValueError(f"matrix is not positive semidefinite (pivot {k})")
-        minors.append(pivot)
-        if not pivot:
-            continue
-        for i in range(k + 1, d):
-            f, row = top[i], rows[i]
-            row[i:] = [(pivot * x - f * y) // prev for x, y in zip(row[i:], top[i:])]
-            if b is not None:
-                b[i] = (pivot * b[i] - f * b[k]) // prev
-        prev = pivot
-    if b is None or 0 in minors:
-        return minors, None
-    x = [0] * d
-    for k in reversed(range(d)):
-        top = rows[k]
-        x[k] = (prev * b[k] - sum(top[j] * x[j] for j in range(k + 1, d))) // top[k]
-    return minors, x
-
-
-def _half_pivots(minors: list[int]) -> tuple[Fraction, ...]:
-    """The LDL^T pivots of a/2 from the leading minors of a, a skipped step as 0."""
-    pivots, prev = [], 1
-    for delta in minors:
-        pivots.append(Fraction(delta, 2 * prev))
-        prev = delta or prev
-    return tuple(pivots)
+    p, a = n - 1, m - 1
+    b = p - a
+    diagonals = []
+    if a >= 1:
+        diagonals.append(("v", [b] * a + [-a] * b))
+    if a >= 2:
+        diagonals.append(("A", [1, -1] + [0] * (p - 2)))
+    if b >= 2:
+        diagonals.append(("B", [0] * a + [1, -1] + [0] * (b - 2)))
+    sectors = [(name, Fraction(_twice_form(d, m), 2 * sum(x * x for x in d)), np.diag(d))
+               for name, d in diagonals]
+    off = np.zeros((p, p), dtype=np.int64)
+    off[0, 1] = off[1, 0] = 1
+    # N(E_01 + E_10) = 2 - mask_01 and |E_01 + E_10|_F^2 = 2
+    sectors.append(("off-diagonal", Fraction(2 - (2 <= m), 2), off))
+    return sectors
 
 
 def chen_min_exact(n: int, m: int) -> MatrixWitness:
     """Exact minimum of the ratio, a Fraction, with its exact witness on H = 1.
 
-    On A = I/p + diag(D c) + (off-diagonal part) the numerator is
-    const + 2 b^T c + c^T Q c + (off-diagonal squares), with Q = D^T M D,
-    b = D^T (2M) 1/(2p) and const = 1^T (2M) 1/(2p^2).  The integer
-    elimination of the block 2Q proves the numerator positive definite on
-    traceless matrices, so the minimizer is diagonal and Q c = -b is the
-    unique stationary point; the minimum is const + b^T c.  The
-    elimination also returns x = det(2Q) (2Q)^-1 D^T (2M) 1, so
-    c = -x/(p det) and every output is one Fraction of integers.
+    On admissible pairs every sector value is positive, so the problem is
+    strictly convex; it is invariant under permuting A and permuting B, so
+    its unique minimizer is constant on each block, and off the diagonal it
+    is zero.  On the trace-one slice those matrices are (I + t v)/p, whose
+    numerator is Q(I + t v)/(2p^2) with Q = 2N; t = -Q(I, v)/Q(v) minimizes
+    it.  For m = 1 block A is empty, there is no v, and the minimizer is I/p.
     """
     rec = admissible(n, m)
     if not rec.admissible:
         raise ValueError(f"(n, m) = ({n}, {m}) is not admissible")
-    p = n - 1
-    block, sums, weights = _traceless_block(n, m)
-    rhs = [s - sums[-1] for s in sums[:-1]]
-    minors, x = _bareiss(block, rhs)
-    if x is None:
-        raise ValueError(f"the ({n}, {m}) numerator is singular on traceless matrices")
-    det = minors[-1]
-    scale = p * det
-    diagonal = [Fraction(det - xk, scale) for xk in x] + [Fraction(det + sum(x), scale)]
-    ratio = Fraction(det * sum(sums) - sum(r * xk for r, xk in zip(rhs, x)), 2 * p * scale)
+    sectors = _sectors(n, m)
+    p, a = n - 1, m - 1
+    b = p - a
+    v = [b] * a + [-a] * b
+    q_one, q_v = _twice_form([1] * p, m), _twice_form(v, m)
+    cross = (_twice_form([1 + x for x in v], m) - q_one - q_v) // 2
+    t = Fraction(-cross, q_v) if a else Fraction(0)
+    diagonal = [(1 + t * x) / p for x in v]
+    ratio = (q_one + t * cross) / (2 * p * p)
     return MatrixWitness(n, m, np.diag(np.array(diagonal, dtype=object)), ratio,
-                         _half_pivots(minors) + weights)
+                         tuple(sector[:2] for sector in sectors))
 
 
 # ---------------------------------------------------------------------------
@@ -342,29 +313,17 @@ def chen_min_exact(n: int, m: int) -> MatrixWitness:
 # ---------------------------------------------------------------------------
 
 def brendle_min_exact(n: int, m: int) -> MatrixWitness:
-    """Minimum of the numerator on {tr A = 0, |A|_F = 1}, certified exactly.
+    """Minimum of the numerator on {tr A = 0, |A|_F = 1}, exactly.
 
-    The minimum is positive exactly when the traceless form of
-    `chen_min_exact` is positive definite, which the integer elimination
-    of its block decides exactly.  The float value is the smallest
-    eigenvalue of the diagonal block's pencil (Q, G), G = D^T D = I + J
-    the Frobenius Gram matrix of D, and the witness is the diagonal matrix
-    of its eigenvector.
-
-    The off-diagonal directions cannot go lower.  E_ij + E_ji has ratio
-    (2 - mask_ij)/2, which is 1/2 or 1.  For m >= 2 the traceless diagonal
-    (e_0 - e_1)/sqrt(2) already gives 1/2, since pair (0, 1) is masked; for
-    m = 1 there is no mask and every direction gives 1.
+    The form is a scalar on each invariant sector and the sectors are
+    orthogonal, so the minimum is the least sector value, a Fraction.  The
+    witness is the float unit-norm representative of the first sector, in
+    the order of `_sectors`, that attains it.
     """
     rec = admissible(n, m)
     if rec.ineq1 <= 0:
         raise ValueError(f"requires m^2 - mn + 2n - 2 > 0, got {rec.ineq1}")
-    block, _, weights = _traceless_block(n, m)
-    minors, _ = _bareiss(block)
-    p = n - 1
-    basis = np.eye(p, p - 1, dtype=np.int64)
-    basis[p - 1] = -1
-    inv = np.linalg.inv(np.linalg.cholesky((basis.T @ basis).astype(float)))
-    w, vecs = np.linalg.eigh(inv @ (0.5 * np.array(block)) @ inv.T)
-    return MatrixWitness(n, m, np.diag(basis @ (inv.T @ vecs[:, 0])), float(w[0]),
-                         _half_pivots(minors) + weights)
+    sectors = _sectors(n, m)
+    _, ratio, rep = min(sectors, key=lambda sector: sector[1])
+    return MatrixWitness(n, m, rep / math.sqrt((rep * rep).sum()), ratio,
+                         tuple(sector[:2] for sector in sectors))

@@ -1,16 +1,17 @@
 """Reference routes for the exact matrix inequalities.
 
-`curvlab.inequalities` works on the diagonal block alone, because each
-off-diagonal entry enters the numerator only as its own square, and
-eliminates it in Python integers.  This module keeps the routes that use
-neither:
+`curvlab.inequalities` takes both minima from the numerator's invariant
+sectors.  This module keeps the routes that use no symmetry:
 
+- the diagonal block of the form on traceless matrices in Python integers
+  (`_traceless_block`), its fraction-free elimination (`_bareiss`,
+  `_half_pivots`), and the Chen minimum and LDL^T pivots solved with them
+  (`chen_min_elimination`, `traceless_pivots`);
 - the rational LDL^T on numpy object arrays of `Fraction` (`_ldl`,
-  `_ldl_solve`), the reference for the integer elimination
-  `inequalities._bareiss`;
+  `_ldl_solve`), the reference for the integer elimination;
 - the boolean mask of the weighted pairs (`chen_weight_mask`) and the
   block as numpy integer matrices (`_diagonal_form`), the reference for
-  `inequalities._traceless_block`;
+  `_traceless_block`;
 - the integer Hessian over all T = p(p+1)/2 upper-triangle coordinates of
   a symmetric p x p matrix, its (T-1)-dimensional traceless form, and the
   two minima taken on that form.
@@ -91,6 +92,124 @@ def _ldl_solve(low: np.ndarray, piv: tuple[Fraction, ...], rhs: np.ndarray) -> n
     for i in reversed(range(d)):
         c[i] -= low[i + 1:, i] @ c[i + 1:]
     return c
+
+
+# -- the numerator as an exact quadratic form --------------------------------
+#
+# On traceless matrices the form is block diagonal: a (p-1) x (p-1) block on
+# the diagonal and one weight per off-diagonal entry.  So its LDL^T pivots
+# are the block's pivots followed by the weights.
+
+def _traceless_block(n: int, m: int) -> tuple[list[list[int]], list[int], tuple[Fraction, ...]]:
+    """The numerator in integers: the block D^T (2M) D, the row sums of 2M, the weights.
+
+    On a symmetric A with diagonal d the numerator is
+    d^T M d + sum_(i<j) weights_ij a_ij^2, weights in row-major order.
+    2M = 2I + mask + mask^T is an integer matrix: off the diagonal,
+    (2M)_ij = 1 exactly when the pair is masked, min(i, j) + 2 <= m.  The
+    integer columns D_k = e_k - e_(p-1), k < p-1, span the traceless
+    diagonals, and D^T (2M) D is twice the form there.  For n = 2 the
+    diagonal is 1 x 1 and has no traceless direction, so n < 3 is rejected.
+    """
+    if n < 3:
+        raise ValueError(f"the exact minimum needs dimension n >= 3 for a traceless "
+                         f"direction, got n = {n}")
+    p = n - 1
+    two_m = [[2 if i == j else int(min(i, j) + 2 <= m) for j in range(p)] for i in range(p)]
+    last = two_m[-1]
+    block = [[row[j] - row[-1] - last[j] + last[-1] for j in range(p - 1)]
+             for row in two_m[:-1]]
+    one, two = Fraction(1), Fraction(2)
+    weights = tuple(one if i + 2 <= m else two for i in range(p) for _ in range(i + 1, p))
+    return block, [sum(row) for row in two_m], weights
+
+
+def _bareiss(a: list[list[int]], rhs: list[int] | None = None
+             ) -> tuple[list[int], list[int] | None]:
+    """Fraction-free elimination of a symmetric integer matrix, without pivoting.
+
+    Returns the leading minors delta_k of a, read from its upper triangle,
+    and, when rhs is given and a is nonsingular, the integer vector
+    det(a) a^-1 rhs (else None).  delta_k / delta_(k-1) is the k-th LDL^T
+    pivot.  Each step divides by the previous minor, and Sylvester's
+    identity makes every division exact (E. H. Bareiss, Math. Comp. 22,
+    1968), so all arithmetic stays in Python integers, which cannot
+    overflow.
+
+    Raises ValueError unless a is positive semidefinite: a negative pivot,
+    or a zero pivot with a nonzero entry below it, certifies a direction of
+    negative value.  A zero pivot over a zero column is reported as 0 and
+    its step is skipped with the divisor unchanged, so later minors are
+    taken over the indices kept.
+    """
+    d = len(a)
+    rows = [list(row) for row in a]
+    b = None if rhs is None else list(rhs)
+    minors = []
+    prev = 1
+    for k in range(d):
+        top = rows[k]
+        pivot = top[k]
+        if pivot < 0 or (pivot == 0 and any(top[k + 1:])):
+            raise ValueError(f"matrix is not positive semidefinite (pivot {k})")
+        minors.append(pivot)
+        if not pivot:
+            continue
+        for i in range(k + 1, d):
+            f, row = top[i], rows[i]
+            row[i:] = [(pivot * x - f * y) // prev for x, y in zip(row[i:], top[i:])]
+            if b is not None:
+                b[i] = (pivot * b[i] - f * b[k]) // prev
+        prev = pivot
+    if b is None or 0 in minors:
+        return minors, None
+    x = [0] * d
+    for k in reversed(range(d)):
+        top = rows[k]
+        x[k] = (prev * b[k] - sum(top[j] * x[j] for j in range(k + 1, d))) // top[k]
+    return minors, x
+
+
+def _half_pivots(minors: list[int]) -> tuple[Fraction, ...]:
+    """The LDL^T pivots of a/2 from the leading minors of a, a skipped step as 0."""
+    pivots, prev = [], 1
+    for delta in minors:
+        pivots.append(Fraction(delta, 2 * prev))
+        prev = delta or prev
+    return tuple(pivots)
+
+
+def traceless_pivots(n: int, m: int) -> tuple[Fraction, ...]:
+    """The LDL^T pivots of the numerator on traceless matrices, by integer elimination.
+
+    The diagonal block's pivots followed by the off-diagonal weights.
+    Raises ValueError where the form is not positive semidefinite.
+    """
+    block, _, weights = _traceless_block(n, m)
+    return _half_pivots(_bareiss(block)[0]) + weights
+
+
+def chen_min_elimination(n: int, m: int) -> tuple[Fraction, list[Fraction]]:
+    """The exact Chen minimum and the diagonal of its witness, solved on the block.
+
+    On A = I/p + diag(D c) + (off-diagonal part) the numerator is
+    const + 2 b^T c + c^T Q c + (off-diagonal squares), with Q = D^T M D,
+    b = D^T (2M) 1/(2p) and const = 1^T (2M) 1/(2p^2).  The elimination
+    of the block 2Q returns x = det(2Q) (2Q)^-1 D^T (2M) 1, so the
+    stationary point Q c = -b is c = -x/(p det) and the minimum is
+    const + b^T c.
+    """
+    p = n - 1
+    block, sums, _ = _traceless_block(n, m)
+    rhs = [s - sums[-1] for s in sums[:-1]]
+    minors, x = _bareiss(block, rhs)
+    if x is None:
+        raise ValueError(f"the ({n}, {m}) numerator is singular on traceless matrices")
+    det = minors[-1]
+    scale = p * det
+    diagonal = [Fraction(det - xk, scale) for xk in x] + [Fraction(det + sum(x), scale)]
+    ratio = Fraction(det * sum(sums) - sum(r * xk for r, xk in zip(rhs, x)), 2 * p * scale)
+    return ratio, diagonal
 
 
 # A symmetric p x p matrix A has upper-triangle coordinates x = (a_ij), i <= j.

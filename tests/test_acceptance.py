@@ -41,6 +41,7 @@ from curvlab.inequalities import (
 from diameter_references import rotational_diameter
 from float_minimizers import brendle_min, chen_min_ratio
 from frame_references import cm_double_sum, complete_frame
+from inequality_references import traceless_pivots
 
 EXPECTED_ADMISSIBLE = {3: {1, 2}, 4: {1, 2, 3}, 5: {1, 2, 3, 4},
                        6: {1, 4, 5}, 7: {1, 5, 6}}
@@ -126,7 +127,8 @@ def test_criterion_06_chen_minimum():
     for n, m in _all_admissible_pairs():
         threshold = d_of(n, m).value
         exact = chen_min_exact(n, m)
-        ok = ok and exact.ratio == threshold and min(exact.pivots) > 0
+        ok = ok and exact.ratio == threshold and min(traceless_pivots(n, m)) > 0
+        ok = ok and min(value for _, value in exact.sectors) > 0
         witness = chen_min_ratio(n, m, budget=64, seed=0)
         ok = ok and witness.ratio >= float(threshold) - 1e-9
     w32 = chen_min_exact(3, 2)
@@ -135,7 +137,7 @@ def test_criterion_06_chen_minimum():
     ok = ok and w32.ratio == Fraction(3, 4) and w42.ratio == half
     ok = ok and (w32.matrix == np.diag([half, half])).all()
     ok = ok and (w42.matrix == np.diag([Fraction(0), half, half])).all()
-    _line(6, ok, f"15 pairs: exact minimum == D with positive LDL^T pivots, "
+    _line(6, ok, f"15 pairs: exact minimum == D with positive sectors and LDL^T pivots, "
                  f"descent >= D - 1e-9; (3,2)={w32.ratio}, (4,2)={w42.ratio}")
 
 
@@ -147,11 +149,12 @@ def test_criterion_07_minimal_case_positivity():
         descent = brendle_min(n, m, budget=64, seed=0)
         ok = ok and exact.ratio >= 0.0 and descent.ratio >= -1e-12
         if admissible(n, m).ineq1 > 0:
-            ok = ok and min(exact.pivots) > 0
+            ok = ok and min(value for _, value in exact.sectors) > 0
         lows.append(exact.ratio)
-        pivots.append(min(exact.pivots))
+        pivots.append(min(traceless_pivots(n, m)))
+    ok = ok and min(pivots) > 0
     _line(7, ok, f"traceless norm-1 minima in "
-                 f"[{min(lows):.6f}, {max(lows):.6f}] over 15 pairs; "
+                 f"[{min(lows)}, {max(lows)}] over 15 pairs; "
                  f"smallest LDL^T pivot {min(pivots)}")
 
 

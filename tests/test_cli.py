@@ -12,7 +12,6 @@ import shlex
 import subprocess
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +166,16 @@ class TestVerifyExamples:
         assert worst["r"] == -10.0
         assert worst["value"] == pytest.approx(-224.0)
 
+    def test_failed_search_says_why(self, tmp_path, capsys):
+        # C_m scales with lambda, so at 5e-324 no sphere scale passes
+        code, paths, err = run_cli(
+            ["verify-examples", "--n", "7", "--m", "4", "--lambda", "5e-324",
+             "--out", str(tmp_path)], capsys)
+        assert code == 1 and len(paths) == 1
+        assert load_json(paths[0])["witnesses"]["epsilon"] is None
+        assert ("[verify-examples] no epsilon in 2^-t, t <= 20, passed for "
+                "(n, m, lambda) = (7, 4, 5e-324)") in err.splitlines()
+
 
 class TestScanAlgebra:
     def test_default_run(self, tmp_path, capsys):
@@ -248,8 +257,8 @@ class TestMatrixInequalities:
         wit = load_json(paths[0])["witnesses"]
         assert wit["threshold_D"] == wit["chen"]["ratio_exact"] == "1/2"
         assert wit["chen"]["ratio"] == 0.5 and wit["chen"]["gap"] == 0.0
-        assert wit["brendle"]["min_pivot"] == "2/5"
-        assert wit["brendle"]["ratio"] == pytest.approx(1 / 6, abs=1e-12)
+        assert wit["brendle"]["ratio_exact"] == "1/6" and wit["brendle"]["sector"] == "v"
+        assert wit["brendle"]["ratio"] == 1 / 6
         assert all(isinstance(v, float) and math.isfinite(v)
                    for key in ("chen", "brendle")
                    for row in wit[key]["matrix"] for v in row)
@@ -268,15 +277,14 @@ class TestMatrixInequalities:
 
     @pytest.mark.parametrize("m", [1, 39])
     def test_large_dimension(self, m, tmp_path, capsys):
-        # a 38 x 38 block: at m = 1 the elimination's products reach 2.7e25,
-        # past int64, and must stay exact
         code, paths, _ = run_cli(
             ["matrix-inequalities", "--n", "40", "--m", str(m),
              "--out", str(tmp_path)], capsys)
         assert code == 0
         wit = load_json(paths[0])["witnesses"]
         assert wit["chen"]["ratio_exact"] == wit["threshold_D"]
-        assert Fraction(wit["brendle"]["min_pivot"]) > 0
+        assert (wit["brendle"]["ratio_exact"], wit["brendle"]["sector"]) == {
+            1: ("1", "B"), 39: ("1/2", "v")}[m]
 
     def test_inadmissible_pair(self, tmp_path, capsys):
         code, paths, _ = run_cli(

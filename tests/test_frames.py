@@ -42,7 +42,6 @@ from curvlab.frames import (
     random_frames,
     tangent_project,
 )
-from curvlab.inequalities import _bareiss
 import frame_references
 from curvature_references import (
     complex_projective_minimum,
@@ -65,6 +64,7 @@ from frame_references import (
     slow_path_starts,
     smallest,
 )
+from inequality_references import _bareiss
 
 
 DENSE_SHAPES = [(4, 2), (5, 3), (6, 2), (7, 5), (8, 4)]

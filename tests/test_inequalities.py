@@ -3,8 +3,9 @@
 The float descents in `float_minimizers` are the cross-checks of the exact
 minima; they read the numerator only through the float `chen_numerator`.
 The full upper-triangle form in `inequality_references` is the cross-check
-of the reduced diagonal form the exact minima are solved on, and its
-rational LDL^T the cross-check of the integer elimination that solves them.
+of the reduced diagonal block, its rational LDL^T the cross-check of the
+integer elimination of that block, and the elimination the cross-check of
+the sector values the exact minima are taken from.
 """
 import re
 from fractions import Fraction
@@ -15,9 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from curvlab.inequalities import (
-    _bareiss,
-    _half_pivots,
-    _traceless_block,
+    _sectors,
     admissible,
     admissibility_sweep_rows,
     brendle_min_exact,
@@ -30,15 +29,21 @@ from curvlab.inequalities import (
 )
 from float_minimizers import brendle_min, chen_functional, chen_min_ratio, chen_numerator
 from inequality_references import (
+    _bareiss,
     _coordinates,
     _diagonal_form,
+    _half_pivots,
     _ldl,
     _ldl_solve,
     _numerator_hessian,
+    _traceless_basis,
+    _traceless_block,
     _traceless_form,
     brendle_min_reference,
+    chen_min_elimination,
     chen_min_reference,
     chen_weight_mask,
+    traceless_pivots,
 )
 
 # admissible m-sets for n = 3..7
@@ -279,7 +284,7 @@ class TestBrendleMinimum:
                 if admissible(n, m).ineq1 <= 0:
                     continue
                 w = brendle_min_exact(n, m)
-                assert min(w.pivots) > 0, (n, m)
+                assert min(value for _, value in w.sectors) > 0, (n, m)
                 assert w.ratio > 1e-3, (n, m)
 
     def test_boundary_pairs_rejected(self):
@@ -294,6 +299,11 @@ class TestBrendleMinimum:
         w = brendle_min_exact(6, 4)
         assert chen_numerator(w.matrix, chen_weight_mask(6, 4)) == pytest.approx(
             w.ratio, abs=1e-12)
+
+
+# every pair of the 3 <= n <= 12 atlas on which the minimal case is defined
+POSITIVE_PAIRS = [(n, m) for n in range(3, 13) for m in range(1, n)
+                  if admissible(n, m).ineq1 > 0]
 
 
 class TestExactForms:
@@ -319,7 +329,7 @@ class TestExactForms:
         assert (q @ c == -b).all()
 
     def test_smallest_pivot(self):
-        pivots = {pair: min(chen_min_exact(*pair).pivots) for pair in ADMISSIBLE_PAIRS}
+        pivots = {pair: min(traceless_pivots(*pair)) for pair in ADMISSIBLE_PAIRS}
         assert min(pivots.values()) == Fraction(2, 5)
         assert pivots[(7, 5)] == Fraction(2, 5)
 
@@ -337,20 +347,14 @@ class TestExactForms:
         _, piv = _ldl(_fractions([[1, 1, 0], [1, 1, 0], [0, 0, 3]]))
         assert piv == (1, 0, 3)
 
-    @pytest.mark.parametrize("pair", ADMISSIBLE_PAIRS)
+    @pytest.mark.parametrize("pair", POSITIVE_PAIRS)
     def test_minimal_case_minimum_pinned(self, pair):
         n, m = pair
-        t = Fraction(1) if m == 1 else Fraction(1, 2) if m == n - 1 else Fraction(1, n - 1)
+        t = brendle_min_exact(n, m).ratio
         q, gram = _traceless_form(n, m)[0], _traceless_form(n, 1)[0]
         # N(A) >= t |A|_F^2 on traceless A, with equality for some A != 0
         _, piv = _ldl(q - t * gram)
         assert min(piv) == 0
-        assert brendle_min_exact(n, m).ratio == pytest.approx(float(t), abs=1e-12)
-
-
-# every pair of the 3 <= n <= 12 atlas on which the minimal case is defined
-POSITIVE_PAIRS = [(n, m) for n in range(3, 13) for m in range(1, n)
-                  if admissible(n, m).ineq1 > 0]
 
 
 class TestReducedForm:
@@ -362,12 +366,12 @@ class TestReducedForm:
         brendle = brendle_min_exact(n, m)
         # the LDL^T of a block-diagonal form is the blocks' LDL^T, so the
         # pivots agree exactly, off-diagonal weights included
-        assert brendle.pivots == _ldl(_traceless_form(n, m)[0])[1]
+        assert traceless_pivots(n, m) == _ldl(_traceless_form(n, m)[0])[1]
         assert brendle.ratio == pytest.approx(brendle_min_reference(n, m), abs=1e-12)
         if admissible(n, m).admissible:
             chen = chen_min_exact(n, m)
             ratio, matrix = chen_min_reference(n, m)
-            assert chen.pivots == brendle.pivots
+            assert chen.sectors == brendle.sectors
             assert chen.ratio == ratio
             assert (chen.matrix == matrix).all()
 
@@ -382,6 +386,60 @@ class TestReducedForm:
         w = brendle_min_exact(n, m)
         assert w.ratio <= off + 1e-12
         assert np.count_nonzero(w.matrix - np.diag(np.diag(w.matrix))) == 0
+        # and the witness attains it on the traceless unit sphere
+        assert abs(np.trace(w.matrix)) < 1e-12
+        assert np.linalg.norm(w.matrix) == pytest.approx(1.0, abs=1e-12)
+        assert chen_numerator(w.matrix, mask) == pytest.approx(w.ratio, abs=1e-12)
+
+
+class TestSectorsAgainstElimination:
+    """The sector route against the integer elimination of the diagonal block."""
+
+    @pytest.mark.parametrize("pair", [(n, m) for n in range(3, 13) for m in range(1, n)])
+    def test_sectors_are_eigenvectors_of_the_full_form(self, pair):
+        # each representative lies in its sector, is an eigenvector of the
+        # full traceless pencil (Q, G) with the sector's value, and the
+        # sectors' dimensions add up to the traceless space's
+        n, m = pair
+        p, a = n - 1, m - 1
+        q, gram = _traceless_form(n, m)[0], _traceless_form(n, 1)[0]
+        dims = {"v": 1, "A": a - 1, "B": p - a - 1, "off-diagonal": p * (p - 1) // 2}
+        sectors = _sectors(n, m)
+        assert sum(dims[name] for name, _, _ in sectors) == len(q)
+        for name, value, rep in sectors:
+            c = np.array([rep[k, k] for k in range(p - 1)]
+                         + [rep[i, j] for i, j in _coordinates(p) if i < j])
+            x = np.array([rep[i, j] for i, j in _coordinates(p)])
+            assert (_traceless_basis(p) @ c == x).all(), (pair, name)
+            assert (q @ c == value * (gram @ c)).all(), (pair, name)
+            d = rep.diagonal()
+            assert {"v": len(set(d[:a])) == len(set(d[a:])) == 1,
+                    "A": not d[a:].any(), "B": not d[:a].any(),
+                    "off-diagonal": not d.any()}[name], (pair, name)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_matches_the_elimination(self, n):
+        # at (40, 1) the elimination's products reach 2.7e25, past int64,
+        # and must stay exact
+        for m in range(1, n):
+            try:
+                definite = min(traceless_pivots(n, m)) > 0
+            except ValueError:
+                definite = False
+            assert (min(value for _, value, _ in _sectors(n, m)) > 0) == definite, (n, m)
+            if definite:
+                # Q - t G, G = I + J the Gram matrix of the block's basis, is
+                # positive semidefinite and singular at t = the minimum
+                t = brendle_min_exact(n, m).ratio
+                shifted = [[t.denominator * q - 2 * t.numerator * (1 + (i == j))
+                            for j, q in enumerate(row)]
+                           for i, row in enumerate(_traceless_block(n, m)[0])]
+                assert 0 in _bareiss(shifted)[0], (n, m)
+            if admissible(n, m).admissible:
+                ratio, diagonal = chen_min_elimination(n, m)
+                chen = chen_min_exact(n, m)
+                assert chen.ratio == ratio, (n, m)
+                assert (chen.matrix == np.diag(np.array(diagonal, dtype=object))).all(), (n, m)
 
 
 def _fractions(rows):
