@@ -258,42 +258,47 @@ def _sectional_table(metric: WarpedTorusMetric, r: float | np.ndarray) -> np.nda
     return table.transpose(*range(2, table.ndim), 0, 1)
 
 
-def _class_count_minima(metric: WarpedTorusMetric,
-                        table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact C_m minima of class tables (..., 3, 3): (lowest, counts, finite).
+def _class_count_minima(metric: WarpedTorusMetric, table: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact C_m minima of class tables (..., 3, 3): (lowest, counts, finite, coordinate).
 
     The one class-count kernel: `cm_min_exact` passes it one table, the
     positivity sweep a grid of them.  For each table, lowest is the
     minimum over the count vectors (i, rho, j), counts the first count
-    vector within TIE_TOL of it (see `cm_min_exact` for the order) and
-    finite whether every count vector's value is finite; lowest and
-    counts mean nothing where it is not.  A grid row equals the single
-    table's result bit for bit: the table is made contiguous, so that
-    `table @ (s, 1, t)` rounds each row as it rounds one table, and each
-    row's Ricci values meet the count vectors in a matrix-vector product
-    of their own, as BLAS forms it for one table.  A matrix product over
-    the whole grid rounds some rows differently.
+    vector within TIE_TOL of it (see `cm_min_exact` for the order),
+    finite whether every count vector's value is finite, and coordinate
+    the value of the last count vector, (0, 1, m - 1): C_m at the
+    distinguished frame (e_r, torus).  lowest, counts and coordinate mean
+    nothing where finite is False.  With r_s, r_r and r_t the Ricci values
+    of a sphere, the radial and a torus direction, and c_xy how many
+    (x, y) pairs a count vector holds, every value is formed elementwise
+    in one order,
+
+        r_s = ((s - 1) k_ss + k_sr) + t k_st,   r_r = s k_sr + t k_rt,
+        r_t = (s k_st + k_rt) + (t - 1) k_tt,
+        pairs = (((c_ss k_ss + c_tt k_tt) + c_sr k_sr) + c_st k_st) + c_rt k_rt,
+        value = ((i r_s + rho r_r) + j r_t) - pairs,
+
+    each operation rounded on its own, so a grid row equals the single
+    table's result bit for bit, on every machine.
     """
     s, m, t = metric.sphere_dim, metric.m, metric.torus_dim
-    counts = [(i, rho, m - i - rho) for i in range(min(m, s), -1, -1)
-              for rho in (1, 0) if 0 <= m - i - rho <= t]
-    # how many (sphere, sphere), (torus, torus), (sphere, r), (sphere, torus)
-    # and (r, torus) pairs each count vector holds
-    c_ss, c_tt, c_sr, c_st, c_rt = np.array(
-        [(i * (i - 1) / 2, j * (j - 1) / 2, i * rho, i * j, rho * j)
-         for i, rho, j in counts]).T
-    counts = np.array(counts)
-    table = np.ascontiguousarray(table)
+    counts = np.array([(i, rho, m - i - rho) for i in range(min(m, s), -1, -1)
+                       for rho in (1, 0) if 0 <= m - i - rho <= t])
+    i, rho, j = counts.T
     k_ss, k_sr, k_st, k_rt, k_tt = (table[..., a, b, None]
                                     for a, b in ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2)))
     with np.errstate(all="ignore"):
-        # a direction never pairs with itself, hence the diagonal
-        ricci = table @ np.array([s, 1, t]) - np.diagonal(table, axis1=-2, axis2=-1)
-        pairs = c_ss * k_ss + c_tt * k_tt + c_sr * k_sr + c_st * k_st + c_rt * k_rt
-        values = (counts @ ricci[..., None])[..., 0] - pairs
+        # a direction never pairs with itself, hence s - 1 and t - 1
+        r_s = (s - 1) * k_ss + k_sr + t * k_st
+        r_r = s * k_sr + t * k_rt
+        r_t = s * k_st + k_rt + (t - 1) * k_tt
+        pairs = (i * (i - 1) / 2 * k_ss + j * (j - 1) / 2 * k_tt + i * rho * k_sr
+                 + i * j * k_st + rho * j * k_rt)
+        values = i * r_s + rho * r_r + j * r_t - pairs
         lowest = values.min(axis=-1)
         first = np.argmax(values <= lowest[..., None] + TIE_TOL, axis=-1)
-    return lowest, counts[first], np.isfinite(values).all(axis=-1)
+    return lowest, counts[first], np.isfinite(values).all(axis=-1), values[..., -1]
 
 
 def _count_subset(metric: WarpedTorusMetric, counts) -> tuple[int, ...]:
@@ -323,7 +328,7 @@ def cm_min_exact(metric: WarpedTorusMetric,
     value is not finite.  The values come from `_class_count_minima`, the
     kernel the positivity sweep runs on a whole grid.
     """
-    lowest, counts, finite = _class_count_minima(metric, _sectional_table(metric, r))
+    lowest, counts, finite, _ = _class_count_minima(metric, _sectional_table(metric, r))
     if not finite:
         raise ValueError(f"C_m at r = {r!r}: class-count values are not finite")
     counts = tuple(int(c) for c in counts)
@@ -334,42 +339,21 @@ def _sectional_components(table: np.ndarray, labels: Sequence[str]) -> np.ndarra
     """Components on a frame whose directions carry the given class labels.
 
     Rm_abcd = K_ab (delta_ac delta_bd - delta_ad delta_bc) for a != b, where
-    K_ab is the value of the labels of e_a and e_b in the class table; a
-    stack of tables (..., 3, 3) gives a stack of tensors.
+    K_ab is the value of the labels of e_a and e_b in the 3x3 class table.
     """
     classes = np.array([_CLASS[label] for label in labels])
     n = len(labels)
     a, b = np.nonzero(~np.eye(n, dtype=bool))
-    # flat positions, so that each stack row takes one 1-D fancy index
-    sectional = table.reshape(table.shape[:-2] + (9,))[..., 3 * classes[a] + classes[b]]
-    comp = np.zeros(table.shape[:-2] + (n ** 4,))
-    comp[..., ((a * n + b) * n + a) * n + b] = sectional
-    comp[..., ((a * n + b) * n + b) * n + a] = -sectional
-    return comp.reshape(table.shape[:-2] + (n,) * 4)
+    sectional = table[classes[a], classes[b]]
+    comp = np.zeros((n,) * 4)
+    comp[a, b, a, b] = sectional
+    comp[a, b, b, a] = -sectional
+    return comp
 
 
 def _exact(metric: WarpedTorusMetric, r: float) -> RiemannData:
     return RiemannData.from_components(
         _sectional_components(_sectional_table(metric, r), metric.frame_labels()))
-
-
-def _grid_riemann(metric: WarpedTorusMetric,
-                  table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`riemann_exact`'s components and Ricci tensors for a stack of class tables.
-
-    Returns (components (R, n, n, n, n), ricci (R, n, n), accepted (R,)),
-    where accepted says whether `riemann_exact` accepts the table's
-    radius: its components, Ricci values and scalar curvature are
-    finite.  Each contraction runs per table as `RiemannData` runs it, so
-    the Ricci tensors equal riemann_exact's bit for bit.
-    """
-    comp = _sectional_components(table, metric.frame_labels())
-    with np.errstate(over="ignore", invalid="ignore"):
-        ricci = np.einsum("...cacb->...ab", comp)
-        scalar = np.trace(ricci, axis1=-2, axis2=-1)
-    accepted = (np.isfinite(comp).all(axis=(-4, -3, -2, -1))
-                & np.isfinite(ricci).all(axis=(-2, -1)) & np.isfinite(scalar))
-    return comp, ricci, accepted
 
 
 def riemann_exact(metric: WarpedTorusMetric, r: float) -> RiemannData:
@@ -439,6 +423,29 @@ def _finite_reach(metric: WarpedTorusMetric, r: float) -> float | None:
     return float(Context(prec=4, rounding=ROUND_FLOOR).plus(Decimal(as_float(lo))))
 
 
+def _table_ricci(metric: WarpedTorusMetric,
+                 table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ricci values (R, n) and scalar curvature (R,) of a stack of class tables.
+
+    Each Ricci value is the sum of its direction's class values over the
+    other frame directions in frame index order, and each scalar one row
+    reduction, as `np.trace` reduces (pairwise from n = 8), so both equal
+    `riemann_exact`'s contractions of the same table bit for bit without
+    building its n^4 components.  An inf or NaN class value or Ricci value
+    leaves the scalar inf or NaN, so the scalar is finite exactly where
+    `riemann_exact` accepts the table.  Overflow raises no warning.
+    """
+    classes = [_CLASS[label] for label in metric.frame_labels()]
+    sectional = table[:, classes][:, :, classes]
+    # a direction never pairs with itself
+    sectional[:, range(metric.n), range(metric.n)] = 0.0
+    with np.errstate(all="ignore"):
+        ricci = sectional[:, 0].copy()  # C order: sum(axis=1) reduces each row alone
+        for c in range(1, metric.n):
+            ricci += sectional[:, c]
+        return ricci, ricci.sum(axis=1)
+
+
 def diagonal_ricci(metric: WarpedTorusMetric,
                    r_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Ricci values (R, n) and scalar curvature (R,) on a grid of R radii.
@@ -447,26 +454,14 @@ def diagonal_ricci(metric: WarpedTorusMetric,
     are all of it.  The class table is evaluated once on the whole grid;
     its rows equal the scalar tables `riemann_exact` reads because every
     class-value formula squares as `x * x`, never with numpy's scalar
-    `** 2`.  Each Ricci value is the sum of its direction's class values
-    over the other frame directions in frame index order, and the scalar
-    is reduced as `np.trace` reduces, so both equal `riemann_exact`'s
-    contractions bit for bit without building its n^4 components.  When a
-    value is not finite, the first such radius in grid order goes to
-    `riemann_exact`, whose error names it and the finite reach.
+    `** 2`.  The contractions are `_table_ricci`'s, equal to
+    `riemann_exact`'s bit for bit.  When a value is not finite, the first
+    such radius in grid order goes to `riemann_exact`, whose error names it
+    and the finite reach.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    classes = [_CLASS[label] for label in metric.frame_labels()]
-    sectional = _sectional_table(metric, r_grid)[:, classes][:, :, classes]
-    # a direction never pairs with itself
-    sectional[:, range(metric.n), range(metric.n)] = 0.0
-    with np.errstate(all="ignore"):
-        ricci = sectional[:, 0]
-        for c in range(1, metric.n):
-            ricci = ricci + sectional[:, c]
-        # one 1-D reduction per radius, as np.trace does (pairwise from n = 8)
-        scalar = np.array([row.sum() for row in ricci])
-    _reject_first(metric, r_grid, np.isfinite(ricci).all(axis=1) & np.isfinite(scalar),
-                  "Ricci values")
+    ricci, scalar = _table_ricci(metric, _sectional_table(metric, r_grid))
+    _reject_first(metric, r_grid, np.isfinite(scalar), "Ricci values")
     return ricci, scalar
 
 

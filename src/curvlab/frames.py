@@ -33,9 +33,9 @@ it scores V = U^perp through P_V = I - P_U (Haar on U is Haar on V).
 The minimizer serves dense tensors.  On the warped torus family the
 curvature operator is diagonal on coordinate 2-vectors, and
 `curvature.cm_min_exact` gives the minimum from the class counts; the
-positivity sweep runs the same class-count kernel on its whole grid, and
-the tests play `cm_min` against it.  The sweep's coordinate-frame check
-contracts a stack of tensors with `cm_of_frame`'s projection form.
+positivity sweep runs the same class-count kernel on its whole grid and
+reads C_m at the distinguished coordinate frame off it too.  The tests
+play `cm_min` and `cm_of_frame` against it.
 
 Only the sampling oracle handles stacks of frames.  They have shape
 (B, n, k) and are read stack-last, (k, n, B), the layout Gram-Schmidt
@@ -153,20 +153,9 @@ def _check_frame(riemann: RiemannData, q: np.ndarray) -> np.ndarray:
 def cm_of_frame(riemann: RiemannData, q: np.ndarray) -> float:
     """C_m of a single orthonormal frame through the projection form."""
     q = _check_frame(riemann, q)
-    return float(_projection_value(riemann.components, riemann.ricci, q @ q.T))
-
-
-def _projection_value(components: np.ndarray, ricci: np.ndarray,
-                      p: np.ndarray) -> np.ndarray:
-    """tr(Ric P) - 1/2 Rm_pqrs P_pr P_qs for one projection P and a stack of tensors.
-
-    The tensors may carry leading axes, (..., n, n, n, n) with Ricci
-    tensors (..., n, n); each one's value equals `cm_of_frame`'s bit for
-    bit, since einsum sums every tensor of the stack in the order it sums
-    one.
-    """
-    quad = np.einsum("...pqrs,pr,qs->...", components, p, p)
-    return np.einsum("...ab,ab->...", ricci, p) - 0.5 * quad
+    p = q @ q.T
+    quad = np.einsum("pqrs,pr,qs->", riemann.components, p, p)
+    return float(np.einsum("ab,ab->", riemann.ricci, p) - 0.5 * quad)
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ reported by the CLI: its two parts sum to the full Laplacian by
 `curvature-report` took before it read the diagonal Ricci values off the
 sectional class table.  `per_radius_sweep` is the positivity sweep one
 radius at a time, as it ran before it evaluated the grid as arrays, and
-`class_count_minimum` the per-radius class-count formula it called.
+`class_count_minimum` the per-radius class-count formula it calls.
 """
 from __future__ import annotations
 
@@ -96,51 +96,54 @@ def lift_laplacian_split(metric: WarpedTorusMetric, r) -> tuple[np.ndarray, np.n
 
 
 def class_count_minimum(metric: WarpedTorusMetric, table: np.ndarray, r: float):
-    """(value, counts, subset) of the exact C_m minimum from the class table at r.
+    """(value, counts, subset, coordinate value) of the exact C_m minimum at r.
 
-    The count vectors' values are formed as one matrix-vector product of
-    the count matrix with the table's Ricci values.  Raises ValueError
-    naming r when a value is not finite.
+    The count vectors' values are formed from the class table at r in the
+    order `curvature._class_count_minima` states; the coordinate value is
+    the last one's, the count vector (0, 1, m - 1) of the distinguished
+    frame.  Raises ValueError naming r when a value is not finite.
     """
-    s, m = metric.sphere_dim, metric.m
+    s, m, t = metric.sphere_dim, metric.m, metric.torus_dim
     counts = np.array([(i, rho, m - i - rho) for i in range(min(m, s), -1, -1)
-                       for rho in (1, 0) if 0 <= m - i - rho <= metric.torus_dim])
+                       for rho in (1, 0) if 0 <= m - i - rho <= t])
     i, rho, j = counts.T
     (k_ss, k_sr, k_st), (_, _, k_rt), (_, _, k_tt) = table
     with np.errstate(all="ignore"):
-        ricci = table @ np.array([s, 1, metric.torus_dim]) - np.diag(table)
+        r_s = (s - 1) * k_ss + k_sr + t * k_st
+        r_r = s * k_sr + t * k_rt
+        r_t = s * k_st + k_rt + (t - 1) * k_tt
         pairs = (i * (i - 1) / 2 * k_ss + j * (j - 1) / 2 * k_tt
                  + i * rho * k_sr + i * j * k_st + rho * j * k_rt)
-        values = counts @ ricci - pairs
+        values = i * r_s + rho * r_r + j * r_t - pairs
     if not np.isfinite(values).all():
         raise ValueError(f"C_m at r = {r!r}: class-count values are not finite")
     lowest = float(values.min())
     i, rho, j = (int(c) for c in counts[np.flatnonzero(values <= lowest + TIE_TOL)[0]])
     subset = tuple(range(i)) + (s,) * rho + tuple(range(s + 1, s + 1 + j))
-    return lowest, (i, rho, j), subset
+    return lowest, (i, rho, j), subset, float(values[-1])
 
 
 def per_radius_sweep(metric: WarpedTorusMetric, lam: float, r_grid,
                      fail_fast: bool = False) -> PositivityReport:
     """`verify_uniform_positivity` one radius at a time, in sweep order.
 
-    Each radius builds `riemann_exact`'s tensor, takes `class_count_minimum`
-    and scores the distinguished coordinate frame with `cm_of_frame`, and
-    a fail-fast sweep stops after the first radius below the threshold.
+    Each radius builds `riemann_exact`'s tensor, which raises where the
+    curvature is not finite, and takes `class_count_minimum`, whose last
+    count vector gives C_m at the distinguished coordinate frame; a
+    fail-fast sweep stops after the first radius below the threshold.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size == 0:
         raise ValueError("the radial grid is empty")
     threshold = lam * (1.0 - PASS_SLACK)
-    coord_q = coordinate_frame(metric.n, metric.coordinate_frame_indices())
     order = sorted(range(len(r_grid)), key=lambda i: (abs(r_grid[i]), r_grid[i]))
     visited = []  # (r, value, counts, subset) in sweep order
     cmin, cmax = np.inf, -np.inf
     for i in order:
         r = float(r_grid[i])
-        rd = riemann_exact(metric, r)
-        visited.append((r, *class_count_minimum(metric, _sectional_table(metric, r), r)))
-        cv = cm_of_frame(rd, coord_q)
+        riemann_exact(metric, r)
+        *minimum, cv = class_count_minimum(metric, _sectional_table(metric, r), r)
+        visited.append((r, *minimum))
         cmin, cmax = min(cmin, cv), max(cmax, cv)
         if fail_fast and visited[-1][1] < threshold:
             break

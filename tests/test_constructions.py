@@ -457,7 +457,8 @@ class TestWorstRadius:
             assert all(curvature._count_subset(metric, counts[r]) == subsets[r]
                        for r in sweep_order)
             return (np.array([values[r] for r in sweep_order]),
-                    np.array([counts[r] for r in sweep_order]), np.ones(3, dtype=bool))
+                    np.array([counts[r] for r in sweep_order]), np.ones(3, dtype=bool),
+                    np.ones(3))
 
         monkeypatch.setattr(curvature, "_class_count_minima", fake_grid)
         # the threshold sits 5e-13 below v: the verdict reads the true minimum
@@ -474,6 +475,24 @@ class TestWorstRadius:
 
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
+
+
+def python_float_class_values(metric, table):
+    """The count vectors' values from one class table, in Python floats.
+
+    Each operation is one rounded double operation, in the order that
+    `curvature._class_count_minima` states, with no fused multiply-add.
+    """
+    s, m, t = metric.sphere_dim, metric.m, metric.torus_dim
+    (k_ss, k_sr, k_st), (_, _, k_rt), (_, _, k_tt) = table.tolist()
+    r_s = (s - 1) * k_ss + k_sr + t * k_st
+    r_r = s * k_sr + t * k_rt
+    r_t = s * k_st + k_rt + (t - 1) * k_tt
+    return [i * r_s + rho * r_r + j * r_t
+            - (i * (i - 1) / 2 * k_ss + j * (j - 1) / 2 * k_tt + i * rho * k_sr
+               + i * j * k_st + rho * j * k_rt)
+            for i in range(min(m, s), -1, -1) for rho in (1, 0)
+            for j in [m - i - rho] if 0 <= j <= t]
 
 
 def report_text(rep):
@@ -500,49 +519,49 @@ class TestGridSweep:
             for eps in (2.0, 1.0, 0.5, 0.25):
                 metric = build_counterexample(n, m, lam, eps)
                 table = curvature._sectional_table(metric, GRID)
-                lowest, counts, finite = curvature._class_count_minima(metric, table)
+                lowest, counts, finite, coordinate = curvature._class_count_minima(
+                    metric, table)
                 assert finite.all()
-                for r, value, row in zip(GRID, lowest, counts):
+                for r, value, row, cv in zip(GRID, lowest, counts, coordinate):
                     row = tuple(int(c) for c in row)
                     got = (bits(value), row, curvature._count_subset(metric, row))
                     reference = class_count_minimum(
                         metric, curvature._sectional_table(metric, r), r)
                     for want in (cm_min_exact(metric, r), reference):
                         assert got == (bits(want[0]), want[1], want[2]), (lam, eps, r)
+                    assert bits(cv) == bits(reference[3])
 
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS + ((12, 6),))
     def test_kernel_rows_equal_the_per_table_formula_on_random_tables(self, n, m):
-        # class values over 16 orders of magnitude, where a product of the
-        # whole grid with the count matrix rounds some rows' minima differently
+        # class values over 16 orders of magnitude, where any other order of
+        # the sums, or an FMA, rounds some rows' values differently
         rng = np.random.default_rng(10 * n + m)
         raw = rng.standard_normal((1500, 3, 3)) * np.exp(rng.uniform(-18.0, 18.0, (1500, 3, 3)))
         tables = raw + raw.transpose(0, 2, 1)
         tables[:, 1, 1] = 0.0
         metric = build_counterexample(n, m, 1.0, 1.0)
-        lowest, counts, finite = curvature._class_count_minima(metric, tables)
+        lowest, counts, finite, coordinate = curvature._class_count_minima(metric, tables)
         assert finite.all()
-        for table, value, row in zip(tables, lowest, counts):
+        for table, value, row, cv in zip(tables, lowest, counts, coordinate):
             want = class_count_minimum(metric, table, 0.0)
-            assert (bits(value), tuple(int(c) for c in row)) == (bits(want[0]), want[1])
+            row = tuple(int(c) for c in row)
+            assert (bits(value), row, bits(cv)) == (bits(want[0]), want[1], bits(want[3]))
+            values = python_float_class_values(metric, table)
+            assert (bits(value), bits(cv)) == (bits(min(values)), bits(values[-1]))
 
     @pytest.mark.parametrize("n,m", CONSTRUCTION_PAIRS)
-    def test_batched_coordinate_values_equal_cm_of_frame(self, n, m):
-        # the n^4 tensors of a stack carry riemann_exact's components and
-        # Ricci tensors, and cm_of_frame's contraction over the stack gives
-        # its value at every radius bit for bit
+    def test_coordinate_row_is_cm_of_frame_on_the_full_tensor(self, n, m):
+        # the kernel's last count vector is the distinguished frame; its value
+        # against cm_of_frame's contraction of riemann_exact's n^4 tensor
         for lam in (1.0, 4.0):
             for eps in (2.0, 1.0, 0.5, 0.25):
                 metric = build_counterexample(n, m, lam, eps)
-                q = coordinate_frame(n, metric.coordinate_frame_indices())
-                components, ricci, accepted = curvature._grid_riemann(
-                    metric, curvature._sectional_table(metric, GRID))
-                values = frames._projection_value(components, ricci, q @ q.T)
-                assert accepted.all()
-                for k, r in enumerate(GRID):
-                    rd = riemann_exact(metric, r)
-                    assert bits(components[k]) == bits(rd.components)
-                    assert bits(ricci[k]) == bits(rd.ricci)
-                    assert bits(values[k]) == bits(cm_of_frame(rd, q)), (lam, eps, r)
+                table = curvature._sectional_table(metric, GRID)
+                *_, finite, coordinate = curvature._class_count_minima(metric, table)
+                assert finite.all()
+                for r, cv in zip(GRID, coordinate):
+                    want = coordinate_cm_value(metric, float(r))
+                    assert abs(cv - want) <= 1e-11 * max(1.0, abs(want)), (lam, eps, r)
 
     def test_fail_fast_stops_before_a_non_finite_radius(self):
         # at eps = 10 the origin already fails; the curvature of (6, 2) is not
@@ -556,8 +575,9 @@ class TestGridSweep:
             verify_uniform_positivity(metric, 1.0, [0.0, 40.0], fail_fast=False)
 
     def test_a_finite_sweep_tabulates_once_and_builds_no_scalar_tensor(self, monkeypatch):
-        tabulated, built = [], []
+        tabulated, built, tensors = [], [], []
         table, exact = curvature._sectional_table, curvature.riemann_exact
+        components = curvature._sectional_components
 
         def spy_table(metric, r):
             tabulated.append(np.shape(r))
@@ -567,39 +587,53 @@ class TestGridSweep:
             built.append(r)
             return exact(metric, r)
 
+        def spy_components(table, labels):
+            tensors.append(len(labels))
+            return components(table, labels)
+
         monkeypatch.setattr(curvature, "_sectional_table", spy_table)
         monkeypatch.setattr(curvature, "riemann_exact", spy_exact)
+        monkeypatch.setattr(curvature, "_sectional_components", spy_components)
         rep = verify_uniform_positivity(build_counterexample(7, 3, 1.0, 1.0), 1.0, GRID)
         assert rep.passed and rep.complete
-        assert tabulated == [(121,)]
-        assert built == []
-
-    @pytest.mark.parametrize("n,m,eps,fail_fast", [(7, 3, 1.0, False), (6, 2, 10.0, True),
-                                                   (8, 2, 0.5, False), (12, 6, 1.0, False)])
-    def test_tensors_are_built_a_bounded_slice_at_a_time(self, monkeypatch, n, m, eps,
-                                                         fail_fast):
-        # only visited radii get a tensor, at most SWEEP_ENTRIES entries at a time
-        sizes = []
-        grid_riemann = curvature._grid_riemann
-
-        def spy(metric, table):
-            sizes.append(len(table))
-            return grid_riemann(metric, table)
-
-        monkeypatch.setattr(curvature, "_grid_riemann", spy)
-        metric = build_counterexample(n, m, 1.0, eps)
+        # long grids, failing fast at the origin, and n^4 = 20736 at (12, 6)
         grid = np.linspace(-10.0, 10.0, 401)
-        rep = verify_uniform_positivity(metric, 1.0, grid, fail_fast=fail_fast)
-        assert max(sizes) * n ** 4 <= max(constructions.SWEEP_ENTRIES, n ** 4)
-        assert sum(sizes) == (len(grid) if rep.complete else 1)
-        assert len(sizes) == -(-sum(sizes) // max(1, constructions.SWEEP_ENTRIES // n ** 4))
-        assert report_text(rep) == report_text(per_radius_sweep(metric, 1.0, grid, fail_fast))
+        cases = [(7, 3, 1.0, False), (6, 2, 10.0, True), (8, 2, 0.5, False),
+                 (12, 6, 1.0, False)]
+        reports = [verify_uniform_positivity(build_counterexample(n, m, 1.0, eps), 1.0,
+                                             grid, fail_fast=fail_fast)
+                   for n, m, eps, fail_fast in cases]
+        assert tabulated == [(121,)] + [(401,)] * len(cases)
+        assert built == [] and tensors == []
+        monkeypatch.undo()
+        for (n, m, eps, fail_fast), rep in zip(cases, reports):
+            want = per_radius_sweep(build_counterexample(n, m, 1.0, eps), 1.0, grid, fail_fast)
+            assert report_text(rep) == report_text(want)
+
+    @pytest.mark.parametrize("n,m,eps,r", [(6, 2, 1.0, 37.611110226729444),
+                                           (7, 3, 1e-3, 348.1274422039358)])
+    @pytest.mark.parametrize("fail_fast", [False, True])
+    def test_finite_class_counts_do_not_pass_overflowing_contractions(self, n, m, eps, r,
+                                                                      fail_fast):
+        # just inside the overflow of 1/(eps^2 f^2) every class-count value is
+        # finite and the minimum is lambda, but the scalar curvature is not
+        # finite, so riemann_exact rejects the radius and the sweep must too
+        metric = build_counterexample(n, m, 1.0, eps)
+        lowest, _, finite, _ = curvature._class_count_minima(
+            metric, curvature._sectional_table(metric, r))
+        assert finite and lowest == 1.0
+        with pytest.raises(ValueError) as want:
+            riemann_exact(metric, r)
+        assert "contractions are not finite" in str(want.value)
+        with pytest.raises(ValueError) as got:
+            verify_uniform_positivity(metric, 1.0, [0.0, r], fail_fast=fail_fast)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("grid", [np.linspace(-40.0, 40.0, 801),
                                       np.linspace(0.0, 39.0, 400)])
     def test_a_non_finite_radius_in_a_later_slice_is_named(self, grid):
         # (6, 2) at eps = 1 is finite for |r| <= 37.61: the first radius beyond
-        # lies slices into the sweep, and its error is the per-radius one
+        # lies hundreds of radii into the sweep, and its error is the per-radius one
         metric = build_counterexample(6, 2, 1.0, 1.0)
         want = sweep_outcome(per_radius_sweep, metric, 1.0, grid)
         assert want.startswith("ValueError: curvature at r = ")
