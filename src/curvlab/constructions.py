@@ -179,10 +179,6 @@ class LiftChain:
     fiber_exponent: Fraction
     identity_checks: tuple[tuple[str, bool], ...]
 
-    @property
-    def all_identities_hold(self) -> bool:
-        return all(ok for _, ok in self.identity_checks)
-
 
 def build_chain(n: int, m: int) -> LiftChain:
     """Exact rational chain for (n, m); m = 1 yields the empty chain."""

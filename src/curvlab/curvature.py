@@ -157,10 +157,6 @@ class WarpedTorusMetric:
         return (("sphere",) * self.sphere_dim + ("r",)
                 + ("torus",) * self.torus_dim)
 
-    def coordinate_frame_indices(self) -> tuple[int, ...]:
-        """Indices of (e_r, e_x1, ..., e_x(m-1)) in the orthonormal frame order."""
-        return tuple(range(self.sphere_dim, self.n))
-
 
 # ---------------------------------------------------------------------------
 # curvature data

@@ -10,23 +10,23 @@ onto that span,
 
     C_m(F) = tr(Ric P) - 1/2 Rm_{pqrs} P_{pr} P_{qs}.
 
-P is symmetric, so the descent uses one quadratic form in the
-T = n(n + 1)/2 upper-triangle entries x of P:
+The minimizer scores a frame on this form in the n^2 entries p of P:
 
-    C_m = w . x - 1/2 x . W x,    w = E^T Ric,  W = E^T F E,
+    C_m = ric . p - 1/2 p . F p,    F_{(a,b),(q,s)} = Rm_{aqbs},
 
-with E the map from x to the n^2 entries of P and F_{(q,s),(a,b)} =
-Rm_{aqbs}.  One evaluation of a frame is x = (Q Q^T)[triu] and one (T, T)
-product W x.  From it follow the value and B_ab = Rm_{aqbs} P_qs, which is
-W x on the diagonal and half of it off the diagonal, hence the Euclidean
-gradient 2 (Ric - B) Q.  The value of a coordinate frame e_I needs no
-frame at all:
+with ric the flattened Ricci tensor; F is symmetric by the pair
+symmetries of Rm.  One evaluation of a frame is p = (Q Q^T).ravel() and
+one (n^2, n^2) product b = F p.  From it follow the value and
+B_ab = Rm_{aqbs} P_qs, which is b read as an (n, n) matrix, hence the
+Euclidean gradient 2 (Ric - B) Q.  The value of a coordinate frame e_I
+needs no frame at all:
 
     C_m(e_I) = sum_{p in I} Ric_pp - 1/2 sum_{p, q in I} K_pq,    K_pq = Rm_pqpq.
 
-`cm_min_oracle` contracts the raw 4-tensor instead, and the literal
-completed-basis double sum lives in the tests as an independent slow
-route that both are checked against.  The oracle draws frames of
+`cm_min_oracle` reads the 4-tensor in the same matrix layout through its
+own code, on stacks of full projections, and the literal completed-basis
+double sum lives in the tests as an independent slow route that both are
+checked against.  The oracle draws frames of
 k = min(m, n - m) columns: for m > n - m they span the complement U, and
 it scores V = U^perp through P_V = I - P_U (Haar on U is Haar on V).
 
@@ -158,52 +158,25 @@ def cm_of_frame(riemann: RiemannData, q: np.ndarray) -> float:
     return float(np.einsum("ab,ab->", riemann.ricci, p) - 0.5 * quad)
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The T = n(n + 1)/2 pairs i <= j in row-major order, the (n, n) table of
-    each entry's pair, and how many entries of a symmetric matrix each pair
-    stands for (1 on the diagonal, 2 off it).  The arrays are shared;
-    callers must not write them.
-    """
-    i, j = np.triu_indices(n)
-    pair = np.empty((n, n), dtype=np.intp)
-    pair[i, j] = pair[j, i] = np.arange(len(i))
-    return i, j, pair, np.where(i == j, 1.0, 2.0)
-
-
 def _symmetric_form(riemann: RiemannData) -> tuple[np.ndarray, np.ndarray]:
-    """C_m = w.x - 1/2 x.W x in the upper-triangle coordinates x of P = Q Q^T.
+    """C_m = ric.p - 1/2 p.F p in the n^2 entries p of P = Q Q^T: (ric, F).
 
-    With E the (n^2, T) map from x to the entries of P and
-    F_{(q,s),(a,b)} = Rm_{aqbs}, w = E^T Ric and W = E^T F E: each sums the
-    entries that a coordinate stands for.  The sums below run over both
-    orders of every pair, which counts a diagonal pair's one entry twice.
+    ric is the flattened Ricci tensor and F_{(a,b),(q,s)} = Rm_{aqbs}, an
+    (n^2, n^2) matrix, symmetric by the pair symmetries of Rm.
     """
-    i, j, _, count = _pairs(riemann.dim)
-    rm = riemann.components
-    a, b = i[:, None], j[:, None]
-    wmat = ((rm[a, i, b, j] + rm[a, j, b, i] + rm[b, i, a, j] + rm[b, j, a, i])
-            * (0.25 * count[:, None] * count))
-    return (riemann.ricci[i, j] + riemann.ricci[j, i]) * (0.5 * count), wmat
+    n = riemann.dim
+    return riemann.ricci.ravel(), riemann.components.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def _evaluate(q: np.ndarray, form: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
-    """The value and W x, shape (T,), of one frame (n, m): x = (Q Q^T)[triu]."""
-    weights, wmat = form
-    i, j, _, _ = _pairs(len(q))
-    x = (q @ q.T)[i, j]
-    wx = wmat @ x
-    return float(weights @ x - 0.5 * (x @ wx)), wx
+    """The value and b = F p, shape (n^2,), of one frame (n, m): p = (Q Q^T).ravel().
 
-
-def _contraction(wx: np.ndarray, n: int) -> np.ndarray:
-    """B_ab = Rm_{aqbs} P_qs, shape (n, n), from W x.
-
-    (W x)_t sums B over the entries that pair t stands for, so an
-    off-diagonal entry is half of it.
+    b is B_ab = Rm_{aqbs} P_qs, flattened.
     """
-    _, _, pair, count = _pairs(n)
-    return (wx / count)[pair]
+    ricci, fmat = form
+    p = (q @ q.T).ravel()
+    b = fmat @ p
+    return float(ricci @ p - 0.5 * (p @ b)), b
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +189,28 @@ def tangent_project(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - q @ (0.5 * (qtg + qtg.T))
 
 
-def _descend(riemann: RiemannData, form: tuple[np.ndarray, np.ndarray], q0: np.ndarray,
-             max_iter: int):
+def _descend(form: tuple[np.ndarray, np.ndarray], q0: np.ndarray, max_iter: int):
     """Projected gradient descent on the Stiefel manifold from one frame (n, m).
 
-    Frames are scored on `form`, the `_symmetric_form` of `riemann`.  The
-    first trial step is 1/(1 + |g|), later ones the capped BB1 step from
-    the last move and gradient change.  A trial step is halved until the
-    Armijo test passes; the move then takes a new gradient from the B that
-    the evaluation's W x gives.  The descent stops when the gradient or the move falls
-    below STEP_TOL, a move leaves the value unchanged, HALVINGS halvings
-    all fail, max_iter iterations are spent, or the gradient is not finite
-    (an overflow, reported as not converged).  Returns the frame, its
-    value, the iterations, the evaluations and whether it converged.
+    Frames are scored on `form`, a `_symmetric_form`.  The first trial
+    step is 1/(1 + |g|), later ones the capped BB1 step from the last move
+    and gradient change.  A trial step is halved until the Armijo test
+    passes; the move then takes a new gradient 2 (Ric - B) Q, with Ric and
+    the evaluation's B read as (n, n) matrices.  The descent stops when the
+    gradient or the move falls below STEP_TOL, a move leaves the value
+    unchanged, HALVINGS halvings all fail, max_iter iterations are spent,
+    or the gradient is not finite (an overflow, reported as not
+    converged).  Returns the frame, its value, the iterations, the
+    evaluations and whether it converged.
     """
-    n = riemann.dim
+    n = len(q0)
+    ricci = form[0].reshape(n, n)
     q = orthonormalize_frames(q0[None])[0]
-    val, wx = _evaluate(q, form)
+    val, b = _evaluate(q, form)
     evals, converged, it = 1, False, 0
     qprev = gprev = None
     for it in range(1, max_iter + 1):
-        g = tangent_project(q, 2.0 * (riemann.ricci - _contraction(wx, n)) @ q)
+        g = tangent_project(q, 2.0 * (ricci - b.reshape(n, n)) @ q)
         with np.errstate(over="ignore", invalid="ignore"):
             gnorm2 = np.vdot(g, g)
         if not np.isfinite(gnorm2):
@@ -258,7 +232,7 @@ def _descend(riemann: RiemannData, form: tuple[np.ndarray, np.ndarray], q0: np.n
         qprev, gprev = q, g
         for _ in range(HALVINGS):
             cand = orthonormalize_frames((q - step * g)[None])[0]
-            cand_val, cand_wx = _evaluate(cand, form)
+            cand_val, cand_b = _evaluate(cand, form)
             evals += 1
             if cand_val <= val - ARMIJO * step * gnorm2:
                 break
@@ -269,7 +243,7 @@ def _descend(riemann: RiemannData, form: tuple[np.ndarray, np.ndarray], q0: np.n
         # a step that leaves the value unchanged passed Armijo only because the
         # required decrease is below the value's rounding: nothing more to gain
         stalled = np.max(np.abs(cand - q)) < STEP_TOL or cand_val == val
-        q, val, wx = cand, cand_val, cand_wx
+        q, val, b = cand, cand_val, cand_b
         if stalled:
             converged = True
             break
@@ -700,7 +674,7 @@ def cm_min(riemann: RiemannData, m: int, budget: int = 100_000,
     else:
         # descend from the best coordinate frame, then from the route's frame;
         # min keeps the first of equal values
-        runs = [_descend(riemann, form, start, MAX_ITER)
+        runs = [_descend(form, start, MAX_ITER)
                 for start in (np.eye(n)[:, subsets[coord_best]], best_frame)]
         best_frame, desc_value = min(runs, key=lambda run: run[1])[:2]
         evaluations += sum(run[3] for run in runs)
@@ -751,9 +725,10 @@ def cm_min_oracle(riemann: RiemannData, m: int, seed: int = 0) -> float:
     samples nothing, so the oracle shares only the Gram-Schmidt kernel
     with it, through `random_frames`.  It draws from the first child of
     SeedSequence(seed), so its frames differ from those of any generator
-    seeded with an integer, such as PCG64(seed + j).  Values come from a
-    contraction of the raw 4-tensor with full projections, so they share
-    no arithmetic with the symmetric form of the descent.
+    seeded with an integer, such as PCG64(seed + j).  Values come from
+    its own reshape of the 4-tensor, contracted with full projections:
+    the layout of `cm_min`'s symmetric form, read through separate code,
+    so each checks the other.
     It checks its input as `cm_min` does.
     """
     _check_input(riemann, m)

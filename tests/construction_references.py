@@ -43,7 +43,7 @@ def metric_from_json(witnesses: dict) -> WarpedTorusMetric:
 
 def coordinate_cm_value(metric: WarpedTorusMetric, r: float) -> float:
     """C_m at the distinguished frame (radial direction plus torus directions)."""
-    frame = coordinate_frame(metric.n, metric.coordinate_frame_indices())
+    frame = coordinate_frame(metric.n, range(metric.sphere_dim, metric.n))
     return cm_of_frame(riemann_exact(metric, r), frame)
 
 

@@ -5,10 +5,13 @@ completed orthonormal basis, `complete_frame` builds that basis,
 `cm_gradient` is the einsum form of the Euclidean gradient of the
 projection form, and `oracle_values` is the one-pass 3-operand contraction
 the sampling oracle once used.  None of them shares arithmetic with the
-library's evaluation kernels.  `cm_batch` is the stacked evaluator that
-`cm_min` once scored its coordinate frames with: the descent's symmetric
-form applied to a whole stack in one (T, T) GEMM, a cross-check route for
-the coordinate values that `cm_min` reads off the tensor.  `ky_fan_bound`
+library's evaluation kernels.  `triangle_form` is the form `cm_min` once
+scored frames on, in the T = n(n + 1)/2 upper-triangle coordinates of
+P = Q Q^T; `cm_min` now scores on the plain (n^2, n^2) matrix, and the
+tests play it against this one.  `cm_batch` is the stacked evaluator that
+`cm_min` once scored its coordinate frames with: the triangle form
+applied to a whole stack in one (T, T) GEMM, a cross-check route for the
+coordinate values that `cm_min` reads off the tensor.  `ky_fan_bound`
 is the eigenvalue bound that `cm_min` took at most m before its Plücker
 route, which must stay at or above it.  `sampled_search` is the sampled
 start search that `cm_min`'s fallback must never lose to: descent from
@@ -93,14 +96,44 @@ def oracle_values(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
             - 0.5 * np.einsum("pqrs,npr,nqs->n", riemann.components, ps, ps))
 
 
+def triangle_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The T = n(n + 1)/2 pairs i <= j in row-major order, the (n, n) table of
+    each entry's pair, and how many entries of a symmetric matrix each pair
+    stands for (1 on the diagonal, 2 off it).
+    """
+    i, j = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    return i, j, pair, np.where(i == j, 1.0, 2.0)
+
+
+def triangle_form(riemann: RiemannData) -> tuple[np.ndarray, np.ndarray]:
+    """C_m = w.x - 1/2 x.W x in the upper-triangle coordinates x of P = Q Q^T: (w, W).
+
+    With E the (n^2, T) map from x to the entries of P and
+    F_{(q,s),(a,b)} = Rm_{aqbs}, w = E^T Ric and W = E^T F E: each sums the
+    entries that a coordinate stands for.  The sums below run over both
+    orders of every pair, which counts a diagonal pair's one entry twice.
+    (W x)_t sums B_ab = Rm_{aqbs} P_qs over the entries that pair t stands
+    for, so B is (W x / count)[pair] in the tables of `triangle_pairs`.
+    """
+    i, j, _, count = triangle_pairs(riemann.dim)
+    rm = riemann.components
+    a, b = i[:, None], j[:, None]
+    wmat = ((rm[a, i, b, j] + rm[a, j, b, i] + rm[b, i, a, j] + rm[b, j, a, i])
+            * (0.25 * count[:, None] * count))
+    return (riemann.ricci[i, j] + riemann.ricci[j, i]) * (0.5 * count), wmat
+
+
 def cm_batch(riemann: RiemannData, qs: np.ndarray) -> np.ndarray:
-    """Projection-form values for a stack of frames, shape (B, n, m).
+    """Triangle-form values for a stack of frames, shape (B, n, m).
 
     The stack is read as its stack-last transpose (m, n, B); row r of P
     gives the upper-triangle coordinates x_t = P_rj, j >= r, and the
-    quadratic part is one GEMM of the (T, T) symmetric form W against them.
+    quadratic part is one GEMM of the (T, T) matrix W of `triangle_form`
+    against them.
     """
-    weights, wmat = _symmetric_form(riemann)
+    weights, wmat = triangle_form(riemann)
     cols = np.asarray(qs, dtype=float).transpose(2, 1, 0)
     n = cols.shape[1]
     x = np.empty((len(weights), cols.shape[2]))
@@ -234,6 +267,6 @@ def sampled_search(riemann: RiemannData, m: int, budget: int, seed: int) -> floa
     unit, scale = _unit_scale(riemann)
     form = _symmetric_form(unit)
     coord_min = float(cm_batch(unit, coordinate_frames(unit.dim, m)).min())
-    vals = [_descend(unit, form, q0, MAX_ITER)[1]
+    vals = [_descend(form, q0, MAX_ITER)[1]
             for q0 in slow_path_starts(unit, m, budget, seed)]
     return scale * min(coord_min, *vals)

@@ -106,7 +106,6 @@ class TestWarpedTorusMetric:
         assert g.sphere_dim == 4
         assert g.torus_dim == 1
         assert g.frame_labels() == ("sphere",) * 4 + ("r", "torus")
-        assert g.coordinate_frame_indices() == (4, 5)
 
     def test_rejects_bad_parameters(self):
         c = constant_profile()

@@ -2,9 +2,10 @@
 
 Tools that look exports up by name (the benchmark's tracer among them)
 skip a missing name silently, so a stale `__all__` entry must fail here,
-and so must a name that `bench/` reads off a curvlab module.  Every export
-must also have a caller outside its own definition, in the library or the
-benchmark; a helper only tests call belongs in a `tests/` reference module.
+and so must a name that `bench/` reads off a curvlab module.  Every export,
+and every public method and property of an exported class, must also have
+a caller outside its own definition, in the library or the benchmark; a
+helper only tests call belongs in a `tests/` reference module.
 """
 import ast
 import dataclasses
@@ -48,29 +49,63 @@ def _defines(statement, name):
     return any(isinstance(t, ast.Name) and t.id == name for t in targets)
 
 
+def _walk(node, skip):
+    """Every node of the tree under `node`, depth first, leaving out the subtree `skip`."""
+    if node is not skip:
+        yield node
+        for child in ast.iter_child_nodes(node):
+            yield from _walk(child, skip)
+
+
 def code_references(tree, skip=None):
     """Names that Name (read) and Attribute nodes of a parsed file refer to.
 
-    The top-level definition of `skip` is left out, so a name does not
-    count as used by its own body.  Strings and docstrings never count.
+    The definition node `skip` is left out, so a name does not count as
+    used by its own body.  Strings and docstrings never count.
     """
     return {node.id if isinstance(node, ast.Name) else node.attr
-            for statement in tree.body if not _defines(statement, skip)
-            for node in ast.walk(statement)
+            for node in _walk(tree, skip)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             or isinstance(node, ast.Attribute)}
 
 
+def library_trees():
+    """{path: parsed file} of every module in src/curvlab and bench/."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))]}
+
+
 def test_every_export_has_a_caller_outside_tests():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))]}
+    trees = library_trees()
     unused = []
     for name in MODULES:
         home = SRC / f"{name}.py"
         for export in getattr(importlib.import_module(f"curvlab.{name}"), "__all__", ()):
-            if not any(export in code_references(tree, export if path == home else None)
+            definition = next((statement for statement in trees[home].body
+                               if _defines(statement, export)), None)
+            if not any(export in code_references(tree, definition if path == home else None)
                        for path, tree in trees.items()):
                 unused.append(f"{name}.{export}")
+    assert not unused, f"called by nothing in src/curvlab or bench/: {unused}"
+
+
+def test_every_public_member_of_an_export_has_a_caller_outside_tests():
+    # methods and properties are matched by name, as exports are; a member
+    # only tests call belongs in a `tests/` reference module
+    trees = library_trees()
+    unused = []
+    for name in MODULES:
+        home = SRC / f"{name}.py"
+        exports = getattr(importlib.import_module(f"curvlab.{name}"), "__all__", ())
+        for cls in trees[home].body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exports):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                if not any(member.name in code_references(tree, member if path == home else None)
+                           for path, tree in trees.items()):
+                    unused.append(f"{name}.{cls.name}.{member.name}")
     assert not unused, f"called by nothing in src/curvlab or bench/: {unused}"
 
 

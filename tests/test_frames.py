@@ -24,7 +24,6 @@ from curvlab.frames import (
     MAX_ITER,
     ORACLE_SLICE,
     SAMPLE_CHUNK,
-    _contraction,
     _coordinate_values,
     _descend,
     _evaluate,
@@ -63,6 +62,8 @@ from frame_references import (
     sampled_search,
     slow_path_starts,
     smallest,
+    triangle_form,
+    triangle_pairs,
 )
 from inequality_references import _bareiss
 
@@ -133,9 +134,9 @@ def record_descents(patch):
     descend = frames._descend
     starts = []
 
-    def recorded(riemann, form, q0, max_iter):
+    def recorded(form, q0, max_iter):
         starts.append(np.array(q0))
-        return descend(riemann, form, q0, max_iter)
+        return descend(form, q0, max_iter)
 
     patch.setattr(frames, "_descend", recorded)
     return starts
@@ -239,7 +240,7 @@ def descend_each(riemann, starts, max_iter=MAX_ITER):
     flags, one entry per start.
     """
     form = _symmetric_form(riemann)
-    runs = [_descend(riemann, form, q0, max_iter) for q0 in starts]
+    runs = [_descend(form, q0, max_iter) for q0 in starts]
     return tuple(np.array(field) for field in zip(*runs))
 
 
@@ -316,16 +317,23 @@ class TestEvaluation:
 
 
 class TestSymmetricForm:
-    """The kernel's form in upper-triangle coordinates against the slow routes."""
+    """The kernel's (n^2, n^2) form against the triangle form and the slow routes."""
 
     @pytest.mark.parametrize("rd,m", KERNEL_CASES, ids=KERNEL_IDS)
     def test_values_and_contraction_match_references(self, rd, m):
         n = rd.dim
         form = _symmetric_form(rd)
+        i, j, pair, count = triangle_pairs(n)
+        weights, wmat = triangle_form(rd)
         for q in random_frames(n, m, 12, np.random.default_rng(n + 31 * m)):
-            val, wx = _evaluate(q, form)
-            b = _contraction(wx, n)
-            assert b.shape == (n, n)
+            val, b = _evaluate(q, form)
+            assert b.shape == (n * n,)
+            b = b.reshape(n, n)
+            x = (q @ q.T)[i, j]
+            wx = wmat @ x
+            assert val == pytest.approx(weights @ x - 0.5 * (x @ wx), rel=1e-12)
+            ref_b = (wx / count)[pair]
+            assert_allclose(b, ref_b, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_b)))
             assert val == pytest.approx(cm_double_sum(rd, complete_frame(q), m), rel=1e-12)
             ref = cm_gradient(rd, q)
             assert_allclose(2.0 * (rd.ricci - b) @ q, ref, rtol=1e-12,
@@ -438,7 +446,7 @@ class TestDescent:
         rd = random_curvature_tensor(6, np.random.default_rng(14))
         q0 = haar_frame(6, 3, 15)
         start = cm_of_frame(rd, q0)
-        q, val, _, _, converged = _descend(rd, _symmetric_form(rd), q0, MAX_ITER)
+        q, val, _, _, converged = _descend(_symmetric_form(rd), q0, MAX_ITER)
         assert val <= start + 1e-12
         assert converged
         gt = tangent_project(q, cm_gradient(rd, q))
@@ -446,7 +454,7 @@ class TestDescent:
 
     def test_immediate_convergence_on_space_form(self):
         rd = constant_curvature_riemann(5, 2.0)
-        _, val, iters, _, _ = _descend(rd, _symmetric_form(rd), haar_frame(5, 3, 3), MAX_ITER)
+        _, val, iters, _, _ = _descend(_symmetric_form(rd), haar_frame(5, 3, 3), MAX_ITER)
         assert iters == 1
         assert val == pytest.approx(2.0 * (3 * 5 - 6), rel=1e-12)
 
@@ -459,7 +467,7 @@ class TestDescent:
         coordinate_route(monkeypatch, lambda riemann, m: -np.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            q, val, iters, evals, converged = _descend(rd, _symmetric_form(rd), q0, MAX_ITER)
+            q, val, iters, evals, converged = _descend(_symmetric_form(rd), q0, MAX_ITER)
             # cm_min descends on the tensor scaled to unit size, where nothing
             # overflows: with no bound to close on, C_1 descends and finds
             # the exact minimum
@@ -480,7 +488,7 @@ class TestDescent:
     def test_max_iter_zero_skips_descent(self):
         rd = random_curvature_tensor(5, np.random.default_rng(6))
         q0 = haar_frame(5, 2, 7)
-        q, _, iters, evals, converged = _descend(rd, _symmetric_form(rd), q0, 0)
+        q, _, iters, evals, converged = _descend(_symmetric_form(rd), q0, 0)
         assert (iters, evals, converged) == (0, 1, False)
         assert_allclose(q, q0, atol=1e-14)
 
@@ -500,7 +508,7 @@ class TestDescentRule:
         rd = random_curvature_tensor(n, np.random.default_rng(n * 10 + m))
         starts = random_frames(n, m, 9, np.random.default_rng(n * 10 + m + 1))
         for q0 in starts:
-            q, val, iters, _, converged = _descend(rd, _symmetric_form(rd), q0, MAX_ITER)
+            q, val, iters, _, converged = _descend(_symmetric_form(rd), q0, MAX_ITER)
             ref_q, ref_val, ref_iters, _, ref_converged = reference_descent(rd, q0)
             assert val == pytest.approx(ref_val, rel=1e-9, abs=1e-9)
             assert converged == ref_converged
@@ -1426,6 +1434,9 @@ def open_cases():
 
 OPEN_IDS = ([f"CP4-m{m}" for m in range(2, 7)]
             + ["CP3-m3", "dense-n8-m4", "dense-cm-19", "dense-cm-39"])
+# the route's gap below the closed-form minimum on CP^d, by (n, m), where
+# its ascent stays at Q = 0: -lambda_max there is 20, 30 and 16
+CP_GAPS = {(8, 3): 4, (8, 5): 4, (6, 3): 2}
 
 
 class TestOpenInputs:
@@ -1472,6 +1483,10 @@ class TestOpenInputs:
         if recorded.minimum is not None:
             assert res.method == "coordinate-enumeration"
             assert res.value == pytest.approx(recorded.minimum, abs=1e-12)
+            assert res.lower_bound < recorded.minimum
+            if (rd.dim, m) in CP_GAPS:
+                assert recorded.minimum - res.lower_bound == pytest.approx(
+                    CP_GAPS[rd.dim, m], abs=1e-12)
 
     def test_descends_from_each_start_in_turn(self, recorded):
         # the route returns its frame as it is, so the only descents are
